@@ -104,6 +104,9 @@ pub struct MrmtpRouter {
     upper_lost: BTreeSet<u8>,
     /// Rack-facing ports (ToR only): server address → port.
     host_ports: Vec<(IpAddr4, PortId)>,
+    /// Router-facing connected ports, ascending; fixed at `on_start`
+    /// (wiring and `host_ports` never change after build).
+    router_ports: Vec<PortId>,
     /// Pre-encoded hello frame per port (hellos are position-dependent but
     /// time-independent, so the keepalive fast path is a refcount bump).
     hello_frames: Vec<Option<FrameBuf>>,
@@ -147,6 +150,7 @@ impl MrmtpRouter {
             self_lost: BTreeSet::new(),
             upper_lost: BTreeSet::new(),
             host_ports,
+            router_ports: Vec::new(),
             hello_frames: vec![None; ports],
             fib: CompiledFib::new(),
             fib_key: None,
@@ -198,14 +202,6 @@ impl MrmtpRouter {
 
     fn is_host_port(&self, port: PortId) -> bool {
         self.host_ports.iter().any(|&(_, p)| p == port)
-    }
-
-    /// Router-facing connected ports.
-    fn router_ports<'c>(&self, ctx: &Ctx<'c>) -> Vec<PortId> {
-        (0..ctx.port_count() as u16)
-            .map(PortId)
-            .filter(|&p| ctx.port(p).connected && !self.is_host_port(p))
-            .collect()
     }
 
     fn send_msg(&mut self, ctx: &mut Ctx<'_>, port: PortId, msg: &MrmtpMsg, class: FrameClass) {
@@ -281,7 +277,8 @@ impl MrmtpRouter {
 
     fn advertise_all(&mut self, ctx: &mut Ctx<'_>) {
         self.last_advertise = ctx.now();
-        for port in self.router_ports(ctx) {
+        for i in 0..self.router_ports.len() {
+            let port = self.router_ports[i];
             if ctx.port(port).up {
                 self.advertise_on(ctx, port);
             }
@@ -381,7 +378,8 @@ impl MrmtpRouter {
     /// router neighbors except `except`.
     fn flood_update(&mut self, ctx: &mut Ctx<'_>, roots: &[u8], except: PortId, lost: bool) {
         let mut fanout = 0u8;
-        for port in self.router_ports(ctx) {
+        for i in 0..self.router_ports.len() {
+            let port = self.router_ports[i];
             if port == except || !ctx.port(port).up || !self.nbr.is_up(port) {
                 continue;
             }
@@ -920,7 +918,8 @@ impl MrmtpRouter {
         }
         // Hellos on idle links only (every MR-MTP frame is a keep-alive).
         let hello_due = self.cfg.timers.hello_interval;
-        for port in self.router_ports(ctx) {
+        for i in 0..self.router_ports.len() {
+            let port = self.router_ports[i];
             if ctx.port(port).up && now.saturating_sub(self.nbr.last_tx(port)) >= hello_due {
                 self.send_hello(ctx, port);
             }
@@ -972,6 +971,7 @@ impl StatsSnapshot for MrmtpRouter {
 impl Protocol for MrmtpRouter {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         self.started = true;
+        self.router_ports = ctx.connected_ports().filter(|&p| !self.is_host_port(p)).collect();
         // Small deterministic jitter decorrelates router timers. The tick
         // is a single engine-managed periodic entry per node, not one
         // queue entry per session or per callback.

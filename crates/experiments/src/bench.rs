@@ -1,6 +1,6 @@
 //! Scaling and scheduler benchmarks behind `fcr bench`.
 //!
-//! Two measurements back the timer-wheel work:
+//! Two measurements cover the event core:
 //!
 //! * **Scale sweep** — build a folded-Clos fabric at each requested PoD
 //!   count, run it with tracing off, and record events processed, wall
@@ -17,19 +17,24 @@
 //!   with the engine profiler on and embeds its stall breakdown
 //!   (execute/barrier/drain/deposit/other as % of wall), so a bad
 //!   speedup is attributable at a glance. Emitted as `BENCH_scale.json`
-//!   (`schema: "bench_scale/v4"`, which also records the host's core
+//!   (`schema: "bench_scale/v5"`, which also records the host's core
 //!   count so single-core runs are not misread as parallel regressions;
-//!   v2/v3 baselines still gate — [`check_regression`] keys on field
+//!   v2–v4 baselines still gate — [`check_regression`] keys on field
 //!   names, not the schema string). Peak RSS is sampled per row: the
 //!   kernel's VmHWM watermark is reset before each row, so a big fabric
-//!   earlier in the sweep cannot inflate a small one's number.
+//!   earlier in the sweep cannot inflate a small one's number. The
+//!   largest swept fabric's sequential row runs a second time on the
+//!   reference heap scheduler (`heap_reference`): the scheduler gate.
 //! * **Scheduler microbench** — the pop-then-re-arm stress loop from
-//!   `dcn_sim::scheduler_stress`, run on both backends, reported as a
-//!   wheel-over-heap speedup.
+//!   `dcn_sim::scheduler_stress`, run on both backends at
+//!   [`MICRO_PENDING`] timers in flight. Informational, not gated: its
+//!   timers-only mix holds no frame deliveries and, at 262 144 pending,
+//!   more events than any fabric this repo builds.
 //!
 //! [`check_regression`] compares a fresh report against a committed
-//! baseline and fails when throughput drops by more than a tolerance,
-//! which is what the CI smoke job gates on.
+//! baseline and fails when throughput drops by more than a tolerance or
+//! the default scheduler falls behind the reference heap on the real
+//! fabric, which is what the CI smoke job gates on.
 //!
 //! A third measurement backs the data-plane fast path:
 //!
@@ -126,9 +131,23 @@ pub struct BenchReport {
     /// bounded by this; a 1-core report documents that its multi-worker
     /// rows measure engine overhead, not attainable speedup.
     pub cores: usize,
-    pub micro: MicroBench,
+    /// One row per [`MICRO_PENDING`] entry (informational).
+    pub micro: Vec<MicroBench>,
     pub scale: Vec<ScalePoint>,
+    /// The largest swept fabric's sequential row, re-run on
+    /// [`SchedulerKind::Heap`]: what [`check_regression`] holds the
+    /// default scheduler's row against.
+    pub heap_reference: ScalePoint,
 }
+
+/// Pending-timer counts of the scheduler microbench: the 16-PoD operating
+/// point (≤ 1 524 pending) and the historical 262 144.
+pub const MICRO_PENDING: [usize; 2] = [2_048, 262_144];
+
+/// The default scheduler must reach this share of the reference heap's
+/// CPU-basis events/s on the largest swept fabric. The margin is the
+/// basis' own resolution: 100 Hz ticks over a ≥ 0.25 s window.
+pub const SCHEDULER_GATE_RATIO: f64 = 0.90;
 
 /// Reset the kernel's peak-RSS watermark (write `5` to
 /// `/proc/self/clear_refs`) so the next [`peak_rss_kb`] reading covers
@@ -189,13 +208,13 @@ fn measure<F: FnMut()>(target_cpu: f64, max_reps: u32, mut work: F) -> (u32, f64
     }
 }
 
-/// Run the scheduler microbenchmark on both backends. The pending count
-/// models a mega-fabric steady state — hundreds of thousands of
-/// concurrent keepalive/dead timers — which is where the heap's
-/// `O(log n)` sift (and its cache misses) bites and the wheel's `O(1)`
-/// bucketing wins.
-pub fn bench_scheduler(quick: bool) -> MicroBench {
-    let pending = 262_144;
+/// Run the scheduler microbenchmark on both backends with `pending`
+/// timers in flight. The stress loop re-arms 1 ns–20 ms ahead, so on the
+/// default backend it exercises the far heap almost exclusively and reads
+/// on par with [`SchedulerKind::Heap`]; the near ring's share of a real
+/// run (a third of all events at 16 PoDs) only shows in the scale sweep,
+/// which is why that is what [`check_regression`] gates.
+pub fn bench_scheduler(pending: usize, quick: bool) -> MicroBench {
     let ops: u64 = if quick { 200_000 } else { 2_000_000 };
     let rate = |kind: SchedulerKind| {
         let (reps, cpu, _) = measure(0.25, if quick { 8 } else { 2 }, || {
@@ -227,6 +246,7 @@ pub fn bench_scheduler(quick: bool) -> MicroBench {
 pub fn bench_one_scale(
     pods: usize,
     workers: usize,
+    scheduler: SchedulerKind,
     quick: bool,
     seed: u64,
 ) -> Result<ScalePoint, String> {
@@ -235,7 +255,7 @@ pub fn bench_one_scale(
     // longer steady-state window dominated by keepalive traffic.
     let warmup = Timing::default().warmup;
     let horizon = if quick { warmup } else { warmup * 3 };
-    let cfg = SimConfig { trace: false, ..SimConfig::default() };
+    let cfg = SimConfig { trace: false, scheduler, ..SimConfig::default() };
     // Every row runs with the engine profiler on so the report can embed
     // its stall breakdown. Profiling reads only the host clock and bumps
     // pre-sized counters; its overhead is identical for baseline and
@@ -318,102 +338,127 @@ pub fn profile_scale_run(
 pub const WORKER_SWEEP_MIN_PODS: usize = 16;
 
 /// Run the whole benchmark: a sweep over `pods` — with each worker count
-/// from `workers` added at [`WORKER_SWEEP_MIN_PODS`]+ PoDs — plus the
-/// microbench. The sweep runs first: the microbench saturates the CPU
-/// for a second or more, and on throttled/shared machines that
-/// depresses whatever is measured right after it.
+/// from `workers` added at [`WORKER_SWEEP_MIN_PODS`]+ PoDs — the largest
+/// fabric once more on the reference heap, plus the microbench. The sweep
+/// runs first: the microbench saturates the CPU for a second or more,
+/// and on throttled/shared machines that depresses whatever is measured
+/// right after it.
 pub fn run_bench(
     pods: &[usize],
     workers: &[usize],
     quick: bool,
     seed: u64,
 ) -> Result<BenchReport, String> {
+    let sched = SchedulerKind::default();
     let mut scale = Vec::with_capacity(pods.len());
     for &p in pods {
-        let base = bench_one_scale(p, 1, quick, seed)?;
+        let base = bench_one_scale(p, 1, sched, quick, seed)?;
         // Wall-over-wall: the sequential row's wall rate is the basis.
         let base_rate = base.events_per_sec_wall;
         scale.push(base);
         if p >= WORKER_SWEEP_MIN_PODS {
             for &w in workers.iter().filter(|&&w| w > 1) {
-                let mut point = bench_one_scale(p, w, quick, seed)?;
+                let mut point = bench_one_scale(p, w, sched, quick, seed)?;
                 point.speedup = point.events_per_sec_wall / base_rate;
                 scale.push(point);
             }
         }
     }
-    let micro = bench_scheduler(quick);
+    let top = pods.iter().copied().max().ok_or("no PoD counts to sweep")?;
+    let heap_reference = bench_one_scale(top, 1, SchedulerKind::Heap, quick, seed)?;
+    let micro = MICRO_PENDING.iter().map(|&pending| bench_scheduler(pending, quick)).collect();
     Ok(BenchReport {
         quick,
         cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
         micro,
         scale,
+        heap_reference,
     })
 }
 
 impl BenchReport {
-    /// Serialize to the committed `BENCH_scale.json` schema
-    /// (`bench_scale/v4`; see EXPERIMENTS.md). v4 reports both
-    /// throughput bases per row; the legacy `events_per_sec` key is
-    /// kept as an alias of the CPU basis so older tooling and v2/v3
-    /// baselines still gate — [`check_regression`] reads fields by name
-    /// and ignores the schema string.
+    /// CPU-basis events/s of the default scheduler over the reference
+    /// heap's, on the fabric `heap_reference` ran (`None` if the sweep
+    /// holds no sequential row of that size).
+    pub fn default_over_heap(&self) -> Option<f64> {
+        let heap = &self.heap_reference;
+        let default = self.scale.iter().find(|p| p.pods == heap.pods && p.workers == 1)?;
+        Some(default.events_per_sec_cpu / heap.events_per_sec_cpu)
+    }
+
+    /// Serialize to the `BENCH_scale.json` schema (`bench_scale/v5`; see
+    /// EXPERIMENTS.md). Rows are as in v4 — both throughput bases, the
+    /// legacy `events_per_sec` key kept as an alias of the CPU basis — so
+    /// v2–v4 baselines still gate: [`check_regression`] reads a
+    /// baseline's `scale` rows by field name and nothing else. v5 turns
+    /// `scheduler_microbench` into one row per pending count and adds
+    /// `heap_reference`.
     pub fn to_json(&self) -> Json {
+        let row = |p: &ScalePoint| {
+            Json::obj(vec![
+                ("pods", Json::UInt(p.pods as u64)),
+                ("nodes", Json::UInt(p.nodes as u64)),
+                ("links", Json::UInt(p.links as u64)),
+                ("workers", Json::UInt(p.workers as u64)),
+                ("events", Json::UInt(p.events)),
+                ("wall_ms", Json::Float(p.wall_ms)),
+                ("events_per_sec_wall", Json::Float(p.events_per_sec_wall)),
+                ("events_per_sec_cpu", Json::Float(p.events_per_sec_cpu)),
+                // Legacy alias (CPU basis) for pre-v4 readers.
+                ("events_per_sec", Json::Float(p.events_per_sec_cpu)),
+                ("events_per_node", Json::Float(p.events_per_node)),
+                ("peak_rss_kb", Json::UInt(p.peak_rss_kb)),
+                ("speedup", Json::Float(p.speedup)),
+                ("windows", Json::UInt(p.windows)),
+                ("execute_pct", Json::Float(p.execute_pct)),
+                ("barrier_pct", Json::Float(p.barrier_pct)),
+                ("drain_pct", Json::Float(p.drain_pct)),
+                ("deposit_pct", Json::Float(p.deposit_pct)),
+                ("other_pct", Json::Float(p.other_pct)),
+            ])
+        };
         Json::obj(vec![
-            ("schema", Json::str("bench_scale/v4")),
+            ("schema", Json::str("bench_scale/v5")),
             ("quick", Json::Bool(self.quick)),
             ("cores", Json::UInt(self.cores as u64)),
             (
                 "scheduler_microbench",
-                Json::obj(vec![
-                    ("pending", Json::UInt(self.micro.pending as u64)),
-                    ("ops", Json::UInt(self.micro.ops)),
-                    ("heap_events_per_sec", Json::Float(self.micro.heap_events_per_sec)),
-                    ("wheel_events_per_sec", Json::Float(self.micro.wheel_events_per_sec)),
-                    ("speedup", Json::Float(self.micro.speedup)),
-                ]),
-            ),
-            (
-                "scale",
                 Json::Arr(
-                    self.scale
+                    self.micro
                         .iter()
-                        .map(|p| {
+                        .map(|m| {
                             Json::obj(vec![
-                                ("pods", Json::UInt(p.pods as u64)),
-                                ("nodes", Json::UInt(p.nodes as u64)),
-                                ("links", Json::UInt(p.links as u64)),
-                                ("workers", Json::UInt(p.workers as u64)),
-                                ("events", Json::UInt(p.events)),
-                                ("wall_ms", Json::Float(p.wall_ms)),
-                                ("events_per_sec_wall", Json::Float(p.events_per_sec_wall)),
-                                ("events_per_sec_cpu", Json::Float(p.events_per_sec_cpu)),
-                                // Legacy alias (CPU basis) for pre-v4 readers.
-                                ("events_per_sec", Json::Float(p.events_per_sec_cpu)),
-                                ("events_per_node", Json::Float(p.events_per_node)),
-                                ("peak_rss_kb", Json::UInt(p.peak_rss_kb)),
-                                ("speedup", Json::Float(p.speedup)),
-                                ("windows", Json::UInt(p.windows)),
-                                ("execute_pct", Json::Float(p.execute_pct)),
-                                ("barrier_pct", Json::Float(p.barrier_pct)),
-                                ("drain_pct", Json::Float(p.drain_pct)),
-                                ("deposit_pct", Json::Float(p.deposit_pct)),
-                                ("other_pct", Json::Float(p.other_pct)),
+                                ("pending", Json::UInt(m.pending as u64)),
+                                ("ops", Json::UInt(m.ops)),
+                                ("heap_events_per_sec", Json::Float(m.heap_events_per_sec)),
+                                ("wheel_events_per_sec", Json::Float(m.wheel_events_per_sec)),
+                                ("speedup", Json::Float(m.speedup)),
                             ])
                         })
                         .collect(),
                 ),
             ),
+            ("scale", Json::Arr(self.scale.iter().map(row).collect())),
+            ("heap_reference", row(&self.heap_reference)),
         ])
     }
 
     /// Human-readable table for the terminal.
     pub fn render_text(&self) -> String {
         let mut out = String::new();
+        out.push_str("scheduler microbench (timers only, fill included; informational):\n");
+        for m in &self.micro {
+            out.push_str(&format!(
+                "  {:>7} pending, {} ops: heap {:>9.0} events/sec, default {:>9.0} events/sec ({:.2}x)\n",
+                m.pending, m.ops, m.heap_events_per_sec, m.wheel_events_per_sec, m.speedup,
+            ));
+        }
+        let heap = &self.heap_reference;
         out.push_str(&format!(
-            "scheduler microbench ({} pending, {} ops):\n  heap  {:>12.0} events/sec\n  wheel {:>12.0} events/sec\n  speedup {:.2}x\n\n",
-            self.micro.pending, self.micro.ops, self.micro.heap_events_per_sec,
-            self.micro.wheel_events_per_sec, self.micro.speedup,
+            "scheduler gate ({} PoDs, sequential): default {:.2}x the reference heap's {:.0} ev/s(cpu), floor {SCHEDULER_GATE_RATIO:.2}x\n\n",
+            heap.pods,
+            self.default_over_heap().unwrap_or(f64::NAN),
+            heap.events_per_sec_cpu,
         ));
         out.push_str(&format!("host cores: {}\n", self.cores));
         out.push_str(
@@ -825,8 +870,11 @@ pub fn check_traffic_regression(
 /// Compare a fresh report against a committed baseline (`BENCH_scale.json`
 /// contents). Fails if CPU-basis events/sec at any matching (PoD count,
 /// workers) row dropped by more than `tolerance` (0.20 = 20%) —
-/// parallel rows gate exactly like sequential ones — or the scheduler
-/// microbench speedup fell below 1.0. Rows present on only one side are
+/// parallel rows gate exactly like sequential ones — or, on the largest
+/// swept fabric, the default scheduler's row fell below
+/// [`SCHEDULER_GATE_RATIO`] of the same row on the reference heap (the
+/// scheduler is gated where fabrics operate it, not on the microbench's
+/// synthetic pending count). Rows present on only one side are
 /// skipped — the sweep list may grow over time. Baseline rows without a
 /// `workers` field (the v1 schema) are treated as sequential
 /// (workers = 1); baselines without `events_per_sec_cpu` (pre-v4) gate
@@ -860,11 +908,14 @@ pub fn check_regression(current: &BenchReport, baseline_json: &str, tolerance: f
             ));
         }
     }
-    if current.micro.speedup < 1.0 {
-        return Err(format!(
-            "scheduler regression: wheel {:.2}x of heap (expected >= 1.0x)",
-            current.micro.speedup
-        ));
+    if let Some(ratio) = current.default_over_heap() {
+        if ratio < SCHEDULER_GATE_RATIO {
+            return Err(format!(
+                "scheduler regression at {} pods: default {ratio:.2}x of the reference heap \
+                 (expected >= {SCHEDULER_GATE_RATIO:.2}x)",
+                current.heap_reference.pods
+            ));
+        }
     }
     Ok(())
 }
@@ -873,13 +924,20 @@ pub fn check_regression(current: &BenchReport, baseline_json: &str, tolerance: f
 mod tests {
     use super::*;
 
+    /// Set the default/heap ratio to exactly 1: measured, it is process
+    /// CPU time over a 2-PoD window shared with sibling test threads —
+    /// noise — and the tests are after the gate's logic.
+    fn pin_scheduler_gate(report: &mut BenchReport) {
+        report.heap_reference.events_per_sec_cpu = report.scale[0].events_per_sec_cpu;
+    }
+
     #[test]
     fn quick_bench_produces_sane_report() {
-        let report = run_bench(&[2], &[], true, 7).expect("2-pod bench runs");
+        let mut report = run_bench(&[2], &[], true, 7).expect("2-pod bench runs");
         assert!(report.quick);
         assert!(report.cores >= 1);
         assert_eq!(report.scale.len(), 1);
-        let p = &report.scale[0];
+        let p = report.scale[0].clone();
         assert_eq!(p.pods, 2);
         assert_eq!(p.workers, 1);
         assert!(p.nodes > 0 && p.links > 0);
@@ -893,8 +951,15 @@ mod tests {
         // worth a few percent over a ~0.25s measured window.
         assert!(p.events_per_sec_wall <= p.events_per_sec_cpu * 1.10);
         assert_eq!(p.speedup, 1.0, "the sequential row is its own speedup basis");
-        assert!(report.micro.heap_events_per_sec > 0.0);
-        assert!(report.micro.wheel_events_per_sec > 0.0);
+        assert_eq!(report.micro.iter().map(|m| m.pending).collect::<Vec<_>>(), MICRO_PENDING);
+        for m in &report.micro {
+            assert!(m.heap_events_per_sec > 0.0 && m.wheel_events_per_sec > 0.0);
+        }
+        // The reference-heap row re-runs the largest fabric: same
+        // simulated work, bit for bit.
+        let heap = &report.heap_reference;
+        assert_eq!((heap.pods, heap.workers, heap.events), (2, 1, p.events));
+        assert!(report.default_over_heap().is_some_and(|r| r > 0.0));
 
         // Every row carries its embedded stall breakdown.
         assert!(p.windows > 0, "profiler saw no windows");
@@ -905,11 +970,19 @@ mod tests {
         // JSON round-trips through the schema.
         let rendered = report.to_json().render();
         let parsed = Json::parse(&rendered).expect("self-rendered JSON parses");
-        assert_eq!(parsed.get("schema").and_then(|s| s.as_str()), Some("bench_scale/v4"));
+        assert_eq!(parsed.get("schema").and_then(|s| s.as_str()), Some("bench_scale/v5"));
         assert!(parsed.get("cores").and_then(|c| c.as_u64()).is_some());
         assert_eq!(
             parsed.get("scale").and_then(|s| s.as_arr()).map(|a| a.len()),
             Some(1)
+        );
+        assert_eq!(
+            parsed.get("scheduler_microbench").and_then(|s| s.as_arr()).map(|a| a.len()),
+            Some(MICRO_PENDING.len())
+        );
+        assert_eq!(
+            parsed.get("heap_reference").and_then(|h| h.get("events")).and_then(|v| v.as_u64()),
+            Some(p.events)
         );
         let row = &parsed.get("scale").and_then(|s| s.as_arr()).unwrap()[0];
         assert_eq!(row.get("workers").and_then(|w| w.as_u64()), Some(1));
@@ -924,6 +997,8 @@ mod tests {
         assert!(row.get("speedup").and_then(|v| v.as_f64()).is_some());
         assert!(row.get("barrier_pct").and_then(|v| v.as_f64()).is_some());
 
+        pin_scheduler_gate(&mut report);
+
         // A report never regresses against itself...
         check_regression(&report, &rendered, 0.20).expect("self-baseline passes");
 
@@ -931,7 +1006,7 @@ mod tests {
         // columns, old schema string) still gates through the legacy
         // `events_per_sec` key: the checker keys on field names only.
         let v2 = rendered
-            .replace("bench_scale/v4", "bench_scale/v2")
+            .replace("bench_scale/v5", "bench_scale/v2")
             .replace("\"barrier_pct\"", "\"barrier_pct_v2_absent\"")
             .replace("\"events_per_sec_wall\"", "\"events_per_sec_wall_v2_absent\"")
             .replace("\"events_per_sec_cpu\"", "\"events_per_sec_cpu_v2_absent\"");
@@ -942,6 +1017,20 @@ mod tests {
         inflated.scale[0].events_per_sec_cpu *= 10.0;
         let inflated_json = inflated.to_json().render();
         assert!(check_regression(&report, &inflated_json, 0.20).is_err());
+
+        // The scheduler gate: the default backend may trail the reference
+        // heap on the largest fabric by the basis' resolution, no more —
+        // and the microbench rows gate nothing.
+        let mut trailing = report.clone();
+        trailing.heap_reference.events_per_sec_cpu = p.events_per_sec_cpu / 0.95;
+        for m in &mut trailing.micro {
+            m.speedup = 0.5;
+        }
+        check_regression(&trailing, &rendered, 0.20).expect("5 % behind is inside the margin");
+        trailing.heap_reference.events_per_sec_cpu = p.events_per_sec_cpu / 0.85;
+        let err = check_regression(&trailing, &rendered, 0.20)
+            .expect_err("15 % behind the reference heap must trip the gate");
+        assert!(err.contains("scheduler regression at 2 pods"), "{err}");
     }
 
     #[test]
@@ -958,7 +1047,9 @@ mod tests {
         assert_eq!(small.scale.len(), 1, "worker sweep must skip small fabrics");
 
         let mut report = small.clone();
-        let mut par = bench_one_scale(2, 2, true, 7).expect("parallel row runs");
+        pin_scheduler_gate(&mut report);
+        let mut par =
+            bench_one_scale(2, 2, SchedulerKind::default(), true, 7).expect("parallel row runs");
         par.speedup = par.events_per_sec_wall / report.scale[0].events_per_sec_wall;
         report.scale.push(par);
         let rendered = report.to_json().render();

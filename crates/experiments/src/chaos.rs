@@ -25,6 +25,7 @@
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashSet, VecDeque};
+use std::fmt::Write as _;
 use std::hash::{Hash, Hasher};
 use std::path::PathBuf;
 
@@ -523,6 +524,16 @@ pub fn chaos_bundle(
     (run, b)
 }
 
+/// Streams formatted text into a hasher as it is produced.
+struct HashWriter<'a>(&'a mut DefaultHasher);
+
+impl std::fmt::Write for HashWriter<'_> {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.0.write(s.as_bytes());
+        Ok(())
+    }
+}
+
 /// Digest of everything observable about a finished run: the full frame
 /// trace plus the engine's global counters. Two runs of the same seed
 /// must produce the same digest bit-for-bit.
@@ -533,7 +544,11 @@ pub fn trace_digest(sim: &dcn_sim::Sim) -> u64 {
     sim.frames_corrupted().hash(&mut h);
     sim.frames_lost_to_impairment().hash(&mut h);
     for ev in sim.trace().events() {
-        format!("{ev:?}").hash(&mut h);
+        // Byte for byte what `format!("{ev:?}").hash(..)` feeds the hasher
+        // (`str::hash` = the bytes, then 0xff), without building the
+        // `String`: every stored digest stays valid.
+        write!(HashWriter(&mut h), "{ev:?}").expect("hashing is infallible");
+        h.write_u8(0xff);
     }
     h.finish()
 }

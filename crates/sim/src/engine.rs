@@ -341,11 +341,7 @@ impl Core {
         // When profiling, a sequential span is one execute-only window
         // (there are no barriers to stall on).
         let span = self.prof.as_ref().map(|_| (Instant::now(), self.events_processed, self.time));
-        while let Some(next) = self.queue.peek_time() {
-            if next > t {
-                break;
-            }
-            let s = self.queue.pop().expect("peeked");
+        while let Some(s) = self.queue.pop_due(t) {
             self.dispatch(s);
         }
         self.time = self.time.max(t);
@@ -1218,8 +1214,8 @@ fn run_windows(cores: &mut [Core], target: Time, lookahead: Duration, batching: 
                         break;
                     };
                     let ev0 = core.events_processed;
-                    while core.queue.peek_time().is_some_and(|t| t < window_end) {
-                        let s = core.queue.pop().expect("peeked");
+                    // `window_end` is exclusive, and positive since `lookahead` is.
+                    while let Some(s) = core.queue.pop_due(window_end - 1) {
                         core.dispatch(s);
                     }
                     let t4 = profiling.then(Instant::now);

@@ -10,10 +10,10 @@
 //! `engine::Sim::run_until` and DESIGN.md §9).
 //!
 //! [`EventQueue`] is the reference binary heap;
-//! [`crate::wheel::TimerWheel`] is the hierarchical timer wheel used by
-//! default for scale. The [`Scheduler`] enum dispatches between them; the
-//! equivalence suite in `dcn-experiments` asserts their pop streams are
-//! bit-identical.
+//! [`crate::wheel::TimerWheel`] is the two-tier scheduler (near ring + far
+//! heap) used by default. The [`Scheduler`] enum dispatches between them;
+//! the equivalence suite in `dcn-experiments` asserts their pop streams
+//! are bit-identical.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -130,11 +130,12 @@ impl Ord for Scheduled {
 }
 
 /// Which event-scheduler backend a simulation uses. Both produce the exact
-/// same event order; the wheel is faster at scale, the heap is the simple
-/// reference kept for equivalence testing.
+/// same event order; the wheel is faster on every benchmark workload, the
+/// heap is the simple reference kept for equivalence testing.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum SchedulerKind {
-    /// Hierarchical timer wheel with an overflow heap (the default).
+    /// Two-tier scheduler: 64-slot near ring + far heap (the default; see
+    /// [`crate::wheel`]).
     #[default]
     Wheel,
     /// The original `BinaryHeap` scheduler.
@@ -146,7 +147,7 @@ pub enum SchedulerKind {
 pub(crate) struct EventQueue {
     heap: BinaryHeap<Scheduled>,
     /// Occupancy counters for the engine profiler. The heap has no
-    /// slot/overflow split; every push counts as a slot hit so the two
+    /// near/far split; every push counts as a slot hit so the two
     /// backends report comparable totals.
     stats: SchedulerStats,
 }
@@ -163,6 +164,14 @@ impl EventQueue {
     }
 
     pub fn pop(&mut self) -> Option<Scheduled> {
+        self.heap.pop()
+    }
+
+    /// Pop the next event if it is due at or before `t`.
+    pub fn pop_due(&mut self, t: Time) -> Option<Scheduled> {
+        if self.heap.peek()?.time > t {
+            return None;
+        }
         self.heap.pop()
     }
 
@@ -216,8 +225,17 @@ impl Scheduler {
         }
     }
 
-    /// Time of the next event. `&mut` because the wheel may advance its
-    /// cursor (drain buckets into its ready list) to answer.
+    /// Pop the next event if it is due at or before `t`: the run loops'
+    /// one question per event.
+    pub fn pop_due(&mut self, t: Time) -> Option<Scheduled> {
+        match self {
+            Scheduler::Heap(q) => q.pop_due(t),
+            Scheduler::Wheel(w) => w.pop_due(t),
+        }
+    }
+
+    /// Time of the next event. `&mut` because the wheel may drain a ring
+    /// bucket into its ready list to answer.
     pub fn peek_time(&mut self) -> Option<Time> {
         match self {
             Scheduler::Heap(q) => q.peek_time(),
@@ -244,10 +262,12 @@ impl Scheduler {
 }
 
 /// Scheduler microbenchmark driver: hold `pending` timers in flight and
-/// run `cycles` pop-then-re-arm rounds through the chosen backend,
-/// mimicking the simulator's steady state (mostly tick-scale re-arms, an
-/// occasional far-future timer). Returns a checksum over popped times so
-/// the work cannot be optimized away; the caller measures wall time.
+/// run `cycles` pop-then-re-arm rounds through the chosen backend: a
+/// timers-only mix (re-arms 1 ns–20 ms ahead, an occasional far-future
+/// timer), so on the default backend nearly every event takes the far
+/// heap and none the frame-delivery ring. Returns a checksum over popped
+/// times so the work cannot be optimized away; the caller measures wall
+/// time.
 ///
 /// Lives here because the backends themselves are crate-private.
 pub fn scheduler_stress(kind: SchedulerKind, pending: usize, cycles: u64) -> u64 {
@@ -274,7 +294,7 @@ pub fn scheduler_stress(kind: SchedulerKind, pending: usize, cycles: u64) -> u64
         let s = q.pop().expect("pending timers never drain");
         acc = acc.wrapping_add(s.time);
         let delta = if rand() % 16 == 0 {
-            rand() % (1 << 34) // far future: outer wheel levels / overflow
+            rand() % (1 << 34) // far future: seconds ahead
         } else {
             1 + rand() % (20 * crate::time::MILLIS) // tick-scale re-arm
         };

@@ -72,10 +72,12 @@ pub struct WindowRecord {
 
 /// Scheduler occupancy counters, accumulated by both queue backends.
 ///
-/// `wheel_slot_hits` / `wheel_overflow_hits` split wheel insertions by
-/// whether the event landed in a level bucket (or the sorted ready
-/// list) versus the beyond-horizon overflow heap; the heap backend
-/// counts every insertion as a slot hit. `max_pending` is the
+/// `wheel_slot_hits` / `wheel_overflow_hits` split the default
+/// scheduler's insertions by tier: "slot" is the near ring (or the sorted
+/// ready list behind it), "overflow" the far heap that takes everything
+/// 64 or more granules (≈ 65 µs) ahead — ticks and protocol timers, so
+/// about two thirds of a control-plane run. The heap backend counts
+/// every insertion as a slot hit. `max_pending` is the
 /// high-water mark of events pending at once. In sharded mode each span
 /// re-pushes the surviving queue into fresh shard schedulers, so push
 /// counts include those re-pushes (they are real scheduler work).
@@ -83,9 +85,9 @@ pub struct WindowRecord {
 pub struct SchedulerStats {
     /// Total insertions this queue accepted.
     pub pushes: u64,
-    /// Insertions that landed in a wheel level bucket or the ready list.
+    /// Insertions that landed in a near-ring bucket or the ready list.
     pub wheel_slot_hits: u64,
-    /// Insertions that landed in the wheel's overflow heap.
+    /// Insertions that landed in the far heap.
     pub wheel_overflow_hits: u64,
     /// Most events pending at once.
     pub max_pending: u64,
