@@ -152,20 +152,21 @@ fn fast_path_digest_identical_under_chaos() {
 /// With `local_repair` off — the default — the backup-FIB compilation,
 /// the repair lookup stages, and the `repaired` frame flag must all be
 /// invisible: same events, same order, same bytes on the wire. Last
-/// regenerated when event ordering moved from queue-insertion sequence
-/// to content-derived `(creator, counter)` keys (the sharded-engine
-/// prerequisite), which legitimately re-ordered same-instant events.
+/// regenerated when `trace_digest` stopped hashing the engine's dispatch
+/// count (a run's trace, not how many queue entries produced it, is the
+/// observable) — on otherwise unchanged code, so the values still pin
+/// the behaviour of the polling-tick routers they were taken from.
 #[test]
 fn local_repair_off_matches_pre_change_golden_digests() {
     const TC_GOLDEN: [(Stack, FailureCase, u64); 8] = [
-        (Stack::Mrmtp, FailureCase::Tc1, 0x00ff3614cf01e8ba),
-        (Stack::Mrmtp, FailureCase::Tc2, 0xe132178c1aba0cc0),
-        (Stack::Mrmtp, FailureCase::Tc3, 0xdccf015a95ed2df4),
-        (Stack::Mrmtp, FailureCase::Tc4, 0xc983295775a7438b),
-        (Stack::BgpEcmp, FailureCase::Tc1, 0x0a357ba1af20277d),
-        (Stack::BgpEcmp, FailureCase::Tc2, 0x20cfbc45434d44c0),
-        (Stack::BgpEcmp, FailureCase::Tc3, 0x566b7dc8b4654688),
-        (Stack::BgpEcmp, FailureCase::Tc4, 0x48cbac3a7516733c),
+        (Stack::Mrmtp, FailureCase::Tc1, 0x6a938831fd197b28),
+        (Stack::Mrmtp, FailureCase::Tc2, 0xc3f4633713277dfc),
+        (Stack::Mrmtp, FailureCase::Tc3, 0x87397b4fbbc502c7),
+        (Stack::Mrmtp, FailureCase::Tc4, 0x7f1bc511589b8cb5),
+        (Stack::BgpEcmp, FailureCase::Tc1, 0xa236bd613e04bbb1),
+        (Stack::BgpEcmp, FailureCase::Tc2, 0x4a374ecc62528fbf),
+        (Stack::BgpEcmp, FailureCase::Tc3, 0xd6c5c04f0d998513),
+        (Stack::BgpEcmp, FailureCase::Tc4, 0x335b4f47134cdbbb),
     ];
     for (stack, tc, golden) in TC_GOLDEN {
         let dir = match stack {
@@ -184,9 +185,9 @@ fn local_repair_off_matches_pre_change_golden_digests() {
         );
     }
     const CHAOS_GOLDEN: [(Stack, u64, u64); 3] = [
-        (Stack::Mrmtp, 21, 0xba830cb9147a6072),
-        (Stack::Mrmtp, 22, 0xe5ffeae81d0460da),
-        (Stack::BgpEcmp, 23, 0xb4df7391f642ba29),
+        (Stack::Mrmtp, 21, 0x688e7157b9eafe03),
+        (Stack::Mrmtp, 22, 0xdb5a621e053f5335),
+        (Stack::BgpEcmp, 23, 0x954c73f5ced7652c),
     ];
     for (stack, seed, golden) in CHAOS_GOLDEN {
         let r = run_chaos(seed, stack, &quick_chaos());
