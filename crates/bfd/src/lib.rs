@@ -114,8 +114,21 @@ impl BfdSession {
         was_up.then_some(BfdEvent::SessionDown)
     }
 
-    /// Periodic drive: emits the control packet due at `now` (if any) and
-    /// checks the detection timer.
+    /// The earliest instant at which [`BfdSession::tick`] would act: the
+    /// next transmission (immediately, before the first one) or the
+    /// detection-time expiry, whichever comes first.
+    pub fn next_deadline(&self) -> Time {
+        let tx = self.last_tx.map_or(0, |t| t + self.tx_interval);
+        if self.heard && self.state != BfdState::Down {
+            tx.min(self.last_rx + self.detection_time() + 1)
+        } else {
+            tx
+        }
+    }
+
+    /// Drive the session: emits the control packet due at `now` (if any)
+    /// and checks the detection timer. Calls before
+    /// [`BfdSession::next_deadline`] are no-ops.
     pub fn tick(&mut self, now: Time) -> (Option<BfdPacket>, Option<BfdEvent>) {
         let mut event = None;
         // Detection: silence beyond detectMult × interval kills the

@@ -5,6 +5,7 @@ use std::collections::BTreeMap;
 
 use dcn_sim::PortId;
 use dcn_wire::{IpAddr4, Prefix};
+use smallvec::SmallVec;
 
 /// One usable path in the Loc-RIB.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -119,59 +120,65 @@ impl Rib {
             .collect()
     }
 
-    /// Peer addressing used when recomputing next hops.
-    fn peer_addr_placeholder() -> IpAddr4 {
-        IpAddr4(0)
-    }
-
     /// Recompute the Loc-RIB entry for `prefix`. `via` is only used to
     /// carry next-hop information when available; ECMP membership is
-    /// derived purely from AS-path lengths.
+    /// derived purely from AS-path lengths. Members are stored in
+    /// ascending-port order (the `adj_in` iteration order). A
+    /// recomputation that changes nothing — the common case while a
+    /// table dump floods in over several uplinks — allocates nothing:
+    /// the candidate set is a stack list of references, and AS paths are
+    /// cloned only when the entry is actually replaced.
     fn recompute(&mut self, prefix: Prefix, _via: PortId) -> RibChange {
-        let old = self.loc.get(&prefix).cloned();
         if self.local.contains(&prefix) {
             // Locally originated: always best, never ECMP with learned
             // paths.
             return RibChange::Unchanged;
         }
         let mut best_len = usize::MAX;
-        let mut members: Vec<PathEntry> = Vec::new();
+        let mut best: SmallVec<(PortId, &Vec<u32>), 16> = SmallVec::new();
         for (&port, routes) in &self.adj_in {
             if let Some(path) = routes.get(&prefix) {
                 match path.len().cmp(&best_len) {
                     std::cmp::Ordering::Less => {
                         best_len = path.len();
-                        members.clear();
-                        members.push(PathEntry {
-                            as_path: path.clone(),
-                            peer_port: port,
-                            next_hop: Self::peer_addr_placeholder(),
-                        });
+                        best.clear();
+                        best.push((port, path));
                     }
-                    std::cmp::Ordering::Equal => members.push(PathEntry {
-                        as_path: path.clone(),
-                        peer_port: port,
-                        next_hop: Self::peer_addr_placeholder(),
-                    }),
+                    std::cmp::Ordering::Equal => best.push((port, path)),
                     std::cmp::Ordering::Greater => {}
                 }
             }
         }
-        let change = match (&old, members.is_empty()) {
+        let change = match (self.loc.get(&prefix), best.is_empty()) {
             (None, true) => RibChange::Unchanged,
             (None, false) => RibChange::Gained,
             (Some(_), true) => RibChange::Lost,
-            (Some(o), false) if *o == members => RibChange::Unchanged,
+            (Some(old), false)
+                if old.iter().map(|e| (e.peer_port, &e.as_path)).eq(best.iter().copied()) =>
+            {
+                RibChange::Unchanged
+            }
             (Some(_), false) => RibChange::Changed,
         };
-        if members.is_empty() {
-            self.loc.remove(&prefix);
-        } else {
-            self.loc.insert(prefix, members);
+        match change {
+            RibChange::Unchanged => return change,
+            RibChange::Lost => {
+                self.loc.remove(&prefix);
+            }
+            RibChange::Gained | RibChange::Changed => {
+                let members = best
+                    .iter()
+                    .map(|&(peer_port, path)| PathEntry {
+                        as_path: path.clone(),
+                        peer_port,
+                        // The next hop is implied by the p2p link.
+                        next_hop: IpAddr4(0),
+                    })
+                    .collect();
+                self.loc.insert(prefix, members);
+            }
         }
-        if change != RibChange::Unchanged {
-            self.version = self.version.wrapping_add(1);
-        }
+        self.version = self.version.wrapping_add(1);
         change
     }
 
@@ -198,9 +205,10 @@ impl Rib {
         best.map(|p| (p, self.members(p)))
     }
 
-    /// The representative (first) best path for advertisement.
+    /// The representative best path for advertisement: the member on the
+    /// lowest port (members are stored in ascending-port order).
     pub fn best(&self, prefix: Prefix) -> Option<&PathEntry> {
-        self.members(prefix).first().copied()
+        self.loc.get(&prefix)?.first()
     }
 
     /// Local-repair backup candidates for `prefix`: the peer ports of the

@@ -5,8 +5,8 @@ use std::collections::BTreeMap;
 
 use dcn_sim::time::{millis, Duration, Time};
 use dcn_sim::{
-    alloc_track, Ctx, FrameBuf, FrameClass, FrameMeta, PortId, Protocol, RouteChangeKind,
-    SpanEvent, StatsSnapshot,
+    alloc_track, Ctx, FrameBuf, FrameClass, FrameMeta, GridTimer, PortId, Protocol,
+    RouteChangeKind, SpanEvent, StatsSnapshot,
 };
 use dcn_tcp::{TcpConn, TcpEvent};
 use dcn_bfd::{BfdEvent, BfdSession};
@@ -21,7 +21,9 @@ use crate::fib::CompiledFib;
 use crate::rib::{Rib, RibChange};
 
 const TOKEN_TICK: u64 = 1;
-/// Housekeeping cadence: fine enough for BFD's 100 ms transmit interval.
+/// Housekeeping grid: fine enough for BFD's 100 ms transmit interval. The
+/// router wakes only at the grid instants where something is due (see
+/// [`GridTimer`]).
 const TICK: Duration = millis(20);
 
 /// Session FSM (condensed from RFC 4271: Connect/Active collapse into
@@ -61,6 +63,29 @@ struct Peer {
     /// control packet. BFD packets carry no timestamp, so steady-state
     /// keepalives re-send the same bytes — one encode, then refcount bumps.
     bfd_frame: Option<(Vec<u8>, FrameBuf)>,
+}
+
+impl Peer {
+    /// The earliest instant at which [`BgpRouter::tick`] has something to
+    /// do for this peer. The port's state is deliberately ignored: the
+    /// tick reads `ctx.port(p).up`, which flips at the admin event,
+    /// 500 µs before `on_port_up` tells the router — so work that is due
+    /// but blocked by a downed port stays due and the router keeps
+    /// waking on every grid instant until the port is back.
+    fn next_deadline(&self) -> Time {
+        let mut at = match self.fsm {
+            Fsm::Idle => self.connect_at,
+            Fsm::Established => self.keepalive_due.min(self.hold_deadline + 1),
+            Fsm::TcpPending | Fsm::OpenSent | Fsm::OpenConfirm => self.hold_deadline + 1,
+        };
+        if let Some(retx) = self.tcp.next_deadline() {
+            at = at.min(retx);
+        }
+        if let Some(bfd) = &self.bfd {
+            at = at.min(bfd.next_deadline());
+        }
+        at
+    }
 }
 
 /// Counters for tests and the harness.
@@ -106,6 +131,8 @@ pub struct BgpRouter {
     /// already traced (the repair span fires once per generation, not
     /// per packet, and never allocates on the forwarding path).
     repair_noted: bool,
+    /// The housekeeping grid and its one deadline-driven wake-up.
+    tick_timer: GridTimer,
     stats: BgpStats,
 }
 
@@ -162,6 +189,7 @@ impl BgpRouter {
             fib: CompiledFib::new(),
             fib_key: None,
             repair_noted: false,
+            tick_timer: GridTimer::new(TOKEN_TICK, TICK),
             stats: BgpStats::default(),
         }
     }
@@ -325,9 +353,19 @@ impl BgpRouter {
     /// Re-run the export policy for `prefixes` toward every established
     /// peer, emitting batched UPDATEs where the Adj-RIB-Out changed.
     fn reexport(&mut self, ctx: &mut Ctx<'_>, prefixes: &[Prefix]) {
+        self.reexport_to(ctx, 0..self.peers.len(), prefixes);
+    }
+
+    /// [`Self::reexport`] toward the established peers among `peers`.
+    fn reexport_to(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        peers: std::ops::Range<usize>,
+        prefixes: &[Prefix],
+    ) {
         let mut batch_peers = 0usize;
         let mut batch_prefixes = 0usize;
-        for peer_idx in 0..self.peers.len() {
+        for peer_idx in peers {
             if self.peers[peer_idx].fsm != Fsm::Established {
                 continue;
             }
@@ -406,12 +444,12 @@ impl BgpRouter {
             p.keepalive_due = now + self.cfg.keepalive_interval;
             p.hold_deadline = now + self.cfg.hold_time;
         }
-        // Initial table dump: everything exportable.
+        // Initial table dump: everything exportable, to this peer only.
+        // Every other established peer's Adj-RIB-Out already matches the
+        // Loc-RIB (each RIB change re-exports to all of them).
         let mut prefixes = self.rib.local_prefixes().to_vec();
         prefixes.extend(self.rib.learned_prefixes());
-        // reexport skips non-established peers, so temporarily narrow to
-        // just this one by running the standard path (cheap at DCN scale).
-        self.reexport(ctx, &prefixes);
+        self.reexport_to(ctx, peer_idx..peer_idx + 1, &prefixes);
     }
 
     fn session_down(&mut self, ctx: &mut Ctx<'_>, peer_idx: usize, reason: &'static str) {
@@ -550,6 +588,58 @@ impl BgpRouter {
         if !out.delivered.is_empty() {
             let bytes = out.delivered;
             self.on_bgp_bytes(ctx, peer_idx, &bytes);
+        }
+    }
+
+    /// Session traffic addressed to our side of a fabric link: TCP
+    /// segments of the BGP session, BFD control packets over UDP.
+    fn on_control(&mut self, ctx: &mut Ctx<'_>, port: PortId, peer_idx: usize, pkt: &Ipv4Packet) {
+        match pkt.protocol {
+            IPPROTO_TCP => match TcpSegment::decode(&pkt.payload) {
+                Ok(seg) => self.on_tcp_segment(ctx, peer_idx, &seg),
+                Err(_) => self.stats.malformed_frames_dropped += 1,
+            },
+            IPPROTO_UDP => {
+                let Ok(udp) = UdpDatagram::decode(&pkt.payload) else {
+                    self.stats.malformed_frames_dropped += 1;
+                    return;
+                };
+                if udp.dst_port != BFD_CTRL_PORT {
+                    return;
+                }
+                let Ok(bp) = dcn_wire::BfdPacket::decode(&udp.payload) else {
+                    self.stats.malformed_frames_dropped += 1;
+                    return;
+                };
+                let now = ctx.now();
+                let Some(mut bfd) = self.peers[peer_idx].bfd.take() else {
+                    return;
+                };
+                let (reply, event) = bfd.on_packet(&bp, now);
+                self.peers[peer_idx].bfd = Some(bfd);
+                if let Some(r) = reply {
+                    let (src, dst) = {
+                        let c = &self.peers[peer_idx].cfg;
+                        (c.local_ip, c.peer_ip)
+                    };
+                    let udp = UdpDatagram::new(49152, BFD_CTRL_PORT, r.encode());
+                    self.send_ip(
+                        ctx,
+                        port,
+                        IPPROTO_UDP,
+                        src,
+                        dst,
+                        udp.encode(),
+                        FrameClass::Keepalive,
+                    );
+                }
+                if event == Some(BfdEvent::SessionDown)
+                    && self.peers[peer_idx].fsm == Fsm::Established
+                {
+                    self.session_down(ctx, peer_idx, "bfd_down");
+                }
+            }
+            _ => {}
         }
     }
 
@@ -787,7 +877,17 @@ impl BgpRouter {
                 }
             }
         }
-        // The tick cadence is engine-managed (see `on_start`): no re-arm here.
+    }
+
+    /// Re-aim the housekeeping wake-up at the earliest per-peer deadline.
+    /// Called after the tick and after every control-plane callback (any
+    /// of them can arm a retransmission, move a session timer or restart
+    /// a connect back-off); data forwarding touches no deadline and
+    /// skips it.
+    fn rearm(&mut self, ctx: &mut Ctx<'_>) {
+        if let Some(deadline) = self.peers.iter().map(Peer::next_deadline).min() {
+            self.tick_timer.wake_by(ctx, deadline);
+        }
     }
 }
 
@@ -841,7 +941,8 @@ impl StatsSnapshot for BgpRouter {
 impl Protocol for BgpRouter {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         let jitter = ctx.rand_below(millis(5));
-        ctx.set_periodic(TICK + jitter, TICK, TOKEN_TICK);
+        self.tick_timer.start(ctx, TICK + jitter);
+        self.rearm(ctx);
     }
 
     fn on_frame(&mut self, ctx: &mut Ctx<'_>, port: PortId, frame: &FrameBuf) {
@@ -859,58 +960,8 @@ impl Protocol for BgpRouter {
         // Control traffic addressed to our side of this link?
         if let Some(&peer_idx) = self.port_peer.get(&port) {
             if pkt.dst == self.peers[peer_idx].cfg.local_ip {
-                match pkt.protocol {
-                    IPPROTO_TCP => {
-                        match TcpSegment::decode(&pkt.payload) {
-                            Ok(seg) => self.on_tcp_segment(ctx, peer_idx, &seg),
-                            Err(_) => self.stats.malformed_frames_dropped += 1,
-                        }
-                    }
-                    IPPROTO_UDP => {
-                        let Ok(udp) = UdpDatagram::decode(&pkt.payload) else {
-                            self.stats.malformed_frames_dropped += 1;
-                            return;
-                        };
-                        {
-                            if udp.dst_port == BFD_CTRL_PORT {
-                                let Ok(bp) = dcn_wire::BfdPacket::decode(&udp.payload) else {
-                                    self.stats.malformed_frames_dropped += 1;
-                                    return;
-                                };
-                                {
-                                    let now = ctx.now();
-                                    if let Some(mut bfd) = self.peers[peer_idx].bfd.take() {
-                                        let (reply, event) = bfd.on_packet(&bp, now);
-                                        self.peers[peer_idx].bfd = Some(bfd);
-                                        if let Some(r) = reply {
-                                            let (src, dst) = {
-                                                let c = &self.peers[peer_idx].cfg;
-                                                (c.local_ip, c.peer_ip)
-                                            };
-                                            let udp =
-                                                UdpDatagram::new(49152, BFD_CTRL_PORT, r.encode());
-                                            self.send_ip(
-                                                ctx,
-                                                port,
-                                                IPPROTO_UDP,
-                                                src,
-                                                dst,
-                                                udp.encode(),
-                                                FrameClass::Keepalive,
-                                            );
-                                        }
-                                        if event == Some(BfdEvent::SessionDown)
-                                            && self.peers[peer_idx].fsm == Fsm::Established
-                                        {
-                                            self.session_down(ctx, peer_idx, "bfd_down");
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    _ => {}
-                }
+                self.on_control(ctx, port, peer_idx, &pkt);
+                self.rearm(ctx);
                 return;
             }
         }
@@ -945,8 +996,9 @@ impl Protocol for BgpRouter {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        if token == TOKEN_TICK {
+        if token == TOKEN_TICK && self.tick_timer.fired(ctx) {
             self.tick(ctx);
+            self.rearm(ctx);
         }
     }
 
@@ -955,6 +1007,7 @@ impl Protocol for BgpRouter {
         // once — no waiting for timers on the local side.
         if let Some(&peer_idx) = self.port_peer.get(&port) {
             self.session_down(ctx, peer_idx, "carrier_down");
+            self.rearm(ctx);
         }
     }
 
@@ -962,6 +1015,7 @@ impl Protocol for BgpRouter {
         if let Some(&peer_idx) = self.port_peer.get(&port) {
             let now = ctx.now();
             self.peers[peer_idx].connect_at = now + self.cfg.connect_retry;
+            self.rearm(ctx);
         }
     }
 

@@ -223,3 +223,53 @@ fn ecmp_members_install_and_flows_spread() {
     }
     assert!(counts[0] > 80 && counts[1] > 80, "flows spread: {counts:?}");
 }
+
+/// Regression for the carrier side channel the deadline-driven tick must
+/// honor: `ctx.port(p).up` flips at the admin event, 500 µs before
+/// `on_port_up` tells the router. A connect retry that fell overdue
+/// while its port was down must therefore stay due — the router keeps
+/// waking on every grid instant — so that when the port is re-enabled
+/// 200 µs before a grid instant, the SYN leaves at that instant (as it
+/// did under the polling tick) instead of a full `connect_retry` after
+/// the carrier callback.
+#[test]
+fn overdue_connect_leaves_at_the_first_grid_instant_after_admin_up() {
+    use dcn_sim::{FrameClass, TraceEvent};
+
+    let mut b = SimBuilder::new(8);
+    let ra = BgpRouter::new(BgpConfig::new("A", 65001, 1).peer(peer(0, 1, 2, 65002)));
+    let rb = BgpRouter::new(BgpConfig::new("B", 65002, 2).peer(peer(0, 2, 1, 65001)));
+    let a = b.add_node("A", Box::new(ra)); // lower address: the active opener
+    let c = b.add_node("B", Box::new(rb));
+    b.add_link(a, c, LinkSpec::default());
+    let mut sim = b.build();
+    sim.run_until(secs(4));
+    assert_eq!(sim.node_as::<BgpRouter>(a).unwrap().established_sessions(), 1);
+    let sent_by_a = |sim: &dcn_sim::Sim, t0: u64, class: FrameClass| -> Vec<u64> {
+        sim.trace()
+            .events_since(t0)
+            .filter_map(|e| match *e {
+                TraceEvent::FrameSent { time, node, class: cl, .. } if node == a && cl == class => {
+                    Some(time)
+                }
+                _ => None,
+            })
+            .collect()
+    };
+    // Steady-state keepalives leave from the tick, so the latest one
+    // marks the router's (jittered) 20 ms grid.
+    let last_keepalive = *sent_by_a(&sim, secs(2), FrameClass::Keepalive)
+        .last()
+        .expect("keepalives flow on an established session");
+    let grid_instant = last_keepalive + 150 * millis(20);
+    // Down for longer than connect_retry (1 s) plus its jitter (< 200 ms).
+    let down_at = grid_instant - millis(1501);
+    sim.schedule_port_down(down_at, a, PortId(0));
+    sim.schedule_port_up(grid_instant - 200_000, a, PortId(0));
+    sim.run_until(grid_instant + millis(1));
+    assert_eq!(
+        sent_by_a(&sim, down_at, FrameClass::Session),
+        vec![grid_instant],
+        "the SYN leaves from the tick at the grid instant"
+    );
+}

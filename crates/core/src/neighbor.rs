@@ -205,6 +205,17 @@ impl NeighborTable {
         dead
     }
 
+    /// The earliest instant at which [`NeighborTable::sweep_dead`] would
+    /// declare a neighbor dead, or `None` while no neighbor is up. Every
+    /// received frame moves it later.
+    pub fn next_deadline(&self) -> Option<Time> {
+        self.entries
+            .iter()
+            .filter(|e| e.state == NeighborState::Up)
+            .map(|e| e.last_rx + self.dead_interval + 1)
+            .min()
+    }
+
     /// Ports whose neighbor is up and at the given tier.
     pub fn up_ports_at_tier(&self, tier: u8) -> impl Iterator<Item = PortId> + '_ {
         self.entries.iter().enumerate().filter_map(move |(i, e)| {

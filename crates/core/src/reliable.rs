@@ -92,6 +92,12 @@ impl ReliableTx {
         out
     }
 
+    /// The earliest instant at which [`ReliableTx::due`] would retransmit
+    /// (or give up on) a message, or `None` with nothing outstanding.
+    pub fn next_deadline(&self) -> Option<Time> {
+        self.pending.values().map(|p| p.next_retx).min()
+    }
+
     /// Is anything outstanding (drives whether the retransmit timer needs
     /// to stay armed)?
     pub fn has_pending(&self) -> bool {

@@ -29,8 +29,8 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use dcn_sim::time::{millis, Duration, Time};
 use dcn_sim::{
-    alloc_track, Ctx, FrameBuf, FrameClass, FrameMeta, PortId, Protocol, RouteChangeKind,
-    SpanEvent, StatsSnapshot,
+    alloc_track, Ctx, FrameBuf, FrameClass, FrameMeta, GridTimer, PortId, Protocol,
+    RouteChangeKind, SpanEvent, StatsSnapshot,
 };
 use dcn_wire::{
     flow_hash_of, EtherType, EthernetFrame, IpAddr4, Ipv4Packet, MacAddr, MrmtpMsg, Vid,
@@ -42,13 +42,14 @@ use crate::neighbor::{NeighborTable, RxOutcome};
 use crate::reliable::ReliableTx;
 use crate::vid_table::VidTable;
 
-/// Periodic housekeeping timer token.
+/// Housekeeping timer token.
 const TOKEN_TICK: u64 = 1;
 /// Loss-aggregation hold-down timer token.
 const TOKEN_HOLDDOWN: u64 = 2;
 
-/// Housekeeping granularity: hellos, dead sweeps and retransmissions are
-/// checked on this cadence (well under the 50 ms hello interval).
+/// Housekeeping granularity: hellos, dead sweeps and retransmissions act
+/// on this grid (well under the 50 ms hello interval). The router wakes
+/// only at the grid instants where something is due (see [`GridTimer`]).
 const TICK: Duration = millis(5);
 
 /// Per-port window of recently processed reliable-message sequence
@@ -121,6 +122,8 @@ pub struct MrmtpRouter {
     /// once per (root, generation), not per packet.
     repair_noted: [u128; 2],
     last_advertise: Time,
+    /// The housekeeping grid and its one deadline-driven wake-up.
+    tick_timer: GridTimer,
     started: bool,
     stats: RouterStats,
 }
@@ -156,6 +159,7 @@ impl MrmtpRouter {
             fib_key: None,
             repair_noted: [0; 2],
             last_advertise: 0,
+            tick_timer: GridTimer::new(TOKEN_TICK, TICK),
             started: false,
             stats: RouterStats::default(),
         }
@@ -892,6 +896,9 @@ impl MrmtpRouter {
                 // Give the neighbor a chance to (re)join our trees.
                 self.advertise_on(ctx, port);
                 self.resync_after_rejoin(ctx, port);
+                // A new dead deadline (and possibly queued updates): the
+                // one place the fast paths can pull the wake-up earlier.
+                self.rearm(ctx);
                 false
             }
             RxOutcome::Still => false,
@@ -928,8 +935,34 @@ impl MrmtpRouter {
         if now.saturating_sub(self.last_advertise) >= self.cfg.timers.advertise_interval {
             self.advertise_all(ctx);
         }
-        // The tick itself is engine-managed (`set_periodic` in on_start):
-        // no per-callback re-arm entry here.
+    }
+
+    /// The earliest instant at which [`Self::tick`] has something to do.
+    /// A hello counts from `last_tx + hello_interval` whatever its port's
+    /// state: the tick reads `ctx.port(p).up`, which flips at the admin
+    /// event, 500 µs before `on_port_up` tells the router — so an overdue
+    /// hello on a downed port stays due and the router keeps waking on
+    /// every grid instant until the port carries it.
+    fn next_deadline(&self) -> Time {
+        let timers = &self.cfg.timers;
+        let hello = self
+            .router_ports
+            .iter()
+            .map(|&p| self.nbr.last_tx(p) + timers.hello_interval)
+            .min();
+        [self.nbr.next_deadline(), self.rel.next_deadline(), hello]
+            .into_iter()
+            .flatten()
+            .fold(self.last_advertise + timers.advertise_interval, Time::min)
+    }
+
+    /// Re-aim the housekeeping wake-up. Called after the tick and after
+    /// every callback that can create an earlier deadline (a neighbor
+    /// came up, a reliable message was queued). The hello and data fast
+    /// paths only push deadlines later and skip it.
+    fn rearm(&mut self, ctx: &mut Ctx<'_>) {
+        let deadline = self.next_deadline();
+        self.tick_timer.wake_by(ctx, deadline);
     }
 }
 
@@ -972,12 +1005,11 @@ impl Protocol for MrmtpRouter {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         self.started = true;
         self.router_ports = ctx.connected_ports().filter(|&p| !self.is_host_port(p)).collect();
-        // Small deterministic jitter decorrelates router timers. The tick
-        // is a single engine-managed periodic entry per node, not one
-        // queue entry per session or per callback.
+        // Small deterministic jitter decorrelates the routers' tick grids.
         let jitter = ctx.rand_below(millis(1));
-        ctx.set_periodic(TICK + jitter, TICK, TOKEN_TICK);
+        self.tick_timer.start(ctx, TICK + jitter);
         self.advertise_all(ctx);
+        self.rearm(ctx);
     }
 
     fn on_frame(&mut self, ctx: &mut Ctx<'_>, port: PortId, frame: &FrameBuf) {
@@ -1019,6 +1051,7 @@ impl Protocol for MrmtpRouter {
                 self.on_data(ctx, frame, dst, flow, &payload)
             }
         }
+        self.rearm(ctx);
     }
 
     /// The fast path: trust the sender's parse-once metadata instead of
@@ -1130,15 +1163,17 @@ impl Protocol for MrmtpRouter {
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
         match token {
-            TOKEN_TICK => self.tick(ctx),
+            TOKEN_TICK if self.tick_timer.fired(ctx) => self.tick(ctx),
             TOKEN_HOLDDOWN => self.on_holddown(ctx),
-            _ => {}
+            _ => return,
         }
+        self.rearm(ctx);
     }
 
     fn on_port_down(&mut self, ctx: &mut Ctx<'_>, port: PortId) {
         if self.nbr.set_carrier(port, false) {
             self.neighbor_down(ctx, port, true);
+            self.rearm(ctx);
         } else {
             self.rel.drop_port(port);
         }

@@ -328,3 +328,47 @@ fn steady_state_is_hellos_only() {
         .count();
     assert!(keepalives > 500, "hellos flow on every link: {keepalives}");
 }
+
+/// Regression for the carrier side channel the deadline-driven tick must
+/// honor: `ctx.port(p).up` flips at the admin event, 500 µs before
+/// `on_port_up` tells the router. A hello that fell overdue while its
+/// port was down must therefore stay due — the router keeps waking on
+/// every grid instant — so that when the port is re-enabled 200 µs
+/// before a grid instant, the hello leaves at that instant (as it did
+/// under the polling tick), not only at the carrier callback 300 µs
+/// later.
+#[test]
+fn overdue_hello_leaves_at_the_first_grid_instant_after_admin_up() {
+    let (mut sim, f) = build(ClosParams::two_pod(), 5);
+    sim.run_until(secs(1));
+    let (node, port) = f.failure_point(FailureCase::Tc1);
+    let (node, port) = (NodeId(node as u32), PortId(port as u16));
+    let hellos_since = |sim: &Sim, t0: u64| -> Vec<u64> {
+        sim.trace()
+            .events_since(t0)
+            .filter_map(|e| match *e {
+                TraceEvent::FrameSent { time, node: n, port: p, class: FrameClass::Keepalive, .. }
+                    if n == node && p == port =>
+                {
+                    Some(time)
+                }
+                _ => None,
+            })
+            .collect()
+    };
+    // Steady-state hellos leave from the tick, so the latest one marks
+    // the router's (jittered) 5 ms grid.
+    let last_hello = *hellos_since(&sim, 0).last().expect("hellos flow in steady state");
+    // 63 ticks on: a grid instant at which no other port's hello is due
+    // (those repeat every 10 ticks), so nothing else wakes the router.
+    let grid_instant = last_hello + 63 * millis(5);
+    let down_at = grid_instant - millis(151);
+    sim.schedule_port_down(down_at, node, port);
+    sim.schedule_port_up(grid_instant - 200_000, node, port);
+    sim.run_until(grid_instant + millis(1));
+    assert_eq!(
+        hellos_since(&sim, down_at),
+        vec![grid_instant, grid_instant + 300_000],
+        "one hello from the tick at the grid instant, one from on_port_up"
+    );
+}

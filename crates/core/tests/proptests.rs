@@ -7,8 +7,10 @@ use std::collections::BTreeSet;
 use proptest::prelude::*;
 
 use dcn_mrmtp::fib::{reference_backup_candidates, reference_candidates, CompiledFib};
+use dcn_mrmtp::reliable::ReliableTx;
 use dcn_mrmtp::{NeighborState, NeighborTable, VidTable};
-use dcn_sim::PortId;
+use dcn_sim::grid::grid_at_or_after;
+use dcn_sim::{FrameClass, PortId};
 use dcn_wire::Vid;
 
 fn arb_vid() -> impl Strategy<Value = Vid> {
@@ -85,6 +87,40 @@ fn staged_repair_reference(
     }
     let backup = reference_backup_candidates(t, nbr, tier, root, port_up);
     if backup.is_empty() { None } else { Some((pick(&avoid(backup)), true)) }
+}
+
+#[derive(Clone, Copy, Debug)]
+enum NbrOp {
+    Rx(u16),
+    Carrier(u16, bool),
+    Sweep,
+}
+
+fn arb_nbr_op() -> impl Strategy<Value = NbrOp> {
+    prop_oneof![
+        (0u16..3).prop_map(NbrOp::Rx),
+        (0u16..3).prop_map(NbrOp::Rx),
+        (0u16..3, any::<bool>()).prop_map(|(p, up)| NbrOp::Carrier(p, up)),
+        Just(NbrOp::Sweep),
+    ]
+}
+
+#[derive(Clone, Copy, Debug)]
+enum RelOp {
+    Track(u16),
+    Ack(usize),
+    DropPort(u16),
+    Due,
+}
+
+fn arb_rel_op() -> impl Strategy<Value = RelOp> {
+    prop_oneof![
+        (0u16..3).prop_map(RelOp::Track),
+        (0u16..3).prop_map(RelOp::Track),
+        (0usize..8).prop_map(RelOp::Ack),
+        (0u16..3).prop_map(RelOp::DropPort),
+        Just(RelOp::Due),
+    ]
 }
 
 proptest! {
@@ -308,6 +344,80 @@ proptest! {
         for (i, &rx) in last_rx.iter().enumerate() {
             let should_die = sweep_at.saturating_sub(rx) > dead;
             prop_assert_eq!(killed.contains(&PortId(i as u16)), should_die);
+        }
+    }
+
+    /// `next_deadline` names exactly the first grid instant at which a
+    /// polled `sweep_dead` acts: every sweep on an earlier grid instant
+    /// is a no-op (so skipping it is invisible), the one there is not.
+    #[test]
+    fn neighbor_deadline_is_where_polling_first_acts(
+        ops in proptest::collection::vec((0u64..80, arb_nbr_op()), 0..24),
+        period in 5u64..20,
+        phase in 0u64..20,
+    ) {
+        let mut t = NeighborTable::new(3, 100, 3);
+        let mut now = 0;
+        for (dt, op) in ops {
+            now += dt;
+            match op {
+                NbrOp::Rx(p) => { t.note_rx(PortId(p), now); }
+                NbrOp::Carrier(p, up) => { t.set_carrier(PortId(p), up); }
+                NbrOp::Sweep => { t.sweep_dead(now); }
+            }
+        }
+        let wake = t.next_deadline().map(|d| grid_at_or_after(phase, period, d.max(now)));
+        let idle = format!("{t:?}");
+        for g in (0..80).map(|k| grid_at_or_after(phase, period, now) + k * period) {
+            let mut polled = t.clone();
+            let acted = !polled.sweep_dead(g).is_empty();
+            if wake.is_some_and(|w| g >= w) {
+                prop_assert!(acted && wake == Some(g), "first act at {} but wake-up at {:?}", g, wake);
+                break;
+            }
+            prop_assert!(!acted && format!("{polled:?}") == idle, "acted at {} before {:?}", g, wake);
+        }
+    }
+
+    /// The same for the retransmission queue and a polled `due`.
+    #[test]
+    fn retransmit_deadline_is_where_polling_first_acts(
+        ops in proptest::collection::vec((0u64..30, arb_rel_op()), 0..24),
+        period in 3u64..12,
+        phase in 0u64..12,
+    ) {
+        const RETX: u64 = 20;
+        let mut r = ReliableTx::new();
+        let mut sent: Vec<(PortId, u16)> = Vec::new();
+        let mut now = 0;
+        for (dt, op) in ops {
+            now += dt;
+            match op {
+                RelOp::Track(p) => {
+                    let seq = r.alloc_seq();
+                    r.track(PortId(p), seq, vec![seq as u8].into(), FrameClass::Update, now, RETX);
+                    sent.push((PortId(p), seq));
+                }
+                RelOp::Ack(i) if !sent.is_empty() => {
+                    let (port, seq) = sent[i % sent.len()];
+                    r.ack(port, seq);
+                }
+                RelOp::Ack(_) => {}
+                RelOp::DropPort(p) => r.drop_port(PortId(p)),
+                RelOp::Due => { r.due(now, RETX); }
+            }
+        }
+        let wake = r.next_deadline().map(|d| grid_at_or_after(phase, period, d.max(now)));
+        let idle = format!("{r:?}");
+        for g in (0..40).map(|k| grid_at_or_after(phase, period, now) + k * period) {
+            let mut polled = r.clone();
+            // Giving up on a message sends nothing but still changes state.
+            let acted = !polled.due(g, RETX).is_empty() || format!("{polled:?}") != idle;
+            if wake.is_some_and(|w| g >= w) {
+                prop_assert!(acted && wake == Some(g), "first act at {} but wake-up at {:?}", g, wake);
+                break;
+            }
+            prop_assert!(!acted, "acted at {} before {:?}", g, wake);
         }
     }
 }

@@ -34,6 +34,7 @@
 pub mod alloc_track;
 pub mod engine;
 pub mod event;
+pub mod grid;
 pub mod link;
 pub mod node;
 pub mod profiler;
@@ -46,6 +47,7 @@ pub mod wheel;
 pub use dcn_wire::{FrameBuf, FrameMeta};
 pub use engine::{EngineKind, Sim, SimBuilder, SimConfig};
 pub use event::{scheduler_stress, Event, EventKey, SchedulerKind};
+pub use grid::GridTimer;
 pub use link::{Impairment, LinkId, LinkSpec};
 pub use node::{Action, Ctx, NodeId, PortId, Protocol, StatsSnapshot};
 pub use profiler::{EngineProfile, SchedulerStats, ShardProfile, WindowRecord};

@@ -178,10 +178,12 @@ impl<'a> Ctx<'a> {
     }
 
     /// Arm an engine-managed periodic timer: `on_timer(token)` fires after
-    /// `first`, then every `every` until the node is torn down. Protocols
-    /// with per-tick batched work (keepalive TX, BFD TX, retransmit scans)
-    /// use this instead of re-arming a one-shot from every `on_timer`, so
-    /// the engine keeps a single standing entry per node tick.
+    /// `first`, then every `every` until the node is torn down. A protocol
+    /// with work at every period uses this instead of re-arming a
+    /// one-shot from every `on_timer`, so the engine keeps a single
+    /// standing entry per node. One whose periods mostly find nothing due
+    /// (the routers' housekeeping) wakes by deadline on the same grid
+    /// instead: [`crate::GridTimer`].
     pub fn set_periodic(&mut self, first: Duration, every: Duration, token: u64) {
         self.out.push(Action::Periodic { first, every, token });
     }

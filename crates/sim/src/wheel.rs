@@ -2,11 +2,11 @@
 //! ([`crate::SchedulerKind::Wheel`]).
 //!
 //! Shaped by the event mix the emulator actually produces. A 16-PoD
-//! MR-MTP failure run pops 288 819 events with at most 1 524 pending:
-//! 67 % are timers — mostly the routers' 5 ms tick, plus hello / hold /
-//! MRAI / BFD timers, all milliseconds to seconds ahead — and 33 % are
-//! frame deliveries 3–8 µs out (paced senders add 25/50 µs re-arms). So
-//! there are two tiers and nothing in between:
+//! MR-MTP failure run pops 119 398 events with at most 1 588 pending:
+//! 80 % are frame deliveries 3–8 µs out (paced senders add 25/50 µs
+//! re-arms) and 20 % are timers — the routers' housekeeping wake-ups
+//! ([`crate::GridTimer`]), hold-down and host timers, all milliseconds
+//! to seconds ahead. So there are two tiers and nothing in between:
 //!
 //! * **near ring** — 64 buckets of 2^10 ns (≈ 1 µs) granules covering the
 //!   64 granules (≈ 65 µs) from the cursor on. Insertion is a `Vec` push

@@ -294,7 +294,14 @@ impl TcpConn {
         }
     }
 
-    /// Drive retransmission; call periodically (a few times per RTO).
+    /// The earliest instant at which [`TcpConn::tick`] would act (the
+    /// retransmission deadline), or `None` with nothing in flight.
+    pub fn next_deadline(&self) -> Option<Time> {
+        self.retx_deadline
+    }
+
+    /// Drive retransmission; call at or after [`TcpConn::next_deadline`]
+    /// (calls before it are no-ops).
     pub fn tick(&mut self, now: Time) -> TcpOutput {
         let mut out = TcpOutput::default();
         let Some(deadline) = self.retx_deadline else {

@@ -4,6 +4,7 @@
 
 use proptest::prelude::*;
 
+use dcn_sim::grid::grid_at_or_after;
 use dcn_tcp::{TcpConn, TcpState, RTO};
 use dcn_wire::TcpSegment;
 
@@ -67,6 +68,66 @@ fn lossy_exchange(writes: &[Vec<u8>], drop_pattern: &[bool]) -> Vec<u8> {
     received
 }
 
+const MS: u64 = 1_000_000;
+
+#[derive(Clone, Copy, Debug)]
+enum ConnOp {
+    /// Carry every queued segment across, both ways.
+    Deliver,
+    /// Lose every queued segment.
+    Drop,
+    Send(usize),
+    Tick,
+    Reset,
+}
+
+fn arb_conn_op() -> impl Strategy<Value = ConnOp> {
+    prop_oneof![
+        Just(ConnOp::Deliver),
+        Just(ConnOp::Deliver),
+        Just(ConnOp::Drop),
+        (1usize..40).prop_map(ConnOp::Send),
+        Just(ConnOp::Tick),
+        Just(ConnOp::Reset),
+    ]
+}
+
+/// Drive an active opener against a listener through `ops` (each after
+/// its delay in ms); returns the opener and the instant of the last op.
+/// `TcpConn` is not `Clone`, so callers replay to get a fresh copy.
+fn replay(ops: &[(u64, ConnOp)]) -> (TcpConn, u64) {
+    let mut a = TcpConn::new(40000, 179, 1);
+    let mut b = TcpConn::new(179, 40000, 2);
+    b.listen();
+    let mut now = 0;
+    let mut to_b = a.connect(now).segments;
+    let mut to_a: Vec<TcpSegment> = Vec::new();
+    for &(dt, op) in ops {
+        now += dt * MS;
+        match op {
+            ConnOp::Deliver => {
+                for seg in std::mem::take(&mut to_b) {
+                    to_a.extend(b.on_segment(&seg, now).segments);
+                }
+                for seg in std::mem::take(&mut to_a) {
+                    to_b.extend(a.on_segment(&seg, now).segments);
+                }
+            }
+            ConnOp::Drop => {
+                to_a.clear();
+                to_b.clear();
+            }
+            ConnOp::Send(n) => to_b.extend(a.send(&vec![7; n], now).segments),
+            ConnOp::Tick => {
+                to_b.extend(a.tick(now).segments);
+                to_a.extend(b.tick(now).segments);
+            }
+            ConnOp::Reset => to_b.extend(a.reset(now).segments),
+        }
+    }
+    (a, now)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -94,5 +155,32 @@ proptest! {
         let o2 = c.connect(10);
         prop_assert_eq!(o2.segments.len(), 1);
         prop_assert_eq!(c.state(), TcpState::SynSent);
+    }
+
+    /// `next_deadline` names exactly the first grid instant at which a
+    /// polled `tick` acts: every tick on an earlier grid instant is a
+    /// no-op (so skipping it is invisible), the one there is not.
+    #[test]
+    fn retx_deadline_is_where_polling_first_acts(
+        ops in proptest::collection::vec((0u64..150, arb_conn_op()), 0..24),
+        phase_ms in 0u64..20,
+    ) {
+        const PERIOD: u64 = 20 * MS;
+        let phase = phase_ms * MS;
+        let (conn, now) = replay(&ops);
+        let wake = conn.next_deadline().map(|d| grid_at_or_after(phase, PERIOD, d.max(now)));
+        let idle = format!("{conn:?}");
+        for g in (0..20).map(|k| grid_at_or_after(phase, PERIOD, now) + k * PERIOD) {
+            let (mut polled, _) = replay(&ops);
+            let out = polled.tick(g);
+            let acted = !out.segments.is_empty()
+                || !out.events.is_empty()
+                || format!("{polled:?}") != idle;
+            if wake.is_some_and(|w| g >= w) {
+                prop_assert!(acted && wake == Some(g), "first act at {} but wake-up at {:?}", g, wake);
+                break;
+            }
+            prop_assert!(!acted, "acted at {} before {:?}", g, wake);
+        }
     }
 }
