@@ -1086,7 +1086,7 @@ impl Protocol for MrmtpRouter {
                         return;
                     }
                     // Transit: compiled-FIB pick + refcount re-send. The
-                    // alloc_track scope is how the soak benchmark proves
+                    // alloc_track scope is how `tests/zero_alloc.rs` proves
                     // this block allocates nothing in steady state —
                     // including with local repair active: the deduped
                     // repair span is emitted after the scope closes.

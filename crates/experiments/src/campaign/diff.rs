@@ -1,9 +1,7 @@
 //! Differential regression over two campaign stores.
 //!
-//! Generalizes the committed `BENCH_*.json` gates: instead of two
-//! hand-picked benchmark files, any two stores (typically the same
-//! campaign spec run at two git revisions) are compared run by run on
-//! their canonical keys. A digest mismatch is always a finding — the
+//! Any two stores (typically the same campaign spec run at two git
+//! revisions) are compared run by run on their canonical keys. A digest mismatch is always a finding — the
 //! simulation is deterministic, so same key + same code must mean the
 //! same trace, bit for bit. Numeric metrics tolerate `threshold`
 //! relative drift before being flagged. Host-clock fields (`wall_ms`,

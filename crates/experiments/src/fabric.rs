@@ -222,7 +222,7 @@ pub fn build_fabric_sim_sched(
 
 /// The most general builder: full control over the engine's
 /// [`SimConfig`] (scheduler backend, tracing, carrier latency, wire
-/// impairment). `fcr bench` uses it to run big fabrics with tracing off.
+/// impairment). `benchmark/` uses it to run big fabrics with tracing off.
 pub fn build_fabric_sim_cfg(
     fabric: Fabric,
     stack: Stack,

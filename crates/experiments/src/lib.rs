@@ -10,7 +10,7 @@
 //!   stack × failure × traffic × seed × timing × tuning × telemetry sink
 //!   × scheduler backend, with `.run()` / `.run_instrumented()`.
 //! * [`figures`] — one function per paper figure, returning printable
-//!   tables (these are what the benches and examples call).
+//!   tables (these are what `fcr figures` and the examples call).
 //! * [`parallel::run_matrix`] — fan a scenario list out over worker
 //!   threads (the emulator itself is deterministic and single-threaded;
 //!   scenarios are embarrassingly parallel).
@@ -26,7 +26,6 @@
 //!   multi-point failures.
 
 pub mod ablations;
-pub mod bench;
 pub mod campaign;
 pub mod chaos;
 pub mod extended_failures;

@@ -23,9 +23,13 @@
 //! * The residual far-side windows (hold-timer / Quick-to-Detect) have
 //!   no local signal at any surviving hop and must stay untouched.
 
-use dcn_experiments::{BuiltSim, RunSpec, Stack, TrafficDir};
-use dcn_sim::time::MICROS;
-use dcn_topology::{ClosParams, FailureCase};
+use dcn_experiments::fabric::build_fabric_sim_cfg;
+use dcn_experiments::flows::pin_flow;
+use dcn_experiments::{BuiltSim, RunSpec, Stack, StackTuning, TrafficDir};
+use dcn_sim::time::{MICROS, MILLIS, SECONDS};
+use dcn_sim::{NodeId, PortId, SimConfig};
+use dcn_topology::{Addressing, ClosParams, FailureCase, Fabric};
+use dcn_traffic::SendSpec;
 
 const TCS: [FailureCase; 4] =
     [FailureCase::Tc1, FailureCase::Tc2, FailureCase::Tc3, FailureCase::Tc4];
@@ -188,5 +192,55 @@ fn local_repair_leaves_delivery_metrics_sane() {
                 stack.label(),
             );
         }
+    }
+}
+
+/// One pinned cross-pod flow per ToR pair, all riding the S-1-1 chain at
+/// 25 µs pacing, then a carrier failure of S-1-1's first uplink (TC3)
+/// 50 ms after warm-up. Returns [`window_counters`] 50 ms later.
+fn loss_window_probe(pods: usize, stack: Stack, local_repair: bool) -> (u64, u64) {
+    let params = ClosParams::scaled(pods).expect("even PoD count");
+    let fabric = Fabric::build(params);
+    let addr = Addressing::new(&fabric);
+    let far = params.pods - 1;
+    // BGP needs session establishment plus the initial table dumps;
+    // MR-MTP's trees converge in well under a second.
+    let warmup = if stack == Stack::Mrmtp { 2 * SECONDS } else { 6 * SECONDS };
+    let fail_at = warmup + 50 * MILLIS;
+    let end = fail_at + 50 * MILLIS;
+    let widths = [params.spines_per_pod, params.uplinks_per_spine];
+    let senders: Vec<(usize, SendSpec)> = (0..params.tors_per_pod)
+        .map(|t| {
+            let src_ip = addr.server_addr(fabric.tor(0, t), 0).expect("near server");
+            let dst_ip = addr.server_addr(fabric.tor(far, t), 0).expect("far server");
+            let (src_port, dst_port) = pin_flow(src_ip, dst_ip, &widths);
+            let mut s = SendSpec::new(dst_ip, warmup, end);
+            s.src_port = src_port;
+            s.dst_port = dst_port;
+            s.interval = FAST;
+            (fabric.server(0, t, 0), s)
+        })
+        .collect();
+    let tuning = StackTuning { local_repair, ..StackTuning::default() };
+    let cfg = SimConfig { trace: false, ..SimConfig::default() };
+    let mut built = build_fabric_sim_cfg(fabric, stack, 42, &senders, tuning, cfg);
+    built.sim.run_until(fail_at);
+    let (node, port) = built.fabric.failure_point(FailureCase::Tc3);
+    built.sim.schedule_port_down(fail_at, NodeId(node as u32), PortId(port as u16));
+    built.sim.run_until(end);
+    window_counters(&built)
+}
+
+#[test]
+fn carrier_loss_window_counts_are_exact() {
+    // Two flows × the 20 packets that 25 µs pacing fits into the 500 µs
+    // carrier latency: BGP/ECMP sprays all 40 into the dead uplink with
+    // repair off and re-spreads all 40 with it on; MR-MTP's lookup masks
+    // the dead port itself, so it neither loses nor repairs.
+    for pods in [2, 4] {
+        assert_eq!(loss_window_probe(pods, Stack::BgpEcmp, false), (40, 0), "bgp {pods} PoDs off");
+        assert_eq!(loss_window_probe(pods, Stack::BgpEcmp, true), (0, 40), "bgp {pods} PoDs on");
+        assert_eq!(loss_window_probe(pods, Stack::Mrmtp, false), (0, 0), "mr-mtp {pods} PoDs off");
+        assert_eq!(loss_window_probe(pods, Stack::Mrmtp, true), (0, 0), "mr-mtp {pods} PoDs on");
     }
 }

@@ -588,8 +588,7 @@ impl Fabric {
     /// Router hops a data packet crosses between servers in *different*
     /// PoDs: up one side of the folded Clos and down the other (ToR →
     /// PoD spine → top spine → PoD spine → ToR = 5 in three-tier
-    /// fabrics; four-tier adds a zone-spine layer each way). The traffic
-    /// soak benchmark reports its workload as N flows × this many hops.
+    /// fabrics; four-tier adds a zone-spine layer each way).
     pub fn cross_pod_router_hops(&self) -> usize {
         match self.tiers {
             3 => 5,

@@ -10,8 +10,6 @@
 //! fcr sweep [max_pods]             # §IX PoD sweep + tier comparison
 //! fcr ablations                    # design-choice ablations
 //! fcr keepalive                    # Figs. 9–10 summary
-//! fcr bench --scale 2,4,8,16       # scaling + scheduler benchmarks
-//! fcr bench --traffic              # data-plane forwarding soak
 //! fcr profile mrmtp tc1 --workers 4  # engine stall breakdown + Chrome trace
 //! ```
 //!
@@ -20,15 +18,8 @@
 use std::path::PathBuf;
 
 use dcn_experiments::campaign::{self, CampaignSpec};
-use dcn_experiments::{ablations, bench, figures, run, RunSpec, Stack, TrafficDir};
+use dcn_experiments::{ablations, figures, run, RunSpec, Stack, TrafficDir};
 use dcn_topology::{ClosParams, FailureCase};
-
-/// Count heap allocations landing inside forwarding scopes, so
-/// `fcr bench --traffic` reports a measured allocations-per-forwarded-
-/// packet figure instead of a trivial zero.
-#[global_allocator]
-static ALLOC: dcn_sim::alloc_track::CountingAllocator =
-    dcn_sim::alloc_track::CountingAllocator;
 
 fn usage() -> ! {
     eprintln!(
@@ -104,21 +95,7 @@ fn usage() -> ! {
          \x20                               mismatch or >threshold metric drift fails\n\
          \x20                               (exit 1); coverage changes are reported\n\
          \x20   --threshold PCT      relative metric-drift tolerance in percent\n\
-         \x20                        (default 5; digests are compared exactly)\n\
-         \x20 bench [opts]                  scaling + scheduler benchmarks\n\
-         \x20   --scale LIST     comma list of PoD counts (default 2,4,8,16,32,64)\n\
-         \x20   --workers LIST   worker counts swept at each PoD count of at\n\
-         \x20                    least 16 (default 1,2,4; 1 is always run and\n\
-         \x20                    is the speedup baseline)\n\
-         \x20   --traffic        forwarding soak instead: packets/sec and\n\
-         \x20                    allocs per forwarded packet, fast vs slow path\n\
-         \x20   --quick          short windows (CI smoke mode)\n\
-         \x20   --out FILE       write BENCH_scale.json (or BENCH_traffic.json\n\
-         \x20                    with --traffic) here (default stdout only)\n\
-         \x20   --baseline FILE  fail (exit 1) on >20% throughput regression\n\
-         \x20                    (--traffic also gates the loss-window probe)\n\
-         \x20   --profile-out DIR  also write a full perf report + Chrome trace\n\
-         \x20                    of the largest scale row under DIR"
+         \x20                        (default 5; digests are compared exactly)"
     );
     std::process::exit(2);
 }
@@ -667,149 +644,6 @@ fn main() {
         Some("keepalive") => {
             println!("{}", figures::fig9_keepalive(seed).render());
             println!("{}", figures::fig1_stack_comparison(seed).render());
-        }
-        Some("bench") => {
-            let mut pods: Vec<usize> = vec![2, 4, 8, 16, 32, 64];
-            let mut workers: Vec<usize> = vec![1, 2, 4];
-            let mut quick = false;
-            let mut traffic = false;
-            let mut out: Option<PathBuf> = None;
-            let mut baseline: Option<PathBuf> = None;
-            let mut profile_out: Option<PathBuf> = None;
-            let mut i = 1;
-            while i < args.len() {
-                let val = |i: usize| -> &str {
-                    args.get(i + 1).map(String::as_str).unwrap_or_else(|| usage())
-                };
-                match args[i].as_str() {
-                    "--scale" => {
-                        pods = val(i)
-                            .split(',')
-                            .map(|p| p.parse().unwrap_or_else(|_| usage()))
-                            .collect();
-                        i += 2;
-                    }
-                    "--workers" => {
-                        workers = val(i)
-                            .split(',')
-                            .map(|w| w.parse().unwrap_or_else(|_| usage()))
-                            .collect();
-                        for &w in &workers {
-                            dcn_experiments::warn_if_oversubscribed(w);
-                        }
-                        i += 2;
-                    }
-                    "--quick" => {
-                        quick = true;
-                        i += 1;
-                    }
-                    "--traffic" => {
-                        traffic = true;
-                        i += 1;
-                    }
-                    "--out" => {
-                        out = Some(PathBuf::from(val(i)));
-                        i += 2;
-                    }
-                    "--baseline" => {
-                        baseline = Some(PathBuf::from(val(i)));
-                        i += 2;
-                    }
-                    "--profile-out" => {
-                        profile_out = Some(PathBuf::from(val(i)));
-                        i += 2;
-                    }
-                    _ => usage(),
-                }
-            }
-            let write_out = |json: String, out: Option<PathBuf>| {
-                if let Some(path) = out {
-                    if let Err(e) = std::fs::write(&path, format!("{json}\n")) {
-                        eprintln!("bench: write to {} failed: {e}", path.display());
-                        std::process::exit(2);
-                    }
-                    eprintln!("wrote {}", path.display());
-                }
-            };
-            let read_baseline = |path: &PathBuf| -> String {
-                std::fs::read_to_string(path).unwrap_or_else(|e| {
-                    eprintln!("bench: read baseline {} failed: {e}", path.display());
-                    std::process::exit(2);
-                })
-            };
-            if traffic {
-                eprintln!(
-                    "traffic soak at {pods:?} PoDs, fast path vs slow path ({})…",
-                    if quick { "quick" } else { "full" }
-                );
-                let report = match bench::run_traffic_bench(&pods, quick, seed) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        eprintln!("bench: {e}");
-                        std::process::exit(2);
-                    }
-                };
-                print!("{}", report.render_text());
-                write_out(report.to_json().render(), out);
-                if let Some(path) = baseline {
-                    match bench::check_traffic_regression(&report, &read_baseline(&path), 0.20) {
-                        Ok(()) => eprintln!("no regression vs {}", path.display()),
-                        Err(e) => {
-                            eprintln!("FAIL: {e}");
-                            std::process::exit(1);
-                        }
-                    }
-                }
-                return;
-            }
-            eprintln!(
-                "benchmarking scheduler + fabric scale at {pods:?} PoDs, \
-                 worker sweep {workers:?} from {} PoDs ({})…",
-                bench::WORKER_SWEEP_MIN_PODS,
-                if quick { "quick" } else { "full" }
-            );
-            let report = match bench::run_bench(&pods, &workers, quick, seed) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("bench: {e}");
-                    std::process::exit(2);
-                }
-            };
-            print!("{}", report.render_text());
-            write_out(report.to_json().render(), out);
-            if let Some(path) = baseline {
-                match bench::check_regression(&report, &read_baseline(&path), 0.20) {
-                    Ok(()) => eprintln!("no regression vs {}", path.display()),
-                    Err(e) => {
-                        eprintln!("FAIL: {e}");
-                        std::process::exit(1);
-                    }
-                }
-            }
-            if let Some(dir) = profile_out {
-                // Full perf artifacts for the heaviest configuration in
-                // the sweep: the point where stall attribution matters.
-                let top_pods = pods.iter().copied().max().unwrap_or(2);
-                let top_workers = workers.iter().copied().max().unwrap_or(1);
-                eprintln!("profiling {top_pods} PoDs at {top_workers} worker(s)…");
-                match bench::profile_scale_run(top_pods, top_workers, quick, seed) {
-                    Ok(perf) => match dcn_experiments::write_profile_artifacts(&perf, &dir) {
-                        Ok(paths) => {
-                            for path in paths {
-                                eprintln!("wrote {}", path.display());
-                            }
-                        }
-                        Err(e) => {
-                            eprintln!("bench: profile write to {} failed: {e}", dir.display());
-                            std::process::exit(2);
-                        }
-                    },
-                    Err(e) => {
-                        eprintln!("bench: profile run failed: {e}");
-                        std::process::exit(2);
-                    }
-                }
-            }
         }
         _ => usage(),
     }
