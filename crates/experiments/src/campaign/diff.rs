@@ -1,12 +1,13 @@
 //! Differential regression over two campaign stores.
 //!
 //! Any two stores (typically the same campaign spec run at two git
-//! revisions) are compared run by run on their canonical keys. A digest mismatch is always a finding — the
-//! simulation is deterministic, so same key + same code must mean the
-//! same trace, bit for bit. Numeric metrics tolerate `threshold`
-//! relative drift before being flagged. Host-clock fields (`wall_ms`,
-//! the stall breakdown) are never compared: a store recorded on a loaded
-//! laptop must diff clean against one from a quiet CI runner.
+//! revisions) are compared run by run on their canonical keys. A digest
+//! mismatch is always a finding — the simulation is deterministic, so
+//! same key + same code must mean the same trace, bit for bit. Numeric
+//! metrics tolerate `threshold`
+//! relative drift before being flagged. The host-clock field `wall_ms`
+//! is never compared: a store recorded on a loaded laptop must diff
+//! clean against one from a quiet CI runner.
 
 use std::collections::BTreeMap;
 
@@ -150,7 +151,7 @@ fn diff_one(a: &RunRecord, b: &RunRecord, threshold: f64, out: &mut Vec<Finding>
             flag("storyboard", r(pa), r(pb), None);
         }
     }
-    // wall_ms and stall are host-clock observations: never compared.
+    // wall_ms is a host-clock observation: never compared.
 }
 
 #[cfg(test)]
@@ -175,7 +176,6 @@ mod tests {
             packets_lost: None,
             keepalive_frames: 200,
             phases: Some((1.0, 39.0, 0.0)),
-            stall: None,
             wall_ms: 50.0,
         }
     }
@@ -198,13 +198,6 @@ mod tests {
         let a = keyed(vec![record(1)]);
         let mut slow = record(1);
         slow.wall_ms = 9000.0;
-        slow.stall = Some(super::super::store::StallRecord {
-            execute_pct: 10.0,
-            barrier_pct: 80.0,
-            drain_pct: 5.0,
-            deposit_pct: 2.5,
-            other_pct: 2.5,
-        });
         let r = diff(&a, &keyed(vec![slow]), 0.05);
         assert!(!r.has_drift(), "{:?}", r.findings);
     }

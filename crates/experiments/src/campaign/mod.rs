@@ -26,7 +26,7 @@ use crate::fabric::Stack;
 use crate::figures::Figure;
 use crate::runspec::RunSpec;
 use crate::scenario::{self, Timing, TrafficDir};
-use store::{RunRecord, StallRecord, Store};
+use store::{RunRecord, Store};
 
 /// Spec-document schema identifier (`fcr campaign run` input files).
 pub const SPEC_SCHEMA: &str = "campaign-spec/v1";
@@ -267,11 +267,15 @@ impl CampaignSpec {
     }
 }
 
-/// Execute one grid point and package it as a store record.
+/// Execute one grid point and package it as a store record. `profile`
+/// only sets [`dcn_sim::SimConfig::profile`] for the run; nothing in the
+/// record reads the result. The parameter is retained because
+/// `benchmark/` calls `run_one(rs, false)`, and leaves with ROADMAP
+/// item 6's edit of that file.
 pub fn run_one(rs: RunSpec, profile: bool) -> RunRecord {
     let rs = if profile { rs.with_profile(true) } else { rs };
     let started = std::time::Instant::now();
-    let (result, mut built) = scenario::run_with_sim(rs);
+    let (result, built) = scenario::run_with_sim(rs);
     let wall_ms = started.elapsed().as_secs_f64() * 1e3;
     let digest = crate::chaos::trace_digest(&built.sim);
     let phases = rs
@@ -279,16 +283,6 @@ pub fn run_one(rs: RunSpec, profile: bool) -> RunRecord {
         .map(|_| dcn_metrics::storyboard::build(built.sim.trace(), rs.timing.failure_at()))
         .and_then(|sb| sb.phases)
         .map(|p| (p.detection_ms, p.propagation_ms, p.quiescence_ms));
-    let stall = built.sim.take_profile().map(|p| {
-        let s = dcn_telemetry::stall_breakdown_of(&p);
-        StallRecord {
-            execute_pct: s.execute_pct,
-            barrier_pct: s.barrier_pct,
-            drain_pct: s.drain_pct,
-            deposit_pct: s.deposit_pct,
-            other_pct: s.other_pct,
-        }
-    });
     RunRecord {
         key: rs.key(),
         key_hash: rs.key_hash(),
@@ -306,7 +300,6 @@ pub fn run_one(rs: RunSpec, profile: bool) -> RunRecord {
         packets_lost: result.loss.map(|l| l.lost()),
         keepalive_frames: result.keepalive.frames,
         phases,
-        stall,
         wall_ms,
     }
 }
@@ -314,9 +307,9 @@ pub fn run_one(rs: RunSpec, profile: bool) -> RunRecord {
 /// Expand `spec` and fan every run out over up to `threads` workers
 /// (0 = one per available CPU) through the shared pool. Records come
 /// back in grid order regardless of which worker ran what.
-pub fn run_grid(spec: &CampaignSpec, threads: usize, profile: bool) -> Result<Vec<RunRecord>, String> {
+pub fn run_grid(spec: &CampaignSpec, threads: usize) -> Result<Vec<RunRecord>, String> {
     let specs = spec.expand()?;
-    Ok(pool::fan_out(specs, threads, |rs| run_one(rs, profile)))
+    Ok(pool::fan_out(specs, threads, |rs| run_one(rs, false)))
 }
 
 /// [`run_grid`] landing in a freshly created store at `dir`.
@@ -324,12 +317,11 @@ pub fn run_to_store(
     spec: &CampaignSpec,
     dir: &std::path::Path,
     threads: usize,
-    profile: bool,
 ) -> Result<(Store, Vec<RunRecord>), String> {
     // Create the store before burning CPU: a bad directory should fail
     // in milliseconds, not after the grid ran.
     let store = Store::create(dir, &spec.name, spec.to_json(), spec.total_runs())?;
-    let records = run_grid(spec, threads, profile)?;
+    let records = run_grid(spec, threads)?;
     store
         .append_all(&records)
         .map_err(|e| format!("append to {}: {e}", dir.display()))?;

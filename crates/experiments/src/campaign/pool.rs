@@ -2,7 +2,7 @@
 //!
 //! Each emulation run is deterministic and single-threaded; every
 //! experiment surface (scenario matrices, chaos campaigns, replicated
-//! figures, loss-window probes, campaign grids) is embarrassingly
+//! figures, campaign grids) is embarrassingly
 //! parallel across runs. Before the campaign orchestrator existed, each
 //! of those surfaces hand-rolled its own fan-out loop; they now all
 //! route through [`fan_out`].

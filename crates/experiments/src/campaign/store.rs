@@ -8,8 +8,7 @@
 //! wins. This is the substrate `fcr campaign diff` compares across git
 //! revisions: every record carries the run's canonical
 //! [`RunSpec::key`](crate::RunSpec::key), its trace digest, the paper
-//! metrics, the storyboard phase breakdown, and (when profiled) the
-//! engine stall breakdown.
+//! metrics and the storyboard phase breakdown.
 
 use std::collections::BTreeMap;
 use std::fs::OpenOptions;
@@ -22,17 +21,6 @@ use dcn_telemetry::Json;
 pub const SCHEMA: &str = "campaign/v1";
 const INDEX_FILE: &str = "index.json";
 const RUNS_FILE: &str = "runs.jsonl";
-
-/// Engine stall percentages of one profiled run. Host-clock observation
-/// only — diff-exempt, recorded for fleet-level perf trending.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct StallRecord {
-    pub execute_pct: f64,
-    pub barrier_pct: f64,
-    pub drain_pct: f64,
-    pub deposit_pct: f64,
-    pub other_pct: f64,
-}
 
 /// One finished run, as persisted in `runs.jsonl`.
 #[derive(Clone, Debug, PartialEq)]
@@ -62,8 +50,6 @@ pub struct RunRecord {
     /// Storyboard phase breakdown (ms), when the run failed something
     /// and detection happened: (detection, propagation, quiescence).
     pub phases: Option<(f64, f64, f64)>,
-    /// Engine stall breakdown, when the run was profiled. Diff-exempt.
-    pub stall: Option<StallRecord>,
     /// Host wall-clock of the run in milliseconds. Diff-exempt.
     pub wall_ms: f64,
 }
@@ -104,19 +90,6 @@ impl RunRecord {
                     ]),
                 },
             ),
-            (
-                "stall",
-                match self.stall {
-                    None => Json::Null,
-                    Some(s) => Json::obj(vec![
-                        ("execute_pct", Json::Float(s.execute_pct)),
-                        ("barrier_pct", Json::Float(s.barrier_pct)),
-                        ("drain_pct", Json::Float(s.drain_pct)),
-                        ("deposit_pct", Json::Float(s.deposit_pct)),
-                        ("other_pct", Json::Float(s.other_pct)),
-                    ]),
-                },
-            ),
         ];
         fields.push(("wall_ms", Json::Float(self.wall_ms)));
         Json::obj(fields)
@@ -147,21 +120,6 @@ impl RunRecord {
                 sb.get("quiescence_ms").and_then(Json::as_f64).ok_or("storyboard missing quiescence_ms")?,
             )),
         };
-        let stall = match doc.get("stall") {
-            None | Some(Json::Null) => None,
-            Some(st) => {
-                let f = |k: &str| {
-                    st.get(k).and_then(Json::as_f64).ok_or_else(|| format!("stall missing field {k:?}"))
-                };
-                Some(StallRecord {
-                    execute_pct: f("execute_pct")?,
-                    barrier_pct: f("barrier_pct")?,
-                    drain_pct: f("drain_pct")?,
-                    deposit_pct: f("deposit_pct")?,
-                    other_pct: f("other_pct")?,
-                })
-            }
-        };
         Ok(RunRecord {
             key: s("key")?,
             key_hash: u("key_hash")?,
@@ -182,7 +140,6 @@ impl RunRecord {
             packets_lost: metrics.get("packets_lost").and_then(Json::as_u64),
             keepalive_frames: mu("keepalive_frames")?,
             phases,
-            stall,
             wall_ms: doc.get("wall_ms").and_then(Json::as_f64).unwrap_or(0.0),
         })
     }
@@ -319,7 +276,6 @@ mod tests {
             packets_lost: None,
             keepalive_frames: 210,
             phases: Some((0.5, 41.0, 2.0)),
-            stall: None,
             wall_ms: 99.25,
         }
     }
@@ -333,6 +289,11 @@ mod tests {
         let bare = RunRecord { convergence_ms: None, phases: None, ..record(8) };
         let parsed = RunRecord::from_json(&Json::parse(&bare.to_json().render()).unwrap()).unwrap();
         assert_eq!(parsed, bare);
+        // Keys this reader does not know (`stall`, written by older
+        // `campaign/v1` stores) are ignored.
+        let Json::Obj(mut fields) = r.to_json() else { panic!("record is an object") };
+        fields.push(("stall".into(), Json::obj(vec![("execute_pct", Json::Float(96.0))])));
+        assert_eq!(RunRecord::from_json(&Json::Obj(fields)).unwrap(), r);
     }
 
     #[test]

@@ -100,18 +100,10 @@ pub struct ChaosConfig {
     /// measure real transit packets. 0 (the default) adds no senders and
     /// leaves historical digests untouched.
     pub traffic_pairs: usize,
-    /// Worker threads for the sharded parallel engine (1 = sequential
-    /// reference). Per-seed digests are bit-identical across worker
-    /// counts; the equivalence suite enforces it.
-    pub workers: usize,
     /// Engine runtime profiling (host-clock observation only). Per-seed
     /// digests are bit-identical with it on or off; the equivalence
     /// suite enforces it.
     pub profile: bool,
-    /// Adaptive window batching on the sharded engine. On by default;
-    /// per-seed digests are bit-identical with it on or off — the
-    /// equivalence suite runs chaos seeds both ways.
-    pub batch_windows: bool,
 }
 
 impl Default for ChaosConfig {
@@ -143,9 +135,7 @@ impl Default for ChaosConfig {
             fast_path: true,
             local_repair: false,
             traffic_pairs: 0,
-            workers: 1,
             profile: false,
-            batch_windows: true,
         }
     }
 }
@@ -357,8 +347,7 @@ pub fn run_chaos_profiled(seed: u64, stack: Stack, cfg: &ChaosConfig) -> (ChaosR
     let profile = built.sim.take_profile().expect("profiling enabled");
     let names = crate::profile::node_names(&built.sim);
     let label = format!("chaos {} seed {}", stack.slug(), seed);
-    let report = PerfReport::new(profile, label, cfg.workers.max(1), names);
-    (run, report)
+    (run, PerfReport::new(profile, label, names))
 }
 
 fn run_chaos_once(
@@ -378,9 +367,7 @@ fn run_chaos_once(
         StackTuning {
             fast_path: cfg.fast_path,
             local_repair: cfg.local_repair,
-            workers: cfg.workers.max(1),
             profile: cfg.profile,
-            batch_windows: cfg.batch_windows,
             ..StackTuning::default()
         },
         cfg.scheduler,
@@ -469,11 +456,11 @@ pub fn chaos_bundle(
     let (run, schedule, mut built) = run_chaos_once(seed, stack, cfg, &mut tel);
     let tel = tel.expect("telemetry preserved");
     // When the config profiled the run, the bundle carries the perf
-    // report and Chrome trace alongside the replay artifacts.
+    // report alongside the replay artifacts.
     let perf = built.sim.take_profile().map(|profile| {
         let names = crate::profile::node_names(&built.sim);
         let label = format!("chaos {} seed {}", stack.slug(), seed);
-        PerfReport::new(profile, label, cfg.workers.max(1), names)
+        PerfReport::new(profile, label, names)
     });
     let sim = &built.sim;
     let name_of = |n: NodeId| sim.node_name(n).to_string();
@@ -519,7 +506,6 @@ pub fn chaos_bundle(
     b.add_file("capture.txt", capture_dump(sim, cfg.warmup, cfg.end_at(), 200));
     if let Some(report) = &perf {
         b.add_file("perf_report.json", report.to_json().render() + "\n");
-        b.add_file("trace.chrome.json", report.to_chrome_trace());
     }
     (run, b)
 }
@@ -969,8 +955,8 @@ pub struct CampaignConfig {
     /// directory (`chaos-<stack>-seed<N>/`).
     pub telemetry_out: Option<PathBuf>,
     /// When set, every run executes with the engine profiler on (digests
-    /// unchanged) and writes `perf_report.json` + `trace.chrome.json`
-    /// under `<dir>/chaos-<stack>-seed<N>-perf/`.
+    /// unchanged) and writes `perf_report.json` under
+    /// `<dir>/chaos-<stack>-seed<N>-perf/`.
     pub profile_out: Option<PathBuf>,
 }
 

@@ -44,11 +44,7 @@ pub use campaign::CampaignSpec;
 pub use chaos::{
     run_campaign, run_chaos, run_chaos_profiled, CampaignConfig, ChaosConfig, FaultSchedule,
 };
-pub use profile::{
-    bundle_from_profiled, run_compare, run_profiled, warn_if_oversubscribed,
-    write_profile_artifacts,
-    ProfiledRun,
-};
+pub use profile::{bundle_from_profiled, run_profiled, write_profile_artifacts, ProfiledRun};
 pub use fabric::{
     build_fabric_sim, build_four_tier_sim, build_sim, build_sim_full, build_sim_tuned, BuiltSim,
     Stack, StackTuning,

@@ -1,18 +1,18 @@
 //! Profiled experiment runs: a [`RunSpec`] executed with the engine
 //! profiler on, packaged as a [`dcn_telemetry::PerfReport`] and written
-//! to disk as `perf_report.json` (the `perf_report/v2` schema) plus
-//! `trace.chrome.json` (loadable in `chrome://tracing` / Perfetto).
+//! to disk as `perf_report.json` (the `perf_report/v3` schema).
 //!
 //! Profiling is a pure host-clock observation: the run's metrics and
 //! per-seed trace digests are bit-identical with it on or off (the
-//! equivalence suite enforces it), so `fcr profile` answers "where did
-//! the wall time go" without changing what the simulation did.
+//! equivalence suite enforces it), so `fcr profile` answers "what did
+//! this run cost, and on which nodes" without changing what the
+//! simulation did.
 
 use std::io;
 use std::path::{Path, PathBuf};
 
 use dcn_sim::{NodeId, Sim};
-use dcn_telemetry::{host_cores, PerfReport, TraceBundle};
+use dcn_telemetry::{PerfReport, TraceBundle};
 
 use crate::runspec::RunSpec;
 use crate::scenario::{bundle_from_run, InstrumentedRun};
@@ -31,23 +31,8 @@ pub fn node_names(sim: &Sim) -> Vec<String> {
         .collect()
 }
 
-/// Loud warning when a run asks for more engine workers than the host
-/// has cores: the extra shards time-slice instead of running in
-/// parallel, so barrier waits balloon and speedups are meaningless.
-pub fn warn_if_oversubscribed(workers: usize) {
-    let cores = host_cores();
-    if cores > 0 && workers as u64 > cores {
-        eprintln!(
-            "WARNING: --workers {workers} exceeds the host's {cores} available core(s); \
-             shards will time-slice, barrier stalls will dominate, and wall-clock \
-             numbers from this run are not meaningful speedup evidence"
-        );
-    }
-}
-
 /// Execute `spec` with the profiler on and hand back the run plus its
-/// [`PerfReport`]. Callers that take a `--workers` flag should pass it
-/// through [`warn_if_oversubscribed`] first.
+/// [`PerfReport`].
 pub fn run_profiled(spec: RunSpec) -> ProfiledRun {
     let spec = spec.with_profile(true);
     let mut run = spec.run_instrumented();
@@ -59,41 +44,25 @@ pub fn run_profiled(spec: RunSpec) -> ProfiledRun {
         spec.failure.map(|tc| tc.label()).unwrap_or("steady"),
         spec.seed
     );
-    let report = PerfReport::new(profile, label, spec.tuning.workers, names);
-    ProfiledRun { run, report }
+    ProfiledRun { run, report: PerfReport::new(profile, label, names) }
 }
 
-/// The same scenario profiled once per entry of `workers`, for
-/// side-by-side stall comparison (`fcr profile --compare 1,2,4`). Each
-/// run is complete and independent — digests are engine-blind, so the
-/// only thing that varies between columns is where the wall time went.
-/// Render the reports with [`dcn_telemetry::render_comparison`].
-pub fn run_compare(spec: RunSpec, workers: &[usize]) -> Vec<ProfiledRun> {
-    workers.iter().map(|&w| run_profiled(spec.with_workers(w))).collect()
-}
-
-/// [`bundle_from_run`] plus the perf artifacts: the replay bundle of a
-/// profiled run carries `perf_report.json` and `trace.chrome.json`
-/// alongside the spans/series/capture files.
+/// [`bundle_from_run`] plus the perf report: the replay bundle of a
+/// profiled run carries `perf_report.json` alongside the
+/// spans/series/capture files.
 pub fn bundle_from_profiled(p: &ProfiledRun, spec: &RunSpec) -> TraceBundle {
     let mut b = bundle_from_run(&p.run, spec);
     b.add_file("perf_report.json", p.report.to_json().render() + "\n");
-    b.add_file("trace.chrome.json", p.report.to_chrome_trace());
     b
 }
 
-/// Write `perf_report.json` and `trace.chrome.json` under `dir`
-/// (created if needed). Returns the paths written.
-pub fn write_profile_artifacts(report: &PerfReport, dir: &Path) -> io::Result<Vec<PathBuf>> {
+/// Write `perf_report.json` under `dir` (created if needed). Returns the
+/// path written.
+pub fn write_profile_artifacts(report: &PerfReport, dir: &Path) -> io::Result<PathBuf> {
     std::fs::create_dir_all(dir)?;
-    let mut written = Vec::new();
-    let json_path = dir.join("perf_report.json");
-    std::fs::write(&json_path, report.to_json().render() + "\n")?;
-    written.push(json_path);
-    let trace_path = dir.join("trace.chrome.json");
-    std::fs::write(&trace_path, report.to_chrome_trace())?;
-    written.push(trace_path);
-    Ok(written)
+    let path = dir.join("perf_report.json");
+    std::fs::write(&path, report.to_json().render() + "\n")?;
+    Ok(path)
 }
 
 #[cfg(test)]
@@ -105,11 +74,10 @@ mod tests {
     use dcn_telemetry::Json;
     use dcn_topology::{ClosParams, FailureCase};
 
-    fn quick_spec(workers: usize) -> RunSpec {
+    fn quick_spec() -> RunSpec {
         RunSpec::new(ClosParams::two_pod(), Stack::Mrmtp)
             .failing(FailureCase::Tc1)
             .seeded(5)
-            .with_workers(workers)
             .timed(Timing {
                 warmup: secs(2),
                 traffic_lead: millis(100),
@@ -119,72 +87,35 @@ mod tests {
     }
 
     #[test]
-    fn profiled_run_attributes_the_whole_wall() {
-        let p = run_profiled(quick_spec(2));
+    fn profiled_run_counts_every_event_and_keeps_its_metrics() {
+        let p = run_profiled(quick_spec());
         let prof = p.report.profile();
-        assert_eq!(prof.shards.len(), 2, "one profile per shard");
-        assert!(prof.total_events() > 0);
-        assert!(prof.spans >= 1, "parallel spans ran");
-        assert!(prof.lookahead.is_some());
-        for s in &prof.shards {
-            let attributed = s.execute_ns + s.barrier_ns + s.drain_ns + s.deposit_ns + s.other_ns();
-            // other_ns is derived as wall - phases (clamped), so the sum
-            // reconstructs the wall exactly unless phases overshot wall
-            // by clock noise — tolerate 5% as the acceptance bound asks.
-            assert!(
-                (attributed as f64 - s.wall_ns as f64).abs() <= s.wall_ns as f64 * 0.05,
-                "shard {}: attributed {attributed} vs wall {}",
-                s.shard,
-                s.wall_ns
-            );
-            assert!(s.wall_ns > 0, "shard {} saw wall time", s.shard);
-        }
+        assert_eq!(prof.total_events(), p.run.built.sim.events_processed());
+        assert_eq!(prof.node_events.iter().sum::<u64>(), prof.total_events());
+        assert!(prof.wall_ns > 0);
         // The run's ordinary metrics still came out.
         assert!(p.run.result.convergence_ms.is_some());
     }
 
     #[test]
-    fn artifacts_write_and_parse() {
-        let p = run_profiled(quick_spec(1));
+    fn artifact_writes_and_parses() {
+        let p = run_profiled(quick_spec());
         let dir = std::env::temp_dir().join(format!("dcn-perf-test-{}", std::process::id()));
         let written = write_profile_artifacts(&p.report, &dir).unwrap();
-        assert_eq!(written.len(), 2);
-        let report = std::fs::read_to_string(dir.join("perf_report.json")).unwrap();
+        assert_eq!(written, dir.join("perf_report.json"));
+        let report = std::fs::read_to_string(&written).unwrap();
         let doc = Json::parse(report.trim()).unwrap();
-        assert_eq!(doc.get("schema").unwrap().as_str(), Some("perf_report/v2"));
-        assert_eq!(doc.get("engine").unwrap().as_str(), Some("sequential"));
-        let trace = std::fs::read_to_string(dir.join("trace.chrome.json")).unwrap();
-        let tdoc = Json::parse(trace.trim()).unwrap();
-        assert!(!tdoc.get("traceEvents").unwrap().as_arr().unwrap().is_empty());
+        assert_eq!(doc.get("schema").unwrap().as_str(), Some("perf_report/v3"));
+        assert_eq!(doc.get("events").unwrap().as_u64(), Some(p.report.profile().total_events()));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn compare_runs_one_report_per_worker_count() {
-        let runs = run_compare(quick_spec(1), &[1, 2]);
-        assert_eq!(runs.len(), 2);
-        assert_eq!(runs[0].report.workers, 1);
-        assert_eq!(runs[1].report.workers, 2);
-        assert_eq!(runs[0].report.engine(), "sequential");
-        assert_eq!(runs[1].report.engine(), "sharded");
-        // Same scenario: identical metrics, only the stall profile moves.
-        assert_eq!(
-            runs[0].run.result.convergence_ms,
-            runs[1].run.result.convergence_ms
-        );
-        let text = dcn_telemetry::render_comparison(
-            &runs.iter().map(|p| p.report.clone()).collect::<Vec<_>>(),
-        );
-        assert!(text.contains("w=1") && text.contains("w=2") && text.contains("delta"), "{text}");
-    }
-
-    #[test]
-    fn profiled_bundle_carries_the_perf_files() {
-        let spec = quick_spec(2);
+    fn profiled_bundle_carries_the_perf_report() {
+        let spec = quick_spec();
         let p = run_profiled(spec);
         let b = bundle_from_profiled(&p, &spec);
         let names: Vec<&str> = b.files().iter().map(|(n, _)| n.as_str()).collect();
         assert!(names.contains(&"perf_report.json"), "{names:?}");
-        assert!(names.contains(&"trace.chrome.json"), "{names:?}");
     }
 }

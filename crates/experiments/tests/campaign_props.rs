@@ -8,7 +8,7 @@
 
 use std::collections::BTreeSet;
 
-use dcn_experiments::campaign::store::{RunRecord, StallRecord, Store};
+use dcn_experiments::campaign::store::{RunRecord, Store};
 use dcn_experiments::campaign::CampaignSpec;
 use dcn_experiments::{Stack, TrafficDir};
 use dcn_topology::FailureCase;
@@ -81,7 +81,6 @@ proptest! {
         conv in prop::option::of((0u64..5_000_000).prop_map(|us| us as f64 / 1e3)),
         lost in prop::option::of(0u64..100),
         with_phases in any::<bool>(),
-        with_stall in any::<bool>(),
         case in 0u64..1_000_000,
     ) {
         let records: Vec<RunRecord> = (0..n as u64)
@@ -102,13 +101,6 @@ proptest! {
                 packets_lost: lost,
                 keepalive_frames: 200,
                 phases: with_phases.then_some((1.0, 39.0, 0.5)),
-                stall: with_stall.then_some(StallRecord {
-                    execute_pct: 60.0,
-                    barrier_pct: 20.0,
-                    drain_pct: 10.0,
-                    deposit_pct: 5.0,
-                    other_pct: 5.0,
-                }),
                 wall_ms: 12.5,
             })
             .collect();

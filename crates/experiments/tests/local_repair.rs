@@ -27,7 +27,7 @@ use dcn_experiments::fabric::build_fabric_sim_cfg;
 use dcn_experiments::flows::pin_flow;
 use dcn_experiments::{BuiltSim, RunSpec, Stack, StackTuning, TrafficDir};
 use dcn_sim::time::{MICROS, MILLIS, SECONDS};
-use dcn_sim::{NodeId, PortId, SimConfig};
+use dcn_sim::SimConfig;
 use dcn_topology::{Addressing, ClosParams, FailureCase, Fabric};
 use dcn_traffic::SendSpec;
 
@@ -225,8 +225,7 @@ fn loss_window_probe(pods: usize, stack: Stack, local_repair: bool) -> (u64, u64
     let cfg = SimConfig { trace: false, ..SimConfig::default() };
     let mut built = build_fabric_sim_cfg(fabric, stack, 42, &senders, tuning, cfg);
     built.sim.run_until(fail_at);
-    let (node, port) = built.fabric.failure_point(FailureCase::Tc3);
-    built.sim.schedule_port_down(fail_at, NodeId(node as u32), PortId(port as u16));
+    built.inject_failure(FailureCase::Tc3, fail_at);
     built.sim.run_until(end);
     window_counters(&built)
 }

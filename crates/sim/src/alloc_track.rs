@@ -1,44 +1,46 @@
 //! Forwarding-path allocation accounting.
 //!
-//! The traffic soak benchmark claims a concrete number — heap
-//! allocations per forwarded data packet — and this module is how that
-//! number is measured rather than asserted. Routers bracket their data
+//! "Heap allocations per forwarded data packet" is measured, not
+//! asserted, and this module is how. Routers bracket their data
 //! forwarding code in a [`scope`] guard and tick [`note_forward`] per
 //! packet; a binary that installs [`CountingAllocator`] as its
-//! `#[global_allocator]` then counts every allocation landing inside a
-//! scope. The quotient `scoped_allocs() / forwarded()` is the honest
-//! per-packet figure: endpoint work (packet generation, terminal host
-//! delivery) and engine bookkeeping stay outside the scope.
+//! `#[global_allocator]` (`tests/zero_alloc.rs` in `dcn-experiments`)
+//! then counts every allocation landing inside a scope. The quotient
+//! `scoped_allocs() / forwarded()` is the honest per-packet figure:
+//! endpoint work (packet generation, terminal host delivery) and engine
+//! bookkeeping stay outside the scope.
 //!
 //! With no counting allocator installed (the normal case: library tests,
-//! the simulation proper) the cost is two relaxed atomic stores per
-//! forwarded packet and the counters simply stay zero —
+//! the simulation proper) the cost is two thread-local stores per
+//! forwarded packet and the allocation counter simply stays zero —
 //! [`counting_allocator_installed`] lets reports distinguish "measured
 //! zero" from "not measured".
 //!
-//! The totals are process-wide atomics, but the *scope* flag is
-//! per-thread: the sharded engine dispatches forwarding code on several
-//! worker threads at once, and a process-global flag would charge one
-//! worker's engine bookkeeping to another worker's forwarding scope. A
-//! `#[global_allocator]` runs before — and during — thread-local
-//! teardown, so the scope state uses a const-initialized `Cell` (no
-//! lazy init, no destructor registration on read) accessed with
-//! `try_with` and treated as "not in scope" once the thread is tearing
-//! down.
+//! The scope flag and both totals are per-thread. A simulation forwards
+//! on the thread that calls `run_until`, so a measurement is
+//! [`reset`] → run → read, all on one thread, and concurrent
+//! measurements — parallel test threads, campaign pool workers — cannot
+//! see or zero each other's counts. A `#[global_allocator]` runs before —
+//! and during — thread-local teardown, so the state is const-initialized
+//! `Cell`s (no lazy init, no destructor registration on read) which the
+//! allocator reads with `try_with`, treating a thread that is tearing
+//! down as "not in scope".
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 
 thread_local! {
     /// Forwarding-scope nesting depth of the current thread. Const-init
     /// keeps first access allocation-free, which matters inside the
     /// global allocator.
     static SCOPE_DEPTH: Cell<u32> = const { Cell::new(0) };
+    /// Allocations this thread made inside forwarding scopes.
+    static SCOPED_ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Data packets this thread forwarded.
+    static FORWARDED: Cell<u64> = const { Cell::new(0) };
 }
 
-static SCOPED_ALLOCS: AtomicU64 = AtomicU64::new(0);
-static FORWARDED: AtomicU64 = AtomicU64::new(0);
 static INSTALLED: AtomicBool = AtomicBool::new(false);
 
 /// RAII guard marking the current extent as forwarding-path code.
@@ -68,24 +70,24 @@ impl Drop for ScopeGuard {
 /// Record one forwarded data packet (the denominator).
 #[inline]
 pub fn note_forward() {
-    FORWARDED.fetch_add(1, Relaxed);
+    FORWARDED.with(|c| c.set(c.get() + 1));
 }
 
-/// Zero both counters (start of a measurement window).
+/// Zero this thread's counters (start of a measurement window).
 pub fn reset() {
-    SCOPED_ALLOCS.store(0, Relaxed);
-    FORWARDED.store(0, Relaxed);
+    SCOPED_ALLOCS.with(|c| c.set(0));
+    FORWARDED.with(|c| c.set(0));
 }
 
-/// Allocations observed inside forwarding scopes (any thread) since
+/// Allocations this thread made inside forwarding scopes since
 /// [`reset`].
 pub fn scoped_allocs() -> u64 {
-    SCOPED_ALLOCS.load(Relaxed)
+    SCOPED_ALLOCS.with(Cell::get)
 }
 
-/// Forwarded packets recorded since [`reset`].
+/// Packets this thread forwarded since [`reset`].
 pub fn forwarded() -> u64 {
-    FORWARDED.load(Relaxed)
+    FORWARDED.with(Cell::get)
 }
 
 /// Has a [`CountingAllocator`] observed any allocation in this process?
@@ -117,13 +119,13 @@ impl CountingAllocator {
         // teardown allocations are engine bookkeeping, not forwarding.
         let in_scope = SCOPE_DEPTH.try_with(|d| d.get() > 0).unwrap_or(false);
         if in_scope {
-            SCOPED_ALLOCS.fetch_add(1, Relaxed);
+            let _ = SCOPED_ALLOCS.try_with(|c| c.set(c.get() + 1));
         }
     }
 }
 
 // SAFETY: pure delegation to `System`; the counters never allocate
-// (the scope flag is a const-initialized thread-local `Cell`).
+// (all state is const-initialized thread-local `Cell`s).
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         self.count();
@@ -187,14 +189,26 @@ mod tests {
     }
 
     #[test]
-    fn forward_counter_counts() {
-        reset();
-        note_forward();
-        note_forward();
-        assert_eq!(forwarded(), 2);
-        reset();
-        assert_eq!(forwarded(), 0);
-        // No counting allocator in unit tests: scoped allocs stay zero.
-        assert_eq!(scoped_allocs(), 0);
+    fn concurrent_threads_count_only_their_own_forwards() {
+        // Both threads reset, then count between the same two barriers,
+        // so every `note_forward` of one overlaps the other's window.
+        let barrier = std::sync::Barrier::new(2);
+        let count = |n: u64| {
+            reset();
+            barrier.wait();
+            for _ in 0..n {
+                note_forward();
+            }
+            barrier.wait();
+            // No counting allocator in unit tests: scoped allocs stay zero.
+            (forwarded(), scoped_allocs())
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let a = s.spawn(|| count(3));
+            let b = s.spawn(|| count(5));
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert_eq!(a, (3, 0));
+        assert_eq!(b, (5, 0));
     }
 }

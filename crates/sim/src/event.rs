@@ -3,11 +3,8 @@
 //! Two interchangeable backends provide a total, deterministic order keyed
 //! on `(time, key)`, where the [`EventKey`] is *content-derived*: it names
 //! the node that created the event and that node's creation counter,
-//! rather than a global insertion sequence. Content-derived keys are what
-//! makes the sharded parallel engine possible — every shard assigns the
-//! same keys the sequential engine would, so the k-way merge of per-shard
-//! streams reproduces the sequential order bit-for-bit (see
-//! `engine::Sim::run_until` and DESIGN.md §9).
+//! rather than a global insertion sequence, so the order does not depend
+//! on how the queue is implemented.
 //!
 //! [`EventQueue`] is the reference binary heap;
 //! [`crate::wheel::TimerWheel`] is the two-tier scheduler (near ring + far
@@ -20,7 +17,6 @@ use std::collections::BinaryHeap;
 
 use dcn_wire::{FrameBuf, FrameMeta};
 
-use crate::link::LinkId;
 use crate::node::{NodeId, PortId};
 use crate::profiler::SchedulerStats;
 use crate::time::Time;
@@ -46,27 +42,18 @@ pub enum Event {
     Carrier { node: NodeId, port: PortId, up: bool },
     /// Start a node (delivers `on_start`). Scheduled by the builder.
     Start { node: NodeId },
-    /// Sharded-engine bookkeeping: flip one side's up flag on a shard's
-    /// local copy of a link, so remote senders' `carries()` checks see an
-    /// administrative transition at exactly the instant the owning shard
-    /// applies it. Never scheduled by the sequential engine, never
-    /// counted, never traced.
-    MirrorIface { link: LinkId, side_a: bool, up: bool },
 }
 
 impl Event {
-    /// The node this event is dispatched at ([`Event::MirrorIface`] is
-    /// link bookkeeping and has none). The sharded engine routes events
-    /// to worker shards by this.
-    pub fn node(&self) -> Option<NodeId> {
+    /// The node this event is dispatched at.
+    pub fn node(&self) -> NodeId {
         match *self {
             Event::Deliver { node, .. }
             | Event::Timer { node, .. }
             | Event::AdminPortDown { node, .. }
             | Event::AdminPortUp { node, .. }
             | Event::Carrier { node, .. }
-            | Event::Start { node } => Some(node),
-            Event::MirrorIface { .. } => None,
+            | Event::Start { node } => node,
         }
     }
 }
@@ -78,16 +65,12 @@ impl Event {
 ///
 /// * **Uniqueness** — no two events ever share `(creator, counter)`, so
 ///   `(time, key)` is a total order.
-/// * **Engine independence** — a node's counter advances only while that
-///   node's events are dispatched, and every engine dispatches a given
-///   node's events in the same relative order; the keys a run assigns do
-///   not depend on which engine (sequential or sharded, heap or wheel)
-///   executes it.
+/// * **Scheduler independence** — a node's counter advances only while
+///   that node's events are dispatched, so the keys a run assigns do not
+///   depend on which backend (heap or wheel) holds the queue.
 ///
 /// Externally injected events (`Start` at build time, admin transitions)
-/// use [`EventKey::EXTERNAL`] with a per-[`crate::Sim`] counter; external
-/// injection only happens between `run_until` calls, where every engine
-/// observes the same call sequence.
+/// use [`EventKey::EXTERNAL`] with a per-[`crate::Sim`] counter.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub struct EventKey {
     /// `NodeId` of the creating node, or [`EventKey::EXTERNAL`].
@@ -175,6 +158,7 @@ impl EventQueue {
         self.heap.pop()
     }
 
+    #[allow(dead_code)] // used by tests
     pub fn peek_time(&self) -> Option<Time> {
         self.heap.peek().map(|s| s.time)
     }
@@ -236,6 +220,7 @@ impl Scheduler {
 
     /// Time of the next event. `&mut` because the wheel may drain a ring
     /// bucket into its ready list to answer.
+    #[allow(dead_code)] // used by tests
     pub fn peek_time(&mut self) -> Option<Time> {
         match self {
             Scheduler::Heap(q) => q.peek_time(),

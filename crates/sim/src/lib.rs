@@ -23,13 +23,9 @@
 //!   overhead, keep-alive overhead and convergence instants exactly the way
 //!   the paper's tshark/log-parsing pipeline did.
 //!
-//! Two execution engines share that ordering contract
-//! ([`engine::EngineKind`]): the sequential reference, and a sharded
-//! conservative-lookahead parallel engine that partitions the fabric
-//! across worker threads (PoD-aligned shards) yet reproduces the
-//! sequential trace bit-for-bit. Scenario-level parallelism (fanning
-//! independent runs over threads) still lives one level up in the
-//! experiment harness; the sharded engine parallelizes *within* one run.
+//! One run executes on one thread. Multi-core use is scenario-level —
+//! fanning independent runs over threads — and lives one level up in the
+//! experiment harness.
 
 pub mod alloc_track;
 pub mod engine;
@@ -39,18 +35,16 @@ pub mod link;
 pub mod node;
 pub mod profiler;
 pub mod rng;
-pub mod sync;
 pub mod time;
 pub mod trace;
 pub mod wheel;
 
 pub use dcn_wire::{FrameBuf, FrameMeta};
-pub use engine::{EngineKind, Sim, SimBuilder, SimConfig};
+pub use engine::{Sim, SimBuilder, SimConfig};
 pub use event::{scheduler_stress, Event, EventKey, SchedulerKind};
 pub use grid::GridTimer;
 pub use link::{Impairment, LinkId, LinkSpec};
 pub use node::{Action, Ctx, NodeId, PortId, Protocol, StatsSnapshot};
-pub use profiler::{EngineProfile, SchedulerStats, ShardProfile, WindowRecord};
-pub use sync::{BarrierSense, SpinBarrier, SpscQueue};
+pub use profiler::{EngineProfile, SchedulerStats};
 pub use time::{Duration, Time, MICROS, MILLIS, NANOS, SECONDS};
 pub use trace::{FrameClass, RouteChangeKind, SpanEvent, Trace, TraceEvent};

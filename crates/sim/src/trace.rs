@@ -285,18 +285,6 @@ impl Trace {
         self.events.len()
     }
 
-    /// Whether this trace records events at all (shard traces inherit
-    /// the master's setting).
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Take ownership of the recorded events, leaving the trace empty
-    /// (the sharded engine's merge consumes shard traces this way).
-    pub(crate) fn take_events(&mut self) -> Vec<TraceEvent> {
-        std::mem::take(&mut self.events)
-    }
-
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
     }

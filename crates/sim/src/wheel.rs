@@ -131,6 +131,7 @@ impl TimerWheel {
         self.far.pop()
     }
 
+    #[allow(dead_code)] // used by tests
     pub fn peek_time(&mut self) -> Option<Time> {
         self.head().map(|(time, _)| time)
     }

@@ -38,7 +38,7 @@ pub mod ring;
 pub mod sampler;
 
 pub use export::{capture_dump, hists_jsonl, series_jsonl, spans_jsonl, TraceBundle};
-pub use perf::{host_cores, render_comparison, stall_breakdown_of, PerfReport, StallBreakdown};
+pub use perf::{host_cores, PerfReport};
 pub use hist::Histogram;
 pub use json::Json;
 pub use registry::{Registry, Scope, Series, SeriesKind};

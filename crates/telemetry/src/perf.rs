@@ -1,27 +1,17 @@
 //! Engine performance reports: turning a [`dcn_sim::EngineProfile`]
 //! into artifacts a human (or CI) can consume.
 //!
-//! Three exporters share one [`PerfReport`]:
+//! Two exporters share one [`PerfReport`]:
 //!
-//! * [`PerfReport::render_text`] — a terminal stall-breakdown table
-//!   (per-shard execute/barrier/drain/deposit/other as % of that
-//!   shard's wall time, hottest nodes, scheduler occupancy).
-//! * [`PerfReport::to_json`] — the `perf_report/v2` schema, consumed by
-//!   CI and by `fcr bench`'s embedded breakdowns (v2 added the adaptive
-//!   window-batching counters: per-shard `windows_batched`, `k_sum`,
-//!   `k_mean`).
-//! * [`PerfReport::to_chrome_trace`] — Chrome trace-event JSON loadable
-//!   in `chrome://tracing` or Perfetto: one track per shard, one
-//!   duration event per window phase.
-//!
-//! [`render_comparison`] lines several reports of the same scenario up
-//! side by side (one column per worker count) for `fcr profile
-//! --compare`.
+//! * [`PerfReport::render_text`] — a terminal summary: events, wall
+//!   time, ns per event, scheduler occupancy, hottest nodes.
+//! * [`PerfReport::to_json`] — the `perf_report/v3` schema, consumed by
+//!   CI.
 //!
 //! Durations come from the host monotonic clock (see
 //! `dcn_sim::profiler`); nothing here feeds back into the simulation.
 
-use dcn_sim::{EngineProfile, ShardProfile};
+use dcn_sim::EngineProfile;
 use std::fmt::Write as _;
 
 use crate::json::Json;
@@ -35,32 +25,15 @@ fn pct(part: u64, whole: u64) -> f64 {
     }
 }
 
-fn fmt_ms(ns: u64) -> String {
-    format!("{:.2}ms", ns as f64 / 1e6)
-}
-
-/// Where an engine's wall time went, as percentages of the wall summed
-/// over shards. `fcr bench --scale` embeds one of these per row.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct StallBreakdown {
-    pub execute_pct: f64,
-    pub barrier_pct: f64,
-    pub drain_pct: f64,
-    pub deposit_pct: f64,
-    pub other_pct: f64,
-}
-
 /// A finished run's engine profile plus the context needed to label it.
 #[derive(Clone, Debug)]
 pub struct PerfReport {
     profile: EngineProfile,
     /// Human label for the run (e.g. `"mrmtp tc1 seed 1"`).
     pub label: String,
-    /// Worker threads the run was configured with.
-    pub workers: usize,
     /// `std::thread::available_parallelism()` on the host (0 unknown).
     pub cores: u64,
-    /// Router names indexed by node id (for hot-node attribution).
+    /// Node names indexed by node id (for hot-node attribution).
     pub node_names: Vec<String>,
 }
 
@@ -69,36 +42,9 @@ pub fn host_cores() -> u64 {
     std::thread::available_parallelism().map(|n| n.get() as u64).unwrap_or(0)
 }
 
-/// Stall percentages of `profile`, aggregated over every shard's wall
-/// time ([`PerfReport::stall_breakdown`] without the report).
-pub fn stall_breakdown_of(profile: &EngineProfile) -> StallBreakdown {
-    let (mut exec, mut barrier, mut drain, mut deposit, mut other, mut wall) =
-        (0u64, 0u64, 0u64, 0u64, 0u64, 0u64);
-    for s in &profile.shards {
-        exec += s.execute_ns;
-        barrier += s.barrier_ns;
-        drain += s.drain_ns;
-        deposit += s.deposit_ns;
-        other += s.other_ns();
-        wall += s.wall_ns;
-    }
-    StallBreakdown {
-        execute_pct: pct(exec, wall),
-        barrier_pct: pct(barrier, wall),
-        drain_pct: pct(drain, wall),
-        deposit_pct: pct(deposit, wall),
-        other_pct: pct(other, wall),
-    }
-}
-
 impl PerfReport {
-    pub fn new(
-        profile: EngineProfile,
-        label: impl Into<String>,
-        workers: usize,
-        node_names: Vec<String>,
-    ) -> PerfReport {
-        PerfReport { profile, label: label.into(), workers, cores: host_cores(), node_names }
+    pub fn new(profile: EngineProfile, label: impl Into<String>, node_names: Vec<String>) -> PerfReport {
+        PerfReport { profile, label: label.into(), cores: host_cores(), node_names }
     }
 
     pub fn profile(&self) -> &EngineProfile {
@@ -112,81 +58,26 @@ impl PerfReport {
             .unwrap_or_else(|| format!("n{node}"))
     }
 
-    /// `"sharded"` once a parallel span ran, else `"sequential"`.
-    pub fn engine(&self) -> &'static str {
-        if self.profile.spans > 0 {
-            "sharded"
-        } else {
-            "sequential"
-        }
-    }
-
-    /// Stall percentages aggregated over every shard's wall time.
-    pub fn stall_breakdown(&self) -> StallBreakdown {
-        stall_breakdown_of(&self.profile)
-    }
-
-    /// The terminal stall-breakdown table.
+    /// The terminal summary.
     pub fn render_text(&self) -> String {
         let p = &self.profile;
         let mut out = String::new();
+        let _ = writeln!(out, "perf report: {} (cores {})", self.label, self.cores);
         let _ = writeln!(
             out,
-            "perf report: {} ({}, workers {}, cores {})",
-            self.label,
-            self.engine(),
-            self.workers,
-            self.cores
-        );
-        if let Some(la) = p.lookahead {
-            let _ = writeln!(
-                out,
-                "lookahead {:.2}us, {} parallel span(s)",
-                la as f64 / 1e3,
-                p.spans
-            );
-        }
-        let _ = writeln!(
-            out,
-            "{:>5} {:>10} {:>8} {:>7} {:>6} {:>7} {:>7} {:>7} {:>7} {:>7} {:>10}",
-            "shard", "events", "windows", "batch%", "meanK", "exec%", "barr%", "drain%", "dep%",
-            "other%", "wall"
-        );
-        for s in &p.shards {
-            let _ = writeln!(
-                out,
-                "{:>5} {:>10} {:>8} {:>7.1} {:>6.2} {:>7.1} {:>7.1} {:>7.1} {:>7.1} {:>7.1} {:>10}",
-                s.shard,
-                s.events,
-                s.windows_total,
-                pct(s.windows_batched, s.windows_total),
-                s.k_mean(),
-                pct(s.execute_ns, s.wall_ns),
-                pct(s.barrier_ns, s.wall_ns),
-                pct(s.drain_ns, s.wall_ns),
-                pct(s.deposit_ns, s.wall_ns),
-                pct(s.other_ns(), s.wall_ns),
-                fmt_ms(s.wall_ns),
-            );
-        }
-        let _ = writeln!(
-            out,
-            "total {} events, critical path {}",
+            "{} events in {:.2}ms ({:.0} ns/event)",
             p.total_events(),
-            fmt_ms(p.max_wall_ns())
+            p.wall_ns as f64 / 1e6,
+            if p.total_events() == 0 { 0.0 } else { p.wall_ns as f64 / p.total_events() as f64 },
         );
-        let sched = p.shards.iter().fold(dcn_sim::SchedulerStats::default(), |mut acc, s| {
-            acc.absorb(s.sched);
-            acc
-        });
         let _ = writeln!(
             out,
             "scheduler: {} pushes, {} wheel slot ({:.1}%), {} overflow heap, max pending {}",
-            sched.pushes,
-            sched.wheel_slot_hits,
-            pct(sched.wheel_slot_hits, sched.pushes),
-            sched.wheel_overflow_hits,
-            sched.max_pending,
+            p.sched.pushes,
+            p.sched.wheel_slot_hits,
+            pct(p.sched.wheel_slot_hits, p.sched.pushes),
+            p.sched.wheel_overflow_hits,
+            p.sched.max_pending,
         );
         let hot = p.hottest_nodes(10);
         if !hot.is_empty() {
@@ -196,84 +87,26 @@ impl PerfReport {
                 .collect();
             let _ = writeln!(out, "hot nodes: {}", names.join(", "));
         }
-        let hist = p.window_hist();
-        let mut buckets = Vec::new();
-        for (b, &count) in hist.iter().enumerate() {
-            if count == 0 {
-                continue;
-            }
-            let bound = match b {
-                0 => "0".to_string(),
-                b => format!("<{}", 1u64 << b),
-            };
-            buckets.push(format!("{bound}:{count}"));
-        }
-        if !buckets.is_empty() {
-            let _ = writeln!(out, "events/window hist: {}", buckets.join(" "));
-        }
-        let dropped: u64 = p.shards.iter().map(|s| s.windows_dropped).sum();
-        if dropped > 0 {
-            let _ = writeln!(
-                out,
-                "note: {dropped} window record(s) beyond the retention cap were aggregated only"
-            );
-        }
         out
     }
 
-    fn shard_json(&self, s: &ShardProfile) -> Json {
-        Json::obj(vec![
-            ("shard", Json::UInt(s.shard as u64)),
-            ("events", Json::UInt(s.events)),
-            ("windows", Json::UInt(s.windows_total)),
-            ("windows_batched", Json::UInt(s.windows_batched)),
-            ("k_sum", Json::UInt(s.k_sum)),
-            ("k_mean", Json::Float(s.k_mean())),
-            ("windows_dropped", Json::UInt(s.windows_dropped)),
-            ("execute_ns", Json::UInt(s.execute_ns)),
-            ("barrier_ns", Json::UInt(s.barrier_ns)),
-            ("drain_ns", Json::UInt(s.drain_ns)),
-            ("deposit_ns", Json::UInt(s.deposit_ns)),
-            ("other_ns", Json::UInt(s.other_ns())),
-            ("wall_ns", Json::UInt(s.wall_ns)),
-            ("execute_pct", Json::Float(pct(s.execute_ns, s.wall_ns))),
-            ("barrier_pct", Json::Float(pct(s.barrier_ns, s.wall_ns))),
-            ("drain_pct", Json::Float(pct(s.drain_ns, s.wall_ns))),
-            ("deposit_pct", Json::Float(pct(s.deposit_ns, s.wall_ns))),
-            ("other_pct", Json::Float(pct(s.other_ns(), s.wall_ns))),
-            (
-                "sched",
-                Json::obj(vec![
-                    ("pushes", Json::UInt(s.sched.pushes)),
-                    ("wheel_slot_hits", Json::UInt(s.sched.wheel_slot_hits)),
-                    ("wheel_overflow_hits", Json::UInt(s.sched.wheel_overflow_hits)),
-                    ("max_pending", Json::UInt(s.sched.max_pending)),
-                ]),
-            ),
-        ])
-    }
-
-    /// The `perf_report/v2` JSON document (v2 added the window-batching
-    /// counters).
+    /// The `perf_report/v3` JSON document.
     pub fn to_json(&self) -> Json {
         let p = &self.profile;
-        let hist = p.window_hist();
         Json::obj(vec![
-            ("schema", Json::str("perf_report/v2")),
+            ("schema", Json::str("perf_report/v3")),
             ("label", Json::str(self.label.clone())),
-            ("engine", Json::str(self.engine())),
-            ("workers", Json::UInt(self.workers as u64)),
             ("cores", Json::UInt(self.cores)),
-            (
-                "lookahead_ns",
-                p.lookahead.map(Json::UInt).unwrap_or(Json::Null),
-            ),
-            ("spans", Json::UInt(p.spans)),
             ("events", Json::UInt(p.total_events())),
-            ("wall_ns", Json::UInt(p.max_wall_ns())),
+            ("wall_ns", Json::UInt(p.wall_ns)),
             (
-                "shards",
-                Json::Arr(p.shards.iter().map(|s| self.shard_json(s)).collect()),
+                "scheduler",
+                Json::obj(vec![
+                    ("pushes", Json::UInt(p.sched.pushes)),
+                    ("wheel_slot_hits", Json::UInt(p.sched.wheel_slot_hits)),
+                    ("wheel_overflow_hits", Json::UInt(p.sched.wheel_overflow_hits)),
+                    ("max_pending", Json::UInt(p.sched.max_pending)),
+                ]),
             ),
             (
                 "hot_nodes",
@@ -289,350 +122,60 @@ impl PerfReport {
                         .collect(),
                 ),
             ),
-            (
-                "window_hist",
-                Json::Arr(hist.iter().map(|&c| Json::UInt(c)).collect()),
-            ),
-            (
-                "frame_matrix",
-                Json::Arr(
-                    p.frame_matrix()
-                        .into_iter()
-                        .map(|row| Json::Arr(row.into_iter().map(Json::UInt).collect()))
-                        .collect(),
-                ),
-            ),
         ])
     }
-
-    /// Chrome trace-event JSON (`chrome://tracing` / Perfetto): one
-    /// track per shard (`pid` 1, `tid` = shard id), every retained
-    /// window's phases as `ph:"X"` duration events with `ts`/`dur` in
-    /// microseconds of host time since the profile epoch. Hand-formatted
-    /// because traces can run to tens of thousands of events; the output
-    /// is still valid JSON (CI parses it).
-    pub fn to_chrome_trace(&self) -> String {
-        let mut out = String::from("{\"traceEvents\":[\n");
-        let mut first = true;
-        let mut emit = |out: &mut String, line: &str| {
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            out.push_str(line);
-        };
-        for s in &self.profile.shards {
-            emit(
-                &mut out,
-                &format!(
-                    "{{\"ph\":\"M\",\"pid\":1,\"tid\":{},\"name\":\"thread_name\",\
-                     \"args\":{{\"name\":\"shard {}\"}}}}",
-                    s.shard, s.shard
-                ),
-            );
-            for w in &s.windows {
-                let mut at = w.start_ns;
-                for (name, dur) in [
-                    ("barrier_a", w.barrier_a_ns),
-                    ("drain", w.drain_ns),
-                    ("barrier_b", w.barrier_b_ns),
-                    ("execute", w.execute_ns),
-                    ("deposit", w.deposit_ns),
-                ] {
-                    if dur == 0 {
-                        at += dur;
-                        continue;
-                    }
-                    let mut line = format!(
-                        "{{\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{:.3},\"dur\":{:.3},\
-                         \"name\":\"{}\",\"cat\":\"window\"",
-                        s.shard,
-                        at as f64 / 1e3,
-                        dur as f64 / 1e3,
-                        name
-                    );
-                    if name == "execute" {
-                        let _ = write!(
-                            line,
-                            ",\"args\":{{\"events\":{},\"horizon\":{},\"window_end\":{},\"k\":{}}}",
-                            w.events, w.horizon, w.window_end, w.k
-                        );
-                    }
-                    line.push('}');
-                    emit(&mut out, &line);
-                    at += dur;
-                }
-            }
-        }
-        out.push_str("\n]}\n");
-        out
-    }
-}
-
-/// Side-by-side stall comparison of several reports of the *same*
-/// scenario — one column per report (labeled by its worker count), one
-/// row per aggregate metric, plus a delta column (last minus first) when
-/// at least two reports are given. Backs `fcr profile --compare`.
-pub fn render_comparison(reports: &[PerfReport]) -> String {
-    let mut out = String::new();
-    if reports.is_empty() {
-        return out;
-    }
-    let _ = writeln!(
-        out,
-        "perf compare: {} (cores {})",
-        reports[0].label, reports[0].cores
-    );
-    struct Row {
-        name: &'static str,
-        unit: &'static str,
-        values: Vec<f64>,
-    }
-    let agg = |f: &dyn Fn(&PerfReport) -> f64| reports.iter().map(f).collect::<Vec<f64>>();
-    let rows = [
-        Row { name: "events", unit: "", values: agg(&|r| r.profile().total_events() as f64) },
-        Row {
-            name: "windows",
-            unit: "",
-            values: agg(&|r| r.profile().shards.iter().map(|s| s.windows_total).sum::<u64>() as f64),
-        },
-        Row {
-            name: "batched",
-            unit: "%",
-            values: agg(&|r| {
-                let p = r.profile();
-                pct(
-                    p.shards.iter().map(|s| s.windows_batched).sum(),
-                    p.shards.iter().map(|s| s.windows_total).sum(),
-                )
-            }),
-        },
-        Row {
-            name: "mean K",
-            unit: "",
-            values: agg(&|r| {
-                let p = r.profile();
-                let (k, w): (u64, u64) = (
-                    p.shards.iter().map(|s| s.k_sum).sum(),
-                    p.shards.iter().map(|s| s.windows_total).sum(),
-                );
-                if w == 0 { 1.0 } else { k as f64 / w as f64 }
-            }),
-        },
-        Row { name: "execute", unit: "%", values: agg(&|r| r.stall_breakdown().execute_pct) },
-        Row { name: "barrier", unit: "%", values: agg(&|r| r.stall_breakdown().barrier_pct) },
-        Row { name: "drain", unit: "%", values: agg(&|r| r.stall_breakdown().drain_pct) },
-        Row { name: "deposit", unit: "%", values: agg(&|r| r.stall_breakdown().deposit_pct) },
-        Row { name: "other", unit: "%", values: agg(&|r| r.stall_breakdown().other_pct) },
-        Row {
-            name: "wall",
-            unit: "ms",
-            values: agg(&|r| r.profile().max_wall_ns() as f64 / 1e6),
-        },
-    ];
-    let _ = write!(out, "{:>10}", "metric");
-    for r in reports {
-        let _ = write!(out, " {:>12}", format!("w={}", r.workers));
-    }
-    if reports.len() >= 2 {
-        let _ = write!(out, " {:>12}", "delta");
-    }
-    out.push('\n');
-    for row in &rows {
-        let _ = write!(out, "{:>10}", row.name);
-        let integral = row.unit.is_empty() && row.name != "mean K";
-        let fmt = |v: f64| {
-            if integral {
-                format!("{v:.0}")
-            } else {
-                format!("{v:.2}{}", row.unit)
-            }
-        };
-        for v in &row.values {
-            let _ = write!(out, " {:>12}", fmt(*v));
-        }
-        if row.values.len() >= 2 {
-            let d = row.values[row.values.len() - 1] - row.values[0];
-            let _ = write!(out, " {:>12}", format!("{}{}", if d >= 0.0 { "+" } else { "" }, fmt(d)));
-        }
-        out.push('\n');
-    }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcn_sim::profiler::WINDOW_HIST_BUCKETS;
-    use dcn_sim::{ShardProfile, WindowRecord};
+    use dcn_sim::SchedulerStats;
 
     fn toy_report() -> PerfReport {
-        let mut ep = EngineProfile::new(3);
-        let mut s0 = ShardProfile::new(0, 3, 2, ep.epoch);
-        s0.record_window(WindowRecord {
-            start_ns: 1_000,
-            horizon: 5_000,
-            window_end: 6_000,
-            k: 2,
-            events: 4,
-            barrier_a_ns: 100,
-            drain_ns: 50,
-            barrier_b_ns: 200,
-            execute_ns: 600,
-            deposit_ns: 50,
-        });
-        s0.wall_ns = 1_100;
-        s0.node_events = vec![3, 1, 0];
-        s0.frames_to = vec![0, 2];
-        s0.sched.pushes = 10;
-        s0.sched.wheel_slot_hits = 9;
-        s0.sched.wheel_overflow_hits = 1;
-        s0.sched.max_pending = 4;
-        let mut s1 = ShardProfile::new(1, 3, 2, ep.epoch);
-        s1.record_window(WindowRecord {
-            start_ns: 1_200,
-            horizon: 5_000,
-            window_end: 6_000,
-            k: 1,
-            events: 2,
-            execute_ns: 300,
-            ..Default::default()
-        });
-        s1.wall_ns = 400;
-        s1.node_events = vec![0, 0, 2];
-        s1.frames_to = vec![1, 0];
-        ep.absorb_shard(s0);
-        ep.absorb_shard(s1);
-        ep.lookahead = Some(1_480);
-        ep.spans = 1;
+        let mut p = EngineProfile::new(3);
+        p.events = 6;
+        p.wall_ns = 1_500;
+        p.node_events = vec![3, 1, 2];
+        p.sched = SchedulerStats {
+            pushes: 10,
+            wheel_slot_hits: 9,
+            wheel_overflow_hits: 1,
+            max_pending: 4,
+        };
         let names = vec!["e0".to_string(), "e1".to_string(), "s0".to_string()];
-        PerfReport::new(ep, "toy run", 2, names)
+        PerfReport::new(p, "toy run", names)
     }
 
     #[test]
-    fn json_export_round_trips_with_schema_and_sane_percentages() {
-        let report = toy_report();
-        let doc = Json::parse(&report.to_json().render()).unwrap();
-        assert_eq!(doc.get("schema").unwrap().as_str(), Some("perf_report/v2"));
-        assert_eq!(doc.get("engine").unwrap().as_str(), Some("sharded"));
-        assert_eq!(doc.get("workers").unwrap().as_u64(), Some(2));
+    fn json_export_round_trips_under_the_v3_schema() {
+        let doc = Json::parse(&toy_report().to_json().render()).unwrap();
+        assert_eq!(doc.get("schema").unwrap().as_str(), Some("perf_report/v3"));
+        assert_eq!(doc.get("label").unwrap().as_str(), Some("toy run"));
         assert_eq!(doc.get("events").unwrap().as_u64(), Some(6));
-        assert_eq!(doc.get("lookahead_ns").unwrap().as_u64(), Some(1_480));
+        assert_eq!(doc.get("wall_ns").unwrap().as_u64(), Some(1_500));
         assert!(doc.get("cores").unwrap().as_u64().is_some());
-        let shards = doc.get("shards").unwrap().as_arr().unwrap();
-        assert_eq!(shards.len(), 2);
-        // v2 batching counters: shard 0 recorded one fused round (k=2),
-        // shard 1 one plain round.
-        assert_eq!(shards[0].get("windows_batched").unwrap().as_u64(), Some(1));
-        assert_eq!(shards[0].get("k_sum").unwrap().as_u64(), Some(2));
-        assert_eq!(shards[0].get("k_mean").unwrap().as_f64(), Some(2.0));
-        assert_eq!(shards[1].get("windows_batched").unwrap().as_u64(), Some(0));
-        assert_eq!(shards[1].get("k_mean").unwrap().as_f64(), Some(1.0));
-        for sh in shards {
-            let total: f64 = ["execute_pct", "barrier_pct", "drain_pct", "deposit_pct", "other_pct"]
-                .iter()
-                .map(|k| sh.get(k).unwrap().as_f64().unwrap())
-                .sum();
-            assert!(
-                (total - 100.0).abs() < 5.0,
-                "phases + other account for the wall: {total}"
-            );
-        }
-        let hot = doc.get("hot_nodes").unwrap().as_arr().unwrap();
-        assert_eq!(hot[0].get("node").unwrap().as_str(), Some("e0"));
-        assert_eq!(hot[0].get("events").unwrap().as_u64(), Some(3));
-        let matrix = doc.get("frame_matrix").unwrap().as_arr().unwrap();
-        assert_eq!(matrix[0].as_arr().unwrap()[1].as_u64(), Some(2));
-        assert_eq!(matrix[1].as_arr().unwrap()[0].as_u64(), Some(1));
-        let hist = doc.get("window_hist").unwrap().as_arr().unwrap();
-        assert_eq!(hist.len(), WINDOW_HIST_BUCKETS);
-    }
-
-    #[test]
-    fn chrome_trace_parses_and_orders_phases_within_a_window() {
-        let report = toy_report();
-        let doc = Json::parse(&report.to_chrome_trace()).unwrap();
-        let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
-        // 2 thread_name metadata + 5 phases on shard 0 + execute on shard 1.
-        assert_eq!(events.len(), 8);
-        let meta: Vec<&Json> =
-            events.iter().filter(|e| e.get("ph").unwrap().as_str() == Some("M")).collect();
-        assert_eq!(meta.len(), 2);
-        let shard0: Vec<&Json> = events
+        let sched = doc.get("scheduler").unwrap();
+        assert_eq!(sched.get("pushes").unwrap().as_u64(), Some(10));
+        assert_eq!(sched.get("wheel_slot_hits").unwrap().as_u64(), Some(9));
+        assert_eq!(sched.get("wheel_overflow_hits").unwrap().as_u64(), Some(1));
+        assert_eq!(sched.get("max_pending").unwrap().as_u64(), Some(4));
+        let hot: Vec<(&str, u64)> = doc
+            .get("hot_nodes")
+            .unwrap()
+            .as_arr()
+            .unwrap()
             .iter()
-            .filter(|e| {
-                e.get("ph").unwrap().as_str() == Some("X")
-                    && e.get("tid").unwrap().as_u64() == Some(0)
-            })
+            .map(|h| (h.get("node").unwrap().as_str().unwrap(), h.get("events").unwrap().as_u64().unwrap()))
             .collect();
-        assert_eq!(shard0.len(), 5);
-        let mut last_end = 0.0f64;
-        for e in &shard0 {
-            let ts = e.get("ts").unwrap().as_f64().unwrap();
-            let dur = e.get("dur").unwrap().as_f64().unwrap();
-            assert!(ts >= last_end - 1e-9, "phases are back-to-back, non-overlapping");
-            assert!(dur > 0.0, "zero-duration phases are skipped");
-            last_end = ts + dur;
-        }
-        assert_eq!(shard0[3].get("name").unwrap().as_str(), Some("execute"));
-        assert_eq!(
-            shard0[3].get("args").unwrap().get("events").unwrap().as_u64(),
-            Some(4)
-        );
-        assert_eq!(shard0[3].get("args").unwrap().get("k").unwrap().as_u64(), Some(2));
+        assert_eq!(hot, vec![("e0", 3), ("s0", 2), ("e1", 1)]);
     }
 
     #[test]
-    fn text_report_names_shards_and_hot_nodes() {
-        let report = toy_report();
-        let text = report.render_text();
-        assert!(text.contains("perf report: toy run (sharded, workers 2"));
-        assert!(text.contains("lookahead 1.48us"));
-        assert!(text.contains("hot nodes: e0 (3)"));
-        assert!(text.contains("scheduler: 10 pushes"));
-        // One row per shard plus the header.
-        assert_eq!(text.lines().filter(|l| l.trim_start().starts_with(['0', '1'])).count(), 2);
-    }
-
-    #[test]
-    fn text_report_shows_batching_columns() {
+    fn text_report_names_cost_scheduler_and_hot_nodes() {
         let text = toy_report().render_text();
-        let header = text.lines().nth(2).expect("column header line");
-        assert!(header.contains("batch%") && header.contains("meanK"), "{header}");
-        // Shard 0: 1 of 1 windows batched at k=2.
-        let row0 = text.lines().nth(3).unwrap();
-        assert!(row0.contains("100.0") && row0.contains("2.00"), "{row0}");
-    }
-
-    #[test]
-    fn comparison_lines_reports_up_with_deltas() {
-        let a = toy_report();
-        let mut b = toy_report();
-        b.workers = 4;
-        let text = render_comparison(&[a, b]);
-        assert!(text.starts_with("perf compare: toy run"));
-        let header = text.lines().nth(1).unwrap();
-        assert!(
-            header.contains("w=2") && header.contains("w=4") && header.contains("delta"),
-            "{header}"
-        );
-        for metric in ["events", "windows", "batched", "mean K", "barrier", "wall"] {
-            assert!(text.contains(metric), "missing row {metric}");
-        }
-        // Identical profiles: every delta is +0-something.
-        let events_row = text.lines().find(|l| l.trim_start().starts_with("events")).unwrap();
-        assert!(events_row.trim_end().ends_with("+0"), "{events_row}");
-        assert!(render_comparison(&[]).is_empty());
-    }
-
-    #[test]
-    fn stall_breakdown_aggregates_over_shards() {
-        let report = toy_report();
-        let b = report.stall_breakdown();
-        let total =
-            b.execute_pct + b.barrier_pct + b.drain_pct + b.deposit_pct + b.other_pct;
-        assert!((total - 100.0).abs() < 1.0, "breakdown covers the wall: {total}");
-        // execute = 900ns of 1500ns total wall.
-        assert!((b.execute_pct - 60.0).abs() < 1.0, "{}", b.execute_pct);
+        assert!(text.starts_with("perf report: toy run (cores "), "{text}");
+        assert!(text.contains("6 events in 0.00ms (250 ns/event)"), "{text}");
+        assert!(text.contains("scheduler: 10 pushes, 9 wheel slot (90.0%), 1 overflow heap"));
+        assert!(text.contains("hot nodes: e0 (3), s0 (2), e1 (1)"));
     }
 }

@@ -38,9 +38,8 @@ impl ClosParams {
     }
 
     /// A scaled topology with `pods` PoDs and otherwise the paper's
-    /// per-PoD shape (used by the §IX scalability extension and the
-    /// sharded-engine scaling benchmarks: 32, 64 and 128 PoDs are the
-    /// supported mega-fabric shapes).
+    /// per-PoD shape (used by the §IX scalability extension; 32, 64 and
+    /// 128 PoDs are the supported mega-fabric shapes).
     ///
     /// The PoD count must be even and at least 2: each top-tier spine
     /// splits its down-facing radix symmetrically across PoD pairs, so an
@@ -604,53 +603,6 @@ impl Fabric {
         }
     }
 
-    /// Node→shard map for the sharded parallel engine, sized for
-    /// `workers` threads: the fabric-wide spine layers (top spines, and
-    /// zone spines in four-tier fabrics) — the shared crossroads every
-    /// PoD talks through — occupy the leading shard(s), while PoDs (each
-    /// ToR/PoD spine/server subtree) are dealt round-robin across the
-    /// remaining shards, keeping the dense intra-PoD mesh (the ToR↔spine
-    /// links carrying most events) inside one shard.
-    ///
-    /// Normally one shard holds the whole spine layer. But when `workers`
-    /// exceeds the PoD shard groups plus that one spine shard, the spare
-    /// workers would idle — and the profiler shows the spine shard as the
-    /// critical path at high worker counts — so the spine layer is itself
-    /// partitioned round-robin across the spare shards (shards
-    /// `0..spine_shards`). Spine nodes never link to each other within a
-    /// tier, so splitting them adds no cross-shard link class that could
-    /// shrink the engine's conservative lookahead: every cross-shard link
-    /// remains an inter-tier uplink, whose serialization + propagation
-    /// delay bounds the lookahead exactly as with one spine shard.
-    ///
-    /// `workers <= 1` (or a single PoD) collapses to one shard.
-    pub fn shard_map(&self, workers: usize) -> Vec<u32> {
-        let pod_shards = self.params.pods.min(workers.saturating_sub(1));
-        if pod_shards == 0 {
-            return vec![0; self.nodes.len()];
-        }
-        let spine_count = self
-            .nodes
-            .iter()
-            .filter(|n| matches!(n.role, Role::TopSpine { .. } | Role::ZoneSpine { .. }))
-            .count();
-        let spine_shards = workers.saturating_sub(pod_shards).clamp(1, spine_count.max(1)) as u32;
-        let mut spine_seq = 0u32;
-        self.nodes
-            .iter()
-            .map(|n| match n.role {
-                Role::TopSpine { .. } | Role::ZoneSpine { .. } => {
-                    let s = spine_seq % spine_shards;
-                    spine_seq += 1;
-                    s
-                }
-                Role::Tor { pod, .. }
-                | Role::PodSpine { pod, .. }
-                | Role::Server { pod, .. } => spine_shards + (pod % pod_shards) as u32,
-            })
-            .collect()
-    }
-
     /// Resolve a paper failure case to the failing `(node, port)`
     /// interface. Generic over tier count: TC3/TC4 sit on S-1-1's first
     /// uplink, whose remote end is T-1 in three-tier fabrics and Z-1-1 in
@@ -841,57 +793,6 @@ mod tests {
         // The hard cap is descriptive.
         let err = ClosParams::scaled(246).unwrap_err();
         assert!(err.contains("capped at 244 PoDs"), "got: {err}");
-    }
-
-    #[test]
-    fn shard_map_groups_pods_and_isolates_spines() {
-        let f = Fabric::build(ClosParams::scaled(8).unwrap());
-        let map = f.shard_map(4);
-        assert_eq!(map.len(), f.nodes.len());
-        // Workers <= pod groups + 1: spines share shard 0, PoDs
-        // round-robin over shards 1..=3.
-        for k in 0..f.top_spine_count() {
-            assert_eq!(map[f.top_spine(k)], 0);
-        }
-        for p in 0..8 {
-            let expect = 1 + (p % 3) as u32;
-            assert_eq!(map[f.tor(p, 0)], expect);
-            assert_eq!(map[f.pod_spine(p, 1)], expect);
-            assert_eq!(map[f.server(p, 0, 0)], expect);
-        }
-        // Degenerate worker counts collapse to one shard.
-        assert!(f.shard_map(1).iter().all(|&s| s == 0));
-        assert!(f.shard_map(0).iter().all(|&s| s == 0));
-    }
-
-    #[test]
-    fn shard_map_splits_spines_when_workers_exceed_pod_groups() {
-        let f = Fabric::build(ClosParams::scaled(8).unwrap());
-        let tops = f.top_spine_count();
-        // workers = pods + 2: one spare worker beyond one-shard-per-PoD
-        // plus a spine shard, so the spine layer splits in two.
-        let map = f.shard_map(10);
-        let spine_shards: std::collections::BTreeSet<u32> =
-            (0..tops).map(|k| map[f.top_spine(k)]).collect();
-        assert_eq!(spine_shards, [0u32, 1].into_iter().collect());
-        // Round-robin balance: shard populations differ by at most one.
-        let per_shard = [
-            (0..tops).filter(|&k| map[f.top_spine(k)] == 0).count(),
-            (0..tops).filter(|&k| map[f.top_spine(k)] == 1).count(),
-        ];
-        assert!(per_shard[0].abs_diff(per_shard[1]) <= 1, "{per_shard:?}");
-        // PoDs follow after the spine shards, one shard each, ids dense.
-        for p in 0..8 {
-            assert_eq!(map[f.tor(p, 0)], 2 + p as u32);
-            assert_eq!(map[f.pod_spine(p, 0)], 2 + p as u32);
-        }
-        assert_eq!(*map.iter().max().unwrap(), 9);
-        // Spine shards never exceed the spine population even with an
-        // absurd worker count.
-        let wide = f.shard_map(1000);
-        let wide_spines: std::collections::BTreeSet<u32> =
-            (0..tops).map(|k| wide[f.top_spine(k)]).collect();
-        assert_eq!(wide_spines.len(), tops);
     }
 
     #[test]

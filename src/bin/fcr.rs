@@ -10,7 +10,7 @@
 //! fcr sweep [max_pods]             # §IX PoD sweep + tier comparison
 //! fcr ablations                    # design-choice ablations
 //! fcr keepalive                    # Figs. 9–10 summary
-//! fcr profile mrmtp tc1 --workers 4  # engine stall breakdown + Chrome trace
+//! fcr profile mrmtp tc1 --out DIR  # engine cost, hot nodes, scheduler occupancy
 //! ```
 //!
 //! Stacks: `mrmtp`, `bgp`, `bgp-bfd`. Cases: `tc1`–`tc4`.
@@ -31,27 +31,19 @@ fn usage() -> ! {
          \x20                               tc: tc1..tc4; dir: near|far, default near)\n\
          \x20   --pods N             fabric size in PoDs (even, default 2)\n\
          \x20   --seed N             seed (default 42)\n\
-         \x20   --workers N          shards for the parallel engine (default 1 =\n\
-         \x20                        sequential; digests are engine-blind)\n\
          \x20   --local-repair       enable in-data-plane local fast reroute\n\
          \x20   --telemetry-out DIR  also write the run's trace bundle under DIR\n\
          \x20   --profile-out DIR    also profile the engine and write\n\
-         \x20                        perf_report.json + trace.chrome.json under DIR\n\
+         \x20                        perf_report.json under DIR\n\
          \x20 profile <stack> <tc>          engine runtime profile of one scenario:\n\
-         \x20                               per-shard stall breakdown, hot nodes,\n\
+         \x20                               events, wall time, hot nodes,\n\
          \x20                               scheduler occupancy\n\
          \x20   --pods N             fabric size in PoDs (even, default 2)\n\
          \x20   --seed N             seed (default 42)\n\
-         \x20   --workers N          shards for the parallel engine (default 1)\n\
-         \x20   --compare A,B[,..]   profile once per worker count and print the\n\
-         \x20                        stall tables side by side with deltas\n\
          \x20   --local-repair       enable in-data-plane local fast reroute\n\
-         \x20   --out DIR            write perf_report.json (perf_report/v2) and\n\
-         \x20                        trace.chrome.json (chrome://tracing / Perfetto;\n\
-         \x20                        one w<N>/ subdir each with --compare)\n\
+         \x20   --out DIR            write perf_report.json (perf_report/v3)\n\
          \x20 report <stack> <tc>           convergence storyboard + per-router counters\n\
          \x20   --seed N             seed (default 42)\n\
-         \x20   --workers N          shards for the parallel engine (default 1)\n\
          \x20   --local-repair       enable in-data-plane local fast reroute\n\
          \x20   --telemetry-out DIR  also write the run's trace bundle under DIR\n\
          \x20 listings                      Listings 1/2/3/5 artifacts\n\
@@ -60,7 +52,6 @@ fn usage() -> ! {
          \x20 keepalive                     steady-state keep-alive summary\n\
          \x20 extended                      whole-node/multi-point failures + encap overhead\n\
          \x20 replicate [n]                 Fig. 4 averaged over n seeds\n\
-         \x20   --workers N          shards for the parallel engine (default 1)\n\
          \x20   --local-repair       enable in-data-plane local fast reroute\n\
          \x20   --telemetry-out DIR  also write per-seed bundles for each stack on TC1\n\
          \x20 chaos [opts]                  randomized fault campaign with invariant checks\n\
@@ -73,14 +64,12 @@ fn usage() -> ! {
          \x20   --k N            concurrent-failure burst size (default 2)\n\
          \x20   --loss-ppm N     frame loss during window (default 2000)\n\
          \x20   --corrupt-ppm N  frame corruption during window (default 10000)\n\
-         \x20   --workers N      in-sim shards per run (default 1; campaign\n\
-         \x20                    seeds already fan out across --threads)\n\
          \x20   --local-repair   enable local fast reroute (+ repair-loop invariant)\n\
          \x20   --traffic-pairs N  cross-pod background flows per schedule (default 0)\n\
          \x20   --no-determinism skip the double-run digest comparison\n\
          \x20   --telemetry-out DIR  write a replay bundle for every violating seed\n\
          \x20   --profile-out DIR    profile every run (digests unchanged) and write\n\
-         \x20                        perf artifacts per (stack, seed) under DIR\n\
+         \x20                        perf_report.json per (stack, seed) under DIR\n\
          \x20 campaign run <spec>           expand a campaign grid (spec JSON file, or\n\
          \x20                               'default' for 2,4-PoD x mrmtp,bgp x tc1,tc2\n\
          \x20                               x 3 seeds) across cores into a results store\n\
@@ -88,8 +77,6 @@ fn usage() -> ! {
          \x20   --threads N          campaign worker threads (default: all cores)\n\
          \x20   --seeds N            override the spec's seeds-per-point count\n\
          \x20   --quick              shortened per-run timeline (CI smoke)\n\
-         \x20   --profile            profile every run (digests unchanged) and\n\
-         \x20                        record stall breakdowns in the store\n\
          \x20 campaign report <store>       summary table of one results store\n\
          \x20 campaign diff <a> <b>         compare two stores run by run: any digest\n\
          \x20                               mismatch or >threshold metric drift fails\n\
@@ -119,14 +106,13 @@ struct RunFlags {
     out: Option<PathBuf>,
     seed: Option<u64>,
     pods: Option<usize>,
-    workers: usize,
     local_repair: bool,
-    compare: Option<Vec<usize>>,
 }
 
 /// Pull `--telemetry-out DIR`, `--profile-out DIR`, `--out DIR`,
-/// `--seed N`, `--pods N`, `--workers N` and `--local-repair` out of
-/// `args`, returning the remaining positional arguments.
+/// `--seed N`, `--pods N` and `--local-repair` out of `args`, returning
+/// the remaining positional arguments. Any other `--flag` is a usage
+/// error.
 fn split_flags(args: &[String]) -> (Vec<&str>, RunFlags) {
     let mut positional = Vec::new();
     let mut flags = RunFlags {
@@ -135,9 +121,7 @@ fn split_flags(args: &[String]) -> (Vec<&str>, RunFlags) {
         out: None,
         seed: None,
         pods: None,
-        workers: 1,
         local_repair: false,
-        compare: None,
     };
     let mut i = 0;
     while i < args.len() {
@@ -171,21 +155,7 @@ fn split_flags(args: &[String]) -> (Vec<&str>, RunFlags) {
                 flags.pods = Some(n);
                 i += 2;
             }
-            "--workers" => {
-                let Some(n) = args.get(i + 1).and_then(|s| s.parse().ok()) else { usage() };
-                dcn_experiments::warn_if_oversubscribed(n);
-                flags.workers = n;
-                i += 2;
-            }
-            "--compare" => {
-                let list: Option<Vec<usize>> = args
-                    .get(i + 1)
-                    .map(|s| s.split(',').map(|w| w.trim().parse().ok().filter(|&w| w > 0)))
-                    .and_then(|it| it.collect());
-                let Some(list) = list.filter(|l| !l.is_empty()) else { usage() };
-                flags.compare = Some(list);
-                i += 2;
-            }
+            a if a.starts_with("--") => usage(),
             a => {
                 positional.push(a);
                 i += 1;
@@ -248,8 +218,7 @@ fn main() {
                 .failing(parse_tc(tc))
                 .with_traffic(dir)
                 .seeded(flags.seed.unwrap_or(seed))
-                .with_local_repair(flags.local_repair)
-                .with_workers(flags.workers);
+                .with_local_repair(flags.local_repair);
             let r = if let Some(pdir) = flags.profile_out {
                 // Profiled run: host-clock observation only, digests and
                 // metrics identical to an unprofiled run.
@@ -259,11 +228,7 @@ fn main() {
                 eprint!("{}", p.report.render_text());
                 let sub = pdir.join(format!("profile-{}-{}", stack, tc.to_ascii_lowercase()));
                 match dcn_experiments::write_profile_artifacts(&p.report, &sub) {
-                    Ok(paths) => {
-                        for path in paths {
-                            eprintln!("wrote {}", path.display());
-                        }
-                    }
+                    Ok(path) => eprintln!("wrote {}", path.display()),
                     Err(e) => eprintln!("profile write to {} failed: {e}", sub.display()),
                 }
                 if let Some(out) = flags.telemetry_out {
@@ -323,42 +288,12 @@ fn main() {
                 .failing(parse_tc(tc))
                 .with_traffic(TrafficDir::NearToFar)
                 .seeded(flags.seed.unwrap_or(seed))
-                .with_local_repair(flags.local_repair)
-                .with_workers(flags.workers);
-            if let Some(worker_list) = &flags.compare {
-                for &w in worker_list {
-                    dcn_experiments::warn_if_oversubscribed(w);
-                }
-                let runs = dcn_experiments::run_compare(s, worker_list);
-                let reports: Vec<_> = runs.iter().map(|p| p.report.clone()).collect();
-                print!("{}", dcn_telemetry::render_comparison(&reports));
-                if let Some(dir) = flags.out {
-                    for p in &runs {
-                        let sub = dir.join(format!("w{}", p.report.workers));
-                        match dcn_experiments::write_profile_artifacts(&p.report, &sub) {
-                            Ok(paths) => {
-                                for path in paths {
-                                    eprintln!("wrote {}", path.display());
-                                }
-                            }
-                            Err(e) => {
-                                eprintln!("profile write to {} failed: {e}", sub.display());
-                                std::process::exit(2);
-                            }
-                        }
-                    }
-                }
-                return;
-            }
+                .with_local_repair(flags.local_repair);
             let p = dcn_experiments::run_profiled(s);
             print!("{}", p.report.render_text());
             if let Some(dir) = flags.out {
                 match dcn_experiments::write_profile_artifacts(&p.report, &dir) {
-                    Ok(paths) => {
-                        for path in paths {
-                            eprintln!("wrote {}", path.display());
-                        }
-                    }
+                    Ok(path) => eprintln!("wrote {}", path.display()),
                     Err(e) => {
                         eprintln!("profile write to {} failed: {e}", dir.display());
                         std::process::exit(2);
@@ -373,8 +308,7 @@ fn main() {
                 RunSpec::new(ClosParams::two_pod(), parse_stack(stack))
                     .failing(parse_tc(tc))
                     .seeded(flags.seed.unwrap_or(seed))
-                    .with_local_repair(flags.local_repair)
-                    .with_workers(flags.workers),
+                    .with_local_repair(flags.local_repair),
             );
             print!("{}", r.text);
             if let Some(out) = flags.telemetry_out {
@@ -403,12 +337,7 @@ fn main() {
             eprintln!("replicating Fig. 4 over {n} seeds…");
             println!(
                 "{}",
-                dcn_experiments::replicate::fig4_replicated(
-                    &seeds,
-                    flags.local_repair,
-                    flags.workers,
-                )
-                .render()
+                dcn_experiments::replicate::fig4_replicated(&seeds, flags.local_repair).render()
             );
             if let Some(out) = flags.telemetry_out {
                 // One instrumented replication per stack on the headline
@@ -416,8 +345,7 @@ fn main() {
                 for stack in Stack::ALL {
                     let s = RunSpec::new(ClosParams::two_pod(), stack)
                         .failing(FailureCase::Tc1)
-                        .with_local_repair(flags.local_repair)
-                        .with_workers(flags.workers);
+                        .with_local_repair(flags.local_repair);
                     let r = dcn_experiments::replicate::run_replicated_instrumented(s, &seeds, &out);
                     if let Some(c) = r.convergence_ms {
                         eprintln!("{}: TC1 convergence {} ms", stack.label(), c.render(1));
@@ -452,10 +380,6 @@ fn main() {
                     "--corrupt-ppm" => {
                         cfg.chaos.impairment.corrupt_ppm =
                             val(i).parse().unwrap_or_else(|_| usage())
-                    }
-                    "--workers" => {
-                        cfg.chaos.workers = val(i).parse().unwrap_or_else(|_| usage());
-                        dcn_experiments::warn_if_oversubscribed(cfg.chaos.workers);
                     }
                     "--local-repair" => {
                         cfg.chaos.local_repair = true;
@@ -516,7 +440,6 @@ fn main() {
                     let mut threads = 0usize;
                     let mut seeds: Option<u64> = None;
                     let mut quick = false;
-                    let mut profile = false;
                     let mut i = 2;
                     while i < args.len() {
                         let val = |i: usize| -> &str {
@@ -529,7 +452,14 @@ fn main() {
                             }
                             "--threads" => {
                                 threads = val(i).parse().unwrap_or_else(|_| usage());
-                                dcn_experiments::warn_if_oversubscribed(threads);
+                                let cores = dcn_telemetry::host_cores();
+                                if cores > 0 && threads as u64 > cores {
+                                    eprintln!(
+                                        "WARNING: --threads {threads} exceeds the host's {cores} \
+                                         available core(s); pool threads will time-slice and the \
+                                         store's wall_ms values will not be comparable"
+                                    );
+                                }
                                 i += 2;
                             }
                             "--seeds" => {
@@ -538,10 +468,6 @@ fn main() {
                             }
                             "--quick" => {
                                 quick = true;
-                                i += 1;
-                            }
-                            "--profile" => {
-                                profile = true;
                                 i += 1;
                             }
                             a if spec_arg.is_none() && !a.starts_with("--") => {
@@ -578,7 +504,7 @@ fn main() {
                         spec.total_runs(),
                         if threads == 0 { "all cores".to_string() } else { format!("{threads} thread(s)") },
                     );
-                    match campaign::run_to_store(&spec, &out, threads, profile) {
+                    match campaign::run_to_store(&spec, &out, threads) {
                         Ok((store, records)) => {
                             println!("{}", campaign::summary(&records).render());
                             eprintln!("{} record(s) appended to {}", records.len(), store.dir().display());
