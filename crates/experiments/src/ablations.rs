@@ -115,7 +115,7 @@ pub fn ablation_loss_holddown(seed: u64) -> Figure {
         })
         .collect();
     Figure {
-        title: "Ablation — loss-report hold-down at TC1, far traffic 14→11
+        title: "Ablation — loss-report hold-down at TC1, far traffic 14→11\n\
                 (paper-matching blast radius is 3; hold-down 0 misclassifies the loss)"
             .into(),
         headers: vec!["holddown_ms", "blast_radius", "update_frames", "packets_lost", "convergence_ms"],

@@ -373,7 +373,7 @@ pub fn encap_overhead_figure(seed: u64) -> Figure {
         ]);
     }
     Figure {
-        title: "§IX extension — data-plane encapsulation overhead (128 B UDP payloads,
+        title: "§IX extension — data-plane encapsulation overhead (128 B UDP payloads,\n\
                 steady flow 11→14, all hops counted)"
             .to_string(),
         headers: vec!["stack", "data_frames", "wire_bytes", "bytes_per_hop"],

@@ -263,6 +263,53 @@ mod tests {
         assert_ne!(base.key_hash(), base.seeded(7).key_hash());
     }
 
+    /// Literal keys: a store written by one revision is only comparable
+    /// with the next if these strings never move, and `benchmark/` keys
+    /// its inputs with them.
+    #[test]
+    fn key_strings_are_pinned() {
+        let tc = RunSpec::new(ClosParams::two_pod(), Stack::Mrmtp)
+            .failing(FailureCase::Tc1)
+            .with_traffic(TrafficDir::NearToFar)
+            .seeded(7);
+        assert_eq!(
+            tc.key(),
+            "pods=2x2x2x2x1;stack=mrmtp;failure=tc1;traffic=near;interval=-;seed=7;\
+             timing=5000000000/2000000000/6000000000/1000000000;timers=-;bgp_ka=-;\
+             bgp_hold=-;bfd_tx=-;fast_path=1;local_repair=0"
+        );
+        let steady = RunSpec::new(ClosParams::four_pod(), Stack::BgpEcmpBfd)
+            .seeded(3)
+            .timed(Timing::steady());
+        assert_eq!(
+            steady.key(),
+            "pods=4x2x2x2x1;stack=bgp-bfd;failure=-;traffic=none;interval=-;seed=3;\
+             timing=5000000000/1000000/1000000/1000000;timers=-;bgp_ka=-;bgp_hold=-;\
+             bfd_tx=-;fast_path=1;local_repair=0"
+        );
+        let timers = dcn_mrmtp::MrmtpTimers { loss_holddown: 0, ..Default::default() };
+        let tuned = RunSpec::new(ClosParams::two_pod(), Stack::Mrmtp)
+            .failing(FailureCase::Tc1)
+            .with_traffic(TrafficDir::FarToNear)
+            .with_traffic_interval(25_000)
+            .seeded(42)
+            .tuned(StackTuning {
+                mrmtp_timers: Some(timers),
+                bfd_tx_interval: Some(50_000_000),
+                local_repair: true,
+                ..StackTuning::default()
+            });
+        assert_eq!(
+            tuned.key(),
+            "pods=2x2x2x2x1;stack=mrmtp;failure=tc1;traffic=far;interval=25000;seed=42;\
+             timing=5000000000/2000000000/6000000000/1000000000;\
+             timers=MrmtpTimers { hello_interval: 50000000, dead_interval: 100000000, \
+             accept_hellos: 3, retransmit_interval: 20000000, loss_holddown: 0, \
+             advertise_interval: 1000000000 };\
+             bgp_ka=-;bgp_hold=-;bfd_tx=50000000;fast_path=1;local_repair=1"
+        );
+    }
+
     #[test]
     fn scheduler_backends_produce_identical_metrics() {
         let base = RunSpec::new(ClosParams::two_pod(), Stack::Mrmtp)
