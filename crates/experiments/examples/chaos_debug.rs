@@ -2,7 +2,7 @@
 
 use dcn_experiments::chaos::ChaosConfig;
 use dcn_experiments::{build_sim, Stack};
-use dcn_sim::{Impairment, NodeId, PortId};
+use dcn_sim::{Impairment, NodeId};
 use dcn_topology::Role;
 
 fn main() {
@@ -14,14 +14,7 @@ fn main() {
     let mut built = build_sim(cfg.params, Stack::Mrmtp, seed, &[]);
     let schedule =
         dcn_experiments::chaos::FaultSchedule::generate(seed, &built.fabric, &cfg);
-    for e in &schedule.events {
-        let (node, port) = (NodeId(e.node as u32), PortId(e.port as u16));
-        if e.up {
-            built.sim.schedule_port_up(e.at, node, port);
-        } else {
-            built.sim.schedule_port_down(e.at, node, port);
-        }
-    }
+    built.schedule_faults(0, &schedule.events);
     let heal_at = cfg.heal_at();
     built.sim.run_until(cfg.warmup);
     built.sim.set_impairment_all(cfg.impairment);

@@ -17,12 +17,12 @@
 
 use dcn_mrmtp::MrmtpTimers;
 use dcn_sim::time::{millis, secs, Duration};
-use dcn_sim::{NodeId, PortId};
 use dcn_topology::{ClosParams, FailureCase};
 
-use crate::fabric::{build_sim_tuned, Stack, StackTuning};
+use crate::fabric::{Stack, StackTuning};
 use crate::figures::Figure;
-use crate::runspec::RunSpec;
+use crate::runspec::{Failure, RunSpec};
+use crate::scenario::{run_with_sim, Timing};
 
 /// Result of a flap-storm experiment.
 #[derive(Clone, Copy, Debug)]
@@ -39,29 +39,27 @@ pub struct FlapResult {
 pub fn flap_storm(accept_hellos: u32, flaps: u32, period: Duration, seed: u64) -> FlapResult {
     let timers = MrmtpTimers { accept_hellos, ..MrmtpTimers::default() };
     let tuning = StackTuning { mrmtp_timers: Some(timers), ..Default::default() };
-    let mut built = build_sim_tuned(ClosParams::two_pod(), Stack::Mrmtp, seed, &[], tuning);
-    built.sim.run_until(secs(2));
-    let (node, port) = built.fabric.failure_point(FailureCase::Tc2);
-    let t0 = secs(2);
-    for i in 0..flaps {
-        let down_at = t0 + (2 * i as u64) * period;
-        let up_at = t0 + (2 * i as u64 + 1) * period;
-        built
-            .sim
-            .schedule_port_down(down_at, NodeId(node as u32), PortId(port as u16));
-        built
-            .sim
-            .schedule_port_up(up_at, NodeId(node as u32), PortId(port as u16));
-    }
-    let end = t0 + (2 * flaps as u64 + 2) * period + secs(2);
-    built.sim.run_until(end);
-    let trace = built.sim.trace();
-    let update_frames = dcn_metrics::update_frames(trace, t0);
-    let route_changes = trace
-        .events_since(t0)
+    // Two seconds to converge, the storm, then one idle cycle plus two
+    // seconds for the last re-admission to play out.
+    let timing = Timing {
+        warmup: secs(2),
+        traffic_lead: 0,
+        post_failure: (2 * flaps as u64 + 2) * period + secs(2),
+        drain: 0,
+    };
+    let spec = RunSpec::new(ClosParams::two_pod(), Stack::Mrmtp)
+        .failing(Failure::Flaps { at: FailureCase::Tc2, flaps, period })
+        .seeded(seed)
+        .tuned(tuning)
+        .timed(timing);
+    let (r, built) = run_with_sim(spec);
+    let route_changes = built
+        .sim
+        .trace()
+        .events_since(timing.failure_at())
         .filter(|e| matches!(e, dcn_sim::TraceEvent::RouteChange { .. }))
         .count() as u64;
-    FlapResult { accept_hellos, update_frames, route_changes }
+    FlapResult { accept_hellos, update_frames: r.update_frames, route_changes }
 }
 
 /// The Slow-to-Accept ablation as a printable figure.

@@ -5,12 +5,11 @@
 //! expands it and fans every run out across cores through the shared
 //! work-stealing [`pool`]; each finished run lands in an append-only
 //! [`store::Store`] as one [`store::RunRecord`] carrying the canonical
-//! spec key, the trace digest, the paper metrics, the storyboard phase
-//! breakdown and (when profiled) the engine stall breakdown. Two stores
-//! — typically the same spec at two git revisions — are then compared
-//! with [`diff::diff`], which turns the whole grid into a regression
-//! gate: digests must be bit-identical, metrics may drift only within a
-//! threshold.
+//! spec key, the trace digest, the paper metrics and the storyboard phase
+//! breakdown. Two stores — typically the same spec at two git revisions —
+//! are then compared with [`diff::diff`], which turns the whole grid into
+//! a regression gate: digests must be bit-identical, metrics may drift
+//! only within a threshold.
 //!
 //! Surfaced on the CLI as `fcr campaign run <spec> | report <store> |
 //! diff <store-a> <store-b>`.
@@ -24,7 +23,7 @@ use dcn_topology::{ClosParams, FailureCase};
 
 use crate::fabric::Stack;
 use crate::figures::Figure;
-use crate::runspec::RunSpec;
+use crate::runspec::{Failure, RunSpec};
 use crate::scenario::{self, Timing, TrafficDir};
 use store::{RunRecord, Store};
 
@@ -79,102 +78,64 @@ fn dedup<T: PartialEq + Copy>(values: &[T]) -> Vec<T> {
     out
 }
 
-fn traffic_slug(dir: TrafficDir) -> &'static str {
-    match dir {
-        TrafficDir::None => "none",
-        TrafficDir::NearToFar => "near",
-        TrafficDir::FarToNear => "far",
-    }
-}
-
-fn failure_slug(tc: Option<FailureCase>) -> String {
-    tc.map(|tc| tc.label().to_ascii_lowercase()).unwrap_or_else(|| "none".into())
-}
-
 impl CampaignSpec {
     /// Parse a spec document (see EXPERIMENTS.md for the format). Every
     /// field is optional; omitted axes keep the default grid's values.
+    /// Spec files arrive from outside the program, so a key this build
+    /// does not know or a value of the wrong type is an error naming the
+    /// key — never a silent fall-back to the default grid.
     pub fn parse(text: &str) -> Result<CampaignSpec, String> {
+        /// An axis: an array whose every entry `get` accepts.
+        fn axis<T>(v: &Json, get: impl Fn(&Json) -> Option<T>) -> Option<Vec<T>> {
+            v.as_arr()?.iter().map(get).collect()
+        }
         let doc = Json::parse(text.trim()).map_err(|e| format!("spec parse error: {e}"))?;
-        if let Some(schema) = doc.get("schema").and_then(Json::as_str) {
-            if schema != SPEC_SCHEMA {
-                return Err(format!(
-                    "unsupported spec schema {schema:?} (this build reads {SPEC_SCHEMA:?})"
-                ));
-            }
-        }
-        let mut spec = CampaignSpec::default();
-        if let Some(name) = doc.get("name").and_then(Json::as_str) {
-            spec.name = name.to_string();
-        }
-        let list = |key: &str| -> Result<Option<Vec<&Json>>, String> {
-            match doc.get(key) {
-                None => Ok(None),
-                Some(v) => v
-                    .as_arr()
-                    .map(|a| Some(a.iter().collect()))
-                    .ok_or_else(|| format!("spec field {key:?} must be an array")),
-            }
+        let Json::Obj(fields) = &doc else {
+            return Err("spec document must be a JSON object".into());
         };
-        if let Some(pods) = list("pods")? {
-            spec.pods = pods
-                .iter()
-                .map(|v| {
-                    v.as_u64()
-                        .map(|p| p as usize)
-                        .ok_or_else(|| "pods entries must be integers".to_string())
-                })
-                .collect::<Result<_, _>>()?;
-        }
-        if let Some(stacks) = list("stacks")? {
-            spec.stacks = stacks
-                .iter()
-                .map(|v| match v.as_str() {
-                    Some("mrmtp") => Ok(Stack::Mrmtp),
-                    Some("bgp") => Ok(Stack::BgpEcmp),
-                    Some("bgp-bfd") => Ok(Stack::BgpEcmpBfd),
-                    other => Err(format!("unknown stack {other:?} (mrmtp|bgp|bgp-bfd)")),
-                })
-                .collect::<Result<_, _>>()?;
-        }
-        if let Some(failures) = list("failures")? {
-            spec.failures = failures
-                .iter()
-                .map(|v| match v.as_str() {
-                    Some("tc1") => Ok(Some(FailureCase::Tc1)),
-                    Some("tc2") => Ok(Some(FailureCase::Tc2)),
-                    Some("tc3") => Ok(Some(FailureCase::Tc3)),
-                    Some("tc4") => Ok(Some(FailureCase::Tc4)),
-                    Some("none") => Ok(None),
-                    other => Err(format!("unknown failure case {other:?} (tc1..tc4|none)")),
-                })
-                .collect::<Result<_, _>>()?;
-        }
-        if let Some(traffic) = list("traffic")? {
-            spec.traffic = traffic
-                .iter()
-                .map(|v| match v.as_str() {
-                    Some("none") => Ok(TrafficDir::None),
-                    Some("near") => Ok(TrafficDir::NearToFar),
-                    Some("far") => Ok(TrafficDir::FarToNear),
-                    other => Err(format!("unknown traffic direction {other:?} (none|near|far)")),
-                })
-                .collect::<Result<_, _>>()?;
-        }
-        if let Some(lr) = list("local_repair")? {
-            spec.local_repair = lr
-                .iter()
-                .map(|v| v.as_bool().ok_or_else(|| "local_repair entries must be booleans".to_string()))
-                .collect::<Result<_, _>>()?;
-        }
-        if let Some(seeds) = doc.get("seeds").and_then(Json::as_u64) {
-            spec.seeds = seeds;
-        }
-        if let Some(base) = doc.get("base_seed").and_then(Json::as_u64) {
-            spec.base_seed = base;
-        }
-        if let Some(quick) = doc.get("quick").and_then(Json::as_bool) {
-            spec.quick = quick;
+        let mut spec = CampaignSpec::default();
+        for (key, v) in fields {
+            let bad = |what: &str| format!("spec field {key:?} must be {what}");
+            match key.as_str() {
+                "schema" => {
+                    let schema = v.as_str().ok_or_else(|| bad("a string"))?;
+                    if schema != SPEC_SCHEMA {
+                        return Err(format!(
+                            "unsupported spec schema {schema:?} (this build reads {SPEC_SCHEMA:?})"
+                        ));
+                    }
+                }
+                "name" => spec.name = v.as_str().ok_or_else(|| bad("a string"))?.to_string(),
+                "pods" => {
+                    spec.pods = axis(v, |e| e.as_u64().map(|p| p as usize))
+                        .ok_or_else(|| bad("an array of integers"))?
+                }
+                "stacks" => {
+                    spec.stacks = axis(v, |e| Stack::from_slug(e.as_str()?))
+                        .ok_or_else(|| bad("an array of mrmtp|bgp|bgp-bfd"))?
+                }
+                // The grid's failure axis holds the paper's cases only.
+                "failures" => {
+                    spec.failures = axis(v, |e| match Failure::from_slug(e.as_str()?)? {
+                        Failure::None => Some(None),
+                        Failure::Case(tc) => Some(Some(tc)),
+                        _ => None,
+                    })
+                    .ok_or_else(|| bad("an array of tc1..tc4|none"))?
+                }
+                "traffic" => {
+                    spec.traffic = axis(v, |e| TrafficDir::from_slug(e.as_str()?))
+                        .ok_or_else(|| bad("an array of none|near|far"))?
+                }
+                "local_repair" => {
+                    spec.local_repair =
+                        axis(v, Json::as_bool).ok_or_else(|| bad("an array of booleans"))?
+                }
+                "seeds" => spec.seeds = v.as_u64().ok_or_else(|| bad("an integer"))?,
+                "base_seed" => spec.base_seed = v.as_u64().ok_or_else(|| bad("an integer"))?,
+                "quick" => spec.quick = v.as_bool().ok_or_else(|| bad("a boolean"))?,
+                _ => return Err(format!("unknown spec field {key:?}")),
+            }
         }
         Ok(spec)
     }
@@ -192,11 +153,11 @@ impl CampaignSpec {
             ),
             (
                 "failures",
-                Json::Arr(dedup(&self.failures).into_iter().map(|tc| Json::str(failure_slug(tc))).collect()),
+                Json::Arr(dedup(&self.failures).into_iter().map(|tc| Json::str(Failure::from(tc).slug())).collect()),
             ),
             (
                 "traffic",
-                Json::Arr(dedup(&self.traffic).into_iter().map(|d| Json::str(traffic_slug(d))).collect()),
+                Json::Arr(dedup(&self.traffic).into_iter().map(|d| Json::str(d.slug())).collect()),
             ),
             (
                 "local_repair",
@@ -247,12 +208,10 @@ impl CampaignSpec {
                         for &lr in &local_repair {
                             for s in 0..self.seeds {
                                 let mut rs = RunSpec::new(params, stack)
+                                    .failing(failure)
                                     .seeded(self.base_seed + s)
                                     .with_traffic(dir)
                                     .with_local_repair(lr);
-                                if let Some(tc) = failure {
-                                    rs = rs.failing(tc);
-                                }
                                 if self.quick {
                                     rs = rs.timed(Timing::quick());
                                 }
@@ -267,20 +226,17 @@ impl CampaignSpec {
     }
 }
 
-/// Execute one grid point and package it as a store record. `profile`
-/// only sets [`dcn_sim::SimConfig::profile`] for the run; nothing in the
-/// record reads the result. The parameter is retained because
-/// `benchmark/` calls `run_one(rs, false)`, and leaves with ROADMAP
-/// item 6's edit of that file.
-pub fn run_one(rs: RunSpec, profile: bool) -> RunRecord {
-    let rs = if profile { rs.with_profile(true) } else { rs };
+/// Execute one grid point and package it as a store record. The second
+/// argument is ignored: it once switched the engine profile on, which is
+/// now always recorded, and stays only because the frozen `benchmark/`
+/// calls `run_one(rs, false)`.
+pub fn run_one(rs: RunSpec, _profile: bool) -> RunRecord {
     let started = std::time::Instant::now();
     let (result, built) = scenario::run_with_sim(rs);
     let wall_ms = started.elapsed().as_secs_f64() * 1e3;
     let digest = crate::chaos::trace_digest(&built.sim);
-    let phases = rs
-        .failure
-        .map(|_| dcn_metrics::storyboard::build(built.sim.trace(), rs.timing.failure_at()))
+    let phases = (rs.failure != Failure::None)
+        .then(|| dcn_metrics::storyboard::build(built.sim.trace(), rs.timing.failure_at()))
         .and_then(|sb| sb.phases)
         .map(|p| (p.detection_ms, p.propagation_ms, p.quiescence_ms));
     RunRecord {
@@ -288,8 +244,8 @@ pub fn run_one(rs: RunSpec, profile: bool) -> RunRecord {
         key_hash: rs.key_hash(),
         pods: rs.params.pods as u64,
         stack: rs.stack.slug().to_string(),
-        failure: failure_slug(rs.failure),
-        traffic: traffic_slug(rs.traffic).to_string(),
+        failure: rs.failure.slug(),
+        traffic: rs.traffic.slug().to_string(),
         seed: rs.seed,
         local_repair: rs.tuning.local_repair,
         digest,
@@ -416,6 +372,21 @@ mod tests {
         assert!(CampaignSpec::parse("{\"stacks\":[\"ospf\"]}").is_err());
         assert!(CampaignSpec::parse("{\"failures\":[\"tc9\"]}").is_err());
         assert!(CampaignSpec::parse("{\"pods\":2}").is_err(), "axes must be arrays");
+        // Extended cases are values of a RunSpec, not of the grid axis.
+        assert!(CampaignSpec::parse("{\"failures\":[\"top-spine-crash\"]}").is_err());
+        // A misspelt key or a wrong-typed scalar must not fall back to the
+        // default grid; the error names the key.
+        for (doc, key) in [
+            ("{\"stack\":[\"bgp\"]}", "stack"),
+            ("{\"seeds\":\"1\"}", "seeds"),
+            ("{\"quick\":\"yes\"}", "quick"),
+            ("{\"name\":7}", "name"),
+            ("{\"base_seed\":-1}", "base_seed"),
+        ] {
+            let err = CampaignSpec::parse(doc).unwrap_err();
+            assert!(err.contains(&format!("{key:?}")), "{doc}: {err}");
+        }
+        assert!(CampaignSpec::parse("[]").is_err(), "a spec is an object");
         let empty = CampaignSpec { seeds: 0, ..CampaignSpec::default() };
         assert!(empty.expand().is_err());
         let no_axis = CampaignSpec { stacks: vec![], ..CampaignSpec::default() };

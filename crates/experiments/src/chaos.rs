@@ -24,14 +24,14 @@
 //! replayable reproduction recipe.
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashSet, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt::Write as _;
 use std::hash::{Hash, Hasher};
 use std::path::PathBuf;
 
 use dcn_sim::rng::DetRng;
 use dcn_sim::time::{Duration, Time, MICROS, MILLIS, SECONDS};
-use dcn_sim::{Impairment, NodeId, PortId, SchedulerKind};
+use dcn_sim::{Impairment, NodeId, PortId, SimConfig};
 use dcn_telemetry::{
     capture_dump, hists_jsonl, series_jsonl, spans_jsonl, Json, PerfReport, Telemetry,
     TelemetryConfig, TraceBundle,
@@ -40,9 +40,11 @@ use dcn_topology::{Addressing, ClosParams, Fabric, Role};
 use dcn_traffic::SendSpec;
 use dcn_wire::{ecmp_index, flow_hash, IpAddr4, IPPROTO_UDP};
 
-use crate::fabric::{build_fabric_sim_sched, BuiltSim, Stack, StackTuning};
-use crate::figures::Figure;
 use crate::campaign::pool::fan_out;
+use crate::fabric::{assemble, BuiltSim, Stack, StackTuning};
+use crate::figures::Figure;
+use crate::profile::perf_report;
+use crate::replicate::Stats;
 use crate::scenario::advance;
 
 /// Salt for the schedule-generation RNG stream (distinct from the
@@ -85,25 +87,17 @@ pub struct ChaosConfig {
     /// Flow samples walked per ToR pair when checking loop/black-hole
     /// invariants (each sample varies the UDP source port).
     pub flows_per_pair: usize,
-    /// Event-scheduler backend (the equivalence suite runs the same
-    /// seeds on both backends and compares digests).
-    pub scheduler: SchedulerKind,
-    /// Data-plane fast path on every router (the equivalence suite runs
-    /// the same seeds with it off and compares digests).
-    pub fast_path: bool,
-    /// Local fast reroute on every router (precomputed backup FIBs).
-    /// Off by default so historical per-seed digests are unchanged; when
-    /// on, the repair-loop invariant is additionally checked.
-    pub local_repair: bool,
+    /// Router tuning, as for a scripted run. The equivalence suite runs
+    /// the same seeds with `fast_path` off and compares digests;
+    /// `local_repair` is off by default so historical per-seed digests
+    /// are unchanged, and when on, the repair-loop invariant is
+    /// additionally checked.
+    pub tuning: StackTuning,
     /// Cross-pod background flows run through the fault window so the
     /// per-router `blackholed_in_window` / `locally_repaired` counters
     /// measure real transit packets. 0 (the default) adds no senders and
     /// leaves historical digests untouched.
     pub traffic_pairs: usize,
-    /// Engine runtime profiling (host-clock observation only). Per-seed
-    /// digests are bit-identical with it on or off; the equivalence
-    /// suite enforces it.
-    pub profile: bool,
 }
 
 impl Default for ChaosConfig {
@@ -131,11 +125,8 @@ impl Default for ChaosConfig {
             // 6 s means the fabric is not quiescing.
             convergence_bound: 6 * SECONDS,
             flows_per_pair: 4,
-            scheduler: SchedulerKind::default(),
-            fast_path: true,
-            local_repair: false,
+            tuning: StackTuning::default(),
             traffic_pairs: 0,
-            profile: false,
         }
     }
 }
@@ -180,24 +171,15 @@ impl FaultSchedule {
 
         // Router-to-router interfaces are the flap/k-point candidates;
         // host-facing ports only go down when their whole node crashes.
+        let routers: Vec<usize> = fabric.routers().collect();
         let mut ifaces: Vec<(usize, usize)> = Vec::new();
-        for (n, node) in fabric.nodes.iter().enumerate() {
-            if !node.role.is_router() {
-                continue;
-            }
+        for &n in &routers {
             for (p, pr) in fabric.ports[n].iter().enumerate() {
                 if fabric.nodes[pr.peer].role.is_router() {
                     ifaces.push((n, p));
                 }
             }
         }
-        let routers: Vec<usize> = fabric
-            .nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.role.is_router())
-            .map(|(i, _)| i)
-            .collect();
 
         let mut ev = Vec::new();
         let dwell = |rng: &mut DetRng| {
@@ -246,18 +228,13 @@ impl FaultSchedule {
 
         ev.sort_by_key(|e| (e.at, e.node, e.port, e.up));
 
-        // Replay with the engine's dedup semantics to find interfaces
-        // still down at window close, and heal them. (Overlapping flaps
-        // on one interface can leave a later `up` as a no-op while an
-        // earlier `down` wins.)
-        let mut state: std::collections::HashMap<(usize, usize), bool> =
-            std::collections::HashMap::new();
-        for e in &ev {
-            let s = state.entry((e.node, e.port)).or_insert(true);
-            if *s != e.up {
-                *s = e.up;
-            }
-        }
+        // Replay with the engine's dedup semantics — the last transition
+        // scheduled for an interface decides its state — to find
+        // interfaces still down at window close, and heal them.
+        // (Overlapping flaps on one interface can leave a later `up` as a
+        // no-op while an earlier `down` wins.)
+        let state: HashMap<(usize, usize), bool> =
+            ev.iter().map(|e| ((e.node, e.port), e.up)).collect();
         for ((n, p), up) in state {
             if !up {
                 ev.push(FaultEvent { at: heal_at, node: n, port: p, up: true });
@@ -285,8 +262,8 @@ pub struct ChaosRun {
     /// Black-hole violations (no route while physically reachable).
     pub black_holes: usize,
     /// Repair-loop violations: a walk that revisits a node after local
-    /// fast reroute engaged (checked only with
-    /// [`ChaosConfig::local_repair`]; always 0 otherwise).
+    /// fast reroute engaged (checked only with `local_repair` in
+    /// [`ChaosConfig::tuning`]; always 0 otherwise).
     pub repair_loops: usize,
     /// Transit packets dropped for want of a live forwarding entry
     /// during the run, summed over every router (the loss window local
@@ -318,88 +295,80 @@ pub struct ChaosRun {
     pub frames_lost: u64,
 }
 
+/// The invariants a run can violate, in the order
+/// [`ChaosRun::violation_counts`] reports them. The campaign table's
+/// columns and `fcr chaos`'s per-seed FAIL line are generated from this
+/// list, so neither can leave out a term [`ChaosRun::violations`] counts.
+pub const VIOLATION_TERMS: [&str; 6] =
+    ["loops", "blackholes", "repair-loops", "unreachable", "unconverged", "non-det"];
+
 impl ChaosRun {
+    /// This run's count for each of [`VIOLATION_TERMS`].
+    pub fn violation_counts(&self) -> [usize; 6] {
+        [
+            self.loops,
+            self.black_holes,
+            self.repair_loops,
+            self.unreachable_pairs,
+            usize::from(!self.converged),
+            usize::from(!self.deterministic),
+        ]
+    }
+
     /// Total invariant violations in this run.
     pub fn violations(&self) -> usize {
-        self.loops
-            + self.black_holes
-            + self.repair_loops
-            + self.unreachable_pairs
-            + usize::from(!self.converged)
-            + usize::from(!self.deterministic)
+        self.violation_counts().iter().sum()
     }
 }
 
 /// Execute one chaos run: warm up, open the impaired fault window, replay
 /// the schedule, heal, settle, then check every invariant.
 pub fn run_chaos(seed: u64, stack: Stack, cfg: &ChaosConfig) -> ChaosRun {
-    let (run, _, _) = run_chaos_once(seed, stack, cfg, &mut None);
-    run
+    run_chaos_with(seed, stack, cfg, SimConfig::default(), None).0
 }
 
-/// [`run_chaos`] with the engine profiler forced on, handing back the
-/// perf report alongside the run. The digest in the returned run is
-/// bit-identical to an unprofiled run of the same seed (the profiler is
-/// a pure host-clock observer).
+/// [`run_chaos`] handing back the engine's perf report alongside the run.
 pub fn run_chaos_profiled(seed: u64, stack: Stack, cfg: &ChaosConfig) -> (ChaosRun, PerfReport) {
-    let cfg = ChaosConfig { profile: true, ..cfg.clone() };
-    let (run, _, mut built) = run_chaos_once(seed, stack, &cfg, &mut None);
-    let profile = built.sim.take_profile().expect("profiling enabled");
-    let names = crate::profile::node_names(&built.sim);
-    let label = format!("chaos {} seed {}", stack.slug(), seed);
-    (run, PerfReport::new(profile, label, names))
+    let (run, _, built) = run_chaos_with(seed, stack, cfg, SimConfig::default(), None);
+    (run, perf_report(&built.sim, format!("chaos {} seed {}", stack.slug(), seed)))
 }
 
-fn run_chaos_once(
+/// [`run_chaos`] with *how* it executes spelt out, exactly as for
+/// [`crate::scenario::execute`]: the engine's [`SimConfig`] and an
+/// optional telemetry sampler, neither of which may change the digest.
+/// Also hands back the generated schedule and the finished simulation.
+pub fn run_chaos_with(
     seed: u64,
     stack: Stack,
     cfg: &ChaosConfig,
-    tel: &mut Option<Telemetry>,
+    config: SimConfig,
+    mut tel: Option<&mut Telemetry>,
 ) -> (ChaosRun, FaultSchedule, BuiltSim) {
     let fabric = Fabric::build(cfg.params);
     let addr = Addressing::new(&fabric);
     let senders = chaos_senders(&fabric, &addr, cfg);
-    let mut built = build_fabric_sim_sched(
-        fabric,
-        stack,
-        seed,
-        &senders,
-        StackTuning {
-            fast_path: cfg.fast_path,
-            local_repair: cfg.local_repair,
-            profile: cfg.profile,
-            ..StackTuning::default()
-        },
-        cfg.scheduler,
-    );
+    let mut built = assemble(fabric, addr, stack, seed, &senders, cfg.tuning, config);
     let schedule = FaultSchedule::generate(seed, &built.fabric, cfg);
 
     // Schedule every administrative transition up front; the engine's
     // double-scheduling guard drops no-op transitions exactly the way
     // the schedule replay predicted.
-    for e in &schedule.events {
-        let (node, port) = (NodeId(e.node as u32), PortId(e.port as u16));
-        if e.up {
-            built.sim.schedule_port_up(e.at, node, port);
-        } else {
-            built.sim.schedule_port_down(e.at, node, port);
-        }
-    }
+    built.schedule_faults(0, &schedule.events);
 
     // Warm up clean, impair the wire for the fault window, then clear
     // the impairment just before the final heals so the settle period is
     // a clean fabric.
     let heal_at = cfg.heal_at();
-    advance(&mut built.sim, cfg.warmup, tel);
+    advance(&mut built.sim, cfg.warmup, tel.as_deref_mut());
     built.sim.set_impairment_all(cfg.impairment);
-    advance(&mut built.sim, heal_at.saturating_sub(1), tel);
+    advance(&mut built.sim, heal_at.saturating_sub(1), tel.as_deref_mut());
     built.sim.set_impairment_all(Impairment::none());
     advance(&mut built.sim, cfg.end_at(), tel);
 
     let convergence = dcn_metrics::last_state_change(built.sim.trace(), heal_at);
     let converged = convergence.is_none_or(|d| d <= cfg.convergence_bound);
     let (loops, black_holes, unreachable_pairs) = check_forwarding_invariants(&built, cfg);
-    let repair_loops = if cfg.local_repair { check_repair_loops(&built, cfg) } else { 0 };
+    let repair_loops = if cfg.tuning.local_repair { check_repair_loops(&built, cfg) } else { 0 };
     let digest = trace_digest(&built.sim);
 
     let mut malformed_dropped = 0;
@@ -446,22 +415,10 @@ fn run_chaos_once(
 /// the sampled series and a capture of the fault window. Sampling is
 /// read-only, so the instrumented run reproduces the original digest —
 /// the caller can (and [`run_campaign`] does) cross-check it.
-pub fn chaos_bundle(
-    seed: u64,
-    stack: Stack,
-    cfg: &ChaosConfig,
-    tel_cfg: TelemetryConfig,
-) -> (ChaosRun, TraceBundle) {
-    let mut tel = Some(Telemetry::new(tel_cfg));
-    let (run, schedule, mut built) = run_chaos_once(seed, stack, cfg, &mut tel);
-    let tel = tel.expect("telemetry preserved");
-    // When the config profiled the run, the bundle carries the perf
-    // report alongside the replay artifacts.
-    let perf = built.sim.take_profile().map(|profile| {
-        let names = crate::profile::node_names(&built.sim);
-        let label = format!("chaos {} seed {}", stack.slug(), seed);
-        PerfReport::new(profile, label, names)
-    });
+pub fn chaos_bundle(seed: u64, stack: Stack, cfg: &ChaosConfig) -> (ChaosRun, TraceBundle) {
+    let mut tel = Telemetry::new(TelemetryConfig::default());
+    let (run, schedule, built) =
+        run_chaos_with(seed, stack, cfg, SimConfig::default(), Some(&mut tel));
     let sim = &built.sim;
     let name_of = |n: NodeId| sim.node_name(n).to_string();
 
@@ -504,9 +461,6 @@ pub fn chaos_bundle(
     b.add_file("series.jsonl", series_jsonl(tel.registry(), |i| name_of(NodeId(i))));
     b.add_file("hists.jsonl", hists_jsonl(&tel));
     b.add_file("capture.txt", capture_dump(sim, cfg.warmup, cfg.end_at(), 200));
-    if let Some(report) = &perf {
-        b.add_file("perf_report.json", report.to_json().render() + "\n");
-    }
     (run, b)
 }
 
@@ -541,42 +495,25 @@ pub fn trace_digest(sim: &dcn_sim::Sim) -> u64 {
 }
 
 /// Cross-pod background flows for the loss-window measurement: pair the
-/// first server of each ToR in the first pod with one in the last pod
-/// and run them through the fault window. With these in place the
+/// first server of ToR `k` in the first pod with the one of ToR `k` in
+/// the last pod and run them through the fault window. With these in place the
 /// per-router `blackholed_in_window` / `locally_repaired` counters
 /// measure real transit packets, so an on-vs-off comparison quantifies
 /// the loss window local fast reroute closes.
 fn chaos_senders(fabric: &Fabric, addr: &Addressing, cfg: &ChaosConfig) -> Vec<(usize, SendSpec)> {
-    if cfg.traffic_pairs == 0 {
-        return Vec::new();
-    }
-    // First server (idx 0) of every ToR, keyed by pod:
-    // (tor node, server node) pairs.
-    let mut by_pod: std::collections::BTreeMap<usize, Vec<(usize, usize)>> =
-        std::collections::BTreeMap::new();
-    for (n, node) in fabric.nodes.iter().enumerate() {
-        if let Role::Server { pod, tor_idx, idx: 0 } = node.role {
-            by_pod.entry(pod).or_default().push((fabric.tor(pod, tor_idx), n));
-        }
-    }
-    let first = by_pod.keys().next().copied().unwrap_or(0);
-    let last = by_pod.keys().next_back().copied().unwrap_or(0);
-    let (src_list, dst_list) = (by_pod[&first].clone(), by_pod[&last].clone());
-    let mut senders = Vec::new();
-    for k in 0..cfg.traffic_pairs {
-        let (_, sender_node) = src_list[k % src_list.len()];
-        let (dst_tor, _) = dst_list[k % dst_list.len()];
-        let dst_ip = addr.server_addr(dst_tor, 0).expect("server address");
-        senders.push((
-            sender_node,
-            SendSpec {
-                // Distinct source ports spread the pairs across ECMP paths.
+    let p = fabric.params;
+    (0..cfg.traffic_pairs)
+        .map(|k| {
+            let tor = k % p.tors_per_pod;
+            let dst_ip = addr.server_addr(fabric.tor(p.pods - 1, tor), 0).expect("server address");
+            // Distinct source ports spread the pairs across ECMP paths.
+            let send = SendSpec {
                 src_port: 7000 + k as u16,
                 ..SendSpec::new(dst_ip, cfg.warmup, cfg.heal_at())
-            },
-        ));
-    }
-    senders
+            };
+            (fabric.server(0, tor, 0), send)
+        })
+        .collect()
 }
 
 /// The plain data-plane pick at `cur` toward `dst_ip`, mirroring each
@@ -592,10 +529,15 @@ fn data_pick(
 ) -> Option<PortId> {
     match built.stack {
         Stack::Mrmtp => {
+            // Mirrors `on_host_ip`/`on_data`: destination root is the
+            // third address octet; the data plane hashes the low 16
+            // bits of the flow hash over the candidate set.
             let root = dst_ip.third_octet();
             built.mrmtp(cur).forwarding_port(root, (hash & 0xFFFF) as u16, |p| up(cur, p))
         }
         Stack::BgpEcmp | Stack::BgpEcmpBfd => {
+            // Mirrors `forward_data`: LPM lookup, then ECMP over the
+            // member list with the full flow hash.
             built.bgp(cur).rib().lookup(dst_ip).and_then(|(_, members)| {
                 if members.is_empty() {
                     None
@@ -651,6 +593,11 @@ fn repair_pick(
     }
 }
 
+/// Node indices of every ToR, ascending.
+fn tors(fabric: &Fabric) -> Vec<usize> {
+    (0..fabric.nodes.len()).filter(|&i| matches!(fabric.nodes[i].role, Role::Tor { .. })).collect()
+}
+
 /// The loop-guard invariant for local fast reroute: for every ToR pair ×
 /// flow sample, and for every router hop F on the healthy path, kill
 /// every plain next-hop F has toward the destination, let F take its one
@@ -660,34 +607,28 @@ fn repair_pick(
 /// repair loop. Returns the violation count; honest drops (empty backup
 /// set, repaired packet back at the dead hop) are not violations.
 fn check_repair_loops(built: &BuiltSim, cfg: &ChaosConfig) -> usize {
-    let fabric = &built.fabric;
-    let tors: Vec<usize> = fabric
-        .nodes
-        .iter()
-        .enumerate()
-        .filter(|(_, n)| matches!(n.role, Role::Tor { .. }))
-        .map(|(i, _)| i)
-        .collect();
-
+    let tors = tors(&built.fabric);
     let mut loops = 0;
     for &src in &tors {
         for &dst in &tors {
             if src == dst {
                 continue;
             }
-            for flow in 0..cfg.flows_per_pair {
-                let Some(path) = plain_path(built, src, dst, flow as u16) else {
+            for flow in 0..cfg.flows_per_pair as u16 {
+                // The router hops the flow visits on the healthy
+                // (post-heal) fabric, destination excluded. A plain walk
+                // that does not deliver is already flagged by the base
+                // invariants.
+                let mut path = Vec::new();
+                if walk(built, src, dst, flow, None, Some(&mut path)) != WalkOutcome::Delivered {
                     continue;
-                };
+                }
                 for &fx_node in &path {
                     let dead = plain_next_hops(built, fx_node, dst);
-                    if dead.is_empty() {
-                        continue;
-                    }
-                    if matches!(
-                        walk_repair(built, src, dst, flow as u16, fx_node, &dead),
-                        WalkOutcome::Loop
-                    ) {
+                    if !dead.is_empty()
+                        && walk(built, src, dst, flow, Some((fx_node, &dead)), None)
+                            == WalkOutcome::Loop
+                    {
                         loops += 1;
                     }
                 }
@@ -695,33 +636,6 @@ fn check_repair_loops(built: &BuiltSim, cfg: &ChaosConfig) -> usize {
         }
     }
     loops
-}
-
-/// The router hops a packet of this flow visits from `src` to `dst` on
-/// the healthy (post-heal) fabric, destination excluded. `None` when the
-/// plain walk does not deliver (already flagged by the base invariants).
-fn plain_path(built: &BuiltSim, src: usize, dst: usize, flow: u16) -> Option<Vec<usize>> {
-    let sim = &built.sim;
-    let src_ip = built.addr.server_addr(src, 0)?;
-    let dst_ip = built.addr.server_addr(dst, 0)?;
-    let hash = flow_hash(src_ip, dst_ip, IPPROTO_UDP, 1000 + flow, 5000);
-    let up = |n: usize, p: PortId| sim.port_up(NodeId(n as u32), p);
-
-    let mut path = Vec::new();
-    let mut visited = HashSet::new();
-    let mut cur = src;
-    loop {
-        if cur == dst {
-            return Some(path);
-        }
-        if !visited.insert(cur) {
-            return None;
-        }
-        path.push(cur);
-        let port = data_pick(built, cur, dst_ip, hash, &up)?;
-        let peer = sim.peer_of(NodeId(cur as u32), port)?;
-        cur = peer.node.0 as usize;
-    }
 }
 
 /// Every plain next-hop port `node` could use toward `dst` on the
@@ -746,81 +660,10 @@ fn plain_next_hops(built: &BuiltSim, node: usize, dst: usize) -> HashSet<PortId>
     }
 }
 
-/// Walk `src` → `dst` with every plain next-hop at `fx_node` dead,
-/// applying the wire's repair semantics: one repair at that hop, plain
-/// forwarding (and honest drops) everywhere after.
-fn walk_repair(
-    built: &BuiltSim,
-    src: usize,
-    dst: usize,
-    flow: u16,
-    fx_node: usize,
-    fx_dead: &HashSet<PortId>,
-) -> WalkOutcome {
-    let sim = &built.sim;
-    let Some(src_ip) = built.addr.server_addr(src, 0) else {
-        return WalkOutcome::BlackHole;
-    };
-    let Some(dst_ip) = built.addr.server_addr(dst, 0) else {
-        return WalkOutcome::BlackHole;
-    };
-    let hash = flow_hash(src_ip, dst_ip, IPPROTO_UDP, 1000 + flow, 5000);
-    let up = |n: usize, p: PortId| {
-        sim.port_up(NodeId(n as u32), p) && !(n == fx_node && fx_dead.contains(&p))
-    };
-
-    // The walk is deterministic given (node, repaired-flag): a genuine
-    // forwarding loop revisits the same state. A plain node revisit is
-    // NOT enough — a repaired packet legitimately bounces back through
-    // its arrival path and terminates at the dead hop (an honest drop).
-    let mut visited = HashSet::new();
-    let mut cur = src;
-    let mut arrival: Option<PortId> = None;
-    let mut repaired = false;
-    loop {
-        if cur == dst {
-            return WalkOutcome::Delivered;
-        }
-        if !visited.insert((cur, repaired)) {
-            return WalkOutcome::Loop;
-        }
-        let port = if cur == fx_node {
-            if repaired {
-                // The loop guard: a packet is repaired at most once, so
-                // meeting the dead egress again drops it on the wire.
-                return WalkOutcome::BlackHole;
-            }
-            repaired = true;
-            match repair_pick(built, cur, dst_ip, hash, &up, arrival) {
-                Some(p) => p,
-                None => return WalkOutcome::BlackHole,
-            }
-        } else {
-            match data_pick(built, cur, dst_ip, hash, &up) {
-                Some(p) => p,
-                None => return WalkOutcome::BlackHole,
-            }
-        };
-        let Some(peer) = sim.peer_of(NodeId(cur as u32), port) else {
-            return WalkOutcome::BlackHole;
-        };
-        arrival = Some(peer.port);
-        cur = peer.node.0 as usize;
-    }
-}
-
 /// Walk the data plane for every ToR pair × flow sample and count loop /
 /// black-hole violations. Returns (loops, black_holes, unreachable).
 fn check_forwarding_invariants(built: &BuiltSim, cfg: &ChaosConfig) -> (usize, usize, usize) {
-    let fabric = &built.fabric;
-    let tors: Vec<usize> = fabric
-        .nodes
-        .iter()
-        .enumerate()
-        .filter(|(_, n)| matches!(n.role, Role::Tor { .. }))
-        .map(|(i, _)| i)
-        .collect();
-
+    let tors = tors(&built.fabric);
     let mut loops = 0;
     let mut black_holes = 0;
     let mut unreachable = 0;
@@ -834,8 +677,8 @@ fn check_forwarding_invariants(built: &BuiltSim, cfg: &ChaosConfig) -> (usize, u
                 unreachable += 1;
                 continue;
             }
-            for flow in 0..cfg.flows_per_pair {
-                match walk(built, src, dst, flow as u16) {
+            for flow in 0..cfg.flows_per_pair as u16 {
+                match walk(built, src, dst, flow, None, None) {
                     WalkOutcome::Delivered => {}
                     WalkOutcome::Loop => loops += 1,
                     WalkOutcome::BlackHole => black_holes += 1,
@@ -846,61 +689,79 @@ fn check_forwarding_invariants(built: &BuiltSim, cfg: &ChaosConfig) -> (usize, u
     (loops, black_holes, unreachable)
 }
 
+#[derive(PartialEq, Eq)]
 enum WalkOutcome {
     Delivered,
     Loop,
     BlackHole,
 }
 
-/// Follow the forwarding decision a packet of the given flow sample
-/// would experience from `src` ToR to `dst` ToR, mirroring each stack's
-/// data-plane selection exactly.
-fn walk(built: &BuiltSim, src: usize, dst: usize, flow: u16) -> WalkOutcome {
+/// The one data-plane walker: follow the forwarding decision a packet of
+/// flow sample `flow` would experience from `src` ToR to `dst` ToR, each
+/// hop picked by [`data_pick`], the mirror of the stack's own selection.
+///
+/// With `repair = Some((node, dead))` every port in `dead` counts as down
+/// at `node`, and the wire's repair semantics apply there: one
+/// [`repair_pick`] at that hop, plain forwarding (and honest drops)
+/// everywhere after. `path`, when given, collects the hops visited,
+/// destination excluded.
+fn walk(
+    built: &BuiltSim,
+    src: usize,
+    dst: usize,
+    flow: u16,
+    repair: Option<(usize, &HashSet<PortId>)>,
+    mut path: Option<&mut Vec<usize>>,
+) -> WalkOutcome {
     let sim = &built.sim;
-    let src_ip = built.addr.server_addr(src, 0).expect("src server addr");
-    let dst_ip = built.addr.server_addr(dst, 0).expect("dst server addr");
+    let (Some(src_ip), Some(dst_ip)) =
+        (built.addr.server_addr(src, 0), built.addr.server_addr(dst, 0))
+    else {
+        return WalkOutcome::BlackHole;
+    };
     // Vary the UDP source port per flow sample, exactly like a host
     // would spread flows across ECMP paths.
     let hash = flow_hash(src_ip, dst_ip, IPPROTO_UDP, 1000 + flow, 5000);
+    let up = |n: usize, p: PortId| {
+        sim.port_up(NodeId(n as u32), p)
+            && !repair.is_some_and(|(fx_node, dead)| n == fx_node && dead.contains(&p))
+    };
 
+    // The walk is deterministic given (node, repaired-flag): a genuine
+    // forwarding loop revisits the same state. A plain node revisit is
+    // NOT enough once a repair happened — a repaired packet legitimately
+    // bounces back through its arrival path and terminates at the dead
+    // hop (an honest drop). Without `repair` the flag never flips and
+    // this is a plain visited-node set.
     let mut visited = HashSet::new();
     let mut cur = src;
+    let mut arrival: Option<PortId> = None;
+    let mut repaired = false;
     loop {
         if cur == dst {
             return WalkOutcome::Delivered;
         }
-        if !visited.insert(cur) {
+        if !visited.insert((cur, repaired)) {
             return WalkOutcome::Loop;
         }
-        let next_port = match built.stack {
-            Stack::Mrmtp => {
-                // Mirrors `on_host_ip`/`on_data`: destination root is the
-                // third address octet; the data plane hashes the low 16
-                // bits of the flow hash over the candidate set.
-                let root = dst_ip.third_octet();
-                let f16 = (hash & 0xFFFF) as u16;
-                built
-                    .mrmtp(cur)
-                    .forwarding_port(root, f16, |p| sim.port_up(NodeId(cur as u32), p))
+        if let Some(path) = path.as_deref_mut() {
+            path.push(cur);
+        }
+        let port = if repair.is_some_and(|(fx_node, _)| cur == fx_node) {
+            if repaired {
+                // The loop guard: a packet is repaired at most once, so
+                // meeting the dead egress again drops it on the wire.
+                return WalkOutcome::BlackHole;
             }
-            Stack::BgpEcmp | Stack::BgpEcmpBfd => {
-                // Mirrors `forward_data`: LPM lookup, then ECMP over the
-                // member list with the full flow hash.
-                built.bgp(cur).rib().lookup(dst_ip).and_then(|(_, members)| {
-                    if members.is_empty() {
-                        None
-                    } else {
-                        Some(members[ecmp_index(hash, members.len())].peer_port)
-                    }
-                })
-            }
+            repaired = true;
+            repair_pick(built, cur, dst_ip, hash, &up, arrival)
+        } else {
+            data_pick(built, cur, dst_ip, hash, &up)
         };
-        let Some(port) = next_port else {
+        let Some(peer) = port.and_then(|p| sim.peer_of(NodeId(cur as u32), p)) else {
             return WalkOutcome::BlackHole;
         };
-        let Some(peer) = sim.peer_of(NodeId(cur as u32), port) else {
-            return WalkOutcome::BlackHole;
-        };
+        arrival = Some(peer.port);
         cur = peer.node.0 as usize;
     }
 }
@@ -954,9 +815,8 @@ pub struct CampaignConfig {
     /// telemetry attached and a replay bundle is written under this
     /// directory (`chaos-<stack>-seed<N>/`).
     pub telemetry_out: Option<PathBuf>,
-    /// When set, every run executes with the engine profiler on (digests
-    /// unchanged) and writes `perf_report.json` under
-    /// `<dir>/chaos-<stack>-seed<N>-perf/`.
+    /// When set, every run writes its engine profile as
+    /// `perf_report.json` under `<dir>/chaos-<stack>-seed<N>-perf/`.
     pub profile_out: Option<PathBuf>,
 }
 
@@ -1003,23 +863,20 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignResult {
     let out = cfg.telemetry_out.clone();
     let profile_out = cfg.profile_out.clone();
     let runs = fan_out(jobs, cfg.threads, move |(stack, seed)| {
-        let mut run = if let Some(dir) = &profile_out {
-            let (run, report) = run_chaos_profiled(seed, stack, &chaos);
+        let (mut run, report) = run_chaos_profiled(seed, stack, &chaos);
+        if let Some(dir) = &profile_out {
             let sub = dir.join(format!("chaos-{}-seed{}-perf", stack.slug(), seed));
             if let Err(e) = crate::profile::write_profile_artifacts(&report, &sub) {
                 eprintln!("chaos: perf artifacts to {} failed: {e}", sub.display());
             }
-            run
-        } else {
-            run_chaos(seed, stack, &chaos)
-        };
+        }
         if check {
             let again = run_chaos(seed, stack, &chaos);
             run.deterministic = run.digest == again.digest;
         }
         if run.violations() > 0 {
             if let Some(dir) = &out {
-                let (rerun, bundle) = chaos_bundle(seed, stack, &chaos, TelemetryConfig::default());
+                let (rerun, bundle) = chaos_bundle(seed, stack, &chaos);
                 // The instrumented re-run must reproduce the original
                 // digest; a mismatch is itself a determinism violation.
                 run.deterministic &= rerun.digest == run.digest;
@@ -1049,24 +906,18 @@ pub fn campaign_summary(cfg: &CampaignConfig, result: &CampaignResult) -> Figure
             .filter_map(|r| r.convergence)
             .map(|d| d as f64 / MILLIS as f64)
             .collect();
-        let (min, mean, max) = if conv.is_empty() {
-            (0.0, 0.0, 0.0)
-        } else {
-            let mean = conv.iter().sum::<f64>() / conv.len() as f64;
-            (
-                conv.iter().cloned().fold(f64::INFINITY, f64::min),
-                mean,
-                conv.iter().cloned().fold(0.0, f64::max),
-            )
-        };
-        rows.push(vec![
+        let Stats { min, mean, max, .. } =
+            Stats::of(&conv).unwrap_or(Stats { mean: 0.0, min: 0.0, max: 0.0, runs: 0 });
+        let mut row = vec![
             stack.label().to_string(),
             runs.len().to_string(),
             runs.iter().map(|r| r.faults).sum::<usize>().to_string(),
-            runs.iter().map(|r| r.loops).sum::<usize>().to_string(),
-            runs.iter().map(|r| r.black_holes).sum::<usize>().to_string(),
-            runs.iter().filter(|r| !r.converged).count().to_string(),
-            runs.iter().filter(|r| !r.deterministic).count().to_string(),
+        ];
+        // One column per term `violations()` counts, summed over seeds.
+        for term in 0..VIOLATION_TERMS.len() {
+            row.push(runs.iter().map(|r| r.violation_counts()[term]).sum::<usize>().to_string());
+        }
+        row.extend([
             format!("{min:.1}"),
             format!("{mean:.1}"),
             format!("{max:.1}"),
@@ -1074,6 +925,7 @@ pub fn campaign_summary(cfg: &CampaignConfig, result: &CampaignResult) -> Figure
             runs.iter().map(|r| r.frames_corrupted).sum::<u64>().to_string(),
             runs.iter().map(|r| r.frames_lost).sum::<u64>().to_string(),
         ]);
+        rows.push(row);
     }
     Figure {
         title: format!(
@@ -1087,21 +939,18 @@ pub fn campaign_summary(cfg: &CampaignConfig, result: &CampaignResult) -> Figure
             cfg.chaos.impairment.corrupt_ppm,
             cfg.chaos.impairment.jitter / MICROS,
         ),
-        headers: vec![
-            "stack",
-            "seeds",
-            "faults",
-            "loops",
-            "blackholes",
-            "unconverged",
-            "non-det",
-            "reconv-min-ms",
-            "reconv-mean-ms",
-            "reconv-max-ms",
-            "malformed-drop",
-            "corrupted",
-            "lost",
-        ],
+        headers: ["stack", "seeds", "faults"]
+            .into_iter()
+            .chain(VIOLATION_TERMS)
+            .chain([
+                "reconv-min-ms",
+                "reconv-mean-ms",
+                "reconv-max-ms",
+                "malformed-drop",
+                "corrupted",
+                "lost",
+            ])
+            .collect(),
         rows,
     }
 }
@@ -1173,7 +1022,8 @@ mod tests {
         // engage, must not add blackholes, and must hold the repair-loop
         // invariant on both stacks.
         let off_cfg = ChaosConfig { traffic_pairs: 2, ..quick_cfg() };
-        let on_cfg = ChaosConfig { local_repair: true, ..off_cfg.clone() };
+        let repair = StackTuning { local_repair: true, ..StackTuning::default() };
+        let on_cfg = ChaosConfig { tuning: repair, ..off_cfg.clone() };
         for stack in [Stack::Mrmtp, Stack::BgpEcmp] {
             let off = run_chaos(11, stack, &off_cfg);
             let on = run_chaos(11, stack, &on_cfg);
@@ -1197,7 +1047,8 @@ mod tests {
 
     #[test]
     fn local_repair_runs_are_deterministic() {
-        let cfg = ChaosConfig { local_repair: true, traffic_pairs: 2, ..quick_cfg() };
+        let repair = StackTuning { local_repair: true, ..StackTuning::default() };
+        let cfg = ChaosConfig { tuning: repair, traffic_pairs: 2, ..quick_cfg() };
         for stack in [Stack::Mrmtp, Stack::BgpEcmp] {
             let a = run_chaos(5, stack, &cfg);
             let b = run_chaos(5, stack, &cfg);
@@ -1221,7 +1072,7 @@ mod tests {
         let cfg = quick_cfg();
         for stack in [Stack::Mrmtp, Stack::BgpEcmp] {
             let bare = run_chaos(5, stack, &cfg);
-            let (instrumented, bundle) = chaos_bundle(5, stack, &cfg, TelemetryConfig::default());
+            let (instrumented, bundle) = chaos_bundle(5, stack, &cfg);
             assert_eq!(
                 bare.digest, instrumented.digest,
                 "telemetry perturbed the event stream on {}",
@@ -1259,5 +1110,11 @@ mod tests {
         assert_eq!(result.violations(), 0);
         let fig = campaign_summary(&cfg, &result);
         assert!(fig.render().contains("stack"));
+        // A FAIL must never render as an all-clear table: every term
+        // `violations()` sums has its own column.
+        assert_eq!(VIOLATION_TERMS.len(), result.runs[0].violation_counts().len());
+        for term in VIOLATION_TERMS {
+            assert_eq!(fig.headers.iter().filter(|h| **h == term).count(), 1, "column {term}");
+        }
     }
 }

@@ -1,15 +1,14 @@
 //! Extended failure test cases (the paper's §IX future work): whole-node
 //! failures and concurrent multi-point failures, measured with the same
-//! metrics as TC1–TC4.
+//! metrics as TC1–TC4 — each is a value of [`RunSpec`]'s failure axis and
+//! runs through the same executor.
 
-use dcn_sim::time::{as_millis_f64, secs, Time};
-use dcn_sim::{NodeId, PortId};
 use dcn_topology::{ClosParams, Fabric};
-use dcn_traffic::{SendSpec, TrafficHost};
 
-use crate::fabric::{build_sim, BuiltSim, Stack};
+use crate::fabric::Stack;
 use crate::figures::Figure;
-use crate::flows::pin_flow;
+use crate::runspec::RunSpec;
+use crate::scenario::TrafficDir;
 use crate::table;
 
 /// What fails in an extended case.
@@ -36,6 +35,15 @@ impl ExtendedCase {
         }
     }
 
+    /// CLI- and key-safe identifier ([`crate::runspec::Failure::slug`]).
+    pub fn slug(self) -> &'static str {
+        match self {
+            ExtendedCase::PodSpineCrash => "pod-spine-crash",
+            ExtendedCase::TopSpineCrash => "top-spine-crash",
+            ExtendedCase::DoubleUplink => "double-uplink",
+        }
+    }
+
     /// The failing (node, port) interfaces.
     pub fn interfaces(self, fabric: &Fabric) -> Vec<(usize, usize)> {
         match self {
@@ -54,59 +62,13 @@ impl ExtendedCase {
     }
 }
 
-/// Metrics for one extended-failure run.
-#[derive(Clone, Debug)]
-pub struct ExtendedResult {
-    pub case: ExtendedCase,
-    pub stack: Stack,
-    pub convergence_ms: Option<f64>,
-    pub blast_radius: usize,
-    pub control_bytes: u64,
-    pub packets_lost: u64,
-    pub packets_sent: u64,
-}
-
-/// Run one extended case with the paper's monitored flow (rack 11 →
-/// rack 14) crossing the failure.
-pub fn run_extended(case: ExtendedCase, stack: Stack, seed: u64) -> ExtendedResult {
-    let params = ClosParams::two_pod();
-    let fabric = Fabric::build(params);
-    let addr = dcn_topology::Addressing::new(&fabric);
-    let src = fabric.server(0, 0, 0);
-    let dst = fabric.server(1, 1, 0);
-    let src_ip = addr.server_addr(fabric.tor(0, 0), 0).unwrap();
-    let dst_ip = addr.server_addr(fabric.tor(1, 1), 0).unwrap();
-    let (sp, dp) = pin_flow(src_ip, dst_ip, &[2, 2]);
-    let warmup: Time = secs(5);
-    let fail_at = warmup + secs(2);
-    let stop = fail_at + secs(6);
-    let mut spec = SendSpec::new(dst_ip, warmup, stop);
-    spec.src_port = sp;
-    spec.dst_port = dp;
-    let mut built: BuiltSim = build_sim(params, stack, seed, &[(src, spec)]);
-    built.sim.run_until(warmup);
-    for (node, port) in case.interfaces(&built.fabric) {
-        built
-            .sim
-            .schedule_port_down(fail_at, NodeId(node as u32), PortId(port as u16));
-    }
-    built.sim.run_until(stop + secs(1));
-    let trace = built.sim.trace();
-    let sent = built.host(src).sent();
-    let report = built
-        .sim
-        .node_as::<TrafficHost>(NodeId(dst as u32))
-        .expect("receiver")
-        .report(sent);
-    ExtendedResult {
-        case,
-        stack,
-        convergence_ms: dcn_metrics::convergence_time(trace, fail_at).map(as_millis_f64),
-        blast_radius: dcn_metrics::blast_radius(trace, fail_at),
-        control_bytes: dcn_metrics::control_overhead_bytes(trace, fail_at, None),
-        packets_lost: report.lost(),
-        packets_sent: report.sent,
-    }
+/// One extended case on the 2-PoD fabric with the paper's monitored flow
+/// (rack 11 → rack 14) crossing the failure.
+pub fn extended_spec(case: ExtendedCase, stack: Stack, seed: u64) -> RunSpec {
+    RunSpec::new(ClosParams::two_pod(), stack)
+        .failing(case)
+        .with_traffic(TrafficDir::NearToFar)
+        .seeded(seed)
 }
 
 /// The extended-failure matrix as a printable figure.
@@ -114,14 +76,15 @@ pub fn extended_failure_figure(seed: u64) -> Figure {
     let mut rows = Vec::new();
     for case in ExtendedCase::ALL {
         for stack in Stack::ALL {
-            let r = run_extended(case, stack, seed);
+            let r = extended_spec(case, stack, seed).run();
+            let loss = r.loss.expect("the monitored flow ran");
             rows.push(vec![
                 case.label().to_string(),
                 stack.label().to_string(),
                 table::ms(r.convergence_ms),
                 r.blast_radius.to_string(),
                 r.control_bytes.to_string(),
-                format!("{}/{}", r.packets_lost, r.packets_sent),
+                format!("{}/{}", loss.lost(), loss.sent),
             ]);
         }
     }
@@ -136,38 +99,42 @@ pub fn extended_failure_figure(seed: u64) -> Figure {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::ScenarioResult;
+
+    /// (result, packets lost, packets sent) of one extended run.
+    fn run_case(case: ExtendedCase, stack: Stack) -> (ScenarioResult, u64, u64) {
+        let r = extended_spec(case, stack, 7).run();
+        let loss = r.loss.expect("the monitored flow ran");
+        (r, loss.lost(), loss.sent)
+    }
 
     #[test]
     fn pod_spine_crash_survivable_by_both_stacks() {
         for stack in [Stack::Mrmtp, Stack::BgpEcmp] {
-            let r = run_extended(ExtendedCase::PodSpineCrash, stack, 7);
-            assert!(r.packets_sent > 2000);
+            let (r, lost, sent) = run_case(ExtendedCase::PodSpineCrash, stack);
+            assert!(sent > 2000);
             // The surviving plane (S-1-2) carries the flow after
             // reconvergence: loss is bounded by the stack's detection
             // time, not total.
-            assert!(
-                r.packets_lost < r.packets_sent / 2,
-                "{}: {r:?}",
-                stack.label()
-            );
+            assert!(lost < sent / 2, "{}: {r:?}", stack.label());
             assert!(r.blast_radius > 0);
         }
     }
 
     #[test]
     fn top_spine_crash_leaves_mrmtp_reachable() {
-        let r = run_extended(ExtendedCase::TopSpineCrash, Stack::Mrmtp, 7);
+        let (r, lost, _) = run_case(ExtendedCase::TopSpineCrash, Stack::Mrmtp);
         // T-1 is one of four planes; the other three carry traffic.
-        assert!(r.packets_lost < 200, "{r:?}");
+        assert!(lost < 200, "{r:?}");
     }
 
     #[test]
     fn double_uplink_failure_converges() {
-        let r = run_extended(ExtendedCase::DoubleUplink, Stack::Mrmtp, 7);
+        let (r, lost, sent) = run_case(ExtendedCase::DoubleUplink, Stack::Mrmtp);
         assert!(r.convergence_ms.is_some());
         // Both of ToR₁₁'s planes are degraded but the fabric still has a
         // path (ToR₁₁ → S1_2 → S2_2/S2_4 …).
-        assert!(r.packets_lost < r.packets_sent / 2, "{r:?}");
+        assert!(lost < sent / 2, "{r:?}");
     }
 }
 
@@ -183,7 +150,7 @@ mod aggregation_tests {
     /// notify the ToRs below.
     #[test]
     fn staggered_loss_reports_still_reach_tors() {
-        let r = run_extended(ExtendedCase::PodSpineCrash, Stack::Mrmtp, 7);
+        let r = extended_spec(ExtendedCase::PodSpineCrash, Stack::Mrmtp, 7).run();
         // S1_3 + both PoD-2 ToRs record changes.
         assert!(
             r.blast_radius >= 3,

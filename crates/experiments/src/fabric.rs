@@ -3,9 +3,12 @@
 use dcn_bgp::{BgpConfig, BgpRouter, PeerConfig};
 use dcn_mrmtp::{MrmtpConfig, MrmtpRouter, TorConfig};
 use dcn_sim::link::LinkSpec;
-use dcn_sim::{NodeId, PortId, Protocol, SchedulerKind, Sim, SimBuilder, SimConfig};
-use dcn_topology::{Addressing, ClosParams, Fabric, FourTierParams, PortKind, Role};
+use dcn_sim::{NodeId, PortId, Protocol, Sim, SimBuilder, SimConfig, Time};
+use dcn_topology::{Addressing, ClosParams, Fabric, FailureCase, PortKind, Role};
 use dcn_traffic::{SendSpec, TrafficHost};
+
+use crate::chaos::FaultEvent;
+use crate::runspec::Failure;
 
 /// The three protocol stacks the paper evaluates.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -29,13 +32,20 @@ impl Stack {
         }
     }
 
-    /// Filesystem/CLI-safe identifier (the `fcr` stack argument).
+    /// Filesystem/CLI-safe identifier: the `fcr` stack argument, the
+    /// spec-file and store spelling, and the `stack=` field of
+    /// [`crate::RunSpec::key`].
     pub fn slug(self) -> &'static str {
         match self {
             Stack::Mrmtp => "mrmtp",
             Stack::BgpEcmp => "bgp",
             Stack::BgpEcmpBfd => "bgp-bfd",
         }
+    }
+
+    /// Inverse of [`Stack::slug`].
+    pub fn from_slug(s: &str) -> Option<Stack> {
+        Stack::ALL.into_iter().find(|stack| stack.slug() == s)
     }
 }
 
@@ -62,13 +72,6 @@ pub struct StackTuning {
     /// reproduces the paper's loss windows; the equivalence suite proves
     /// `local_repair=off` digests are bit-identical to pre-repair code.
     pub local_repair: bool,
-    /// Engine runtime profiling ([`dcn_sim::profiler`]): events, wall
-    /// time, per-node event counts, scheduler occupancy. Off by
-    /// default. Profiling reads only the host monotonic clock and
-    /// writes into pre-sized buffers, so trace digests are bit-identical
-    /// either way (the equivalence suite enforces it) and zero-alloc
-    /// forwarding still holds.
-    pub profile: bool,
 }
 
 impl Default for StackTuning {
@@ -80,7 +83,6 @@ impl Default for StackTuning {
             bfd_tx_interval: None,
             fast_path: true,
             local_repair: false,
-            profile: false,
         }
     }
 }
@@ -100,11 +102,24 @@ impl BuiltSim {
         NodeId(idx as u32)
     }
 
+    /// Schedule administrative interface transitions, each at `base` plus
+    /// its own `at`. They must arrive in chronological order: the engine's
+    /// double-scheduling guard drops a no-op transition by the order it
+    /// was scheduled in.
+    pub fn schedule_faults(&mut self, base: Time, events: &[FaultEvent]) {
+        for e in events {
+            let (node, port) = (NodeId(e.node as u32), PortId(e.port as u16));
+            if e.up {
+                self.sim.schedule_port_up(base + e.at, node, port);
+            } else {
+                self.sim.schedule_port_down(base + e.at, node, port);
+            }
+        }
+    }
+
     /// Inject a paper failure case at `at`.
-    pub fn inject_failure(&mut self, tc: dcn_topology::FailureCase, at: dcn_sim::Time) {
-        let (node, port) = self.fabric.failure_point(tc);
-        self.sim
-            .schedule_port_down(at, NodeId(node as u32), PortId(port as u16));
+    pub fn inject_failure(&mut self, tc: FailureCase, at: Time) {
+        self.schedule_faults(at, &Failure::from(tc).transitions(&self.fabric));
     }
 
     /// The MR-MTP router at a node (panics on stack/role mismatch).
@@ -123,103 +138,46 @@ impl BuiltSim {
     }
 }
 
-/// Build the emulation with the paper's default timers. `senders` maps
-/// fabric server-node indices to what they should transmit.
+/// Build the emulation with the paper's default timers and the default
+/// engine configuration. `senders` maps fabric server-node indices to
+/// what they should transmit.
 pub fn build_sim(
     params: ClosParams,
     stack: Stack,
     seed: u64,
     senders: &[(usize, SendSpec)],
 ) -> BuiltSim {
-    build_sim_tuned(params, stack, seed, senders, StackTuning::default())
+    let fabric = Fabric::build(params);
+    build_fabric_sim_cfg(fabric, stack, seed, senders, StackTuning::default(), SimConfig::default())
 }
 
-/// [`build_sim`] with protocol-timer overrides for ablation studies.
-pub fn build_sim_tuned(
-    params: ClosParams,
-    stack: Stack,
-    seed: u64,
-    senders: &[(usize, SendSpec)],
-    tuning: StackTuning,
-) -> BuiltSim {
-    build_fabric_sim(Fabric::build(params), stack, seed, senders, tuning)
-}
-
-/// The fully-parameterised builder behind [`crate::RunSpec`]: timer
-/// overrides plus an explicit event-scheduler backend.
-pub fn build_sim_full(
-    params: ClosParams,
-    stack: Stack,
-    seed: u64,
-    senders: &[(usize, SendSpec)],
-    tuning: StackTuning,
-    scheduler: SchedulerKind,
-) -> BuiltSim {
-    build_fabric_sim_sched(Fabric::build(params), stack, seed, senders, tuning, scheduler)
-}
-
-/// Build an emulation of the four-tier zone extension (§IX).
-pub fn build_four_tier_sim(
-    p4: FourTierParams,
-    stack: Stack,
-    seed: u64,
-    senders: &[(usize, SendSpec)],
-) -> BuiltSim {
-    build_fabric_sim(
-        Fabric::build_four_tier(p4),
-        stack,
-        seed,
-        senders,
-        StackTuning::default(),
-    )
-}
-
-/// Build an emulation from an already-constructed fabric, with the
-/// default event scheduler.
-pub fn build_fabric_sim(
-    fabric: Fabric,
-    stack: Stack,
-    seed: u64,
-    senders: &[(usize, SendSpec)],
-    tuning: StackTuning,
-) -> BuiltSim {
-    build_fabric_sim_sched(fabric, stack, seed, senders, tuning, SchedulerKind::default())
-}
-
-/// [`build_fabric_sim`] with an explicit event-scheduler backend.
-pub fn build_fabric_sim_sched(
-    fabric: Fabric,
-    stack: Stack,
-    seed: u64,
-    senders: &[(usize, SendSpec)],
-    tuning: StackTuning,
-    scheduler: SchedulerKind,
-) -> BuiltSim {
-    build_fabric_sim_cfg(
-        fabric,
-        stack,
-        seed,
-        senders,
-        tuning,
-        SimConfig { scheduler, ..SimConfig::default() },
-    )
-}
-
-/// The most general builder: full control over the engine's
-/// [`SimConfig`] (scheduler backend, tracing, carrier latency, wire
-/// impairment). `benchmark/` uses it to run big fabrics with tracing off.
+/// The general builder: any fabric (three- or four-tier), protocol-timer
+/// overrides, and full control over the engine's [`SimConfig`] (scheduler
+/// backend, tracing, carrier latency, wire impairment).
 pub fn build_fabric_sim_cfg(
     fabric: Fabric,
     stack: Stack,
     seed: u64,
     senders: &[(usize, SendSpec)],
     tuning: StackTuning,
-    mut config: SimConfig,
+    config: SimConfig,
 ) -> BuiltSim {
-    if tuning.profile {
-        config.profile = true;
-    }
     let addr = Addressing::new(&fabric);
+    assemble(fabric, addr, stack, seed, senders, tuning, config)
+}
+
+/// [`build_fabric_sim_cfg`] for a caller that already derived the
+/// fabric's [`Addressing`] (to place its senders) and hands it over
+/// instead of having it derived a second time.
+pub(crate) fn assemble(
+    fabric: Fabric,
+    addr: Addressing,
+    stack: Stack,
+    seed: u64,
+    senders: &[(usize, SendSpec)],
+    tuning: StackTuning,
+    config: SimConfig,
+) -> BuiltSim {
     let mut b = SimBuilder::with_config(seed, config);
     for (i, node) in fabric.nodes.iter().enumerate() {
         let proto: Box<dyn Protocol> = match node.role {

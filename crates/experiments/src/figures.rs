@@ -2,21 +2,29 @@
 //! `render()` prints the same rows/series the paper reports.
 
 use dcn_sim::time::secs;
+use dcn_sim::SimConfig;
 use dcn_topology::{
     bgp_router_config, mrmtp_fabric_config, Addressing, ClosParams, ConfigStats, Fabric,
     FailureCase, FourTierParams,
 };
 
-use crate::fabric::{build_sim, Stack};
-use crate::parallel::run_matrix;
+use crate::campaign::pool::fan_out;
+use crate::fabric::{BuiltSim, Stack};
 use crate::runspec::RunSpec;
-use crate::scenario::{ScenarioResult, Timing, TrafficDir};
+use crate::scenario::{self, execute, ScenarioResult, Timing, TrafficDir};
 use crate::table;
 
 /// The steady-state run the keep-alive figures share (no failure, short
 /// measurement tail).
 fn steady_state(stack: Stack, seed: u64) -> ScenarioResult {
     RunSpec::new(ClosParams::two_pod(), stack).seeded(seed).timed(Timing::steady()).run()
+}
+
+/// A 4-PoD fabric of `stack` converged for five seconds, for the figures
+/// that read router tables rather than measure a failure.
+fn converged_four_pod(stack: Stack, seed: u64) -> BuiltSim {
+    let converge = Timing { warmup: secs(5), traffic_lead: 0, post_failure: 0, drain: 0 };
+    scenario::run_with_sim(RunSpec::new(ClosParams::four_pod(), stack).seeded(seed).timed(converge)).1
 }
 
 /// A printable result table.
@@ -41,7 +49,6 @@ impl Figure {
 #[derive(Clone, Debug)]
 pub struct MatrixCell {
     pub topo: &'static str,
-    pub params: ClosParams,
     pub stack: Stack,
     pub tc: FailureCase,
     pub result: ScenarioResult,
@@ -51,30 +58,18 @@ pub struct MatrixCell {
 /// BGP/ECMP/BFD} × {TC1..TC4}, with traffic flowing in `dir`. Runs in
 /// parallel across CPUs.
 pub fn failure_matrix(dir: TrafficDir, seed: u64) -> Vec<MatrixCell> {
-    let topos: [(&'static str, ClosParams); 2] = [
-        ("2-PoD", ClosParams::two_pod()),
-        ("4-PoD", ClosParams::four_pod()),
-    ];
-    let mut specs = Vec::new();
-    let mut meta = Vec::new();
-    for (name, params) in topos {
+    let mut cells = Vec::new();
+    for (topo, params) in [("2-PoD", ClosParams::two_pod()), ("4-PoD", ClosParams::four_pod())] {
         for stack in Stack::ALL {
             for tc in FailureCase::ALL {
-                specs.push(
-                    RunSpec::new(params, stack)
-                        .failing(tc)
-                        .with_traffic(dir)
-                        .seeded(seed),
-                );
-                meta.push((name, params, stack, tc));
+                cells.push((topo, params, stack, tc));
             }
         }
     }
-    let results = run_matrix(specs);
-    meta.into_iter()
-        .zip(results)
-        .map(|((topo, params, stack, tc), result)| MatrixCell { topo, params, stack, tc, result })
-        .collect()
+    fan_out(cells, 0, |(topo, params, stack, tc)| {
+        let spec = RunSpec::new(params, stack).failing(tc).with_traffic(dir).seeded(seed);
+        MatrixCell { topo, stack, tc, result: spec.run() }
+    })
 }
 
 fn matrix_figure(
@@ -172,20 +167,15 @@ pub fn config_comparison() -> Figure {
         let addr = Addressing::new(&fabric);
         let bgp = ConfigStats::for_bgp(&fabric, &addr, true);
         let mtp = ConfigStats::for_mrmtp(&fabric);
-        rows.push(vec![
-            name.to_string(),
-            "BGP/ECMP/BFD".into(),
-            bgp.routers.to_string(),
-            bgp.total_lines.to_string(),
-            bgp.total_bytes.to_string(),
-        ]);
-        rows.push(vec![
-            name.to_string(),
-            "MR-MTP".into(),
-            mtp.routers.to_string(),
-            mtp.total_lines.to_string(),
-            mtp.total_bytes.to_string(),
-        ]);
+        for (stack, stats) in [("BGP/ECMP/BFD", bgp), ("MR-MTP", mtp)] {
+            rows.push(vec![
+                name.to_string(),
+                stack.to_string(),
+                stats.routers.to_string(),
+                stats.total_lines.to_string(),
+                stats.total_bytes.to_string(),
+            ]);
+        }
     }
     Figure {
         title: "Listings 1–2 — Configuration burden (whole fabric)".to_string(),
@@ -197,17 +187,14 @@ pub fn config_comparison() -> Figure {
 /// §VII-H (Listings 3 & 5): routing-table size comparison at converged
 /// routers.
 pub fn table_size_comparison(seed: u64) -> Figure {
-    let params = ClosParams::four_pod();
     // BGP: tier-2 spine.
-    let mut bgp = build_sim(params, Stack::BgpEcmp, seed, &[]);
-    bgp.sim.run_until(secs(5));
+    let bgp = converged_four_pod(Stack::BgpEcmp, seed);
     let spine = bgp.bgp(bgp.fabric.pod_spine(0, 0));
     let bgp_routes = spine.rib().route_count();
     let bgp_paths = spine.rib().path_count();
     let bgp_bytes = spine.rib().approx_bytes();
     // MR-MTP: top spine.
-    let mut mtp = build_sim(params, Stack::Mrmtp, seed, &[]);
-    mtp.sim.run_until(secs(5));
+    let mtp = converged_four_pod(Stack::Mrmtp, seed);
     let top = mtp.mrmtp(mtp.fabric.top_spine(0));
     let vid_entries = top.vid_table().own_entry_count();
     let vid_bytes = top.vid_table().approx_bytes();
@@ -235,20 +222,17 @@ pub fn table_size_comparison(seed: u64) -> Figure {
 
 /// Render the raw Listings 1/2/3/5 artifacts from converged 4-PoD runs.
 pub fn render_listings(seed: u64) -> String {
-    let params = ClosParams::four_pod();
-    let fabric = Fabric::build(params);
+    let fabric = Fabric::build(ClosParams::four_pod());
     let addr = Addressing::new(&fabric);
     let mut out = String::new();
     out.push_str("==== Listing 1: BGP configuration at router T-1 ====\n");
     out.push_str(&bgp_router_config(&fabric, &addr, fabric.top_spine(0), true));
     out.push_str("\n==== Listing 2: MR-MTP 4-PoD configuration (single file) ====\n");
     out.push_str(&mrmtp_fabric_config(&fabric));
-    let mut bgp = build_sim(params, Stack::BgpEcmp, seed, &[]);
-    bgp.sim.run_until(secs(5));
+    let bgp = converged_four_pod(Stack::BgpEcmp, seed);
     out.push_str("\n\n==== Listing 3: tier-2 spine (S-1-1) BGP routing table ====\n");
     out.push_str(&bgp.bgp(bgp.fabric.pod_spine(0, 0)).render_table());
-    let mut mtp = build_sim(params, Stack::Mrmtp, seed, &[]);
-    mtp.sim.run_until(secs(5));
+    let mtp = converged_four_pod(Stack::Mrmtp, seed);
     out.push_str("\n==== Listing 5: top spine (T-1) MR-MTP VID table ====\n");
     out.push_str(&mtp.mrmtp(mtp.fabric.top_spine(0)).render_table());
     out
@@ -257,32 +241,19 @@ pub fn render_listings(seed: u64) -> String {
 /// §IX extension: scalability sweep over PoD counts (the paper defers
 /// this to future Mininet work; the emulator does it directly).
 pub fn scale_sweep(pods: &[usize], seed: u64) -> Figure {
-    let mut specs = Vec::new();
-    let mut meta = Vec::new();
-    for &p in pods {
-        for stack in [Stack::Mrmtp, Stack::BgpEcmp] {
-            specs.push(
-                RunSpec::new(ClosParams::scaled(p).expect("sweep pod counts are even"), stack)
-                    .failing(FailureCase::Tc1)
-                    .seeded(seed),
-            );
-            meta.push((p, stack));
-        }
-    }
-    let results = run_matrix(specs);
-    let rows = meta
-        .into_iter()
-        .zip(results)
-        .map(|((p, stack), r)| {
-            vec![
-                p.to_string(),
-                stack.label().to_string(),
-                table::ms(r.convergence_ms),
-                r.blast_radius.to_string(),
-                r.control_bytes.to_string(),
-            ]
-        })
-        .collect();
+    let points: Vec<(usize, Stack)> =
+        pods.iter().flat_map(|&p| [(p, Stack::Mrmtp), (p, Stack::BgpEcmp)]).collect();
+    let rows = fan_out(points, 0, |(p, stack)| {
+        let params = ClosParams::scaled(p).expect("sweep pod counts are even");
+        let r = RunSpec::new(params, stack).failing(FailureCase::Tc1).seeded(seed).run();
+        vec![
+            p.to_string(),
+            stack.label().to_string(),
+            table::ms(r.convergence_ms),
+            r.blast_radius.to_string(),
+            r.control_bytes.to_string(),
+        ]
+    });
     Figure {
         title: "§IX extension — scalability sweep (failure at TC1)".to_string(),
         headers: vec!["pods", "stack", "convergence_ms", "blast_radius", "control_bytes"],
@@ -294,36 +265,26 @@ pub fn scale_sweep(pods: &[usize], seed: u64) -> Figure {
 /// paper's claim under test: MR-MTP "can easily scale to any number of
 /// spine tiers" with no protocol or configuration changes.
 pub fn tier_comparison(seed: u64) -> Figure {
-    use crate::fabric::{build_four_tier_sim, build_sim};
-    use dcn_sim::time::secs;
+    // Five seconds to converge, TC1, five seconds to settle.
+    let timing = Timing { warmup: secs(5), traffic_lead: 0, post_failure: secs(5), drain: 0 };
     let mut rows = Vec::new();
     for stack in [Stack::Mrmtp, Stack::BgpEcmp] {
-        for (label, four) in [("3-tier (4-PoD)", false), ("4-tier (2×2 zones)", true)] {
-            let mut built = if four {
-                build_four_tier_sim(FourTierParams::small(), stack, seed, &[])
-            } else {
-                build_sim(ClosParams::four_pod(), stack, seed, &[])
-            };
-            built.sim.run_until(secs(5));
-            let t0 = secs(5);
-            let (node, port) = built.fabric.failure_point(FailureCase::Tc1);
-            built.sim.schedule_port_down(
-                t0,
-                dcn_sim::NodeId(node as u32),
-                dcn_sim::PortId(port as u16),
-            );
-            built.sim.run_until(secs(10));
-            let trace = built.sim.trace();
+        for (label, fabric) in [
+            ("3-tier (4-PoD)", Fabric::build(ClosParams::four_pod())),
+            ("4-tier (2×2 zones)", Fabric::build_four_tier(FourTierParams::small())),
+        ] {
+            let spec = RunSpec::new(fabric.params, stack)
+                .failing(FailureCase::Tc1)
+                .seeded(seed)
+                .timed(timing);
+            let (r, built) = execute(fabric, &spec, SimConfig::default(), None);
             rows.push(vec![
                 label.to_string(),
                 stack.label().to_string(),
                 built.fabric.num_routers().to_string(),
-                crate::table::ms(
-                    dcn_metrics::convergence_time(trace, t0)
-                        .map(dcn_sim::time::as_millis_f64),
-                ),
-                dcn_metrics::blast_radius(trace, t0).to_string(),
-                dcn_metrics::control_overhead_bytes(trace, t0, None).to_string(),
+                table::ms(r.convergence_ms),
+                r.blast_radius.to_string(),
+                r.control_bytes.to_string(),
             ]);
         }
     }

@@ -25,19 +25,6 @@ pub fn pin_flow(src: IpAddr4, dst: IpAddr4, widths: &[usize]) -> (u16, u16) {
     panic!("no pinnable source port found for widths {widths:?}");
 }
 
-/// Find a flow that *avoids* the chain (picks a nonzero member at the
-/// first hop) — used by tests that need an unaffected control flow.
-pub fn pin_flow_off_chain(src: IpAddr4, dst: IpAddr4, first_width: usize) -> (u16, u16) {
-    let dst_port = 6000;
-    for src_port in 5000..64000u16 {
-        let h = flow_hash(src, dst, IPPROTO_UDP, src_port, dst_port);
-        if ecmp_index(h, first_width) != 0 {
-            return (src_port, dst_port);
-        }
-    }
-    panic!("no off-chain source port found");
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -55,16 +42,6 @@ mod tests {
         assert_eq!(ecmp_index(h4, 4), 0);
         assert_eq!(ecmp_index(h4, 2), 0);
         let _ = (sp, dp, dp4);
-    }
-
-    #[test]
-    fn off_chain_flow_avoids_member_zero() {
-        let src = IpAddr4::new(192, 168, 11, 1);
-        let dst = IpAddr4::new(192, 168, 14, 1);
-        let (sp, dp) = pin_flow_off_chain(src, dst, 2);
-        let h = flow_hash(src, dst, IPPROTO_UDP, sp, dp);
-        assert_ne!(ecmp_index(h, 2), 0);
-        let _ = dp;
     }
 
     #[test]

@@ -6,16 +6,17 @@
 //! failures, and extract the metrics of Figs. 4–10 and Listings 1–5.
 //!
 //! Entry points:
-//! * [`runspec::RunSpec`] — the unified experiment builder: topology ×
-//!   stack × failure × traffic × seed × timing × tuning × telemetry sink
-//!   × scheduler backend, with `.run()` / `.run_instrumented()`.
+//! * [`runspec::RunSpec`] — what an experiment is: topology × stack ×
+//!   failure × traffic × seed × timing × tuning, with `.run()` /
+//!   `.run_instrumented()`.
+//! * [`scenario::execute`] — the one run loop every scripted harness
+//!   goes through; how a run executes is its [`dcn_sim::SimConfig`].
 //! * [`figures`] — one function per paper figure, returning printable
 //!   tables (these are what `fcr figures` and the examples call).
-//! * [`parallel::run_matrix`] — fan a scenario list out over worker
-//!   threads (the emulator itself is deterministic and single-threaded;
-//!   scenarios are embarrassingly parallel).
 //! * [`campaign`] — fleet-scale orchestration: a [`campaign::CampaignSpec`]
-//!   grid expanded over the shared work-stealing [`campaign::pool`],
+//!   grid expanded over the shared work-stealing [`campaign::pool`] (the
+//!   emulator is deterministic and single-threaded; runs are
+//!   embarrassingly parallel, and every harness fans out through it),
 //!   results landing in an append-only store (`campaign/v1`) that
 //!   `fcr campaign diff` turns into a cross-revision regression gate.
 //! * [`replicate`] — the paper's multi-run averaging (mean [min–max]
@@ -32,7 +33,6 @@ pub mod extended_failures;
 pub mod fabric;
 pub mod figures;
 pub mod flows;
-pub mod parallel;
 pub mod profile;
 pub mod replicate;
 pub mod report;
@@ -44,12 +44,9 @@ pub use campaign::CampaignSpec;
 pub use chaos::{
     run_campaign, run_chaos, run_chaos_profiled, CampaignConfig, ChaosConfig, FaultSchedule,
 };
-pub use profile::{bundle_from_profiled, run_profiled, write_profile_artifacts, ProfiledRun};
-pub use fabric::{
-    build_fabric_sim, build_four_tier_sim, build_sim, build_sim_full, build_sim_tuned, BuiltSim,
-    Stack, StackTuning,
-};
-pub use runspec::RunSpec;
+pub use fabric::{build_fabric_sim_cfg, build_sim, BuiltSim, Stack, StackTuning};
+pub use profile::{perf_report, write_profile_artifacts};
+pub use runspec::{Failure, RunSpec};
 pub use scenario::{
     bundle_from_run, run, run_digest, run_instrumented, InstrumentedRun, ScenarioResult, Timing,
     TrafficDir,

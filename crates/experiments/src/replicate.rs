@@ -5,11 +5,11 @@
 
 use std::path::Path;
 
-use crate::figures::Figure;
-use crate::parallel::run_matrix;
-use crate::runspec::RunSpec;
-use crate::scenario::{bundle_from_run, run_instrumented, ScenarioResult, TrafficDir};
+use crate::campaign::pool::fan_out;
 use crate::fabric::Stack;
+use crate::figures::Figure;
+use crate::runspec::RunSpec;
+use crate::scenario::{bundle_from_run, run, run_instrumented, ScenarioResult};
 use dcn_topology::{ClosParams, FailureCase};
 
 /// Summary statistics over replicated runs.
@@ -56,13 +56,12 @@ pub struct ReplicatedResult {
     pub blast_radius: Stats,
     pub control_bytes: Stats,
     pub packets_lost: Option<Stats>,
-    pub raw: Vec<ScenarioResult>,
 }
 
 /// Run `spec` once per seed (in parallel) and aggregate.
 pub fn run_replicated(spec: RunSpec, seeds: &[u64]) -> ReplicatedResult {
     let specs: Vec<RunSpec> = seeds.iter().map(|&s| spec.seeded(s)).collect();
-    aggregate(run_matrix(specs))
+    aggregate(fan_out(specs, 0, run))
 }
 
 /// [`run_replicated`] with telemetry attached to every run: each seed's
@@ -76,11 +75,11 @@ pub fn run_replicated_instrumented(
     seeds: &[u64],
     dir: &Path,
 ) -> ReplicatedResult {
-    let raw = crate::campaign::pool::fan_out(seeds.to_vec(), 0, |seed| {
+    let raw = fan_out(seeds.to_vec(), 0, |seed| {
         let sc = spec.seeded(seed);
         let ir = run_instrumented(sc);
-        let tc = sc.failure.map(|tc| tc.label().to_ascii_lowercase()).unwrap_or_else(|| "steady".into());
-        let sub = dir.join(format!("replicate-{}-{}-seed{}", sc.stack.slug(), tc, seed));
+        let sub =
+            dir.join(format!("replicate-{}-{}-seed{}", sc.stack.slug(), sc.failure.slug(), seed));
         match bundle_from_run(&ir, &sc).write(&sub) {
             Ok(_) => eprintln!("replicate: bundle written to {}", sub.display()),
             Err(e) => eprintln!("replicate: bundle write to {} failed: {e}", sub.display()),
@@ -103,7 +102,6 @@ fn aggregate(raw: Vec<ScenarioResult>) -> ReplicatedResult {
         blast_radius: Stats::of(&blast).expect("at least one run"),
         control_bytes: Stats::of(&bytes).expect("at least one run"),
         packets_lost: Stats::of(&lost),
-        raw,
     }
 }
 
@@ -116,10 +114,7 @@ pub fn fig4_replicated(seeds: &[u64], local_repair: bool) -> Figure {
         for stack in Stack::ALL {
             for tc in FailureCase::ALL {
                 let r = run_replicated(
-                    RunSpec::new(params, stack)
-                        .failing(tc)
-                        .with_traffic(TrafficDir::None)
-                        .with_local_repair(local_repair),
+                    RunSpec::new(params, stack).failing(tc).with_local_repair(local_repair),
                     seeds,
                 );
                 rows.push(vec![

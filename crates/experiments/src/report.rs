@@ -8,39 +8,12 @@
 //! tshark-plus-router-logs measurement pipeline.
 
 use dcn_sim::NodeId;
-use dcn_topology::{ClosParams, FailureCase};
 
-use crate::fabric::Stack;
 use crate::runspec::RunSpec;
-use crate::scenario::{run_instrumented, InstrumentedRun};
+use crate::scenario::InstrumentedRun;
 
-/// One assembled report: the rendered text plus the instrumented run it
-/// was built from (so the CLI can also write the trace bundle).
-pub struct Report {
-    pub text: String,
-    pub run: InstrumentedRun,
-    pub spec: RunSpec,
-}
-
-/// Run `stack` through failure case `tc` on the paper's 2-PoD fabric and
-/// assemble the convergence report.
-#[deprecated(
-    since = "0.9.0",
-    note = "use build_spec(RunSpec::new(ClosParams::two_pod(), stack).failing(tc).seeded(seed))"
-)]
-pub fn build(stack: Stack, tc: FailureCase, seed: u64) -> Report {
-    build_spec(RunSpec::new(ClosParams::two_pod(), stack).failing(tc).seeded(seed))
-}
-
-/// Assemble the convergence report for a caller-built spec — the CLI
-/// uses this to thread knobs like `--local-repair` into the reported run.
-pub fn build_spec(spec: RunSpec) -> Report {
-    let run = run_instrumented(spec);
-    let text = render(&run, &spec);
-    Report { text, run, spec }
-}
-
-/// Render the report text for an already-finished instrumented run.
+/// Render the report text for a finished instrumented run of `spec` (the
+/// CLI goes on to write the same run's trace bundle).
 pub fn render(run: &InstrumentedRun, spec: &RunSpec) -> String {
     let sim = &run.built.sim;
     let name_of = |n: NodeId| sim.node_name(n).to_string();
@@ -49,7 +22,7 @@ pub fn render(run: &InstrumentedRun, spec: &RunSpec) -> String {
     out.push_str(&format!(
         "== convergence report: {} · {} · seed {} ==\n\n",
         spec.stack.label(),
-        spec.failure.map(FailureCase::label).unwrap_or("no failure"),
+        spec.failure.label(),
         spec.seed,
     ));
 
@@ -139,43 +112,48 @@ pub fn render(run: &InstrumentedRun, spec: &RunSpec) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fabric::Stack;
+    use crate::scenario::run_instrumented;
     use dcn_sim::time::MILLIS;
+    use dcn_topology::{ClosParams, FailureCase};
 
-    fn build_tc(stack: Stack, tc: FailureCase, seed: u64) -> Report {
-        build_spec(RunSpec::new(ClosParams::two_pod(), stack).failing(tc).seeded(seed))
+    fn build_tc(stack: Stack, tc: FailureCase, seed: u64) -> (String, InstrumentedRun) {
+        let spec = RunSpec::new(ClosParams::two_pod(), stack).failing(tc).seeded(seed);
+        let run = run_instrumented(spec);
+        (render(&run, &spec), run)
     }
 
     #[test]
     fn mrmtp_tc1_report_storyboards_carrier_detection() {
-        let r = build_tc(Stack::Mrmtp, FailureCase::Tc1, 42);
+        let (text, run) = build_tc(Stack::Mrmtp, FailureCase::Tc1, 42);
         // TC1: the ToR sees carrier-down, the spine times out.
-        assert!(r.text.contains("carrier (local)"), "{}", r.text);
-        assert!(r.text.contains("phases: detection"), "{}", r.text);
-        assert!(r.text.contains("per-router counters"), "{}", r.text);
-        assert!(r.text.contains("hellos_sent [counter]"), "{}", r.text);
-        assert!(r.text.contains("vid_entries [gauge]"), "{}", r.text);
-        assert!(r.text.contains("keepalive"), "{}", r.text);
+        assert!(text.contains("carrier (local)"), "{}", text);
+        assert!(text.contains("phases: detection"), "{}", text);
+        assert!(text.contains("per-router counters"), "{}", text);
+        assert!(text.contains("hellos_sent [counter]"), "{}", text);
+        assert!(text.contains("vid_entries [gauge]"), "{}", text);
+        assert!(text.contains("keepalive"), "{}", text);
 
         // The phase breakdown is consistent with the paper-style
         // convergence number reported by dcn_metrics::convergence_time.
-        let t0 = r.run.failure_at.unwrap();
-        let sb = dcn_metrics::storyboard::build(r.run.built.sim.trace(), t0);
+        let t0 = run.failure_at.unwrap();
+        let sb = dcn_metrics::storyboard::build(run.built.sim.trace(), t0);
         let p = sb.phases.expect("detection happened");
-        let conv = r.run.result.convergence_ms.expect("updates flowed");
+        let conv = run.result.convergence_ms.expect("updates flowed");
         assert!((p.detection_ms + p.propagation_ms - conv).abs() < 1e-6);
-        let direct = dcn_metrics::convergence_time(r.run.built.sim.trace(), t0).unwrap();
+        let direct = dcn_metrics::convergence_time(run.built.sim.trace(), t0).unwrap();
         assert_eq!(sb.convergence_ns, Some(direct));
         assert!((direct as f64 / MILLIS as f64 - conv).abs() < 1e-6);
     }
 
     #[test]
     fn bgp_bfd_tc2_report_shows_bfd_detection_and_fsm_table() {
-        let r = build_tc(Stack::BgpEcmpBfd, FailureCase::Tc2, 42);
+        let (text, _) = build_tc(Stack::BgpEcmpBfd, FailureCase::Tc2, 42);
         // TC2: S1_1 sees carrier-down, the ToR detects via BFD timeout.
-        assert!(r.text.contains("carrier (local)"), "{}", r.text);
-        assert!(r.text.contains("timeout (inferred)"), "{}", r.text);
-        assert!(r.text.contains("sessions_up [gauge]"), "{}", r.text);
-        assert!(r.text.contains("bfd_transitions [gauge]"), "{}", r.text);
-        assert!(r.text.contains("phases: detection"), "{}", r.text);
+        assert!(text.contains("carrier (local)"), "{}", text);
+        assert!(text.contains("timeout (inferred)"), "{}", text);
+        assert!(text.contains("sessions_up [gauge]"), "{}", text);
+        assert!(text.contains("bfd_transitions [gauge]"), "{}", text);
+        assert!(text.contains("phases: detection"), "{}", text);
     }
 }

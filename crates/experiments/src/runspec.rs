@@ -1,9 +1,13 @@
 //! The unified experiment description.
 //!
-//! Every knob the harness can vary — topology, protocol stack, scripted
-//! failure, traffic placement, seed, timeline, protocol-timer tuning,
-//! telemetry sink, and event-scheduler backend — lives in one [`RunSpec`]
-//! built with a fluent chain:
+//! A [`RunSpec`] is *what* an experiment is — topology, protocol stack,
+//! failure, traffic placement, seed, timeline, protocol tuning — and
+//! nothing else: every field is part of [`RunSpec::key`], and two specs
+//! with equal keys are the same experiment. *How* a run executes (the
+//! scheduler backend, tracing, an attached telemetry sampler) is not in
+//! the spec: it is the [`dcn_sim::SimConfig`] and the optional
+//! [`dcn_telemetry::Telemetry`] handed to [`crate::scenario::execute`],
+//! and the equivalence suite proves it invisible.
 //!
 //! ```
 //! use dcn_experiments::{RunSpec, Stack, TrafficDir};
@@ -17,47 +21,131 @@
 //! assert!(r.convergence_ms.is_some());
 //! ```
 //!
-//! Every entry point of the crate — [`crate::scenario::run`],
-//! [`crate::replicate`], [`crate::report`], [`crate::parallel`], and the
-//! `fcr` CLI — consumes a `RunSpec`.
+//! Every harness of the crate — [`crate::figures`], [`crate::ablations`],
+//! [`crate::extended_failures`], [`crate::replicate`], [`crate::report`],
+//! [`crate::campaign`] and the `fcr` CLI — builds `RunSpec`s and runs
+//! them through that one executor.
 
-use dcn_sim::SchedulerKind;
-use dcn_telemetry::TelemetryConfig;
-use dcn_topology::{ClosParams, FailureCase};
+use dcn_sim::time::Duration;
+use dcn_topology::{ClosParams, Fabric, FailureCase};
 
+use crate::chaos::FaultEvent;
+use crate::extended_failures::ExtendedCase;
 use crate::fabric::{Stack, StackTuning};
 use crate::scenario::{self, InstrumentedRun, ScenarioResult, Timing, TrafficDir};
 
+/// What fails in a run: the failure axis of a [`RunSpec`].
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub enum Failure {
+    /// Nothing: a steady-state run.
+    None,
+    /// One of the paper's interface failures, TC1–TC4.
+    Case(FailureCase),
+    /// A §IX extension: a node crash or a multi-point failure.
+    Extended(ExtendedCase),
+    /// `flaps` down/up cycles of the interface `at` fails, each phase
+    /// lasting `period` (the Slow-to-Accept ablation's flap storm).
+    Flaps { at: FailureCase, flaps: u32, period: Duration },
+}
+
+impl From<FailureCase> for Failure {
+    fn from(tc: FailureCase) -> Failure {
+        Failure::Case(tc)
+    }
+}
+
+impl From<ExtendedCase> for Failure {
+    fn from(case: ExtendedCase) -> Failure {
+        Failure::Extended(case)
+    }
+}
+
+/// A campaign grid's failure axis: `None` is the steady-state point.
+impl From<Option<FailureCase>> for Failure {
+    fn from(tc: Option<FailureCase>) -> Failure {
+        tc.map_or(Failure::None, Failure::Case)
+    }
+}
+
+impl Failure {
+    /// The administrative interface transitions this failure consists
+    /// of, in scheduling order, with `at` relative to
+    /// [`Timing::failure_at`].
+    pub fn transitions(self, fabric: &Fabric) -> Vec<FaultEvent> {
+        let down = |(node, port): (usize, usize)| FaultEvent { at: 0, node, port, up: false };
+        match self {
+            Failure::None => Vec::new(),
+            Failure::Case(tc) => vec![down(fabric.failure_point(tc))],
+            Failure::Extended(case) => case.interfaces(fabric).into_iter().map(down).collect(),
+            Failure::Flaps { at, flaps, period } => {
+                let (node, port) = fabric.failure_point(at);
+                (0..2 * flaps as u64)
+                    .map(|i| FaultEvent { at: i * period, node, port, up: i % 2 == 1 })
+                    .collect()
+            }
+        }
+    }
+
+    /// Filesystem/CLI-safe identifier: the `fcr` failure argument and the
+    /// spec-file and store spelling. [`RunSpec::key`] prints the same
+    /// string, except that it marks an absent failure `-` like every
+    /// other absent field.
+    pub fn slug(self) -> String {
+        match self {
+            Failure::None => "none".into(),
+            Failure::Case(tc) => tc.label().to_ascii_lowercase(),
+            Failure::Extended(case) => case.slug().into(),
+            Failure::Flaps { at, flaps, period } => {
+                format!("flap-{}-{flaps}x{period}", Failure::Case(at).slug())
+            }
+        }
+    }
+
+    /// Inverse of [`Failure::slug`] over the fixed cases — what a command
+    /// line or a spec file can name. A flap train is built in code.
+    pub fn from_slug(s: &str) -> Option<Failure> {
+        [Failure::None]
+            .into_iter()
+            .chain(FailureCase::ALL.map(Failure::Case))
+            .chain(ExtendedCase::ALL.map(Failure::Extended))
+            .find(|f| f.slug() == s)
+    }
+
+    /// Human-readable name for report headers and artifact metadata.
+    pub fn label(self) -> String {
+        match self {
+            Failure::None => "no failure".into(),
+            Failure::Case(tc) => tc.label().into(),
+            Failure::Extended(case) => case.label().into(),
+            Failure::Flaps { at, flaps, .. } => format!("{flaps} flaps at {}", at.label()),
+        }
+    }
+}
+
 /// A full experiment description: everything [`RunSpec::run`] needs to
-/// produce a [`ScenarioResult`] deterministically.
+/// produce a [`ScenarioResult`] deterministically. It holds exactly the
+/// fields [`RunSpec::key`] prints.
 #[derive(Clone, Copy, Debug)]
 pub struct RunSpec {
     /// Fabric shape.
     pub params: ClosParams,
     /// Protocol stack under test.
     pub stack: Stack,
-    /// Scripted interface failure (the paper's TC1–TC4), if any.
-    pub failure: Option<FailureCase>,
+    /// What fails at [`Timing::failure_at`], if anything.
+    pub failure: Failure,
     /// Monitored-flow placement relative to the failure chain.
     pub traffic: TrafficDir,
     /// Inter-packet gap override for the monitored flow. `None` keeps
     /// [`dcn_traffic::SendSpec`]'s default pacing (≈333 pkt/s); the
     /// loss-window experiments shrink it so the carrier-detection window
     /// (500 µs by default) spans many packets.
-    pub traffic_interval: Option<dcn_sim::time::Duration>,
+    pub traffic_interval: Option<Duration>,
     /// Seed for every deterministic RNG stream in the run.
     pub seed: u64,
     /// Experiment timeline (warmup / failure instant / drain).
     pub timing: Timing,
     /// Protocol-timer overrides for ablation studies.
     pub tuning: StackTuning,
-    /// Telemetry sink for instrumented runs. `None` means
-    /// [`RunSpec::run_instrumented`] samples with the default cadence;
-    /// plain [`RunSpec::run`] never samples.
-    pub telemetry: Option<TelemetryConfig>,
-    /// Event-scheduler backend (timer wheel by default; the binary heap
-    /// remains available for equivalence checking).
-    pub scheduler: SchedulerKind,
 }
 
 impl RunSpec {
@@ -67,20 +155,19 @@ impl RunSpec {
         RunSpec {
             params,
             stack,
-            failure: None,
+            failure: Failure::None,
             traffic: TrafficDir::None,
             traffic_interval: None,
             seed: 42,
             timing: Timing::default(),
             tuning: StackTuning::default(),
-            telemetry: None,
-            scheduler: SchedulerKind::default(),
         }
     }
 
-    /// Inject failure case `tc` at [`Timing::failure_at`].
-    pub fn failing(mut self, tc: FailureCase) -> RunSpec {
-        self.failure = Some(tc);
+    /// Inject `failure` — a [`FailureCase`], an [`ExtendedCase`] or any
+    /// other [`Failure`] — at [`Timing::failure_at`].
+    pub fn failing(mut self, failure: impl Into<Failure>) -> RunSpec {
+        self.failure = failure.into();
         self
     }
 
@@ -91,7 +178,7 @@ impl RunSpec {
     }
 
     /// Pace the monitored flow at one packet per `interval`.
-    pub fn with_traffic_interval(mut self, interval: dcn_sim::time::Duration) -> RunSpec {
+    pub fn with_traffic_interval(mut self, interval: Duration) -> RunSpec {
         self.traffic_interval = Some(interval);
         self
     }
@@ -132,40 +219,29 @@ impl RunSpec {
         self
     }
 
-    /// Attach a telemetry sink configuration for instrumented runs.
-    pub fn with_telemetry(mut self, cfg: TelemetryConfig) -> RunSpec {
-        self.telemetry = Some(cfg);
-        self
-    }
-
-    /// Select the event-scheduler backend.
-    pub fn with_scheduler(mut self, kind: SchedulerKind) -> RunSpec {
-        self.scheduler = kind;
-        self
-    }
-
-    /// Enable engine runtime profiling (events, wall time, hot nodes,
-    /// scheduler occupancy). Host-clock observation only: metrics
-    /// and trace digests are bit-identical either way — the equivalence
-    /// suite enforces it.
-    pub fn with_profile(mut self, on: bool) -> RunSpec {
-        self.tuning.profile = on;
-        self
-    }
-
     /// Canonical serialized form of the spec: a stable `k=v;k=v` string
-    /// over every field that can change what the simulation *does*.
+    /// over every field.
     ///
     /// This is the results-store run key — two specs with equal keys are
     /// the same experiment and must produce bit-identical trace digests.
-    /// Engine-only knobs the equivalence suite proves digest-invariant
-    /// (scheduler backend, profiler) and the
-    /// read-only telemetry sink are deliberately *excluded*, so stores
-    /// recorded under different engine configurations diff cleanly
-    /// against each other.
+    /// The structs are taken apart without `..`, so a field added
+    /// to any of them does not compile until someone has decided how the
+    /// key prints it.
     pub fn key(&self) -> String {
-        let p = &self.params;
-        let dur = |d: Option<dcn_sim::time::Duration>| match d {
+        let RunSpec { params, stack, failure, traffic, traffic_interval, seed, timing, tuning } =
+            *self;
+        let ClosParams { pods, spines_per_pod, tors_per_pod, uplinks_per_spine, servers_per_tor } =
+            params;
+        let Timing { warmup, traffic_lead, post_failure, drain } = timing;
+        let StackTuning {
+            mrmtp_timers,
+            bgp_keepalive,
+            bgp_hold,
+            bfd_tx_interval,
+            fast_path,
+            local_repair,
+        } = tuning;
+        let dur = |d: Option<Duration>| match d {
             Some(d) => d.to_string(),
             None => "-".into(),
         };
@@ -173,32 +249,28 @@ impl RunSpec {
             "pods={}x{}x{}x{}x{};stack={};failure={};traffic={};interval={};seed={};\
              timing={}/{}/{}/{};timers={};bgp_ka={};bgp_hold={};bfd_tx={};\
              fast_path={};local_repair={}",
-            p.pods,
-            p.spines_per_pod,
-            p.tors_per_pod,
-            p.uplinks_per_spine,
-            p.servers_per_tor,
-            self.stack.slug(),
-            self.failure.map(|tc| tc.label().to_ascii_lowercase()).unwrap_or_else(|| "-".into()),
-            match self.traffic {
-                TrafficDir::None => "none",
-                TrafficDir::NearToFar => "near",
-                TrafficDir::FarToNear => "far",
-            },
-            dur(self.traffic_interval),
-            self.seed,
-            self.timing.warmup,
-            self.timing.traffic_lead,
-            self.timing.post_failure,
-            self.timing.drain,
+            pods,
+            spines_per_pod,
+            tors_per_pod,
+            uplinks_per_spine,
+            servers_per_tor,
+            stack.slug(),
+            if failure == Failure::None { "-".into() } else { failure.slug() },
+            traffic.slug(),
+            dur(traffic_interval),
+            seed,
+            warmup,
+            traffic_lead,
+            post_failure,
+            drain,
             // Timer-block overrides are rare (ablations); the Debug form
             // is deterministic and `-` marks the paper defaults.
-            self.tuning.mrmtp_timers.map(|t| format!("{t:?}")).unwrap_or_else(|| "-".into()),
-            dur(self.tuning.bgp_keepalive),
-            dur(self.tuning.bgp_hold),
-            dur(self.tuning.bfd_tx_interval),
-            self.tuning.fast_path as u8,
-            self.tuning.local_repair as u8,
+            mrmtp_timers.map(|t| format!("{t:?}")).unwrap_or_else(|| "-".into()),
+            dur(bgp_keepalive),
+            dur(bgp_hold),
+            dur(bfd_tx_interval),
+            fast_path as u8,
+            local_repair as u8,
         )
     }
 
@@ -216,9 +288,8 @@ impl RunSpec {
         scenario::run(self)
     }
 
-    /// Run with the telemetry sink attached (the configured one, or the
-    /// default cadence when none was set). Sampling is read-only: the
-    /// metrics are identical to [`RunSpec::run`]'s.
+    /// Run with the telemetry sampler attached. Sampling is read-only:
+    /// the metrics are identical to [`RunSpec::run`]'s.
     pub fn run_instrumented(self) -> InstrumentedRun {
         scenario::run_instrumented(self)
     }
@@ -227,40 +298,65 @@ impl RunSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dcn_sim::time::millis;
 
     #[test]
     fn builder_sets_every_field() {
         let spec = RunSpec::new(ClosParams::two_pod(), Stack::BgpEcmp)
             .failing(FailureCase::Tc2)
             .with_traffic(TrafficDir::FarToNear)
-            .seeded(9)
-            .with_scheduler(SchedulerKind::Heap)
-            .with_telemetry(TelemetryConfig::default());
+            .seeded(9);
         assert_eq!(spec.stack, Stack::BgpEcmp);
-        assert_eq!(spec.failure, Some(FailureCase::Tc2));
+        assert_eq!(spec.failure, Failure::Case(FailureCase::Tc2));
         assert_eq!(spec.traffic, TrafficDir::FarToNear);
         assert_eq!(spec.seed, 9);
-        assert_eq!(spec.scheduler, SchedulerKind::Heap);
-        assert!(spec.telemetry.is_some());
     }
 
     #[test]
-    fn key_distinguishes_experiments_but_not_engine_knobs() {
+    fn key_distinguishes_experiments() {
         let base = RunSpec::new(ClosParams::two_pod(), Stack::Mrmtp).failing(FailureCase::Tc1);
-        // Engine-only knobs are digest-invariant and excluded from the key.
-        assert_eq!(base.key(), base.with_scheduler(SchedulerKind::Heap).key());
-        assert_eq!(base.key(), base.with_profile(true).key());
-        assert_eq!(base.key(), base.with_telemetry(TelemetryConfig::default()).key());
-        // Everything semantic changes it.
         assert_ne!(base.key(), base.seeded(7).key());
         assert_ne!(base.key(), base.failing(FailureCase::Tc2).key());
+        assert_ne!(base.key(), base.failing(ExtendedCase::TopSpineCrash).key());
         assert_ne!(base.key(), RunSpec::new(ClosParams::four_pod(), Stack::Mrmtp).failing(FailureCase::Tc1).key());
         assert_ne!(base.key(), base.with_traffic(TrafficDir::NearToFar).key());
         assert_ne!(base.key(), base.with_local_repair(true).key());
         assert_ne!(base.key(), base.with_fast_path(false).key());
         // The hash tracks the key.
-        assert_eq!(base.key_hash(), base.with_scheduler(SchedulerKind::Heap).key_hash());
+        assert_eq!(base.key_hash(), base.failing(FailureCase::Tc1).key_hash());
         assert_ne!(base.key_hash(), base.seeded(7).key_hash());
+    }
+
+    #[test]
+    fn failure_slugs_round_trip() {
+        let fixed = [Failure::None]
+            .into_iter()
+            .chain(FailureCase::ALL.map(Failure::Case))
+            .chain(ExtendedCase::ALL.map(Failure::Extended));
+        for f in fixed {
+            assert_eq!(Failure::from_slug(&f.slug()), Some(f), "{f:?}");
+        }
+        for bad in ["", "tc5", "TC1", "-"] {
+            assert_eq!(Failure::from_slug(bad), None, "{bad:?}");
+        }
+        let flaps = Failure::Flaps { at: FailureCase::Tc2, flaps: 6, period: millis(80) };
+        assert_eq!(flaps.slug(), "flap-tc2-6x80000000");
+    }
+
+    #[test]
+    fn a_flap_train_alternates_down_and_up_on_one_interface() {
+        let fabric = Fabric::build(ClosParams::two_pod());
+        let (node, port) = fabric.failure_point(FailureCase::Tc2);
+        let train = Failure::Flaps { at: FailureCase::Tc2, flaps: 2, period: 10 };
+        let want: Vec<FaultEvent> = [(0, false), (10, true), (20, false), (30, true)]
+            .into_iter()
+            .map(|(at, up)| FaultEvent { at, node, port, up })
+            .collect();
+        assert_eq!(train.transitions(&fabric), want);
+        assert!(Failure::None.transitions(&fabric).is_empty());
+        let crash = Failure::from(ExtendedCase::TopSpineCrash).transitions(&fabric);
+        assert_eq!(crash.len(), fabric.ports[fabric.top_spine(0)].len());
+        assert!(crash.iter().all(|e| e.at == 0 && !e.up));
     }
 
     /// Literal keys: a store written by one revision is only comparable
@@ -308,18 +404,5 @@ mod tests {
              advertise_interval: 1000000000 };\
              bgp_ka=-;bgp_hold=-;bfd_tx=50000000;fast_path=1;local_repair=1"
         );
-    }
-
-    #[test]
-    fn scheduler_backends_produce_identical_metrics() {
-        let base = RunSpec::new(ClosParams::two_pod(), Stack::Mrmtp)
-            .failing(FailureCase::Tc4)
-            .seeded(3);
-        let wheel = base.with_scheduler(SchedulerKind::Wheel).run();
-        let heap = base.with_scheduler(SchedulerKind::Heap).run();
-        assert_eq!(wheel.convergence_ms, heap.convergence_ms);
-        assert_eq!(wheel.blast_radius, heap.blast_radius);
-        assert_eq!(wheel.control_bytes, heap.control_bytes);
-        assert_eq!(wheel.update_frames, heap.update_frames);
     }
 }

@@ -1,20 +1,22 @@
-//! One experiment: fabric × stack × failure × traffic → metrics.
+//! One experiment: fabric × stack × failure × traffic → metrics, and the
+//! one function ([`execute`]) every scripted harness runs through.
 
 use dcn_metrics::{
     blast_radius, class_breakdown, control_overhead_bytes, convergence_time, keepalive_stats,
     update_frames, KeepaliveStats,
 };
 use dcn_sim::time::{as_millis_f64, millis, secs, Duration, Time};
-use dcn_sim::{NodeId, Sim};
+use dcn_sim::{NodeId, Sim, SimConfig};
 use dcn_telemetry::{
-    capture_dump, hists_jsonl, series_jsonl, spans_jsonl, Json, Telemetry, TraceBundle,
+    capture_dump, hists_jsonl, series_jsonl, spans_jsonl, Json, Telemetry, TelemetryConfig,
+    TraceBundle,
 };
-use dcn_topology::ClosParams;
-use dcn_traffic::{LossReport, SendSpec, TrafficHost};
+use dcn_topology::{Addressing, Fabric};
+use dcn_traffic::{LossReport, SendSpec};
 
-use crate::fabric::{build_sim_full, BuiltSim, Stack};
+use crate::fabric::{assemble, BuiltSim};
 use crate::flows::pin_flow;
-use crate::runspec::RunSpec;
+use crate::runspec::{Failure, RunSpec};
 
 /// Traffic placement relative to the failure chain (the paper's Figs. 7
 /// and 8).
@@ -26,6 +28,25 @@ pub enum TrafficDir {
     NearToFar,
     /// Sender away from the failure points: rack 14 → rack 11 (Fig. 8).
     FarToNear,
+}
+
+impl TrafficDir {
+    pub const ALL: [TrafficDir; 3] = [TrafficDir::None, TrafficDir::NearToFar, TrafficDir::FarToNear];
+
+    /// CLI-safe identifier: the `fcr` direction argument, the spec-file
+    /// and store spelling, and the `traffic=` field of [`RunSpec::key`].
+    pub fn slug(self) -> &'static str {
+        match self {
+            TrafficDir::None => "none",
+            TrafficDir::NearToFar => "near",
+            TrafficDir::FarToNear => "far",
+        }
+    }
+
+    /// Inverse of [`TrafficDir::slug`].
+    pub fn from_slug(s: &str) -> Option<TrafficDir> {
+        TrafficDir::ALL.into_iter().find(|dir| dir.slug() == s)
+    }
 }
 
 /// Experiment timeline. Defaults mirror the paper's procedure: let the
@@ -125,30 +146,41 @@ pub struct InstrumentedRun {
 }
 
 /// Run one spec to completion.
-pub fn run(spec: impl Into<RunSpec>) -> ScenarioResult {
-    run_inner(&spec.into(), &mut None).0
+pub fn run(spec: RunSpec) -> ScenarioResult {
+    run_with_sim(spec).0
 }
 
-/// [`run`] with the spec's telemetry sink attached: identical event
-/// processing (sampling only reads state between event batches), plus a
-/// sampled registry and the live simulation handed back for export. A
-/// spec without an explicit sink samples at the default cadence.
-pub fn run_instrumented(spec: impl Into<RunSpec>) -> InstrumentedRun {
-    let spec = spec.into();
-    let mut tel = Some(Telemetry::new(spec.telemetry.unwrap_or_default()));
-    let (result, built) = run_inner(&spec, &mut tel);
-    InstrumentedRun {
-        result,
-        telemetry: tel.expect("telemetry preserved"),
-        built,
-        failure_at: spec.failure.map(|_| spec.timing.failure_at()),
-    }
+/// [`run`] handing back the finished simulation alongside the metrics, for
+/// callers that go on to read the trace, the routers' tables or the
+/// engine profile.
+pub fn run_with_sim(spec: RunSpec) -> (ScenarioResult, BuiltSim) {
+    execute(Fabric::build(spec.params), &spec, SimConfig::default(), None)
+}
+
+/// Run one spec to completion and return the trace digest of the finished
+/// simulation: the equivalence contract surface. For a given spec the
+/// digest must be bit-identical whatever [`SimConfig`] executes it.
+pub fn run_digest(spec: RunSpec) -> u64 {
+    crate::chaos::trace_digest(&run_with_sim(spec).1.sim)
+}
+
+/// [`run`] with the telemetry sampler attached at its default cadence:
+/// identical event processing (sampling only reads state between event
+/// batches), plus a sampled registry and the live simulation handed back
+/// for export.
+pub fn run_instrumented(spec: RunSpec) -> InstrumentedRun {
+    let mut telemetry = Telemetry::new(TelemetryConfig::default());
+    let fabric = Fabric::build(spec.params);
+    let (result, built) = execute(fabric, &spec, SimConfig::default(), Some(&mut telemetry));
+    let failure_at = (spec.failure != Failure::None).then(|| spec.timing.failure_at());
+    InstrumentedRun { result, telemetry, built, failure_at }
 }
 
 /// Advance the simulation, sampling telemetry on its cadence when
-/// attached. Both paths process the same events in the same order.
-pub(crate) fn advance(sim: &mut Sim, until: Time, tel: &mut Option<Telemetry>) {
-    match tel.as_mut() {
+/// attached. Both paths process the same events in the same order. The
+/// only place a harness moves simulated time.
+pub(crate) fn advance(sim: &mut Sim, until: Time, tel: Option<&mut Telemetry>) {
+    match tel {
         Some(t) => dcn_telemetry::run_sampled(sim, until, t),
         None => sim.run_until(until),
     }
@@ -169,10 +201,8 @@ pub fn bundle_from_run(run: &InstrumentedRun, spec: &RunSpec) -> TraceBundle {
         ("series", Json::UInt(run.telemetry.registry().series_count() as u64)),
         ("end_ns", Json::UInt(sim.now())),
     ];
-    if let Some(tc) = spec.failure {
-        meta.push(("failure", Json::str(tc.label())));
-    }
     if let Some(t0) = run.failure_at {
+        meta.push(("failure", Json::str(spec.failure.label())));
         meta.push(("failure_at_ns", Json::UInt(t0)));
     }
     if let Some(c) = run.result.convergence_ms {
@@ -197,63 +227,59 @@ pub fn bundle_from_run(run: &InstrumentedRun, spec: &RunSpec) -> TraceBundle {
     b
 }
 
-fn run_inner(s: &RunSpec, tel: &mut Option<Telemetry>) -> (ScenarioResult, BuiltSim) {
+/// The executor: build `fabric` running `s.stack`, pin the monitored flow
+/// onto the failure chain, warm up, schedule the failure's transitions,
+/// run the timeline out and extract the paper's metrics.
+///
+/// `fabric` is normally `Fabric::build(s.params)`; the four-tier
+/// comparison passes [`Fabric::build_four_tier`] with `s.params` its
+/// per-PoD shape. `config` and `tel` are *how* the run executes and must
+/// not change what it computes.
+pub fn execute(
+    fabric: Fabric,
+    s: &RunSpec,
+    config: SimConfig,
+    mut tel: Option<&mut Telemetry>,
+) -> (ScenarioResult, BuiltSim) {
     let timing = s.timing;
-    // Traffic setup. The monitored flow is pinned to the failure chain
-    // exactly as the paper's test design requires (§VI-D).
-    let mut senders = Vec::new();
-    let fabric_probe = dcn_topology::Fabric::build(s.params);
-    let addr_probe = dcn_topology::Addressing::new(&fabric_probe);
-    let near_tor = fabric_probe.tor(0, 0);
-    let far_tor = fabric_probe.tor(1, s.params.tors_per_pod - 1);
-    let near_ip = addr_probe.server_addr(near_tor, 0).expect("near server");
-    let far_ip = addr_probe.server_addr(far_tor, 0).expect("far server");
-    let widths = [s.params.spines_per_pod, s.params.uplinks_per_spine];
-    let (src_node, dst_node, src_ip, dst_ip) = match s.traffic {
-        TrafficDir::None => (0, 0, near_ip, far_ip),
-        TrafficDir::NearToFar => (
-            fabric_probe.server(0, 0, 0),
-            fabric_probe.server(1, s.params.tors_per_pod - 1, 0),
-            near_ip,
-            far_ip,
-        ),
-        TrafficDir::FarToNear => (
-            fabric_probe.server(1, s.params.tors_per_pod - 1, 0),
-            fabric_probe.server(0, 0, 0),
-            far_ip,
-            near_ip,
-        ),
-    };
-    if s.traffic != TrafficDir::None {
-        let (sp, dp) = pin_flow(src_ip, dst_ip, &widths);
-        let mut spec = SendSpec::new(dst_ip, timing.traffic_start(), timing.traffic_stop());
-        spec.src_port = sp;
-        spec.dst_port = dp;
+    let addr = Addressing::new(&fabric);
+    // The monitored flow is pinned to the failure chain exactly as the
+    // paper's test design requires (§VI-D): rack 11 ↔ rack 14.
+    let flow = (s.traffic != TrafficDir::None).then(|| {
+        let p = fabric.params;
+        let near = (fabric.server(0, 0, 0), fabric.tor(0, 0));
+        let far = (fabric.server(1, p.tors_per_pod - 1, 0), fabric.tor(1, p.tors_per_pod - 1));
+        let ((src_node, src_tor), (dst_node, dst_tor)) =
+            if s.traffic == TrafficDir::NearToFar { (near, far) } else { (far, near) };
+        let src_ip = addr.server_addr(src_tor, 0).expect("sender address");
+        let dst_ip = addr.server_addr(dst_tor, 0).expect("receiver address");
+        let (sp, dp) = pin_flow(src_ip, dst_ip, &[p.spines_per_pod, p.uplinks_per_spine]);
+        let mut send = SendSpec::new(dst_ip, timing.traffic_start(), timing.traffic_stop());
+        send.src_port = sp;
+        send.dst_port = dp;
         if let Some(interval) = s.traffic_interval {
-            spec.interval = interval;
+            send.interval = interval;
         }
-        senders.push((src_node, spec));
-    }
-
-    let mut built: BuiltSim =
-        build_sim_full(s.params, s.stack, s.seed, &senders, s.tuning, s.scheduler);
+        (src_node, dst_node, send)
+    });
+    let sender = flow.map(|(src, _, send)| (src, send));
+    let mut built = assemble(fabric, addr, s.stack, s.seed, sender.as_slice(), s.tuning, config);
 
     // Phase 1: warmup.
-    advance(&mut built.sim, timing.warmup, tel);
+    advance(&mut built.sim, timing.warmup, tel.as_deref_mut());
     // Steady-state keep-alive window: the last 2 s of warmup.
     let ka_window = (timing.warmup.saturating_sub(secs(2)), timing.warmup);
 
     // Phase 2: failure injection (if any) and measurement.
     let failure_at = timing.failure_at();
-    if let Some(tc) = s.failure {
-        built.inject_failure(tc, failure_at);
-    }
+    let transitions = s.failure.transitions(&built.fabric);
+    built.schedule_faults(failure_at, &transitions);
     advance(&mut built.sim, timing.end(), tel);
 
     // Metrics extraction.
     let trace = built.sim.trace();
     let keepalive = keepalive_stats(trace, ka_window.0, ka_window.1);
-    let (convergence_ms, blast, control, frames) = if s.failure.is_some() {
+    let (convergence_ms, blast, control, frames) = if s.failure != Failure::None {
         (
             convergence_time(trace, failure_at).map(as_millis_f64),
             blast_radius(trace, failure_at),
@@ -267,14 +293,7 @@ fn run_inner(s: &RunSpec, tel: &mut Option<Telemetry>) -> (ScenarioResult, Built
         .into_iter()
         .map(|(k, (f, b))| (k, f, b))
         .collect();
-    let loss = (s.traffic != TrafficDir::None).then(|| {
-        let sent = built.host(src_node).sent();
-        built
-            .sim
-            .node_as::<TrafficHost>(built.node(dst_node))
-            .expect("receiver host")
-            .report(sent)
-    });
+    let loss = flow.map(|(src, dst, _)| built.host(dst).report(built.host(src).sent()));
 
     let result = ScenarioResult {
         convergence_ms,
@@ -288,37 +307,11 @@ fn run_inner(s: &RunSpec, tel: &mut Option<Telemetry>) -> (ScenarioResult, Built
     (result, built)
 }
 
-/// Run one spec to completion and return the trace digest of the finished
-/// simulation. This is the scheduler-equivalence contract surface: for a
-/// given spec, the digest must be bit-identical whichever backend
-/// [`RunSpec::with_scheduler`] selects.
-pub fn run_digest(spec: impl Into<RunSpec>) -> u64 {
-    let (_, built) = run_inner(&spec.into(), &mut None);
-    crate::chaos::trace_digest(&built.sim)
-}
-
-/// [`run`] handing back the finished simulation alongside the metrics —
-/// the campaign orchestrator uses this to extract the trace digest,
-/// storyboard and engine profile from a single run without re-executing.
-pub fn run_with_sim(spec: impl Into<RunSpec>) -> (ScenarioResult, BuiltSim) {
-    run_inner(&spec.into(), &mut None)
-}
-
-/// Convenience: a quick steady-state run (no failure) for keep-alive
-/// analysis, with a shorter timeline.
-#[deprecated(
-    since = "0.9.0",
-    note = "use RunSpec::new(params, stack).seeded(seed).timed(Timing::steady()).run()"
-)]
-pub fn run_steady_state(params: ClosParams, stack: Stack, seed: u64) -> ScenarioResult {
-    RunSpec::new(params, stack).seeded(seed).timed(Timing::steady()).run()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcn_telemetry::TelemetryConfig;
-    use dcn_topology::FailureCase;
+    use crate::fabric::Stack;
+    use dcn_topology::{ClosParams, FailureCase};
 
     #[test]
     fn mrmtp_tc4_scenario_end_to_end() {
@@ -344,9 +337,7 @@ mod tests {
 
     #[test]
     fn instrumented_run_matches_bare_metrics_and_storyboards() {
-        let s = RunSpec::new(ClosParams::two_pod(), Stack::Mrmtp)
-            .failing(FailureCase::Tc1)
-            .with_telemetry(TelemetryConfig::default());
+        let s = RunSpec::new(ClosParams::two_pod(), Stack::Mrmtp).failing(FailureCase::Tc1);
         let bare = run(s);
         let ir = run_instrumented(s);
 

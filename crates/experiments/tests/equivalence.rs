@@ -10,18 +10,31 @@
 //!
 //! For every paper failure case on both protocol stacks, and for
 //! randomized chaos schedules, a run's trace digest must be
-//! bit-identical whichever variant the spec selects — same events, same
-//! order, same bytes on the wire.
+//! bit-identical whichever variant executes it — same events, same
+//! order, same bytes on the wire. The scheduler backend is *how* a run
+//! executes, so it is selected the way every engine option is: by the
+//! `SimConfig` handed to the executor. The fast path is router tuning,
+//! part of the spec's `StackTuning`.
 
-use dcn_experiments::chaos::{run_chaos, trace_digest};
-use dcn_experiments::{run_digest, ChaosConfig, RunSpec, Stack, TrafficDir};
+use dcn_experiments::chaos::{run_chaos, run_chaos_with, trace_digest};
+use dcn_experiments::scenario::execute;
+use dcn_experiments::{run_digest, ChaosConfig, RunSpec, Stack, StackTuning, TrafficDir};
 use dcn_sim::time::{MICROS, MILLIS, SECONDS};
-use dcn_sim::{Impairment, SchedulerKind};
-use dcn_topology::{ClosParams, FailureCase};
+use dcn_sim::{Impairment, SchedulerKind, SimConfig};
+use dcn_telemetry::{Telemetry, TelemetryConfig};
+use dcn_topology::{ClosParams, Fabric, FailureCase};
+
+fn backend(scheduler: SchedulerKind) -> SimConfig {
+    SimConfig { scheduler, ..SimConfig::default() }
+}
+
+fn digest_on(spec: RunSpec, scheduler: SchedulerKind) -> u64 {
+    trace_digest(&execute(Fabric::build(spec.params), &spec, backend(scheduler), None).1.sim)
+}
 
 fn digests_match(spec: RunSpec) {
-    let heap = run_digest(spec.with_scheduler(SchedulerKind::Heap));
-    let wheel = run_digest(spec.with_scheduler(SchedulerKind::Wheel));
+    let heap = digest_on(spec, SchedulerKind::Heap);
+    let wheel = digest_on(spec, SchedulerKind::Wheel);
     assert_eq!(heap, wheel, "backends diverged for {spec:?}");
 }
 
@@ -73,10 +86,8 @@ fn quick_chaos() -> ChaosConfig {
 #[test]
 fn chaos_seeds_digest_identically_across_backends() {
     for seed in [11u64, 12, 13] {
-        let heap_cfg = ChaosConfig { scheduler: SchedulerKind::Heap, ..quick_chaos() };
-        let wheel_cfg = ChaosConfig { scheduler: SchedulerKind::Wheel, ..quick_chaos() };
-        let heap = run_chaos(seed, Stack::Mrmtp, &heap_cfg);
-        let wheel = run_chaos(seed, Stack::Mrmtp, &wheel_cfg);
+        let run = |kind| run_chaos_with(seed, Stack::Mrmtp, &quick_chaos(), backend(kind), None).0;
+        let (heap, wheel) = (run(SchedulerKind::Heap), run(SchedulerKind::Wheel));
         assert_eq!(
             heap.digest, wheel.digest,
             "chaos seed {seed}: backends diverged"
@@ -132,14 +143,13 @@ fn fast_path_digest_identical_under_chaos() {
     // Chaos adds loss, corruption, jitter, flaps, and crashes — the
     // fast path must shrug all of it off (corrupted frames drop their
     // metadata in transit and fall back to the slow path).
-    for seed in [21u64, 22] {
-        let on = run_chaos(seed, Stack::Mrmtp, &ChaosConfig { fast_path: true, ..quick_chaos() });
-        let off = run_chaos(seed, Stack::Mrmtp, &ChaosConfig { fast_path: false, ..quick_chaos() });
-        assert_eq!(on.digest, off.digest, "chaos seed {seed}: fast path diverged");
+    let slow = StackTuning { fast_path: false, ..StackTuning::default() };
+    let slow_cfg = ChaosConfig { tuning: slow, ..quick_chaos() };
+    for (stack, seed) in [(Stack::Mrmtp, 21u64), (Stack::Mrmtp, 22), (Stack::BgpEcmp, 23)] {
+        let on = run_chaos(seed, stack, &quick_chaos());
+        let off = run_chaos(seed, stack, &slow_cfg);
+        assert_eq!(on.digest, off.digest, "{} chaos seed {seed}: fast path diverged", stack.label());
     }
-    let on = run_chaos(23, Stack::BgpEcmp, &ChaosConfig { fast_path: true, ..quick_chaos() });
-    let off = run_chaos(23, Stack::BgpEcmp, &ChaosConfig { fast_path: false, ..quick_chaos() });
-    assert_eq!(on.digest, off.digest, "chaos seed 23: fast path diverged on BGP");
 }
 
 // ----------------------------------------------------------------------
@@ -199,71 +209,16 @@ fn local_repair_off_matches_pre_change_golden_digests() {
     }
 }
 
-// ----------------------------------------------------------------------
-// Engine profiler: a pure host-clock observer, digests identical on/off
-// ----------------------------------------------------------------------
-
-/// The profiler reads `Instant` and fills pre-sized buffers; it never
-/// touches event content, ordering, or the simulated clock. A profiled
-/// run must therefore produce a bit-identical trace digest.
-fn profiler_invisible(spec: RunSpec) {
-    assert_eq!(
-        run_digest(spec),
-        run_digest(spec.with_profile(true)),
-        "profiler changed the digest for {spec:?}"
-    );
-}
-
-#[test]
-fn profiler_digest_identical_on_mrmtp_tc_cases() {
-    for tc in [FailureCase::Tc1, FailureCase::Tc2, FailureCase::Tc3, FailureCase::Tc4] {
-        profiler_invisible(
-            RunSpec::new(ClosParams::two_pod(), Stack::Mrmtp)
-                .failing(tc)
-                .with_traffic(TrafficDir::NearToFar),
-        );
-    }
-}
-
-#[test]
-fn profiler_digest_identical_on_bgp_tc_cases() {
-    for tc in [FailureCase::Tc1, FailureCase::Tc2, FailureCase::Tc3, FailureCase::Tc4] {
-        profiler_invisible(
-            RunSpec::new(ClosParams::two_pod(), Stack::BgpEcmp)
-                .failing(tc)
-                .with_traffic(TrafficDir::FarToNear),
-        );
-    }
-}
-
-#[test]
-fn profiler_digest_identical_under_chaos() {
-    // Loss, corruption, jitter, flaps, and crashes: the profiler's
-    // counters must stay a read-only side channel.
-    for (stack, seed) in [(Stack::Mrmtp, 11u64), (Stack::BgpEcmp, 12)] {
-        let bare = run_chaos(seed, stack, &quick_chaos());
-        let profiled = run_chaos(seed, stack, &ChaosConfig { profile: true, ..quick_chaos() });
-        assert_eq!(
-            bare.digest,
-            profiled.digest,
-            "{} chaos seed {seed}: profiler changed the digest",
-            stack.label(),
-        );
-    }
-}
-
 #[test]
 fn steady_state_digest_identical_without_failure() {
+    // Both halves of "how": each backend, with the sampler attached.
     let spec = RunSpec::new(ClosParams::two_pod(), Stack::Mrmtp);
-    let heap = {
-        let s = spec.with_scheduler(SchedulerKind::Heap);
-        let ir = dcn_experiments::run_instrumented(s);
-        trace_digest(&ir.built.sim)
+    let sampled = |kind| {
+        let mut tel = Telemetry::new(TelemetryConfig::default());
+        let fabric = Fabric::build(spec.params);
+        trace_digest(&execute(fabric, &spec, backend(kind), Some(&mut tel)).1.sim)
     };
-    let wheel = {
-        let s = spec.with_scheduler(SchedulerKind::Wheel);
-        let ir = dcn_experiments::run_instrumented(s);
-        trace_digest(&ir.built.sim)
-    };
+    let (heap, wheel) = (sampled(SchedulerKind::Heap), sampled(SchedulerKind::Wheel));
     assert_eq!(heap, wheel, "telemetry-instrumented runs diverged");
+    assert_eq!(heap, run_digest(spec), "the sampler or the backend changed the digest");
 }

@@ -69,12 +69,6 @@ pub struct SimConfig {
     /// Event-scheduler backend. Both orders are bit-identical; the wheel
     /// is the fast default, the heap the reference for equivalence tests.
     pub scheduler: SchedulerKind,
-    /// Record an [`EngineProfile`] (events, wall time, per-node event
-    /// counts, scheduler occupancy — see [`crate::profiler`]). Durations
-    /// come from the host's monotonic clock only, so the simulated run —
-    /// trace, counters, digests — is bit-identical with this on or off.
-    /// Collect the result with [`Sim::take_profile`].
-    pub profile: bool,
 }
 
 impl Default for SimConfig {
@@ -84,7 +78,6 @@ impl Default for SimConfig {
             carrier_latency: 500 * MICROS,
             impairment: Impairment::none(),
             scheduler: SchedulerKind::default(),
-            profile: false,
         }
     }
 }
@@ -183,7 +176,7 @@ impl SimBuilder {
                 ]
             })
             .collect();
-        let prof = self.config.profile.then(|| Box::new(EngineProfile::new(nodes.len())));
+        let prof = EngineProfile::new(nodes.len());
         Sim {
             core: Core {
                 time: 0,
@@ -227,24 +220,20 @@ struct Core {
     frames_delivered: u64,
     frames_lost_to_impairment: u64,
     frames_corrupted: u64,
-    /// Runtime profile, when [`SimConfig::profile`] is set. Pure
-    /// observer — dispatch never reads it.
-    prof: Option<Box<EngineProfile>>,
+    /// Runtime profile ([`crate::profiler`]). Pure observer — dispatch
+    /// never reads it.
+    prof: EngineProfile,
 }
 
 impl Core {
     /// Run until simulated time reaches `t` (inclusive of events at `t`).
     fn run_until(&mut self, t: Time) {
-        let span = self.prof.as_ref().map(|_| (Instant::now(), self.events_processed));
+        let t0 = Instant::now();
         while let Some(s) = self.queue.pop_due(t) {
             self.dispatch(s);
         }
         self.time = self.time.max(t);
-        if let Some((t0, ev0)) = span {
-            let prof = self.prof.as_mut().expect("profiling enabled");
-            prof.wall_ns += t0.elapsed().as_nanos() as u64;
-            prof.events += self.events_processed - ev0;
-        }
+        self.prof.wall_ns += t0.elapsed().as_nanos() as u64;
     }
 
     /// Mint the key for an event created while dispatching at `node`.
@@ -260,11 +249,9 @@ impl Core {
         self.time = s.time;
         let event = s.event;
         self.events_processed += 1;
-        if let Some(prof) = &mut self.prof {
-            // Hot-node attribution: a counter bump into a pre-sized
-            // vector (zero-alloc safe).
-            prof.node_events[event.node().index()] += 1;
-        }
+        // Hot-node attribution: a counter bump into a vector sized at
+        // build (zero-alloc safe).
+        self.prof.node_events[event.node().index()] += 1;
         match event {
             Event::Start { node } => {
                 self.with_proto(node, |proto, ctx| proto.on_start(ctx));
@@ -573,18 +560,14 @@ impl Sim {
             .and_then(|p| p.as_any_mut().downcast_mut::<T>())
     }
 
-    /// Whether the engine is recording a runtime profile.
-    pub fn profiling(&self) -> bool {
-        self.core.prof.is_some()
-    }
-
-    /// Consume the runtime profile accumulated so far, with the queue's
-    /// occupancy stats as of now. `None` unless [`SimConfig::profile`]
-    /// was set; profiling stops once taken.
-    pub fn take_profile(&mut self) -> Option<EngineProfile> {
-        let mut prof = *self.core.prof.take()?;
-        prof.sched = self.core.queue.stats();
-        Some(prof)
+    /// The runtime profile accumulated so far, with the queue's occupancy
+    /// stats as of now.
+    pub fn profile(&self) -> EngineProfile {
+        EngineProfile {
+            events: self.core.events_processed,
+            sched: self.core.queue.stats(),
+            ..self.core.prof.clone()
+        }
     }
 
     /// Schedule an interface failure (the paper's failure-injection bash
@@ -1073,18 +1056,6 @@ mod tests {
         assert_eq!(run(7), run(7));
     }
 
-    /// Full observable fingerprint of a run: every counter plus the
-    /// rendered trace (which embeds times, nodes, ports, lengths).
-    fn fingerprint(sim: &Sim) -> (u64, u64, u64, u64, Vec<String>) {
-        (
-            sim.events_processed(),
-            sim.frames_delivered(),
-            sim.frames_corrupted(),
-            sim.frames_lost_to_impairment(),
-            sim.trace().events().iter().map(|e| format!("{e:?}")).collect(),
-        )
-    }
-
     /// Resends every received frame back out its arrival port.
     struct Bouncer;
     impl Protocol for Bouncer {
@@ -1102,35 +1073,27 @@ mod tests {
     }
 
     #[test]
-    fn profiler_is_invisible_and_accounts_every_event() {
-        let run = |profile: bool| {
-            let cfg = SimConfig { profile, ..SimConfig::default() };
-            let mut b = SimBuilder::with_config(23, cfg);
-            let s0 = b.add_node("s0", Box::new(Sender));
-            let e0 = b.add_node("e0", Box::new(Bouncer));
-            let e1 = b.add_node("e1", Box::new(Echo::new()));
-            let s1 = b.add_node("s1", Box::new(Sender));
-            b.add_link(s0, e0, LinkSpec::default());
-            b.add_link(e0, e1, LinkSpec::default());
-            b.add_link(e1, s1, LinkSpec::default());
-            let mut sim = b.build();
-            sim.schedule_port_down(3_500_000, e0, PortId(1));
-            sim.schedule_port_up(5_500_000, e0, PortId(1));
-            // Two spans: the profile accumulates across `run_until` calls.
-            sim.run_until(4_000_000);
-            sim.run_until(10_500_000);
-            let prof = sim.take_profile();
-            (fingerprint(&sim), prof)
-        };
-        let (off, no_prof) = run(false);
-        assert!(no_prof.is_none(), "no profile unless requested");
-
-        let (on, prof) = run(true);
-        assert_eq!(off, on, "a profiled run must be bit-identical");
-        let p = prof.expect("profile recorded");
-        assert_eq!(p.total_events(), off.0, "every dispatch counted");
-        assert_eq!(p.node_events.iter().sum::<u64>(), off.0, "every dispatch attributed");
+    fn profiler_accounts_every_event() {
+        let mut b = SimBuilder::new(23);
+        let s0 = b.add_node("s0", Box::new(Sender));
+        let e0 = b.add_node("e0", Box::new(Bouncer));
+        let e1 = b.add_node("e1", Box::new(Echo::new()));
+        let s1 = b.add_node("s1", Box::new(Sender));
+        b.add_link(s0, e0, LinkSpec::default());
+        b.add_link(e0, e1, LinkSpec::default());
+        b.add_link(e1, s1, LinkSpec::default());
+        let mut sim = b.build();
+        sim.schedule_port_down(3_500_000, e0, PortId(1));
+        sim.schedule_port_up(5_500_000, e0, PortId(1));
+        // Two spans: the profile accumulates across `run_until` calls.
+        sim.run_until(4_000_000);
+        sim.run_until(10_500_000);
+        let p = sim.profile();
+        let events = sim.events_processed();
+        assert!(events > 0);
+        assert_eq!(p.total_events(), events, "every dispatch counted");
+        assert_eq!(p.node_events.iter().sum::<u64>(), events, "every dispatch attributed");
         assert!(p.wall_ns > 0);
-        assert!(p.sched.pushes >= off.0 && p.sched.max_pending > 0);
+        assert!(p.sched.pushes >= events && p.sched.max_pending > 0);
     }
 }

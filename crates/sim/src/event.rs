@@ -6,9 +6,10 @@
 //! rather than a global insertion sequence, so the order does not depend
 //! on how the queue is implemented.
 //!
-//! [`EventQueue`] is the reference binary heap;
-//! [`crate::wheel::TimerWheel`] is the two-tier scheduler (near ring + far
-//! heap) used by default. The [`Scheduler`] enum dispatches between them;
+//! `EventQueue` is the reference binary heap; `wheel::TimerWheel` is the
+//! two-tier scheduler (near ring + far heap) used by default. The
+//! `Scheduler` enum dispatches between them ([`crate::SchedulerKind`]
+//! selects);
 //! the equivalence suite in `dcn-experiments` asserts their pop streams
 //! are bit-identical.
 

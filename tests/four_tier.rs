@@ -4,17 +4,28 @@
 //! for MR-MTP ("the scheme can easily scale to any number of spine
 //! tiers").
 
-use dcn_experiments::{build_four_tier_sim, Stack};
+use dcn_experiments::{build_fabric_sim_cfg, BuiltSim, Stack, StackTuning};
 use dcn_mrmtp::MrmtpRouter;
 use dcn_sim::time::secs;
-use dcn_sim::{NodeId, PortId};
-use dcn_topology::{FailureCase, FourTierParams, PortKind};
+use dcn_sim::{NodeId, PortId, SimConfig};
+use dcn_topology::{Fabric, FailureCase, FourTierParams, PortKind};
 use dcn_traffic::{SendSpec, TrafficHost};
+
+/// The four-tier fabric under the paper's default timers and engine.
+fn four_tier_sim(
+    p4: FourTierParams,
+    stack: Stack,
+    seed: u64,
+    senders: &[(usize, SendSpec)],
+) -> BuiltSim {
+    let fabric = Fabric::build_four_tier(p4);
+    build_fabric_sim_cfg(fabric, stack, seed, senders, StackTuning::default(), SimConfig::default())
+}
 
 #[test]
 fn mrmtp_builds_depth_four_meshed_trees() {
     let p4 = FourTierParams::small();
-    let mut built = build_four_tier_sim(p4, Stack::Mrmtp, 1, &[]);
+    let mut built = four_tier_sim(p4, Stack::Mrmtp, 1, &[]);
     built.sim.run_until(secs(3));
     // Zone spines hold one VID per ToR in their zone (4 racks/zone).
     let zs = built.mrmtp(built.fabric.zone_spine(0, 0));
@@ -42,7 +53,7 @@ fn mrmtp_forwards_across_zones() {
     let dst_ip = addr.server_addr(dst_tor, 0).unwrap();
     let mut spec = SendSpec::new(dst_ip, secs(3), secs(4));
     spec.count = 200;
-    let mut built = build_four_tier_sim(p4, Stack::Mrmtp, 1, &[(src, spec)]);
+    let mut built = four_tier_sim(p4, Stack::Mrmtp, 1, &[(src, spec)]);
     built.sim.run_until(secs(5));
     let sent = built.host(src).sent();
     assert_eq!(sent, 200);
@@ -58,7 +69,7 @@ fn mrmtp_forwards_across_zones() {
 #[test]
 fn bgp_converges_on_four_tiers() {
     let p4 = FourTierParams::small();
-    let mut built = build_four_tier_sim(p4, Stack::BgpEcmp, 1, &[]);
+    let mut built = four_tier_sim(p4, Stack::BgpEcmp, 1, &[]);
     built.sim.run_until(secs(6));
     for r in built.fabric.routers() {
         let router = built.bgp(r);
@@ -85,7 +96,7 @@ fn four_tier_failures_stay_contained() {
     // PoD-1-adjacent spines in zone 1 only. The rest of the fabric
     // (other zone!) is untouched.
     let p4 = FourTierParams::small();
-    let mut built = build_four_tier_sim(p4, Stack::Mrmtp, 3, &[]);
+    let mut built = four_tier_sim(p4, Stack::Mrmtp, 3, &[]);
     built.sim.run_until(secs(3));
     let (node, port) = built.fabric.failure_point(FailureCase::Tc4);
     built
