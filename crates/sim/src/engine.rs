@@ -655,6 +655,8 @@ mod tests {
         downs: Vec<(Time, PortId)>,
         ups: Vec<(Time, PortId)>,
         send_on_start: Option<(PortId, Vec<u8>)>,
+        /// Sent again at every timer fire.
+        send_on_timer: Option<(PortId, Vec<u8>)>,
         periodic: Option<Duration>,
     }
 
@@ -666,7 +668,18 @@ mod tests {
                 downs: Vec::new(),
                 ups: Vec::new(),
                 send_on_start: None,
+                send_on_timer: None,
                 periodic: None,
+            }
+        }
+
+        /// An `Echo` that sends an 80-byte frame out of port 0 every
+        /// `every` (first at `every`).
+        fn sending_every(every: Duration) -> Self {
+            Echo {
+                send_on_timer: Some((PortId(0), vec![7; 80])),
+                periodic: Some(every),
+                ..Echo::new()
             }
         }
     }
@@ -685,6 +698,9 @@ mod tests {
         }
         fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
             self.timers.push((ctx.now(), token));
+            if let Some((port, frame)) = &self.send_on_timer {
+                ctx.send(*port, frame.clone(), FrameClass::Data);
+            }
             if let Some(p) = self.periodic {
                 ctx.set_timer(p, token + 1);
             }
@@ -704,9 +720,15 @@ mod tests {
     }
 
     fn two_nodes() -> (Sim, NodeId, NodeId) {
+        two_nodes_with(Echo::new())
+    }
+
+    /// `ea` on node `a`, a plain `Echo` on `b`, one 1 Gb/s link with 1 µs
+    /// propagation, carrier latency 1 µs.
+    fn two_nodes_with(ea: Echo) -> (Sim, NodeId, NodeId) {
         let mut b =
             SimBuilder::with_config(1, SimConfig { carrier_latency: 1000, ..SimConfig::default() });
-        let a = b.add_node("a", Box::new(Echo::new()));
+        let a = b.add_node("a", Box::new(ea));
         let c = b.add_node("b", Box::new(Echo::new()));
         b.add_link(a, c, LinkSpec { propagation: 1000, bandwidth_bps: 1_000_000_000 });
         (b.build(), a, c)
@@ -756,34 +778,55 @@ mod tests {
         assert_eq!(sent, vec![60]);
     }
 
+    /// `FrameSent` instants in the trace and arrival instants at `rx`.
+    fn sent_and_received(sim: &Sim, rx: NodeId) -> (Vec<Time>, Vec<Time>) {
+        let sent = sim
+            .trace()
+            .events()
+            .iter()
+            .filter(|e| matches!(e, TraceEvent::FrameSent { .. }))
+            .map(|e| e.time())
+            .collect();
+        let received = sim.node_as::<Echo>(rx).unwrap().received.iter().map(|r| r.0).collect();
+        (sent, received)
+    }
+
     #[test]
     fn failure_notifies_owner_only_and_drops_frames() {
-        let (mut sim, a, c) = two_nodes();
-        sim.schedule_port_down(10_000, a, PortId(0));
-        sim.run_until(20_000);
+        // `a` sends every 5 µs; its own interface fails at 12 µs.
+        let (mut sim, a, c) = two_nodes_with(Echo::sending_every(5_000));
+        sim.schedule_port_down(12_000, a, PortId(0));
+        sim.run_until(30_000);
         let ea = sim.node_as::<Echo>(a).unwrap();
-        assert_eq!(ea.downs, vec![(11_000, PortId(0))]); // carrier latency 1000
+        assert_eq!(ea.downs, vec![(13_000, PortId(0))]); // carrier latency 1000
+        assert_eq!(ea.timers.len(), 6, "the sender kept trying");
         let eb = sim.node_as::<Echo>(c).unwrap();
         assert!(eb.downs.is_empty(), "remote side must not get carrier events");
+        // A locally-down interface refuses the frame: the sends at 15, 20,
+        // 25 and 30 µs leave no `FrameSent` and nothing arrives. 80 B at
+        // 1 Gb/s = 640 ns + 1 µs propagation.
+        let (sent, received) = sent_and_received(&sim, c);
+        assert_eq!(sent, vec![5_000, 10_000]);
+        assert_eq!(received, vec![6_640, 11_640]);
     }
 
     #[test]
     fn frames_into_dead_link_are_traced_but_lost() {
-        let (mut sim, a, c) = two_nodes();
-        sim.schedule_port_down(10_000, c, PortId(0));
-        sim.run_until(15_000);
-        // a transmits toward b's dead interface.
-        {
-            let ea = sim.node_as_mut::<Echo>(a).unwrap();
-            ea.send_on_start = Some((PortId(0), vec![7; 80]));
-        }
-        // Re-start is not available; drive a send via a manual deliver:
-        // instead use the public API — schedule another node... simplest:
-        // bring the port back up and check recovery delivery works.
-        sim.schedule_port_up(20_000, c, PortId(0));
-        sim.run_until(30_000);
+        // `a` sends every 10 µs toward `b`, whose interface is down from
+        // 15 µs to 25 µs. `a` hears nothing of it, so the frame at 20 µs
+        // leaves `a` (one `FrameSent`) and dies on the wire; delivery
+        // resumes with the frame at 30 µs.
+        let (mut sim, a, c) = two_nodes_with(Echo::sending_every(10_000));
+        sim.schedule_port_down(15_000, c, PortId(0));
+        sim.schedule_port_up(25_000, c, PortId(0));
+        sim.run_until(35_000);
+        let (sent, received) = sent_and_received(&sim, c);
+        assert_eq!(sent, vec![10_000, 20_000, 30_000]);
+        assert_eq!(received, vec![11_640, 31_640]);
+        assert!(sim.node_as::<Echo>(a).unwrap().downs.is_empty());
         let eb = sim.node_as::<Echo>(c).unwrap();
-        assert_eq!(eb.ups, vec![(21_000, PortId(0))]);
+        assert_eq!(eb.downs, vec![(16_000, PortId(0))]);
+        assert_eq!(eb.ups, vec![(26_000, PortId(0))]);
     }
 
     #[test]

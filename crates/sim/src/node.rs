@@ -147,10 +147,13 @@ impl<'a> Ctx<'a> {
             .map(|(i, _)| PortId(i as u16))
     }
 
-    /// Transmit a frame. Frames sent on a down or unconnected port are
-    /// counted in the trace (the NIC driver accepted them) but silently
-    /// dropped by the engine, mirroring a real kernel's behaviour with a
-    /// carrier-less interface.
+    /// Transmit a frame. A port that is *locally* down (or out of range)
+    /// refuses it the way a kernel refuses a downed interface: no
+    /// [`TraceEvent::FrameSent`], no transmitter time, nothing delivered.
+    /// While only the *remote* interface is down the sender cannot know:
+    /// the frame leaves this node — it is traced and occupies the
+    /// transmitter — and is lost on the wire. This asymmetry is the one
+    /// the paper's TC1/TC3 vs TC2/TC4 analysis hinges on (DESIGN.md §1).
     pub fn send(&mut self, port: PortId, frame: impl Into<FrameBuf>, class: FrameClass) {
         self.out.push(Action::Send { port, frame: frame.into(), class, meta: None });
     }
