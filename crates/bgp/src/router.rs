@@ -750,7 +750,10 @@ impl BgpRouter {
             self.repair_noted = false;
         }
         let mut note_repair = None;
-        {
+        // The scope brackets the router's decision, header rewrite
+        // included; it closes before the hand-off because `send_meta` acts
+        // on the engine at once and the scheduler push is engine work.
+        let (port, out, repaired) = {
             let _scope = alloc_track::scope();
             // Local fast reroute: a not-yet-repaired packet may be
             // steered around a locally-dead egress; a repaired one gets
@@ -788,14 +791,11 @@ impl BgpRouter {
                 out[IP + 10..IP + 12].copy_from_slice(&csum.to_be_bytes());
             });
             self.stats.data_forwarded += 1;
-            ctx.send_meta(
-                port,
-                out,
-                FrameClass::Data,
-                FrameMeta::Ipv4Data { dst, flow, ttl: ttl - 1, repaired: repaired || fixed },
-            );
-            alloc_track::note_forward();
-        }
+            (port, out, repaired || fixed)
+        };
+        let meta = FrameMeta::Ipv4Data { dst, flow, ttl: ttl - 1, repaired };
+        ctx.send_meta(port, out, FrameClass::Data, meta);
+        alloc_track::note_forward();
         if let Some(port) = note_repair {
             ctx.trace_span(SpanEvent::LocalRepair { port });
         }

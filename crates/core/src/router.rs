@@ -1004,7 +1004,10 @@ impl StatsSnapshot for MrmtpRouter {
 impl Protocol for MrmtpRouter {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         self.started = true;
-        self.router_ports = ctx.connected_ports().filter(|&p| !self.is_host_port(p)).collect();
+        self.router_ports = (0..ctx.port_count())
+            .map(|p| PortId(p as u16))
+            .filter(|&p| !self.is_host_port(p))
+            .collect();
         // Small deterministic jitter decorrelates the routers' tick grids.
         let jitter = ctx.rand_below(millis(1));
         self.tick_timer.start(ctx, TICK + jitter);
@@ -1087,11 +1090,13 @@ impl Protocol for MrmtpRouter {
                     }
                     // Transit: compiled-FIB pick + refcount re-send. The
                     // alloc_track scope is how `tests/zero_alloc.rs` proves
-                    // this block allocates nothing in steady state —
-                    // including with local repair active: the deduped
-                    // repair span is emitted after the scope closes.
+                    // the router's decision allocates nothing in steady
+                    // state — including with local repair active. It closes
+                    // before the hand-off: `send_meta` acts on the engine at
+                    // once, and the scheduler push it ends in is engine
+                    // work; the deduped repair span follows the frame.
                     let mut note_repair = None;
-                    {
+                    let forward = {
                         let _scope = alloc_track::scope();
                         // Local fast reroute: the not-yet-repaired packet
                         // may bounce around a locally-dead egress via the
@@ -1121,25 +1126,23 @@ impl Protocol for MrmtpRouter {
                                     }
                                 }
                                 self.nbr.note_tx(out, ctx.now());
-                                ctx.send_meta(
-                                    out,
-                                    frame.clone(),
-                                    FrameClass::Data,
-                                    FrameMeta::MrmtpData {
-                                        dst_root,
-                                        flow,
-                                        payload_off,
-                                        ip_dst,
-                                        repaired: repaired || fixed,
-                                    },
-                                );
-                                alloc_track::note_forward();
+                                Some((out, frame.clone(), repaired || fixed))
                             }
                             None => {
                                 self.stats.data_dropped += 1;
                                 self.stats.blackholed_in_window += 1;
+                                None
                             }
                         }
+                    };
+                    if let Some((out, frame, repaired)) = forward {
+                        ctx.send_meta(
+                            out,
+                            frame,
+                            FrameClass::Data,
+                            FrameMeta::MrmtpData { dst_root, flow, payload_off, ip_dst, repaired },
+                        );
+                        alloc_track::note_forward();
                     }
                     if let Some(out) = note_repair {
                         ctx.trace_span(SpanEvent::LocalRepair { port: out });

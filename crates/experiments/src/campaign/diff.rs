@@ -69,7 +69,11 @@ impl DiffReport {
         for k in &self.only_b {
             out.push_str(&format!("  only in B: {k}\n"));
         }
-        if !self.has_drift() {
+        if self.compared == 0 {
+            // Not "zero drift": disjoint keys (an empty store, a changed
+            // key spelling) show nothing unchanged.
+            out.push_str("  NOTHING COMPARED: the stores share no run key\n");
+        } else if !self.has_drift() {
             out.push_str("  zero drift\n");
         }
         out

@@ -1,7 +1,7 @@
 //! Fleet-scale campaign orchestration.
 //!
 //! A [`CampaignSpec`] declares a grid over [`RunSpec`] axes (topology ×
-//! stack × failure case × traffic × local repair × seeds); [`run_grid`]
+//! stack × failure case × traffic × local repair × seeds); [`run_to_store`]
 //! expands it and fans every run out across cores through the shared
 //! work-stealing [`pool`]; each finished run lands in an append-only
 //! [`store::Store`] as one [`store::RunRecord`] carrying the canonical
@@ -68,7 +68,8 @@ impl Default for CampaignSpec {
     }
 }
 
-fn dedup<T: PartialEq + Copy>(values: &[T]) -> Vec<T> {
+/// `values` without repeats, first occurrences in order.
+pub fn dedup<T: PartialEq + Copy>(values: &[T]) -> Vec<T> {
     let mut out: Vec<T> = Vec::new();
     for &v in values {
         if !out.contains(&v) {
@@ -260,24 +261,21 @@ pub fn run_one(rs: RunSpec, _profile: bool) -> RunRecord {
     }
 }
 
-/// Expand `spec` and fan every run out over up to `threads` workers
-/// (0 = one per available CPU) through the shared pool. Records come
-/// back in grid order regardless of which worker ran what.
-pub fn run_grid(spec: &CampaignSpec, threads: usize) -> Result<Vec<RunRecord>, String> {
-    let specs = spec.expand()?;
-    Ok(pool::fan_out(specs, threads, |rs| run_one(rs, false)))
-}
-
-/// [`run_grid`] landing in a freshly created store at `dir`.
+/// Expand `spec`, fan every run out over up to `threads` workers
+/// (0 = one per available CPU) through the shared pool, and land the
+/// records in a freshly created store at `dir`. Records come back in
+/// grid order regardless of which worker ran what.
 pub fn run_to_store(
     spec: &CampaignSpec,
     dir: &std::path::Path,
     threads: usize,
 ) -> Result<(Store, Vec<RunRecord>), String> {
-    // Create the store before burning CPU: a bad directory should fail
-    // in milliseconds, not after the grid ran.
+    // Validate, then create the store, then burn CPU: a rejected spec
+    // must leave no store behind, and a bad directory should fail in
+    // milliseconds, not after the grid ran.
+    let specs = spec.expand()?;
     let store = Store::create(dir, &spec.name, spec.to_json(), spec.total_runs())?;
-    let records = run_grid(spec, threads)?;
+    let records = pool::fan_out(specs, threads, |rs| run_one(rs, false));
     store
         .append_all(&records)
         .map_err(|e| format!("append to {}: {e}", dir.display()))?;
@@ -391,6 +389,14 @@ mod tests {
         assert!(empty.expand().is_err());
         let no_axis = CampaignSpec { stacks: vec![], ..CampaignSpec::default() };
         assert!(no_axis.expand().is_err());
+    }
+
+    #[test]
+    fn a_rejected_spec_leaves_no_store_behind() {
+        let dir = std::env::temp_dir().join(format!("campaign-rejected-{}", std::process::id()));
+        let spec = CampaignSpec { seeds: 0, ..CampaignSpec::default() };
+        assert!(run_to_store(&spec, &dir, 1).is_err());
+        assert!(!dir.exists(), "a spec that plans no run must not create {}", dir.display());
     }
 
     #[test]

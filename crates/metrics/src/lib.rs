@@ -165,18 +165,6 @@ pub fn update_frames(trace: &Trace, t0: Time) -> u64 {
     class_bytes(trace, FrameClass::Update, t0, None).frames
 }
 
-/// The failure-injection instants recorded in the trace.
-pub fn failure_instants(trace: &Trace) -> Vec<Time> {
-    trace
-        .events()
-        .iter()
-        .filter_map(|ev| match ev {
-            TraceEvent::PortDown { time, .. } => Some(*time),
-            _ => None,
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -264,12 +252,6 @@ mod tests {
         assert_eq!(b["update"], (3, 60 + 60 + 93));
         assert_eq!(b["ack"], (1, 66));
         assert!(!b.contains_key("data"));
-    }
-
-    #[test]
-    fn failure_instants_found() {
-        let tr = sample_trace();
-        assert_eq!(failure_instants(&tr), vec![100]);
     }
 
     #[test]

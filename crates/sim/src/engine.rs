@@ -5,19 +5,27 @@
 //! counter advances only while that node's events are dispatched, so the
 //! keys — and with them traces, counters and RNG streams — do not depend
 //! on which scheduler backend holds the queue.
+//!
+//! A [`Sim`] keeps the protocols *beside* the dispatch `Core`, not
+//! inside it, so a dispatch borrows one protocol and the whole core
+//! disjointly and the callback's [`Ctx`] can act on the core at once: a
+//! send reaches the link model, a timer the scheduler and a span the
+//! trace in the order the callback made the calls (DESIGN.md §15).
+//! Callbacks still cascade only through the queue — nothing a `Ctx` does
+//! calls a protocol.
 
 use std::any::Any;
 use std::time::Instant;
 
-use dcn_wire::FrameBuf;
+use dcn_wire::{FrameBuf, FrameMeta};
 
 use crate::event::{Event, EventKey, Scheduled, Scheduler, SchedulerKind};
 use crate::link::{Endpoint, Impairment, Link, LinkId, LinkSpec};
-use crate::node::{Action, Ctx, NodeId, PortId, PortView, Protocol};
+use crate::node::{Ctx, NodeId, PortId, PortView, Protocol, StatsSnapshot};
 use crate::profiler::EngineProfile;
 use crate::rng::DetRng;
 use crate::time::{Duration, Time, MICROS};
-use crate::trace::{Trace, TraceEvent};
+use crate::trace::{FrameClass, Trace, TraceEvent};
 
 /// Minimum Ethernet frame length as captured by tshark (without FCS).
 /// Shorter frames are padded on the wire; the trace records the padded
@@ -30,13 +38,13 @@ pub const MIN_WIRE_LEN: u32 = 60;
 /// this base.
 const CHAOS_SALT: u64 = 0xC4A0_51D3_0C4A_051D;
 
-struct NodeSlot {
-    proto: Option<Box<dyn Protocol>>,
+/// Everything the engine keeps per node except the protocol itself.
+pub(crate) struct NodeSlot {
     name: String,
     /// Link attached to each port, in wiring order.
     port_links: Vec<LinkId>,
     /// Per-port view handed to protocol callbacks.
-    views: Vec<PortView>,
+    pub(crate) views: Vec<PortView>,
     /// Target admin state of each port as of the latest scheduled
     /// transition (guards flap schedules against down-on-down /
     /// up-on-up double scheduling).
@@ -47,8 +55,8 @@ struct NodeSlot {
     /// Bit `i` set ⟺ `views[i].up`, for the first 128 ports. Kept in
     /// lockstep with `views` so [`Ctx::port_up_mask`] is a load instead
     /// of a per-port scan on every forwarded packet.
-    up_mask: u128,
-    rng: DetRng,
+    pub(crate) up_mask: u128,
+    pub(crate) rng: DetRng,
     /// Next [`EventKey::counter`] for events this node's dispatches
     /// create. Only this node's own event processing bumps it.
     key_counter: u64,
@@ -89,6 +97,7 @@ pub struct SimBuilder {
     seed: u64,
     config: SimConfig,
     nodes: Vec<NodeSlot>,
+    protos: Vec<Box<dyn Protocol>>,
     links: Vec<Link>,
 }
 
@@ -104,6 +113,7 @@ impl SimBuilder {
             seed,
             config,
             nodes: Vec::new(),
+            protos: Vec::new(),
             links: Vec::new(),
         }
     }
@@ -111,8 +121,8 @@ impl SimBuilder {
     /// Register a node running `proto`. Ports are added later by wiring.
     pub fn add_node(&mut self, name: impl Into<String>, proto: Box<dyn Protocol>) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
+        self.protos.push(proto);
         self.nodes.push(NodeSlot {
-            proto: Some(proto),
             name: name.into(),
             port_links: Vec::new(),
             views: Vec::new(),
@@ -144,7 +154,7 @@ impl SimBuilder {
         let slot = &mut self.nodes[node.index()];
         let p = PortId(slot.port_links.len() as u16);
         slot.port_links.push(link);
-        slot.views.push(PortView { connected: true, up: true });
+        slot.views.push(PortView { up: true });
         if p.index() < 128 {
             slot.up_mask |= 1 << p.index();
         }
@@ -154,14 +164,6 @@ impl SimBuilder {
 
     /// Finalize. Every node receives `on_start` at time zero.
     pub fn build(self) -> Sim {
-        let mut queue = Scheduler::new(self.config.scheduler);
-        let mut nodes = self.nodes;
-        for (i, slot) in nodes.iter_mut().enumerate() {
-            // The start event takes the node's counter 0 slot.
-            let key = EventKey { creator: i as u32, counter: 0 };
-            queue.push(0, key, Event::Start { node: NodeId(i as u32) });
-            slot.key_counter = 1;
-        }
         let mut links = self.links;
         if !self.config.impairment.is_none() {
             for link in &mut links {
@@ -176,43 +178,45 @@ impl SimBuilder {
                 ]
             })
             .collect();
-        let prof = EngineProfile::new(nodes.len());
-        Sim {
-            core: Core {
-                time: 0,
-                queue,
-                nodes,
-                links,
-                chaos,
-                trace: if self.config.trace { Trace::enabled() } else { Trace::disabled() },
-                carrier_latency: self.config.carrier_latency,
-                scratch: Vec::with_capacity(64),
-                periodic_just_set: Vec::new(),
-                events_processed: 0,
-                frames_delivered: 0,
-                frames_lost_to_impairment: 0,
-                frames_corrupted: 0,
-                prof,
-            },
-            ext_counter: 0,
+        let prof = EngineProfile::new(self.nodes.len());
+        let mut core = Core {
+            time: 0,
+            queue: Scheduler::new(self.config.scheduler),
+            nodes: self.nodes,
+            links,
+            chaos,
+            trace: if self.config.trace { Trace::enabled() } else { Trace::disabled() },
+            carrier_latency: self.config.carrier_latency,
+            periodic_just_set: Vec::new(),
+            events_processed: 0,
+            frames_delivered: 0,
+            frames_lost_to_impairment: 0,
+            frames_corrupted: 0,
+            prof,
+        };
+        // The start event takes each node's counter 0 slot.
+        for i in 0..core.nodes.len() {
+            let node = NodeId(i as u32);
+            core.schedule(node, 0, Event::Start { node });
         }
+        Sim { core, protos: self.protos, ext_counter: 0 }
     }
 }
 
-/// The dispatch core: everything event processing reads or writes.
-struct Core {
-    time: Time,
+/// The dispatch core: everything a callback's [`Ctx`] reads or writes —
+/// all of the engine except the protocols.
+pub(crate) struct Core {
+    pub(crate) time: Time,
     queue: Scheduler,
-    nodes: Vec<NodeSlot>,
+    pub(crate) nodes: Vec<NodeSlot>,
     links: Vec<Link>,
     /// Per-(link, direction) impairment streams, index 0 = the `a` side
     /// transmits, so a stream's draws depend only on that sender's
     /// dispatch order.
     chaos: Vec<[DetRng; 2]>,
-    trace: Trace,
+    pub(crate) trace: Trace,
     carrier_latency: Duration,
-    scratch: Vec<Action>,
-    /// Tokens the current callback armed via `set_periodic`, so the
+    /// Tokens the running `on_timer` armed via `set_periodic`, so the
     /// engine's automatic re-arm doesn't double-schedule a tick the
     /// protocol just re-armed itself (e.g. a cadence change).
     periodic_just_set: Vec<u64>,
@@ -226,90 +230,44 @@ struct Core {
 }
 
 impl Core {
-    /// Run until simulated time reaches `t` (inclusive of events at `t`).
-    fn run_until(&mut self, t: Time) {
-        let t0 = Instant::now();
-        while let Some(s) = self.queue.pop_due(t) {
-            self.dispatch(s);
-        }
-        self.time = self.time.max(t);
-        self.prof.wall_ns += t0.elapsed().as_nanos() as u64;
-    }
-
-    /// Mint the key for an event created while dispatching at `node`.
+    /// Queue `event` at `at` under the next key of `node`, the node whose
+    /// dispatch creates it. The one place event keys are minted (external
+    /// injections aside, which carry [`EventKey::EXTERNAL`]).
     #[inline]
-    fn next_key(&mut self, node: NodeId) -> EventKey {
+    fn schedule(&mut self, node: NodeId, at: Time, event: Event) {
         let slot = &mut self.nodes[node.index()];
         let key = EventKey { creator: node.0, counter: slot.key_counter };
         slot.key_counter += 1;
-        key
+        self.queue.push(at, key, event);
     }
 
-    fn dispatch(&mut self, s: Scheduled) {
-        self.time = s.time;
-        let event = s.event;
-        self.events_processed += 1;
-        // Hot-node attribution: a counter bump into a vector sized at
-        // build (zero-alloc safe).
-        self.prof.node_events[event.node().index()] += 1;
-        match event {
-            Event::Start { node } => {
-                self.with_proto(node, |proto, ctx| proto.on_start(ctx));
-            }
-            Event::Timer { node, token } => {
-                self.with_proto(node, |proto, ctx| proto.on_timer(ctx, token));
-                // Engine-managed re-arm of periodic ticks: pushed after the
-                // callback's own actions (exactly where a protocol's
-                // trailing `set_timer` re-arm used to sit), and suppressed
-                // when the callback itself re-armed the token.
-                if !self.periodic_just_set.contains(&token) {
-                    let every = self.nodes[node.index()]
-                        .periodic
-                        .iter()
-                        .find(|(t, _)| *t == token)
-                        .map(|(_, every)| *every);
-                    if let Some(every) = every {
-                        let k = self.next_key(node);
-                        self.queue.push(self.time + every, k, Event::Timer { node, token });
-                    }
-                }
-            }
-            Event::Deliver { node, port, frame, meta } => {
-                // Receiver interface must still be up.
-                if self.nodes[node.index()].views[port.index()].up {
-                    self.frames_delivered += 1;
-                    self.with_proto(node, |proto, ctx| {
-                        proto.on_frame_meta(ctx, port, &frame, meta)
-                    });
-                }
-            }
-            Event::AdminPortDown { node, port } => {
-                self.set_iface(node, port, false);
-                self.trace.push(TraceEvent::PortDown { time: self.time, node, port });
-                let t = self.time + self.carrier_latency;
-                let k = self.next_key(node);
-                self.queue.push(t, k, Event::Carrier { node, port, up: false });
-            }
-            Event::AdminPortUp { node, port } => {
-                self.set_iface(node, port, true);
-                self.trace.push(TraceEvent::PortUp { time: self.time, node, port });
-                let t = self.time + self.carrier_latency;
-                let k = self.next_key(node);
-                self.queue.push(t, k, Event::Carrier { node, port, up: true });
-            }
-            Event::Carrier { node, port, up } => {
-                self.with_proto(node, |proto, ctx| {
-                    if up {
-                        proto.on_port_up(ctx, port);
-                    } else {
-                        proto.on_port_down(ctx, port);
-                    }
-                });
-            }
+    /// [`Ctx::set_timer`].
+    #[inline]
+    pub(crate) fn set_timer(&mut self, node: NodeId, delay: Duration, token: u64) {
+        self.schedule(node, self.time + delay, Event::Timer { node, token });
+    }
+
+    /// [`Ctx::set_periodic`].
+    pub(crate) fn set_periodic(
+        &mut self,
+        node: NodeId,
+        first: Duration,
+        every: Duration,
+        token: u64,
+    ) {
+        let periodic = &mut self.nodes[node.index()].periodic;
+        match periodic.iter_mut().find(|(t, _)| *t == token) {
+            Some(entry) => entry.1 = every,
+            None => periodic.push((token, every)),
         }
+        self.periodic_just_set.push(token);
+        self.set_timer(node, first, token);
     }
 
-    fn set_iface(&mut self, node: NodeId, port: PortId, up: bool) {
+    /// An injected admin transition takes effect: the interface and its
+    /// side of the link change state now, the owner's protocol hears of
+    /// it one carrier latency later, the remote node never.
+    fn admin_port(&mut self, node: NodeId, port: PortId, up: bool) {
         let slot = &mut self.nodes[node.index()];
         slot.views[port.index()].up = up;
         if port.index() < 128 {
@@ -326,72 +284,24 @@ impl Core {
         } else {
             link.b_up = up;
         }
+        let time = self.time;
+        self.trace.push(if up {
+            TraceEvent::PortUp { time, node, port }
+        } else {
+            TraceEvent::PortDown { time, node, port }
+        });
+        self.schedule(node, time + self.carrier_latency, Event::Carrier { node, port, up });
     }
 
-    /// Run a protocol callback with a [`Ctx`], then apply its actions.
-    fn with_proto<F>(&mut self, node: NodeId, f: F)
-    where
-        F: FnOnce(&mut Box<dyn Protocol>, &mut Ctx<'_>),
-    {
-        let mut proto = match self.nodes[node.index()].proto.take() {
-            Some(p) => p,
-            None => return, // node is being inspected externally; drop event
-        };
-        let mut actions = std::mem::take(&mut self.scratch);
-        {
-            let slot = &mut self.nodes[node.index()];
-            let mut ctx = Ctx {
-                now: self.time,
-                node,
-                ports: &slot.views,
-                up_mask: slot.up_mask,
-                out: &mut actions,
-                rng: &mut slot.rng,
-            };
-            // Carrier tokens are engine-internal timers translated into the
-            // dedicated callbacks here.
-            f(&mut proto, &mut ctx);
-        }
-        self.nodes[node.index()].proto = Some(proto);
-        self.apply_actions(node, &mut actions);
-        actions.clear();
-        self.scratch = actions;
-    }
-
-    fn apply_actions(&mut self, node: NodeId, actions: &mut Vec<Action>) {
-        // Actions can cascade only through the queue, never recursively.
-        self.periodic_just_set.clear();
-        for action in actions.drain(..) {
-            match action {
-                Action::Send { port, frame, class, meta } => {
-                    self.transmit(node, port, frame, class, meta)
-                }
-                Action::Timer { delay, token } => {
-                    let k = self.next_key(node);
-                    self.queue.push(self.time + delay, k, Event::Timer { node, token });
-                }
-                Action::Periodic { first, every, token } => {
-                    let slot = &mut self.nodes[node.index()];
-                    match slot.periodic.iter_mut().find(|(t, _)| *t == token) {
-                        Some(entry) => entry.1 = every,
-                        None => slot.periodic.push((token, every)),
-                    }
-                    self.periodic_just_set.push(token);
-                    let k = self.next_key(node);
-                    self.queue.push(self.time + first, k, Event::Timer { node, token });
-                }
-                Action::Trace(ev) => self.trace.push(ev),
-            }
-        }
-    }
-
-    fn transmit(
+    /// [`Ctx::send`] / [`Ctx::send_meta`]: the link model. Never calls a
+    /// protocol — the frame reaches its receiver through the queue.
+    pub(crate) fn transmit(
         &mut self,
         node: NodeId,
         port: PortId,
         mut frame: FrameBuf,
-        class: crate::trace::FrameClass,
-        mut meta: Option<dcn_wire::FrameMeta>,
+        class: FrameClass,
+        mut meta: Option<FrameMeta>,
     ) {
         let slot = &self.nodes[node.index()];
         let Some(&lid) = slot.port_links.get(port.index()) else {
@@ -451,14 +361,17 @@ impl Core {
                 arrive += rng.below(imp.jitter + 1);
             }
         }
-        let key = self.next_key(node);
-        self.queue.push(arrive, key, Event::Deliver { node: peer.node, port: peer.port, frame, meta });
+        let deliver = Event::Deliver { node: peer.node, port: peer.port, frame, meta };
+        self.schedule(node, arrive, deliver);
     }
 }
 
 /// A running simulation.
 pub struct Sim {
     core: Core,
+    /// The protocol of each node, indexed like `core.nodes`. Beside the
+    /// core so a dispatch borrows `protos[i]` and `core` disjointly.
+    protos: Vec<Box<dyn Protocol>>,
     /// Counter for externally injected events ([`EventKey::EXTERNAL`]
     /// creator).
     ext_counter: u64,
@@ -497,10 +410,6 @@ impl Sim {
         &self.core.trace
     }
 
-    pub fn trace_mut(&mut self) -> &mut Trace {
-        &mut self.core.trace
-    }
-
     /// The link attached to `node`'s `port`, if any.
     pub fn link_at(&self, node: NodeId, port: PortId) -> Option<LinkId> {
         self.core.nodes[node.index()].port_links.get(port.index()).copied()
@@ -510,17 +419,6 @@ impl Sim {
     pub fn peer_of(&self, node: NodeId, port: PortId) -> Option<Endpoint> {
         let lid = self.link_at(node, port)?;
         Some(self.core.links[lid.index()].peer_of(node))
-    }
-
-    /// Both endpoints of a link, `a` side first.
-    pub fn link_ends(&self, link: LinkId) -> (Endpoint, Endpoint) {
-        let l = &self.core.links[link.index()];
-        (l.a, l.b)
-    }
-
-    /// Physical characteristics of a link.
-    pub fn link_spec(&self, link: LinkId) -> LinkSpec {
-        self.core.links[link.index()].spec
     }
 
     /// Number of ports on `node`.
@@ -535,29 +433,19 @@ impl Sim {
     }
 
     /// Uniform counter/gauge access to a node's protocol, if it exposes
-    /// one (routers do; traffic hosts don't). See
-    /// [`crate::node::StatsSnapshot`].
-    pub fn stats_snapshot_of(&self, node: NodeId) -> Option<&dyn crate::node::StatsSnapshot> {
-        self.core.nodes[node.index()]
-            .proto
-            .as_ref()
-            .and_then(|p| p.stats_snapshot())
+    /// one (routers do; traffic hosts don't). See [`StatsSnapshot`].
+    pub fn stats_snapshot_of(&self, node: NodeId) -> Option<&dyn StatsSnapshot> {
+        self.protos[node.index()].stats_snapshot()
     }
 
     /// Downcast a node's protocol for inspection.
     pub fn node_as<T: Any>(&self, node: NodeId) -> Option<&T> {
-        self.core.nodes[node.index()]
-            .proto
-            .as_ref()
-            .and_then(|p| p.as_any().downcast_ref::<T>())
+        self.protos[node.index()].as_any().downcast_ref::<T>()
     }
 
     /// Downcast a node's protocol mutably.
     pub fn node_as_mut<T: Any>(&mut self, node: NodeId) -> Option<&mut T> {
-        self.core.nodes[node.index()]
-            .proto
-            .as_mut()
-            .and_then(|p| p.as_any_mut().downcast_mut::<T>())
+        self.protos[node.index()].as_any_mut().downcast_mut::<T>()
     }
 
     /// The runtime profile accumulated so far, with the queue's occupancy
@@ -632,20 +520,61 @@ impl Sim {
 
     /// Run until simulated time reaches `t` (inclusive of events at `t`).
     pub fn run_until(&mut self, t: Time) {
-        self.core.run_until(t);
+        let t0 = Instant::now();
+        while let Some(s) = self.core.queue.pop_due(t) {
+            self.dispatch(s);
+        }
+        self.core.time = self.core.time.max(t);
+        self.core.prof.wall_ns += t0.elapsed().as_nanos() as u64;
     }
 
-    /// Run for `d` more simulated time.
-    pub fn run_for(&mut self, d: Duration) {
-        self.run_until(self.core.time + d);
+    fn dispatch(&mut self, s: Scheduled) {
+        let core = &mut self.core;
+        core.time = s.time;
+        let node = s.event.node();
+        core.events_processed += 1;
+        // Hot-node attribution: a counter bump into a vector sized at
+        // build (zero-alloc safe).
+        core.prof.node_events[node.index()] += 1;
+        let proto = &mut self.protos[node.index()];
+        match s.event {
+            Event::Start { .. } => proto.on_start(&mut Ctx { core, node }),
+            Event::Timer { token, .. } => {
+                core.periodic_just_set.clear();
+                proto.on_timer(&mut Ctx { core, node }, token);
+                // Engine-managed re-arm of periodic ticks: pushed after the
+                // callback's own effects (exactly where a protocol's
+                // trailing `set_timer` re-arm used to sit), and suppressed
+                // when the callback itself re-armed the token.
+                if !core.periodic_just_set.contains(&token) {
+                    let periodic = &core.nodes[node.index()].periodic;
+                    if let Some(&(_, every)) = periodic.iter().find(|(t, _)| *t == token) {
+                        core.set_timer(node, every, token);
+                    }
+                }
+            }
+            Event::Deliver { port, frame, meta, .. } => {
+                // Receiver interface must still be up.
+                if core.nodes[node.index()].views[port.index()].up {
+                    core.frames_delivered += 1;
+                    proto.on_frame_meta(&mut Ctx { core, node }, port, &frame, meta);
+                }
+            }
+            Event::AdminPortDown { port, .. } => core.admin_port(node, port, false),
+            Event::AdminPortUp { port, .. } => core.admin_port(node, port, true),
+            Event::Carrier { port, up: true, .. } => {
+                proto.on_port_up(&mut Ctx { core, node }, port)
+            }
+            Event::Carrier { port, up: false, .. } => {
+                proto.on_port_down(&mut Ctx { core, node }, port)
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::FrameClass;
-    use std::any::Any;
 
     /// A test protocol that echoes every received frame back out the same
     /// port and counts what it sees.

@@ -44,7 +44,7 @@ pub use engine::{Sim, SimBuilder, SimConfig};
 pub use event::{scheduler_stress, Event, EventKey, SchedulerKind};
 pub use grid::GridTimer;
 pub use link::{Impairment, LinkId, LinkSpec};
-pub use node::{Action, Ctx, NodeId, PortId, Protocol, StatsSnapshot};
+pub use node::{Ctx, NodeId, PortId, Protocol, StatsSnapshot};
 pub use profiler::{EngineProfile, SchedulerStats};
 pub use time::{Duration, Time, MICROS, MILLIS, NANOS, SECONDS};
 pub use trace::{FrameClass, RouteChangeKind, SpanEvent, Trace, TraceEvent};

@@ -1,12 +1,12 @@
 //! Node identities, the [`Protocol`] trait implemented by every emulated
 //! device (routers, servers), and the [`Ctx`] handle through which a
-//! protocol interacts with the engine during a callback.
+//! protocol acts on the engine during a callback.
 
 use std::any::Any;
 
 use dcn_wire::{FrameBuf, FrameMeta};
 
-use crate::rng::DetRng;
+use crate::engine::{Core, NodeSlot};
 use crate::time::{Duration, Time};
 use crate::trace::{FrameClass, RouteChangeKind, SpanEvent, TraceEvent};
 
@@ -53,62 +53,34 @@ impl std::fmt::Display for PortId {
     }
 }
 
-/// Deferred effects produced by a protocol callback; the engine applies
-/// them after the callback returns, keeping borrows simple and execution
-/// order deterministic.
-#[derive(Debug)]
-pub enum Action {
-    /// Transmit `frame` out of `port`. `class` is metadata for tracing only;
-    /// it never affects delivery. `meta` is optional parse-once metadata
-    /// delivered alongside the frame to the receiving protocol; it never
-    /// affects the wire bytes, the trace, or delivery order.
-    Send {
-        port: PortId,
-        frame: FrameBuf,
-        class: FrameClass,
-        meta: Option<FrameMeta>,
-    },
-    /// Deliver `on_timer(token)` back to this node after `delay`.
-    Timer { delay: Duration, token: u64 },
-    /// Deliver `on_timer(token)` after `first`, then again every `every`,
-    /// managed by the engine: one standing timer per node instead of a
-    /// fresh queue entry armed from every callback. Re-arming an already
-    /// periodic token replaces its cadence.
-    Periodic {
-        first: Duration,
-        every: Duration,
-        token: u64,
-    },
-    /// Record a trace event attributed to this node.
-    Trace(TraceEvent),
-}
-
-/// Per-port view handed to protocols: whether the local interface is
-/// administratively up and whether anything is wired to it.
+/// Per-port view handed to protocols.
 #[derive(Clone, Copy, Debug)]
 pub struct PortView {
-    pub connected: bool,
     /// Local interface state. `false` after a failure has been injected on
     /// this side of the link.
     pub up: bool,
 }
 
-/// The callback context. Everything a protocol may do during a callback
-/// goes through this handle.
+/// The callback context: a view of the engine core from one node.
+/// Everything a protocol may do during a callback goes through this
+/// handle, and every effect is immediate — a send has reached the link
+/// model, a timer the scheduler, a span the trace when the call returns,
+/// so the effects of one callback land in the order it made the calls.
 pub struct Ctx<'a> {
-    pub(crate) now: Time,
+    pub(crate) core: &'a mut Core,
     pub(crate) node: NodeId,
-    pub(crate) ports: &'a [PortView],
-    pub(crate) up_mask: u128,
-    pub(crate) out: &'a mut Vec<Action>,
-    pub(crate) rng: &'a mut DetRng,
 }
 
-impl<'a> Ctx<'a> {
+impl Ctx<'_> {
+    #[inline]
+    fn slot(&self) -> &NodeSlot {
+        &self.core.nodes[self.node.index()]
+    }
+
     /// Current simulated time.
     #[inline]
     pub fn now(&self) -> Time {
-        self.now
+        self.core.time
     }
 
     /// The node this callback is running on.
@@ -120,13 +92,13 @@ impl<'a> Ctx<'a> {
     /// Number of ports on this node.
     #[inline]
     pub fn port_count(&self) -> usize {
-        self.ports.len()
+        self.slot().views.len()
     }
 
     /// Local state of a port.
     #[inline]
     pub fn port(&self, port: PortId) -> PortView {
-        self.ports[port.index()]
+        self.slot().views[port.index()]
     }
 
     /// Bitmask of administratively-up ports: bit `i` set ⟺
@@ -135,16 +107,7 @@ impl<'a> Ctx<'a> {
     /// a branchless mask-and-pick instead of a per-port loop.
     #[inline]
     pub fn port_up_mask(&self) -> u128 {
-        self.up_mask
-    }
-
-    /// Iterate over all connected ports.
-    pub fn connected_ports(&self) -> impl Iterator<Item = PortId> + '_ {
-        self.ports
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.connected)
-            .map(|(i, _)| PortId(i as u16))
+        self.slot().up_mask
     }
 
     /// Transmit a frame. A port that is *locally* down (or out of range)
@@ -154,15 +117,18 @@ impl<'a> Ctx<'a> {
     /// the frame leaves this node — it is traced and occupies the
     /// transmitter — and is lost on the wire. This asymmetry is the one
     /// the paper's TC1/TC3 vs TC2/TC4 analysis hinges on (DESIGN.md §1).
+    ///
+    /// `class` is metadata for tracing only; it never affects delivery.
     pub fn send(&mut self, port: PortId, frame: impl Into<FrameBuf>, class: FrameClass) {
-        self.out.push(Action::Send { port, frame: frame.into(), class, meta: None });
+        self.core.transmit(self.node, port, frame.into(), class, None);
     }
 
     /// Transmit a frame with parse-once metadata attached. The metadata
     /// rides alongside the bytes to the receiving protocol's
     /// [`Protocol::on_frame_meta`]; it must describe exactly what the
-    /// frame encodes (attach it only where the frame is encoded). The
-    /// engine drops it if impairment corrupts the frame in flight.
+    /// frame encodes (attach it only where the frame is encoded). It
+    /// never affects the wire bytes, the trace, or delivery order, and
+    /// the engine drops it if impairment corrupts the frame in flight.
     pub fn send_meta(
         &mut self,
         port: PortId,
@@ -170,73 +136,48 @@ impl<'a> Ctx<'a> {
         class: FrameClass,
         meta: FrameMeta,
     ) {
-        self.out.push(Action::Send { port, frame: frame.into(), class, meta: Some(meta) });
+        self.core.transmit(self.node, port, frame.into(), class, Some(meta));
     }
 
-    /// Arm a one-shot timer. There is deliberately no cancellation: stale
+    /// Arm a one-shot timer: `on_timer(token)` comes back to this node
+    /// after `delay`. There is deliberately no cancellation: stale
     /// fires are cheap and protocols validate tokens against their own
     /// state, which keeps the engine simple and the event order obvious.
     pub fn set_timer(&mut self, delay: Duration, token: u64) {
-        self.out.push(Action::Timer { delay, token });
+        self.core.set_timer(self.node, delay, token);
     }
 
     /// Arm an engine-managed periodic timer: `on_timer(token)` fires after
-    /// `first`, then every `every` until the node is torn down. A protocol
+    /// `first`, then every `every` until the node is torn down; re-arming
+    /// an already periodic token replaces its cadence. A protocol
     /// with work at every period uses this instead of re-arming a
     /// one-shot from every `on_timer`, so the engine keeps a single
     /// standing entry per node. One whose periods mostly find nothing due
     /// (the routers' housekeeping) wakes by deadline on the same grid
     /// instead: [`crate::GridTimer`].
     pub fn set_periodic(&mut self, first: Duration, every: Duration, token: u64) {
-        self.out.push(Action::Periodic { first, every, token });
+        self.core.set_periodic(self.node, first, every, token);
     }
 
     /// Record that this node changed destination-forwarding state. This is
     /// the event the blast-radius metric counts (see DESIGN.md §5).
     pub fn trace_route_change(&mut self, kind: RouteChangeKind, detail: u64) {
-        let ev = TraceEvent::RouteChange {
-            time: self.now,
-            node: self.node,
-            kind,
-            detail,
-        };
-        self.out.push(Action::Trace(ev));
+        let (time, node) = (self.core.time, self.node);
+        self.core.trace.push(TraceEvent::RouteChange { time, node, kind, detail });
     }
 
     /// Record a typed protocol span event (convergence storyboarding:
     /// FSM transitions, detection verdicts, flood waves, batch windows).
     pub fn trace_span(&mut self, span: SpanEvent) {
-        let ev = TraceEvent::Span {
-            time: self.now,
-            node: self.node,
-            span,
-        };
-        self.out.push(Action::Trace(ev));
+        let (time, node) = (self.core.time, self.node);
+        self.core.trace.push(TraceEvent::Span { time, node, span });
     }
 
-    /// Record a free-form protocol annotation (ad-hoc debugging; prefer
-    /// [`Ctx::trace_span`] for anything an analyzer should consume).
-    pub fn trace_proto(&mut self, tag: &'static str, info: u64) {
-        let ev = TraceEvent::Proto {
-            time: self.now,
-            node: self.node,
-            tag,
-            info,
-        };
-        self.out.push(Action::Trace(ev));
-    }
-
-    /// Deterministic per-node pseudo-randomness (used e.g. for ECMP hash
-    /// seeds and timer jitter).
-    #[inline]
-    pub fn rand_u64(&mut self) -> u64 {
-        self.rng.next_u64()
-    }
-
-    /// Uniform draw in `[0, bound)`.
+    /// Uniform draw in `[0, bound)` from this node's deterministic stream
+    /// (used e.g. for timer jitter).
     #[inline]
     pub fn rand_below(&mut self, bound: u64) -> u64 {
-        self.rng.below(bound)
+        self.core.nodes[self.node.index()].rng.below(bound)
     }
 }
 

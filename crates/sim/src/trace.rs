@@ -61,9 +61,8 @@ pub enum RouteChangeKind {
     Install,
 }
 
-/// A typed protocol span event: the structured successor of the
-/// free-form `Proto { tag, info }` annotations. Each variant marks one
-/// step of a convergence episode, so a post-hoc analyzer can reconstruct
+/// A typed protocol span event. Each variant marks one step of a
+/// convergence episode, so a post-hoc analyzer can reconstruct
 /// *why* a failure took as long as it did (who detected, via carrier or
 /// timeout; how updates batched; when trees were rebuilt) instead of just
 /// *that* updates stopped at some instant.
@@ -193,14 +192,6 @@ pub enum TraceEvent {
         kind: RouteChangeKind,
         detail: u64,
     },
-    /// Protocol-specific annotation (ad-hoc debugging; structured
-    /// convergence bookkeeping uses [`TraceEvent::Span`]).
-    Proto {
-        time: Time,
-        node: NodeId,
-        tag: &'static str,
-        info: u64,
-    },
     /// A typed protocol span event (see [`SpanEvent`]).
     Span {
         time: Time,
@@ -217,7 +208,6 @@ impl TraceEvent {
             | TraceEvent::PortDown { time, .. }
             | TraceEvent::PortUp { time, .. }
             | TraceEvent::RouteChange { time, .. }
-            | TraceEvent::Proto { time, .. }
             | TraceEvent::Span { time, .. } => *time,
         }
     }
@@ -229,7 +219,6 @@ impl TraceEvent {
             | TraceEvent::PortDown { node, .. }
             | TraceEvent::PortUp { node, .. }
             | TraceEvent::RouteChange { node, .. }
-            | TraceEvent::Proto { node, .. }
             | TraceEvent::Span { node, .. } => *node,
         }
     }
@@ -257,8 +246,9 @@ impl Trace {
     #[inline]
     pub fn push(&mut self, ev: TraceEvent) {
         if self.enabled {
-            // `events_since`/`discard_before` binary-search on time and
-            // silently return wrong cuts if events ever land out of order.
+            // `events_since` binary-searches on time and silently returns
+            // a wrong cut if events ever land out of order. Callbacks push
+            // mid-dispatch, so every record carries the dispatch instant.
             debug_assert!(
                 self.events.last().is_none_or(|last| last.time() <= ev.time()),
                 "trace events must be pushed in nondecreasing time order"
@@ -288,13 +278,6 @@ impl Trace {
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
-
-    /// Drop all events before `t0` (used to keep long warm-up phases from
-    /// bloating memory in sweep experiments).
-    pub fn discard_before(&mut self, t0: Time) {
-        let idx = self.events.partition_point(|e| e.time() < t0);
-        self.events.drain(..idx);
-    }
 }
 
 #[cfg(test)]
@@ -302,7 +285,7 @@ mod tests {
     use super::*;
 
     fn ev(t: Time) -> TraceEvent {
-        TraceEvent::Proto { time: t, node: NodeId(0), tag: "t", info: 0 }
+        TraceEvent::PortDown { time: t, node: NodeId(0), port: PortId(0) }
     }
 
     #[test]
@@ -360,16 +343,5 @@ mod tests {
         let mut tr = Trace::enabled();
         tr.push(ev(10));
         tr.push(ev(5));
-    }
-
-    #[test]
-    fn discard_before_trims_prefix() {
-        let mut tr = Trace::enabled();
-        for t in [1u64, 2, 3, 4] {
-            tr.push(ev(t));
-        }
-        tr.discard_before(3);
-        assert_eq!(tr.len(), 2);
-        assert_eq!(tr.events()[0].time(), 3);
     }
 }

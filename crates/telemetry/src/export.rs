@@ -53,7 +53,7 @@ fn span_fields(span: &SpanEvent) -> Vec<(&'static str, Json)> {
 }
 
 /// All non-frame trace events as JSONL, one event per line: spans,
-/// routing changes, port up/down injections and legacy proto tags.
+/// routing changes and port up/down injections.
 /// `name_of` maps node ids to router names.
 pub fn spans_jsonl(trace: &Trace, name_of: impl Fn(NodeId) -> String) -> String {
     let mut out = String::new();
@@ -90,11 +90,6 @@ pub fn spans_jsonl(trace: &Trace, name_of: impl Fn(NodeId) -> String) -> String 
                     }),
                 ));
                 fields.push(("detail", Json::UInt(*detail)));
-            }
-            TraceEvent::Proto { tag, info, .. } => {
-                fields.push(("type", Json::str("proto")));
-                fields.push(("tag", Json::str(*tag)));
-                fields.push(("info", Json::UInt(*info)));
             }
         }
         out.push_str(&Json::obj(fields).render());
@@ -245,7 +240,6 @@ mod tests {
             kind: RouteChangeKind::Withdraw,
             detail: 11,
         });
-        tr.push(TraceEvent::Proto { time: 9, node: NodeId(0), tag: "dbg", info: 3 });
         tr
     }
 
@@ -253,7 +247,7 @@ mod tests {
     fn spans_jsonl_round_trips_through_the_parser() {
         let text = spans_jsonl(&toy_trace(), |n| format!("n{}", n.0));
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 5);
+        assert_eq!(lines.len(), 4);
         let first = Json::parse(lines[0]).unwrap();
         assert_eq!(first.get("type").unwrap().as_str(), Some("port_down"));
         assert_eq!(first.get("t").unwrap().as_u64(), Some(5));

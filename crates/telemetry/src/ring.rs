@@ -37,11 +37,6 @@ impl<T: Clone> RingBuffer<T> {
         self.buf.is_empty()
     }
 
-    /// Total items ever pushed, including overwritten ones.
-    pub fn total_pushed(&self) -> u64 {
-        self.pushed
-    }
-
     /// Items lost to wraparound.
     pub fn dropped(&self) -> u64 {
         self.pushed - self.buf.len() as u64
@@ -94,7 +89,6 @@ mod tests {
         assert_eq!(r.len(), 3);
         assert_eq!(r.iter().copied().collect::<Vec<_>>(), vec![3, 4, 5]);
         assert_eq!(r.last(), Some(&5));
-        assert_eq!(r.total_pushed(), 5);
         assert_eq!(r.dropped(), 2);
     }
 

@@ -116,13 +116,6 @@ impl Addressing {
         self.link_addr[link_idx]
     }
 
-    /// The address of `node`'s end of link `link_idx`.
-    pub fn addr_on_link(&self, fabric: &Fabric, node: usize, link_idx: usize) -> Option<IpAddr4> {
-        let la = self.link_addr[link_idx]?;
-        let (a, _b) = fabric.links[link_idx];
-        Some(if a == node { la.a_addr } else { la.b_addr })
-    }
-
     /// ASN of a router.
     pub fn asn(&self, node: usize) -> Option<u32> {
         self.asn[node]

@@ -93,7 +93,8 @@ const COMMANDS: &[Command] = &[
         flags: &[], run: |_| println!("{}", figures::render_listings(SEED)),
     },
     Command {
-        name: "sweep", args: "[max_pods]", help: "scalability sweep + tier comparison",
+        name: "sweep", args: "[max_pods]",
+        help: "scalability sweep over 2, 4, … max_pods (even, default 8)\n+ tier comparison",
         flags: &[], run: cmd_sweep,
     },
     Command {
@@ -109,7 +110,7 @@ const COMMANDS: &[Command] = &[
         flags: &[], run: cmd_extended,
     },
     Command {
-        name: "replicate", args: "[n]", help: "Fig. 4 averaged over n seeds",
+        name: "replicate", args: "[n]", help: "Fig. 4 averaged over n seeds (n >= 1, default 5)",
         flags: &[
             LOCAL_REPAIR,
             flag("--telemetry-out", "DIR", "also write per-seed bundles for each stack on TC1"),
@@ -376,6 +377,11 @@ fn cmd_report(a: &Args) {
 
 fn cmd_sweep(a: &Args) {
     let max: usize = a.pos.first().map_or(8, |s| number("max_pods", s));
+    // The sweep ends at `max` itself, so it must be a fabric size: an odd
+    // or too small one is rejected the way `--pods 3` is, not rounded down.
+    if let Err(e) = ClosParams::scaled(max) {
+        fail(&format!("max_pods {max}: {e}"));
+    }
     let pods: Vec<usize> = (1..=max / 2).map(|i| i * 2).collect();
     println!("{}", figures::scale_sweep(&pods, SEED).render());
     println!("{}", figures::tier_comparison(SEED).render());
@@ -400,6 +406,9 @@ fn cmd_extended(_: &Args) {
 
 fn cmd_replicate(a: &Args) {
     let n: u64 = a.pos.first().map_or(5, |s| number("n", s));
+    if n == 0 {
+        fail("replicate: need at least one seed");
+    }
     let local_repair = a.has("--local-repair");
     let seeds: Vec<u64> = (1..=n).collect();
     eprintln!("replicating Fig. 4 over {n} seeds…");
@@ -436,7 +445,9 @@ fn cmd_chaos(a: &Args) {
     set(a, "--corrupt-ppm", &mut cfg.chaos.impairment.corrupt_ppm);
     set(a, "--traffic-pairs", &mut cfg.chaos.traffic_pairs);
     if let Some(list) = a.get("--stacks") {
-        cfg.stacks = list.split(',').map(stack).collect();
+        // A stack named twice is still one stack: without this it ran
+        // twice and printed two identical rows.
+        cfg.stacks = campaign::dedup(&list.split(',').map(stack).collect::<Vec<_>>());
     }
     cfg.chaos.tuning.local_repair = a.has("--local-repair");
     cfg.check_determinism = !a.has("--no-determinism");
@@ -532,7 +543,8 @@ fn cmd_campaign_diff(a: &Args) {
     };
     let report = campaign::diff::diff(&open_latest(a.pos[0]), &open_latest(a.pos[1]), threshold);
     print!("{}", report.render());
-    if report.has_drift() {
+    // A gate that compared nothing has shown nothing unchanged.
+    if report.compared == 0 || report.has_drift() {
         std::process::exit(1);
     }
 }

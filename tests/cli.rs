@@ -104,6 +104,12 @@ fn a_malformed_number_is_rejected() {
     assert_rejected(&["chaos", "--seeds", "-1"]);
     assert_rejected(&["chaos", "--seeds"]);
     assert_rejected(&["campaign", "diff", "a", "b", "--threshold", "5%"]);
+    // A well-formed number that plans nothing, or something else: used to
+    // panic (exit 101), print an empty sweep table, and sweep 2 PoDs only.
+    assert_rejected(&["replicate", "0"]);
+    assert_rejected(&["sweep", "0"]);
+    assert_rejected(&["sweep", "1"]);
+    assert_rejected(&["sweep", "3"]);
 }
 
 #[test]
@@ -167,13 +173,18 @@ fn every_listed_flag_is_accepted_and_read() {
 
     let (tel, prof) = (d("chaos-tel"), d("chaos-prof"));
     let out = assert_accepted(&[
-        "chaos", "--seeds", "1", "--base-seed", "11", "--threads", "1", "--stacks", "mrmtp",
+        "chaos", "--seeds", "1", "--base-seed", "11", "--threads", "1", "--stacks", "mrmtp,mrmtp",
         "--flaps", "2", "--crashes", "1", "--k", "2", "--loss-ppm", "1000", "--corrupt-ppm", "5000",
         "--local-repair", "--traffic-pairs", "1", "--no-determinism", "--telemetry-out", &tel,
         "--profile-out", &prof,
     ]);
     assert!(out.contains("OK: all invariants held"), "{out}");
     assert!(out.contains("repair-loops"), "the table names every violation term: {out}");
+    // A stack named twice is one stack: used to run twice and print two
+    // rows, each claiming `seeds 2`.
+    let rows: Vec<&str> = out.lines().filter(|l| l.starts_with("MR-MTP")).collect();
+    assert_eq!(rows.len(), 1, "{out}");
+    assert_eq!(rows[0].split_whitespace().nth(1), Some("1"), "seeds column: {out}");
     assert!(dir.join("chaos-prof/chaos-mrmtp-seed11-perf/perf_report.json").is_file());
 
     let (a, b) = (d("store-a"), d("store-b"));
@@ -187,6 +198,34 @@ fn every_listed_flag_is_accepted_and_read() {
     let out = assert_accepted(&["campaign", "diff", &a, &b, "--threshold", "1"]);
     assert!(out.contains("zero drift"), "{out}");
 
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `campaign diff` is a regression gate; one that compared nothing has
+/// shown nothing unchanged and must not pass. Used to print "0 run(s)
+/// compared … zero drift" and exit 0 — after any change of key spelling,
+/// for every store.
+#[test]
+fn a_diff_that_compared_nothing_fails_the_gate() {
+    let dir = scratch("disjoint");
+    std::fs::create_dir_all(&dir).unwrap();
+    let d = |sub: &str| dir.join(sub).to_string_lossy().into_owned();
+    // Two one-run campaigns that differ in the seed only: no shared key.
+    for (store, base_seed) in [("a", 1), ("b", 2)] {
+        let spec = d(&format!("{store}.json"));
+        let doc = format!(
+            r#"{{"pods":[2],"stacks":["mrmtp"],"failures":["tc1"],"seeds":1,"base_seed":{base_seed},"quick":true}}"#
+        );
+        std::fs::write(&spec, doc).unwrap();
+        assert_accepted(&["campaign", "run", &spec, "--out", &d(store), "--threads", "1"]);
+    }
+    let out = fcr(&["campaign", "diff", &d("a"), &d("b")]);
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "{text}");
+    assert!(text.contains("0 run(s) compared") && text.contains("NOTHING COMPARED"), "{text}");
+    assert!(!text.contains("zero drift"), "{text}");
+    // The same store against itself still passes.
+    assert!(assert_accepted(&["campaign", "diff", &d("a"), &d("a")]).contains("zero drift"));
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
