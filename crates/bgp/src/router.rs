@@ -5,8 +5,8 @@ use std::collections::BTreeMap;
 
 use dcn_sim::time::{millis, Duration, Time};
 use dcn_sim::{
-    alloc_track, Ctx, FrameBuf, FrameClass, FrameMeta, GridTimer, PortId, Protocol,
-    RouteChangeKind, SpanEvent, StatsSnapshot,
+    alloc_track, BgpDownReason, BgpState, Ctx, FrameBuf, FrameClass, FrameMeta, GridTimer, PortId,
+    Protocol, RouteChangeKind, SpanEvent, StatsSnapshot,
 };
 use dcn_tcp::{TcpConn, TcpEvent};
 use dcn_bfd::{BfdEvent, BfdSession};
@@ -26,34 +26,11 @@ const TOKEN_TICK: u64 = 1;
 /// [`GridTimer`]).
 const TICK: Duration = millis(20);
 
-/// Session FSM (condensed from RFC 4271: Connect/Active collapse into
-/// `TcpPending` because roles are deterministic).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Fsm {
-    Idle,
-    TcpPending,
-    OpenSent,
-    OpenConfirm,
-    Established,
-}
-
-impl Fsm {
-    fn name(self) -> &'static str {
-        match self {
-            Fsm::Idle => "idle",
-            Fsm::TcpPending => "tcp_pending",
-            Fsm::OpenSent => "open_sent",
-            Fsm::OpenConfirm => "open_confirm",
-            Fsm::Established => "established",
-        }
-    }
-}
-
 struct Peer {
     cfg: crate::config::PeerConfig,
     asn_ok: bool,
     tcp: TcpConn,
-    fsm: Fsm,
+    fsm: BgpState,
     rx_buf: Vec<u8>,
     hold_deadline: Time,
     keepalive_due: Time,
@@ -74,9 +51,9 @@ impl Peer {
     /// waking on every grid instant until the port is back.
     fn next_deadline(&self) -> Time {
         let mut at = match self.fsm {
-            Fsm::Idle => self.connect_at,
-            Fsm::Established => self.keepalive_due.min(self.hold_deadline + 1),
-            Fsm::TcpPending | Fsm::OpenSent | Fsm::OpenConfirm => self.hold_deadline + 1,
+            BgpState::Idle => self.connect_at,
+            BgpState::Established => self.keepalive_due.min(self.hold_deadline + 1),
+            BgpState::TcpPending | BgpState::OpenSent | BgpState::OpenConfirm => self.hold_deadline + 1,
         };
         if let Some(retx) = self.tcp.next_deadline() {
             at = at.min(retx);
@@ -168,7 +145,7 @@ impl BgpRouter {
                 cfg: pc,
                 asn_ok: false,
                 tcp,
-                fsm: Fsm::Idle,
+                fsm: BgpState::Idle,
                 rx_buf: Vec::new(),
                 hold_deadline: 0,
                 keepalive_due: 0,
@@ -217,7 +194,7 @@ impl BgpRouter {
 
     /// Established-session count (convergence checks in tests).
     pub fn established_sessions(&self) -> usize {
-        self.peers.iter().filter(|p| p.fsm == Fsm::Established).count()
+        self.peers.iter().filter(|p| p.fsm == BgpState::Established).count()
     }
 
     /// Render the kernel-style routing table (Listing 3).
@@ -315,17 +292,13 @@ impl BgpRouter {
 
     /// Move a peer's session FSM, recording the transition as a span so
     /// the storyboard analyzer can reconstruct session timelines.
-    fn set_fsm(&mut self, ctx: &mut Ctx<'_>, peer_idx: usize, to: Fsm) {
+    fn set_fsm(&mut self, ctx: &mut Ctx<'_>, peer_idx: usize, to: BgpState) {
         let from = self.peers[peer_idx].fsm;
         if from == to {
             return;
         }
         self.peers[peer_idx].fsm = to;
-        ctx.trace_span(SpanEvent::BgpFsm {
-            port: self.peers[peer_idx].cfg.port,
-            from: from.name(),
-            to: to.name(),
-        });
+        ctx.trace_span(SpanEvent::BgpFsm { port: self.peers[peer_idx].cfg.port, from, to });
     }
 
     // ------------------------------------------------------------------
@@ -366,7 +339,7 @@ impl BgpRouter {
         let mut batch_peers = 0usize;
         let mut batch_prefixes = 0usize;
         for peer_idx in peers {
-            if self.peers[peer_idx].fsm != Fsm::Established {
+            if self.peers[peer_idx].fsm != BgpState::Established {
                 continue;
             }
             let port = self.peers[peer_idx].cfg.port;
@@ -438,7 +411,7 @@ impl BgpRouter {
     fn on_established(&mut self, ctx: &mut Ctx<'_>, peer_idx: usize) {
         self.stats.sessions_established += 1;
         let now = ctx.now();
-        self.set_fsm(ctx, peer_idx, Fsm::Established);
+        self.set_fsm(ctx, peer_idx, BgpState::Established);
         {
             let p = &mut self.peers[peer_idx];
             p.keepalive_due = now + self.cfg.keepalive_interval;
@@ -452,21 +425,17 @@ impl BgpRouter {
         self.reexport_to(ctx, peer_idx..peer_idx + 1, &prefixes);
     }
 
-    fn session_down(&mut self, ctx: &mut Ctx<'_>, peer_idx: usize, reason: &'static str) {
-        let was_active = self.peers[peer_idx].fsm != Fsm::Idle;
+    fn session_down(&mut self, ctx: &mut Ctx<'_>, peer_idx: usize, reason: BgpDownReason) {
+        let was_active = self.peers[peer_idx].fsm != BgpState::Idle;
         let port = self.peers[peer_idx].cfg.port;
         if was_active {
             self.stats.sessions_lost += 1;
-            ctx.trace_span(SpanEvent::BgpSessionDown {
-                port,
-                reason,
-                carrier: reason == "carrier_down",
-            });
+            ctx.trace_span(SpanEvent::BgpSessionDown { port, reason });
         }
         let now = ctx.now();
         let rst = self.peers[peer_idx].tcp.reset(now);
         self.emit_segments(ctx, peer_idx, rst.segments, FrameClass::Session);
-        self.set_fsm(ctx, peer_idx, Fsm::Idle);
+        self.set_fsm(ctx, peer_idx, BgpState::Idle);
         {
             let p = &mut self.peers[peer_idx];
             p.rx_buf.clear();
@@ -499,7 +468,7 @@ impl BgpRouter {
                     // Protocol error: NOTIFICATION + teardown.
                     let note = BgpMessage::Notification { code: 1, subcode: 0 };
                     self.send_bgp(ctx, peer_idx, &note);
-                    self.session_down(ctx, peer_idx, "bgp_msg_error");
+                    self.session_down(ctx, peer_idx, BgpDownReason::BgpMsgError);
                     return;
                 }
             };
@@ -510,17 +479,17 @@ impl BgpRouter {
                     if asn as u32 != self.peers[peer_idx].cfg.peer_asn {
                         let note = BgpMessage::Notification { code: 2, subcode: 2 };
                         self.send_bgp(ctx, peer_idx, &note);
-                        self.session_down(ctx, peer_idx, "bgp_bad_asn");
+                        self.session_down(ctx, peer_idx, BgpDownReason::BgpBadAsn);
                         return;
                     }
                     self.peers[peer_idx].asn_ok = true;
                     self.send_bgp(ctx, peer_idx, &BgpMessage::Keepalive);
-                    if self.peers[peer_idx].fsm == Fsm::OpenSent {
-                        self.set_fsm(ctx, peer_idx, Fsm::OpenConfirm);
+                    if self.peers[peer_idx].fsm == BgpState::OpenSent {
+                        self.set_fsm(ctx, peer_idx, BgpState::OpenConfirm);
                     }
                 }
                 BgpMessage::Keepalive => {
-                    if self.peers[peer_idx].fsm == Fsm::OpenConfirm {
+                    if self.peers[peer_idx].fsm == BgpState::OpenConfirm {
                         self.on_established(ctx, peer_idx);
                     }
                 }
@@ -529,7 +498,7 @@ impl BgpRouter {
                     self.on_update(ctx, peer_idx, update);
                 }
                 BgpMessage::Notification { .. } => {
-                    self.session_down(ctx, peer_idx, "bgp_notification");
+                    self.session_down(ctx, peer_idx, BgpDownReason::BgpNotification);
                     return;
                 }
             }
@@ -575,12 +544,12 @@ impl BgpRouter {
                         hold_time_secs: (self.cfg.hold_time / dcn_sim::time::SECONDS) as u16,
                         router_id: self.cfg.router_id,
                     };
-                    self.set_fsm(ctx, peer_idx, Fsm::OpenSent);
+                    self.set_fsm(ctx, peer_idx, BgpState::OpenSent);
                     self.peers[peer_idx].hold_deadline = now + self.cfg.hold_time;
                     self.send_bgp(ctx, peer_idx, &open);
                 }
                 TcpEvent::Closed => {
-                    self.session_down(ctx, peer_idx, "tcp_closed");
+                    self.session_down(ctx, peer_idx, BgpDownReason::TcpClosed);
                     return;
                 }
             }
@@ -634,9 +603,9 @@ impl BgpRouter {
                     );
                 }
                 if event == Some(BfdEvent::SessionDown)
-                    && self.peers[peer_idx].fsm == Fsm::Established
+                    && self.peers[peer_idx].fsm == BgpState::Established
                 {
-                    self.session_down(ctx, peer_idx, "bfd_down");
+                    self.session_down(ctx, peer_idx, BgpDownReason::BfdDown);
                 }
             }
             _ => {}
@@ -813,9 +782,9 @@ impl BgpRouter {
                 continue; // carrier handling killed these sessions already
             }
             // Connection management.
-            if self.peers[peer_idx].fsm == Fsm::Idle && now >= self.peers[peer_idx].connect_at {
+            if self.peers[peer_idx].fsm == BgpState::Idle && now >= self.peers[peer_idx].connect_at {
                 let active = self.peers[peer_idx].cfg.is_active();
-                self.set_fsm(ctx, peer_idx, Fsm::TcpPending);
+                self.set_fsm(ctx, peer_idx, BgpState::TcpPending);
                 self.peers[peer_idx].hold_deadline = now + self.cfg.hold_time * 4;
                 if active {
                     let out = self.peers[peer_idx].tcp.connect(now);
@@ -829,19 +798,19 @@ impl BgpRouter {
             self.emit_segments(ctx, peer_idx, out.segments, FrameClass::Session);
             for ev in &out.events {
                 if *ev == TcpEvent::Closed {
-                    self.session_down(ctx, peer_idx, "tcp_retx_exhausted");
+                    self.session_down(ctx, peer_idx, BgpDownReason::TcpRetxExhausted);
                 }
             }
             // Keepalives and hold timer.
             let fsm = self.peers[peer_idx].fsm;
-            if fsm == Fsm::Established && now >= self.peers[peer_idx].keepalive_due {
+            if fsm == BgpState::Established && now >= self.peers[peer_idx].keepalive_due {
                 self.peers[peer_idx].keepalive_due = now + self.cfg.keepalive_interval;
                 self.send_bgp(ctx, peer_idx, &BgpMessage::Keepalive);
             }
-            if matches!(fsm, Fsm::OpenSent | Fsm::OpenConfirm | Fsm::Established | Fsm::TcpPending)
+            if matches!(fsm, BgpState::OpenSent | BgpState::OpenConfirm | BgpState::Established | BgpState::TcpPending)
                 && now > self.peers[peer_idx].hold_deadline
             {
-                self.session_down(ctx, peer_idx, "bgp_hold_expired");
+                self.session_down(ctx, peer_idx, BgpDownReason::BgpHoldExpired);
                 continue;
             }
             // BFD.
@@ -871,9 +840,9 @@ impl BgpRouter {
                     ctx.send(port, frame, FrameClass::Keepalive);
                 }
                 if event == Some(BfdEvent::SessionDown)
-                    && self.peers[peer_idx].fsm == Fsm::Established
+                    && self.peers[peer_idx].fsm == BgpState::Established
                 {
-                    self.session_down(ctx, peer_idx, "bfd_down");
+                    self.session_down(ctx, peer_idx, BgpDownReason::BfdDown);
                 }
             }
         }
@@ -911,7 +880,7 @@ impl StatsSnapshot for BgpRouter {
     }
 
     fn gauges(&self) -> Vec<(&'static str, u64)> {
-        let count = |f: Fsm| self.peers.iter().filter(|p| p.fsm == f).count() as u64;
+        let count = |f: BgpState| self.peers.iter().filter(|p| p.fsm == f).count() as u64;
         let retx_queue: u64 = self.peers.iter().map(|p| p.tcp.unacked() as u64).sum();
         let adj_out: u64 = self.adj_out.values().map(|m| m.len() as u64).sum();
         let bfd_up = self
@@ -927,9 +896,9 @@ impl StatsSnapshot for BgpRouter {
         vec![
             ("rib_routes", self.rib.route_count() as u64),
             ("rib_paths", self.rib.path_count() as u64),
-            ("sessions_idle", count(Fsm::Idle)),
-            ("sessions_pending", count(Fsm::TcpPending) + count(Fsm::OpenSent) + count(Fsm::OpenConfirm)),
-            ("sessions_up", count(Fsm::Established)),
+            ("sessions_idle", count(BgpState::Idle)),
+            ("sessions_pending", count(BgpState::TcpPending) + count(BgpState::OpenSent) + count(BgpState::OpenConfirm)),
+            ("sessions_up", count(BgpState::Established)),
             ("tcp_retransmit_queue", retx_queue),
             ("adj_out_prefixes", adj_out),
             ("bfd_sessions_up", bfd_up),
@@ -1006,7 +975,7 @@ impl Protocol for BgpRouter {
         // FRR's interface tracking: carrier loss kills the session at
         // once — no waiting for timers on the local side.
         if let Some(&peer_idx) = self.port_peer.get(&port) {
-            self.session_down(ctx, peer_idx, "carrier_down");
+            self.session_down(ctx, peer_idx, BgpDownReason::CarrierDown);
             self.rearm(ctx);
         }
     }

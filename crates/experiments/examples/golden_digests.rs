@@ -1,63 +1,23 @@
-//! Regenerate the golden trace digests pinned by
-//! `tests/equivalence.rs::local_repair_off_matches_pre_change_golden_digests`.
+//! Regenerate `tests/golden_digests.txt`, the trace digests
+//! `tests/equivalence.rs::local_repair_off_matches_pre_change_golden_digests`
+//! pins for the 11 golden cells (`tests/golden/mod.rs` lists them).
 //!
-//! Those constants freeze the observable behavior of the default
-//! (`local_repair=off`) configuration at the commit that introduced the
-//! local-repair subsystem: any later change that perturbs an off-mode
-//! trace shows up as a digest mismatch. If an *intentional* behavior
-//! change lands, re-run this and paste the new table into the test:
+//! Those digests freeze the observable behavior of the default
+//! (`local_repair=off`) configuration: any change that perturbs an
+//! off-mode trace shows up as a mismatch. If an *intentional* behavior
+//! change lands, re-run this and commit the file — CI runs it too and
+//! fails when the committed file is not what it writes:
 //!
 //! ```text
 //! cargo run --release -p dcn-experiments --example golden_digests
 //! ```
 
-use dcn_experiments::chaos::{run_chaos, ChaosConfig};
-use dcn_experiments::{run_digest, RunSpec, Stack, TrafficDir};
-use dcn_sim::time::{MICROS, MILLIS, SECONDS};
-use dcn_sim::Impairment;
-use dcn_topology::{ClosParams, FailureCase};
-
-/// Must match `quick_chaos()` in `tests/equivalence.rs`.
-fn quick_chaos() -> ChaosConfig {
-    ChaosConfig {
-        flaps: 3,
-        crashes: 1,
-        k_concurrent: 2,
-        warmup: 2 * SECONDS,
-        window: 2 * SECONDS,
-        settle: 4 * SECONDS,
-        convergence_bound: 4 * SECONDS,
-        min_dwell: 100 * MILLIS,
-        max_dwell: 500 * MILLIS,
-        impairment: Impairment { loss_ppm: 1_000, corrupt_ppm: 5_000, jitter: 20 * MICROS },
-        flows_per_pair: 1,
-        ..ChaosConfig::default()
-    }
-}
+#[path = "../tests/golden/mod.rs"]
+mod golden;
 
 fn main() {
-    let cases = [FailureCase::Tc1, FailureCase::Tc2, FailureCase::Tc3, FailureCase::Tc4];
-    println!("// (stack, tc, digest) — TC cases with traffic pinned onto the failure chain");
-    for (stack, dir) in [
-        (Stack::Mrmtp, TrafficDir::NearToFar),
-        (Stack::BgpEcmp, TrafficDir::FarToNear),
-    ] {
-        for tc in cases {
-            let d = run_digest(
-                RunSpec::new(ClosParams::two_pod(), stack)
-                    .failing(tc)
-                    .with_traffic(dir),
-            );
-            println!("({:?}, {:?}, {:#018x}),", stack, tc, d);
-        }
-    }
-    println!("// (stack, chaos seed, digest)");
-    for (stack, seed) in [
-        (Stack::Mrmtp, 21u64),
-        (Stack::Mrmtp, 22),
-        (Stack::BgpEcmp, 23),
-    ] {
-        let r = run_chaos(seed, stack, &quick_chaos());
-        println!("({:?}, {}, {:#018x}),", stack, seed, r.digest);
-    }
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden_digests.txt");
+    let table = golden::golden_table_checking(|_, _| {});
+    std::fs::write(path, &table).unwrap_or_else(|e| panic!("write {path}: {e}"));
+    print!("{table}");
 }

@@ -11,7 +11,7 @@
 
 use std::collections::BTreeMap;
 
-use super::store::RunRecord;
+use super::store::{RunRecord, Store};
 
 /// One flagged difference between two stores.
 #[derive(Clone, Debug)]
@@ -113,6 +113,22 @@ pub fn diff(
         }
     }
     report
+}
+
+/// [`diff`] over two stores' key-resolved records — refused when the
+/// stores name different digest definitions: every key-matched run would
+/// read as `DRIFT digest` although nothing was compared.
+pub fn diff_stores(a: &Store, b: &Store, threshold: f64) -> Result<DiffReport, String> {
+    let (def_a, def_b) = (a.digest_definition()?, b.digest_definition()?);
+    if def_a != def_b {
+        return Err(format!(
+            "cannot compare: {} holds {def_a:?} digests, {} holds {def_b:?} digests \
+             (re-run the older store's spec with this build)",
+            a.dir().display(),
+            b.dir().display(),
+        ));
+    }
+    Ok(diff(&a.latest()?, &b.latest()?, threshold))
 }
 
 fn diff_one(a: &RunRecord, b: &RunRecord, threshold: f64, out: &mut Vec<Finding>) {

@@ -8,7 +8,10 @@
 //! wins. This is the substrate `fcr campaign diff` compares across git
 //! revisions: every record carries the run's canonical
 //! [`RunSpec::key`](crate::RunSpec::key), its trace digest, the paper
-//! metrics and the storyboard phase breakdown.
+//! metrics and the storyboard phase breakdown. The header names the
+//! digest's *definition* ([`DIGEST`]): digests under different
+//! definitions are different functions of the same trace, so
+//! [`diff_stores`](super::diff::diff_stores) refuses to compare them.
 
 use std::collections::BTreeMap;
 use std::fs::OpenOptions;
@@ -19,6 +22,14 @@ use dcn_telemetry::Json;
 
 /// Store schema identifier, bumped on any incompatible record change.
 pub const SCHEMA: &str = "campaign/v1";
+/// The trace-digest definition this build records
+/// ([`trace_digest`](crate::chaos::trace_digest), DESIGN.md §16): the
+/// header's `digest` field.
+pub const DIGEST: &str = "trace64/v1";
+/// What a header without the field means: the store predates named
+/// definitions and holds digests of `derive(Debug)` text through `std`'s
+/// `DefaultHasher`.
+pub const LEGACY_DIGEST: &str = "debug-siphash/v0";
 const INDEX_FILE: &str = "index.json";
 const RUNS_FILE: &str = "runs.jsonl";
 
@@ -166,6 +177,7 @@ impl Store {
         }
         let index = Json::obj(vec![
             ("schema", Json::str(SCHEMA)),
+            ("digest", Json::str(DIGEST)),
             ("name", Json::str(name)),
             ("planned_runs", Json::UInt(planned_runs)),
             ("cores", Json::UInt(dcn_telemetry::host_cores())),
@@ -200,6 +212,16 @@ impl Store {
         let text = std::fs::read_to_string(&path)
             .map_err(|e| format!("read {}: {e}", path.display()))?;
         Json::parse(text.trim()).map_err(|e| format!("{}: {e}", path.display()))
+    }
+
+    /// The definition this store's digests were computed under.
+    pub fn digest_definition(&self) -> Result<String, String> {
+        match self.index()?.get("digest") {
+            None => Ok(LEGACY_DIGEST.to_string()),
+            Some(v) => v.as_str().map(str::to_string).ok_or_else(|| {
+                format!("{}: index.json digest field must be a string", self.dir.display())
+            }),
+        }
     }
 
     /// Append one finished run to the segment (one line, flushed).
@@ -304,6 +326,7 @@ mod tests {
         store.append_all(&[record(1), record(2)]).unwrap();
         // Second handle sees the same records.
         let reopened = Store::open(&dir).unwrap();
+        assert_eq!(reopened.digest_definition().unwrap(), DIGEST);
         assert_eq!(reopened.records().unwrap(), vec![record(1), record(2)]);
         // A re-run appends; latest() resolves last-wins by key.
         let mut rerun = record(1);

@@ -31,7 +31,7 @@ use std::path::PathBuf;
 
 use dcn_sim::rng::DetRng;
 use dcn_sim::time::{Duration, Time, MICROS, MILLIS, SECONDS};
-use dcn_sim::{Impairment, NodeId, PortId, SimConfig};
+use dcn_sim::{Hash64, Impairment, NodeId, PortId, SimConfig};
 use dcn_telemetry::{
     capture_dump, hists_jsonl, series_jsonl, spans_jsonl, Json, PerfReport, Telemetry,
     TelemetryConfig, TraceBundle,
@@ -464,6 +464,27 @@ pub fn chaos_bundle(seed: u64, stack: Stack, cfg: &ChaosConfig) -> (ChaosRun, Tr
     (run, b)
 }
 
+/// Digest of everything observable about a finished run: the engine's
+/// three frame counters, then every trace record as its canonical words
+/// ([`dcn_sim::TraceEvent::to_words`]), through [`Hash64`] — definition
+/// `trace64/v1`, DESIGN.md §16. Two runs of the same seed must produce
+/// the same digest bit-for-bit, on any host, profile or toolchain. The
+/// engine's dispatch count is deliberately not part of it: how many queue
+/// entries a run needed (timer wake-ups that found nothing due) is not
+/// observable behaviour.
+pub fn trace_digest(sim: &dcn_sim::Sim) -> u64 {
+    let mut h = Hash64::new();
+    h.write_u64(sim.frames_delivered());
+    h.write_u64(sim.frames_corrupted());
+    h.write_u64(sim.frames_lost_to_impairment());
+    for ev in sim.trace().events() {
+        for w in ev.to_words() {
+            h.write_u64(w);
+        }
+    }
+    h.finish()
+}
+
 /// Streams formatted text into a hasher as it is produced.
 struct HashWriter<'a>(&'a mut DefaultHasher);
 
@@ -474,21 +495,42 @@ impl std::fmt::Write for HashWriter<'_> {
     }
 }
 
-/// Digest of everything observable about a finished run: the full frame
-/// trace plus the engine's frame counters. Two runs of the same seed
-/// must produce the same digest bit-for-bit. The engine's dispatch count
-/// is deliberately not part of it: how many queue entries a run needed
-/// (timer wake-ups that found nothing due) is not observable behaviour.
-pub fn trace_digest(sim: &dcn_sim::Sim) -> u64 {
+/// The digest as it was defined before `trace64/v1`: `derive(Debug)`
+/// text of every event through `std`'s `DefaultHasher`. Kept for one
+/// commit so the re-pin of the goldens is checked against the old pins
+/// on the same runs (`tests/equivalence.rs`); the two span variants whose
+/// fields changed type are spelt the way their `Debug` output read.
+#[doc(hidden)]
+pub fn debug_siphash_digest(sim: &dcn_sim::Sim) -> u64 {
+    use dcn_sim::{SpanEvent, TraceEvent};
     let mut h = DefaultHasher::new();
     sim.frames_delivered().hash(&mut h);
     sim.frames_corrupted().hash(&mut h);
     sim.frames_lost_to_impairment().hash(&mut h);
     for ev in sim.trace().events() {
-        // Byte for byte what `format!("{ev:?}").hash(..)` feeds the hasher
-        // (`str::hash` = the bytes, then 0xff), without building the
-        // `String`: every stored digest stays valid.
-        write!(HashWriter(&mut h), "{ev:?}").expect("hashing is infallible");
+        let mut w = HashWriter(&mut h);
+        // Byte for byte what `format!("{ev:?}").hash(..)` fed the hasher
+        // (`str::hash` = the bytes, then 0xff).
+        match ev {
+            TraceEvent::Span { time, node, span: SpanEvent::BgpFsm { port, from, to } } => write!(
+                w,
+                "Span {{ time: {time:?}, node: {node:?}, span: BgpFsm {{ port: {port:?}, \
+                 from: {:?}, to: {:?} }} }}",
+                from.name(),
+                to.name()
+            ),
+            TraceEvent::Span { time, node, span: SpanEvent::BgpSessionDown { port, reason } } => {
+                write!(
+                    w,
+                    "Span {{ time: {time:?}, node: {node:?}, span: BgpSessionDown {{ \
+                     port: {port:?}, reason: {:?}, carrier: {:?} }} }}",
+                    reason.name(),
+                    reason.detection() == Some(true)
+                )
+            }
+            _ => write!(w, "{ev:?}"),
+        }
+        .expect("hashing is infallible");
         h.write_u8(0xff);
     }
     h.finish()

@@ -245,6 +245,24 @@ impl RunSpec {
             Some(d) => d.to_string(),
             None => "-".into(),
         };
+        // Timer-block overrides are rare (ablations); `-` marks the paper
+        // defaults. The spelling is the block's former `Debug` text, kept
+        // because stored keys carry it.
+        let timers = mrmtp_timers.map_or("-".into(), |t| {
+            let dcn_mrmtp::MrmtpTimers {
+                hello_interval,
+                dead_interval,
+                accept_hellos,
+                retransmit_interval,
+                loss_holddown,
+                advertise_interval,
+            } = t;
+            format!(
+                "MrmtpTimers {{ hello_interval: {hello_interval}, dead_interval: {dead_interval}, \
+                 accept_hellos: {accept_hellos}, retransmit_interval: {retransmit_interval}, \
+                 loss_holddown: {loss_holddown}, advertise_interval: {advertise_interval} }}"
+            )
+        });
         format!(
             "pods={}x{}x{}x{}x{};stack={};failure={};traffic={};interval={};seed={};\
              timing={}/{}/{}/{};timers={};bgp_ka={};bgp_hold={};bfd_tx={};\
@@ -263,9 +281,7 @@ impl RunSpec {
             traffic_lead,
             post_failure,
             drain,
-            // Timer-block overrides are rare (ablations); the Debug form
-            // is deterministic and `-` marks the paper defaults.
-            mrmtp_timers.map(|t| format!("{t:?}")).unwrap_or_else(|| "-".into()),
+            timers,
             dur(bgp_keepalive),
             dur(bgp_hold),
             dur(bfd_tx_interval),
@@ -274,13 +290,10 @@ impl RunSpec {
         )
     }
 
-    /// Hash of [`RunSpec::key`] — the store's compact run id. Stable for
-    /// a given build (same hasher discipline as the trace digest).
+    /// [`dcn_sim::hash64`] of [`RunSpec::key`]'s bytes — the store's
+    /// compact run id, the same on every host, profile and toolchain.
     pub fn key_hash(&self) -> u64 {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        self.key().hash(&mut h);
-        h.finish()
+        dcn_sim::hash64(self.key().as_bytes())
     }
 
     /// Run to completion and extract the paper's metrics.
@@ -361,7 +374,7 @@ mod tests {
 
     /// Literal keys: a store written by one revision is only comparable
     /// with the next if these strings never move, and `benchmark/` keys
-    /// its inputs with them.
+    /// its inputs with them. Their hashes are the stores' run ids.
     #[test]
     fn key_strings_are_pinned() {
         let tc = RunSpec::new(ClosParams::two_pod(), Stack::Mrmtp)
@@ -374,6 +387,7 @@ mod tests {
              timing=5000000000/2000000000/6000000000/1000000000;timers=-;bgp_ka=-;\
              bgp_hold=-;bfd_tx=-;fast_path=1;local_repair=0"
         );
+        assert_eq!(tc.key_hash(), 0xdb90_3943_46b9_fc15);
         let steady = RunSpec::new(ClosParams::four_pod(), Stack::BgpEcmpBfd)
             .seeded(3)
             .timed(Timing::steady());
@@ -383,6 +397,7 @@ mod tests {
              timing=5000000000/1000000/1000000/1000000;timers=-;bgp_ka=-;bgp_hold=-;\
              bfd_tx=-;fast_path=1;local_repair=0"
         );
+        assert_eq!(steady.key_hash(), 0x70b1_bf01_52f9_c5c1);
         let timers = dcn_mrmtp::MrmtpTimers { loss_holddown: 0, ..Default::default() };
         let tuned = RunSpec::new(ClosParams::two_pod(), Stack::Mrmtp)
             .failing(FailureCase::Tc1)
@@ -404,5 +419,6 @@ mod tests {
              advertise_interval: 1000000000 };\
              bgp_ka=-;bgp_hold=-;bfd_tx=50000000;fast_path=1;local_repair=1"
         );
+        assert_eq!(tuned.key_hash(), 0x523d_2bb4_df2b_4942);
     }
 }

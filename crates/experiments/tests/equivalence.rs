@@ -16,13 +16,15 @@
 //! `SimConfig` handed to the executor. The fast path is router tuning,
 //! part of the spec's `StackTuning`.
 
-use dcn_experiments::chaos::{run_chaos, run_chaos_with, trace_digest};
+mod golden;
+
+use dcn_experiments::chaos::{debug_siphash_digest, run_chaos, run_chaos_with, trace_digest};
 use dcn_experiments::scenario::execute;
 use dcn_experiments::{run_digest, ChaosConfig, RunSpec, Stack, StackTuning, TrafficDir};
-use dcn_sim::time::{MICROS, MILLIS, SECONDS};
-use dcn_sim::{Impairment, SchedulerKind, SimConfig};
+use dcn_sim::{SchedulerKind, SimConfig};
 use dcn_telemetry::{Telemetry, TelemetryConfig};
 use dcn_topology::{ClosParams, Fabric, FailureCase};
+use golden::quick_chaos;
 
 fn backend(scheduler: SchedulerKind) -> SimConfig {
     SimConfig { scheduler, ..SimConfig::default() }
@@ -62,25 +64,6 @@ fn traffic_and_bfd_digest_identically() {
             .with_traffic(TrafficDir::NearToFar),
     );
     digests_match(RunSpec::new(ClosParams::two_pod(), Stack::BgpEcmpBfd).failing(FailureCase::Tc1));
-}
-
-/// A trimmed chaos config (short windows, light impairment) so three
-/// seeds × two backends stay test-suite friendly.
-fn quick_chaos() -> ChaosConfig {
-    ChaosConfig {
-        flaps: 3,
-        crashes: 1,
-        k_concurrent: 2,
-        warmup: 2 * SECONDS,
-        window: 2 * SECONDS,
-        settle: 4 * SECONDS,
-        convergence_bound: 4 * SECONDS,
-        min_dwell: 100 * MILLIS,
-        max_dwell: 500 * MILLIS,
-        impairment: Impairment { loss_ppm: 1_000, corrupt_ppm: 5_000, jitter: 20 * MICROS },
-        flows_per_pair: 1,
-        ..ChaosConfig::default()
-    }
 }
 
 #[test]
@@ -157,56 +140,49 @@ fn fast_path_digest_identical_under_chaos() {
 // ----------------------------------------------------------------------
 
 /// Golden trace digests freezing the default configuration's observable
-/// behavior (regenerate with
+/// behavior, pinned in `golden_digests.txt` (regenerate with
 /// `cargo run --release -p dcn-experiments --example golden_digests`).
 /// With `local_repair` off — the default — the backup-FIB compilation,
 /// the repair lookup stages, and the `repaired` frame flag must all be
 /// invisible: same events, same order, same bytes on the wire. Last
-/// regenerated when `trace_digest` stopped hashing the engine's dispatch
-/// count (a run's trace, not how many queue entries produced it, is the
-/// observable) — on otherwise unchanged code, so the values still pin
-/// the behaviour of the polling-tick routers they were taken from.
+/// regenerated when the digest's definition became `trace64/v1`
+/// (canonical records through `hash64`, DESIGN.md §16) — on otherwise
+/// unchanged code, which this test proves on the spot: each cell runs
+/// once, and the same run must give the old pin under the old definition
+/// and the new pin under the new one.
 #[test]
 fn local_repair_off_matches_pre_change_golden_digests() {
-    const TC_GOLDEN: [(Stack, FailureCase, u64); 8] = [
-        (Stack::Mrmtp, FailureCase::Tc1, 0x6a938831fd197b28),
-        (Stack::Mrmtp, FailureCase::Tc2, 0xc3f4633713277dfc),
-        (Stack::Mrmtp, FailureCase::Tc3, 0x87397b4fbbc502c7),
-        (Stack::Mrmtp, FailureCase::Tc4, 0x7f1bc511589b8cb5),
-        (Stack::BgpEcmp, FailureCase::Tc1, 0xa236bd613e04bbb1),
-        (Stack::BgpEcmp, FailureCase::Tc2, 0x4a374ecc62528fbf),
-        (Stack::BgpEcmp, FailureCase::Tc3, 0xd6c5c04f0d998513),
-        (Stack::BgpEcmp, FailureCase::Tc4, 0x335b4f47134cdbbb),
+    /// The pins under the previous definition (`derive(Debug)` text
+    /// through `DefaultHasher`), in file order.
+    const DEBUG_SIPHASH_PINS: [u64; 11] = [
+        0x6a938831fd197b28,
+        0xc3f4633713277dfc,
+        0x87397b4fbbc502c7,
+        0x7f1bc511589b8cb5,
+        0xa236bd613e04bbb1,
+        0x4a374ecc62528fbf,
+        0xd6c5c04f0d998513,
+        0x335b4f47134cdbbb,
+        0x688e7157b9eafe03,
+        0xdb5a621e053f5335,
+        0x954c73f5ced7652c,
     ];
-    for (stack, tc, golden) in TC_GOLDEN {
-        let dir = match stack {
-            Stack::Mrmtp => TrafficDir::NearToFar,
-            _ => TrafficDir::FarToNear,
-        };
-        let d = run_digest(
-            RunSpec::new(ClosParams::two_pod(), stack)
-                .failing(tc)
-                .with_traffic(dir),
-        );
+    let mut old_pins = DEBUG_SIPHASH_PINS.iter();
+    let table = golden::golden_table_checking(|label, sim| {
         assert_eq!(
-            d, golden,
-            "{} {tc:?}: off-mode digest drifted from the pre-repair golden",
-            stack.label(),
+            Some(&debug_siphash_digest(sim)),
+            old_pins.next(),
+            "{label}: behaviour changed — the run no longer gives its pre-trace64 digest",
         );
+    });
+    assert_eq!(old_pins.next(), None, "an old pin names no golden cell");
+    // Line by line first, so a drift names its cell; then the whole file,
+    // which CI also regenerates and diffs.
+    let pinned = include_str!("golden_digests.txt");
+    for (got, want) in table.lines().zip(pinned.lines()) {
+        assert_eq!(got, want, "off-mode digest drifted from golden_digests.txt");
     }
-    const CHAOS_GOLDEN: [(Stack, u64, u64); 3] = [
-        (Stack::Mrmtp, 21, 0x688e7157b9eafe03),
-        (Stack::Mrmtp, 22, 0xdb5a621e053f5335),
-        (Stack::BgpEcmp, 23, 0x954c73f5ced7652c),
-    ];
-    for (stack, seed, golden) in CHAOS_GOLDEN {
-        let r = run_chaos(seed, stack, &quick_chaos());
-        assert_eq!(
-            r.digest, golden,
-            "{} chaos seed {seed}: off-mode digest drifted from the pre-repair golden",
-            stack.label(),
-        );
-    }
+    assert_eq!(table, pinned);
 }
 
 #[test]

@@ -31,6 +31,7 @@ pub mod alloc_track;
 pub mod engine;
 pub mod event;
 pub mod grid;
+pub mod hash;
 pub mod link;
 pub mod node;
 pub mod profiler;
@@ -47,4 +48,7 @@ pub use link::{Impairment, LinkId, LinkSpec};
 pub use node::{Ctx, NodeId, PortId, Protocol, StatsSnapshot};
 pub use profiler::{EngineProfile, SchedulerStats};
 pub use time::{Duration, Time, MICROS, MILLIS, NANOS, SECONDS};
-pub use trace::{FrameClass, RouteChangeKind, SpanEvent, Trace, TraceEvent};
+pub use hash::{hash64, Hash64};
+pub use trace::{
+    BgpDownReason, BgpState, FrameClass, RouteChangeKind, SpanEvent, Trace, TraceEvent,
+};

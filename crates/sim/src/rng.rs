@@ -6,6 +6,16 @@
 //! SplitMix64 — tiny, fast, and statistically adequate for timer jitter and
 //! hash seeding (we are not doing Monte Carlo here).
 
+/// SplitMix64's output function: a bijection of `u64` that avalanches
+/// every input bit. The generator below applies it to a counter;
+/// [`crate::hash::Hash64`] applies it to its folded state.
+#[inline]
+pub fn mix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
 /// A deterministic SplitMix64 generator.
 #[derive(Clone, Debug)]
 pub struct DetRng {
@@ -27,10 +37,7 @@ impl DetRng {
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        mix64(self.state)
     }
 
     /// Uniform draw in `[0, bound)`. `bound` must be nonzero.

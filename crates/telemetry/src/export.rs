@@ -16,13 +16,13 @@ fn span_fields(span: &SpanEvent) -> Vec<(&'static str, Json)> {
     match span {
         SpanEvent::BgpFsm { port, from, to } => vec![
             ("port", Json::UInt(port.0 as u64)),
-            ("from", Json::str(*from)),
-            ("to", Json::str(*to)),
+            ("from", Json::str(from.name())),
+            ("to", Json::str(to.name())),
         ],
-        SpanEvent::BgpSessionDown { port, reason, carrier } => vec![
+        SpanEvent::BgpSessionDown { port, reason } => vec![
             ("port", Json::UInt(port.0 as u64)),
-            ("reason", Json::str(*reason)),
-            ("carrier", Json::Bool(*carrier)),
+            ("reason", Json::str(reason.name())),
+            ("carrier", Json::Bool(reason.detection() == Some(true))),
         ],
         SpanEvent::BgpUpdateBatch { peers, prefixes } => vec![
             ("peers", Json::UInt(*peers as u64)),
@@ -219,7 +219,7 @@ impl TraceBundle {
 mod tests {
     use super::*;
     use crate::registry::{Scope, SeriesKind};
-    use dcn_sim::PortId;
+    use dcn_sim::{BgpState, PortId};
 
     fn toy_trace() -> Trace {
         let mut tr = Trace::enabled();
@@ -232,7 +232,11 @@ mod tests {
         tr.push(TraceEvent::Span {
             time: 7,
             node: NodeId(1),
-            span: SpanEvent::BgpFsm { port: PortId(0), from: "open_sent", to: "established" },
+            span: SpanEvent::BgpFsm {
+                port: PortId(0),
+                from: BgpState::OpenSent,
+                to: BgpState::Established,
+            },
         });
         tr.push(TraceEvent::RouteChange {
             time: 8,

@@ -158,7 +158,9 @@ const COMMANDS: &[Command] = &[
         name: "campaign diff", args: "<a> <b>",
         help: "compare two stores run by run: any digest\n\
                mismatch or >threshold metric drift fails\n\
-               (exit 1); coverage changes are reported",
+               (exit 1); coverage changes are reported;\n\
+               stores whose digest definitions differ are\n\
+               refused (exit 2)",
         flags: &[flag(
             "--threshold", "PCT",
             "relative metric-drift tolerance in percent\n(default 5; digests are compared exactly)",
@@ -536,12 +538,13 @@ fn cmd_campaign_report(a: &Args) {
 
 fn cmd_campaign_diff(a: &Args) {
     let threshold = a.num::<f64>("--threshold").unwrap_or(5.0) / 100.0;
-    let open_latest = |dir: &str| {
-        campaign::store::Store::open(Path::new(dir))
-            .and_then(|s| s.latest())
-            .unwrap_or_else(|e| campaign_error(e))
+    let open = |dir: &str| {
+        campaign::store::Store::open(Path::new(dir)).unwrap_or_else(|e| campaign_error(e))
     };
-    let report = campaign::diff::diff(&open_latest(a.pos[0]), &open_latest(a.pos[1]), threshold);
+    // Stores under different digest definitions are not drift (exit 1)
+    // but an error (exit 2): nothing was compared.
+    let report = campaign::diff::diff_stores(&open(a.pos[0]), &open(a.pos[1]), threshold)
+        .unwrap_or_else(|e| campaign_error(e));
     print!("{}", report.render());
     // A gate that compared nothing has shown nothing unchanged.
     if report.compared == 0 || report.has_drift() {

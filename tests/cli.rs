@@ -229,6 +229,47 @@ fn a_diff_that_compared_nothing_fails_the_gate() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A store written before digest definitions had names holds digests of
+/// another function of the trace. Diffing it against a current store used
+/// to print `DRIFT digest` for every run; it is now refused with one
+/// message naming both definitions, exit 2 — not drift's exit 1. The
+/// legacy store stays readable: `report` renders it and it diffs clean
+/// against itself.
+#[test]
+fn a_legacy_store_is_refused_not_silently_compared() {
+    let legacy = format!("{}/tests/golden/legacy-store", env!("CARGO_MANIFEST_DIR"));
+    let dir = scratch("legacy");
+    std::fs::create_dir_all(&dir).unwrap();
+    let d = |sub: &str| dir.join(sub).to_string_lossy().into_owned();
+    // The spec the legacy store was recorded from, run by this build.
+    let spec = r#"{"pods":[2],"stacks":["mrmtp"],"failures":["tc1"],"seeds":3,"base_seed":1,"quick":true}"#;
+    std::fs::write(d("spec.json"), spec).unwrap();
+    assert_accepted(&["campaign", "run", &d("spec.json"), "--out", &d("now"), "--threads", "1"]);
+    let read = |path: String| std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    assert!(!read(format!("{legacy}/index.json")).contains("\"digest\""), "the fixture predates the field");
+    assert!(read(d("now/index.json")).contains("\"digest\":\"trace64/v1\""));
+    // Every run is on both sides: the refusal is about the definition,
+    // not about coverage.
+    let now_runs = read(d("now/runs.jsonl"));
+    for line in read(format!("{legacy}/runs.jsonl")).lines() {
+        let key = line.split('"').nth(3).expect("records start with their key");
+        assert!(now_runs.contains(key), "{key}");
+    }
+
+    for (a, b) in [(&legacy, &d("now")), (&d("now"), &legacy)] {
+        let out = fcr(&["campaign", "diff", a, b]);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{err}");
+        assert!(out.stdout.is_empty(), "no DRIFT lines: nothing was compared");
+        assert_eq!(err.lines().count(), 1, "{err}");
+        assert!(err.contains("\"debug-siphash/v0\"") && err.contains("\"trace64/v1\""), "{err}");
+    }
+    let report = assert_accepted(&["campaign", "report", &legacy]);
+    assert_eq!(report.lines().nth(3).and_then(|row| row.split_whitespace().nth(5)), Some("3"), "{report}");
+    assert!(assert_accepted(&["campaign", "diff", &legacy, &legacy]).contains("zero drift"));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// The command lines quoted in the docs must parse against the flag
 /// table: every `fcr -- <subcommand> … --flag` names a subcommand of the
 /// usage text and only flags listed under it.
