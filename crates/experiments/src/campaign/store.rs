@@ -28,7 +28,7 @@ pub const SCHEMA: &str = "campaign/v1";
 pub const DIGEST: &str = "trace64/v1";
 /// What a header without the field means: the store predates named
 /// definitions and holds digests of `derive(Debug)` text through `std`'s
-/// `DefaultHasher`.
+/// default hasher.
 pub const LEGACY_DIGEST: &str = "debug-siphash/v0";
 const INDEX_FILE: &str = "index.json";
 const RUNS_FILE: &str = "runs.jsonl";

@@ -23,10 +23,7 @@
 //! from seeded [`DetRng`] streams, so a violating seed is a complete,
 //! replayable reproduction recipe.
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::fmt::Write as _;
-use std::hash::{Hash, Hasher};
 use std::path::PathBuf;
 
 use dcn_sim::rng::DetRng;
@@ -481,57 +478,6 @@ pub fn trace_digest(sim: &dcn_sim::Sim) -> u64 {
         for w in ev.to_words() {
             h.write_u64(w);
         }
-    }
-    h.finish()
-}
-
-/// Streams formatted text into a hasher as it is produced.
-struct HashWriter<'a>(&'a mut DefaultHasher);
-
-impl std::fmt::Write for HashWriter<'_> {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        self.0.write(s.as_bytes());
-        Ok(())
-    }
-}
-
-/// The digest as it was defined before `trace64/v1`: `derive(Debug)`
-/// text of every event through `std`'s `DefaultHasher`. Kept for one
-/// commit so the re-pin of the goldens is checked against the old pins
-/// on the same runs (`tests/equivalence.rs`); the two span variants whose
-/// fields changed type are spelt the way their `Debug` output read.
-#[doc(hidden)]
-pub fn debug_siphash_digest(sim: &dcn_sim::Sim) -> u64 {
-    use dcn_sim::{SpanEvent, TraceEvent};
-    let mut h = DefaultHasher::new();
-    sim.frames_delivered().hash(&mut h);
-    sim.frames_corrupted().hash(&mut h);
-    sim.frames_lost_to_impairment().hash(&mut h);
-    for ev in sim.trace().events() {
-        let mut w = HashWriter(&mut h);
-        // Byte for byte what `format!("{ev:?}").hash(..)` fed the hasher
-        // (`str::hash` = the bytes, then 0xff).
-        match ev {
-            TraceEvent::Span { time, node, span: SpanEvent::BgpFsm { port, from, to } } => write!(
-                w,
-                "Span {{ time: {time:?}, node: {node:?}, span: BgpFsm {{ port: {port:?}, \
-                 from: {:?}, to: {:?} }} }}",
-                from.name(),
-                to.name()
-            ),
-            TraceEvent::Span { time, node, span: SpanEvent::BgpSessionDown { port, reason } } => {
-                write!(
-                    w,
-                    "Span {{ time: {time:?}, node: {node:?}, span: BgpSessionDown {{ \
-                     port: {port:?}, reason: {:?}, carrier: {:?} }} }}",
-                    reason.name(),
-                    reason.detection() == Some(true)
-                )
-            }
-            _ => write!(w, "{ev:?}"),
-        }
-        .expect("hashing is infallible");
-        h.write_u8(0xff);
     }
     h.finish()
 }

@@ -18,7 +18,7 @@
 
 mod golden;
 
-use dcn_experiments::chaos::{debug_siphash_digest, run_chaos, run_chaos_with, trace_digest};
+use dcn_experiments::chaos::{run_chaos, run_chaos_with, trace_digest};
 use dcn_experiments::scenario::execute;
 use dcn_experiments::{run_digest, ChaosConfig, RunSpec, Stack, StackTuning, TrafficDir};
 use dcn_sim::{SchedulerKind, SimConfig};
@@ -146,38 +146,15 @@ fn fast_path_digest_identical_under_chaos() {
 /// the repair lookup stages, and the `repaired` frame flag must all be
 /// invisible: same events, same order, same bytes on the wire. Last
 /// regenerated when the digest's definition became `trace64/v1`
-/// (canonical records through `hash64`, DESIGN.md §16) — on otherwise
-/// unchanged code, which this test proves on the spot: each cell runs
-/// once, and the same run must give the old pin under the old definition
-/// and the new pin under the new one.
+/// (canonical records through `hash64`, DESIGN.md §16), in a commit whose
+/// version of this test also held every cell's run to its previous pin
+/// under the previous definition — so the values still pin the behaviour
+/// of the polling-tick routers the first pins were taken from.
 #[test]
 fn local_repair_off_matches_pre_change_golden_digests() {
-    /// The pins under the previous definition (`derive(Debug)` text
-    /// through `DefaultHasher`), in file order.
-    const DEBUG_SIPHASH_PINS: [u64; 11] = [
-        0x6a938831fd197b28,
-        0xc3f4633713277dfc,
-        0x87397b4fbbc502c7,
-        0x7f1bc511589b8cb5,
-        0xa236bd613e04bbb1,
-        0x4a374ecc62528fbf,
-        0xd6c5c04f0d998513,
-        0x335b4f47134cdbbb,
-        0x688e7157b9eafe03,
-        0xdb5a621e053f5335,
-        0x954c73f5ced7652c,
-    ];
-    let mut old_pins = DEBUG_SIPHASH_PINS.iter();
-    let table = golden::golden_table_checking(|label, sim| {
-        assert_eq!(
-            Some(&debug_siphash_digest(sim)),
-            old_pins.next(),
-            "{label}: behaviour changed — the run no longer gives its pre-trace64 digest",
-        );
-    });
-    assert_eq!(old_pins.next(), None, "an old pin names no golden cell");
     // Line by line first, so a drift names its cell; then the whole file,
     // which CI also regenerates and diffs.
+    let table = golden::golden_table();
     let pinned = include_str!("golden_digests.txt");
     for (got, want) in table.lines().zip(pinned.lines()) {
         assert_eq!(got, want, "off-mode digest drifted from golden_digests.txt");

@@ -2,9 +2,9 @@
 //! else (DESIGN.md §16 holds the same definition with its test vectors).
 //!
 //! The trace digest and the results store's run id are compared across
-//! builds, hosts and toolchains, so they cannot rest on `std`'s
-//! `DefaultHasher` (documented as unspecified) or on `derive(Debug)`
-//! output. This one is written down:
+//! builds, hosts and toolchains, so they cannot rest on `std`'s default
+//! hasher (documented as unspecified) or on `derive(Debug)` output. This
+//! one is written down:
 //!
 //! ```text
 //! fold(h, w) = x ^ (x >> 32)   where x = (h ^ w) * K   (mod 2^64)
