@@ -5,11 +5,10 @@
 
 use std::fmt::Write as _;
 
-use dcn_experiments::chaos::{run_chaos_with, trace_digest, ChaosConfig};
-use dcn_experiments::scenario::run_with_sim;
-use dcn_experiments::{Failure, RunSpec, Stack, TrafficDir};
+use dcn_experiments::chaos::{run_chaos, ChaosConfig};
+use dcn_experiments::{run_digest, Failure, RunSpec, Stack, TrafficDir};
 use dcn_sim::time::{MICROS, MILLIS, SECONDS};
-use dcn_sim::{Impairment, Sim, SimConfig};
+use dcn_sim::Impairment;
 use dcn_topology::{ClosParams, FailureCase};
 
 /// A trimmed chaos config (short windows, light impairment) so a handful
@@ -31,31 +30,26 @@ pub fn quick_chaos() -> ChaosConfig {
     }
 }
 
-/// Run every golden cell, in file order, handing `f` the cell's label
-/// and its finished simulation: TC1–TC4 on MR-MTP and BGP with traffic
-/// pinned onto the failure chain, then three chaos seeds.
-fn for_each_golden_run(mut f: impl FnMut(&str, &Sim)) {
-    for (stack, dir) in [(Stack::Mrmtp, TrafficDir::NearToFar), (Stack::BgpEcmp, TrafficDir::FarToNear)] {
-        for tc in FailureCase::ALL {
-            let spec = RunSpec::new(ClosParams::two_pod(), stack).failing(tc).with_traffic(dir);
-            let label = format!("{} {}", stack.slug(), Failure::Case(tc).slug());
-            f(&label, &run_with_sim(spec).1.sim);
-        }
-    }
-    for (stack, seed) in [(Stack::Mrmtp, 21u64), (Stack::Mrmtp, 22), (Stack::BgpEcmp, 23)] {
-        let built = run_chaos_with(seed, stack, &quick_chaos(), SimConfig::default(), None).2;
-        f(&format!("chaos {} {seed}", stack.slug()), &built.sim);
-    }
-}
-
-/// The text of `golden_digests.txt`: one `label digest` line per cell.
+/// The text of `golden_digests.txt`: one `label digest` line per cell —
+/// TC1–TC4 on MR-MTP and BGP with traffic pinned onto the failure chain,
+/// then three chaos seeds.
 pub fn golden_table() -> String {
     let mut out = String::from(
         "# Trace digests (trace64/v1) of the 11 golden cells. Do not edit by hand:\n\
          # cargo run --release -p dcn-experiments --example golden_digests\n",
     );
-    for_each_golden_run(|label, sim| {
-        writeln!(out, "{label} {:#018x}", trace_digest(sim)).expect("writing to a String");
-    });
+    let mut line = |label: String, digest: u64| {
+        writeln!(out, "{label} {digest:#018x}").expect("writing to a String");
+    };
+    for (stack, dir) in [(Stack::Mrmtp, TrafficDir::NearToFar), (Stack::BgpEcmp, TrafficDir::FarToNear)] {
+        for tc in FailureCase::ALL {
+            let spec = RunSpec::new(ClosParams::two_pod(), stack).failing(tc).with_traffic(dir);
+            line(format!("{} {}", stack.slug(), Failure::Case(tc).slug()), run_digest(spec));
+        }
+    }
+    for (stack, seed) in [(Stack::Mrmtp, 21u64), (Stack::Mrmtp, 22), (Stack::BgpEcmp, 23)] {
+        let run = run_chaos(seed, stack, &quick_chaos());
+        line(format!("chaos {} {seed}", stack.slug()), run.digest);
+    }
     out
 }

@@ -37,7 +37,8 @@ pub enum FrameClass {
 }
 
 impl FrameClass {
-    /// Every class, in rendering order.
+    /// Every class, in rendering order, indexed by its code (`class as
+    /// u8`) in a canonical record.
     pub const ALL: [FrameClass; 5] = [
         FrameClass::Keepalive,
         FrameClass::Update,
@@ -45,11 +46,6 @@ impl FrameClass {
         FrameClass::Ack,
         FrameClass::Data,
     ];
-
-    /// Inverse of `class as u8`, the class's code in a canonical record.
-    fn from_code(code: u8) -> Option<FrameClass> {
-        FrameClass::ALL.get(code as usize).copied()
-    }
 
     /// Stable lowercase name (table keys, JSONL fields, capture lines).
     pub fn name(self) -> &'static str {
@@ -403,7 +399,7 @@ impl TraceEvent {
                 port,
                 wire_len: payload as u32,
                 capture_len: (payload >> 32) as u32,
-                class: FrameClass::from_code(sub)?,
+                class: *FrameClass::ALL.get(sub as usize)?,
             },
             1 => TraceEvent::PortDown { time, node, port },
             2 => TraceEvent::PortUp { time, node, port },
