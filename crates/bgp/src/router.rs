@@ -11,8 +11,8 @@ use dcn_sim::{
 use dcn_tcp::{TcpConn, TcpEvent};
 use dcn_bfd::{BfdEvent, BfdSession};
 use dcn_wire::{
-    flow_hash_of, BgpMessage, BgpUpdate, EtherType, EthernetFrame, IpAddr4, Ipv4Packet, MacAddr,
-    Prefix, TcpSegment, UdpDatagram, BFD_CTRL_PORT, BGP_PORT, ETHERNET_HEADER_LEN,
+    flow_hash_of, BgpMessage, BgpUpdate, EtherType, EthernetFrame, IpAddr4, Ipv4Packet, Ipv4View,
+    MacAddr, Prefix, TcpSegment, UdpDatagram, BFD_CTRL_PORT, BGP_PORT, ETHERNET_HEADER_LEN,
     IPPROTO_TCP, IPPROTO_UDP, IPV4_HEADER_LEN,
 };
 
@@ -210,37 +210,30 @@ impl BgpRouter {
     // Frame emission
     // ------------------------------------------------------------------
 
+    /// The frame carrying an IPv4 packet out of `port`: Ethernet header,
+    /// IPv4 header and payload written into one buffer.
     fn build_ip_frame(
         node: u32,
         port: PortId,
         proto: u8,
         src: IpAddr4,
         dst: IpAddr4,
-        payload: Vec<u8>,
+        ttl: u8,
+        payload: &[u8],
     ) -> FrameBuf {
-        let pkt = Ipv4Packet::new(src, dst, proto, payload);
-        let frame = EthernetFrame {
-            dst: MacAddr::for_node_port(node, port.0), // p2p: any unicast works
-            src: MacAddr::for_node_port(node, port.0),
-            ethertype: EtherType::Ipv4,
-            payload: pkt.encode(),
-        };
-        FrameBuf::new(frame.encode())
+        let mac = MacAddr::for_node_port(node, port.0); // p2p: any unicast works
+        let ip_len = IPV4_HEADER_LEN + payload.len();
+        EthernetFrame::build(mac, mac, EtherType::Ipv4, ip_len, |ip| {
+            Ipv4Packet::put_header(ip, src, dst, proto, ttl, payload.len());
+            ip[IPV4_HEADER_LEN..].copy_from_slice(payload);
+        })
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn send_ip(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        port: PortId,
-        proto: u8,
-        src: IpAddr4,
-        dst: IpAddr4,
-        payload: Vec<u8>,
-        class: FrameClass,
-    ) {
-        let frame = Self::build_ip_frame(ctx.node().0, port, proto, src, dst, payload);
-        ctx.send(port, frame, class);
+    /// The frame carrying session traffic (`payload` over `proto`) to
+    /// peer `peer_idx`, between the two addresses of their link.
+    fn peer_frame(&self, ctx: &Ctx<'_>, peer_idx: usize, proto: u8, payload: &[u8]) -> FrameBuf {
+        let (c, ttl) = (&self.peers[peer_idx].cfg, Ipv4Packet::DEFAULT_TTL);
+        Self::build_ip_frame(ctx.node().0, c.port, proto, c.local_ip, c.peer_ip, ttl, payload)
     }
 
     fn emit_segments(
@@ -250,10 +243,7 @@ impl BgpRouter {
         segments: Vec<TcpSegment>,
         class: FrameClass,
     ) {
-        let (port, src, dst) = {
-            let p = &self.peers[peer_idx];
-            (p.cfg.port, p.cfg.local_ip, p.cfg.peer_ip)
-        };
+        let port = self.peers[peer_idx].cfg.port;
         for seg in segments {
             // Classify transport-level frames independent of the app
             // class: empty payloads are handshake/acks.
@@ -268,7 +258,8 @@ impl BgpRouter {
             } else {
                 class
             };
-            self.send_ip(ctx, port, IPPROTO_TCP, src, dst, seg.encode(), c);
+            let frame = self.peer_frame(ctx, peer_idx, IPPROTO_TCP, &seg.encode());
+            ctx.send(port, frame, c);
         }
     }
 
@@ -562,21 +553,21 @@ impl BgpRouter {
 
     /// Session traffic addressed to our side of a fabric link: TCP
     /// segments of the BGP session, BFD control packets over UDP.
-    fn on_control(&mut self, ctx: &mut Ctx<'_>, port: PortId, peer_idx: usize, pkt: &Ipv4Packet) {
+    fn on_control(&mut self, ctx: &mut Ctx<'_>, port: PortId, peer_idx: usize, pkt: &Ipv4View<'_>) {
         match pkt.protocol {
-            IPPROTO_TCP => match TcpSegment::decode(&pkt.payload) {
+            IPPROTO_TCP => match TcpSegment::decode(pkt.payload) {
                 Ok(seg) => self.on_tcp_segment(ctx, peer_idx, &seg),
                 Err(_) => self.stats.malformed_frames_dropped += 1,
             },
             IPPROTO_UDP => {
-                let Ok(udp) = UdpDatagram::decode(&pkt.payload) else {
+                let Ok(udp) = UdpDatagram::parse(pkt.payload) else {
                     self.stats.malformed_frames_dropped += 1;
                     return;
                 };
                 if udp.dst_port != BFD_CTRL_PORT {
                     return;
                 }
-                let Ok(bp) = dcn_wire::BfdPacket::decode(&udp.payload) else {
+                let Ok(bp) = dcn_wire::BfdPacket::decode(udp.payload) else {
                     self.stats.malformed_frames_dropped += 1;
                     return;
                 };
@@ -587,20 +578,9 @@ impl BgpRouter {
                 let (reply, event) = bfd.on_packet(&bp, now);
                 self.peers[peer_idx].bfd = Some(bfd);
                 if let Some(r) = reply {
-                    let (src, dst) = {
-                        let c = &self.peers[peer_idx].cfg;
-                        (c.local_ip, c.peer_ip)
-                    };
                     let udp = UdpDatagram::new(49152, BFD_CTRL_PORT, r.encode());
-                    self.send_ip(
-                        ctx,
-                        port,
-                        IPPROTO_UDP,
-                        src,
-                        dst,
-                        udp.encode(),
-                        FrameClass::Keepalive,
-                    );
+                    let frame = self.peer_frame(ctx, peer_idx, IPPROTO_UDP, &udp.encode());
+                    ctx.send(port, frame, FrameClass::Keepalive);
                 }
                 if event == Some(BfdEvent::SessionDown)
                     && self.peers[peer_idx].fsm == BgpState::Established
@@ -616,24 +596,28 @@ impl BgpRouter {
     // Data plane
     // ------------------------------------------------------------------
 
-    fn forward_data(&mut self, ctx: &mut Ctx<'_>, pkt: Ipv4Packet) {
-        if let Some(rack) = self.cfg.rack_subnet {
-            if rack.contains(pkt.dst) {
-                if let Some(&(_, port)) = self.cfg.host_ports.iter().find(|(ip, _)| *ip == pkt.dst)
-                {
-                    let frame = EthernetFrame {
-                        dst: MacAddr::for_node_port(ctx.node().0, port.0),
-                        src: MacAddr::for_node_port(ctx.node().0, port.0),
-                        ethertype: EtherType::Ipv4,
-                        payload: pkt.encode(),
-                    };
-                    self.stats.data_delivered += 1;
-                    ctx.send(port, frame.encode(), FrameClass::Data);
-                } else {
-                    self.stats.data_dropped += 1;
-                }
-                return;
-            }
+    /// Rack delivery, shared by both forwarding paths: re-frame the IP
+    /// bytes toward the server's port, in one buffer.
+    fn deliver(&mut self, ctx: &mut Ctx<'_>, dst: IpAddr4, ip_bytes: &[u8]) {
+        let Some(&(_, port)) = self.cfg.host_ports.iter().find(|(ip, _)| *ip == dst) else {
+            self.stats.data_dropped += 1;
+            return;
+        };
+        let mac = MacAddr::for_node_port(ctx.node().0, port.0);
+        let frame = EthernetFrame::build(mac, mac, EtherType::Ipv4, ip_bytes.len(), |b| {
+            b.copy_from_slice(ip_bytes)
+        });
+        self.stats.data_delivered += 1;
+        ctx.send(port, frame, FrameClass::Data);
+    }
+
+    /// The validating slow path: `pkt` is the parsed view of `ip_bytes`. A
+    /// header that parses is the one layout `put_header` writes, so trimming
+    /// to the total length is all a decode → re-encode would change.
+    fn forward_data(&mut self, ctx: &mut Ctx<'_>, ip_bytes: &[u8], pkt: &Ipv4View<'_>) {
+        if self.cfg.rack_subnet.is_some_and(|rack| rack.contains(pkt.dst)) {
+            self.deliver(ctx, pkt.dst, &ip_bytes[..IPV4_HEADER_LEN + pkt.payload.len()]);
+            return;
         }
         if pkt.ttl <= 1 {
             self.stats.data_dropped += 1;
@@ -644,7 +628,7 @@ impl BgpRouter {
             self.stats.blackholed_in_window += 1;
             return;
         };
-        let hash = flow_hash_of(&pkt);
+        let hash = flow_hash_of(pkt);
         let port = members[dcn_wire::ecmp_index(hash, members.len())].peer_port;
         if !ctx.port(port).up {
             // The hash landed on a locally-dead egress: the send below
@@ -652,16 +636,10 @@ impl BgpRouter {
             // is lost on the wire — count it toward the loss window.
             self.stats.blackholed_in_window += 1;
         }
-        let mut out = pkt;
-        out.ttl -= 1;
-        let frame = EthernetFrame {
-            dst: MacAddr::for_node_port(ctx.node().0, port.0),
-            src: MacAddr::for_node_port(ctx.node().0, port.0),
-            ethertype: EtherType::Ipv4,
-            payload: out.encode(),
-        };
+        let (node, ttl) = (ctx.node().0, pkt.ttl - 1);
+        let frame = Self::build_ip_frame(node, port, pkt.protocol, pkt.src, pkt.dst, ttl, pkt.payload);
         self.stats.data_forwarded += 1;
-        ctx.send(port, frame.encode(), FrameClass::Data);
+        ctx.send(port, frame, FrameClass::Data);
     }
 
     /// The data-plane fast path: forward using the parsed-at-ingress
@@ -688,23 +666,9 @@ impl BgpRouter {
         repaired: bool,
     ) {
         const IP: usize = ETHERNET_HEADER_LEN;
-        if let Some(rack) = self.cfg.rack_subnet {
-            if rack.contains(dst) {
-                match self.cfg.host_ports.iter().find(|&&(ip, _)| ip == dst) {
-                    Some(&(_, port)) => {
-                        // Terminal delivery re-frames the unchanged IP
-                        // bytes toward the host port.
-                        let mac = MacAddr::for_node_port(ctx.node().0, port.0);
-                        let mut out = Vec::with_capacity(frame.len());
-                        EthernetFrame::put_header(&mut out, mac, mac, EtherType::Ipv4);
-                        out.extend_from_slice(&frame[IP..]);
-                        self.stats.data_delivered += 1;
-                        ctx.send(port, FrameBuf::new(out), FrameClass::Data);
-                    }
-                    None => self.stats.data_dropped += 1,
-                }
-                return;
-            }
+        if self.cfg.rack_subnet.is_some_and(|rack| rack.contains(dst)) {
+            self.deliver(ctx, dst, &frame[IP..]);
+            return;
         }
         if ttl <= 1 {
             self.stats.data_dropped += 1;
@@ -818,10 +782,6 @@ impl BgpRouter {
                 let (pkt, event) = bfd.tick(now);
                 self.peers[peer_idx].bfd = Some(bfd);
                 if let Some(pkt) = pkt {
-                    let (src, dst) = {
-                        let c = &self.peers[peer_idx].cfg;
-                        (c.local_ip, c.peer_ip)
-                    };
                     // BFD control packets are timestamp-free, so in steady
                     // state every keepalive encodes to the same bytes: cache
                     // the encapsulated frame and re-send by refcount bump.
@@ -830,9 +790,7 @@ impl BgpRouter {
                         Some((k, f)) if *k == key => f.clone(),
                         _ => {
                             let udp = UdpDatagram::new(49152, BFD_CTRL_PORT, key.clone());
-                            let f = Self::build_ip_frame(
-                                ctx.node().0, port, IPPROTO_UDP, src, dst, udp.encode(),
-                            );
+                            let f = self.peer_frame(ctx, peer_idx, IPPROTO_UDP, &udp.encode());
                             self.peers[peer_idx].bfd_frame = Some((key, f.clone()));
                             f
                         }
@@ -915,14 +873,14 @@ impl Protocol for BgpRouter {
     }
 
     fn on_frame(&mut self, ctx: &mut Ctx<'_>, port: PortId, frame: &FrameBuf) {
-        let Ok(eth) = EthernetFrame::decode(frame) else {
+        let Ok(eth) = EthernetFrame::parse(frame) else {
             self.stats.malformed_frames_dropped += 1;
             return;
         };
         if eth.ethertype != EtherType::Ipv4 {
             return; // BGP fabrics ignore MR-MTP frames and vice versa
         }
-        let Ok(pkt) = Ipv4Packet::decode(&eth.payload) else {
+        let Ok(pkt) = Ipv4Packet::parse(eth.payload) else {
             self.stats.malformed_frames_dropped += 1;
             return;
         };
@@ -935,7 +893,7 @@ impl Protocol for BgpRouter {
             }
         }
         // Otherwise: transit data.
-        self.forward_data(ctx, pkt);
+        self.forward_data(ctx, eth.payload, &pkt);
     }
 
     fn on_frame_meta(

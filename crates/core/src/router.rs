@@ -34,6 +34,7 @@ use dcn_sim::{
 };
 use dcn_wire::{
     flow_hash_of, EtherType, EthernetFrame, IpAddr4, Ipv4Packet, MacAddr, MrmtpMsg, Vid,
+    ETHERNET_HEADER_LEN,
 };
 
 use crate::config::MrmtpConfig;
@@ -209,14 +210,9 @@ impl MrmtpRouter {
     }
 
     fn send_msg(&mut self, ctx: &mut Ctx<'_>, port: PortId, msg: &MrmtpMsg, class: FrameClass) {
-        let frame = EthernetFrame {
-            dst: MacAddr::BROADCAST,
-            src: MacAddr::for_node_port(ctx.node().0, port.0),
-            ethertype: EtherType::Mrmtp,
-            payload: msg.encode(),
-        };
+        let frame = control_frame(ctx.node().0, port, msg);
         self.nbr.note_tx(port, ctx.now());
-        ctx.send(port, frame.encode(), class);
+        ctx.send(port, frame, class);
     }
 
     /// Send a keep-alive hello from the per-port frame cache (the frame
@@ -224,17 +220,7 @@ impl MrmtpRouter {
     fn send_hello(&mut self, ctx: &mut Ctx<'_>, port: PortId) {
         self.stats.hellos_sent += 1;
         let frame = self.hello_frames[port.index()]
-            .get_or_insert_with(|| {
-                FrameBuf::new(
-                    EthernetFrame {
-                        dst: MacAddr::BROADCAST,
-                        src: MacAddr::for_node_port(ctx.node().0, port.0),
-                        ethertype: EtherType::Mrmtp,
-                        payload: MrmtpMsg::Hello.encode(),
-                    }
-                    .encode(),
-                )
-            })
+            .get_or_insert_with(|| control_frame(ctx.node().0, port, &MrmtpMsg::Hello))
             .clone();
         self.nbr.note_tx(port, ctx.now());
         ctx.send_meta(port, frame, FrameClass::Keepalive, FrameMeta::MrmtpHello);
@@ -248,15 +234,7 @@ impl MrmtpRouter {
             | MrmtpMsg::Recovered { seq, .. } => *seq,
             _ => unreachable!("only offers and updates are reliable"),
         };
-        let frame = FrameBuf::new(
-            EthernetFrame {
-                dst: MacAddr::BROADCAST,
-                src: MacAddr::for_node_port(ctx.node().0, port.0),
-                ethertype: EtherType::Mrmtp,
-                payload: msg.encode(),
-            }
-            .encode(),
-        );
+        let frame = control_frame(ctx.node().0, port, &msg);
         self.nbr.note_tx(port, ctx.now());
         // The retransmit queue shares the allocation with the in-flight
         // frame: both sends are refcount bumps.
@@ -716,116 +694,40 @@ impl MrmtpRouter {
         )
     }
 
-    /// An IP packet arrived from a rack port (ToR ingress).
-    fn on_host_ip(&mut self, ctx: &mut Ctx<'_>, frame: &EthernetFrame) {
-        let Some(my_root) = self.my_root else {
+    /// An IP packet arrived from a rack port (ToR ingress); `dst` and the
+    /// full flow hash come from the sender's metadata or the slow path's
+    /// own parse of `ip_bytes`.
+    fn on_host_ip(&mut self, ctx: &mut Ctx<'_>, ip_bytes: &[u8], dst: IpAddr4, flow64: u64) {
+        // A rack port implies a ToR config and with it a root VID; still
+        // degrade to a drop rather than panicking mid-simulation.
+        let (Some(my_root), Some(tor)) = (self.my_root, self.cfg.tor.as_ref()) else {
             self.stats.data_dropped += 1;
             return;
         };
-        let Ok(pkt) = Ipv4Packet::decode(&frame.payload) else {
-            self.stats.data_dropped += 1;
-            self.stats.malformed_frames_dropped += 1;
-            return;
-        };
-        // `my_root` is derived from the ToR config, so it is present here;
-        // still degrade to a drop rather than panicking mid-simulation.
-        let Some(tor) = self.cfg.tor.as_ref() else {
-            self.stats.data_dropped += 1;
-            return;
-        };
-        let rack = tor.rack_subnet;
-        if rack.contains(pkt.dst) {
+        if tor.rack_subnet.contains(dst) {
             // Intra-rack: bounce to the right server port.
-            self.deliver_to_host(ctx, pkt.dst, &frame.payload);
+            self.deliver_to_host(ctx, dst, ip_bytes);
             return;
         }
         // Derive the destination ToR VID from the destination address
         // (paper §III-D) and encapsulate.
-        let dst_root = pkt.dst.third_octet();
-        let dst_vid = Vid::root(dst_root);
-        let flow = (flow_hash_of(&pkt) & 0xFFFF) as u16;
-        match self.route_for(ctx, dst_root, flow) {
-            Some(port) => {
-                self.stats.data_forwarded += 1;
-                // Single-allocation encapsulation: Ethernet header +
-                // MR-MTP data header + IP bytes composed directly into
-                // the output buffer — byte-identical to encoding an
-                // `MrmtpMsg::Data` into an `EthernetFrame`, without the
-                // intermediate payload copies.
-                let hdr = MrmtpMsg::data_header_len(my_root, dst_vid);
-                let mut out = Vec::with_capacity(14 + hdr + frame.payload.len());
-                EthernetFrame::put_header(
-                    &mut out,
-                    MacAddr::BROADCAST,
-                    MacAddr::for_node_port(ctx.node().0, port.0),
-                    EtherType::Mrmtp,
-                );
-                MrmtpMsg::put_data_header(&mut out, my_root, dst_vid, flow);
-                out.extend_from_slice(&frame.payload);
-                self.nbr.note_tx(port, ctx.now());
-                ctx.send_meta(
-                    port,
-                    out,
-                    FrameClass::Data,
-                    FrameMeta::MrmtpData {
-                        dst_root,
-                        flow,
-                        payload_off: (14 + hdr) as u16,
-                        ip_dst: pkt.dst,
-                        repaired: false,
-                    },
-                );
-            }
-            None => {
-                self.stats.data_dropped += 1;
-                self.stats.blackholed_in_window += 1;
-            }
-        }
-    }
-
-    /// Host ingress with parse-once metadata: same decisions as
-    /// [`Self::on_host_ip`] (`flow` is the full hash the slow path would
-    /// recompute with `flow_hash_of`), minus the IPv4 decode.
-    fn on_host_ip_fast(&mut self, ctx: &mut Ctx<'_>, frame: &FrameBuf, dst: IpAddr4, flow64: u64) {
-        let Some(my_root) = self.my_root else {
-            self.stats.data_dropped += 1;
-            return;
-        };
-        let Some(tor) = self.cfg.tor.as_ref() else {
-            self.stats.data_dropped += 1;
-            return;
-        };
-        let ip_bytes_start = dcn_wire::ETHERNET_HEADER_LEN;
-        if tor.rack_subnet.contains(dst) {
-            self.deliver_to_host(ctx, dst, &frame[ip_bytes_start..]);
-            return;
-        }
         let dst_root = dst.third_octet();
-        let dst_vid = Vid::root(dst_root);
         let flow = (flow64 & 0xFFFF) as u16;
         match self.route_for(ctx, dst_root, flow) {
             Some(port) => {
                 self.stats.data_forwarded += 1;
-                let ip_bytes = &frame[ip_bytes_start..];
-                let hdr = MrmtpMsg::data_header_len(my_root, dst_vid);
-                let mut out = Vec::with_capacity(14 + hdr + ip_bytes.len());
-                EthernetFrame::put_header(
-                    &mut out,
-                    MacAddr::BROADCAST,
-                    MacAddr::for_node_port(ctx.node().0, port.0),
-                    EtherType::Mrmtp,
-                );
-                MrmtpMsg::put_data_header(&mut out, my_root, dst_vid, flow);
-                out.extend_from_slice(ip_bytes);
+                let dst_vid = Vid::root(dst_root);
+                let (frame, payload_off) =
+                    encapsulate(ctx.node().0, port, my_root, dst_vid, flow, ip_bytes);
                 self.nbr.note_tx(port, ctx.now());
                 ctx.send_meta(
                     port,
-                    out,
+                    frame,
                     FrameClass::Data,
                     FrameMeta::MrmtpData {
                         dst_root,
                         flow,
-                        payload_off: (14 + hdr) as u16,
+                        payload_off: payload_off as u16,
                         ip_dst: dst,
                         repaired: false,
                     },
@@ -843,14 +745,13 @@ impl MrmtpRouter {
             self.stats.data_dropped += 1;
             return;
         };
-        // Compose the host-facing frame in one allocation (the host
-        // accepts any MAC, so both addresses are this port's).
+        // The host accepts any MAC, so both addresses are this port's.
         let mac = MacAddr::for_node_port(ctx.node().0, port.0);
-        let mut out = Vec::with_capacity(14 + ip_bytes.len());
-        EthernetFrame::put_header(&mut out, mac, mac, EtherType::Ipv4);
-        out.extend_from_slice(ip_bytes);
+        let frame = EthernetFrame::build(mac, mac, EtherType::Ipv4, ip_bytes.len(), |b| {
+            b.copy_from_slice(ip_bytes)
+        });
         self.stats.data_delivered += 1;
-        ctx.send(port, out, FrameClass::Data);
+        ctx.send(port, frame, FrameClass::Data);
     }
 
     /// An encapsulated data frame arrived from the fabric (slow path:
@@ -859,7 +760,7 @@ impl MrmtpRouter {
         let root = dst.root_id();
         if self.my_root.map(|v| v.root_id()) == Some(root) {
             // Terminal ToR: de-encapsulate and hand to the server.
-            match Ipv4Packet::decode(payload) {
+            match Ipv4Packet::parse(payload) {
                 Ok(pkt) => self.deliver_to_host(ctx, pkt.dst, payload),
                 Err(_) => {
                     self.stats.data_dropped += 1;
@@ -966,6 +867,39 @@ impl MrmtpRouter {
     }
 }
 
+/// An MR-MTP frame leaving `node` on `port`, its `len` payload bytes
+/// written in place by `fill`. Broadcast destination: links are
+/// point-to-point, so no ARP is needed (paper §III).
+fn mrmtp_frame(node: u32, port: PortId, len: usize, fill: impl FnOnce(&mut [u8])) -> FrameBuf {
+    let src = MacAddr::for_node_port(node, port.0);
+    EthernetFrame::build(MacAddr::BROADCAST, src, EtherType::Mrmtp, len, fill)
+}
+
+/// The frame carrying control message `msg`.
+fn control_frame(node: u32, port: PortId, msg: &MrmtpMsg) -> FrameBuf {
+    let payload = msg.encode();
+    mrmtp_frame(node, port, payload.len(), |b| b.copy_from_slice(&payload))
+}
+
+/// The data frame a ToR (`node`) sends out of `port` for `ip_bytes`, and
+/// the offset of `ip_bytes` in it: byte-identical to encoding an
+/// `MrmtpMsg::Data` into an `EthernetFrame`, in one buffer.
+fn encapsulate(
+    node: u32,
+    port: PortId,
+    src: Vid,
+    dst: Vid,
+    flow: u16,
+    ip_bytes: &[u8],
+) -> (FrameBuf, usize) {
+    let hdr = MrmtpMsg::data_header_len(src, dst);
+    let frame = mrmtp_frame(node, port, hdr + ip_bytes.len(), |b| {
+        MrmtpMsg::put_data_header(b, src, dst, flow);
+        b[hdr..].copy_from_slice(ip_bytes);
+    });
+    (frame, ETHERNET_HEADER_LEN + hdr)
+}
+
 impl StatsSnapshot for MrmtpRouter {
     fn counters(&self) -> Vec<(&'static str, u64)> {
         let s = &self.stats;
@@ -1016,19 +950,25 @@ impl Protocol for MrmtpRouter {
     }
 
     fn on_frame(&mut self, ctx: &mut Ctx<'_>, port: PortId, frame: &FrameBuf) {
-        let Ok(eth) = EthernetFrame::decode(frame) else {
+        let Ok(eth) = EthernetFrame::parse(frame) else {
             self.stats.malformed_frames_dropped += 1;
             return;
         };
         match eth.ethertype {
             EtherType::Ipv4 if self.is_host_port(port) => {
-                self.on_host_ip(ctx, &eth);
+                match Ipv4Packet::parse(eth.payload) {
+                    Ok(pkt) => self.on_host_ip(ctx, eth.payload, pkt.dst, flow_hash_of(&pkt)),
+                    Err(_) => {
+                        self.stats.data_dropped += 1;
+                        self.stats.malformed_frames_dropped += 1;
+                    }
+                }
                 return;
             }
             EtherType::Mrmtp => {}
             _ => return,
         }
-        let Ok(msg) = MrmtpMsg::decode(&eth.payload) else {
+        let Ok(msg) = MrmtpMsg::decode(eth.payload) else {
             self.stats.malformed_frames_dropped += 1;
             return;
         };
@@ -1154,7 +1094,7 @@ impl Protocol for MrmtpRouter {
                     // on fabric ports are ignored exactly as in the slow
                     // path's ethertype dispatch.
                     if self.is_host_port(port) {
-                        self.on_host_ip_fast(ctx, frame, dst, flow);
+                        self.on_host_ip(ctx, &frame[ETHERNET_HEADER_LEN..], dst, flow);
                     }
                     return;
                 }
@@ -1209,6 +1149,7 @@ mod tests {
     use super::*;
     use crate::config::{MrmtpTimers, TorConfig};
     use dcn_wire::Prefix;
+    use proptest::prelude::*;
 
     fn tor_cfg(vid: u8) -> MrmtpConfig {
         MrmtpConfig::tor(
@@ -1249,6 +1190,31 @@ mod tests {
             assert!(!r.already_seen(PortId(0), s));
         }
         assert!(!r.already_seen(PortId(0), 5), "evicted after window overflow");
+    }
+
+    proptest! {
+        /// In-place ToR encapsulation is, byte for byte, an
+        /// `MrmtpMsg::Data` encoded into an `EthernetFrame`, and the
+        /// offset it reports is where the IP bytes start.
+        #[test]
+        fn encapsulation_is_the_layered_encoding(
+            node in any::<u32>(), port in 0u16..128, flow in any::<u16>(),
+            src in proptest::collection::vec(1u8..=255, 1..=8),
+            dst in proptest::collection::vec(1u8..=255, 1..=8),
+            ip_bytes in proptest::collection::vec(any::<u8>(), 0..1500),
+        ) {
+            let src = Vid::from_components(&src).unwrap();
+            let dst = Vid::from_components(&dst).unwrap();
+            let layered = EthernetFrame {
+                dst: MacAddr::BROADCAST,
+                src: MacAddr::for_node_port(node, port),
+                ethertype: EtherType::Mrmtp,
+                payload: MrmtpMsg::Data { src, dst, flow, payload: ip_bytes.clone() }.encode(),
+            };
+            let (frame, off) = encapsulate(node, PortId(port), src, dst, flow, &ip_bytes);
+            prop_assert_eq!(frame.as_slice(), &layered.encode()[..]);
+            prop_assert_eq!(&frame[off..], &ip_bytes[..]);
+        }
     }
 
     #[test]

@@ -1,8 +1,9 @@
-//! The zero-allocation forwarding gate, measured rather than asserted.
+//! The one-buffer-per-frame gate, measured rather than asserted.
 //!
 //! This test binary installs the counting `#[global_allocator]` (which
 //! library unit tests cannot), soaks a converged fabric with cross-pod
-//! traffic, and checks the headline fast-path claims:
+//! traffic, and checks the data path's allocation budgets, transit and
+//! edge (DESIGN.md §17):
 //!
 //! * **MR-MTP transit forwards with zero heap allocations.** Frames are
 //!   immutable and refcounted, the compiled FIB is rebuilt only on
@@ -13,35 +14,50 @@
 //!   (`FrameBuf::mutate_copy`); that's the cost of mutating IPv4
 //!   headers in flight and is documented in DESIGN.md, not a
 //!   regression.
+//! * **Every edge builds its frame once, in place.** Host emit 1, ToR
+//!   encapsulation 1, ToR/rack delivery 1, host ingest 0: with one scope
+//!   around the whole measured second, the allocations per delivered
+//!   packet are exactly the sum of those budgets, and what is left over
+//!   is the control plane's own, a few hundred whatever the packet rate.
 
 use dcn_experiments::{build_fabric_sim_cfg, flows, BuiltSim, Stack, StackTuning};
 use dcn_sim::alloc_track;
+use dcn_sim::link::LinkSpec;
 use dcn_sim::time::{MICROS, MILLIS, SECONDS};
-use dcn_sim::SimConfig;
+use dcn_sim::{SimBuilder, SimConfig};
 use dcn_topology::{Addressing, ClosParams, Fabric, FailureCase};
-use dcn_traffic::SendSpec;
+use dcn_traffic::{SendSpec, TrafficHost};
+use dcn_wire::IpAddr4;
 
 #[global_allocator]
 static ALLOC: alloc_track::CountingAllocator = alloc_track::CountingAllocator;
 
-/// Converge a 2-pod fabric with four cross-pod flows, reset the counters
-/// at steady state, run one more second, and return
-/// (forwarded packets, allocations inside forwarding scopes). The
+/// Allocations one second of an idle converged 2-pod fabric's control
+/// plane stays under (measured: 193 MR-MTP, 448 BGP, and ≈ 70 more under
+/// traffic): the remainder an edge budget may leave. One allocation too
+/// many per packet would leave tens of thousands.
+const CONTROL_PLANE_ALLOCS: u64 = 2_000;
+
+/// Converge a 2-pod fabric, reset the counters at steady state, run four
+/// cross-pod flows for 800 ms and one second in all, so every packet sent
+/// is delivered inside the measurement. Returns (forwarded packets,
+/// allocations, packets the receivers took in). The allocations are those
+/// inside forwarding scopes, or with `whole_run` every one the thread
+/// made — hosts, routers' edges, engine and control plane included. The
 /// engine's always-recorded profile counts every dispatch of the soak
 /// into a vector sized at build time, so it is inside the gate too.
-fn soak(stack: Stack) -> (u64, u64) {
+fn soak(stack: Stack, whole_run: bool) -> (u64, u64, u64) {
     let params = ClosParams::two_pod();
     let fabric = Fabric::build(params);
     let addr = Addressing::new(&fabric);
     let warmup = if stack == Stack::Mrmtp { 2 * SECONDS } else { 6 * SECONDS };
-    let stop = warmup + 2 * SECONDS;
     let mut senders = Vec::new();
     for t in 0..params.tors_per_pod {
         let spec = |dst_tor: usize| {
             let mut s = SendSpec::new(
                 addr.server_addr(dst_tor, 0).expect("server address"),
                 warmup,
-                stop,
+                warmup + 800 * MILLIS,
             );
             s.interval = 100 * MICROS;
             s
@@ -59,8 +75,12 @@ fn soak(stack: Stack) -> (u64, u64) {
     );
     built.sim.run_until(warmup);
     alloc_track::reset();
-    built.sim.run_until(warmup + SECONDS);
-    (alloc_track::forwarded(), alloc_track::scoped_allocs())
+    {
+        let _all = whole_run.then(alloc_track::scope);
+        built.sim.run_until(warmup + SECONDS);
+    }
+    let delivered = senders.iter().map(|&(node, _)| built.host(node).report(0).arrived).sum();
+    (alloc_track::forwarded(), alloc_track::scoped_allocs(), delivered)
 }
 
 /// Like [`soak`], but with local fast reroute armed and the TC1
@@ -125,7 +145,7 @@ fn counting_allocator_is_live_in_this_binary() {
 
 #[test]
 fn mrmtp_transit_forwards_without_allocating() {
-    let (forwarded, allocs) = soak(Stack::Mrmtp);
+    let (forwarded, allocs, _) = soak(Stack::Mrmtp, false);
     assert!(forwarded > 1_000, "soak too light to be meaningful: {forwarded} packets");
     assert_eq!(
         allocs, 0,
@@ -135,7 +155,7 @@ fn mrmtp_transit_forwards_without_allocating() {
 
 #[test]
 fn bgp_transit_allocates_exactly_once_per_packet() {
-    let (forwarded, allocs) = soak(Stack::BgpEcmp);
+    let (forwarded, allocs, _) = soak(Stack::BgpEcmp, false);
     assert!(forwarded > 1_000, "soak too light to be meaningful: {forwarded} packets");
     assert_eq!(
         allocs, forwarded,
@@ -173,5 +193,63 @@ fn bgp_repair_keeps_the_one_alloc_per_packet_budget() {
         allocs, forwarded,
         "BGP repair path should keep exactly one alloc per forward \
          ({allocs} allocs over {forwarded} forwards, {repaired} repaired)"
+    );
+}
+
+#[test]
+fn host_emit_allocates_once_and_ingest_never() {
+    // Two hosts back to back: what is allocated per packet is the emitted
+    // frame, and the receiver reads it in place.
+    let (a_ip, b_ip) = (IpAddr4::new(10, 0, 0, 1), IpAddr4::new(10, 0, 0, 2));
+    let mut spec = SendSpec::new(b_ip, MILLIS, 801 * MILLIS);
+    spec.interval = 100 * MICROS;
+    let mut b = SimBuilder::new(1);
+    let tx = b.add_node("a", Box::new(TrafficHost::new(a_ip).with_send(spec)));
+    let rx = b.add_node("b", Box::new(TrafficHost::new(b_ip)));
+    b.add_link(tx, rx, LinkSpec::default());
+    let mut sim = b.build();
+    sim.run_until(MILLIS);
+    alloc_track::reset();
+    {
+        let _all = alloc_track::scope();
+        sim.run_until(SECONDS);
+    }
+    let sent = sim.node_as::<TrafficHost>(tx).expect("sender").sent();
+    let arrived = sim.node_as::<TrafficHost>(rx).expect("receiver").report(sent).arrived;
+    let allocs = alloc_track::scoped_allocs();
+    assert!(sent > 1_000 && arrived == sent, "{arrived} of {sent} packets arrived");
+    assert_eq!(
+        (allocs / sent, allocs % sent < CONTROL_PLANE_ALLOCS),
+        (1, true),
+        "emit 1 + ingest 0 per packet expected: {allocs} allocations for {sent} packets"
+    );
+}
+
+#[test]
+fn mrmtp_edges_allocate_one_buffer_each() {
+    // Transit is zero (above), so per delivered cross-pod packet the whole
+    // run allocates host emit 1 + ToR encapsulation 1 + ToR delivery 1 +
+    // host ingest 0, and the engine nothing.
+    let (forwarded, allocs, delivered) = soak(Stack::Mrmtp, true);
+    assert!(delivered > 1_000 && forwarded == 3 * delivered, "{forwarded} / {delivered}");
+    assert_eq!(
+        (allocs / delivered, allocs % delivered < CONTROL_PLANE_ALLOCS),
+        (3, true),
+        "{allocs} allocations for {delivered} delivered packets"
+    );
+}
+
+#[test]
+fn bgp_edges_allocate_one_buffer_each() {
+    // Every router hop but the last is a transit forward with its one
+    // TTL-rewrite buffer (above; the ingress ToR included). Beside those,
+    // per delivered packet: host emit 1 + rack delivery 1 + host ingest 0.
+    let (forwarded, allocs, delivered) = soak(Stack::BgpEcmp, true);
+    assert!(delivered > 1_000 && forwarded == 4 * delivered, "{forwarded} / {delivered}");
+    let edges = allocs - forwarded;
+    assert_eq!(
+        (edges / delivered, edges % delivered < CONTROL_PLANE_ALLOCS),
+        (2, true),
+        "{allocs} allocations, {forwarded} forwards, {delivered} delivered packets"
     );
 }

@@ -8,7 +8,9 @@
 //! then counts every allocation landing inside a scope. The quotient
 //! `scoped_allocs() / forwarded()` is the honest per-packet figure:
 //! endpoint work (packet generation, terminal host delivery) and engine
-//! bookkeeping stay outside the scope.
+//! bookkeeping stay outside the scope. Scopes nest, so one held around a
+//! whole `run_until` counts every allocation of the run instead — how the
+//! same test binary pins the edges' one-buffer-per-frame budgets.
 //!
 //! With no counting allocator installed (the normal case: library tests,
 //! the simulation proper) the cost is two thread-local stores per

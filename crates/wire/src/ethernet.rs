@@ -6,6 +6,7 @@
 //! from node/port identity.
 
 use crate::error::WireError;
+use crate::framebuf::FrameBuf;
 
 /// Length of the Ethernet II header (dst + src + ethertype).
 pub const ETHERNET_HEADER_LEN: usize = 14;
@@ -94,54 +95,68 @@ impl EtherType {
     }
 }
 
-/// An Ethernet II frame.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct EthernetFrame {
+/// An Ethernet II frame; the payload is owned unless `P` says otherwise.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct EthernetFrame<P = Vec<u8>> {
     pub dst: MacAddr,
     pub src: MacAddr,
     pub ethertype: EtherType,
-    pub payload: Vec<u8>,
+    pub payload: P,
 }
+
+/// A parsed header with the payload borrowed from the frame's bytes.
+pub type EthernetView<'a> = EthernetFrame<&'a [u8]>;
 
 impl EthernetFrame {
     /// Encode into raw bytes (unpadded; the emulator pads for wire-length
     /// accounting, as real NICs pad on transmission).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(ETHERNET_HEADER_LEN + self.payload.len());
-        out.extend_from_slice(&self.dst.0);
-        out.extend_from_slice(&self.src.0);
-        out.extend_from_slice(&self.ethertype.to_u16().to_be_bytes());
-        out.extend_from_slice(&self.payload);
+        let mut out = vec![0; ETHERNET_HEADER_LEN + self.payload.len()];
+        Self::put_header(&mut out, self.dst, self.src, self.ethertype);
+        out[ETHERNET_HEADER_LEN..].copy_from_slice(&self.payload);
         out
     }
 
-    /// Append the 14-byte header for (`dst`, `src`, `ethertype`) to `out`.
-    ///
-    /// Lets an encapsulating router build `header + borrowed payload` in a
-    /// single pre-sized allocation instead of cloning the payload into an
-    /// `EthernetFrame` first; the bytes are identical to [`Self::encode`].
-    pub fn put_header(out: &mut Vec<u8>, dst: MacAddr, src: MacAddr, ethertype: EtherType) {
-        out.extend_from_slice(&dst.0);
-        out.extend_from_slice(&src.0);
-        out.extend_from_slice(&ethertype.to_u16().to_be_bytes());
+    /// Write the 14-byte header for (`dst`, `src`, `ethertype`) at the
+    /// start of `buf`; the payload follows at [`ETHERNET_HEADER_LEN`].
+    pub fn put_header(buf: &mut [u8], dst: MacAddr, src: MacAddr, ethertype: EtherType) {
+        buf[0..6].copy_from_slice(&dst.0);
+        buf[6..12].copy_from_slice(&src.0);
+        buf[12..14].copy_from_slice(&ethertype.to_u16().to_be_bytes());
     }
 
-    /// Decode from raw bytes.
-    pub fn decode(buf: &[u8]) -> Result<EthernetFrame, WireError> {
-        if buf.len() < ETHERNET_HEADER_LEN {
-            return Err(WireError::Truncated);
-        }
-        let mut dst = [0u8; 6];
-        let mut src = [0u8; 6];
-        dst.copy_from_slice(&buf[0..6]);
-        src.copy_from_slice(&buf[6..12]);
-        let ethertype = EtherType::from_u16(u16::from_be_bytes([buf[12], buf[13]]));
-        Ok(EthernetFrame {
-            dst: MacAddr(dst),
-            src: MacAddr(src),
-            ethertype,
-            payload: buf[ETHERNET_HEADER_LEN..].to_vec(),
+    /// Build a frame in place ([`FrameBuf::build`]): the header, then
+    /// `payload_len` bytes for `fill` to write.
+    pub fn build(
+        dst: MacAddr,
+        src: MacAddr,
+        ethertype: EtherType,
+        payload_len: usize,
+        fill: impl FnOnce(&mut [u8]),
+    ) -> FrameBuf {
+        FrameBuf::build(ETHERNET_HEADER_LEN + payload_len, |b| {
+            Self::put_header(b, dst, src, ethertype);
+            fill(&mut b[ETHERNET_HEADER_LEN..]);
         })
+    }
+
+    /// Parse the header, borrowing the payload.
+    pub fn parse(buf: &[u8]) -> Result<EthernetView<'_>, WireError> {
+        let (hdr, payload) =
+            buf.split_first_chunk::<ETHERNET_HEADER_LEN>().ok_or(WireError::Truncated)?;
+        let mac = |at: usize| MacAddr(std::array::from_fn(|i| hdr[at + i]));
+        Ok(EthernetView {
+            dst: mac(0),
+            src: mac(6),
+            ethertype: EtherType::from_u16(u16::from_be_bytes([hdr[12], hdr[13]])),
+            payload,
+        })
+    }
+
+    /// Decode from raw bytes: [`Self::parse`] plus a copy of the payload.
+    pub fn decode(buf: &[u8]) -> Result<EthernetFrame, WireError> {
+        let EthernetView { dst, src, ethertype, payload } = Self::parse(buf)?;
+        Ok(EthernetFrame { dst, src, ethertype, payload: payload.to_vec() })
     }
 
     /// The wire length tshark would report for this frame.

@@ -7,7 +7,7 @@
 //! generator ports so the monitored flow transits the failure chain
 //! (ToR₁₁ → S1_1 → S2_1), exactly as the paper's test design requires.
 
-use crate::ipv4::{IpAddr4, Ipv4Packet, IPPROTO_TCP, IPPROTO_UDP};
+use crate::ipv4::{IpAddr4, Ipv4View, IPPROTO_TCP, IPPROTO_UDP};
 
 /// FNV-1a over the 5-tuple.
 pub fn flow_hash(src: IpAddr4, dst: IpAddr4, proto: u8, src_port: u16, dst_port: u16) -> u64 {
@@ -34,7 +34,7 @@ pub fn flow_hash(src: IpAddr4, dst: IpAddr4, proto: u8, src_port: u16, dst_port:
 
 /// Flow hash of an already-parsed IPv4 packet (ports extracted from the
 /// first four payload bytes for TCP/UDP, zero otherwise).
-pub fn flow_hash_of(pkt: &Ipv4Packet) -> u64 {
+pub fn flow_hash_of(pkt: &Ipv4View<'_>) -> u64 {
     let (sp, dp) = if (pkt.protocol == IPPROTO_TCP || pkt.protocol == IPPROTO_UDP)
         && pkt.payload.len() >= 4
     {
@@ -74,12 +74,14 @@ mod tests {
         let mut payload = vec![0u8; 8];
         payload[0..2].copy_from_slice(&5000u16.to_be_bytes());
         payload[2..4].copy_from_slice(&6000u16.to_be_bytes());
-        let pkt = Ipv4Packet::new(
+        let bytes = crate::Ipv4Packet::new(
             IpAddr4::new(1, 1, 1, 1),
             IpAddr4::new(2, 2, 2, 2),
             IPPROTO_UDP,
             payload,
-        );
+        )
+        .encode();
+        let pkt = crate::Ipv4Packet::parse(&bytes).unwrap();
         assert_eq!(
             flow_hash_of(&pkt),
             flow_hash(pkt.src, pkt.dst, IPPROTO_UDP, 5000, 6000)

@@ -23,9 +23,20 @@ pub struct FrameBuf {
 }
 
 impl FrameBuf {
-    /// Wrap already-encoded bytes. One allocation; clones are free.
+    /// Wrap already-encoded bytes: a second allocation and a copy (`Vec<u8>`
+    /// → `Arc<[u8]>`) on top of whatever built the `Vec`. Fine for control
+    /// messages; the data path uses [`FrameBuf::build`].
     pub fn new(bytes: Vec<u8>) -> FrameBuf {
         FrameBuf { bytes: bytes.into() }
+    }
+
+    /// Build a `len`-byte frame in place: one refcounted allocation,
+    /// zero-filled, which `fill` writes (with the layers' `put_header`s)
+    /// before the buffer is frozen. No `Vec` per layer, no copy per layer.
+    pub fn build(len: usize, fill: impl FnOnce(&mut [u8])) -> FrameBuf {
+        let mut bytes: Arc<[u8]> = std::iter::repeat_n(0u8, len).collect();
+        fill(Arc::get_mut(&mut bytes).expect("fresh Arc is unique"));
+        FrameBuf { bytes }
     }
 
     /// The shared empty buffer (pure ACKs, SYN placeholders): every call
@@ -64,10 +75,8 @@ impl FrameBuf {
 
     /// Copy-and-patch: duplicate the bytes into a fresh buffer — one
     /// allocation, one copy — and let `patch` rewrite them in place
-    /// before the buffer is frozen. This is the per-hop primitive for
-    /// TTL-rewriting forwarders: building the output in a `Vec` and
-    /// wrapping it with [`FrameBuf::new`] would pay a second
-    /// allocation-plus-copy converting `Vec<u8>` to `Arc<[u8]>`.
+    /// before the buffer is frozen: [`FrameBuf::build`] for a frame that
+    /// already exists, the per-hop primitive of TTL-rewriting forwarders.
     pub fn mutate_copy(&self, patch: impl FnOnce(&mut [u8])) -> FrameBuf {
         let mut bytes: Arc<[u8]> = Arc::from(&*self.bytes);
         // A freshly constructed Arc is uniquely owned.
@@ -104,8 +113,8 @@ impl From<&[u8]> for FrameBuf {
 
 impl fmt::Debug for FrameBuf {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // Same rendering as Vec<u8> so trace digests formatted from
-        // events are unaffected by the representation change.
+        // Render as the byte slice: the `Arc` is representation, not
+        // content (test failure output and `{:?}` of captured frames).
         fmt::Debug::fmt(&self.bytes[..], f)
     }
 }
@@ -122,6 +131,13 @@ mod tests {
         assert_eq!(&*a, &[1, 2, 3]);
         assert_eq!(a.len(), 3);
         assert!(!a.is_empty());
+    }
+
+    #[test]
+    fn build_writes_in_place_over_zeroes() {
+        let a = FrameBuf::build(4, |b| b[1..3].copy_from_slice(&[7, 8]));
+        assert_eq!(a.as_slice(), &[0, 7, 8, 0]);
+        assert!(FrameBuf::build(0, |b| assert!(b.is_empty())).is_empty());
     }
 
     #[test]

@@ -122,41 +122,66 @@ pub fn internet_checksum(data: &[u8]) -> u16 {
     !(sum as u16)
 }
 
-/// An IPv4 packet (header without options + payload).
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct Ipv4Packet {
+/// An IPv4 packet (header without options + payload). `P` is where the
+/// payload lives: owned by default, borrowed in an [`Ipv4View`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Ipv4Packet<P = Vec<u8>> {
     pub src: IpAddr4,
     pub dst: IpAddr4,
     pub protocol: u8,
     pub ttl: u8,
-    pub payload: Vec<u8>,
+    pub payload: P,
 }
 
+/// A parsed, checksum-verified header with the payload (trimmed to the
+/// header's total length) borrowed from the packet's bytes.
+pub type Ipv4View<'a> = Ipv4Packet<&'a [u8]>;
+
 impl Ipv4Packet {
+    /// The TTL every locally originated packet starts with.
+    pub const DEFAULT_TTL: u8 = 64;
+
     pub fn new(src: IpAddr4, dst: IpAddr4, protocol: u8, payload: Vec<u8>) -> Ipv4Packet {
-        Ipv4Packet { src, dst, protocol, ttl: 64, payload }
+        Ipv4Packet { src, dst, protocol, ttl: Self::DEFAULT_TTL, payload }
     }
 
     pub fn encode(&self) -> Vec<u8> {
-        let total_len = (IPV4_HEADER_LEN + self.payload.len()) as u16;
-        let mut out = Vec::with_capacity(total_len as usize);
-        out.push(0x45); // version 4, IHL 5
-        out.push(0); // DSCP/ECN
-        out.extend_from_slice(&total_len.to_be_bytes());
-        out.extend_from_slice(&[0, 0]); // identification
-        out.extend_from_slice(&[0x40, 0]); // DF, no fragment offset
-        out.push(self.ttl);
-        out.push(self.protocol);
-        out.extend_from_slice(&[0, 0]); // checksum placeholder
-        out.extend_from_slice(&self.src.0.to_be_bytes());
-        out.extend_from_slice(&self.dst.0.to_be_bytes());
-        let csum = internet_checksum(&out[..IPV4_HEADER_LEN]);
-        out[10..12].copy_from_slice(&csum.to_be_bytes());
-        out.extend_from_slice(&self.payload);
+        let mut out = vec![0; IPV4_HEADER_LEN + self.payload.len()];
+        Self::put_header(&mut out, self.src, self.dst, self.protocol, self.ttl, self.payload.len());
+        out[IPV4_HEADER_LEN..].copy_from_slice(&self.payload);
         out
     }
 
-    pub fn decode(buf: &[u8]) -> Result<Ipv4Packet, WireError> {
+    /// Write the 20-byte header, checksum included, of a packet carrying
+    /// `payload_len` bytes at the start of `buf`; the payload follows at
+    /// [`IPV4_HEADER_LEN`]. This is the only header layout the workspace
+    /// emits (no options, DSCP 0, identification 0, DF set).
+    pub fn put_header(
+        buf: &mut [u8],
+        src: IpAddr4,
+        dst: IpAddr4,
+        protocol: u8,
+        ttl: u8,
+        payload_len: usize,
+    ) {
+        let total_len = (IPV4_HEADER_LEN + payload_len) as u16;
+        let hdr = &mut buf[..IPV4_HEADER_LEN];
+        hdr[0] = 0x45; // version 4, IHL 5
+        hdr[1] = 0; // DSCP/ECN
+        hdr[2..4].copy_from_slice(&total_len.to_be_bytes());
+        hdr[4..8].copy_from_slice(&[0, 0, 0x40, 0]); // identification 0; DF, no fragment offset
+        hdr[8] = ttl;
+        hdr[9] = protocol;
+        hdr[10..12].copy_from_slice(&[0, 0]); // checksum placeholder
+        hdr[12..16].copy_from_slice(&src.0.to_be_bytes());
+        hdr[16..20].copy_from_slice(&dst.0.to_be_bytes());
+        let csum = internet_checksum(hdr);
+        hdr[10..12].copy_from_slice(&csum.to_be_bytes());
+    }
+
+    /// Validate the header (length, version, IHL, checksum, total length)
+    /// and borrow the payload.
+    pub fn parse(buf: &[u8]) -> Result<Ipv4View<'_>, WireError> {
         if buf.len() < IPV4_HEADER_LEN {
             return Err(WireError::Truncated);
         }
@@ -176,13 +201,19 @@ impl Ipv4Packet {
         if total_len < IPV4_HEADER_LEN || total_len > buf.len() {
             return Err(WireError::BadLength { expected: total_len, got: buf.len() });
         }
-        Ok(Ipv4Packet {
+        Ok(Ipv4View {
             src: IpAddr4(u32::from_be_bytes([buf[12], buf[13], buf[14], buf[15]])),
             dst: IpAddr4(u32::from_be_bytes([buf[16], buf[17], buf[18], buf[19]])),
             protocol: buf[9],
             ttl: buf[8],
-            payload: buf[IPV4_HEADER_LEN..total_len].to_vec(),
+            payload: &buf[IPV4_HEADER_LEN..total_len],
         })
+    }
+
+    /// Decode from raw bytes: [`Self::parse`] plus a copy of the payload.
+    pub fn decode(buf: &[u8]) -> Result<Ipv4Packet, WireError> {
+        let Ipv4View { src, dst, protocol, ttl, payload } = Self::parse(buf)?;
+        Ok(Ipv4Packet { src, dst, protocol, ttl, payload: payload.to_vec() })
     }
 }
 

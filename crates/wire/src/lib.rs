@@ -34,15 +34,17 @@ pub use bfd::{BfdPacket, BfdState, BFD_CTRL_PORT, BFD_PACKET_LEN};
 pub use bgp::{BgpMessage, BgpUpdate, BGP_HEADER_LEN, BGP_PORT};
 pub use error::WireError;
 pub use ethernet::{
-    l2_wire_len, EtherType, EthernetFrame, MacAddr, ETHERNET_HEADER_LEN, MIN_FRAME_LEN,
+    l2_wire_len, EtherType, EthernetFrame, EthernetView, MacAddr, ETHERNET_HEADER_LEN,
+    MIN_FRAME_LEN,
 };
 pub use flow::{ecmp_index, flow_hash, flow_hash_of};
 pub use framebuf::FrameBuf;
 pub use ipv4::{
-    internet_checksum, IpAddr4, Ipv4Packet, Prefix, IPPROTO_TCP, IPPROTO_UDP, IPV4_HEADER_LEN,
+    internet_checksum, IpAddr4, Ipv4Packet, Ipv4View, Prefix, IPPROTO_TCP, IPPROTO_UDP,
+    IPV4_HEADER_LEN,
 };
 pub use meta::FrameMeta;
 pub use mrmtp::{MrmtpMsg, Vid, MRMTP_ETHERTYPE, MRMTP_HELLO_BYTE, VID_MAX_LEN};
 pub use tcp::{TcpFlags, TcpSegment, TCP_HEADER_LEN};
-pub use udp::{UdpDatagram, UDP_HEADER_LEN};
+pub use udp::{UdpDatagram, UdpView, UDP_HEADER_LEN};
 pub use vxlan::{VxlanHeader, VXLAN_HEADER_LEN, VXLAN_PORT};

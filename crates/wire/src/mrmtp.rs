@@ -206,25 +206,28 @@ impl MrmtpMsg {
                 out
             }
             MrmtpMsg::Data { src, dst, flow, payload } => {
-                let mut out = vec![T_DATA];
-                out.extend_from_slice(&flow.to_be_bytes());
-                put_vid(&mut out, *src);
-                put_vid(&mut out, *dst);
-                out.extend_from_slice(payload);
+                let hdr = Self::data_header_len(*src, *dst);
+                let mut out = vec![0; hdr + payload.len()];
+                Self::put_data_header(&mut out, *src, *dst, *flow);
+                out[hdr..].copy_from_slice(payload);
                 out
             }
         }
     }
 
-    /// Append a `Data` message header (type, flow, src VID, dst VID) to
-    /// `out`. Following it with the encapsulated IP bytes produces output
-    /// byte-identical to `MrmtpMsg::Data { .. }.encode()`, without ever
-    /// cloning the payload into the message struct.
-    pub fn put_data_header(out: &mut Vec<u8>, src: Vid, dst: Vid, flow: u16) {
-        out.push(T_DATA);
-        out.extend_from_slice(&flow.to_be_bytes());
-        put_vid(out, src);
-        put_vid(out, dst);
+    /// Write a `Data` message header (type, flow, src VID, dst VID) at the
+    /// start of `buf`; the encapsulated IP bytes follow at
+    /// [`Self::data_header_len`]. This is how `Data` is encoded — by
+    /// [`Self::encode`] and by the ToR building the frame in place.
+    pub fn put_data_header(buf: &mut [u8], src: Vid, dst: Vid, flow: u16) {
+        buf[0] = T_DATA;
+        buf[1..3].copy_from_slice(&flow.to_be_bytes());
+        let mut at = 3;
+        for v in [src, dst] {
+            buf[at] = v.depth() as u8;
+            buf[at + 1..at + 1 + v.depth()].copy_from_slice(v.components());
+            at += 1 + v.depth();
+        }
     }
 
     /// Encoded length of the header [`Self::put_data_header`] writes.

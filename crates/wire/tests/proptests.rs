@@ -35,6 +35,11 @@ proptest! {
     }
 
     #[test]
+    fn ethernet_decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..64)) {
+        let _ = EthernetFrame::decode(&bytes);
+    }
+
+    #[test]
     fn ipv4_roundtrip(src in arb_ip(), dst in arb_ip(), proto in any::<u8>(), ttl in 1u8..,
                       payload in proptest::collection::vec(any::<u8>(), 0..512)) {
         let mut p = Ipv4Packet::new(src, dst, proto, payload);
@@ -52,6 +57,11 @@ proptest! {
                      payload in proptest::collection::vec(any::<u8>(), 0..256)) {
         let d = UdpDatagram::new(sp, dp, payload);
         prop_assert_eq!(UdpDatagram::decode(&d.encode()).unwrap(), d);
+    }
+
+    #[test]
+    fn udp_decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..64)) {
+        let _ = UdpDatagram::decode(&bytes);
     }
 
     #[test]
@@ -105,6 +115,7 @@ proptest! {
     fn mrmtp_msgs_roundtrip(vids in proptest::collection::vec(arb_vid(), 0..6),
                             roots in proptest::collection::vec(any::<u8>(), 0..8),
                             seq in any::<u16>(), tier in any::<u8>(), flow in any::<u16>(),
+                            src in arb_vid(), dst in arb_vid(),
                             payload in proptest::collection::vec(any::<u8>(), 0..128)) {
         let msgs = vec![
             MrmtpMsg::Hello,
@@ -115,7 +126,7 @@ proptest! {
             MrmtpMsg::Lost { seq, roots: roots.clone() },
             MrmtpMsg::Recovered { seq, roots },
             MrmtpMsg::UpdateAck { seq },
-            MrmtpMsg::Data { src: Vid::root(11), dst: Vid::root(14), flow, payload },
+            MrmtpMsg::Data { src, dst, flow, payload },
         ];
         for m in msgs {
             prop_assert_eq!(MrmtpMsg::decode(&m.encode()).unwrap(), m);

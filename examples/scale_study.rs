@@ -7,12 +7,21 @@
 //! ```
 
 use dcn_experiments::figures;
+use dcn_topology::ClosParams;
 
 fn main() {
-    let max: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(8);
+    // The sweep ends at `max_pods` itself, so it must be a fabric size:
+    // the check `fcr sweep` makes, not a fallback to 8 or a rounding down.
+    let max = std::env::args().nth(1).map_or(8, |arg| {
+        let parsed = arg.parse::<usize>().map_err(|e| e.to_string());
+        match parsed.and_then(|max| ClosParams::scaled(max).map(|_| max)) {
+            Ok(max) => max,
+            Err(e) => {
+                eprintln!("scale_study: max_pods {arg:?}: {e}");
+                std::process::exit(2);
+            }
+        }
+    });
     let pods: Vec<usize> = (1..=max / 2).map(|i| i * 2).collect();
     eprintln!("sweeping PoD counts {pods:?} (failure at TC1, parallel runs)…");
     let fig = figures::scale_sweep(&pods, 42);
