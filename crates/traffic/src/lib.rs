@@ -176,16 +176,16 @@ impl TrafficHost {
         newly
     }
 
-    /// The generator frame for sequence number `seq`, sent from `node`:
-    /// Ethernet, IPv4, UDP, magic and sequence number written straight
-    /// into the one buffer the fabric then passes by reference.
+    /// The generator frame for `seq`, sent from `node`: every layer written
+    /// straight into the one buffer the fabric then passes by reference.
     fn data_frame(&self, spec: &SendSpec, node: u32, seq: u64) -> FrameBuf {
         const UDP: usize = IPV4_HEADER_LEN;
         const DATA: usize = UDP + UDP_HEADER_LEN;
-        let (data_len, ttl) = (spec.payload_len.max(12), Ipv4Packet::DEFAULT_TTL);
+        let data_len = spec.payload_len.max(12);
+        let (udp_len, ttl) = (UDP_HEADER_LEN + data_len, Ipv4Packet::DEFAULT_TTL);
         let src_mac = MacAddr::for_node_port(node, 0);
         EthernetFrame::build(MacAddr::BROADCAST, src_mac, EtherType::Ipv4, DATA + data_len, |ip| {
-            Ipv4Packet::put_header(ip, self.ip, spec.dst, IPPROTO_UDP, ttl, DATA - UDP + data_len);
+            Ipv4Packet::put_header(ip, self.ip, spec.dst, IPPROTO_UDP, ttl, udp_len);
             UdpDatagram::put_header(&mut ip[UDP..], spec.src_port, spec.dst_port, data_len);
             ip[DATA..DATA + 4].copy_from_slice(&TRAFFIC_MAGIC.to_be_bytes());
             ip[DATA + 4..DATA + 12].copy_from_slice(&seq.to_be_bytes());
