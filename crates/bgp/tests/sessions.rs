@@ -44,7 +44,7 @@ fn two_routers_establish_and_exchange() {
     assert_eq!(rb.established_sessions(), 1);
     let members = rb.rib().members(rack(11));
     assert_eq!(members.len(), 1);
-    assert_eq!(members[0].as_path, vec![65001]);
+    assert_eq!(members[0].as_path[..], [65001]);
     let ra: &BgpRouter = sim.node_as(a).unwrap();
     assert_eq!(ra.established_sessions(), 1);
     assert!(ra.stats().updates_sent >= 1);
@@ -272,4 +272,159 @@ fn overdue_connect_leaves_at_the_first_grid_instant_after_admin_up() {
         vec![grid_instant],
         "the SYN leaves from the tick at the grid instant"
     );
+}
+
+/// A transparent two-port wire tap: forwards every frame to its other
+/// port and keeps what came in on port 0.
+#[derive(Default)]
+struct Tap {
+    from_port0: Vec<(u64, dcn_sim::FrameBuf)>,
+}
+
+impl dcn_sim::Protocol for Tap {
+    fn on_start(&mut self, _ctx: &mut dcn_sim::Ctx<'_>) {}
+
+    fn on_frame(&mut self, ctx: &mut dcn_sim::Ctx<'_>, port: PortId, frame: &dcn_sim::FrameBuf) {
+        if port == PortId(0) {
+            self.from_port0.push((ctx.now(), frame.clone()));
+        }
+        ctx.send(PortId(1 - port.0), frame.clone(), dcn_sim::FrameClass::Data);
+    }
+
+    fn on_timer(&mut self, _ctx: &mut dcn_sim::Ctx<'_>, _token: u64) {}
+
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+
+    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+        self
+    }
+}
+
+fn link(port: u16, net: u8, local: u8, peer_asn: u32) -> PeerConfig {
+    PeerConfig {
+        port: PortId(port),
+        local_ip: IpAddr4::new(172, 16, net, local),
+        peer_ip: IpAddr4::new(172, 16, net, 3 - local),
+        peer_asn,
+    }
+}
+
+/// One batch owing a peer two path groups and a withdrawal: the UPDATEs
+/// leave in ascending AS-path order — not prefix order — each carrying
+/// its prefixes, and the withdrawal rides the first. (The order a
+/// `BTreeMap<Vec<u32>, Vec<Prefix>>` used to give; the 2-pod goldens
+/// barely see multi-prefix batches, so a regression here would move
+/// digests only at scale.)
+#[test]
+fn reexport_leaves_in_as_path_order_with_withdrawals_on_the_first() {
+    use dcn_wire::{BgpMessage, BgpUpdate, EthernetFrame, Ipv4Packet, TcpSegment};
+
+    // Hub H hears 11, 12 and 13 from X, 12 also from Y (AS 65300) and 13
+    // also from Z (AS 65200), and tells P, behind a tap. X's link dies:
+    // 11 is lost, 12 falls back to Y and 13 to Z — in prefix order
+    // 11, 12, 13, in path order Z's before Y's.
+    let mut b = SimBuilder::new(9);
+    let hub = BgpConfig::new("H", 64512, 1)
+        .peer(link(0, 0, 1, 65100))
+        .peer(link(1, 1, 1, 65300))
+        .peer(link(2, 2, 1, 65200))
+        .peer(link(3, 3, 1, 65400));
+    let x = BgpConfig::new("X", 65100, 2)
+        .peer(link(0, 0, 2, 64512))
+        .originating(rack(11))
+        .originating(rack(12))
+        .originating(rack(13));
+    let y = BgpConfig::new("Y", 65300, 3).peer(link(0, 1, 2, 64512)).originating(rack(12));
+    let z = BgpConfig::new("Z", 65200, 4).peer(link(0, 2, 2, 64512)).originating(rack(13));
+    let p = BgpConfig::new("P", 65400, 5).peer(link(0, 3, 2, 64512));
+    let h = b.add_node("H", Box::new(BgpRouter::new(hub)));
+    for cfg in [x, y, z] {
+        let n = b.add_node(cfg.name.clone(), Box::new(BgpRouter::new(cfg)));
+        b.add_link(h, n, LinkSpec::default());
+    }
+    let tap = b.add_node("tap", Box::new(Tap::default()));
+    let pn = b.add_node("P", Box::new(BgpRouter::new(p)));
+    b.add_link(h, tap, LinkSpec::default());
+    b.add_link(tap, pn, LinkSpec::default());
+    let mut sim = b.build();
+    sim.run_until(secs(5));
+    let learned = |sim: &dcn_sim::Sim, third: u8| -> Vec<u32> {
+        let rib = sim.node_as::<BgpRouter>(pn).unwrap().rib();
+        rib.best(rack(third)).map(|e| e.as_path.to_vec()).unwrap_or_default()
+    };
+    assert_eq!(learned(&sim, 11), [64512, 65100]);
+    assert_eq!(learned(&sim, 12), [64512, 65100], "X's is the lowest port");
+    assert_eq!(learned(&sim, 13), [64512, 65100]);
+
+    let down_at = secs(5) + millis(100);
+    sim.schedule_port_down(down_at, h, PortId(0));
+    sim.run_until(secs(6));
+    let tap: &Tap = sim.node_as(tap).unwrap();
+    let updates: Vec<BgpUpdate> = tap
+        .from_port0
+        .iter()
+        .filter(|(at, _)| *at >= down_at)
+        .filter_map(|(_, frame)| {
+            let eth = EthernetFrame::parse(frame).unwrap();
+            let ip = Ipv4Packet::parse(eth.payload).unwrap();
+            let tcp = TcpSegment::decode(ip.payload).unwrap();
+            match BgpMessage::decode(&tcp.payload) {
+                Ok((BgpMessage::Update(u), _)) => Some(u),
+                _ => None,
+            }
+        })
+        .collect();
+    let nh = Some(IpAddr4::new(172, 16, 3, 1));
+    assert_eq!(
+        updates,
+        [
+            BgpUpdate {
+                withdrawn: vec![rack(11)],
+                as_path: vec![64512, 65200],
+                next_hop: nh,
+                nlri: vec![rack(13)],
+            },
+            BgpUpdate {
+                withdrawn: vec![],
+                as_path: vec![64512, 65300],
+                next_hop: nh,
+                nlri: vec![rack(12)],
+            },
+        ]
+    );
+    assert!(learned(&sim, 11).is_empty());
+    assert_eq!(learned(&sim, 12), [64512, 65300]);
+    assert_eq!(learned(&sim, 13), [64512, 65200]);
+}
+
+/// ECMP members — and with them the path exported, the lowest port's —
+/// are in ascending-port order whatever order the configuration lists
+/// the peers in.
+#[test]
+fn ecmp_members_are_in_port_order_whatever_the_config_order() {
+    let mut b = SimBuilder::new(10);
+    // Listed high port first.
+    let hub = BgpConfig::new("H", 64512, 1).peer(link(2, 2, 1, 65003)).peer(link(0, 0, 1, 65001))
+        .peer(link(1, 1, 1, 65002));
+    let h = b.add_node("H", Box::new(BgpRouter::new(hub)));
+    let mut leaves = Vec::new();
+    for (net, asn) in [(0u8, 65001u32), (1, 65002), (2, 65003)] {
+        let cfg = BgpConfig::new(format!("L{net}"), asn, 2 + net as u32)
+            .peer(link(0, net, 2, 64512))
+            .originating(rack(14));
+        leaves.push((net, b.add_node(cfg.name.clone(), Box::new(BgpRouter::new(cfg)))));
+    }
+    // Wire ports 0, 1, 2 of the hub in that order.
+    for &(_, n) in &leaves {
+        b.add_link(h, n, LinkSpec::default());
+    }
+    let mut sim = b.build();
+    sim.run_until(secs(5));
+    let rib = sim.node_as::<BgpRouter>(h).unwrap().rib();
+    let ports: Vec<PortId> = rib.members(rack(14)).iter().map(|e| e.peer_port).collect();
+    assert_eq!(ports, [PortId(0), PortId(1), PortId(2)]);
+    let best = rib.best(rack(14)).unwrap();
+    assert_eq!((best.peer_port, &best.as_path[..]), (PortId(0), &[65001][..]));
 }

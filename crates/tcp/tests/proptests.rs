@@ -4,8 +4,10 @@
 
 use proptest::prelude::*;
 
+use std::collections::VecDeque;
+
 use dcn_sim::grid::grid_at_or_after;
-use dcn_tcp::{TcpConn, TcpState, RTO};
+use dcn_tcp::{TcpConn, TcpState, MSS, RTO};
 use dcn_wire::TcpSegment;
 
 /// A lossy pump: forwards segments between `a` and `b`, dropping those
@@ -128,8 +130,130 @@ fn replay(ops: &[(u64, ConnOp)]) -> (TcpConn, u64) {
     (a, now)
 }
 
+#[derive(Clone, Copy, Debug)]
+enum StreamOp {
+    /// Carry every queued segment across, both ways.
+    Deliver,
+    /// Lose every queued segment.
+    Drop,
+    Write(usize),
+    Tick,
+}
+
+fn arb_stream_op() -> impl Strategy<Value = StreamOp> {
+    prop_oneof![
+        Just(StreamOp::Deliver),
+        Just(StreamOp::Deliver),
+        Just(StreamOp::Drop),
+        Just(StreamOp::Tick),
+        Just(StreamOp::Write(0)),
+        (1usize..64).prop_map(StreamOp::Write),
+        (MSS - 1..MSS + 2).prop_map(StreamOp::Write),
+        (2 * MSS..2 * MSS + 200).prop_map(StreamOp::Write),
+    ]
+}
+
+/// Segments on the wire toward the opener and toward the listener, the
+/// opener's inflight bytes and retransmission deadline, bytes delivered.
+type Observed = (Vec<Vec<u8>>, Vec<Vec<u8>>, usize, Option<u64>, usize);
+
+/// An active opener and a listener, and what an application writes to
+/// the opener: straight into [`TcpConn::send`], or — `byte_queue` — into
+/// the send queue `TcpConn` used to have, reproduced here outside it: a
+/// `VecDeque<u8>` that holds every write and, once the connection is
+/// established, is drained [`MSS`] bytes at a time, each cut handed to
+/// `send` on its own (at most one segment, never held).
+struct World {
+    a: TcpConn,
+    b: TcpConn,
+    byte_queue: Option<VecDeque<u8>>,
+    to_a: Vec<TcpSegment>,
+    to_b: Vec<TcpSegment>,
+    received: Vec<u8>,
+    written: u8,
+}
+
+impl World {
+    fn new(byte_queue: bool) -> World {
+        let mut a = TcpConn::new(40000, 179, 1);
+        let mut b = TcpConn::new(179, 40000, 2);
+        b.listen();
+        let to_b = a.connect(0).segments.into_iter().collect();
+        let byte_queue = byte_queue.then(VecDeque::new);
+        World { a, b, byte_queue, to_a: Vec::new(), to_b, received: Vec::new(), written: 0 }
+    }
+
+    /// Apply `op` at `now`; returns everything observable after it: the
+    /// segments on the wire in each direction (encoded, so seq, ack,
+    /// flags, timestamps, payload bytes and boundaries all count), the
+    /// opener's inflight bytes and retransmission deadline, and how much
+    /// the listener has been handed.
+    fn step(&mut self, op: StreamOp, now: u64) -> Observed {
+        match op {
+            StreamOp::Deliver => {
+                for seg in std::mem::take(&mut self.to_b) {
+                    let out = self.b.on_segment(&seg, now);
+                    self.received.extend(out.delivered);
+                    self.to_a.extend(out.segments);
+                }
+                for seg in std::mem::take(&mut self.to_a) {
+                    self.to_b.extend(self.a.on_segment(&seg, now).segments);
+                    self.drain_byte_queue(now);
+                }
+            }
+            StreamOp::Drop => {
+                self.to_a.clear();
+                self.to_b.clear();
+            }
+            StreamOp::Write(n) => {
+                let data: Vec<u8> = (0..n).map(|i| self.written.wrapping_add(i as u8)).collect();
+                self.written = self.written.wrapping_add(97);
+                match &mut self.byte_queue {
+                    Some(q) => q.extend(data),
+                    None => self.to_b.extend(self.a.send(&data, now).segments),
+                }
+                self.drain_byte_queue(now);
+            }
+            StreamOp::Tick => {
+                self.to_b.extend(self.a.tick(now).segments);
+                self.to_a.extend(self.b.tick(now).segments);
+            }
+        }
+        let wire = |segs: &[TcpSegment]| segs.iter().map(TcpSegment::encode).collect();
+        (wire(&self.to_a), wire(&self.to_b), self.a.unacked(), self.a.next_deadline(), self.received.len())
+    }
+
+    fn drain_byte_queue(&mut self, now: u64) {
+        let Some(q) = &mut self.byte_queue else { return };
+        while self.a.is_established() && !q.is_empty() {
+            let take = q.len().min(MSS);
+            let cut: Vec<u8> = q.drain(..take).collect();
+            self.to_b.extend(self.a.send(&cut, now).segments);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `send` without a byte queue cuts the stream exactly where the byte
+    /// queue did: writes before `Established` coalesce and leave `MSS` at
+    /// a time when the handshake completes, a write to an established
+    /// connection leaves at once (cut only past `MSS`), a zero-length
+    /// write is nothing — and inflight accounting, retransmissions and
+    /// the delivered stream follow, under loss.
+    #[test]
+    fn send_cuts_segments_where_the_byte_queue_did(
+        ops in proptest::collection::vec((0u64..150, arb_stream_op()), 0..32),
+    ) {
+        let (mut direct, mut queued) = (World::new(false), World::new(true));
+        let mut now = 0;
+        for &(dt, op) in &ops {
+            now += dt * MS;
+            prop_assert_eq!(direct.step(op, now), queued.step(op, now), "at {:?}", op);
+        }
+        prop_assert_eq!(direct.received, queued.received);
+    }
 
     #[test]
     fn stream_is_in_order_exactly_once_despite_loss(

@@ -107,11 +107,28 @@ impl BgpMessage {
                 if !u.nlri.is_empty() {
                     // ORIGIN = IGP.
                     out.extend_from_slice(&[0x40, 1, 1, 0]);
-                    // AS_PATH: one AS_SEQUENCE of 4-byte ASNs.
-                    let path_len = (2 + 4 * u.as_path.len()) as u8;
-                    out.extend_from_slice(&[0x40, 2, path_len, 2, u.as_path.len() as u8]);
-                    for asn in &u.as_path {
-                        out.extend_from_slice(&asn.to_be_bytes());
+                    // AS_PATH: AS_SEQUENCE segments of at most 255 4-byte
+                    // ASNs (one, possibly empty, for a Clos path); the
+                    // length is extended to two octets past 255 bytes.
+                    let segments = u.as_path.len().div_ceil(255).max(1);
+                    let path_len = 2 * segments + 4 * u.as_path.len();
+                    if path_len > 255 {
+                        out.extend_from_slice(&[0x50, 2]);
+                        out.extend_from_slice(&(path_len as u16).to_be_bytes());
+                    } else {
+                        out.extend_from_slice(&[0x40, 2, path_len as u8]);
+                    }
+                    let mut rest = &u.as_path[..];
+                    loop {
+                        let (seg, tail) = rest.split_at(rest.len().min(255));
+                        out.extend_from_slice(&[2, seg.len() as u8]);
+                        for asn in seg {
+                            out.extend_from_slice(&asn.to_be_bytes());
+                        }
+                        rest = tail;
+                        if rest.is_empty() {
+                            break;
+                        }
                     }
                     // NEXT_HOP.
                     let nh = u.next_hop.expect("advertised NLRI requires a next hop");
@@ -193,26 +210,30 @@ impl BgpMessage {
                 }
                 let mut attrs = &body[aoff + 2..aoff + 2 + alen];
                 while attrs.len() >= 3 {
-                    let (ty, attr_len, hdr) = (attrs[1], attrs[2] as usize, 3);
+                    // RFC 4271 §4.3: flag 0x10 makes the length two octets.
+                    let (ty, attr_len, hdr) = if attrs[0] & 0x10 != 0 {
+                        let low = *attrs.get(3).ok_or(WireError::Truncated)?;
+                        (attrs[1], u16::from_be_bytes([attrs[2], low]) as usize, 4)
+                    } else {
+                        (attrs[1], attrs[2] as usize, 3)
+                    };
                     if attrs.len() < hdr + attr_len {
                         return Err(WireError::Truncated);
                     }
                     let val = &attrs[hdr..hdr + attr_len];
                     match ty {
-                        // AS_PATH: segment type, count, 4-byte ASNs.
-                        2 if val.len() >= 2 => {
-                            let count = val[1] as usize;
-                            if val.len() < 2 + 4 * count {
-                                return Err(WireError::Truncated);
-                            }
-                            for i in 0..count {
-                                let o = 2 + 4 * i;
-                                u.as_path.push(u32::from_be_bytes([
-                                    val[o],
-                                    val[o + 1],
-                                    val[o + 2],
-                                    val[o + 3],
-                                ]));
+                        // AS_PATH: segments of (type, count, 4-byte ASNs).
+                        2 => {
+                            let mut segs = val;
+                            while segs.len() >= 2 {
+                                let count = segs[1] as usize;
+                                if segs.len() < 2 + 4 * count {
+                                    return Err(WireError::Truncated);
+                                }
+                                for asn in segs[2..2 + 4 * count].chunks_exact(4) {
+                                    u.as_path.push(u32::from_be_bytes([asn[0], asn[1], asn[2], asn[3]]));
+                                }
+                                segs = &segs[2 + 4 * count..];
                             }
                         }
                         3 => {

@@ -76,8 +76,13 @@ proptest! {
     }
 
     #[test]
+    fn tcp_decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..96)) {
+        let _ = TcpSegment::decode(&bytes);
+    }
+
+    #[test]
     fn bgp_update_roundtrip(withdrawn in proptest::collection::vec(arb_prefix(), 0..8),
-                            path in proptest::collection::vec(any::<u32>(), 1..6),
+                            path in proptest::collection::vec(any::<u32>(), 0..300),
                             nh in arb_ip(),
                             nlri in proptest::collection::vec(arb_prefix(), 0..8)) {
         let has_nlri = !nlri.is_empty();
@@ -109,6 +114,11 @@ proptest! {
             desired_min_tx_us: tx, required_min_rx_us: rx,
         };
         prop_assert_eq!(BfdPacket::decode(&p.encode()).unwrap(), p);
+    }
+
+    #[test]
+    fn bfd_decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..64)) {
+        let _ = BfdPacket::decode(&bytes);
     }
 
     #[test]
