@@ -1,16 +1,24 @@
-//! The BGP RIB: per-peer Adj-RIB-In, Loc-RIB with ECMP, and the FIB view
-//! rendered in the paper's Listing 3 layout.
+//! The BGP RIB: Adj-RIB-In and Loc-RIB with ECMP in one table, and the
+//! FIB view rendered in the paper's Listing 3 layout.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use dcn_sim::PortId;
 use dcn_wire::{IpAddr4, Prefix};
 use smallvec::SmallVec;
 
-/// One usable path in the Loc-RIB.
+/// An AS path, shared and immutable: converted once from the UPDATE that
+/// carried it, then held by every prefix of that UPDATE in the
+/// Adj-RIB-In, by the ECMP members read from it and by each peer's
+/// Adj-RIB-Out — a reference count each, never a copy.
+pub type AsPath = Arc<[u32]>;
+
+/// One learned path. Those of minimal AS-path length are the prefix's
+/// Loc-RIB entry, its ECMP members.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct PathEntry {
-    pub as_path: Vec<u32>,
+    pub as_path: AsPath,
     pub peer_port: PortId,
     pub next_hop: IpAddr4,
 }
@@ -30,18 +38,49 @@ pub enum RibChange {
 /// The routing information base of one router.
 #[derive(Debug, Default)]
 pub struct Rib {
-    /// Adj-RIB-In: (peer port → prefix → AS path). The next hop of a path
-    /// through a point-to-point fabric link is implied by the port.
-    adj_in: BTreeMap<PortId, BTreeMap<Prefix, Vec<u32>>>,
+    /// Adj-RIB-In by prefix: every path learned for it, one per peer
+    /// port, ascending. The Loc-RIB is not a second table but a reading
+    /// of this one ([`best_of`]), so one lookup serves a peer's
+    /// advertisement, the recomputation it causes and the export that
+    /// follows. A prefix with no path left has no entry; locally
+    /// originated prefixes never get one.
+    routes: BTreeMap<Prefix, Vec<PathEntry>>,
     /// Locally originated prefixes (AS path length 0, always preferred).
+    /// Set up before anything is learned.
     local: Vec<Prefix>,
-    /// Loc-RIB: prefix → ECMP members (all minimal-AS-path paths).
-    loc: BTreeMap<Prefix, Vec<PathEntry>>,
     /// Connected subnets for rendering (link /24s, rack subnet).
     connected: Vec<(Prefix, PortId, IpAddr4)>,
     /// Bumped whenever the Loc-RIB changes; the compiled FIB keys its
     /// lazy rebuild on this.
     version: u64,
+}
+
+/// The ECMP members among `paths`: all of minimal AS-path length, in
+/// `paths`' ascending-port order.
+fn best_of(paths: &[PathEntry]) -> impl Iterator<Item = &PathEntry> {
+    let best_len = paths.iter().map(|e| e.as_path.len()).min();
+    paths.iter().filter(move |e| Some(e.as_path.len()) == best_len)
+}
+
+/// Apply `edit` to the paths learned for one prefix and report how its
+/// ECMP set moved. Membership is derived purely from AS-path lengths. An
+/// edit that changes nothing — the common case while a table dump floods
+/// in over several uplinks — allocates nothing: the old set is a stack
+/// list of shared paths.
+fn apply(paths: &mut Vec<PathEntry>, edit: impl FnOnce(&mut Vec<PathEntry>)) -> RibChange {
+    let old: SmallVec<(PortId, AsPath), 8> =
+        best_of(paths).map(|e| (e.peer_port, e.as_path.clone())).collect();
+    edit(paths);
+    let mut new = best_of(paths).map(|e| (e.peer_port, &e.as_path)).peekable();
+    match (old.is_empty(), new.peek().is_none()) {
+        (true, true) => RibChange::Unchanged,
+        (true, false) => RibChange::Gained,
+        (false, true) => RibChange::Lost,
+        (false, false) if new.eq(old.iter().map(|(port, path)| (*port, path))) => {
+            RibChange::Unchanged
+        }
+        (false, false) => RibChange::Changed,
+    }
 }
 
 impl Rib {
@@ -79,125 +118,82 @@ impl Rib {
         self.version = v;
     }
 
-    /// Record a received advertisement. Returns prefixes needing
-    /// recomputation.
+    fn note(&mut self, change: RibChange) -> RibChange {
+        if change != RibChange::Unchanged {
+            self.version = self.version.wrapping_add(1);
+        }
+        change
+    }
+
+    /// Record a received advertisement and report how the prefix's ECMP
+    /// set moved. A locally originated prefix is always best and never
+    /// ECMP with learned paths: those are not kept.
     pub fn ingest_advert(
         &mut self,
         port: PortId,
         prefix: Prefix,
-        as_path: Vec<u32>,
+        as_path: impl Into<AsPath>,
         next_hop: IpAddr4,
     ) -> RibChange {
         let _ = next_hop; // next hop is implied by the p2p link
-        self.adj_in.entry(port).or_default().insert(prefix, as_path);
-        self.recompute(prefix, port)
+        if self.is_local(prefix) {
+            return RibChange::Unchanged;
+        }
+        let as_path = as_path.into();
+        let change = apply(self.routes.entry(prefix).or_default(), |paths| {
+            match paths.binary_search_by_key(&port, |e| e.peer_port) {
+                Ok(i) => paths[i].as_path = as_path,
+                Err(i) => {
+                    paths.insert(i, PathEntry { as_path, peer_port: port, next_hop: IpAddr4(0) })
+                }
+            }
+        });
+        self.note(change)
     }
 
     /// Record a withdrawal.
     pub fn ingest_withdraw(&mut self, port: PortId, prefix: Prefix) -> RibChange {
-        let removed = self
-            .adj_in
-            .get_mut(&port)
-            .is_some_and(|m| m.remove(&prefix).is_some());
-        if !removed {
+        let Some(paths) = self.routes.get_mut(&prefix) else {
             return RibChange::Unchanged;
+        };
+        let change = apply(paths, |paths| paths.retain(|e| e.peer_port != port));
+        if paths.is_empty() {
+            self.routes.remove(&prefix);
         }
-        self.recompute(prefix, port)
+        self.note(change)
     }
 
     /// Drop everything learned from a peer (session death). Returns the
-    /// affected prefixes and their change kinds.
+    /// affected prefixes, ascending, and their change kinds.
     pub fn drop_peer(&mut self, port: PortId) -> Vec<(Prefix, RibChange)> {
-        let prefixes: Vec<Prefix> = self
-            .adj_in
-            .remove(&port)
-            .map(|m| m.into_keys().collect())
-            .unwrap_or_default();
-        prefixes
-            .into_iter()
-            .map(|p| (p, self.recompute(p, port)))
-            .filter(|(_, c)| *c != RibChange::Unchanged)
-            .collect()
-    }
-
-    /// Recompute the Loc-RIB entry for `prefix`. `via` is only used to
-    /// carry next-hop information when available; ECMP membership is
-    /// derived purely from AS-path lengths. Members are stored in
-    /// ascending-port order (the `adj_in` iteration order). A
-    /// recomputation that changes nothing — the common case while a
-    /// table dump floods in over several uplinks — allocates nothing:
-    /// the candidate set is a stack list of references, and AS paths are
-    /// cloned only when the entry is actually replaced.
-    fn recompute(&mut self, prefix: Prefix, _via: PortId) -> RibChange {
-        if self.local.contains(&prefix) {
-            // Locally originated: always best, never ECMP with learned
-            // paths.
-            return RibChange::Unchanged;
-        }
-        let mut best_len = usize::MAX;
-        let mut best: SmallVec<(PortId, &Vec<u32>), 16> = SmallVec::new();
-        for (&port, routes) in &self.adj_in {
-            if let Some(path) = routes.get(&prefix) {
-                match path.len().cmp(&best_len) {
-                    std::cmp::Ordering::Less => {
-                        best_len = path.len();
-                        best.clear();
-                        best.push((port, path));
-                    }
-                    std::cmp::Ordering::Equal => best.push((port, path)),
-                    std::cmp::Ordering::Greater => {}
+        let mut changes = Vec::new();
+        self.routes.retain(|&prefix, paths| {
+            if paths.iter().any(|e| e.peer_port == port) {
+                let change = apply(paths, |paths| paths.retain(|e| e.peer_port != port));
+                if change != RibChange::Unchanged {
+                    changes.push((prefix, change));
                 }
             }
-        }
-        let change = match (self.loc.get(&prefix), best.is_empty()) {
-            (None, true) => RibChange::Unchanged,
-            (None, false) => RibChange::Gained,
-            (Some(_), true) => RibChange::Lost,
-            (Some(old), false)
-                if old.iter().map(|e| (e.peer_port, &e.as_path)).eq(best.iter().copied()) =>
-            {
-                RibChange::Unchanged
-            }
-            (Some(_), false) => RibChange::Changed,
-        };
-        match change {
-            RibChange::Unchanged => return change,
-            RibChange::Lost => {
-                self.loc.remove(&prefix);
-            }
-            RibChange::Gained | RibChange::Changed => {
-                let members = best
-                    .iter()
-                    .map(|&(peer_port, path)| PathEntry {
-                        as_path: path.clone(),
-                        peer_port,
-                        // The next hop is implied by the p2p link.
-                        next_hop: IpAddr4(0),
-                    })
-                    .collect();
-                self.loc.insert(prefix, members);
-            }
-        }
-        self.version = self.version.wrapping_add(1);
-        change
+            !paths.is_empty()
+        });
+        self.version = self.version.wrapping_add(changes.len() as u64);
+        changes
+    }
+
+    fn paths(&self, prefix: Prefix) -> &[PathEntry] {
+        self.routes.get(&prefix).map_or(&[], Vec::as_slice)
     }
 
     /// The ECMP members for `prefix` (ports sorted ascending).
     pub fn members(&self, prefix: Prefix) -> Vec<&PathEntry> {
-        let mut v: Vec<&PathEntry> = self
-            .loc
-            .get(&prefix)
-            .map(|m| m.iter().collect())
-            .unwrap_or_default();
-        v.sort_by_key(|e| e.peer_port);
-        v
+        best_of(self.paths(prefix)).collect()
     }
 
     /// Longest-prefix-match lookup for a destination address.
     pub fn lookup(&self, dst: IpAddr4) -> Option<(Prefix, Vec<&PathEntry>)> {
         // Prefixes in a DCN RIB are few; scan and keep the longest match.
         let mut best: Option<Prefix> = None;
-        for &p in self.loc.keys() {
+        for &p in self.routes.keys() {
             if p.contains(dst) && best.is_none_or(|b| p.len > b.len) {
                 best = Some(p);
             }
@@ -206,64 +202,38 @@ impl Rib {
     }
 
     /// The representative best path for advertisement: the member on the
-    /// lowest port (members are stored in ascending-port order).
+    /// lowest port.
     pub fn best(&self, prefix: Prefix) -> Option<&PathEntry> {
-        self.loc.get(&prefix)?.first()
+        best_of(self.paths(prefix)).next()
     }
 
     /// Local-repair backup candidates for `prefix`: the peer ports of the
-    /// *next-best* Adj-RIB-In paths — the shortest AS-path length strictly
-    /// worse than the Loc-RIB best set, excluding any port already an
-    /// ECMP member. Sorted ascending. These are the routes the control
-    /// plane itself would promote once the best set is withdrawn, so a
-    /// data-plane repair through them forwards exactly where the
-    /// post-convergence FIB will.
+    /// *next-best* learned paths — the shortest AS-path length strictly
+    /// worse than the ECMP set's. Sorted ascending. These are the routes
+    /// the control plane itself would promote once the best set is
+    /// withdrawn, so a data-plane repair through them forwards exactly
+    /// where the post-convergence FIB will.
     ///
-    /// Best-effort by design: an Adj-RIB-In-only change (a longer path
-    /// learned or withdrawn) does not bump [`Rib::version`], so a
-    /// compiled backup set can lag such changes until the next Loc-RIB
-    /// change triggers a rebuild. Primary forwarding is unaffected.
+    /// Best-effort by design: a change that leaves the ECMP set alone (a
+    /// longer path learned or withdrawn) does not bump [`Rib::version`],
+    /// so a compiled backup set can lag such changes until the next
+    /// Loc-RIB change triggers a rebuild. Primary forwarding is unaffected.
     pub fn backup_members(&self, prefix: Prefix) -> Vec<PortId> {
-        let best: Vec<PortId> = self
-            .loc
-            .get(&prefix)
-            .map(|m| m.iter().map(|e| e.peer_port).collect())
-            .unwrap_or_default();
-        let best_len = self
-            .loc
-            .get(&prefix)
-            .and_then(|m| m.first())
-            .map(|e| e.as_path.len())
-            .unwrap_or(usize::MAX);
-        let mut next_len = usize::MAX;
-        let mut ports: Vec<PortId> = Vec::new();
-        for (&port, routes) in &self.adj_in {
-            if best.contains(&port) {
-                continue;
-            }
-            if let Some(path) = routes.get(&prefix) {
-                if path.len() <= best_len {
-                    continue;
-                }
-                match path.len().cmp(&next_len) {
-                    std::cmp::Ordering::Less => {
-                        next_len = path.len();
-                        ports.clear();
-                        ports.push(port);
-                    }
-                    std::cmp::Ordering::Equal => ports.push(port),
-                    std::cmp::Ordering::Greater => {}
-                }
-            }
-        }
-        ports.sort_unstable();
-        ports
+        let paths = self.paths(prefix);
+        let lens = || paths.iter().map(|e| e.as_path.len());
+        let best_len = lens().min();
+        let next_len = lens().filter(|&len| Some(len) > best_len).min();
+        paths
+            .iter()
+            .filter(|e| Some(e.as_path.len()) == next_len)
+            .map(|e| e.peer_port)
+            .collect()
     }
 
     /// All prefixes currently reachable (learned), for initial table
     /// dumps.
     pub fn learned_prefixes(&self) -> Vec<Prefix> {
-        self.loc.keys().copied().collect()
+        self.routes.keys().copied().collect()
     }
 
     /// All locally originated prefixes.
@@ -274,20 +244,20 @@ impl Rib {
     /// Number of Loc-RIB entries plus connected routes — the Listing 3
     /// table-size metric.
     pub fn route_count(&self) -> usize {
-        self.loc.len() + self.connected.len()
+        self.routes.len() + self.connected.len()
     }
 
     /// Total ECMP members across all prefixes (storage proxy).
     pub fn path_count(&self) -> usize {
-        self.loc.values().map(Vec::len).sum::<usize>()
+        self.routes.values().map(|paths| best_of(paths).count()).sum()
     }
 
     /// Approximate resident bytes: per path, prefix (5) + AS path (4/hop)
     /// + next hop (4) + ifindex (2).
     pub fn approx_bytes(&self) -> usize {
-        self.loc
+        self.routes
             .values()
-            .flat_map(|m| m.iter())
+            .flat_map(|paths| best_of(paths))
             .map(|e| 5 + 4 * e.as_path.len() + 6)
             .sum::<usize>()
             + self.connected.len() * 11
@@ -302,26 +272,23 @@ impl Rib {
                 "{prefix} dev {port} proto kernel scope link src {addr}\n"
             ));
         }
-        for (prefix, members) in &self.loc {
-            if members.len() == 1 {
-                let m = &members[0];
-                let via = peer_ip(m.peer_port)
-                    .map(|ip| ip.to_string())
-                    .unwrap_or_else(|| "?".into());
+        for (prefix, paths) in &self.routes {
+            let members: SmallVec<&PathEntry, 8> = best_of(paths).collect();
+            let via = |m: &PathEntry| {
+                peer_ip(m.peer_port).map(|ip| ip.to_string()).unwrap_or_else(|| "?".into())
+            };
+            if let [m] = members[..] {
                 out.push_str(&format!(
-                    "{prefix} via {via} dev {} proto bgp metric 20\n",
+                    "{prefix} via {} dev {} proto bgp metric 20\n",
+                    via(m),
                     m.peer_port
                 ));
             } else {
                 out.push_str(&format!("{prefix} proto bgp metric 20\n"));
-                let mut sorted = self.members(*prefix);
-                sorted.sort_by_key(|e| e.peer_port);
-                for m in sorted {
-                    let via = peer_ip(m.peer_port)
-                        .map(|ip| ip.to_string())
-                        .unwrap_or_else(|| "?".into());
+                for m in members.iter() {
                     out.push_str(&format!(
-                        "\tnexthop via {via} dev {} weight 1\n",
+                        "\tnexthop via {} dev {} weight 1\n",
+                        via(m),
                         m.peer_port
                     ));
                 }

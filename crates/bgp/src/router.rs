@@ -8,17 +8,22 @@ use dcn_sim::{
     alloc_track, BgpDownReason, BgpState, Ctx, FrameBuf, FrameClass, FrameMeta, GridTimer, PortId,
     Protocol, RouteChangeKind, SpanEvent, StatsSnapshot,
 };
-use dcn_tcp::{TcpConn, TcpEvent};
+use dcn_tcp::{Few, TcpConn, TcpEvent};
 use dcn_bfd::{BfdEvent, BfdSession};
 use dcn_wire::{
-    flow_hash_of, BgpMessage, BgpUpdate, EtherType, EthernetFrame, IpAddr4, Ipv4Packet, Ipv4View,
-    MacAddr, Prefix, TcpSegment, UdpDatagram, BFD_CTRL_PORT, BGP_PORT, ETHERNET_HEADER_LEN,
-    IPPROTO_TCP, IPPROTO_UDP, IPV4_HEADER_LEN,
+    flow_hash_of, BfdPacket, BgpMessage, BgpUpdate, EtherType, EthernetFrame, IpAddr4, Ipv4Packet,
+    Ipv4View, MacAddr, Prefix, TcpFlags, TcpSegment, TcpView, UdpDatagram, UpdateView,
+    BFD_CTRL_PORT, BFD_PACKET_LEN, BGP_PORT, ETHERNET_HEADER_LEN, IPPROTO_TCP, IPPROTO_UDP,
+    IPV4_HEADER_LEN, UDP_HEADER_LEN,
 };
+use smallvec::SmallVec;
 
 use crate::config::BgpConfig;
 use crate::fib::CompiledFib;
-use crate::rib::{Rib, RibChange};
+use crate::rib::{AsPath, Rib, RibChange};
+
+/// A message to send: an UPDATE's lists stay in the sender's buffers.
+type Msg<'a> = BgpMessage<BgpUpdate<&'a [Prefix], &'a [u32]>>;
 
 const TOKEN_TICK: u64 = 1;
 /// Housekeeping grid: fine enough for BFD's 100 ms transmit interval. The
@@ -36,10 +41,14 @@ struct Peer {
     keepalive_due: Time,
     connect_at: Time,
     bfd: Option<BfdSession>,
-    /// Cached fully-encapsulated BFD keepalive, keyed by the encoded
-    /// control packet. BFD packets carry no timestamp, so steady-state
+    /// Cached fully-encapsulated BFD keepalive, keyed by the control
+    /// packet it carries. BFD packets carry no timestamp, so steady-state
     /// keepalives re-send the same bytes — one encode, then refcount bumps.
-    bfd_frame: Option<(Vec<u8>, FrameBuf)>,
+    bfd_frame: Option<(BfdPacket, FrameBuf)>,
+    /// Adj-RIB-Out: the path behind our own ASN in what we last
+    /// advertised to this peer, per prefix — shared with the Adj-RIB-In
+    /// entry it was exported from (empty for a local prefix).
+    adj_out: BTreeMap<Prefix, AsPath>,
 }
 
 impl Peer {
@@ -98,8 +107,8 @@ pub struct BgpRouter {
     peers: Vec<Peer>,
     /// port → index into `peers` (one neighbor per fabric link).
     port_peer: BTreeMap<PortId, usize>,
-    /// Adj-RIB-Out: what we last advertised to each peer.
-    adj_out: BTreeMap<PortId, BTreeMap<Prefix, Vec<u32>>>,
+    /// The empty path behind our ASN in what we export for a local prefix.
+    no_path: AsPath,
     /// Compiled Loc-RIB for the data-plane fast path, rebuilt lazily
     /// whenever `fib_key` no longer matches [`Rib::version`].
     fib: CompiledFib,
@@ -155,6 +164,7 @@ impl BgpRouter {
                     .then(|| BfdSession::new(cfg.router_id ^ pc.port.0 as u32)
                         .with_tx_interval(cfg.bfd_tx_interval)),
                 bfd_frame: None,
+                adj_out: BTreeMap::new(),
             });
         }
         BgpRouter {
@@ -162,7 +172,7 @@ impl BgpRouter {
             rib,
             peers,
             port_peer,
-            adj_out: BTreeMap::new(),
+            no_path: AsPath::from([]),
             fib: CompiledFib::new(),
             fib_key: None,
             repair_noted: false,
@@ -211,7 +221,9 @@ impl BgpRouter {
     // ------------------------------------------------------------------
 
     /// The frame carrying an IPv4 packet out of `port`: Ethernet header,
-    /// IPv4 header and payload written into one buffer.
+    /// IPv4 header and `payload_len` bytes for `fill` to write, in one
+    /// buffer.
+    #[allow(clippy::too_many_arguments)]
     fn build_ip_frame(
         node: u32,
         port: PortId,
@@ -219,65 +231,77 @@ impl BgpRouter {
         src: IpAddr4,
         dst: IpAddr4,
         ttl: u8,
-        payload: &[u8],
+        payload_len: usize,
+        fill: impl FnOnce(&mut [u8]),
     ) -> FrameBuf {
         let mac = MacAddr::for_node_port(node, port.0); // p2p: any unicast works
-        let ip_len = IPV4_HEADER_LEN + payload.len();
+        let ip_len = IPV4_HEADER_LEN + payload_len;
         EthernetFrame::build(mac, mac, EtherType::Ipv4, ip_len, |ip| {
-            Ipv4Packet::put_header(ip, src, dst, proto, ttl, payload.len());
-            ip[IPV4_HEADER_LEN..].copy_from_slice(payload);
+            Ipv4Packet::put_header(ip, src, dst, proto, ttl, payload_len);
+            fill(&mut ip[IPV4_HEADER_LEN..]);
         })
     }
 
-    /// The frame carrying session traffic (`payload` over `proto`) to
-    /// peer `peer_idx`, between the two addresses of their link.
-    fn peer_frame(&self, ctx: &Ctx<'_>, peer_idx: usize, proto: u8, payload: &[u8]) -> FrameBuf {
+    /// The frame carrying session traffic (`len` bytes over `proto`,
+    /// written by `fill`) to peer `peer_idx`, between the two addresses of
+    /// their link.
+    fn peer_frame(
+        &self,
+        ctx: &Ctx<'_>,
+        peer_idx: usize,
+        proto: u8,
+        len: usize,
+        fill: impl FnOnce(&mut [u8]),
+    ) -> FrameBuf {
         let (c, ttl) = (&self.peers[peer_idx].cfg, Ipv4Packet::DEFAULT_TTL);
-        Self::build_ip_frame(ctx.node().0, c.port, proto, c.local_ip, c.peer_ip, ttl, payload)
+        Self::build_ip_frame(ctx.node().0, c.port, proto, c.local_ip, c.peer_ip, ttl, len, fill)
+    }
+
+    /// The frame carrying BFD control packet `pkt` to peer `peer_idx`.
+    fn bfd_frame(&self, ctx: &Ctx<'_>, peer_idx: usize, pkt: &BfdPacket) -> FrameBuf {
+        self.peer_frame(ctx, peer_idx, IPPROTO_UDP, UDP_HEADER_LEN + BFD_PACKET_LEN, |udp| {
+            UdpDatagram::put_header(udp, 49152, BFD_CTRL_PORT, BFD_PACKET_LEN);
+            pkt.put(&mut udp[UDP_HEADER_LEN..]);
+        })
     }
 
     fn emit_segments(
         &mut self,
         ctx: &mut Ctx<'_>,
         peer_idx: usize,
-        segments: Vec<TcpSegment>,
+        segments: Few<TcpSegment>,
         class: FrameClass,
     ) {
         let port = self.peers[peer_idx].cfg.port;
         for seg in segments {
             // Classify transport-level frames independent of the app
             // class: empty payloads are handshake/acks.
-            let c = if seg.payload.is_empty() {
-                if seg.flags.contains(dcn_wire::TcpFlags::SYN)
-                    || seg.flags.contains(dcn_wire::TcpFlags::RST)
-                {
-                    FrameClass::Session
-                } else {
-                    FrameClass::Ack
-                }
-            } else {
+            let c = if !seg.payload.is_empty() {
                 class
+            } else if seg.flags.contains(TcpFlags::SYN) || seg.flags.contains(TcpFlags::RST) {
+                FrameClass::Session
+            } else {
+                FrameClass::Ack
             };
-            let frame = self.peer_frame(ctx, peer_idx, IPPROTO_TCP, &seg.encode());
+            let frame =
+                self.peer_frame(ctx, peer_idx, IPPROTO_TCP, seg.encoded_len(), |tcp| seg.put(tcp));
             ctx.send(port, frame, c);
         }
     }
 
-    fn send_bgp(&mut self, ctx: &mut Ctx<'_>, peer_idx: usize, msg: &BgpMessage) {
-        let class = match msg {
-            BgpMessage::Keepalive => FrameClass::Keepalive,
-            BgpMessage::Update(_) => FrameClass::Update,
-            _ => FrameClass::Session,
+    /// Hand `msg` to the peer's connection: the buffer it is encoded into
+    /// is its segment's payload.
+    fn send_bgp(&mut self, ctx: &mut Ctx<'_>, peer_idx: usize, msg: &Msg<'_>) {
+        let (class, sent) = match msg {
+            BgpMessage::Keepalive => (FrameClass::Keepalive, &mut self.stats.keepalives_sent),
+            BgpMessage::Update(_) => (FrameClass::Update, &mut self.stats.updates_sent),
+            BgpMessage::Open { .. } => (FrameClass::Session, &mut self.stats.opens_sent),
+            BgpMessage::Notification { .. } => (FrameClass::Session, &mut 0), // not counted
         };
-        match msg {
-            BgpMessage::Keepalive => self.stats.keepalives_sent += 1,
-            BgpMessage::Update(_) => self.stats.updates_sent += 1,
-            BgpMessage::Open { .. } => self.stats.opens_sent += 1,
-            _ => {}
-        }
-        let bytes = msg.encode();
+        *sent += 1;
         let now = ctx.now();
-        let out = self.peers[peer_idx].tcp.send(&bytes, now);
+        let payload = FrameBuf::build(msg.encoded_len(), |b| msg.put(b));
+        let out = self.peers[peer_idx].tcp.send_buf(payload, now);
         self.emit_segments(ctx, peer_idx, out.segments, class);
     }
 
@@ -296,22 +320,15 @@ impl BgpRouter {
     // Export policy
     // ------------------------------------------------------------------
 
-    /// The AS path we would advertise for `prefix` to `peer`, or None.
-    fn export_path(&self, prefix: Prefix, peer_idx: usize) -> Option<Vec<u32>> {
-        let peer = &self.peers[peer_idx];
+    /// What we would advertise for `prefix` to any peer: the path behind
+    /// our own ASN (none for a local prefix) and the port it was learned
+    /// on, or None with nothing to export.
+    fn export(&self, prefix: Prefix) -> Option<(AsPath, Option<PortId>)> {
         if self.rib.is_local(prefix) {
-            return Some(vec![self.cfg.asn]);
+            return Some((self.no_path.clone(), None));
         }
         let best = self.rib.best(prefix)?;
-        // Sender-side loop check: a path through the peer's own AS would
-        // be discarded on arrival anyway.
-        if best.as_path.contains(&peer.cfg.peer_asn) || best.peer_port == peer.cfg.port {
-            return None;
-        }
-        let mut path = Vec::with_capacity(best.as_path.len() + 1);
-        path.push(self.cfg.asn);
-        path.extend_from_slice(&best.as_path);
-        Some(path)
+        Some((best.as_path.clone(), Some(best.peer_port)))
     }
 
     /// Re-run the export policy for `prefixes` toward every established
@@ -320,60 +337,73 @@ impl BgpRouter {
         self.reexport_to(ctx, 0..self.peers.len(), prefixes);
     }
 
-    /// [`Self::reexport`] toward the established peers among `peers`.
+    /// [`Self::reexport`] toward the established peers among `peers`. A
+    /// peer's UPDATEs leave in ascending AS-path order, each carrying its
+    /// prefixes in `prefixes`' order, withdrawals riding the first. No
+    /// path is copied and, for a batch of up to 16 prefixes, no list is
+    /// built on the heap: exports are shared paths, the grouping is a
+    /// stable sort of a stack list, and the UPDATE is encoded from slices.
     fn reexport_to(
         &mut self,
         ctx: &mut Ctx<'_>,
         peers: std::ops::Range<usize>,
         prefixes: &[Prefix],
     ) {
+        let exports: SmallVec<_, 16> = prefixes.iter().map(|&pfx| (pfx, self.export(pfx))).collect();
         let mut batch_peers = 0usize;
         let mut batch_prefixes = 0usize;
         for peer_idx in peers {
-            if self.peers[peer_idx].fsm != BgpState::Established {
+            let peer = &mut self.peers[peer_idx];
+            if peer.fsm != BgpState::Established {
                 continue;
             }
-            let port = self.peers[peer_idx].cfg.port;
-            let mut withdrawn = Vec::new();
-            let mut adverts: BTreeMap<Vec<u32>, Vec<Prefix>> = BTreeMap::new();
-            for &pfx in prefixes {
-                let export = self.export_path(pfx, peer_idx);
-                let out = self.adj_out.entry(port).or_default();
+            let mut withdrawn: SmallVec<Prefix, 16> = SmallVec::new();
+            let mut adverts: SmallVec<(&[u32], Prefix), 16> = SmallVec::new();
+            for (pfx, export) in exports.iter() {
+                // Sender-side loop check: a path through the peer's own AS
+                // would be discarded on arrival anyway.
+                let export = export.as_ref().filter(|(path, from)| {
+                    *from != Some(peer.cfg.port) && !path.contains(&peer.cfg.peer_asn)
+                });
                 match export {
-                    Some(path) => {
-                        if out.get(&pfx) != Some(&path) {
-                            out.insert(pfx, path.clone());
-                            adverts.entry(path).or_default().push(pfx);
+                    Some((path, _)) => {
+                        if peer.adj_out.get(pfx) != Some(path) {
+                            peer.adj_out.insert(*pfx, path.clone());
+                            adverts.push((path, *pfx));
                         }
                     }
                     None => {
-                        if out.remove(&pfx).is_some() {
-                            withdrawn.push(pfx);
+                        if peer.adj_out.remove(pfx).is_some() {
+                            withdrawn.push(*pfx);
                         }
                     }
                 }
             }
-            let next_hop = self.peers[peer_idx].cfg.local_ip;
-            let peer_prefixes =
-                withdrawn.len() + adverts.values().map(|n| n.len()).sum::<usize>();
-            let mut first = true;
-            for (path, nlri) in adverts {
+            // Every exported path starts with our ASN, so ordering by what
+            // follows it is ordering by the whole path.
+            adverts.sort_by(|a, b| a.0.cmp(b.0));
+            let nlri: SmallVec<Prefix, 16> = adverts.iter().map(|a| a.1).collect();
+            let next_hop = Some(peer.cfg.local_ip);
+            let mut sent = 0;
+            for group in adverts.chunk_by(|a, b| a.0 == b.0) {
+                let as_path: SmallVec<u32, 16> =
+                    std::iter::once(self.cfg.asn).chain(group[0].0.iter().copied()).collect();
                 let msg = BgpMessage::Update(BgpUpdate {
-                    withdrawn: if first { std::mem::take(&mut withdrawn) } else { Vec::new() },
-                    as_path: path,
-                    next_hop: Some(next_hop),
-                    nlri,
+                    withdrawn: if sent == 0 { &withdrawn[..] } else { &[] },
+                    as_path: &as_path[..],
+                    next_hop,
+                    nlri: &nlri[sent..sent + group.len()],
                 });
-                first = false;
+                sent += group.len();
                 self.send_bgp(ctx, peer_idx, &msg);
             }
-            if !withdrawn.is_empty() {
-                let msg = BgpMessage::Update(BgpUpdate { withdrawn, ..Default::default() });
-                self.send_bgp(ctx, peer_idx, &msg);
+            if sent == 0 && !withdrawn.is_empty() {
+                let update = BgpUpdate { withdrawn: &withdrawn[..], ..Default::default() };
+                self.send_bgp(ctx, peer_idx, &BgpMessage::Update(update));
             }
-            if peer_prefixes > 0 {
+            if sent + withdrawn.len() > 0 {
                 batch_peers += 1;
-                batch_prefixes += peer_prefixes;
+                batch_prefixes += sent + withdrawn.len();
             }
         }
         if batch_peers > 0 {
@@ -430,13 +460,13 @@ impl BgpRouter {
         {
             let p = &mut self.peers[peer_idx];
             p.rx_buf.clear();
+            p.adj_out.clear();
             p.asn_ok = false;
             p.connect_at = now + self.cfg.connect_retry + ctx.rand_below(millis(200));
             if let Some(b) = p.bfd.as_mut() {
                 b.force_down();
             }
         }
-        self.adj_out.remove(&port);
         let changes = self.rib.drop_peer(port);
         if !changes.is_empty() {
             self.trace_changes(ctx, &changes);
@@ -449,10 +479,18 @@ impl BgpRouter {
     // Message processing
     // ------------------------------------------------------------------
 
+    /// In-order stream bytes from the peer, borrowed from the arriving
+    /// segment. Whole messages are parsed where they lie; only a message
+    /// split across segments is reassembled in `rx_buf`.
     fn on_bgp_bytes(&mut self, ctx: &mut Ctx<'_>, peer_idx: usize, bytes: &[u8]) {
-        self.peers[peer_idx].rx_buf.extend_from_slice(bytes);
+        let mut held = std::mem::take(&mut self.peers[peer_idx].rx_buf);
+        let mut buf = bytes;
+        if !held.is_empty() {
+            held.extend_from_slice(bytes);
+            buf = &held;
+        }
         loop {
-            let (msg, used) = match BgpMessage::decode(&self.peers[peer_idx].rx_buf) {
+            let (msg, used) = match BgpMessage::parse(buf) {
                 Ok(ok) => ok,
                 Err(dcn_wire::WireError::Truncated) => break,
                 Err(_) => {
@@ -463,7 +501,7 @@ impl BgpRouter {
                     return;
                 }
             };
-            self.peers[peer_idx].rx_buf.drain(..used);
+            buf = &buf[used..];
             self.peers[peer_idx].hold_deadline = ctx.now() + self.cfg.hold_time;
             match msg {
                 BgpMessage::Open { asn, .. } => {
@@ -494,21 +532,34 @@ impl BgpRouter {
                 }
             }
         }
+        // Keep the start of a message still arriving.
+        let rest = buf.len();
+        if held.is_empty() {
+            held.extend_from_slice(&bytes[bytes.len() - rest..]);
+        } else {
+            held.drain(..held.len() - rest);
+        }
+        self.peers[peer_idx].rx_buf = held;
     }
 
-    fn on_update(&mut self, ctx: &mut Ctx<'_>, peer_idx: usize, update: BgpUpdate) {
+    fn on_update(&mut self, ctx: &mut Ctx<'_>, peer_idx: usize, update: UpdateView<'_>) {
         let port = self.peers[peer_idx].cfg.port;
-        let mut changes = Vec::new();
+        let mut changes: SmallVec<(Prefix, RibChange), 16> = SmallVec::new();
         for pfx in update.withdrawn {
             let c = self.rib.ingest_withdraw(port, pfx);
             if c != RibChange::Unchanged {
                 changes.push((pfx, c));
             }
         }
-        if !update.nlri.is_empty() && !update.as_path.contains(&self.cfg.asn) {
+        let as_path: SmallVec<u32, 16> = update.as_path.collect();
+        if !as_path.contains(&self.cfg.asn) {
             let nh = update.next_hop.unwrap_or(self.peers[peer_idx].cfg.peer_ip);
+            // One shared path for every prefix of the UPDATE, made when
+            // the first of them needs it.
+            let mut shared: Option<AsPath> = None;
             for pfx in update.nlri {
-                let c = self.rib.ingest_advert(port, pfx, update.as_path.clone(), nh);
+                let path = shared.get_or_insert_with(|| AsPath::from(&as_path[..])).clone();
+                let c = self.rib.ingest_advert(port, pfx, path, nh);
                 if c != RibChange::Unchanged {
                     changes.push((pfx, c));
                 }
@@ -516,18 +567,18 @@ impl BgpRouter {
         }
         if !changes.is_empty() {
             self.trace_changes(ctx, &changes);
-            let prefixes: Vec<Prefix> = changes.iter().map(|(p, _)| *p).collect();
+            let prefixes: SmallVec<Prefix, 16> = changes.iter().map(|(p, _)| *p).collect();
             self.reexport(ctx, &prefixes);
         }
     }
 
-    fn on_tcp_segment(&mut self, ctx: &mut Ctx<'_>, peer_idx: usize, seg: &TcpSegment) {
+    fn on_tcp_segment(&mut self, ctx: &mut Ctx<'_>, peer_idx: usize, seg: &TcpView<'_>) {
         let now = ctx.now();
         let out = self.peers[peer_idx].tcp.on_segment(seg, now);
         // Data segments emitted during handshake completion carry queued
         // table dumps: class Update.
         self.emit_segments(ctx, peer_idx, out.segments, FrameClass::Update);
-        for ev in &out.events {
+        for ev in out.events {
             match ev {
                 TcpEvent::Established => {
                     let open = BgpMessage::Open {
@@ -546,8 +597,7 @@ impl BgpRouter {
             }
         }
         if !out.delivered.is_empty() {
-            let bytes = out.delivered;
-            self.on_bgp_bytes(ctx, peer_idx, &bytes);
+            self.on_bgp_bytes(ctx, peer_idx, out.delivered);
         }
     }
 
@@ -555,7 +605,7 @@ impl BgpRouter {
     /// segments of the BGP session, BFD control packets over UDP.
     fn on_control(&mut self, ctx: &mut Ctx<'_>, port: PortId, peer_idx: usize, pkt: &Ipv4View<'_>) {
         match pkt.protocol {
-            IPPROTO_TCP => match TcpSegment::decode(pkt.payload) {
+            IPPROTO_TCP => match TcpSegment::parse(pkt.payload) {
                 Ok(seg) => self.on_tcp_segment(ctx, peer_idx, &seg),
                 Err(_) => self.stats.malformed_frames_dropped += 1,
             },
@@ -567,7 +617,7 @@ impl BgpRouter {
                 if udp.dst_port != BFD_CTRL_PORT {
                     return;
                 }
-                let Ok(bp) = dcn_wire::BfdPacket::decode(udp.payload) else {
+                let Ok(bp) = BfdPacket::decode(udp.payload) else {
                     self.stats.malformed_frames_dropped += 1;
                     return;
                 };
@@ -578,8 +628,7 @@ impl BgpRouter {
                 let (reply, event) = bfd.on_packet(&bp, now);
                 self.peers[peer_idx].bfd = Some(bfd);
                 if let Some(r) = reply {
-                    let udp = UdpDatagram::new(49152, BFD_CTRL_PORT, r.encode());
-                    let frame = self.peer_frame(ctx, peer_idx, IPPROTO_UDP, &udp.encode());
+                    let frame = self.bfd_frame(ctx, peer_idx, &r);
                     ctx.send(port, frame, FrameClass::Keepalive);
                 }
                 if event == Some(BfdEvent::SessionDown)
@@ -637,7 +686,8 @@ impl BgpRouter {
             self.stats.blackholed_in_window += 1;
         }
         let (node, ttl) = (ctx.node().0, pkt.ttl - 1);
-        let frame = Self::build_ip_frame(node, port, pkt.protocol, pkt.src, pkt.dst, ttl, pkt.payload);
+        let (len, copy) = (pkt.payload.len(), |b: &mut [u8]| b.copy_from_slice(pkt.payload));
+        let frame = Self::build_ip_frame(node, port, pkt.protocol, pkt.src, pkt.dst, ttl, len, copy);
         self.stats.data_forwarded += 1;
         ctx.send(port, frame, FrameClass::Data);
     }
@@ -760,10 +810,8 @@ impl BgpRouter {
             // TCP retransmission.
             let out = self.peers[peer_idx].tcp.tick(now);
             self.emit_segments(ctx, peer_idx, out.segments, FrameClass::Session);
-            for ev in &out.events {
-                if *ev == TcpEvent::Closed {
-                    self.session_down(ctx, peer_idx, BgpDownReason::TcpRetxExhausted);
-                }
+            if out.events.iter().any(|ev| *ev == TcpEvent::Closed) {
+                self.session_down(ctx, peer_idx, BgpDownReason::TcpRetxExhausted);
             }
             // Keepalives and hold timer.
             let fsm = self.peers[peer_idx].fsm;
@@ -783,15 +831,13 @@ impl BgpRouter {
                 self.peers[peer_idx].bfd = Some(bfd);
                 if let Some(pkt) = pkt {
                     // BFD control packets are timestamp-free, so in steady
-                    // state every keepalive encodes to the same bytes: cache
-                    // the encapsulated frame and re-send by refcount bump.
-                    let key = pkt.encode();
+                    // state every keepalive is the same packet: cache the
+                    // encapsulated frame and re-send by refcount bump.
                     let frame = match &self.peers[peer_idx].bfd_frame {
-                        Some((k, f)) if *k == key => f.clone(),
+                        Some((cached, f)) if *cached == pkt => f.clone(),
                         _ => {
-                            let udp = UdpDatagram::new(49152, BFD_CTRL_PORT, key.clone());
-                            let f = self.peer_frame(ctx, peer_idx, IPPROTO_UDP, &udp.encode());
-                            self.peers[peer_idx].bfd_frame = Some((key, f.clone()));
+                            let f = self.bfd_frame(ctx, peer_idx, &pkt);
+                            self.peers[peer_idx].bfd_frame = Some((pkt, f.clone()));
                             f
                         }
                     };
@@ -840,7 +886,7 @@ impl StatsSnapshot for BgpRouter {
     fn gauges(&self) -> Vec<(&'static str, u64)> {
         let count = |f: BgpState| self.peers.iter().filter(|p| p.fsm == f).count() as u64;
         let retx_queue: u64 = self.peers.iter().map(|p| p.tcp.unacked() as u64).sum();
-        let adj_out: u64 = self.adj_out.values().map(|m| m.len() as u64).sum();
+        let adj_out: u64 = self.peers.iter().map(|p| p.adj_out.len() as u64).sum();
         let bfd_up = self
             .peers
             .iter()
@@ -983,17 +1029,19 @@ mod tests {
     }
 
     #[test]
-    fn export_path_prepends_own_asn_and_filters_loops() {
+    fn export_is_the_path_behind_our_asn_and_where_it_came_from() {
         let mut r = BgpRouter::new(cfg());
-        r.rib.add_local(Prefix::new(IpAddr4::new(192, 168, 11, 0), 24));
-        let local = r
-            .export_path(Prefix::new(IpAddr4::new(192, 168, 11, 0), 24), 0)
-            .unwrap();
-        assert_eq!(local, vec![64512]);
-        // A learned path through the peer's AS must not be exported back.
+        let local = Prefix::new(IpAddr4::new(192, 168, 11, 0), 24);
+        r.rib.add_local(local);
+        assert_eq!(r.export(local), Some((AsPath::from([]), None)), "we prepend 64512 to nothing");
+        // A learned path is shared, not copied; the loop filters in
+        // `reexport_to` see its port and ASNs.
         let p = Prefix::new(IpAddr4::new(192, 168, 12, 0), 24);
         r.rib.ingest_advert(PortId(0), p, vec![64513, 65002], IpAddr4(0));
-        assert_eq!(r.export_path(p, 0), None);
+        let (path, from) = r.export(p).unwrap();
+        assert!(std::sync::Arc::ptr_eq(&path, &r.rib.best(p).unwrap().as_path));
+        assert_eq!((&path[..], from), (&[64513, 65002][..], Some(PortId(0))));
+        assert_eq!(r.export(Prefix::new(IpAddr4::new(192, 168, 13, 0), 24)), None);
     }
 
     #[test]

@@ -33,7 +33,7 @@ use dcn_sim::{
     RouteChangeKind, SpanEvent, StatsSnapshot,
 };
 use dcn_wire::{
-    flow_hash_of, EtherType, EthernetFrame, IpAddr4, Ipv4Packet, MacAddr, MrmtpMsg, Vid,
+    flow_hash_of, EtherType, EthernetFrame, IpAddr4, Ipv4Packet, MacAddr, MrmtpMsg, Vid, Vids,
     ETHERNET_HEADER_LEN,
 };
 
@@ -42,6 +42,9 @@ use crate::fib::CompiledFib;
 use crate::neighbor::{NeighborTable, RxOutcome};
 use crate::reliable::ReliableTx;
 use crate::vid_table::VidTable;
+
+/// A message to send: its lists stay in the sender's buffers.
+type Msg<'a> = MrmtpMsg<&'a [Vid], &'a [u8]>;
 
 /// Housekeeping timer token.
 const TOKEN_TICK: u64 = 1;
@@ -209,7 +212,7 @@ impl MrmtpRouter {
         self.host_ports.iter().any(|&(_, p)| p == port)
     }
 
-    fn send_msg(&mut self, ctx: &mut Ctx<'_>, port: PortId, msg: &MrmtpMsg, class: FrameClass) {
+    fn send_msg(&mut self, ctx: &mut Ctx<'_>, port: PortId, msg: &Msg<'_>, class: FrameClass) {
         let frame = control_frame(ctx.node().0, port, msg);
         self.nbr.note_tx(port, ctx.now());
         ctx.send(port, frame, class);
@@ -227,7 +230,7 @@ impl MrmtpRouter {
     }
 
     /// Send a reliable (acknowledged, retransmitted) message.
-    fn send_reliable(&mut self, ctx: &mut Ctx<'_>, port: PortId, msg: MrmtpMsg, class: FrameClass) {
+    fn send_reliable(&mut self, ctx: &mut Ctx<'_>, port: PortId, msg: Msg<'_>, class: FrameClass) {
         let seq = match &msg {
             MrmtpMsg::Offer { seq, .. }
             | MrmtpMsg::Lost { seq, .. }
@@ -243,12 +246,16 @@ impl MrmtpRouter {
             .track(port, seq, frame, class, ctx.now(), self.cfg.timers.retransmit_interval);
     }
 
-    fn advertise_on(&mut self, ctx: &mut Ctx<'_>, port: PortId) {
-        let vids = if let Some(root) = self.my_root {
-            vec![root]
-        } else {
-            self.table.primary_vids()
-        };
+    /// What we advertise: our root VID, or the primary VID of every tree
+    /// we hold.
+    fn advertised_vids(&self) -> Vec<Vid> {
+        match self.my_root {
+            Some(root) => vec![root],
+            None => self.table.primary_vids(),
+        }
+    }
+
+    fn advertise_on(&mut self, ctx: &mut Ctx<'_>, port: PortId, vids: &[Vid]) {
         if vids.is_empty() {
             return;
         }
@@ -257,12 +264,14 @@ impl MrmtpRouter {
         self.send_msg(ctx, port, &MrmtpMsg::Advertise { tier, vids }, FrameClass::Session);
     }
 
+    /// One list of VIDs, however many ports it goes out of.
     fn advertise_all(&mut self, ctx: &mut Ctx<'_>) {
         self.last_advertise = ctx.now();
+        let vids = self.advertised_vids();
         for i in 0..self.router_ports.len() {
             let port = self.router_ports[i];
             if ctx.port(port).up {
-                self.advertise_on(ctx, port);
+                self.advertise_on(ctx, port, &vids);
             }
         }
     }
@@ -271,16 +280,14 @@ impl MrmtpRouter {
     // Tree construction
     // ------------------------------------------------------------------
 
-    fn on_advertise(&mut self, ctx: &mut Ctx<'_>, port: PortId, tier: u8, vids: &[Vid]) {
+    fn on_advertise(&mut self, ctx: &mut Ctx<'_>, port: PortId, tier: u8, mut vids: Vids<'_>) {
         self.nbr.set_tier(port, tier);
         if tier + 1 != self.cfg.tier {
             return; // not a potential parent
         }
         // Join if the parent offers any tree we don't already hold via
         // this port.
-        let wants = vids
-            .iter()
-            .any(|v| !self.table.ports_for(v.root_id()).any(|p| p == port));
+        let wants = vids.any(|v| !self.table.ports_for(v.root_id()).any(|p| p == port));
         if wants {
             let my_tier = self.cfg.tier;
             self.stats.joins_sent += 1;
@@ -315,10 +322,10 @@ impl MrmtpRouter {
         self.offered.insert(port, roots);
         let seq = self.rel.alloc_seq();
         self.stats.offers_sent += 1;
-        self.send_reliable(ctx, port, MrmtpMsg::Offer { seq, vids }, FrameClass::Session);
+        self.send_reliable(ctx, port, MrmtpMsg::Offer { seq, vids: &vids }, FrameClass::Session);
     }
 
-    fn on_offer(&mut self, ctx: &mut Ctx<'_>, port: PortId, seq: u16, vids: &[Vid]) {
+    fn on_offer(&mut self, ctx: &mut Ctx<'_>, port: PortId, seq: u16, vids: Vids<'_>) {
         // Offers come from parents (one tier below).
         self.nbr.set_tier(port, self.cfg.tier - 1);
         self.send_msg(ctx, port, &MrmtpMsg::Accept { seq }, FrameClass::Session);
@@ -327,7 +334,7 @@ impl MrmtpRouter {
         }
         let mut regained = Vec::new();
         let mut changed = false;
-        for &vid in vids {
+        for vid in vids {
             let was_absent = self.table.install(vid, port);
             changed = true;
             ctx.trace_span(SpanEvent::VidInstall { root: vid.root_id(), port });
@@ -359,37 +366,19 @@ impl MrmtpRouter {
     /// Flood a `Lost` (or `Recovered`) update for `roots` to all live
     /// router neighbors except `except`.
     fn flood_update(&mut self, ctx: &mut Ctx<'_>, roots: &[u8], except: PortId, lost: bool) {
-        let mut fanout = 0u8;
-        for i in 0..self.router_ports.len() {
-            let port = self.router_ports[i];
-            if port == except || !ctx.port(port).up || !self.nbr.is_up(port) {
-                continue;
-            }
-            let seq = self.rel.alloc_seq();
-            let msg = if lost {
-                MrmtpMsg::Lost { seq, roots: roots.to_vec() }
-            } else {
-                MrmtpMsg::Recovered { seq, roots: roots.to_vec() }
-            };
-            self.stats.updates_sent += 1;
-            self.send_reliable(ctx, port, msg, FrameClass::Update);
-            fanout = fanout.saturating_add(1);
-        }
-        if fanout > 0 {
-            let roots = roots.len().min(u8::MAX as usize) as u8;
-            ctx.trace_span(SpanEvent::LossFlood { roots, fanout, lost });
-        }
+        let live = |&p: &PortId| p != except && self.nbr.is_up(p);
+        let targets = self.router_ports.iter().copied().filter(live).collect();
+        self.flood(ctx, roots, targets, lost);
     }
 
     /// Flood to live neighbors at a specific tier only.
-    fn flood_update_to_tier(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        roots: &[u8],
-        tier: u8,
-        lost: bool,
-    ) {
-        let targets: Vec<PortId> = self.nbr.up_ports_at_tier(tier).collect();
+    fn flood_update_to_tier(&mut self, ctx: &mut Ctx<'_>, roots: &[u8], tier: u8, lost: bool) {
+        let targets = self.nbr.up_ports_at_tier(tier).collect();
+        self.flood(ctx, roots, targets, lost);
+    }
+
+    /// One reliable update per target whose port is up.
+    fn flood(&mut self, ctx: &mut Ctx<'_>, roots: &[u8], targets: Vec<PortId>, lost: bool) {
         let mut fanout = 0u8;
         for port in targets {
             if !ctx.port(port).up {
@@ -397,9 +386,9 @@ impl MrmtpRouter {
             }
             let seq = self.rel.alloc_seq();
             let msg = if lost {
-                MrmtpMsg::Lost { seq, roots: roots.to_vec() }
+                MrmtpMsg::Lost { seq, roots }
             } else {
-                MrmtpMsg::Recovered { seq, roots: roots.to_vec() }
+                MrmtpMsg::Recovered { seq, roots }
             };
             self.stats.updates_sent += 1;
             self.send_reliable(ctx, port, msg, FrameClass::Update);
@@ -484,7 +473,7 @@ impl MrmtpRouter {
                 self.send_reliable(
                     ctx,
                     port,
-                    MrmtpMsg::Lost { seq, roots },
+                    MrmtpMsg::Lost { seq, roots: &roots },
                     FrameClass::Update,
                 );
             }
@@ -795,7 +784,8 @@ impl MrmtpRouter {
             RxOutcome::CameUp => {
                 ctx.trace_span(SpanEvent::NeighborUp { port });
                 // Give the neighbor a chance to (re)join our trees.
-                self.advertise_on(ctx, port);
+                let vids = self.advertised_vids();
+                self.advertise_on(ctx, port, &vids);
                 self.resync_after_rejoin(ctx, port);
                 // A new dead deadline (and possibly queued updates): the
                 // one place the fast paths can pull the wake-up earlier.
@@ -875,10 +865,9 @@ fn mrmtp_frame(node: u32, port: PortId, len: usize, fill: impl FnOnce(&mut [u8])
     EthernetFrame::build(MacAddr::BROADCAST, src, EtherType::Mrmtp, len, fill)
 }
 
-/// The frame carrying control message `msg`.
-fn control_frame(node: u32, port: PortId, msg: &MrmtpMsg) -> FrameBuf {
-    let payload = msg.encode();
-    mrmtp_frame(node, port, payload.len(), |b| b.copy_from_slice(&payload))
+/// The frame carrying control message `msg`, encoded in place.
+fn control_frame(node: u32, port: PortId, msg: &Msg<'_>) -> FrameBuf {
+    mrmtp_frame(node, port, msg.encoded_len(), |b| msg.put(b))
 }
 
 /// The data frame a ToR (`node`) sends out of `port` for `ip_bytes`, and
@@ -968,7 +957,7 @@ impl Protocol for MrmtpRouter {
             EtherType::Mrmtp => {}
             _ => return,
         }
-        let Ok(msg) = MrmtpMsg::decode(eth.payload) else {
+        let Ok(msg) = MrmtpMsg::parse(eth.payload) else {
             self.stats.malformed_frames_dropped += 1;
             return;
         };
@@ -979,20 +968,18 @@ impl Protocol for MrmtpRouter {
         }
         match msg {
             MrmtpMsg::Hello => {}
-            MrmtpMsg::Advertise { tier, vids } => self.on_advertise(ctx, port, tier, &vids),
+            MrmtpMsg::Advertise { tier, vids } => self.on_advertise(ctx, port, tier, vids),
             MrmtpMsg::Join { tier } => self.on_join(ctx, port, tier),
-            MrmtpMsg::Offer { seq, vids } => self.on_offer(ctx, port, seq, &vids),
+            MrmtpMsg::Offer { seq, vids } => self.on_offer(ctx, port, seq, vids),
             MrmtpMsg::Accept { seq } => {
                 self.rel.ack(port, seq);
             }
             MrmtpMsg::UpdateAck { seq } => {
                 self.rel.ack(port, seq);
             }
-            MrmtpMsg::Lost { seq, roots } => self.on_lost(ctx, port, seq, &roots),
-            MrmtpMsg::Recovered { seq, roots } => self.on_recovered(ctx, port, seq, &roots),
-            MrmtpMsg::Data { dst, flow, payload, .. } => {
-                self.on_data(ctx, frame, dst, flow, &payload)
-            }
+            MrmtpMsg::Lost { seq, roots } => self.on_lost(ctx, port, seq, roots),
+            MrmtpMsg::Recovered { seq, roots } => self.on_recovered(ctx, port, seq, roots),
+            MrmtpMsg::Data { dst, flow, payload, .. } => self.on_data(ctx, frame, dst, flow, payload),
         }
         self.rearm(ctx);
     }

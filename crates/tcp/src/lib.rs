@@ -21,6 +21,14 @@
 //! The connection object is transport-only: the owner (the BGP router)
 //! wraps outgoing segments in IPv4/Ethernet and feeds incoming segments
 //! back. This keeps `dcn-tcp` independent of the emulator's node model.
+//!
+//! Nothing here copies what it only forwards (DESIGN.md §18). A message
+//! written to an established connection *is* its segment's payload — one
+//! [`FrameBuf`] shared by the emitted segment and the retransmission
+//! queue — and in-order data is handed up as a borrow of the arriving
+//! segment. Only writes made before the handshake completes are held as
+//! bytes, so that they leave cut exactly where a byte queue would cut
+//! them: coalesced, [`MSS`] at a time.
 
 use std::collections::VecDeque;
 
@@ -49,7 +57,7 @@ pub enum TcpState {
 }
 
 /// Events surfaced to the owner.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum TcpEvent {
     /// Handshake completed; the stream is usable.
     Established,
@@ -57,13 +65,70 @@ pub enum TcpEvent {
     Closed,
 }
 
-/// Output of an operation: segments to put on the wire and in-order
-/// application bytes delivered by the peer.
+/// What one call produces — usually nothing or one value, rarely more (a
+/// queued or over-[`MSS`] write being cut): the first sits inline, so the
+/// common call touches no heap. It has the part of `Vec`'s surface that
+/// holders of a [`TcpOutput`] use (a wire queue is seeded from one).
+#[derive(Debug)]
+pub struct Few<T> {
+    first: Option<T>,
+    rest: Vec<T>,
+}
+
+impl<T> Default for Few<T> {
+    fn default() -> Few<T> {
+        Few { first: None, rest: Vec::new() }
+    }
+}
+
+impl<T> Few<T> {
+    pub fn push(&mut self, value: T) {
+        match self.first {
+            None => self.first = Some(value),
+            Some(_) => self.rest.push(value),
+        }
+    }
+
+    pub fn len(&self) -> usize {
+        self.iter().count()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.first.is_none()
+    }
+
+    pub fn clear(&mut self) {
+        *self = Few::default();
+    }
+
+    pub fn iter(&self) -> impl Iterator<Item = &T> {
+        self.first.iter().chain(&self.rest)
+    }
+}
+
+impl<T> Extend<T> for Few<T> {
+    fn extend<I: IntoIterator<Item = T>>(&mut self, iter: I) {
+        iter.into_iter().for_each(|value| self.push(value));
+    }
+}
+
+impl<T> IntoIterator for Few<T> {
+    type Item = T;
+    type IntoIter = std::iter::Chain<std::option::IntoIter<T>, std::vec::IntoIter<T>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.first.into_iter().chain(self.rest)
+    }
+}
+
+/// Output of an operation: segments to put on the wire, the in-order
+/// application bytes the arriving segment delivered (a borrow of it),
+/// and state changes.
 #[derive(Default, Debug)]
-pub struct TcpOutput {
-    pub segments: Vec<TcpSegment>,
-    pub delivered: Vec<u8>,
-    pub events: Vec<TcpEvent>,
+pub struct TcpOutput<'a> {
+    pub segments: Few<TcpSegment>,
+    pub delivered: &'a [u8],
+    pub events: Few<TcpEvent>,
 }
 
 /// One TCP connection endpoint.
@@ -78,8 +143,10 @@ pub struct TcpConn {
     snd_una: u32,
     /// Next expected incoming sequence number.
     rcv_nxt: u32,
-    /// Application bytes queued but not yet segmented.
-    tx_queue: VecDeque<u8>,
+    /// Bytes written before the handshake completed, segmented when it
+    /// does. Empty ever after: an established connection has no send
+    /// window to wait for, so every later write leaves at once.
+    pending: Vec<u8>,
     /// Unacknowledged segments for retransmission: (seq, payload).
     inflight: VecDeque<(u32, FrameBuf)>,
     retx_deadline: Option<Time>,
@@ -99,7 +166,7 @@ impl TcpConn {
             snd_nxt: isn,
             snd_una: isn,
             rcv_nxt: 0,
-            tx_queue: VecDeque::new(),
+            pending: Vec::new(),
             inflight: VecDeque::new(),
             retx_deadline: None,
             retx_count: 0,
@@ -115,7 +182,7 @@ impl TcpConn {
         self.state == TcpState::Established
     }
 
-    fn seg(&self, now: Time, flags: TcpFlags, seq: u32, payload: impl Into<FrameBuf>) -> TcpSegment {
+    fn seg(&self, now: Time, flags: TcpFlags, seq: u32, payload: FrameBuf) -> TcpSegment {
         TcpSegment {
             src_port: self.local_port,
             dst_port: self.remote_port,
@@ -125,19 +192,29 @@ impl TcpConn {
             window: 65535,
             ts_val: (now / millis(1)) as u32,
             ts_ecr: 0,
-            payload: payload.into(),
+            payload,
         }
     }
 
+    /// A payload-free segment (SYN, pure ACK, RST) at `snd_nxt`.
+    fn bare(&self, now: Time, flags: TcpFlags) -> TcpSegment {
+        self.seg(now, flags, self.snd_nxt, FrameBuf::empty())
+    }
+
+    /// Emit a SYN (or SYN-ACK), which consumes one sequence number and
+    /// is retransmitted until acknowledged.
+    fn send_syn(&mut self, now: Time, flags: TcpFlags, out: &mut TcpOutput<'_>) {
+        out.segments.push(self.bare(now, flags));
+        self.inflight.push_back((self.snd_nxt, FrameBuf::empty()));
+        self.snd_nxt = self.snd_nxt.wrapping_add(1);
+        self.arm_retx(now);
+    }
+
     /// Active open: emit a SYN.
-    pub fn connect(&mut self, now: Time) -> TcpOutput {
+    pub fn connect(&mut self, now: Time) -> TcpOutput<'static> {
         let mut out = TcpOutput::default();
         self.reset_to(TcpState::SynSent);
-        let syn = self.seg(now, TcpFlags::SYN, self.snd_nxt, FrameBuf::empty());
-        self.inflight.push_back((self.snd_nxt, FrameBuf::empty()));
-        self.snd_nxt = self.snd_nxt.wrapping_add(1); // SYN consumes a seq
-        self.arm_retx(now);
-        out.segments.push(syn);
+        self.send_syn(now, TcpFlags::SYN, &mut out);
         out
     }
 
@@ -151,49 +228,75 @@ impl TcpConn {
         self.snd_nxt = self.isn;
         self.snd_una = self.isn;
         self.rcv_nxt = 0;
-        self.tx_queue.clear();
+        self.pending.clear();
         self.inflight.clear();
         self.retx_deadline = None;
         self.retx_count = 0;
     }
 
+    fn close(&mut self, out: &mut TcpOutput<'_>) {
+        self.state = TcpState::Closed;
+        self.retx_deadline = None;
+        out.events.push(TcpEvent::Closed);
+    }
+
     /// Hard-close locally and emit an RST for the peer.
-    pub fn reset(&mut self, now: Time) -> TcpOutput {
+    pub fn reset(&mut self, now: Time) -> TcpOutput<'static> {
         let mut out = TcpOutput::default();
         if self.state != TcpState::Closed {
-            out.segments.push(self.seg(now, TcpFlags::RST, self.snd_nxt, Vec::new()));
-            self.state = TcpState::Closed;
-            self.retx_deadline = None;
-            out.events.push(TcpEvent::Closed);
+            out.segments.push(self.bare(now, TcpFlags::RST));
+            self.close(&mut out);
         }
         out
     }
 
-    /// Queue application bytes and emit as many segments as possible.
-    pub fn send(&mut self, data: &[u8], now: Time) -> TcpOutput {
-        self.tx_queue.extend(data.iter().copied());
-        self.flush(now)
+    /// Write application bytes: [`Self::send_buf`] after one copy.
+    pub fn send(&mut self, data: &[u8], now: Time) -> TcpOutput<'static> {
+        self.send_buf(data.into(), now)
     }
 
-    fn flush(&mut self, now: Time) -> TcpOutput {
+    /// Write a message. On an established connection it leaves at once
+    /// and — up to [`MSS`] — uncopied: the buffer is the segment's
+    /// payload. Before that its bytes are held until the handshake
+    /// completes.
+    pub fn send_buf(&mut self, data: FrameBuf, now: Time) -> TcpOutput<'static> {
         let mut out = TcpOutput::default();
-        if self.state != TcpState::Established {
-            return out; // queued bytes flow once established
-        }
-        while !self.tx_queue.is_empty() {
-            let take = self.tx_queue.len().min(MSS);
-            let payload = FrameBuf::new(self.tx_queue.drain(..take).collect());
-            let seq = self.snd_nxt;
-            self.snd_nxt = self.snd_nxt.wrapping_add(payload.len() as u32);
-            // The inflight entry and the emitted segment share bytes.
-            self.inflight.push_back((seq, payload.clone()));
-            out.segments
-                .push(self.seg(now, TcpFlags::PSH | TcpFlags::ACK, seq, payload));
-        }
-        if !out.segments.is_empty() {
-            self.arm_retx(now);
+        if self.state == TcpState::Established {
+            self.emit(data, now, &mut out);
+        } else {
+            self.pending.extend_from_slice(&data);
         }
         out
+    }
+
+    /// Segment the writes held during the handshake, as one stream.
+    fn flush(&mut self, now: Time, out: &mut TcpOutput<'_>) {
+        let pending = std::mem::take(&mut self.pending);
+        self.emit(pending.into(), now, out);
+    }
+
+    /// Put `data` on the wire: as it is if it fits one segment, else cut
+    /// at [`MSS`].
+    fn emit(&mut self, data: FrameBuf, now: Time, out: &mut TcpOutput<'_>) {
+        if data.is_empty() {
+            return;
+        }
+        if data.len() <= MSS {
+            self.send_data(data, now, out);
+        } else {
+            for chunk in data.chunks(MSS) {
+                self.send_data(chunk.into(), now, out);
+            }
+        }
+        self.arm_retx(now);
+    }
+
+    /// One data segment; its inflight entry shares the payload's bytes.
+    fn send_data(&mut self, payload: FrameBuf, now: Time, out: &mut TcpOutput<'_>) {
+        let seq = self.snd_nxt;
+        self.snd_nxt = self.snd_nxt.wrapping_add(payload.len() as u32);
+        self.inflight.push_back((seq, payload.clone()));
+        out.segments.push(self.seg(now, TcpFlags::PSH | TcpFlags::ACK, seq, payload));
     }
 
     fn arm_retx(&mut self, now: Time) {
@@ -202,32 +305,27 @@ impl TcpConn {
         }
     }
 
-    /// Process an incoming segment.
-    pub fn on_segment(&mut self, seg: &TcpSegment, now: Time) -> TcpOutput {
+    /// Process an incoming segment, owned or parsed in place.
+    pub fn on_segment<'a, P: AsRef<[u8]>>(
+        &mut self,
+        seg: &'a TcpSegment<P>,
+        now: Time,
+    ) -> TcpOutput<'a> {
         let mut out = TcpOutput::default();
         if seg.flags.contains(TcpFlags::RST) {
             if self.state != TcpState::Closed && self.state != TcpState::Listen {
-                self.state = TcpState::Closed;
-                self.retx_deadline = None;
-                out.events.push(TcpEvent::Closed);
+                self.close(&mut out);
             }
             return out;
         }
         match self.state {
-            TcpState::Closed => {
-                // Refuse with RST.
-                out.segments.push(self.seg(now, TcpFlags::RST, self.snd_nxt, Vec::new()));
-            }
+            // Refuse with RST.
+            TcpState::Closed => out.segments.push(self.bare(now, TcpFlags::RST)),
             TcpState::Listen => {
                 if seg.flags.contains(TcpFlags::SYN) {
                     self.rcv_nxt = seg.seq.wrapping_add(1);
                     self.state = TcpState::SynReceived;
-                    let synack =
-                        self.seg(now, TcpFlags::SYN | TcpFlags::ACK, self.snd_nxt, FrameBuf::empty());
-                    self.inflight.push_back((self.snd_nxt, FrameBuf::empty()));
-                    self.snd_nxt = self.snd_nxt.wrapping_add(1);
-                    self.arm_retx(now);
-                    out.segments.push(synack);
+                    self.send_syn(now, TcpFlags::SYN | TcpFlags::ACK, &mut out);
                 }
             }
             TcpState::SynSent => {
@@ -236,9 +334,8 @@ impl TcpConn {
                     self.accept_ack(seg.ack);
                     self.state = TcpState::Established;
                     out.events.push(TcpEvent::Established);
-                    out.segments.push(self.seg(now, TcpFlags::ACK, self.snd_nxt, Vec::new()));
-                    let mut flushed = self.flush(now);
-                    out.segments.append(&mut flushed.segments);
+                    out.segments.push(self.bare(now, TcpFlags::ACK));
+                    self.flush(now, &mut out);
                 }
             }
             TcpState::SynReceived => {
@@ -247,33 +344,32 @@ impl TcpConn {
                     if self.snd_una == self.snd_nxt {
                         self.state = TcpState::Established;
                         out.events.push(TcpEvent::Established);
-                        let mut flushed = self.flush(now);
-                        out.segments.append(&mut flushed.segments);
+                        self.flush(now, &mut out);
                     }
                 }
-                self.ingest_data(seg, now, &mut out);
+                self.ingest_data(seg.seq, seg.payload.as_ref(), now, &mut out);
             }
             TcpState::Established => {
                 if seg.flags.contains(TcpFlags::ACK) {
                     self.accept_ack(seg.ack);
                 }
-                self.ingest_data(seg, now, &mut out);
+                self.ingest_data(seg.seq, seg.payload.as_ref(), now, &mut out);
             }
         }
         out
     }
 
-    fn ingest_data(&mut self, seg: &TcpSegment, now: Time, out: &mut TcpOutput) {
-        if seg.payload.is_empty() {
+    fn ingest_data<'a>(&mut self, seq: u32, payload: &'a [u8], now: Time, out: &mut TcpOutput<'a>) {
+        if payload.is_empty() {
             return;
         }
-        if seg.seq == self.rcv_nxt {
-            self.rcv_nxt = self.rcv_nxt.wrapping_add(seg.payload.len() as u32);
-            out.delivered.extend_from_slice(&seg.payload);
+        if seq == self.rcv_nxt {
+            self.rcv_nxt = self.rcv_nxt.wrapping_add(payload.len() as u32);
+            out.delivered = payload;
         }
         // Duplicate or out-of-order data still triggers an ACK: the
         // cumulative ack tells the peer where we are.
-        out.segments.push(self.seg(now, TcpFlags::ACK, self.snd_nxt, Vec::new()));
+        out.segments.push(self.bare(now, TcpFlags::ACK));
     }
 
     fn accept_ack(&mut self, ack: u32) {
@@ -302,7 +398,7 @@ impl TcpConn {
 
     /// Drive retransmission; call at or after [`TcpConn::next_deadline`]
     /// (calls before it are no-ops).
-    pub fn tick(&mut self, now: Time) -> TcpOutput {
+    pub fn tick(&mut self, now: Time) -> TcpOutput<'static> {
         let mut out = TcpOutput::default();
         let Some(deadline) = self.retx_deadline else {
             return out;
@@ -312,9 +408,7 @@ impl TcpConn {
         }
         self.retx_count += 1;
         if self.retx_count > MAX_RETX {
-            self.state = TcpState::Closed;
-            self.retx_deadline = None;
-            out.events.push(TcpEvent::Closed);
+            self.close(&mut out);
             return out;
         }
         self.retx_deadline = Some(now + RTO);
@@ -341,7 +435,7 @@ mod tests {
 
     /// Shuttle segments between two connections until quiescent.
     fn pump(a: &mut TcpConn, b: &mut TcpConn, first: TcpOutput, now: Time) -> (Vec<u8>, Vec<u8>) {
-        let mut to_b: VecDeque<TcpSegment> = first.segments.into();
+        let mut to_b: VecDeque<TcpSegment> = first.segments.into_iter().collect();
         let mut to_a: VecDeque<TcpSegment> = VecDeque::new();
         let (mut a_rx, mut b_rx) = (Vec::new(), Vec::new());
         for _ in 0..200 {
@@ -408,7 +502,7 @@ mod tests {
         pump(&mut a, &mut b, syn, 0);
         let out = a.send(&[0u8; 19], 10); // one keepalive-sized message
         assert_eq!(out.segments.len(), 1);
-        let reply = b.on_segment(&out.segments[0], 11);
+        let reply = b.on_segment(out.segments.iter().next().unwrap(), 11);
         let acks: Vec<&TcpSegment> = reply
             .segments
             .iter()
@@ -428,7 +522,7 @@ mod tests {
         assert!(a.tick(10 + RTO - 1).segments.is_empty(), "not before RTO");
         let retx = a.tick(10 + RTO);
         assert_eq!(retx.segments.len(), 1);
-        let out = b.on_segment(&retx.segments[0], 10 + RTO);
+        let out = b.on_segment(retx.segments.iter().next().unwrap(), 10 + RTO);
         assert_eq!(out.delivered, b"update-1");
     }
 
@@ -438,7 +532,7 @@ mod tests {
         let syn = a.connect(0);
         pump(&mut a, &mut b, syn, 0);
         let out = a.send(b"x", 10);
-        let seg = out.segments[0].clone();
+        let seg = out.segments.iter().next().unwrap().clone();
         let d1 = b.on_segment(&seg, 11);
         let d2 = b.on_segment(&seg, 12);
         assert_eq!(d1.delivered, b"x");
@@ -455,7 +549,7 @@ mod tests {
         for _ in 0..(MAX_RETX + 2) {
             now += RTO;
             let out = a.tick(now);
-            if out.events.contains(&TcpEvent::Closed) {
+            if out.events.iter().any(|e| *e == TcpEvent::Closed) {
                 closed = true;
                 break;
             }
@@ -471,8 +565,8 @@ mod tests {
         pump(&mut a, &mut b, syn, 0);
         let rst = a.reset(20);
         assert_eq!(rst.segments.len(), 1);
-        let out = b.on_segment(&rst.segments[0], 21);
-        assert_eq!(out.events, vec![TcpEvent::Closed]);
+        let out = b.on_segment(rst.segments.iter().next().unwrap(), 21);
+        assert_eq!(out.events.into_iter().collect::<Vec<_>>(), [TcpEvent::Closed]);
         assert_eq!(b.state(), TcpState::Closed);
     }
 
@@ -488,10 +582,10 @@ mod tests {
             window: 0,
             ts_val: 0,
             ts_ecr: 0,
-            payload: vec![1].into(),
+            payload: FrameBuf::from(vec![1]),
         };
         let out = closed.on_segment(&seg, 0);
-        assert!(out.segments[0].flags.contains(TcpFlags::RST));
+        assert!(out.segments.iter().next().unwrap().flags.contains(TcpFlags::RST));
     }
 
     #[test]

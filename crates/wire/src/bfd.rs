@@ -57,24 +57,27 @@ pub struct BfdPacket {
 
 impl BfdPacket {
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(BFD_PACKET_LEN);
-        out.push(1 << 5); // version 1, diag 0
-        let mut b1 = self.state.to_bits() << 6;
-        if self.poll {
-            b1 |= 0x20;
-        }
-        if self.final_ {
-            b1 |= 0x10;
-        }
-        out.push(b1);
-        out.push(self.detect_mult);
-        out.push(BFD_PACKET_LEN as u8);
-        out.extend_from_slice(&self.my_discriminator.to_be_bytes());
-        out.extend_from_slice(&self.your_discriminator.to_be_bytes());
-        out.extend_from_slice(&self.desired_min_tx_us.to_be_bytes());
-        out.extend_from_slice(&self.required_min_rx_us.to_be_bytes());
-        out.extend_from_slice(&0u32.to_be_bytes()); // required min echo RX
+        let mut out = vec![0; BFD_PACKET_LEN];
+        self.put(&mut out);
         out
+    }
+
+    /// Write the packet into `buf`, which is at least [`BFD_PACKET_LEN`]
+    /// bytes: the one layout, for [`Self::encode`] and for a frame built
+    /// in place. There is no borrowing `parse` beside it: the packet owns
+    /// nothing, so [`Self::decode`] already copies no more than fields.
+    pub fn put(&self, buf: &mut [u8]) {
+        buf[0] = 1 << 5; // version 1, diag 0
+        buf[1] = self.state.to_bits() << 6
+            | if self.poll { 0x20 } else { 0 }
+            | if self.final_ { 0x10 } else { 0 };
+        buf[2] = self.detect_mult;
+        buf[3] = BFD_PACKET_LEN as u8;
+        buf[4..8].copy_from_slice(&self.my_discriminator.to_be_bytes());
+        buf[8..12].copy_from_slice(&self.your_discriminator.to_be_bytes());
+        buf[12..16].copy_from_slice(&self.desired_min_tx_us.to_be_bytes());
+        buf[16..20].copy_from_slice(&self.required_min_rx_us.to_be_bytes());
+        buf[20..24].fill(0); // required min echo RX
     }
 
     pub fn decode(buf: &[u8]) -> Result<BfdPacket, WireError> {

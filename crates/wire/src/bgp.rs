@@ -9,6 +9,7 @@
 
 use crate::error::WireError;
 use crate::ipv4::{IpAddr4, Prefix};
+use crate::Put;
 
 /// BGP listens on TCP/179.
 pub const BGP_PORT: u16 = 179;
@@ -21,29 +22,38 @@ const TYPE_UPDATE: u8 = 2;
 const TYPE_NOTIFICATION: u8 = 3;
 const TYPE_KEEPALIVE: u8 = 4;
 
-/// The body of an UPDATE message.
+/// Path attribute flag: the length field is two octets (RFC 4271 §4.3).
+const ATTR_EXTENDED: u8 = 0x10;
+const ATTR_AS_PATH: u8 = 2;
+const ATTR_NEXT_HOP: u8 = 3;
+/// An AS_PATH segment counts its ASNs in one octet.
+const SEGMENT_MAX: usize = 255;
+
+/// The body of an UPDATE message. The lists are owned unless `P` / `A`
+/// say otherwise: a sender whose prefixes and path sit in other buffers
+/// encodes a `BgpUpdate<&[Prefix], &[u32]>` without collecting them.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
-pub struct BgpUpdate {
+pub struct BgpUpdate<P = Vec<Prefix>, A = Vec<u32>> {
     /// Prefixes withdrawn from service.
-    pub withdrawn: Vec<Prefix>,
+    pub withdrawn: P,
     /// AS_PATH for the advertised NLRI (empty and absent when only
     /// withdrawing).
-    pub as_path: Vec<u32>,
+    pub as_path: A,
     /// NEXT_HOP for the advertised NLRI.
     pub next_hop: Option<IpAddr4>,
     /// Newly advertised prefixes.
-    pub nlri: Vec<Prefix>,
+    pub nlri: P,
 }
 
-/// A BGP message.
+/// A BGP message; `U` is the UPDATE body, owned unless it says otherwise.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub enum BgpMessage {
+pub enum BgpMessage<U = BgpUpdate> {
     Open {
         asn: u16,
         hold_time_secs: u16,
         router_id: u32,
     },
-    Update(BgpUpdate),
+    Update(U),
     Notification {
         code: u8,
         subcode: u8,
@@ -51,112 +61,232 @@ pub enum BgpMessage {
     Keepalive,
 }
 
-fn put_prefix(out: &mut Vec<u8>, p: Prefix) {
-    out.push(p.len);
-    let bytes = p.addr.0.to_be_bytes();
-    out.extend_from_slice(&bytes[..p.nlri_addr_bytes()]);
+/// A parsed UPDATE: its lists are iterators over the stream's bytes,
+/// validated by [`BgpMessage::parse`] and read in place.
+pub type UpdateView<'a> = BgpUpdate<Prefixes<'a>, AsPathIter<'a>>;
+
+/// A parsed message.
+pub type BgpView<'a> = BgpMessage<UpdateView<'a>>;
+
+/// Prefixes of a validated withdrawn-routes or NLRI section.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct Prefixes<'a>(&'a [u8]);
+
+impl Iterator for Prefixes<'_> {
+    type Item = Prefix;
+
+    #[inline]
+    fn next(&mut self) -> Option<Prefix> {
+        let (p, used) = get_prefix(self.0).ok()?;
+        self.0 = &self.0[used..];
+        Some(p)
+    }
 }
 
+/// The ASNs of every AS_PATH segment of a validated attribute section,
+/// attribute by attribute, segment by segment.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct AsPathIter<'a> {
+    attrs: &'a [u8],
+    segs: &'a [u8],
+    asns: &'a [u8],
+}
+
+impl Iterator for AsPathIter<'_> {
+    type Item = u32;
+
+    #[inline]
+    fn next(&mut self) -> Option<u32> {
+        loop {
+            if let Some((asn, rest)) = self.asns.split_first_chunk::<4>() {
+                self.asns = rest;
+                return Some(u32::from_be_bytes(*asn));
+            }
+            if self.segs.len() >= 2 {
+                (self.asns, self.segs) = split_segment(self.segs).ok()?;
+            } else if self.attrs.len() >= 3 {
+                let (ty, val, rest) = split_attr(self.attrs).ok()?;
+                self.attrs = rest;
+                self.segs = if ty == ATTR_AS_PATH { val } else { &[] };
+            } else {
+                return None;
+            }
+        }
+    }
+}
+
+fn prefixes_len(prefixes: &[Prefix]) -> usize {
+    prefixes.iter().map(|p| p.nlri_len()).sum()
+}
+
+fn put_prefix(w: &mut Put<'_>, p: Prefix) {
+    w.put(&[p.len]);
+    w.put(&p.addr.0.to_be_bytes()[..p.nlri_addr_bytes()]);
+}
+
+#[inline]
 fn get_prefix(buf: &[u8]) -> Result<(Prefix, usize), WireError> {
-    let len = *buf.first().ok_or(WireError::Truncated)?;
+    let (&len, rest) = buf.split_first().ok_or(WireError::Truncated)?;
     if len > 32 {
         return Err(WireError::Invalid);
     }
     let nbytes = len.div_ceil(8) as usize;
-    if buf.len() < 1 + nbytes {
-        return Err(WireError::Truncated);
+    let bytes = rest.get(..nbytes).ok_or(WireError::Truncated)?;
+    let addr = bytes.iter().fold(0u64, |acc, &b| acc << 8 | b as u64) << (8 * (4 - nbytes));
+    Ok((Prefix::new(IpAddr4(addr as u32), len), 1 + nbytes))
+}
+
+fn check_prefixes(mut buf: &[u8]) -> Result<(), WireError> {
+    while !buf.is_empty() {
+        buf = &buf[get_prefix(buf)?.1..];
     }
-    let mut addr = [0u8; 4];
-    addr[..nbytes].copy_from_slice(&buf[1..1 + nbytes]);
-    Ok((Prefix::new(IpAddr4(u32::from_be_bytes(addr)), len), 1 + nbytes))
+    Ok(())
+}
+
+/// Split the first path attribute off a section of at least three bytes:
+/// its type code, its value, the attributes after it.
+#[inline]
+fn split_attr(attrs: &[u8]) -> Result<(u8, &[u8], &[u8]), WireError> {
+    let (hdr, len) = if attrs[0] & ATTR_EXTENDED != 0 {
+        let low = *attrs.get(3).ok_or(WireError::Truncated)?;
+        (4, u16::from_be_bytes([attrs[2], low]) as usize)
+    } else {
+        (3, attrs[2] as usize)
+    };
+    let val = attrs.get(hdr..hdr + len).ok_or(WireError::Truncated)?;
+    Ok((attrs[1], val, &attrs[hdr + len..]))
+}
+
+/// Split the first segment (type, count, 4-byte ASNs) off an AS_PATH
+/// value of at least two bytes: its ASNs' bytes, the segments after it.
+#[inline]
+fn split_segment(segs: &[u8]) -> Result<(&[u8], &[u8]), WireError> {
+    let end = 2 + 4 * segs[1] as usize;
+    Ok((segs.get(2..end).ok_or(WireError::Truncated)?, &segs[end..]))
+}
+
+/// Bytes of an AS_PATH value: AS_SEQUENCE segments of at most
+/// [`SEGMENT_MAX`] ASNs, and one (empty) segment for an empty path.
+fn as_path_value_len(asns: usize) -> usize {
+    2 * asns.div_ceil(SEGMENT_MAX).max(1) + 4 * asns
+}
+
+fn put_header(w: &mut Put<'_>, len: usize, ty: u8) {
+    w.put(&[0xFF; 16]); // marker
+    w.put(&(len as u16).to_be_bytes());
+    w.put(&[ty]);
+}
+
+impl<P: AsRef<[Prefix]>, A: AsRef<[u32]>> BgpUpdate<P, A> {
+    /// Bytes of the path-attribute section: none when only withdrawing.
+    fn attrs_len(&self) -> usize {
+        if self.nlri.as_ref().is_empty() {
+            return 0;
+        }
+        let path = as_path_value_len(self.as_path.as_ref().len());
+        4 + if path > 255 { 4 } else { 3 } + path + 7
+    }
+
+    /// Length of the whole UPDATE message, header included.
+    pub fn encoded_len(&self) -> usize {
+        let prefixes = prefixes_len(self.withdrawn.as_ref()) + prefixes_len(self.nlri.as_ref());
+        BGP_HEADER_LEN + 2 + 2 + self.attrs_len() + prefixes
+    }
+
+    /// Write the whole UPDATE message into `buf`, which is exactly
+    /// [`Self::encoded_len`] bytes.
+    pub fn put(&self, buf: &mut [u8]) {
+        debug_assert_eq!(buf.len(), self.encoded_len());
+        let (withdrawn, nlri) = (self.withdrawn.as_ref(), self.nlri.as_ref());
+        let (len, withdrawn_len, attrs_len) = (buf.len(), prefixes_len(withdrawn), self.attrs_len());
+        let mut w = Put(buf);
+        put_header(&mut w, len, TYPE_UPDATE);
+        w.put(&(withdrawn_len as u16).to_be_bytes());
+        for p in withdrawn {
+            put_prefix(&mut w, *p);
+        }
+        w.put(&(attrs_len as u16).to_be_bytes());
+        if !nlri.is_empty() {
+            w.put(&[0x40, 1, 1, 0]); // ORIGIN = IGP
+            // AS_PATH: AS_SEQUENCE segments of 4-byte ASNs (one, empty,
+            // for an empty path), the length extended to two octets when
+            // the value exceeds 255 bytes.
+            let path = self.as_path.as_ref();
+            match as_path_value_len(path.len()) {
+                len @ ..=255 => w.put(&[0x40, ATTR_AS_PATH, len as u8]),
+                len => {
+                    w.put(&[0x40 | ATTR_EXTENDED, ATTR_AS_PATH]);
+                    w.put(&(len as u16).to_be_bytes());
+                }
+            }
+            for seg in path.chunks(SEGMENT_MAX).chain(path.is_empty().then_some(path)) {
+                w.put(&[2, seg.len() as u8]);
+                for asn in seg {
+                    w.put(&asn.to_be_bytes());
+                }
+            }
+            let nh = self.next_hop.expect("advertised NLRI requires a next hop");
+            w.put(&[0x40, ATTR_NEXT_HOP, 4]);
+            w.put(&nh.0.to_be_bytes());
+        }
+        for p in nlri {
+            put_prefix(&mut w, *p);
+        }
+    }
+}
+
+impl<P: AsRef<[Prefix]>, A: AsRef<[u32]>> BgpMessage<BgpUpdate<P, A>> {
+    /// Length of the full wire message (header + body).
+    pub fn encoded_len(&self) -> usize {
+        match self {
+            BgpMessage::Open { .. } => BGP_HEADER_LEN + 10,
+            BgpMessage::Update(u) => u.encoded_len(),
+            BgpMessage::Notification { .. } => BGP_HEADER_LEN + 2,
+            BgpMessage::Keepalive => BGP_HEADER_LEN,
+        }
+    }
+
+    /// Write the full wire message into `buf`, which is exactly
+    /// [`Self::encoded_len`] bytes.
+    pub fn put(&self, buf: &mut [u8]) {
+        let mut w = Put(buf);
+        match self {
+            BgpMessage::Update(u) => u.put(w.0),
+            BgpMessage::Open { asn, hold_time_secs, router_id } => {
+                put_header(&mut w, self.encoded_len(), TYPE_OPEN);
+                w.put(&[4]); // version
+                w.put(&asn.to_be_bytes());
+                w.put(&hold_time_secs.to_be_bytes());
+                w.put(&router_id.to_be_bytes());
+                w.put(&[0]); // no optional parameters
+            }
+            BgpMessage::Notification { code, subcode } => {
+                put_header(&mut w, self.encoded_len(), TYPE_NOTIFICATION);
+                w.put(&[*code, *subcode]);
+            }
+            BgpMessage::Keepalive => put_header(&mut w, self.encoded_len(), TYPE_KEEPALIVE),
+        }
+    }
 }
 
 impl BgpMessage {
     /// Encode to the full wire message (header + body).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = vec![0xFF; 16]; // marker
-        out.extend_from_slice(&[0, 0]); // length placeholder
-        match self {
-            BgpMessage::Open { asn, hold_time_secs, router_id } => {
-                out.push(TYPE_OPEN);
-                out.push(4); // version
-                out.extend_from_slice(&asn.to_be_bytes());
-                out.extend_from_slice(&hold_time_secs.to_be_bytes());
-                out.extend_from_slice(&router_id.to_be_bytes());
-                out.push(0); // no optional parameters
-            }
-            BgpMessage::Keepalive => out.push(TYPE_KEEPALIVE),
-            BgpMessage::Notification { code, subcode } => {
-                out.push(TYPE_NOTIFICATION);
-                out.push(*code);
-                out.push(*subcode);
-            }
-            BgpMessage::Update(u) => {
-                out.push(TYPE_UPDATE);
-                // Withdrawn routes section.
-                let wstart = out.len();
-                out.extend_from_slice(&[0, 0]);
-                for p in &u.withdrawn {
-                    put_prefix(&mut out, *p);
-                }
-                let wlen = (out.len() - wstart - 2) as u16;
-                out[wstart..wstart + 2].copy_from_slice(&wlen.to_be_bytes());
-                // Path attributes section.
-                let astart = out.len();
-                out.extend_from_slice(&[0, 0]);
-                if !u.nlri.is_empty() {
-                    // ORIGIN = IGP.
-                    out.extend_from_slice(&[0x40, 1, 1, 0]);
-                    // AS_PATH: AS_SEQUENCE segments of at most 255 4-byte
-                    // ASNs (one, possibly empty, for a Clos path); the
-                    // length is extended to two octets past 255 bytes.
-                    let segments = u.as_path.len().div_ceil(255).max(1);
-                    let path_len = 2 * segments + 4 * u.as_path.len();
-                    if path_len > 255 {
-                        out.extend_from_slice(&[0x50, 2]);
-                        out.extend_from_slice(&(path_len as u16).to_be_bytes());
-                    } else {
-                        out.extend_from_slice(&[0x40, 2, path_len as u8]);
-                    }
-                    let mut rest = &u.as_path[..];
-                    loop {
-                        let (seg, tail) = rest.split_at(rest.len().min(255));
-                        out.extend_from_slice(&[2, seg.len() as u8]);
-                        for asn in seg {
-                            out.extend_from_slice(&asn.to_be_bytes());
-                        }
-                        rest = tail;
-                        if rest.is_empty() {
-                            break;
-                        }
-                    }
-                    // NEXT_HOP.
-                    let nh = u.next_hop.expect("advertised NLRI requires a next hop");
-                    out.extend_from_slice(&[0x40, 3, 4]);
-                    out.extend_from_slice(&nh.0.to_be_bytes());
-                }
-                let alen = (out.len() - astart - 2) as u16;
-                out[astart..astart + 2].copy_from_slice(&alen.to_be_bytes());
-                // NLRI.
-                for p in &u.nlri {
-                    put_prefix(&mut out, *p);
-                }
-            }
-        }
-        let len = out.len() as u16;
-        out[16..18].copy_from_slice(&len.to_be_bytes());
+        let mut out = vec![0; self.encoded_len()];
+        self.put(&mut out);
         out
     }
 
-    /// Decode one message from the front of `buf`; returns the message and
-    /// the number of bytes consumed. `buf` may contain a partial message
-    /// (returns [`WireError::Truncated`]) or several back-to-back messages
-    /// (a TCP stream), in which case call again with the remainder.
-    pub fn decode(buf: &[u8]) -> Result<(BgpMessage, usize), WireError> {
+    /// Parse one message from the front of `buf`, borrowing an UPDATE's
+    /// lists; returns the message and the number of bytes consumed.
+    /// `buf` may contain a partial message (returns
+    /// [`WireError::Truncated`]) or several back-to-back messages (a TCP
+    /// stream), in which case call again with the remainder.
+    pub fn parse(buf: &[u8]) -> Result<(BgpView<'_>, usize), WireError> {
         if buf.len() < BGP_HEADER_LEN {
             return Err(WireError::Truncated);
         }
-        if buf[..16].iter().any(|&b| b != 0xFF) {
+        if buf[..16] != [0xFF; 16] {
             return Err(WireError::Invalid);
         }
         let len = u16::from_be_bytes([buf[16], buf[17]]) as usize;
@@ -189,7 +319,6 @@ impl BgpMessage {
                 }
             }
             TYPE_UPDATE => {
-                let mut u = BgpUpdate::default();
                 if body.len() < 2 {
                     return Err(WireError::Truncated);
                 }
@@ -197,67 +326,71 @@ impl BgpMessage {
                 if body.len() < 2 + wlen + 2 {
                     return Err(WireError::Truncated);
                 }
-                let mut w = &body[2..2 + wlen];
-                while !w.is_empty() {
-                    let (p, used) = get_prefix(w)?;
-                    u.withdrawn.push(p);
-                    w = &w[used..];
-                }
+                let withdrawn = &body[2..2 + wlen];
+                check_prefixes(withdrawn)?;
                 let aoff = 2 + wlen;
                 let alen = u16::from_be_bytes([body[aoff], body[aoff + 1]]) as usize;
                 if body.len() < aoff + 2 + alen {
                     return Err(WireError::Truncated);
                 }
-                let mut attrs = &body[aoff + 2..aoff + 2 + alen];
-                while attrs.len() >= 3 {
-                    // RFC 4271 §4.3: flag 0x10 makes the length two octets.
-                    let (ty, attr_len, hdr) = if attrs[0] & 0x10 != 0 {
-                        let low = *attrs.get(3).ok_or(WireError::Truncated)?;
-                        (attrs[1], u16::from_be_bytes([attrs[2], low]) as usize, 4)
-                    } else {
-                        (attrs[1], attrs[2] as usize, 3)
-                    };
-                    if attrs.len() < hdr + attr_len {
-                        return Err(WireError::Truncated);
-                    }
-                    let val = &attrs[hdr..hdr + attr_len];
+                let (attrs, nlri) = body[aoff + 2..].split_at(alen);
+                let mut next_hop = None;
+                let mut as_path = AsPathIter { attrs: &[], segs: &[], asns: &[] };
+                let mut rest = attrs;
+                while rest.len() >= 3 {
+                    let (ty, val, after) = split_attr(rest)?;
                     match ty {
-                        // AS_PATH: segments of (type, count, 4-byte ASNs).
-                        2 => {
+                        ATTR_AS_PATH => {
+                            if as_path.segs.is_empty() {
+                                // Start reading here, not at the ORIGIN.
+                                as_path = AsPathIter { attrs: after, segs: val, asns: &[] };
+                            }
                             let mut segs = val;
                             while segs.len() >= 2 {
-                                let count = segs[1] as usize;
-                                if segs.len() < 2 + 4 * count {
-                                    return Err(WireError::Truncated);
-                                }
-                                for asn in segs[2..2 + 4 * count].chunks_exact(4) {
-                                    u.as_path.push(u32::from_be_bytes([asn[0], asn[1], asn[2], asn[3]]));
-                                }
-                                segs = &segs[2 + 4 * count..];
+                                segs = split_segment(segs)?.1;
                             }
                         }
-                        3 => {
-                            if val.len() != 4 {
-                                return Err(WireError::BadLength { expected: 4, got: val.len() });
-                            }
-                            u.next_hop =
-                                Some(IpAddr4(u32::from_be_bytes([val[0], val[1], val[2], val[3]])));
+                        ATTR_NEXT_HOP => {
+                            let nh: [u8; 4] = val
+                                .try_into()
+                                .map_err(|_| WireError::BadLength { expected: 4, got: val.len() })?;
+                            next_hop = Some(IpAddr4(u32::from_be_bytes(nh)));
                         }
                         _ => {} // ORIGIN and anything else: size only
                     }
-                    attrs = &attrs[hdr + attr_len..];
+                    rest = after;
                 }
-                let mut n = &body[aoff + 2 + alen..];
-                while !n.is_empty() {
-                    let (p, used) = get_prefix(n)?;
-                    u.nlri.push(p);
-                    n = &n[used..];
-                }
-                BgpMessage::Update(u)
+                check_prefixes(nlri)?;
+                BgpMessage::Update(BgpUpdate {
+                    withdrawn: Prefixes(withdrawn),
+                    as_path,
+                    next_hop,
+                    nlri: Prefixes(nlri),
+                })
             }
             other => return Err(WireError::BadType(other)),
         };
         Ok((msg, len))
+    }
+
+    /// Decode one message from the front of `buf`: [`Self::parse`] plus
+    /// an UPDATE's sections collected into owned lists.
+    pub fn decode(buf: &[u8]) -> Result<(BgpMessage, usize), WireError> {
+        let (msg, used) = Self::parse(buf)?;
+        let msg = match msg {
+            BgpMessage::Open { asn, hold_time_secs, router_id } => {
+                BgpMessage::Open { asn, hold_time_secs, router_id }
+            }
+            BgpMessage::Update(u) => BgpMessage::Update(BgpUpdate {
+                withdrawn: u.withdrawn.collect(),
+                as_path: u.as_path.collect(),
+                next_hop: u.next_hop,
+                nlri: u.nlri.collect(),
+            }),
+            BgpMessage::Notification { code, subcode } => BgpMessage::Notification { code, subcode },
+            BgpMessage::Keepalive => BgpMessage::Keepalive,
+        };
+        Ok((msg, used))
     }
 }
 

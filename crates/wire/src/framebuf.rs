@@ -24,8 +24,9 @@ pub struct FrameBuf {
 
 impl FrameBuf {
     /// Wrap already-encoded bytes: a second allocation and a copy (`Vec<u8>`
-    /// → `Arc<[u8]>`) on top of whatever built the `Vec`. Fine for control
-    /// messages; the data path uses [`FrameBuf::build`].
+    /// → `Arc<[u8]>`) on top of whatever built the `Vec`. For tests and
+    /// one-off callers; data and control frames alike are written in place
+    /// with [`FrameBuf::build`].
     pub fn new(bytes: Vec<u8>) -> FrameBuf {
         FrameBuf { bytes: bytes.into() }
     }

@@ -30,8 +30,22 @@ pub mod tcp;
 pub mod udp;
 pub mod vxlan;
 
+/// Front-to-back writer over a slice, for the in-place `put` encoders.
+pub(crate) struct Put<'a>(pub(crate) &'a mut [u8]);
+
+impl Put<'_> {
+    #[inline]
+    pub(crate) fn put(&mut self, bytes: &[u8]) {
+        let (head, rest) = std::mem::take(&mut self.0).split_at_mut(bytes.len());
+        head.copy_from_slice(bytes);
+        self.0 = rest;
+    }
+}
+
 pub use bfd::{BfdPacket, BfdState, BFD_CTRL_PORT, BFD_PACKET_LEN};
-pub use bgp::{BgpMessage, BgpUpdate, BGP_HEADER_LEN, BGP_PORT};
+pub use bgp::{
+    AsPathIter, BgpMessage, BgpUpdate, BgpView, Prefixes, UpdateView, BGP_HEADER_LEN, BGP_PORT,
+};
 pub use error::WireError;
 pub use ethernet::{
     l2_wire_len, EtherType, EthernetFrame, EthernetView, MacAddr, ETHERNET_HEADER_LEN,
@@ -44,7 +58,7 @@ pub use ipv4::{
     IPV4_HEADER_LEN,
 };
 pub use meta::FrameMeta;
-pub use mrmtp::{MrmtpMsg, Vid, MRMTP_ETHERTYPE, MRMTP_HELLO_BYTE, VID_MAX_LEN};
-pub use tcp::{TcpFlags, TcpSegment, TCP_HEADER_LEN};
+pub use mrmtp::{MrmtpMsg, MrmtpView, Vid, Vids, MRMTP_ETHERTYPE, MRMTP_HELLO_BYTE, VID_MAX_LEN};
+pub use tcp::{TcpFlags, TcpSegment, TcpView, TCP_HEADER_LEN};
 pub use udp::{UdpDatagram, UdpView, UDP_HEADER_LEN};
 pub use vxlan::{VxlanHeader, VXLAN_HEADER_LEN, VXLAN_PORT};

@@ -7,6 +7,7 @@
 //! message-type octet itself as that byte, so a Hello *is* its type tag.
 
 use crate::error::WireError;
+use crate::Put;
 
 /// EtherType used by MR-MTP frames.
 pub const MRMTP_ETHERTYPE: u16 = 0x8850;
@@ -129,35 +130,88 @@ const T_LOST: u8 = 0x07;
 const T_RECOVERED: u8 = 0x08;
 const T_DATA: u8 = 0x09;
 
-/// An MR-MTP message (Ethernet payload).
+/// An MR-MTP message (Ethernet payload). The lists are owned unless `V`
+/// (VIDs) and `B` (root ids, the encapsulated packet) say otherwise: a
+/// router sends `MrmtpMsg<&[Vid], &[u8]>` and [`MrmtpMsg::parse`] returns
+/// [`MrmtpView`].
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub enum MrmtpMsg {
+pub enum MrmtpMsg<V = Vec<Vid>, B = Vec<u8>> {
     /// Keep-alive: exactly one byte on the wire.
     Hello,
     /// A node announces its tier and the VIDs it can extend to a would-be
     /// child ("The ToR advertises its VID on its upstream ports").
-    Advertise { tier: u8, vids: Vec<Vid> },
+    Advertise { tier: u8, vids: V },
     /// "Send in a request to join the tree."
     Join { tier: u8 },
     /// Parent offers derived VIDs to the requester. Reliable (`seq`).
-    Offer { seq: u16, vids: Vec<Vid> },
+    Offer { seq: u16, vids: V },
     /// Child accepts the offered VIDs (acknowledges `seq`).
     Accept { seq: u16 },
     /// Tree-loss update: the listed root VIDs are no longer reachable
     /// through the sender. Reliable (`seq`).
-    Lost { seq: u16, roots: Vec<u8> },
+    Lost { seq: u16, roots: B },
     /// Recovery update: the listed roots are reachable again. Reliable.
-    Recovered { seq: u16, roots: Vec<u8> },
+    Recovered { seq: u16, roots: B },
     /// Acknowledges a `Lost`/`Recovered` update.
     UpdateAck { seq: u16 },
     /// An encapsulated IP packet: the MR-MTP header carries source and
     /// destination ToR VIDs plus a flow hash for load balancing.
-    Data { src: Vid, dst: Vid, flow: u16, payload: Vec<u8> },
+    Data { src: Vid, dst: Vid, flow: u16, payload: B },
 }
 
-fn put_vid(out: &mut Vec<u8>, v: Vid) {
-    out.push(v.depth() as u8);
-    out.extend_from_slice(v.components());
+/// A parsed message borrowing the frame's bytes.
+pub type MrmtpView<'a> = MrmtpMsg<Vids<'a>, &'a [u8]>;
+
+/// The VIDs of a validated `Advertise` or `Offer`, read in place.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct Vids<'a> {
+    count: usize,
+    bytes: &'a [u8],
+}
+
+impl<'a> Vids<'a> {
+    /// Validate `count` VIDs at the front of `bytes`.
+    fn parse(count: usize, bytes: &'a [u8]) -> Result<Vids<'a>, WireError> {
+        let mut rest = bytes;
+        for _ in 0..count {
+            rest = &rest[get_vid(rest)?.1..];
+        }
+        Ok(Vids { count, bytes })
+    }
+}
+
+impl Iterator for Vids<'_> {
+    type Item = Vid;
+
+    fn next(&mut self) -> Option<Vid> {
+        self.count = self.count.checked_sub(1)?;
+        let (v, used) = get_vid(self.bytes).ok()?;
+        self.bytes = &self.bytes[used..];
+        Some(v)
+    }
+}
+
+fn vids_len(vids: &[Vid]) -> usize {
+    vids.iter().map(|v| 1 + v.depth()).sum()
+}
+
+fn put_vids(w: &mut Put<'_>, vids: &[Vid]) {
+    w.put(&[vids.len() as u8]);
+    for v in vids {
+        w.put(&[v.depth() as u8]);
+        w.put(v.components());
+    }
+}
+
+fn put_seq(w: &mut Put<'_>, ty: u8, seq: u16) {
+    w.put(&[ty]);
+    w.put(&seq.to_be_bytes());
+}
+
+fn put_update(w: &mut Put<'_>, ty: u8, seq: u16, roots: &[u8]) {
+    put_seq(w, ty, seq);
+    w.put(&[roots.len() as u8]);
+    w.put(roots);
 }
 
 fn get_vid(buf: &[u8]) -> Result<(Vid, usize), WireError> {
@@ -171,54 +225,70 @@ fn get_vid(buf: &[u8]) -> Result<(Vid, usize), WireError> {
     Ok((Vid::from_components(&buf[1..1 + len])?, 1 + len))
 }
 
+fn get_seq(b: &[u8]) -> Result<u16, WireError> {
+    Ok(u16::from_be_bytes(*b.first_chunk::<2>().ok_or(WireError::Truncated)?))
+}
+
+impl<V: AsRef<[Vid]>, B: AsRef<[u8]>> MrmtpMsg<V, B> {
+    /// Length of the Ethernet payload [`Self::put`] writes.
+    pub fn encoded_len(&self) -> usize {
+        match self {
+            MrmtpMsg::Hello => 1,
+            MrmtpMsg::Join { .. } => 2,
+            MrmtpMsg::Accept { .. } | MrmtpMsg::UpdateAck { .. } => 3,
+            MrmtpMsg::Advertise { vids, .. } => 3 + vids_len(vids.as_ref()),
+            MrmtpMsg::Offer { vids, .. } => 4 + vids_len(vids.as_ref()),
+            MrmtpMsg::Lost { roots, .. } | MrmtpMsg::Recovered { roots, .. } => {
+                4 + roots.as_ref().len()
+            }
+            MrmtpMsg::Data { src, dst, payload, .. } => {
+                MrmtpMsg::data_header_len(*src, *dst) + payload.as_ref().len()
+            }
+        }
+    }
+
+    /// Write the Ethernet payload into `buf`, which is exactly
+    /// [`Self::encoded_len`] bytes — the one layout, for
+    /// [`MrmtpMsg::encode`] and for a frame built in place.
+    pub fn put(&self, buf: &mut [u8]) {
+        let mut w = Put(buf);
+        match self {
+            MrmtpMsg::Hello => w.put(&[T_HELLO]),
+            MrmtpMsg::Advertise { tier, vids } => {
+                w.put(&[T_ADVERTISE, *tier]);
+                put_vids(&mut w, vids.as_ref());
+            }
+            MrmtpMsg::Join { tier } => w.put(&[T_JOIN, *tier]),
+            MrmtpMsg::Offer { seq, vids } => {
+                put_seq(&mut w, T_OFFER, *seq);
+                put_vids(&mut w, vids.as_ref());
+            }
+            MrmtpMsg::Accept { seq } => put_seq(&mut w, T_ACCEPT, *seq),
+            MrmtpMsg::UpdateAck { seq } => put_seq(&mut w, T_UPDATE_ACK, *seq),
+            MrmtpMsg::Lost { seq, roots } => put_update(&mut w, T_LOST, *seq, roots.as_ref()),
+            MrmtpMsg::Recovered { seq, roots } => {
+                put_update(&mut w, T_RECOVERED, *seq, roots.as_ref())
+            }
+            MrmtpMsg::Data { src, dst, flow, payload } => {
+                MrmtpMsg::put_data_header(w.0, *src, *dst, *flow);
+                w.0[MrmtpMsg::data_header_len(*src, *dst)..].copy_from_slice(payload.as_ref());
+            }
+        }
+    }
+}
+
 impl MrmtpMsg {
     /// Encode to the Ethernet payload bytes.
     pub fn encode(&self) -> Vec<u8> {
-        match self {
-            MrmtpMsg::Hello => vec![T_HELLO],
-            MrmtpMsg::Advertise { tier, vids } => {
-                let mut out = vec![T_ADVERTISE, *tier, vids.len() as u8];
-                for v in vids {
-                    put_vid(&mut out, *v);
-                }
-                out
-            }
-            MrmtpMsg::Join { tier } => vec![T_JOIN, *tier],
-            MrmtpMsg::Offer { seq, vids } => {
-                let mut out = vec![T_OFFER];
-                out.extend_from_slice(&seq.to_be_bytes());
-                out.push(vids.len() as u8);
-                for v in vids {
-                    put_vid(&mut out, *v);
-                }
-                out
-            }
-            MrmtpMsg::Accept { seq } => {
-                let mut out = vec![T_ACCEPT];
-                out.extend_from_slice(&seq.to_be_bytes());
-                out
-            }
-            MrmtpMsg::Lost { seq, roots } => Self::encode_update(T_LOST, *seq, roots),
-            MrmtpMsg::Recovered { seq, roots } => Self::encode_update(T_RECOVERED, *seq, roots),
-            MrmtpMsg::UpdateAck { seq } => {
-                let mut out = vec![T_UPDATE_ACK];
-                out.extend_from_slice(&seq.to_be_bytes());
-                out
-            }
-            MrmtpMsg::Data { src, dst, flow, payload } => {
-                let hdr = Self::data_header_len(*src, *dst);
-                let mut out = vec![0; hdr + payload.len()];
-                Self::put_data_header(&mut out, *src, *dst, *flow);
-                out[hdr..].copy_from_slice(payload);
-                out
-            }
-        }
+        let mut out = vec![0; self.encoded_len()];
+        self.put(&mut out);
+        out
     }
 
     /// Write a `Data` message header (type, flow, src VID, dst VID) at the
     /// start of `buf`; the encapsulated IP bytes follow at
     /// [`Self::data_header_len`]. This is how `Data` is encoded — by
-    /// [`Self::encode`] and by the ToR building the frame in place.
+    /// [`Self::put`] and by the ToR building the frame in place.
     pub fn put_data_header(buf: &mut [u8], src: Vid, dst: Vid, flow: u16) {
         buf[0] = T_DATA;
         buf[1..3].copy_from_slice(&flow.to_be_bytes());
@@ -235,79 +305,30 @@ impl MrmtpMsg {
         1 + 2 + (1 + src.depth()) + (1 + dst.depth())
     }
 
-    fn encode_update(ty: u8, seq: u16, roots: &[u8]) -> Vec<u8> {
-        let mut out = vec![ty];
-        out.extend_from_slice(&seq.to_be_bytes());
-        out.push(roots.len() as u8);
-        out.extend_from_slice(roots);
-        out
-    }
-
-    /// Decode from the Ethernet payload bytes. Trailing padding (frames
-    /// are padded to 60 bytes on the wire) is tolerated for fixed-size
-    /// messages and for `Data` (whose inner IP packet carries its own
-    /// length).
-    pub fn decode(buf: &[u8]) -> Result<MrmtpMsg, WireError> {
-        let ty = *buf.first().ok_or(WireError::Truncated)?;
-        let b = &buf[1..];
+    /// Parse the Ethernet payload bytes, borrowing VID lists, root lists
+    /// and the encapsulated packet. Trailing padding (frames are padded
+    /// to 60 bytes on the wire) is tolerated for fixed-size messages and
+    /// for `Data` (whose inner IP packet carries its own length).
+    pub fn parse(buf: &[u8]) -> Result<MrmtpView<'_>, WireError> {
+        let (&ty, b) = buf.split_first().ok_or(WireError::Truncated)?;
         match ty {
             T_HELLO => Ok(MrmtpMsg::Hello),
-            T_JOIN => {
-                let tier = *b.first().ok_or(WireError::Truncated)?;
-                Ok(MrmtpMsg::Join { tier })
-            }
+            T_JOIN => Ok(MrmtpMsg::Join { tier: *b.first().ok_or(WireError::Truncated)? }),
             T_ADVERTISE => {
-                if b.len() < 2 {
-                    return Err(WireError::Truncated);
-                }
-                let tier = b[0];
-                let count = b[1] as usize;
-                let mut vids = Vec::with_capacity(count);
-                let mut rest = &b[2..];
-                for _ in 0..count {
-                    let (v, used) = get_vid(rest)?;
-                    vids.push(v);
-                    rest = &rest[used..];
-                }
-                Ok(MrmtpMsg::Advertise { tier, vids })
+                let &[tier, count] = b.first_chunk::<2>().ok_or(WireError::Truncated)?;
+                Ok(MrmtpMsg::Advertise { tier, vids: Vids::parse(count as usize, &b[2..])? })
             }
             T_OFFER => {
-                if b.len() < 3 {
-                    return Err(WireError::Truncated);
-                }
-                let seq = u16::from_be_bytes([b[0], b[1]]);
-                let count = b[2] as usize;
-                let mut vids = Vec::with_capacity(count);
-                let mut rest = &b[3..];
-                for _ in 0..count {
-                    let (v, used) = get_vid(rest)?;
-                    vids.push(v);
-                    rest = &rest[used..];
-                }
-                Ok(MrmtpMsg::Offer { seq, vids })
+                let &[s0, s1, count] = b.first_chunk::<3>().ok_or(WireError::Truncated)?;
+                let vids = Vids::parse(count as usize, &b[3..])?;
+                Ok(MrmtpMsg::Offer { seq: u16::from_be_bytes([s0, s1]), vids })
             }
-            T_ACCEPT => {
-                if b.len() < 2 {
-                    return Err(WireError::Truncated);
-                }
-                Ok(MrmtpMsg::Accept { seq: u16::from_be_bytes([b[0], b[1]]) })
-            }
-            T_UPDATE_ACK => {
-                if b.len() < 2 {
-                    return Err(WireError::Truncated);
-                }
-                Ok(MrmtpMsg::UpdateAck { seq: u16::from_be_bytes([b[0], b[1]]) })
-            }
+            T_ACCEPT => Ok(MrmtpMsg::Accept { seq: get_seq(b)? }),
+            T_UPDATE_ACK => Ok(MrmtpMsg::UpdateAck { seq: get_seq(b)? }),
             T_LOST | T_RECOVERED => {
-                if b.len() < 3 {
-                    return Err(WireError::Truncated);
-                }
-                let seq = u16::from_be_bytes([b[0], b[1]]);
-                let count = b[2] as usize;
-                if b.len() < 3 + count {
-                    return Err(WireError::Truncated);
-                }
-                let roots = b[3..3 + count].to_vec();
+                let &[s0, s1, count] = b.first_chunk::<3>().ok_or(WireError::Truncated)?;
+                let seq = u16::from_be_bytes([s0, s1]);
+                let roots = b.get(3..3 + count as usize).ok_or(WireError::Truncated)?;
                 Ok(if ty == T_LOST {
                     MrmtpMsg::Lost { seq, roots }
                 } else {
@@ -315,21 +336,31 @@ impl MrmtpMsg {
                 })
             }
             T_DATA => {
-                if b.len() < 2 {
-                    return Err(WireError::Truncated);
-                }
-                let flow = u16::from_be_bytes([b[0], b[1]]);
+                let flow = get_seq(b)?;
                 let (src, used1) = get_vid(&b[2..])?;
                 let (dst, used2) = get_vid(&b[2 + used1..])?;
-                Ok(MrmtpMsg::Data {
-                    src,
-                    dst,
-                    flow,
-                    payload: b[2 + used1 + used2..].to_vec(),
-                })
+                Ok(MrmtpMsg::Data { src, dst, flow, payload: &b[2 + used1 + used2..] })
             }
             other => Err(WireError::BadType(other)),
         }
+    }
+
+    /// Decode from the Ethernet payload bytes: [`Self::parse`] plus the
+    /// lists collected into owned ones.
+    pub fn decode(buf: &[u8]) -> Result<MrmtpMsg, WireError> {
+        Ok(match Self::parse(buf)? {
+            MrmtpMsg::Hello => MrmtpMsg::Hello,
+            MrmtpMsg::Advertise { tier, vids } => MrmtpMsg::Advertise { tier, vids: vids.collect() },
+            MrmtpMsg::Join { tier } => MrmtpMsg::Join { tier },
+            MrmtpMsg::Offer { seq, vids } => MrmtpMsg::Offer { seq, vids: vids.collect() },
+            MrmtpMsg::Accept { seq } => MrmtpMsg::Accept { seq },
+            MrmtpMsg::Lost { seq, roots } => MrmtpMsg::Lost { seq, roots: roots.to_vec() },
+            MrmtpMsg::Recovered { seq, roots } => MrmtpMsg::Recovered { seq, roots: roots.to_vec() },
+            MrmtpMsg::UpdateAck { seq } => MrmtpMsg::UpdateAck { seq },
+            MrmtpMsg::Data { src, dst, flow, payload } => {
+                MrmtpMsg::Data { src, dst, flow, payload: payload.to_vec() }
+            }
+        })
     }
 }
 

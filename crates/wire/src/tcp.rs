@@ -42,9 +42,10 @@ impl std::ops::BitOr for TcpFlags {
     }
 }
 
-/// A TCP segment with the fixed 12-byte option block.
+/// A TCP segment with the fixed 12-byte option block; the payload is a
+/// shared [`FrameBuf`] unless `P` says otherwise.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub struct TcpSegment {
+pub struct TcpSegment<P = FrameBuf> {
     pub src_port: u16,
     pub dst_port: u16,
     pub seq: u32,
@@ -55,9 +56,39 @@ pub struct TcpSegment {
     /// simulated milliseconds here; real stacks store jiffies).
     pub ts_val: u32,
     pub ts_ecr: u32,
-    /// Shared payload bytes: retransmission queues and the emitted
-    /// segment reference the same allocation.
-    pub payload: FrameBuf,
+    /// Payload bytes: retransmission queues and the emitted segment
+    /// reference the same allocation.
+    pub payload: P,
+}
+
+/// A parsed header with the payload borrowed from the segment's bytes.
+pub type TcpView<'a> = TcpSegment<&'a [u8]>;
+
+impl<P: AsRef<[u8]>> TcpSegment<P> {
+    /// Header, options and payload.
+    pub fn encoded_len(&self) -> usize {
+        TCP_HEADER_LEN + TCP_OPTIONS_LEN + self.payload.as_ref().len()
+    }
+
+    /// Write the segment into `buf`, which is exactly
+    /// [`Self::encoded_len`] bytes — the one layout, for
+    /// [`TcpSegment::encode`] and for a frame built in place.
+    pub fn put(&self, buf: &mut [u8]) {
+        const HDR: usize = TCP_HEADER_LEN + TCP_OPTIONS_LEN;
+        buf[0..2].copy_from_slice(&self.src_port.to_be_bytes());
+        buf[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
+        buf[4..8].copy_from_slice(&self.seq.to_be_bytes());
+        buf[8..12].copy_from_slice(&self.ack.to_be_bytes());
+        buf[12] = ((HDR / 4) as u8) << 4; // data offset: 8 words
+        buf[13] = self.flags.0;
+        buf[14..16].copy_from_slice(&self.window.to_be_bytes());
+        buf[16..20].fill(0); // checksum (unused over the emulator), urgent pointer
+        // Options: NOP, NOP, TS(kind=8, len=10, val, ecr).
+        buf[20..24].copy_from_slice(&[1, 1, 8, 10]);
+        buf[24..28].copy_from_slice(&self.ts_val.to_be_bytes());
+        buf[28..32].copy_from_slice(&self.ts_ecr.to_be_bytes());
+        buf[HDR..].copy_from_slice(self.payload.as_ref());
+    }
 }
 
 impl TcpSegment {
@@ -67,29 +98,13 @@ impl TcpSegment {
     }
 
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(Self::header_len() + self.payload.len());
-        out.extend_from_slice(&self.src_port.to_be_bytes());
-        out.extend_from_slice(&self.dst_port.to_be_bytes());
-        out.extend_from_slice(&self.seq.to_be_bytes());
-        out.extend_from_slice(&self.ack.to_be_bytes());
-        let data_offset_words = (Self::header_len() / 4) as u8; // 8
-        out.push(data_offset_words << 4);
-        out.push(self.flags.0);
-        out.extend_from_slice(&self.window.to_be_bytes());
-        out.extend_from_slice(&[0, 0]); // checksum: unused over the emulator
-        out.extend_from_slice(&[0, 0]); // urgent pointer
-        // Options: NOP, NOP, TS(kind=8, len=10, val, ecr).
-        out.push(1);
-        out.push(1);
-        out.push(8);
-        out.push(10);
-        out.extend_from_slice(&self.ts_val.to_be_bytes());
-        out.extend_from_slice(&self.ts_ecr.to_be_bytes());
-        out.extend_from_slice(&self.payload);
+        let mut out = vec![0; self.encoded_len()];
+        self.put(&mut out);
         out
     }
 
-    pub fn decode(buf: &[u8]) -> Result<TcpSegment, WireError> {
+    /// Parse the header and options, borrowing the payload.
+    pub fn parse(buf: &[u8]) -> Result<TcpView<'_>, WireError> {
         if buf.len() < TCP_HEADER_LEN {
             return Err(WireError::Truncated);
         }
@@ -120,7 +135,7 @@ impl TcpSegment {
                 }
             }
         }
-        Ok(TcpSegment {
+        Ok(TcpView {
             src_port: u16::from_be_bytes([buf[0], buf[1]]),
             dst_port: u16::from_be_bytes([buf[2], buf[3]]),
             seq: u32::from_be_bytes([buf[4], buf[5], buf[6], buf[7]]),
@@ -129,8 +144,17 @@ impl TcpSegment {
             window: u16::from_be_bytes([buf[14], buf[15]]),
             ts_val,
             ts_ecr,
-            payload: FrameBuf::from(&buf[data_offset..]),
+            payload: &buf[data_offset..],
         })
+    }
+
+    /// Decode from raw bytes: [`Self::parse`] plus a copy of the payload
+    /// (none for the empty payload of a pure ACK, SYN or RST).
+    pub fn decode(buf: &[u8]) -> Result<TcpSegment, WireError> {
+        let TcpSegment { src_port, dst_port, seq, ack, flags, window, ts_val, ts_ecr, payload } =
+            Self::parse(buf)?;
+        let payload = if payload.is_empty() { FrameBuf::empty() } else { payload.into() };
+        Ok(TcpSegment { src_port, dst_port, seq, ack, flags, window, ts_val, ts_ecr, payload })
     }
 }
 
