@@ -8,7 +8,7 @@ use dcn_sim::{
     alloc_track, BgpDownReason, BgpState, Ctx, FrameBuf, FrameClass, FrameMeta, GridTimer, PortId,
     Protocol, RouteChangeKind, SpanEvent, StatsSnapshot,
 };
-use dcn_tcp::{Few, TcpConn, TcpEvent};
+use dcn_tcp::{TcpConn, TcpEvent};
 use dcn_bfd::{BfdEvent, BfdSession};
 use dcn_wire::{
     flow_hash_of, BfdPacket, BgpMessage, BgpUpdate, EtherType, EthernetFrame, IpAddr4, Ipv4Packet,
@@ -52,6 +52,12 @@ struct Peer {
 }
 
 impl Peer {
+    /// Sender-side loop check: a path learned from this peer, or through
+    /// its AS, would be discarded on arrival anyway.
+    fn would_discard(&self, path: &[u32], learned_on: Option<PortId>) -> bool {
+        learned_on == Some(self.cfg.port) || path.contains(&self.cfg.peer_asn)
+    }
+
     /// The earliest instant at which [`BgpRouter::tick`] has something to
     /// do for this peer. The port's state is deliberately ignored: the
     /// tick reads `ctx.port(p).up`, which flips at the admin event,
@@ -269,11 +275,11 @@ impl BgpRouter {
         &mut self,
         ctx: &mut Ctx<'_>,
         peer_idx: usize,
-        segments: Few<TcpSegment>,
+        segments: Vec<TcpSegment>,
         class: FrameClass,
     ) {
         let port = self.peers[peer_idx].cfg.port;
-        for seg in segments {
+        for seg in &segments {
             // Classify transport-level frames independent of the app
             // class: empty payloads are handshake/acks.
             let c = if !seg.payload.is_empty() {
@@ -287,6 +293,7 @@ impl BgpRouter {
                 self.peer_frame(ctx, peer_idx, IPPROTO_TCP, seg.encoded_len(), |tcp| seg.put(tcp));
             ctx.send(port, frame, c);
         }
+        self.peers[peer_idx].tcp.recycle(segments);
     }
 
     /// Hand `msg` to the peer's connection: the buffer it is encoded into
@@ -360,12 +367,7 @@ impl BgpRouter {
             let mut withdrawn: SmallVec<Prefix, 16> = SmallVec::new();
             let mut adverts: SmallVec<(&[u32], Prefix), 16> = SmallVec::new();
             for (pfx, export) in exports.iter() {
-                // Sender-side loop check: a path through the peer's own AS
-                // would be discarded on arrival anyway.
-                let export = export.as_ref().filter(|(path, from)| {
-                    *from != Some(peer.cfg.port) && !path.contains(&peer.cfg.peer_asn)
-                });
-                match export {
+                match export.as_ref().filter(|(path, from)| !peer.would_discard(path, *from)) {
                     Some((path, _)) => {
                         if peer.adj_out.get(pfx) != Some(path) {
                             peer.adj_out.insert(*pfx, path.clone());
@@ -810,7 +812,7 @@ impl BgpRouter {
             // TCP retransmission.
             let out = self.peers[peer_idx].tcp.tick(now);
             self.emit_segments(ctx, peer_idx, out.segments, FrameClass::Session);
-            if out.events.iter().any(|ev| *ev == TcpEvent::Closed) {
+            if out.events.contains(&TcpEvent::Closed) {
                 self.session_down(ctx, peer_idx, BgpDownReason::TcpRetxExhausted);
             }
             // Keepalives and hold timer.
@@ -1029,19 +1031,26 @@ mod tests {
     }
 
     #[test]
-    fn export_is_the_path_behind_our_asn_and_where_it_came_from() {
+    fn export_is_the_path_behind_our_asn_and_filters_loops() {
         let mut r = BgpRouter::new(cfg());
         let local = Prefix::new(IpAddr4::new(192, 168, 11, 0), 24);
         r.rib.add_local(local);
         assert_eq!(r.export(local), Some((AsPath::from([]), None)), "we prepend 64512 to nothing");
-        // A learned path is shared, not copied; the loop filters in
-        // `reexport_to` see its port and ASNs.
+        assert!(!r.peers[0].would_discard(&[], None), "and every peer is owed it");
+        // A learned path is shared, not copied.
         let p = Prefix::new(IpAddr4::new(192, 168, 12, 0), 24);
         r.rib.ingest_advert(PortId(0), p, vec![64513, 65002], IpAddr4(0));
         let (path, from) = r.export(p).unwrap();
         assert!(std::sync::Arc::ptr_eq(&path, &r.rib.best(p).unwrap().as_path));
         assert_eq!((&path[..], from), (&[64513, 65002][..], Some(PortId(0))));
         assert_eq!(r.export(Prefix::new(IpAddr4::new(192, 168, 13, 0), 24)), None);
+        // Learned from the peer and through its AS: not exported back —
+        // and either reason is enough (a corrupted path can lose the ASN).
+        let peer = &r.peers[0];
+        assert!(peer.would_discard(&path, from));
+        assert!(peer.would_discard(&[65001, 65002], Some(PortId(0))), "learned from the peer");
+        assert!(peer.would_discard(&[65001, 64513], Some(PortId(1))), "through the peer's AS");
+        assert!(!peer.would_discard(&[65001, 65002], Some(PortId(1))));
     }
 
     #[test]

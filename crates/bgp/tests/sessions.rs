@@ -6,7 +6,7 @@ use dcn_bgp::{BgpConfig, BgpRouter, PeerConfig};
 use dcn_sim::link::LinkSpec;
 use dcn_sim::time::{millis, secs};
 use dcn_sim::{PortId, SimBuilder};
-use dcn_wire::{IpAddr4, Prefix};
+use dcn_wire::{BgpMessage, BgpUpdate, EthernetFrame, IpAddr4, Ipv4Packet, Prefix, TcpSegment};
 
 fn ip(last: u8) -> IpAddr4 {
     IpAddr4::new(172, 16, 0, last)
@@ -281,6 +281,23 @@ struct Tap {
     from_port0: Vec<(u64, dcn_sim::FrameBuf)>,
 }
 
+impl Tap {
+    /// The UPDATEs among what came in on port 0 at or after `since`.
+    fn updates_since(&self, since: u64) -> Vec<BgpUpdate> {
+        let kept = self.from_port0.iter().filter(|(at, _)| *at >= since);
+        kept.filter_map(|(_, frame)| {
+            let eth = EthernetFrame::parse(frame).unwrap();
+            let ip = Ipv4Packet::parse(eth.payload).unwrap();
+            let tcp = TcpSegment::decode(ip.payload).unwrap();
+            match BgpMessage::decode(&tcp.payload) {
+                Ok((BgpMessage::Update(u), _)) => Some(u),
+                _ => None,
+            }
+        })
+        .collect()
+    }
+}
+
 impl dcn_sim::Protocol for Tap {
     fn on_start(&mut self, _ctx: &mut dcn_sim::Ctx<'_>) {}
 
@@ -319,8 +336,6 @@ fn link(port: u16, net: u8, local: u8, peer_asn: u32) -> PeerConfig {
 /// digests only at scale.)
 #[test]
 fn reexport_leaves_in_as_path_order_with_withdrawals_on_the_first() {
-    use dcn_wire::{BgpMessage, BgpUpdate, EthernetFrame, Ipv4Packet, TcpSegment};
-
     // Hub H hears 11, 12 and 13 from X, 12 also from Y (AS 65300) and 13
     // also from Z (AS 65200), and tells P, behind a tap. X's link dies:
     // 11 is lost, 12 falls back to Y and 13 to Z — in prefix order
@@ -361,21 +376,7 @@ fn reexport_leaves_in_as_path_order_with_withdrawals_on_the_first() {
     let down_at = secs(5) + millis(100);
     sim.schedule_port_down(down_at, h, PortId(0));
     sim.run_until(secs(6));
-    let tap: &Tap = sim.node_as(tap).unwrap();
-    let updates: Vec<BgpUpdate> = tap
-        .from_port0
-        .iter()
-        .filter(|(at, _)| *at >= down_at)
-        .filter_map(|(_, frame)| {
-            let eth = EthernetFrame::parse(frame).unwrap();
-            let ip = Ipv4Packet::parse(eth.payload).unwrap();
-            let tcp = TcpSegment::decode(ip.payload).unwrap();
-            match BgpMessage::decode(&tcp.payload) {
-                Ok((BgpMessage::Update(u), _)) => Some(u),
-                _ => None,
-            }
-        })
-        .collect();
+    let updates = sim.node_as::<Tap>(tap).unwrap().updates_since(down_at);
     let nh = Some(IpAddr4::new(172, 16, 3, 1));
     assert_eq!(
         updates,
@@ -397,6 +398,51 @@ fn reexport_leaves_in_as_path_order_with_withdrawals_on_the_first() {
     assert!(learned(&sim, 11).is_empty());
     assert_eq!(learned(&sim, 12), [64512, 65300]);
     assert_eq!(learned(&sim, 13), [64512, 65200]);
+}
+
+/// The sender-side loop filter, seen on the wire: a hub never sends a peer
+/// a path it learned from that peer, nor one through that peer's AS. (The
+/// peer would discard both on arrival, so its RIB cannot tell; a tap can.)
+#[test]
+fn paths_from_or_through_a_peer_are_not_sent_back_to_it() {
+    // H originates 10 and tells P (AS 65400), behind a tap. P originates
+    // 15; Y (AS 65300) originates 12 and passes on 16 from Q, which shares
+    // P's AS. H owes P 10 and 12 — not 15, learned from P, and not 16,
+    // whose path [65300, 65400] runs through P's AS.
+    let mut b = SimBuilder::new(11);
+    let hub = BgpConfig::new("H", 64512, 1)
+        .peer(link(0, 0, 1, 65400))
+        .peer(link(1, 1, 1, 65300))
+        .originating(rack(10));
+    let p = BgpConfig::new("P", 65400, 2).peer(link(0, 0, 2, 64512)).originating(rack(15));
+    let y = BgpConfig::new("Y", 65300, 3)
+        .peer(link(0, 1, 2, 64512))
+        .peer(link(1, 2, 1, 65400))
+        .originating(rack(12));
+    let q = BgpConfig::new("Q", 65400, 4).peer(link(0, 2, 2, 65300)).originating(rack(16));
+    let h = b.add_node("H", Box::new(BgpRouter::new(hub)));
+    let tap = b.add_node("tap", Box::new(Tap::default()));
+    let pn = b.add_node("P", Box::new(BgpRouter::new(p)));
+    let yn = b.add_node("Y", Box::new(BgpRouter::new(y)));
+    let qn = b.add_node("Q", Box::new(BgpRouter::new(q)));
+    b.add_link(h, tap, LinkSpec::default());
+    b.add_link(tap, pn, LinkSpec::default());
+    b.add_link(h, yn, LinkSpec::default());
+    b.add_link(yn, qn, LinkSpec::default());
+    let mut sim = b.build();
+    sim.run_until(secs(5));
+    let hub: &BgpRouter = sim.node_as(h).unwrap();
+    assert_eq!(hub.rib().best(rack(15)).unwrap().as_path[..], [65400], "H holds P's");
+    assert_eq!(hub.rib().best(rack(16)).unwrap().as_path[..], [65300, 65400], "and Q's via Y");
+    let mut sent: Vec<Prefix> = sim
+        .node_as::<Tap>(tap)
+        .unwrap()
+        .updates_since(0)
+        .into_iter()
+        .flat_map(|u| u.nlri)
+        .collect();
+    sent.sort();
+    assert_eq!(sent, [rack(10), rack(12)], "what H advertised to P, all of it");
 }
 
 /// ECMP members — and with them the path exported, the lowest port's —

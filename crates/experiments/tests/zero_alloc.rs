@@ -288,8 +288,9 @@ fn bgp_edges_allocate_one_buffer_each() {
 fn bgp_cold_start_allocates_under_eight_times_per_update() {
     // The table exchange end to end, engine and timers included: encode
     // into the segment's payload, one frame, one ACK frame, one shared
-    // path, RIB nodes and the Adj-RIB-Out entries: 6.5 each (33.2 before
-    // §18; ISSUE 24 asked for 12).
+    // path, RIB nodes and the Adj-RIB-Out entries, and once per connection
+    // the segment list it recycles: 6.7 each (33.2 before §18; ISSUE 24
+    // asked for 12).
     let (allocs, _, updates) = cold_start_window(Stack::BgpEcmp, 0, 5 * SECONDS);
     assert!(updates > 3_000, "no table exchange to measure: {updates} UPDATEs");
     assert!(

@@ -25,10 +25,12 @@
 //! Nothing here copies what it only forwards (DESIGN.md §18). A message
 //! written to an established connection *is* its segment's payload — one
 //! [`FrameBuf`] shared by the emitted segment and the retransmission
-//! queue — and in-order data is handed up as a borrow of the arriving
-//! segment. Only writes made before the handshake completes are held as
-//! bytes, so that they leave cut exactly where a byte queue would cut
-//! them: coalesced, [`MSS`] at a time.
+//! queue — in-order data is handed up as a borrow of the arriving
+//! segment, and an owner that hands each output's segment list back
+//! ([`TcpConn::recycle`]) has the next one built in the same buffer. Only
+//! writes made before the handshake completes are held as bytes, so that
+//! they leave cut exactly where a byte queue would cut them: coalesced,
+//! [`MSS`] at a time.
 
 use std::collections::VecDeque;
 
@@ -65,70 +67,14 @@ pub enum TcpEvent {
     Closed,
 }
 
-/// What one call produces — usually nothing or one value, rarely more (a
-/// queued or over-[`MSS`] write being cut): the first sits inline, so the
-/// common call touches no heap. It has the part of `Vec`'s surface that
-/// holders of a [`TcpOutput`] use (a wire queue is seeded from one).
-#[derive(Debug)]
-pub struct Few<T> {
-    first: Option<T>,
-    rest: Vec<T>,
-}
-
-impl<T> Default for Few<T> {
-    fn default() -> Few<T> {
-        Few { first: None, rest: Vec::new() }
-    }
-}
-
-impl<T> Few<T> {
-    pub fn push(&mut self, value: T) {
-        match self.first {
-            None => self.first = Some(value),
-            Some(_) => self.rest.push(value),
-        }
-    }
-
-    pub fn len(&self) -> usize {
-        self.iter().count()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.first.is_none()
-    }
-
-    pub fn clear(&mut self) {
-        *self = Few::default();
-    }
-
-    pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.first.iter().chain(&self.rest)
-    }
-}
-
-impl<T> Extend<T> for Few<T> {
-    fn extend<I: IntoIterator<Item = T>>(&mut self, iter: I) {
-        iter.into_iter().for_each(|value| self.push(value));
-    }
-}
-
-impl<T> IntoIterator for Few<T> {
-    type Item = T;
-    type IntoIter = std::iter::Chain<std::option::IntoIter<T>, std::vec::IntoIter<T>>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.first.into_iter().chain(self.rest)
-    }
-}
-
 /// Output of an operation: segments to put on the wire, the in-order
 /// application bytes the arriving segment delivered (a borrow of it),
 /// and state changes.
 #[derive(Default, Debug)]
 pub struct TcpOutput<'a> {
-    pub segments: Few<TcpSegment>,
+    pub segments: Vec<TcpSegment>,
     pub delivered: &'a [u8],
-    pub events: Few<TcpEvent>,
+    pub events: Vec<TcpEvent>,
 }
 
 /// One TCP connection endpoint.
@@ -153,6 +99,8 @@ pub struct TcpConn {
     retx_count: u32,
     /// Initial sequence number (deterministic for reproducibility).
     isn: u32,
+    /// The emptied segment list of an earlier output ([`Self::recycle`]).
+    spare: Vec<TcpSegment>,
 }
 
 impl TcpConn {
@@ -171,7 +119,21 @@ impl TcpConn {
             retx_deadline: None,
             retx_count: 0,
             isn,
+            spare: Vec::new(),
         }
+    }
+
+    /// An empty output whose segment list is the one last handed back.
+    fn output(&mut self) -> TcpOutput<'static> {
+        TcpOutput { segments: std::mem::take(&mut self.spare), ..TcpOutput::default() }
+    }
+
+    /// Hand back the segment list of a [`TcpOutput`] once its segments are
+    /// on the wire. The next output reuses its buffer, so a connection
+    /// whose owner does this allocates no list per call.
+    pub fn recycle(&mut self, mut segments: Vec<TcpSegment>) {
+        segments.clear();
+        self.spare = segments;
     }
 
     pub fn state(&self) -> TcpState {
@@ -212,7 +174,7 @@ impl TcpConn {
 
     /// Active open: emit a SYN.
     pub fn connect(&mut self, now: Time) -> TcpOutput<'static> {
-        let mut out = TcpOutput::default();
+        let mut out = self.output();
         self.reset_to(TcpState::SynSent);
         self.send_syn(now, TcpFlags::SYN, &mut out);
         out
@@ -242,7 +204,7 @@ impl TcpConn {
 
     /// Hard-close locally and emit an RST for the peer.
     pub fn reset(&mut self, now: Time) -> TcpOutput<'static> {
-        let mut out = TcpOutput::default();
+        let mut out = self.output();
         if self.state != TcpState::Closed {
             out.segments.push(self.bare(now, TcpFlags::RST));
             self.close(&mut out);
@@ -255,12 +217,10 @@ impl TcpConn {
         self.send_buf(data.into(), now)
     }
 
-    /// Write a message. On an established connection it leaves at once
-    /// and — up to [`MSS`] — uncopied: the buffer is the segment's
-    /// payload. Before that its bytes are held until the handshake
-    /// completes.
+    /// Write a message. On an established connection it leaves at once;
+    /// before that its bytes are held until the handshake completes.
     pub fn send_buf(&mut self, data: FrameBuf, now: Time) -> TcpOutput<'static> {
-        let mut out = TcpOutput::default();
+        let mut out = self.output();
         if self.state == TcpState::Established {
             self.emit(data, now, &mut out);
         } else {
@@ -275,28 +235,18 @@ impl TcpConn {
         self.emit(pending.into(), now, out);
     }
 
-    /// Put `data` on the wire: as it is if it fits one segment, else cut
-    /// at [`MSS`].
+    /// Put `data` on the wire. A write that fits one segment *is* that
+    /// segment's payload, shared with its inflight entry; a longer one is
+    /// cut at [`MSS`] into copies.
     fn emit(&mut self, data: FrameBuf, now: Time, out: &mut TcpOutput<'_>) {
-        if data.is_empty() {
-            return;
+        for chunk in data.chunks(MSS) {
+            let payload = if chunk.len() == data.len() { data.clone() } else { chunk.into() };
+            let seq = self.snd_nxt;
+            self.snd_nxt = self.snd_nxt.wrapping_add(payload.len() as u32);
+            self.inflight.push_back((seq, payload.clone()));
+            out.segments.push(self.seg(now, TcpFlags::PSH | TcpFlags::ACK, seq, payload));
+            self.arm_retx(now);
         }
-        if data.len() <= MSS {
-            self.send_data(data, now, out);
-        } else {
-            for chunk in data.chunks(MSS) {
-                self.send_data(chunk.into(), now, out);
-            }
-        }
-        self.arm_retx(now);
-    }
-
-    /// One data segment; its inflight entry shares the payload's bytes.
-    fn send_data(&mut self, payload: FrameBuf, now: Time, out: &mut TcpOutput<'_>) {
-        let seq = self.snd_nxt;
-        self.snd_nxt = self.snd_nxt.wrapping_add(payload.len() as u32);
-        self.inflight.push_back((seq, payload.clone()));
-        out.segments.push(self.seg(now, TcpFlags::PSH | TcpFlags::ACK, seq, payload));
     }
 
     fn arm_retx(&mut self, now: Time) {
@@ -311,7 +261,7 @@ impl TcpConn {
         seg: &'a TcpSegment<P>,
         now: Time,
     ) -> TcpOutput<'a> {
-        let mut out = TcpOutput::default();
+        let mut out = self.output();
         if seg.flags.contains(TcpFlags::RST) {
             if self.state != TcpState::Closed && self.state != TcpState::Listen {
                 self.close(&mut out);
@@ -399,7 +349,7 @@ impl TcpConn {
     /// Drive retransmission; call at or after [`TcpConn::next_deadline`]
     /// (calls before it are no-ops).
     pub fn tick(&mut self, now: Time) -> TcpOutput<'static> {
-        let mut out = TcpOutput::default();
+        let mut out = self.output();
         let Some(deadline) = self.retx_deadline else {
             return out;
         };
@@ -435,7 +385,7 @@ mod tests {
 
     /// Shuttle segments between two connections until quiescent.
     fn pump(a: &mut TcpConn, b: &mut TcpConn, first: TcpOutput, now: Time) -> (Vec<u8>, Vec<u8>) {
-        let mut to_b: VecDeque<TcpSegment> = first.segments.into_iter().collect();
+        let mut to_b: VecDeque<TcpSegment> = first.segments.into();
         let mut to_a: VecDeque<TcpSegment> = VecDeque::new();
         let (mut a_rx, mut b_rx) = (Vec::new(), Vec::new());
         for _ in 0..200 {
@@ -502,7 +452,7 @@ mod tests {
         pump(&mut a, &mut b, syn, 0);
         let out = a.send(&[0u8; 19], 10); // one keepalive-sized message
         assert_eq!(out.segments.len(), 1);
-        let reply = b.on_segment(out.segments.iter().next().unwrap(), 11);
+        let reply = b.on_segment(&out.segments[0], 11);
         let acks: Vec<&TcpSegment> = reply
             .segments
             .iter()
@@ -522,7 +472,7 @@ mod tests {
         assert!(a.tick(10 + RTO - 1).segments.is_empty(), "not before RTO");
         let retx = a.tick(10 + RTO);
         assert_eq!(retx.segments.len(), 1);
-        let out = b.on_segment(retx.segments.iter().next().unwrap(), 10 + RTO);
+        let out = b.on_segment(&retx.segments[0], 10 + RTO);
         assert_eq!(out.delivered, b"update-1");
     }
 
@@ -532,7 +482,7 @@ mod tests {
         let syn = a.connect(0);
         pump(&mut a, &mut b, syn, 0);
         let out = a.send(b"x", 10);
-        let seg = out.segments.iter().next().unwrap().clone();
+        let seg = out.segments[0].clone();
         let d1 = b.on_segment(&seg, 11);
         let d2 = b.on_segment(&seg, 12);
         assert_eq!(d1.delivered, b"x");
@@ -549,7 +499,7 @@ mod tests {
         for _ in 0..(MAX_RETX + 2) {
             now += RTO;
             let out = a.tick(now);
-            if out.events.iter().any(|e| *e == TcpEvent::Closed) {
+            if out.events.contains(&TcpEvent::Closed) {
                 closed = true;
                 break;
             }
@@ -565,8 +515,8 @@ mod tests {
         pump(&mut a, &mut b, syn, 0);
         let rst = a.reset(20);
         assert_eq!(rst.segments.len(), 1);
-        let out = b.on_segment(rst.segments.iter().next().unwrap(), 21);
-        assert_eq!(out.events.into_iter().collect::<Vec<_>>(), [TcpEvent::Closed]);
+        let out = b.on_segment(&rst.segments[0], 21);
+        assert_eq!(out.events, vec![TcpEvent::Closed]);
         assert_eq!(b.state(), TcpState::Closed);
     }
 
@@ -585,7 +535,7 @@ mod tests {
             payload: FrameBuf::from(vec![1]),
         };
         let out = closed.on_segment(&seg, 0);
-        assert!(out.segments.iter().next().unwrap().flags.contains(TcpFlags::RST));
+        assert!(out.segments[0].flags.contains(TcpFlags::RST));
     }
 
     #[test]

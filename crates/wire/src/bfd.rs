@@ -63,8 +63,7 @@ impl BfdPacket {
     }
 
     /// Write the packet into `buf`, which is at least [`BFD_PACKET_LEN`]
-    /// bytes: the one layout, for [`Self::encode`] and for a frame built
-    /// in place. There is no borrowing `parse` beside it: the packet owns
+    /// bytes. There is no borrowing `parse` beside it: the packet owns
     /// nothing, so [`Self::decode`] already copies no more than fields.
     pub fn put(&self, buf: &mut [u8]) {
         buf[0] = 1 << 5; // version 1, diag 0

@@ -65,9 +65,6 @@ pub enum BgpMessage<U = BgpUpdate> {
 /// validated by [`BgpMessage::parse`] and read in place.
 pub type UpdateView<'a> = BgpUpdate<Prefixes<'a>, AsPathIter<'a>>;
 
-/// A parsed message.
-pub type BgpView<'a> = BgpMessage<UpdateView<'a>>;
-
 /// Prefixes of a validated withdrawn-routes or NLRI section.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Prefixes<'a>(&'a [u8]);
@@ -171,100 +168,83 @@ fn as_path_value_len(asns: usize) -> usize {
     2 * asns.div_ceil(SEGMENT_MAX).max(1) + 4 * asns
 }
 
-fn put_header(w: &mut Put<'_>, len: usize, ty: u8) {
-    w.put(&[0xFF; 16]); // marker
-    w.put(&(len as u16).to_be_bytes());
-    w.put(&[ty]);
-}
-
-impl<P: AsRef<[Prefix]>, A: AsRef<[u32]>> BgpUpdate<P, A> {
-    /// Bytes of the path-attribute section: none when only withdrawing.
-    fn attrs_len(&self) -> usize {
-        if self.nlri.as_ref().is_empty() {
-            return 0;
-        }
-        let path = as_path_value_len(self.as_path.as_ref().len());
-        4 + if path > 255 { 4 } else { 3 } + path + 7
+/// Bytes of the path-attribute section (ORIGIN, AS_PATH, NEXT_HOP): none
+/// when only withdrawing.
+fn attrs_len(nlri: &[Prefix], path: &[u32]) -> usize {
+    if nlri.is_empty() {
+        return 0;
     }
-
-    /// Length of the whole UPDATE message, header included.
-    pub fn encoded_len(&self) -> usize {
-        let prefixes = prefixes_len(self.withdrawn.as_ref()) + prefixes_len(self.nlri.as_ref());
-        BGP_HEADER_LEN + 2 + 2 + self.attrs_len() + prefixes
-    }
-
-    /// Write the whole UPDATE message into `buf`, which is exactly
-    /// [`Self::encoded_len`] bytes.
-    pub fn put(&self, buf: &mut [u8]) {
-        debug_assert_eq!(buf.len(), self.encoded_len());
-        let (withdrawn, nlri) = (self.withdrawn.as_ref(), self.nlri.as_ref());
-        let (len, withdrawn_len, attrs_len) = (buf.len(), prefixes_len(withdrawn), self.attrs_len());
-        let mut w = Put(buf);
-        put_header(&mut w, len, TYPE_UPDATE);
-        w.put(&(withdrawn_len as u16).to_be_bytes());
-        for p in withdrawn {
-            put_prefix(&mut w, *p);
-        }
-        w.put(&(attrs_len as u16).to_be_bytes());
-        if !nlri.is_empty() {
-            w.put(&[0x40, 1, 1, 0]); // ORIGIN = IGP
-            // AS_PATH: AS_SEQUENCE segments of 4-byte ASNs (one, empty,
-            // for an empty path), the length extended to two octets when
-            // the value exceeds 255 bytes.
-            let path = self.as_path.as_ref();
-            match as_path_value_len(path.len()) {
-                len @ ..=255 => w.put(&[0x40, ATTR_AS_PATH, len as u8]),
-                len => {
-                    w.put(&[0x40 | ATTR_EXTENDED, ATTR_AS_PATH]);
-                    w.put(&(len as u16).to_be_bytes());
-                }
-            }
-            for seg in path.chunks(SEGMENT_MAX).chain(path.is_empty().then_some(path)) {
-                w.put(&[2, seg.len() as u8]);
-                for asn in seg {
-                    w.put(&asn.to_be_bytes());
-                }
-            }
-            let nh = self.next_hop.expect("advertised NLRI requires a next hop");
-            w.put(&[0x40, ATTR_NEXT_HOP, 4]);
-            w.put(&nh.0.to_be_bytes());
-        }
-        for p in nlri {
-            put_prefix(&mut w, *p);
-        }
-    }
+    let path = as_path_value_len(path.len());
+    4 + if path > 255 { 4 } else { 3 } + path + 7
 }
 
 impl<P: AsRef<[Prefix]>, A: AsRef<[u32]>> BgpMessage<BgpUpdate<P, A>> {
     /// Length of the full wire message (header + body).
     pub fn encoded_len(&self) -> usize {
-        match self {
-            BgpMessage::Open { .. } => BGP_HEADER_LEN + 10,
-            BgpMessage::Update(u) => u.encoded_len(),
-            BgpMessage::Notification { .. } => BGP_HEADER_LEN + 2,
-            BgpMessage::Keepalive => BGP_HEADER_LEN,
-        }
+        let body = match self {
+            BgpMessage::Open { .. } => 10,
+            BgpMessage::Update(u) => {
+                let (withdrawn, nlri) = (u.withdrawn.as_ref(), u.nlri.as_ref());
+                4 + prefixes_len(withdrawn) + attrs_len(nlri, u.as_path.as_ref()) + prefixes_len(nlri)
+            }
+            BgpMessage::Notification { .. } => 2,
+            BgpMessage::Keepalive => 0,
+        };
+        BGP_HEADER_LEN + body
     }
 
     /// Write the full wire message into `buf`, which is exactly
     /// [`Self::encoded_len`] bytes.
     pub fn put(&self, buf: &mut [u8]) {
+        debug_assert_eq!(buf.len(), self.encoded_len());
+        let len = buf.len() as u16;
         let mut w = Put(buf);
+        w.put(&[0xFF; 16]); // marker
+        w.put(&len.to_be_bytes());
         match self {
-            BgpMessage::Update(u) => u.put(w.0),
             BgpMessage::Open { asn, hold_time_secs, router_id } => {
-                put_header(&mut w, self.encoded_len(), TYPE_OPEN);
-                w.put(&[4]); // version
+                w.put(&[TYPE_OPEN, 4]); // version 4
                 w.put(&asn.to_be_bytes());
                 w.put(&hold_time_secs.to_be_bytes());
                 w.put(&router_id.to_be_bytes());
                 w.put(&[0]); // no optional parameters
             }
-            BgpMessage::Notification { code, subcode } => {
-                put_header(&mut w, self.encoded_len(), TYPE_NOTIFICATION);
-                w.put(&[*code, *subcode]);
+            BgpMessage::Notification { code, subcode } => w.put(&[TYPE_NOTIFICATION, *code, *subcode]),
+            BgpMessage::Keepalive => w.put(&[TYPE_KEEPALIVE]),
+            BgpMessage::Update(u) => {
+                let (withdrawn, path, nlri) = (u.withdrawn.as_ref(), u.as_path.as_ref(), u.nlri.as_ref());
+                w.put(&[TYPE_UPDATE]);
+                w.put(&(prefixes_len(withdrawn) as u16).to_be_bytes());
+                for p in withdrawn {
+                    put_prefix(&mut w, *p);
+                }
+                w.put(&(attrs_len(nlri, path) as u16).to_be_bytes());
+                if !nlri.is_empty() {
+                    w.put(&[0x40, 1, 1, 0]); // ORIGIN = IGP
+                    // AS_PATH: AS_SEQUENCE segments of 4-byte ASNs (one,
+                    // empty, for an empty path), the length extended to
+                    // two octets when the value exceeds 255 bytes.
+                    match as_path_value_len(path.len()) {
+                        len @ ..=255 => w.put(&[0x40, ATTR_AS_PATH, len as u8]),
+                        len => {
+                            w.put(&[0x40 | ATTR_EXTENDED, ATTR_AS_PATH]);
+                            w.put(&(len as u16).to_be_bytes());
+                        }
+                    }
+                    for seg in path.chunks(SEGMENT_MAX).chain(path.is_empty().then_some(path)) {
+                        w.put(&[2, seg.len() as u8]);
+                        for asn in seg {
+                            w.put(&asn.to_be_bytes());
+                        }
+                    }
+                    let nh = u.next_hop.expect("advertised NLRI requires a next hop");
+                    w.put(&[0x40, ATTR_NEXT_HOP, 4]);
+                    w.put(&nh.0.to_be_bytes());
+                }
+                for p in nlri {
+                    put_prefix(&mut w, *p);
+                }
             }
-            BgpMessage::Keepalive => put_header(&mut w, self.encoded_len(), TYPE_KEEPALIVE),
         }
     }
 }
@@ -282,7 +262,27 @@ impl BgpMessage {
     /// `buf` may contain a partial message (returns
     /// [`WireError::Truncated`]) or several back-to-back messages (a TCP
     /// stream), in which case call again with the remainder.
-    pub fn parse(buf: &[u8]) -> Result<(BgpView<'_>, usize), WireError> {
+    pub fn parse(buf: &[u8]) -> Result<(BgpMessage<UpdateView<'_>>, usize), WireError> {
+        Self::parse_as(buf, |update| update)
+    }
+
+    /// Decode one message from the front of `buf`: [`Self::parse`] with
+    /// an UPDATE's sections collected into owned lists.
+    pub fn decode(buf: &[u8]) -> Result<(BgpMessage, usize), WireError> {
+        Self::parse_as(buf, |u| BgpUpdate {
+            withdrawn: u.withdrawn.collect(),
+            as_path: u.as_path.collect(),
+            next_hop: u.next_hop,
+            nlri: u.nlri.collect(),
+        })
+    }
+
+    /// The one parser: every check, with `update` choosing what holds an
+    /// UPDATE's lists.
+    fn parse_as<'a, U>(
+        buf: &'a [u8],
+        update: impl FnOnce(UpdateView<'a>) -> U,
+    ) -> Result<(BgpMessage<U>, usize), WireError> {
         if buf.len() < BGP_HEADER_LEN {
             return Err(WireError::Truncated);
         }
@@ -361,36 +361,12 @@ impl BgpMessage {
                     rest = after;
                 }
                 check_prefixes(nlri)?;
-                BgpMessage::Update(BgpUpdate {
-                    withdrawn: Prefixes(withdrawn),
-                    as_path,
-                    next_hop,
-                    nlri: Prefixes(nlri),
-                })
+                let (withdrawn, nlri) = (Prefixes(withdrawn), Prefixes(nlri));
+                BgpMessage::Update(update(BgpUpdate { withdrawn, as_path, next_hop, nlri }))
             }
             other => return Err(WireError::BadType(other)),
         };
         Ok((msg, len))
-    }
-
-    /// Decode one message from the front of `buf`: [`Self::parse`] plus
-    /// an UPDATE's sections collected into owned lists.
-    pub fn decode(buf: &[u8]) -> Result<(BgpMessage, usize), WireError> {
-        let (msg, used) = Self::parse(buf)?;
-        let msg = match msg {
-            BgpMessage::Open { asn, hold_time_secs, router_id } => {
-                BgpMessage::Open { asn, hold_time_secs, router_id }
-            }
-            BgpMessage::Update(u) => BgpMessage::Update(BgpUpdate {
-                withdrawn: u.withdrawn.collect(),
-                as_path: u.as_path.collect(),
-                next_hop: u.next_hop,
-                nlri: u.nlri.collect(),
-            }),
-            BgpMessage::Notification { code, subcode } => BgpMessage::Notification { code, subcode },
-            BgpMessage::Keepalive => BgpMessage::Keepalive,
-        };
-        Ok((msg, used))
     }
 }
 

@@ -44,7 +44,7 @@ impl Put<'_> {
 
 pub use bfd::{BfdPacket, BfdState, BFD_CTRL_PORT, BFD_PACKET_LEN};
 pub use bgp::{
-    AsPathIter, BgpMessage, BgpUpdate, BgpView, Prefixes, UpdateView, BGP_HEADER_LEN, BGP_PORT,
+    AsPathIter, BgpMessage, BgpUpdate, Prefixes, UpdateView, BGP_HEADER_LEN, BGP_PORT,
 };
 pub use error::WireError;
 pub use ethernet::{

@@ -164,19 +164,17 @@ pub type MrmtpView<'a> = MrmtpMsg<Vids<'a>, &'a [u8]>;
 
 /// The VIDs of a validated `Advertise` or `Offer`, read in place.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub struct Vids<'a> {
-    count: usize,
-    bytes: &'a [u8],
-}
+pub struct Vids<'a>(&'a [u8]);
 
 impl<'a> Vids<'a> {
-    /// Validate `count` VIDs at the front of `bytes`.
+    /// Validate `count` VIDs at the front of `bytes`; what follows them
+    /// (padding) is left out.
     fn parse(count: usize, bytes: &'a [u8]) -> Result<Vids<'a>, WireError> {
         let mut rest = bytes;
         for _ in 0..count {
             rest = &rest[get_vid(rest)?.1..];
         }
-        Ok(Vids { count, bytes })
+        Ok(Vids(&bytes[..bytes.len() - rest.len()]))
     }
 }
 
@@ -184,9 +182,8 @@ impl Iterator for Vids<'_> {
     type Item = Vid;
 
     fn next(&mut self) -> Option<Vid> {
-        self.count = self.count.checked_sub(1)?;
-        let (v, used) = get_vid(self.bytes).ok()?;
-        self.bytes = &self.bytes[used..];
+        let (v, used) = get_vid(self.0).ok()?;
+        self.0 = &self.0[used..];
         Some(v)
     }
 }
@@ -248,8 +245,7 @@ impl<V: AsRef<[Vid]>, B: AsRef<[u8]>> MrmtpMsg<V, B> {
     }
 
     /// Write the Ethernet payload into `buf`, which is exactly
-    /// [`Self::encoded_len`] bytes — the one layout, for
-    /// [`MrmtpMsg::encode`] and for a frame built in place.
+    /// [`Self::encoded_len`] bytes.
     pub fn put(&self, buf: &mut [u8]) {
         let mut w = Put(buf);
         match self {
@@ -310,17 +306,33 @@ impl MrmtpMsg {
     /// to 60 bytes on the wire) is tolerated for fixed-size messages and
     /// for `Data` (whose inner IP packet carries its own length).
     pub fn parse(buf: &[u8]) -> Result<MrmtpView<'_>, WireError> {
+        Self::parse_as(buf, |vids| vids, |bytes| bytes)
+    }
+
+    /// Decode from the Ethernet payload bytes: [`Self::parse`] with the
+    /// lists collected into owned ones.
+    pub fn decode(buf: &[u8]) -> Result<MrmtpMsg, WireError> {
+        Self::parse_as(buf, Iterator::collect, <[u8]>::to_vec)
+    }
+
+    /// The one parser: every check, with `vids` and `bytes` choosing what
+    /// holds the lists.
+    fn parse_as<'a, V, B>(
+        buf: &'a [u8],
+        vids: impl FnOnce(Vids<'a>) -> V,
+        bytes: impl FnOnce(&'a [u8]) -> B,
+    ) -> Result<MrmtpMsg<V, B>, WireError> {
         let (&ty, b) = buf.split_first().ok_or(WireError::Truncated)?;
         match ty {
             T_HELLO => Ok(MrmtpMsg::Hello),
             T_JOIN => Ok(MrmtpMsg::Join { tier: *b.first().ok_or(WireError::Truncated)? }),
             T_ADVERTISE => {
                 let &[tier, count] = b.first_chunk::<2>().ok_or(WireError::Truncated)?;
-                Ok(MrmtpMsg::Advertise { tier, vids: Vids::parse(count as usize, &b[2..])? })
+                Ok(MrmtpMsg::Advertise { tier, vids: vids(Vids::parse(count as usize, &b[2..])?) })
             }
             T_OFFER => {
                 let &[s0, s1, count] = b.first_chunk::<3>().ok_or(WireError::Truncated)?;
-                let vids = Vids::parse(count as usize, &b[3..])?;
+                let vids = vids(Vids::parse(count as usize, &b[3..])?);
                 Ok(MrmtpMsg::Offer { seq: u16::from_be_bytes([s0, s1]), vids })
             }
             T_ACCEPT => Ok(MrmtpMsg::Accept { seq: get_seq(b)? }),
@@ -328,7 +340,7 @@ impl MrmtpMsg {
             T_LOST | T_RECOVERED => {
                 let &[s0, s1, count] = b.first_chunk::<3>().ok_or(WireError::Truncated)?;
                 let seq = u16::from_be_bytes([s0, s1]);
-                let roots = b.get(3..3 + count as usize).ok_or(WireError::Truncated)?;
+                let roots = bytes(b.get(3..3 + count as usize).ok_or(WireError::Truncated)?);
                 Ok(if ty == T_LOST {
                     MrmtpMsg::Lost { seq, roots }
                 } else {
@@ -339,28 +351,10 @@ impl MrmtpMsg {
                 let flow = get_seq(b)?;
                 let (src, used1) = get_vid(&b[2..])?;
                 let (dst, used2) = get_vid(&b[2 + used1..])?;
-                Ok(MrmtpMsg::Data { src, dst, flow, payload: &b[2 + used1 + used2..] })
+                Ok(MrmtpMsg::Data { src, dst, flow, payload: bytes(&b[2 + used1 + used2..]) })
             }
             other => Err(WireError::BadType(other)),
         }
-    }
-
-    /// Decode from the Ethernet payload bytes: [`Self::parse`] plus the
-    /// lists collected into owned ones.
-    pub fn decode(buf: &[u8]) -> Result<MrmtpMsg, WireError> {
-        Ok(match Self::parse(buf)? {
-            MrmtpMsg::Hello => MrmtpMsg::Hello,
-            MrmtpMsg::Advertise { tier, vids } => MrmtpMsg::Advertise { tier, vids: vids.collect() },
-            MrmtpMsg::Join { tier } => MrmtpMsg::Join { tier },
-            MrmtpMsg::Offer { seq, vids } => MrmtpMsg::Offer { seq, vids: vids.collect() },
-            MrmtpMsg::Accept { seq } => MrmtpMsg::Accept { seq },
-            MrmtpMsg::Lost { seq, roots } => MrmtpMsg::Lost { seq, roots: roots.to_vec() },
-            MrmtpMsg::Recovered { seq, roots } => MrmtpMsg::Recovered { seq, roots: roots.to_vec() },
-            MrmtpMsg::UpdateAck { seq } => MrmtpMsg::UpdateAck { seq },
-            MrmtpMsg::Data { src, dst, flow, payload } => {
-                MrmtpMsg::Data { src, dst, flow, payload: payload.to_vec() }
-            }
-        })
     }
 }
 

@@ -71,8 +71,7 @@ impl<P: AsRef<[u8]>> TcpSegment<P> {
     }
 
     /// Write the segment into `buf`, which is exactly
-    /// [`Self::encoded_len`] bytes — the one layout, for
-    /// [`TcpSegment::encode`] and for a frame built in place.
+    /// [`Self::encoded_len`] bytes.
     pub fn put(&self, buf: &mut [u8]) {
         const HDR: usize = TCP_HEADER_LEN + TCP_OPTIONS_LEN;
         buf[0..2].copy_from_slice(&self.src_port.to_be_bytes());
@@ -92,11 +91,6 @@ impl<P: AsRef<[u8]>> TcpSegment<P> {
 }
 
 impl TcpSegment {
-    /// Total header length including options.
-    pub const fn header_len() -> usize {
-        TCP_HEADER_LEN + TCP_OPTIONS_LEN
-    }
-
     pub fn encode(&self) -> Vec<u8> {
         let mut out = vec![0; self.encoded_len()];
         self.put(&mut out);
@@ -187,8 +181,8 @@ mod tests {
 
     #[test]
     fn header_is_32_bytes() {
-        assert_eq!(TcpSegment::header_len(), 32);
         let s = seg(vec![]);
+        assert_eq!(s.encoded_len(), 32);
         assert_eq!(s.encode().len(), 32);
     }
 

@@ -579,12 +579,12 @@ proptest! {
         prop_assert_eq!(put_into(m.encoded_len(), |b| m.put(b)), want.clone());
         // An UPDATE encoded from slices is the same message.
         if let BgpMessage::Update(u) = &m {
-            let slices = BgpUpdate {
+            let slices = BgpMessage::Update(BgpUpdate {
                 withdrawn: &u.withdrawn[..],
                 as_path: &u.as_path[..],
                 next_hop: u.next_hop,
                 nlri: &u.nlri[..],
-            };
+            });
             prop_assert_eq!(put_into(slices.encoded_len(), |b| slices.put(b)), want);
         }
     }
