@@ -2,7 +2,7 @@
 //! FIB view rendered in the paper's Listing 3 layout.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use dcn_sim::PortId;
 use dcn_wire::{IpAddr4, Prefix};
@@ -11,8 +11,9 @@ use smallvec::SmallVec;
 /// An AS path, shared and immutable: converted once from the UPDATE that
 /// carried it, then held by every prefix of that UPDATE in the
 /// Adj-RIB-In, by the ECMP members read from it and by each peer's
-/// Adj-RIB-Out — a reference count each, never a copy.
-pub type AsPath = Arc<[u32]>;
+/// Adj-RIB-Out — a reference count each, never a copy. Not atomic: a
+/// router lives on its simulation's one thread.
+pub type AsPath = Rc<[u32]>;
 
 /// One learned path. Those of minimal AS-path length are the prefix's
 /// Loc-RIB entry, its ECMP members.

@@ -647,17 +647,20 @@ impl BgpRouter {
     // Data plane
     // ------------------------------------------------------------------
 
-    /// Rack delivery, shared by both forwarding paths: re-frame the IP
-    /// bytes toward the server's port, in one buffer.
-    fn deliver(&mut self, ctx: &mut Ctx<'_>, dst: IpAddr4, ip_bytes: &[u8]) {
+    /// Rack delivery, shared by both forwarding paths: send the IPv4 frame
+    /// `frame(mac)` makes toward the server's port, `mac` that port's
+    /// address in both MAC fields.
+    fn deliver(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        dst: IpAddr4,
+        frame: impl FnOnce(MacAddr) -> FrameBuf,
+    ) {
         let Some(&(_, port)) = self.cfg.host_ports.iter().find(|(ip, _)| *ip == dst) else {
             self.stats.data_dropped += 1;
             return;
         };
-        let mac = MacAddr::for_node_port(ctx.node().0, port.0);
-        let frame = EthernetFrame::build(mac, mac, EtherType::Ipv4, ip_bytes.len(), |b| {
-            b.copy_from_slice(ip_bytes)
-        });
+        let frame = frame(MacAddr::for_node_port(ctx.node().0, port.0));
         self.stats.data_delivered += 1;
         ctx.send(port, frame, FrameClass::Data);
     }
@@ -667,7 +670,12 @@ impl BgpRouter {
     /// to the total length is all a decode → re-encode would change.
     fn forward_data(&mut self, ctx: &mut Ctx<'_>, ip_bytes: &[u8], pkt: &Ipv4View<'_>) {
         if self.cfg.rack_subnet.is_some_and(|rack| rack.contains(pkt.dst)) {
-            self.deliver(ctx, pkt.dst, &ip_bytes[..IPV4_HEADER_LEN + pkt.payload.len()]);
+            let ip_bytes = &ip_bytes[..IPV4_HEADER_LEN + pkt.payload.len()];
+            self.deliver(ctx, pkt.dst, |mac| {
+                EthernetFrame::build(mac, mac, EtherType::Ipv4, ip_bytes.len(), |b| {
+                    b.copy_from_slice(ip_bytes)
+                })
+            });
             return;
         }
         if pkt.ttl <= 1 {
@@ -698,20 +706,20 @@ impl BgpRouter {
     /// [`FrameMeta`] and the compiled FIB, without re-decoding the frame.
     ///
     /// Every branch mirrors [`Self::forward_data`] in order (rack
-    /// delivery, TTL guard, longest-prefix lookup), and the transit
-    /// rewrite is byte-identical to the slow path's decode → `ttl -= 1` →
-    /// re-encode: our canonical IPv4 headers differ only in the TTL and
-    /// checksum bytes, so one copy plus an in-place patch produces the
-    /// same frame the struct round-trip would. Unlike MR-MTP transit
-    /// (immutable frames, pure refcount bump), IP's TTL rewrite makes one
-    /// buffer per forwarded packet unavoidable — the copy here is the
-    /// only allocation.
+    /// delivery, TTL guard, longest-prefix lookup), and both rewrites are
+    /// byte-identical to the slow path's decode → `ttl -= 1` → re-encode:
+    /// our canonical frames differ from what the slow path builds only in
+    /// the two MAC fields and, in transit, the TTL and checksum bytes, so
+    /// patching those produces the frame the struct round-trip would. The
+    /// engine hands over the delivered frame and nothing else holds a data
+    /// frame, so [`FrameBuf::rewrite`] patches the arriving buffer in
+    /// place: transit allocates nothing, as under MR-MTP.
     #[allow(clippy::too_many_arguments)]
     fn forward_fast(
         &mut self,
         ctx: &mut Ctx<'_>,
         arrival: PortId,
-        frame: &FrameBuf,
+        frame: FrameBuf,
         dst: IpAddr4,
         flow: u64,
         ttl: u8,
@@ -719,7 +727,9 @@ impl BgpRouter {
     ) {
         const IP: usize = ETHERNET_HEADER_LEN;
         if self.cfg.rack_subnet.is_some_and(|rack| rack.contains(dst)) {
-            self.deliver(ctx, dst, &frame[IP..]);
+            self.deliver(ctx, dst, |mac| {
+                frame.rewrite(|b| EthernetFrame::put_header(b, mac, mac, EtherType::Ipv4))
+            });
             return;
         }
         if ttl <= 1 {
@@ -766,9 +776,8 @@ impl BgpRouter {
                 self.stats.blackholed_in_window += 1;
             }
             let mac = MacAddr::for_node_port(ctx.node().0, port.0);
-            let out = frame.mutate_copy(|out| {
-                out[..6].copy_from_slice(&mac.0);
-                out[6..12].copy_from_slice(&mac.0);
+            let out = frame.rewrite(|out| {
+                EthernetFrame::put_header(out, mac, mac, EtherType::Ipv4);
                 out[IP + 8] = ttl - 1;
                 out[IP + 10] = 0;
                 out[IP + 11] = 0;
@@ -793,6 +802,13 @@ impl BgpRouter {
     fn tick(&mut self, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
         for peer_idx in 0..self.peers.len() {
+            // Before its deadline a peer has nothing due (DESIGN.md §14).
+            // Read at the peer's turn: work for an earlier peer can send
+            // to this one, which arms a retransmission, never a deadline
+            // at or before `now`.
+            if self.peers[peer_idx].next_deadline() > now {
+                continue;
+            }
             let port = self.peers[peer_idx].cfg.port;
             if !ctx.port(port).up {
                 continue; // carrier handling killed these sessions already
@@ -948,7 +964,7 @@ impl Protocol for BgpRouter {
         &mut self,
         ctx: &mut Ctx<'_>,
         port: PortId,
-        frame: &FrameBuf,
+        frame: FrameBuf,
         meta: Option<FrameMeta>,
     ) {
         if self.cfg.fast_path {
@@ -967,7 +983,7 @@ impl Protocol for BgpRouter {
                 }
             }
         }
-        self.on_frame(ctx, port, frame);
+        self.on_frame(ctx, port, &frame);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
@@ -1041,7 +1057,7 @@ mod tests {
         let p = Prefix::new(IpAddr4::new(192, 168, 12, 0), 24);
         r.rib.ingest_advert(PortId(0), p, vec![64513, 65002], IpAddr4(0));
         let (path, from) = r.export(p).unwrap();
-        assert!(std::sync::Arc::ptr_eq(&path, &r.rib.best(p).unwrap().as_path));
+        assert!(std::rc::Rc::ptr_eq(&path, &r.rib.best(p).unwrap().as_path));
         assert_eq!((&path[..], from), (&[64513, 65002][..], Some(PortId(0))));
         assert_eq!(r.export(Prefix::new(IpAddr4::new(192, 168, 13, 0), 24)), None);
         // Learned from the peer and through its AS: not exported back —

@@ -994,7 +994,7 @@ impl Protocol for MrmtpRouter {
         &mut self,
         ctx: &mut Ctx<'_>,
         port: PortId,
-        frame: &FrameBuf,
+        frame: FrameBuf,
         meta: Option<FrameMeta>,
     ) {
         if self.cfg.fast_path && ctx.port_count() <= 128 {
@@ -1015,7 +1015,8 @@ impl Protocol for MrmtpRouter {
                         self.deliver_to_host(ctx, ip_dst, &frame[payload_off as usize..]);
                         return;
                     }
-                    // Transit: compiled-FIB pick + refcount re-send. The
+                    // Transit: compiled-FIB pick, and the delivered frame
+                    // moves on unchanged (no copy, no count). The
                     // alloc_track scope is how `tests/zero_alloc.rs` proves
                     // the router's decision allocates nothing in steady
                     // state — including with local repair active. It closes
@@ -1053,7 +1054,7 @@ impl Protocol for MrmtpRouter {
                                     }
                                 }
                                 self.nbr.note_tx(out, ctx.now());
-                                Some((out, frame.clone(), repaired || fixed))
+                                Some((out, repaired || fixed))
                             }
                             None => {
                                 self.stats.data_dropped += 1;
@@ -1062,7 +1063,7 @@ impl Protocol for MrmtpRouter {
                             }
                         }
                     };
-                    if let Some((out, frame, repaired)) = forward {
+                    if let Some((out, repaired)) = forward {
                         ctx.send_meta(
                             out,
                             frame,
@@ -1088,7 +1089,7 @@ impl Protocol for MrmtpRouter {
                 None => {}
             }
         }
-        self.on_frame(ctx, port, frame)
+        self.on_frame(ctx, port, &frame)
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {

@@ -348,10 +348,11 @@ impl Core {
             {
                 let idx = rng.below(frame.len() as u64) as usize;
                 // XOR with a nonzero byte guarantees a real change; the
-                // copy-on-write keeps sharers of the buffer (retransmit
-                // queues, frame caches) unaffected by in-flight damage.
+                // rewrite copies first when the sender still shares the
+                // buffer (retransmit queues, frame caches), so only the
+                // frame on the wire is damaged.
                 let flip = 1 + rng.below(255) as u8;
-                frame = frame.with_corrupted_byte(idx, flip);
+                frame = frame.rewrite(|bytes| bytes[idx] ^= flip);
                 // The metadata described the original bytes; after
                 // corruption it would lie, so the receiver must re-parse.
                 meta = None;
@@ -367,6 +368,21 @@ impl Core {
 }
 
 /// A running simulation.
+///
+/// A `Sim` stays on the thread that built it: its frames and AS paths are
+/// reference-counted without atomics and its protocols carry no `Send`
+/// bound, so neither a `Sim` nor a [`FrameBuf`] can cross threads. What
+/// crosses them is what a simulation is built from and what it reports.
+///
+/// ```compile_fail
+/// fn send<T: Send>() {}
+/// send::<dcn_sim::Sim>();
+/// ```
+///
+/// ```compile_fail
+/// fn send<T: Send>() {}
+/// send::<dcn_sim::FrameBuf>();
+/// ```
 pub struct Sim {
     core: Core,
     /// The protocol of each node, indexed like `core.nodes`. Beside the
@@ -557,7 +573,7 @@ impl Sim {
                 // Receiver interface must still be up.
                 if core.nodes[node.index()].views[port.index()].up {
                     core.frames_delivered += 1;
-                    proto.on_frame_meta(&mut Ctx { core, node }, port, &frame, meta);
+                    proto.on_frame_meta(&mut Ctx { core, node }, port, frame, meta);
                 }
             }
             Event::AdminPortDown { port, .. } => core.admin_port(node, port, false),
@@ -967,6 +983,40 @@ mod tests {
         assert_eq!(rx.len(), 1, "corruption must not drop the frame");
         let diffs = rx[0].2.iter().filter(|&&x| x != 0x77).count();
         assert_eq!(diffs, 1);
+    }
+
+    #[test]
+    fn corruption_in_flight_never_reaches_a_sharer_of_the_frame() {
+        /// Sends one frame and keeps a handle to it, the way a
+        /// retransmission queue or a frame cache does.
+        struct Keeper {
+            kept: FrameBuf,
+        }
+        impl Protocol for Keeper {
+            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+                ctx.send(PortId(0), self.kept.clone(), FrameClass::Data);
+            }
+            fn on_frame(&mut self, _: &mut Ctx<'_>, _: PortId, _: &FrameBuf) {}
+            fn on_timer(&mut self, _: &mut Ctx<'_>, _: u64) {}
+            fn as_any(&self) -> &dyn Any {
+                self
+            }
+            fn as_any_mut(&mut self) -> &mut dyn Any {
+                self
+            }
+        }
+        let mut b = SimBuilder::new(3);
+        let a = b.add_node("a", Box::new(Keeper { kept: FrameBuf::new(vec![0x77; 64]) }));
+        let c = b.add_node("b", Box::new(Echo::new()));
+        b.add_link(a, c, LinkSpec::default());
+        let mut sim = b.build();
+        sim.set_impairment_all(Impairment { corrupt_ppm: 1_000_000, ..Impairment::none() });
+        sim.run_until(1_000_000);
+        assert_eq!(sim.frames_corrupted(), 1);
+        let rx = &sim.node_as::<Echo>(c).unwrap().received;
+        assert_eq!(rx[0].2.iter().filter(|&&x| x != 0x77).count(), 1, "the receiver sees the flip");
+        let kept = &sim.node_as::<Keeper>(a).unwrap().kept;
+        assert_eq!(kept.as_slice(), &[0x77; 64], "the sender's handle holds the clean bytes");
     }
 
     #[test]

@@ -203,18 +203,22 @@ pub trait StatsSnapshot {
 ///
 /// Implementations exist for MR-MTP routers (`dcn-mrmtp`), BGP/ECMP(/BFD)
 /// routers (`dcn-bgp`) and traffic-generating servers (`dcn-traffic`).
-pub trait Protocol: Send {
+/// There is no `Send` bound: a [`crate::Sim`] and its protocols stay on the
+/// thread that built them (DESIGN.md §17).
+pub trait Protocol {
     /// Called once at the node's start time (time zero unless staggered).
     fn on_start(&mut self, ctx: &mut Ctx<'_>);
 
     /// A frame arrived on `port`. `FrameBuf` derefs to `&[u8]`, so decoders
-    /// consume it unchanged; forwarding planes clone it to re-send the same
-    /// bytes without copying.
+    /// consume it unchanged; a forwarding plane that needs the frame past
+    /// the call clones the handle (a reference count, not a copy).
     fn on_frame(&mut self, ctx: &mut Ctx<'_>, port: PortId, frame: &FrameBuf);
 
     /// A frame arrived on `port`, possibly with parse-once metadata
     /// attached by the sender (see [`Ctx::send_meta`]). This is the entry
-    /// point the engine actually calls; the default implementation
+    /// point the engine actually calls, and it hands over the delivered
+    /// frame itself: a forwarder may send it on, or rewrite it in place
+    /// with [`FrameBuf::rewrite`] first. The default implementation
     /// ignores the metadata and delegates to [`Protocol::on_frame`], so
     /// protocols without a fast path need not change. Implementations
     /// overriding this must treat the metadata as advisory: behavior with
@@ -223,10 +227,10 @@ pub trait Protocol: Send {
         &mut self,
         ctx: &mut Ctx<'_>,
         port: PortId,
-        frame: &FrameBuf,
+        frame: FrameBuf,
         _meta: Option<FrameMeta>,
     ) {
-        self.on_frame(ctx, port, frame)
+        self.on_frame(ctx, port, &frame)
     }
 
     /// A timer armed via [`Ctx::set_timer`] fired.

@@ -396,7 +396,8 @@ mod tests {
             model.ingest_frame(RX, &noise);
             for (at, xor, seq) in damage {
                 let clean = frame_for(seq);
-                for frame in [clean.with_corrupted_byte(at % clean.len(), xor), clean] {
+                let at = at % clean.len();
+                for frame in [clean.clone().rewrite(|b| b[at] ^= xor), clean] {
                     host.ingest_frame(&frame);
                     model.ingest_frame(RX, &frame);
                     prop_assert_eq!(host.report(0), model.report(0));

@@ -1,30 +1,32 @@
-//! Reference-counted frame payloads.
+//! Owned frame payloads, shared by reference count within one thread.
 //!
 //! Every frame that crosses the emulated wire used to be an owned
 //! `Vec<u8>`, copied once per hop and once per fan-out port. [`FrameBuf`]
-//! wraps the encoded bytes in an `Arc<[u8]>` so forwarding a data frame,
-//! retransmitting a tracked control message, or re-sending a cached
-//! keepalive is a reference-count bump instead of a byte copy.
+//! wraps the encoded bytes in an `Rc<[u8]>` so retransmitting a tracked
+//! control message or re-sending a cached keepalive is a (non-atomic)
+//! reference-count bump instead of a byte copy.
 //!
-//! The buffer is immutable by construction; the one mutation the emulator
-//! performs in flight — impairment byte corruption — goes through
-//! [`FrameBuf::with_corrupted_byte`], which copies on write so sibling
-//! references (e.g. a retransmission queue holding the same bytes) never
-//! observe the corruption.
+//! A frame is a value: the engine hands the one handle of a delivered
+//! frame to its receiver, which may forward it as it is or rewrite it
+//! with [`FrameBuf::rewrite`]. That patches the bytes in place when the
+//! handle is the only one and copies them first when it is not, so a
+//! sharer — a retransmission queue, a hello or BFD frame cache — never
+//! observes the change. A simulation never leaves the thread that built
+//! it, which is what lets the count be an `Rc` (DESIGN.md §17).
 
 use std::fmt;
 use std::ops::Deref;
-use std::sync::Arc;
+use std::rc::Rc;
 
-/// An immutable, cheaply clonable frame payload.
+/// A frame payload: cheap to clone, rewritten in place when unshared.
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct FrameBuf {
-    bytes: Arc<[u8]>,
+    bytes: Rc<[u8]>,
 }
 
 impl FrameBuf {
     /// Wrap already-encoded bytes: a second allocation and a copy (`Vec<u8>`
-    /// → `Arc<[u8]>`) on top of whatever built the `Vec`. For tests and
+    /// → `Rc<[u8]>`) on top of whatever built the `Vec`. For tests and
     /// one-off callers; data and control frames alike are written in place
     /// with [`FrameBuf::build`].
     pub fn new(bytes: Vec<u8>) -> FrameBuf {
@@ -32,19 +34,21 @@ impl FrameBuf {
     }
 
     /// Build a `len`-byte frame in place: one refcounted allocation,
-    /// zero-filled, which `fill` writes (with the layers' `put_header`s)
-    /// before the buffer is frozen. No `Vec` per layer, no copy per layer.
+    /// zero-filled, which `fill` writes (with the layers' `put_header`s).
+    /// No `Vec` per layer, no copy per layer.
     pub fn build(len: usize, fill: impl FnOnce(&mut [u8])) -> FrameBuf {
-        let mut bytes: Arc<[u8]> = std::iter::repeat_n(0u8, len).collect();
-        fill(Arc::get_mut(&mut bytes).expect("fresh Arc is unique"));
+        let mut bytes: Rc<[u8]> = std::iter::repeat_n(0u8, len).collect();
+        fill(Rc::get_mut(&mut bytes).expect("fresh Rc is unique"));
         FrameBuf { bytes }
     }
 
-    /// The shared empty buffer (pure ACKs, SYN placeholders): every call
-    /// returns a handle to one process-wide allocation.
+    /// The empty buffer (pure ACKs, SYN placeholders): every call on one
+    /// thread returns a handle to that thread's one allocation.
     pub fn empty() -> FrameBuf {
-        static EMPTY: std::sync::OnceLock<FrameBuf> = std::sync::OnceLock::new();
-        EMPTY.get_or_init(|| FrameBuf::new(Vec::new())).clone()
+        thread_local! {
+            static EMPTY: FrameBuf = FrameBuf::new(Vec::new());
+        }
+        EMPTY.with(FrameBuf::clone)
     }
 
     /// The payload length in bytes (before any wire padding).
@@ -60,29 +64,16 @@ impl FrameBuf {
         &self.bytes
     }
 
-    /// Do `self` and `other` share the same underlying allocation?
-    /// Frame caches use this to detect that an upstream layer handed back
-    /// the identical buffer and skip re-encapsulation entirely.
-    pub fn ptr_eq(&self, other: &FrameBuf) -> bool {
-        Arc::ptr_eq(&self.bytes, &other.bytes)
-    }
-
-    /// Copy-on-write corruption: returns a buffer identical to `self`
-    /// except `bytes[idx] ^= xor`. Sharers of the original are unaffected.
-    /// `xor` must be nonzero and `idx` in range for a real change.
-    pub fn with_corrupted_byte(&self, idx: usize, xor: u8) -> FrameBuf {
-        self.mutate_copy(|bytes| bytes[idx] ^= xor)
-    }
-
-    /// Copy-and-patch: duplicate the bytes into a fresh buffer — one
-    /// allocation, one copy — and let `patch` rewrite them in place
-    /// before the buffer is frozen: [`FrameBuf::build`] for a frame that
-    /// already exists, the per-hop primitive of TTL-rewriting forwarders.
-    pub fn mutate_copy(&self, patch: impl FnOnce(&mut [u8])) -> FrameBuf {
-        let mut bytes: Arc<[u8]> = Arc::from(&*self.bytes);
-        // A freshly constructed Arc is uniquely owned.
-        patch(Arc::get_mut(&mut bytes).expect("fresh Arc is unique"));
-        FrameBuf { bytes }
+    /// Let `patch` rewrite the bytes — in place when this is the only
+    /// handle, in a fresh copy (one allocation, one copy) when another
+    /// handle shares them, which then keeps the old bytes. The per-hop
+    /// primitive of TTL-rewriting forwarders and of in-flight corruption.
+    pub fn rewrite(mut self, patch: impl FnOnce(&mut [u8])) -> FrameBuf {
+        if Rc::get_mut(&mut self.bytes).is_none() {
+            self.bytes = Rc::from(&*self.bytes);
+        }
+        patch(Rc::get_mut(&mut self.bytes).expect("unique, or a fresh copy"));
+        self
     }
 }
 
@@ -114,7 +105,7 @@ impl From<&[u8]> for FrameBuf {
 
 impl fmt::Debug for FrameBuf {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // Render as the byte slice: the `Arc` is representation, not
+        // Render as the byte slice: the `Rc` is representation, not
         // content (test failure output and `{:?}` of captured frames).
         fmt::Debug::fmt(&self.bytes[..], f)
     }
@@ -128,7 +119,7 @@ mod tests {
     fn clones_share_the_allocation() {
         let a = FrameBuf::new(vec![1, 2, 3]);
         let b = a.clone();
-        assert!(a.ptr_eq(&b));
+        assert_eq!(a.as_ptr(), b.as_ptr());
         assert_eq!(&*a, &[1, 2, 3]);
         assert_eq!(a.len(), 3);
         assert!(!a.is_empty());
@@ -142,12 +133,30 @@ mod tests {
     }
 
     #[test]
-    fn corruption_copies_on_write() {
+    fn empty_is_one_buffer_per_thread() {
+        assert_eq!(FrameBuf::empty().as_ptr(), FrameBuf::empty().as_ptr());
+        assert!(FrameBuf::empty().is_empty());
+    }
+
+    #[test]
+    fn a_unique_handle_is_rewritten_in_place() {
         let a = FrameBuf::new(vec![0x77; 4]);
-        let b = a.with_corrupted_byte(2, 0x01);
-        assert!(!a.ptr_eq(&b));
+        let at = a.as_ptr();
+        let b = a.rewrite(|bytes| bytes[2] ^= 0x01);
+        assert_eq!(b.as_ptr(), at, "no copy for the only handle");
+        assert_eq!(b.as_slice(), &[0x77, 0x77, 0x76, 0x77]);
+    }
+
+    #[test]
+    fn a_shared_handle_is_copied_and_the_sharer_keeps_its_bytes() {
+        let a = FrameBuf::new(vec![0x77; 4]);
+        let b = a.clone().rewrite(|bytes| bytes[2] ^= 0x01);
+        assert_ne!(a.as_ptr(), b.as_ptr());
         assert_eq!(a.as_slice(), &[0x77; 4], "original untouched");
         assert_eq!(b.as_slice(), &[0x77, 0x77, 0x76, 0x77]);
+        // The copy is unique in turn: a second rewrite stays in place.
+        let at = b.as_ptr();
+        assert_eq!(b.rewrite(|bytes| bytes[0] = 0).as_ptr(), at);
     }
 
     #[test]
@@ -161,6 +170,6 @@ mod tests {
         let v: FrameBuf = vec![5u8, 6].into();
         let s: FrameBuf = (&[5u8, 6][..]).into();
         assert_eq!(v, s, "content equality ignores allocation identity");
-        assert!(!v.ptr_eq(&s));
+        assert_ne!(v.as_ptr(), s.as_ptr());
     }
 }

@@ -4,7 +4,7 @@
 //! then IPv4 (checksum validated, payload copied), then — for MR-MTP —
 //! the encapsulation header, all to recover a handful of fields the
 //! sender knew when it encoded the frame. [`FrameMeta`] is that handful,
-//! carried *alongside* the immutable frame bytes through the emulator's
+//! carried *alongside* the frame bytes through the emulator's
 //! delivery path: the encoder attaches it, every hop reads it, and the
 //! wire bytes stay the single source of truth.
 //!
