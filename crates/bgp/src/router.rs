@@ -647,6 +647,51 @@ impl BgpRouter {
     // Data plane
     // ------------------------------------------------------------------
 
+    /// The forwarding decision that both data paths of this router, and
+    /// the chaos walker, ask: the egress toward `dst` for flow hash `flow`
+    /// (longest-prefix match, then ECMP) and the packet's repair bit after
+    /// this hop. The pick reads no liveness, so it may be a dead port,
+    /// where the packet is lost on the wire. With the fast path on the
+    /// lazily recompiled [`CompiledFib`] answers — identical to
+    /// [`Rib::lookup`] by construction — and only there may local fast
+    /// reroute re-spread a packet whose hashed member is dead (`port_up`),
+    /// at most once: a repaired packet gets the plain pick. `arrival` is
+    /// the port the packet came in on, `None` on the slow path, whose
+    /// frames carry no repair bit.
+    pub fn next_hop(
+        &mut self,
+        dst: IpAddr4,
+        flow: u64,
+        arrival: Option<PortId>,
+        repaired: bool,
+        port_up: impl Fn(PortId) -> bool,
+    ) -> Option<(PortId, bool)> {
+        if !self.cfg.fast_path {
+            let (_, members) = self.rib.lookup(dst)?;
+            let port = members[dcn_wire::ecmp_index(flow, members.len())].peer_port;
+            return Some((port, repaired));
+        }
+        self.ensure_fib();
+        match arrival {
+            Some(arrival) if self.cfg.local_repair && !repaired => {
+                self.fib.lookup_repair(dst, flow, port_up, Some(arrival))
+            }
+            _ => self.fib.lookup(dst, flow).map(|port| (port, repaired)),
+        }
+    }
+
+    /// Recompile the FIB if the Loc-RIB changed since the last compile.
+    fn ensure_fib(&mut self) {
+        let key = self.rib.version();
+        if self.fib_key != Some(key) {
+            self.fib.rebuild(&self.rib);
+            self.fib_key = Some(key);
+            // New FIB generation: the once-per-generation repair-span
+            // dedup starts over.
+            self.repair_noted = false;
+        }
+    }
+
     /// Rack delivery, shared by both forwarding paths: send the IPv4 frame
     /// `frame(mac)` makes toward the server's port, `mac` that port's
     /// address in both MAC fields.
@@ -682,13 +727,12 @@ impl BgpRouter {
             self.stats.data_dropped += 1;
             return;
         }
-        let Some((_, members)) = self.rib.lookup(pkt.dst) else {
+        let up = |p| ctx.port(p).up;
+        let Some((port, _)) = self.next_hop(pkt.dst, flow_hash_of(pkt), None, false, up) else {
             self.stats.data_dropped += 1;
             self.stats.blackholed_in_window += 1;
             return;
         };
-        let hash = flow_hash_of(pkt);
-        let port = members[dcn_wire::ecmp_index(hash, members.len())].peer_port;
         if !ctx.port(port).up {
             // The hash landed on a locally-dead egress: the send below
             // still happens (the RIB carries no liveness), but the packet
@@ -736,35 +780,22 @@ impl BgpRouter {
             self.stats.data_dropped += 1;
             return;
         }
-        let key = self.rib.version();
-        if self.fib_key != Some(key) {
-            self.fib.rebuild(&self.rib);
-            self.fib_key = Some(key);
-            // New FIB generation: the once-per-generation repair-span
-            // dedup starts over.
-            self.repair_noted = false;
-        }
+        // A recompile allocates its route list: do it before the scope.
+        self.ensure_fib();
         let mut note_repair = None;
         // The scope brackets the router's decision, header rewrite
         // included; it closes before the hand-off because `send_meta` acts
         // on the engine at once and the scheduler push is engine work.
-        let (port, out, repaired) = {
+        let (port, out, now_repaired) = {
             let _scope = alloc_track::scope();
-            // Local fast reroute: a not-yet-repaired packet may be
-            // steered around a locally-dead egress; a repaired one gets
-            // exactly the plain (off-mode) pick — the loop guard.
-            let pick = if self.cfg.local_repair && !repaired {
-                self.fib
-                    .lookup_repair(dst, flow, |p| ctx.port(p).up, Some(arrival))
-            } else {
-                self.fib.lookup(dst, flow).map(|p| (p, false))
-            };
-            let Some((port, fixed)) = pick else {
+            let up = |p| ctx.port(p).up;
+            let Some((port, now_repaired)) = self.next_hop(dst, flow, Some(arrival), repaired, up)
+            else {
                 self.stats.data_dropped += 1;
                 self.stats.blackholed_in_window += 1;
                 return;
             };
-            if fixed {
+            if now_repaired != repaired {
                 self.stats.locally_repaired += 1;
                 if !self.repair_noted {
                     self.repair_noted = true;
@@ -785,9 +816,9 @@ impl BgpRouter {
                 out[IP + 10..IP + 12].copy_from_slice(&csum.to_be_bytes());
             });
             self.stats.data_forwarded += 1;
-            (port, out, repaired || fixed)
+            (port, out, now_repaired)
         };
-        let meta = FrameMeta::Ipv4Data { dst, flow, ttl: ttl - 1, repaired };
+        let meta = FrameMeta::Ipv4Data { dst, flow, ttl: ttl - 1, repaired: now_repaired };
         ctx.send_meta(port, out, FrameClass::Data, meta);
         alloc_track::note_forward();
         if let Some(port) = note_repair {

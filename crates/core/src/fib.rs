@@ -1,8 +1,8 @@
 //! Compiled forwarding table: the MR-MTP data-plane fast path.
 //!
-//! [`MrmtpRouter::forwarding_candidates`](crate::MrmtpRouter::forwarding_candidates)
-//! walks the VID table, the neighbor table and the negative-entry map on
-//! every packet — correct, but allocation- and branch-heavy. The
+//! [`reference_candidates`] walks the VID table, the neighbor table and
+//! the negative-entry map on every packet — correct, but allocation- and
+//! branch-heavy. The
 //! [`CompiledFib`] flattens that walk into 256 per-root entries of port
 //! bitmasks, rebuilt only when the underlying tables change (keyed on
 //! their version counters), so steady-state next-hop selection is a
@@ -21,8 +21,9 @@
 //! authoritative (and correct) for free.
 //!
 //! [`reference_candidates`] is the one shared implementation of the slow
-//! path; the router delegates to it and the property tests pit
-//! [`CompiledFib::lookup`] against it over arbitrary table states.
+//! path; [`MrmtpRouter::next_hop`](crate::MrmtpRouter::next_hop) falls
+//! back to it, and the property tests pit [`CompiledFib::lookup`] against
+//! it over arbitrary table states.
 
 use std::collections::BTreeSet;
 
@@ -214,9 +215,8 @@ fn pick(mask: u128, flow: u16) -> PortId {
 }
 
 /// The slow-path candidate computation (sorted ECMP set, empty = drop).
-/// The single source of truth: the router's public
-/// `forwarding_candidates` delegates here, and the compiled FIB is
-/// property-tested against it.
+/// The single source of truth: the router's slow path is this, and the
+/// compiled FIB is property-tested against it.
 pub fn reference_candidates(
     table: &VidTable,
     nbr: &NeighborTable,
@@ -244,35 +244,6 @@ pub fn reference_candidates(
         .collect();
     ups.sort_unstable();
     ups
-}
-
-/// The slow-path mirror of the compiled `backup` mask: live down-tier
-/// sibling ports that are not a (live-neighbor, non-negative) down-tree
-/// port for `root`. Property tests pit the repair stage of
-/// [`CompiledFib::lookup_repair`] against this, and the chaos walker
-/// replays repair decisions through it.
-pub fn reference_backup_candidates(
-    table: &VidTable,
-    nbr: &NeighborTable,
-    tier: u8,
-    root: u8,
-    port_up: impl Fn(PortId) -> bool,
-) -> Vec<PortId> {
-    if tier == 0 {
-        return Vec::new();
-    }
-    let down: BTreeSet<PortId> = table
-        .vids_for(root)
-        .iter()
-        .map(|o| o.port)
-        .filter(|&p| nbr.is_up(p) && !table.is_negative(root, p))
-        .collect();
-    let mut backup: Vec<PortId> = nbr
-        .up_ports_at_tier(tier - 1)
-        .filter(|&p| port_up(p) && !table.is_negative(root, p) && !down.contains(&p))
-        .collect();
-    backup.sort_unstable();
-    backup
 }
 
 #[cfg(test)]
@@ -426,13 +397,6 @@ mod tests {
         assert_eq!(fib.lookup_repair(11, 0, only1, 1 << 1), Some((PortId(1), true)));
         // Everything dead: still a drop.
         assert_eq!(fib.lookup_repair(11, 0, 0, 0), None);
-
-        // The reference mirror agrees with the compiled detour pool.
-        let alive = |p: PortId| p != PortId(0) && p.index() < 3;
-        assert_eq!(
-            reference_backup_candidates(&table, &nbr, 2, 11, alive),
-            vec![PortId(1), PortId(2)]
-        );
     }
 
     /// `upper_lost` suppresses the uplink bounce but not the down-tier

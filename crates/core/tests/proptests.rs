@@ -6,7 +6,7 @@ use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
-use dcn_mrmtp::fib::{reference_backup_candidates, reference_candidates, CompiledFib};
+use dcn_mrmtp::fib::{reference_candidates, CompiledFib};
 use dcn_mrmtp::reliable::ReliableTx;
 use dcn_mrmtp::{NeighborState, NeighborTable, VidTable};
 use dcn_sim::grid::grid_at_or_after;
@@ -38,7 +38,7 @@ fn arb_op() -> impl Strategy<Value = TableOp> {
 }
 
 /// The slow-path model of [`CompiledFib::lookup_repair`], built from the
-/// two exported reference walks plus the documented staging rules.
+/// exported reference walk plus the documented staging rules.
 #[allow(clippy::too_many_arguments)]
 fn staged_repair_reference(
     t: &VidTable,
@@ -85,7 +85,13 @@ fn staged_repair_reference(
             return Some((pick(&avoid(ups)), true));
         }
     }
-    let backup = reference_backup_candidates(t, nbr, tier, root, port_up);
+    // The down-tier detour pool: live down-tier siblings that are neither
+    // a compiled down-tree port nor negative for the root.
+    let mut backup: Vec<PortId> = (tier.checked_sub(1).into_iter())
+        .flat_map(|below| nbr.up_ports_at_tier(below))
+        .filter(|&p| port_up(p) && !t.is_negative(root, p) && !down_compiled.contains(&p))
+        .collect();
+    backup.sort_unstable();
     if backup.is_empty() { None } else { Some((pick(&avoid(backup)), true)) }
 }
 
@@ -272,8 +278,8 @@ proptest! {
     /// The local-repair lookup is the same staged walk a slow path would
     /// do: primary down-tree pick (never a repair), uplink bounce
     /// (a repair exactly when a compiled down-tree route was masked
-    /// dead, skipped on total upper loss), then the down-tier detour
-    /// from [`reference_backup_candidates`] — the repair stages avoiding
+    /// dead, skipped on total upper loss), then the down-tier detour —
+    /// the repair stages avoiding
     /// the arrival port unless it is the only survivor. For any table
     /// state, neighbor state, mask and arrival port,
     /// `CompiledFib::lookup_repair` must match that model bit-for-bit.

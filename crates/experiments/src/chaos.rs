@@ -8,12 +8,13 @@
 //! loss, byte corruption, delay jitter). After every schedule heals and
 //! the fabric quiesces, four invariants are checked:
 //!
-//! 1. **No forwarding loops**: every ToR-pair × flow-sample walk over the
-//!    actual data-plane decision function terminates without revisiting a
-//!    node.
-//! 2. **No black holes**: a walk that dies (no forwarding entry) while
-//!    the destination is physically reachable over admin-up links is a
-//!    violation.
+//! 1. **No forwarding loops**: every ToR-pair × flow-sample walk
+//!    terminates without revisiting a node. Each hop of a walk is the
+//!    router's own forwarding decision (`next_hop`, the code its data
+//!    paths run), not a model of it.
+//! 2. **No black holes**: a walk that dies (no forwarding entry, or a
+//!    pick into a down port) while the destination is physically
+//!    reachable over admin-up links is a violation.
 //! 3. **Bounded re-convergence**: the last routing state change after the
 //!    final heal event must land within a configured bound.
 //! 4. **Determinism**: the same seed produces a bit-identical trace
@@ -33,9 +34,9 @@ use dcn_telemetry::{
     capture_dump, hists_jsonl, series_jsonl, spans_jsonl, Json, PerfReport, Telemetry,
     TelemetryConfig, TraceBundle,
 };
-use dcn_topology::{Addressing, ClosParams, Fabric, Role};
+use dcn_topology::{Addressing, ClosParams, Fabric, PortKind, Role};
 use dcn_traffic::SendSpec;
-use dcn_wire::{ecmp_index, flow_hash, IpAddr4, IPPROTO_UDP};
+use dcn_wire::{flow_hash, IPPROTO_UDP};
 
 use crate::campaign::pool::fan_out;
 use crate::fabric::{assemble, BuiltSim, Stack, StackTuning};
@@ -364,27 +365,8 @@ pub fn run_chaos_with(
 
     let convergence = dcn_metrics::last_state_change(built.sim.trace(), heal_at);
     let converged = convergence.is_none_or(|d| d <= cfg.convergence_bound);
-    let (loops, black_holes, unreachable_pairs) = check_forwarding_invariants(&built, cfg);
-    let repair_loops = if cfg.tuning.local_repair { check_repair_loops(&built, cfg) } else { 0 };
-    let digest = trace_digest(&built.sim);
-
-    let mut malformed_dropped = 0;
-    let (mut window_blackholed, mut window_repaired) = (0u64, 0u64);
-    for (i, _) in built.fabric.nodes.iter().enumerate().filter(|(_, n)| n.role.is_router()) {
-        let (malformed, blackholed, repaired) = match stack {
-            Stack::Mrmtp => {
-                let s = built.mrmtp(i).stats();
-                (s.malformed_frames_dropped, s.blackholed_in_window, s.locally_repaired)
-            }
-            Stack::BgpEcmp | Stack::BgpEcmpBfd => {
-                let s = built.bgp(i).stats();
-                (s.malformed_frames_dropped, s.blackholed_in_window, s.locally_repaired)
-            }
-        };
-        malformed_dropped += malformed;
-        window_blackholed += blackholed;
-        window_repaired += repaired;
-    }
+    let (loops, black_holes, unreachable_pairs) = check_forwarding_invariants(&mut built, cfg);
+    let repair_loops = cfg.tuning.local_repair.then(|| check_repair_loops(&mut built, cfg));
 
     let run = ChaosRun {
         seed,
@@ -392,15 +374,15 @@ pub fn run_chaos_with(
         faults: schedule.fault_count(),
         loops,
         black_holes,
-        repair_loops,
-        window_blackholed,
-        window_repaired,
+        repair_loops: repair_loops.unwrap_or(0),
+        window_blackholed: built.counter_total("blackholed_in_window"),
+        window_repaired: built.counter_total("locally_repaired"),
         unreachable_pairs,
         converged,
         convergence,
-        digest,
+        digest: trace_digest(&built.sim),
         deterministic: true,
-        malformed_dropped,
+        malformed_dropped: built.counter_total("malformed_frames_dropped"),
         frames_corrupted: built.sim.frames_corrupted(),
         frames_lost: built.sim.frames_lost_to_impairment(),
     };
@@ -504,83 +486,6 @@ fn chaos_senders(fabric: &Fabric, addr: &Addressing, cfg: &ChaosConfig) -> Vec<(
         .collect()
 }
 
-/// The plain data-plane pick at `cur` toward `dst_ip`, mirroring each
-/// stack's selection exactly. The `up` closure supplies externally
-/// observed interface state; BGP ignores it by design (its FIB carries
-/// no liveness mask — exactly why its off-mode loss window exists).
-fn data_pick(
-    built: &BuiltSim,
-    cur: usize,
-    dst_ip: IpAddr4,
-    hash: u64,
-    up: &dyn Fn(usize, PortId) -> bool,
-) -> Option<PortId> {
-    match built.stack {
-        Stack::Mrmtp => {
-            // Mirrors `on_host_ip`/`on_data`: destination root is the
-            // third address octet; the data plane hashes the low 16
-            // bits of the flow hash over the candidate set.
-            let root = dst_ip.third_octet();
-            built.mrmtp(cur).forwarding_port(root, (hash & 0xFFFF) as u16, |p| up(cur, p))
-        }
-        Stack::BgpEcmp | Stack::BgpEcmpBfd => {
-            // Mirrors `forward_data`: LPM lookup, then ECMP over the
-            // member list with the full flow hash.
-            built.bgp(cur).rib().lookup(dst_ip).and_then(|(_, members)| {
-                if members.is_empty() {
-                    None
-                } else {
-                    Some(members[ecmp_index(hash, members.len())].peer_port)
-                }
-            })
-        }
-    }
-}
-
-/// The repair-stage pick at `cur`: surviving plain candidates first
-/// (MR-MTP's masked reference set, BGP's surviving ECMP members), then
-/// the precomputed backups, avoiding the arrival port unless it is the
-/// only survivor — mirroring both `lookup_repair` implementations.
-fn repair_pick(
-    built: &BuiltSim,
-    cur: usize,
-    dst_ip: IpAddr4,
-    hash: u64,
-    up: &dyn Fn(usize, PortId) -> bool,
-    arrival: Option<PortId>,
-) -> Option<PortId> {
-    let spread = |ports: Vec<PortId>, h: u64| -> Option<PortId> {
-        if ports.is_empty() {
-            return None;
-        }
-        let keep: Vec<PortId> = ports.iter().copied().filter(|&p| Some(p) != arrival).collect();
-        let set = if keep.is_empty() { ports } else { keep };
-        Some(set[ecmp_index(h, set.len())])
-    };
-    match built.stack {
-        Stack::Mrmtp => {
-            let root = dst_ip.third_octet();
-            let f16 = hash & 0xFFFF;
-            let r = built.mrmtp(cur);
-            let plain = r.forwarding_candidates(root, |p| up(cur, p));
-            if !plain.is_empty() {
-                return Some(plain[ecmp_index(f16, plain.len())]);
-            }
-            spread(r.repair_candidates(root, |p| up(cur, p)), f16)
-        }
-        Stack::BgpEcmp | Stack::BgpEcmpBfd => {
-            let rib = built.bgp(cur).rib();
-            let (prefix, members) = rib.lookup(dst_ip)?;
-            let survivors: Vec<PortId> =
-                members.iter().map(|e| e.peer_port).filter(|&p| up(cur, p)).collect();
-            if let Some(p) = spread(survivors, hash) {
-                return Some(p);
-            }
-            spread(rib.backup_members(prefix).into_iter().filter(|&p| up(cur, p)).collect(), hash)
-        }
-    }
-}
-
 /// Node indices of every ToR, ascending.
 fn tors(fabric: &Fabric) -> Vec<usize> {
     (0..fabric.nodes.len()).filter(|&i| matches!(fabric.nodes[i].role, Role::Tor { .. })).collect()
@@ -588,13 +493,12 @@ fn tors(fabric: &Fabric) -> Vec<usize> {
 
 /// The loop-guard invariant for local fast reroute: for every ToR pair ×
 /// flow sample, and for every router hop F on the healthy path, kill
-/// every plain next-hop F has toward the destination, let F take its one
-/// in-data-plane repair, and continue with plain forwarding only — the
-/// wire semantics, where a repaired packet is never repaired again and a
-/// second dead egress drops it. Any node revisit under these rules is a
-/// repair loop. Returns the violation count; honest drops (empty backup
-/// set, repaired packet back at the dead hop) are not violations.
-fn check_repair_loops(built: &BuiltSim, cfg: &ChaosConfig) -> usize {
+/// every plain next hop F has toward the destination and walk again. F
+/// repairs the packet, and every hop after it forwards as the routers
+/// themselves decide for a repaired packet. Any node revisit is a repair
+/// loop. Returns the violation count; drops (no backup left, a repaired
+/// packet back at the dead hop) are not violations.
+fn check_repair_loops(built: &mut BuiltSim, cfg: &ChaosConfig) -> usize {
     let tors = tors(&built.fabric);
     let mut loops = 0;
     for &src in &tors {
@@ -607,16 +511,18 @@ fn check_repair_loops(built: &BuiltSim, cfg: &ChaosConfig) -> usize {
                 // (post-heal) fabric, destination excluded. A plain walk
                 // that does not deliver is already flagged by the base
                 // invariants.
-                let mut path = Vec::new();
-                if walk(built, src, dst, flow, None, Some(&mut path)) != WalkOutcome::Delivered {
-                    continue;
-                }
-                for &fx_node in &path {
-                    let dead = plain_next_hops(built, fx_node, dst);
-                    if !dead.is_empty()
-                        && walk(built, src, dst, flow, Some((fx_node, &dead)), None)
-                            == WalkOutcome::Loop
-                    {
+                let Some(path) = walk_hops(built, src, dst, flow) else { continue };
+                let dst_ip = built.addr.server_addr(dst, 0).expect("server address");
+                for &(fx, _) in &path {
+                    // Every plain next hop of `fx`: ECMP picks the
+                    // `hash % n`-th of at most `port_count` candidates, so
+                    // the hashes 0..port_count reach each of them.
+                    let ports = built.sim.port_count(built.node(fx)) as u64;
+                    let dead: Vec<PortId> = (0..ports)
+                        .filter_map(|h| built.next_hop(fx, dst_ip, h, None, false, &[]))
+                        .map(|(p, _)| p)
+                        .collect();
+                    if walk(built, src, dst, flow, Some((fx, &dead))).0 == WalkOutcome::Loop {
                         loops += 1;
                     }
                 }
@@ -626,31 +532,9 @@ fn check_repair_loops(built: &BuiltSim, cfg: &ChaosConfig) -> usize {
     loops
 }
 
-/// Every plain next-hop port `node` could use toward `dst` on the
-/// healthy fabric — the set the repair walk pretends just died.
-fn plain_next_hops(built: &BuiltSim, node: usize, dst: usize) -> HashSet<PortId> {
-    let sim = &built.sim;
-    let Some(dst_ip) = built.addr.server_addr(dst, 0) else {
-        return HashSet::new();
-    };
-    match built.stack {
-        Stack::Mrmtp => built
-            .mrmtp(node)
-            .forwarding_candidates(dst_ip.third_octet(), |p| sim.port_up(NodeId(node as u32), p))
-            .into_iter()
-            .collect(),
-        Stack::BgpEcmp | Stack::BgpEcmpBfd => built
-            .bgp(node)
-            .rib()
-            .lookup(dst_ip)
-            .map(|(_, m)| m.iter().map(|e| e.peer_port).collect())
-            .unwrap_or_default(),
-    }
-}
-
 /// Walk the data plane for every ToR pair × flow sample and count loop /
 /// black-hole violations. Returns (loops, black_holes, unreachable).
-fn check_forwarding_invariants(built: &BuiltSim, cfg: &ChaosConfig) -> (usize, usize, usize) {
+fn check_forwarding_invariants(built: &mut BuiltSim, cfg: &ChaosConfig) -> (usize, usize, usize) {
     let tors = tors(&built.fabric);
     let mut loops = 0;
     let mut black_holes = 0;
@@ -666,7 +550,7 @@ fn check_forwarding_invariants(built: &BuiltSim, cfg: &ChaosConfig) -> (usize, u
                 continue;
             }
             for flow in 0..cfg.flows_per_pair as u16 {
-                match walk(built, src, dst, flow, None, None) {
+                match walk(built, src, dst, flow, None).0 {
                     WalkOutcome::Delivered => {}
                     WalkOutcome::Loop => loops += 1,
                     WalkOutcome::BlackHole => black_holes += 1,
@@ -684,74 +568,77 @@ enum WalkOutcome {
     BlackHole,
 }
 
-/// The one data-plane walker: follow the forwarding decision a packet of
-/// flow sample `flow` would experience from `src` ToR to `dst` ToR, each
-/// hop picked by [`data_pick`], the mirror of the stack's own selection.
-///
-/// With `repair = Some((node, dead))` every port in `dead` counts as down
-/// at `node`, and the wire's repair semantics apply there: one
-/// [`repair_pick`] at that hop, plain forwarding (and honest drops)
-/// everywhere after. `path`, when given, collects the hops visited,
-/// destination excluded.
-fn walk(
-    built: &BuiltSim,
+/// The hops, as (router, egress port), that a packet of flow sample
+/// `flow` takes from `src` ToR to `dst` ToR, or `None` when it does not
+/// arrive: the walker the invariants use, on the fabric as it stands.
+pub fn walk_hops(
+    built: &mut BuiltSim,
     src: usize,
     dst: usize,
     flow: u16,
-    repair: Option<(usize, &HashSet<PortId>)>,
-    mut path: Option<&mut Vec<usize>>,
-) -> WalkOutcome {
-    let sim = &built.sim;
+) -> Option<Vec<(usize, PortId)>> {
+    let (outcome, hops) = walk(built, src, dst, flow, None);
+    (outcome == WalkOutcome::Delivered).then_some(hops)
+}
+
+/// The one data-plane walker: follow a packet of flow sample `flow` from
+/// `src` ToR to `dst` ToR, each hop the router's own decision
+/// ([`BuiltSim::next_hop`]), carrying the packet's repair bit as the wire
+/// does. With `dead = Some((node, ports))` the `ports` count as down at
+/// `node`. Also returns the hops taken, as in [`walk_hops`].
+fn walk(
+    built: &mut BuiltSim,
+    src: usize,
+    dst: usize,
+    flow: u16,
+    dead: Option<(usize, &[PortId])>,
+) -> (WalkOutcome, Vec<(usize, PortId)>) {
+    let mut hops = Vec::new();
     let (Some(src_ip), Some(dst_ip)) =
         (built.addr.server_addr(src, 0), built.addr.server_addr(dst, 0))
     else {
-        return WalkOutcome::BlackHole;
+        return (WalkOutcome::BlackHole, hops);
     };
     // Vary the UDP source port per flow sample, exactly like a host
     // would spread flows across ECMP paths.
     let hash = flow_hash(src_ip, dst_ip, IPPROTO_UDP, 1000 + flow, 5000);
-    let up = |n: usize, p: PortId| {
-        sim.port_up(NodeId(n as u32), p)
-            && !repair.is_some_and(|(fx_node, dead)| n == fx_node && dead.contains(&p))
-    };
 
-    // The walk is deterministic given (node, repaired-flag): a genuine
-    // forwarding loop revisits the same state. A plain node revisit is
-    // NOT enough once a repair happened — a repaired packet legitimately
-    // bounces back through its arrival path and terminates at the dead
-    // hop (an honest drop). Without `repair` the flag never flips and
-    // this is a plain visited-node set.
+    // The walk is deterministic given (node, repair bit): a forwarding
+    // loop revisits the same state. A plain node revisit is not enough
+    // once a repair happened — a repaired packet may bounce back through
+    // its arrival path and die at the dead hop. Without `dead` the bit
+    // never flips and this is a plain visited-node set.
     let mut visited = HashSet::new();
     let mut cur = src;
-    let mut arrival: Option<PortId> = None;
+    // The packet enters on the port of `src_ip`'s server, the first host
+    // port. (MR-MTP's ingress passes none, but a ToR's FIB has nothing to
+    // repair onto, so its decision is the same either way.)
+    let host = built.fabric.ports[src].iter().position(|p| p.kind == PortKind::Host);
+    let mut arrival = host.map(|p| PortId(p as u16));
     let mut repaired = false;
-    loop {
+    let outcome = loop {
         if cur == dst {
-            return WalkOutcome::Delivered;
+            break WalkOutcome::Delivered;
         }
         if !visited.insert((cur, repaired)) {
-            return WalkOutcome::Loop;
+            break WalkOutcome::Loop;
         }
-        if let Some(path) = path.as_deref_mut() {
-            path.push(cur);
-        }
-        let port = if repair.is_some_and(|(fx_node, _)| cur == fx_node) {
-            if repaired {
-                // The loop guard: a packet is repaired at most once, so
-                // meeting the dead egress again drops it on the wire.
-                return WalkOutcome::BlackHole;
-            }
-            repaired = true;
-            repair_pick(built, cur, dst_ip, hash, &up, arrival)
-        } else {
-            data_pick(built, cur, dst_ip, hash, &up)
+        let down = dead.filter(|&(n, _)| n == cur).map_or(&[][..], |(_, ports)| ports);
+        let Some((port, now_repaired)) = built.next_hop(cur, dst_ip, hash, arrival, repaired, down)
+        else {
+            break WalkOutcome::BlackHole;
         };
-        let Some(peer) = port.and_then(|p| sim.peer_of(NodeId(cur as u32), p)) else {
-            return WalkOutcome::BlackHole;
+        hops.push((cur, port));
+        // A pick into a port that is down loses the packet, as on the wire.
+        let node = built.node(cur);
+        let peer = built.sim.peer_of(node, port);
+        let Some(peer) = peer.filter(|_| built.sim.port_up(node, port) && !down.contains(&port))
+        else {
+            break WalkOutcome::BlackHole;
         };
-        arrival = Some(peer.port);
-        cur = peer.node.0 as usize;
-    }
+        (cur, arrival, repaired) = (peer.node.0 as usize, Some(peer.port), now_repaired);
+    };
+    (outcome, hops)
 }
 
 /// BFS over admin-up router-to-router links from `src`: the set of

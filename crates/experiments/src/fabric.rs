@@ -6,6 +6,7 @@ use dcn_sim::link::LinkSpec;
 use dcn_sim::{NodeId, PortId, Protocol, Sim, SimBuilder, SimConfig, Time};
 use dcn_topology::{Addressing, ClosParams, Fabric, FailureCase, PortKind, Role};
 use dcn_traffic::{SendSpec, TrafficHost};
+use dcn_wire::IpAddr4;
 
 use crate::chaos::FaultEvent;
 use crate::runspec::Failure;
@@ -135,6 +136,49 @@ impl BuiltSim {
     /// The traffic host at a server node.
     pub fn host(&self, idx: usize) -> &TrafficHost {
         self.sim.node_as(self.node(idx)).expect("traffic host")
+    }
+
+    /// The forwarding decision of the router at node `idx`: its own
+    /// `next_hop`, fed the interface state the engine holds minus the
+    /// ports in `down`. `&mut` because a router compiles its FIB lazily,
+    /// on the first decision after a table change.
+    pub fn next_hop(
+        &mut self,
+        idx: usize,
+        dst: IpAddr4,
+        flow: u64,
+        arrival: Option<PortId>,
+        repaired: bool,
+        down: &[PortId],
+    ) -> Option<(PortId, bool)> {
+        let node = self.node(idx);
+        let up: Vec<bool> = (0..self.sim.port_count(node) as u16)
+            .map(|p| self.sim.port_up(node, PortId(p)) && !down.contains(&PortId(p)))
+            .collect();
+        let port_up = |p: PortId| up[p.index()];
+        match self.stack {
+            Stack::Mrmtp => {
+                let mask = up.iter().take(128).rev().fold(0u128, |m, &u| m << 1 | u128::from(u));
+                let router: &mut MrmtpRouter = self.sim.node_as_mut(node).expect("MR-MTP router");
+                router.next_hop(dst, flow, arrival, repaired, mask, port_up)
+            }
+            Stack::BgpEcmp | Stack::BgpEcmpBfd => {
+                let router: &mut BgpRouter = self.sim.node_as_mut(node).expect("BGP router");
+                router.next_hop(dst, flow, arrival, repaired, port_up)
+            }
+        }
+    }
+
+    /// Counter `name` summed over every node that reports it. Panics when
+    /// none does, so a misspelt name cannot read as 0.
+    pub fn counter_total(&self, name: &str) -> u64 {
+        let counts: Vec<u64> = (0..self.sim.node_count())
+            .filter_map(|i| self.sim.stats_snapshot_of(self.node(i)))
+            .filter_map(|s| s.counters().into_iter().find(|&(n, _)| n == name))
+            .map(|(_, v)| v)
+            .collect();
+        assert!(!counts.is_empty(), "no router reports a counter named {name:?}");
+        counts.iter().sum()
     }
 }
 

@@ -40,26 +40,7 @@ const FAST: u64 = 25 * MICROS;
 
 /// Sum `(blackholed_in_window, locally_repaired)` over every router.
 fn window_counters(built: &BuiltSim) -> (u64, u64) {
-    let mut blackholed = 0;
-    let mut repaired = 0;
-    for (i, node) in built.fabric.nodes.iter().enumerate() {
-        if !node.role.is_router() {
-            continue;
-        }
-        let (b, r) = match built.stack {
-            Stack::Mrmtp => {
-                let s = built.mrmtp(i).stats();
-                (s.blackholed_in_window, s.locally_repaired)
-            }
-            Stack::BgpEcmp | Stack::BgpEcmpBfd => {
-                let s = built.bgp(i).stats();
-                (s.blackholed_in_window, s.locally_repaired)
-            }
-        };
-        blackholed += b;
-        repaired += r;
-    }
-    (blackholed, repaired)
+    (built.counter_total("blackholed_in_window"), built.counter_total("locally_repaired"))
 }
 
 /// The storyboard must date a `repaired-locally` phase exactly when the

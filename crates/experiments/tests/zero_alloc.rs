@@ -121,22 +121,8 @@ fn repair_soak(stack: Stack) -> (u64, u64, u64) {
     alloc_track::reset();
     built.inject_failure(FailureCase::Tc1, fail_at);
     built.sim.run_until(end);
-    (alloc_track::forwarded(), alloc_track::scoped_allocs(), repaired_total(&built))
-}
-
-/// Sum `locally_repaired` over every router.
-fn repaired_total(built: &BuiltSim) -> u64 {
-    let mut repaired = 0;
-    for (i, node) in built.fabric.nodes.iter().enumerate() {
-        if !node.role.is_router() {
-            continue;
-        }
-        repaired += match built.stack {
-            Stack::Mrmtp => built.mrmtp(i).stats().locally_repaired,
-            Stack::BgpEcmp | Stack::BgpEcmpBfd => built.bgp(i).stats().locally_repaired,
-        };
-    }
-    repaired
+    let (forwarded, allocs) = (alloc_track::forwarded(), alloc_track::scoped_allocs());
+    (forwarded, allocs, built.counter_total("locally_repaired"))
 }
 
 /// Cold-start a 16-pod fabric with no traffic to `from`, then count every

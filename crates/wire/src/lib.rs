@@ -28,7 +28,6 @@ pub mod meta;
 pub mod mrmtp;
 pub mod tcp;
 pub mod udp;
-pub mod vxlan;
 
 /// Front-to-back writer over a slice, for the in-place `put` encoders.
 pub(crate) struct Put<'a>(pub(crate) &'a mut [u8]);
@@ -61,4 +60,3 @@ pub use meta::FrameMeta;
 pub use mrmtp::{MrmtpMsg, MrmtpView, Vid, Vids, MRMTP_ETHERTYPE, MRMTP_HELLO_BYTE, VID_MAX_LEN};
 pub use tcp::{TcpFlags, TcpSegment, TcpView, TCP_HEADER_LEN};
 pub use udp::{UdpDatagram, UdpView, UDP_HEADER_LEN};
-pub use vxlan::{VxlanHeader, VXLAN_HEADER_LEN, VXLAN_PORT};

@@ -3,7 +3,6 @@
 //! MR-MTP's hello suppression under data load.
 
 use dcn_experiments::{build_sim, flows::pin_flow, Stack};
-use dcn_mrmtp::MrmtpRouter;
 use dcn_sim::time::{millis, secs};
 use dcn_sim::{FrameClass, NodeId, PortId, TraceEvent};
 use dcn_topology::{ClosParams, Fabric};
@@ -85,17 +84,11 @@ fn mrmtp_hop_count_is_diameter_bounded() {
     spec.dst_port = dp;
     let mut built = build_sim(params, Stack::Mrmtp, 33, &[(src, spec)]);
     built.sim.run_until(secs(5));
-    let mut total_forwards = 0u64;
-    let mut total_delivered = 0u64;
-    for r in built.fabric.routers() {
-        let router: &MrmtpRouter = built.mrmtp(r);
-        total_forwards += router.stats().data_forwarded;
-        total_delivered += router.stats().data_delivered;
-    }
-    assert_eq!(total_delivered, 500, "all packets handed to the server");
+    assert_eq!(built.counter_total("data_delivered"), 500, "all packets handed to the server");
     // Cross-PoD path: ToR encap + 3 transit forwards = 4 forwarding ops.
     assert_eq!(
-        total_forwards, 500 * 4,
+        built.counter_total("data_forwarded"),
+        500 * 4,
         "exactly diameter-many forwards per packet (no loops, no detours)"
     );
 }
