@@ -1,13 +1,13 @@
 //! Property tests on the BGP RIB: ECMP membership is always exactly the
-//! set of minimal-length paths, operations are idempotent, and
+//! set of minimal-length paths, operations are idempotent,
 //! `drop_peer` is equivalent to withdrawing everything that peer
-//! advertised.
+//! advertised, and the compiled FIB picks what the RIB holds.
 
 use proptest::prelude::*;
 
-use dcn_bgp::Rib;
+use dcn_bgp::{CompiledFib, Rib};
 use dcn_sim::PortId;
-use dcn_wire::{IpAddr4, Prefix};
+use dcn_wire::{ecmp_index, IpAddr4, Prefix};
 
 #[derive(Clone, Debug)]
 enum Op {
@@ -111,20 +111,34 @@ proptest! {
         prop_assert_eq!(c, dcn_bgp::rib::RibChange::Unchanged);
     }
 
+    /// The compiled FIB the router forwards by picks the member the RIB
+    /// holds at the flow's ECMP index, for every prefix and flow.
     #[test]
-    fn lookup_agrees_with_members(adverts in proptest::collection::vec((0u16..4, 0u8..6, 1u8..4), 1..16)) {
+    fn lookup_agrees_with_members(
+        adverts in proptest::collection::vec((0u16..4, 0u8..6, 1u8..4), 1..16),
+        flows in proptest::collection::vec(any::<u64>(), 1..8),
+    ) {
         let mut rib = Rib::new();
         for (port, third, len) in adverts {
             rib.ingest_advert(PortId(port), pfx(third), path(port, len), IpAddr4(0));
         }
+        let mut fib = CompiledFib::new();
+        fib.rebuild(&rib);
         for third in 0..6u8 {
             let host = IpAddr4::new(192, 168, third, 42);
             match rib.lookup(host) {
                 Some((p, members)) => {
                     prop_assert_eq!(p, pfx(third));
                     prop_assert_eq!(members.len(), rib.members(pfx(third)).len());
+                    for &flow in &flows {
+                        let want = members[ecmp_index(flow, members.len())].peer_port;
+                        prop_assert_eq!(fib.lookup(host, flow), Some(want), "flow {:#x}", flow);
+                    }
                 }
-                None => prop_assert!(rib.members(pfx(third)).is_empty()),
+                None => {
+                    prop_assert!(rib.members(pfx(third)).is_empty());
+                    prop_assert_eq!(fib.lookup(host, flows[0]), None);
+                }
             }
         }
     }

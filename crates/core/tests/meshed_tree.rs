@@ -2,16 +2,20 @@
 //!
 //! These tests exercise the full protocol on the emulator: tree
 //! construction (validated against the paper's Fig. 2 VID tables),
-//! end-to-end data forwarding, and the failure semantics behind the
-//! paper's Fig. 5 blast-radius numbers.
+//! end-to-end data forwarding, the failure semantics behind the
+//! paper's Fig. 5 blast-radius numbers, and that a router acts on frame
+//! metadata exactly as on the decoded frame (`support/strip_meta.rs`).
 
 use std::any::Any;
+
+#[path = "support/strip_meta.rs"]
+mod strip_meta;
 
 use dcn_mrmtp::{MrmtpConfig, MrmtpRouter, TorConfig};
 use dcn_sim::time::{millis, secs};
 use dcn_sim::{Ctx, FrameBuf, FrameClass, NodeId, PortId, Protocol, Sim, SimBuilder, TraceEvent};
 use dcn_sim::link::LinkSpec;
-use dcn_topology::{Addressing, ClosParams, Fabric, FailureCase, Role};
+use dcn_topology::{Addressing, ClosParams, Fabric, FailureCase, PortKind, Role};
 use dcn_wire::{
     EtherType, EthernetFrame, IpAddr4, Ipv4Packet, MacAddr, UdpDatagram, Vid, IPPROTO_UDP,
 };
@@ -75,6 +79,24 @@ impl Protocol for TestHost {
     }
 }
 
+/// The MR-MTP router at fabric node `i`.
+fn router(fabric: &Fabric, addr: &Addressing, i: usize) -> Box<dyn Protocol> {
+    let node = &fabric.nodes[i];
+    let cfg = match node.role {
+        Role::Tor { .. } => {
+            let host_ports = (fabric.ports[i].iter().enumerate())
+                .filter(|(_, p)| p.kind == PortKind::Host)
+                .enumerate()
+                .map(|(s, (pi, _))| (addr.server_addr(i, s).unwrap(), PortId(pi as u16)))
+                .collect();
+            let tor = TorConfig { rack_subnet: addr.rack_subnet(i).unwrap(), host_ports };
+            MrmtpConfig::tor(node.name.clone(), tor)
+        }
+        _ => MrmtpConfig::spine(node.name.clone(), node.tier),
+    };
+    Box::new(MrmtpRouter::new(cfg, fabric.ports[i].len()))
+}
+
 /// Build an emulation of `params` running MR-MTP everywhere. Returns the
 /// sim plus the fabric (node index == NodeId index).
 fn build(params: ClosParams, seed: u64) -> (Sim, Fabric) {
@@ -83,30 +105,11 @@ fn build(params: ClosParams, seed: u64) -> (Sim, Fabric) {
     let mut b = SimBuilder::new(seed);
     for (i, node) in fabric.nodes.iter().enumerate() {
         let proto: Box<dyn Protocol> = match node.role {
-            Role::Tor { .. } => {
-                let rack = addr.rack_subnet(i).unwrap();
-                let mut host_ports = Vec::new();
-                for (pi, pr) in fabric.ports[i].iter().enumerate() {
-                    if matches!(pr.kind, dcn_topology::PortKind::Host) {
-                        let s = host_ports.len();
-                        host_ports.push((addr.server_addr(i, s).unwrap(), PortId(pi as u16)));
-                    }
-                }
-                Box::new(MrmtpRouter::new(
-                    MrmtpConfig::tor(node.name.clone(), TorConfig { rack_subnet: rack, host_ports }),
-                    fabric.ports[i].len(),
-                ))
-            }
-            Role::PodSpine { .. } | Role::ZoneSpine { .. } | Role::TopSpine { .. } => {
-                Box::new(MrmtpRouter::new(
-                    MrmtpConfig::spine(node.name.clone(), node.tier),
-                    fabric.ports[i].len(),
-                ))
-            }
             Role::Server { pod, tor_idx, idx } => {
                 let tor = fabric.tor(pod, tor_idx);
                 Box::new(TestHost::new(addr.server_addr(tor, idx).unwrap()))
             }
+            _ => router(&fabric, &addr, i),
         };
         b.add_node(node.name.clone(), proto);
     }
@@ -371,4 +374,19 @@ fn overdue_hello_leaves_at_the_first_grid_instant_after_admin_up() {
         vec![grid_instant, grid_instant + 300_000],
         "one hello from the tick at the grid instant, one from on_port_up"
     );
+}
+
+// ----------------------------------------------------------------------
+// Frame metadata: acted on exactly as the decoded frame
+// ----------------------------------------------------------------------
+
+/// On the paper's fabric, and with 130 servers per ToR: 132-port ToRs,
+/// past the 128 ports a `u128` interface mask covers, walk their tables.
+#[test]
+fn metadata_is_invisible_to_mrmtp() {
+    strip_meta::assert_invisible("mr-mtp", ClosParams::two_pod(), &router);
+    let wide = ClosParams { servers_per_tor: 130, ..ClosParams::two_pod() };
+    let fabric = Fabric::build(wide);
+    assert_eq!(fabric.ports[fabric.tor(0, 0)].len(), 132);
+    strip_meta::assert_invisible("mr-mtp wide", wide, &router);
 }

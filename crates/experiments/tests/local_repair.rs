@@ -25,8 +25,8 @@
 
 use dcn_experiments::fabric::build_fabric_sim_cfg;
 use dcn_experiments::flows::pin_flow;
-use dcn_experiments::{BuiltSim, RunSpec, Stack, StackTuning, TrafficDir};
-use dcn_sim::time::{MICROS, MILLIS, SECONDS};
+use dcn_experiments::{BuiltSim, RunSpec, Stack, StackTuning, Timing, TrafficDir};
+use dcn_sim::time::{Duration, MICROS, MILLIS, SECONDS};
 use dcn_sim::SimConfig;
 use dcn_topology::{Addressing, ClosParams, FailureCase, Fabric};
 use dcn_traffic::SendSpec;
@@ -37,6 +37,23 @@ const TCS: [FailureCase; 4] =
 /// Fast enough that the 500 µs carrier-detection window spans ~20
 /// packets of the monitored flow.
 const FAST: u64 = 25 * MICROS;
+
+/// Past every detection a hop can observe: the 500 µs carrier latency,
+/// BGP's session teardown and MR-MTP's 100 ms dead interval.
+const LOCAL: Duration = 300 * MILLIS;
+
+/// Past BGP's 3 s hold timer, the far-side detection no surviving hop
+/// observes, and the withdrawals that follow it.
+const HOLD: Duration = 3200 * MILLIS;
+
+/// Each spec's timeline: the monitored flow runs only over the window it
+/// asserts on, from 10 ms before the failure to `post` after it. The
+/// failure stays at [`Timing::default`]'s instant, so every protocol
+/// timer keeps its phase.
+fn window(post: Duration) -> Timing {
+    let (d, lead) = (Timing::default(), 10 * MILLIS);
+    Timing { warmup: d.failure_at() - lead, traffic_lead: lead, post_failure: post, ..d }
+}
 
 /// Sum `(blackholed_in_window, locally_repaired)` over every router.
 fn window_counters(built: &BuiltSim) -> (u64, u64) {
@@ -64,7 +81,8 @@ fn local_repair_meets_the_tc_loss_window_bound() {
             let spec = RunSpec::new(ClosParams::two_pod(), stack)
                 .failing(tc)
                 .with_traffic(TrafficDir::NearToFar)
-                .with_traffic_interval(FAST);
+                .with_traffic_interval(FAST)
+                .timed(window(LOCAL));
             let off = spec.run_instrumented();
             let on = spec.with_local_repair(true).run_instrumented();
             let (off_bh, off_rep) = window_counters(&off.built);
@@ -104,7 +122,8 @@ fn bgp_local_repair_closes_the_carrier_window() {
         let spec = RunSpec::new(ClosParams::two_pod(), Stack::BgpEcmp)
             .failing(tc)
             .with_traffic(TrafficDir::NearToFar)
-            .with_traffic_interval(FAST);
+            .with_traffic_interval(FAST)
+            .timed(window(LOCAL));
         let off = spec.run();
         let on = spec.with_local_repair(true).run();
         let off_lost = off.loss.expect("traffic ran").lost();
@@ -127,7 +146,8 @@ fn local_repair_engages_at_carrier_side_hops() {
         let spec = RunSpec::new(ClosParams::two_pod(), Stack::Mrmtp)
             .failing(tc)
             .with_traffic(TrafficDir::FarToNear)
-            .with_traffic_interval(FAST);
+            .with_traffic_interval(FAST)
+            .timed(window(LOCAL));
         let off = spec.run_instrumented();
         let on = spec.with_local_repair(true).run_instrumented();
         let (off_bh, off_rep) = window_counters(&off.built);
@@ -156,10 +176,13 @@ fn local_repair_leaves_delivery_metrics_sane() {
         (Stack::BgpEcmp, TrafficDir::FarToNear),
     ] {
         for tc in [FailureCase::Tc1, FailureCase::Tc3] {
+            // BGP's far-to-near loss lasts until the hold timer expires.
+            let far_bgp = stack == Stack::BgpEcmp && dir == TrafficDir::FarToNear;
             let spec = RunSpec::new(ClosParams::two_pod(), stack)
                 .failing(tc)
                 .with_traffic(dir)
-                .with_traffic_interval(FAST);
+                .with_traffic_interval(FAST)
+                .timed(window(if far_bgp { HOLD } else { LOCAL }));
             let off = spec.run();
             let on = spec.with_local_repair(true).run();
             let (off_loss, on_loss) = (

@@ -8,19 +8,18 @@ use dcn_sim::{FrameClass, TraceEvent};
 use dcn_topology::{Addressing, ClosParams, Fabric, PortKind};
 use dcn_traffic::SendSpec;
 
-/// Every stack, ToR pair and the walker's flow samples 0 and 1: each ToR's
-/// server sends one packet of the walker's 5-tuple, 1 ms apart so that
-/// each packet's `FrameSent` records stand alone.
-#[test]
-fn walker_hops_are_the_hops_of_a_real_packet() {
-    let params = ClosParams::two_pod();
+/// Every stack and each of the walker's flow samples in `flows` on
+/// `params`, for the ToR pairs `k → k + shift` of each shift in `shifts`:
+/// each ToR's server sends one packet of the walker's 5-tuple, 1 ms apart
+/// so that each packet's `FrameSent` records stand alone.
+fn walker_hops_match_the_wire(params: ClosParams, shifts: std::ops::Range<usize>, flows: std::ops::Range<u16>) {
     let fabric = Fabric::build(params);
     let addr = Addressing::new(&fabric);
     let tors: Vec<usize> = fabric.routers().filter(|&n| fabric.nodes[n].tier == 1).collect();
     let converged = 6 * SECONDS;
     for stack in Stack::ALL {
-        for flow in 0..2u16 {
-            for shift in 1..tors.len() {
+        for flow in flows.clone() {
+            for shift in shifts.clone() {
                 let pairs: Vec<(usize, usize)> =
                     (0..tors.len()).map(|k| (tors[k], tors[(k + shift) % tors.len()])).collect();
                 let senders: Vec<_> = pairs
@@ -63,4 +62,22 @@ fn walker_hops_are_the_hops_of_a_real_packet() {
             }
         }
     }
+}
+
+/// On the paper's fabric, and on two shapes past the 128 ports where
+/// MR-MTP walks its tables instead of its compiled FIB: 132-port ToRs, and
+/// a 130-PoD fabric of one path per ToR pair whose top spine reaches the
+/// last two PoDs through ports 128 and 129.
+#[test]
+fn walker_hops_are_the_hops_of_a_real_packet() {
+    walker_hops_match_the_wire(ClosParams::two_pod(), 1..4, 0..2);
+    let wide_tors = ClosParams { servers_per_tor: 130, ..ClosParams::two_pod() };
+    let fabric = Fabric::build(wide_tors);
+    assert_eq!(fabric.ports[fabric.tor(0, 0)].len(), 132);
+    walker_hops_match_the_wire(wide_tors, 1..4, 0..2);
+    let wide_top =
+        ClosParams { pods: 130, spines_per_pod: 1, tors_per_pod: 1, uplinks_per_spine: 1, servers_per_tor: 1 };
+    let fabric = Fabric::build(wide_top);
+    assert_eq!(fabric.ports[fabric.top_spine(0)].len(), 130);
+    walker_hops_match_the_wire(wide_top, 1..2, 0..1);
 }
