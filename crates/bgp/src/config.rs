@@ -42,17 +42,14 @@ pub struct BgpConfig {
     pub host_ports: Vec<(IpAddr4, PortId)>,
     /// Idle-to-connect backoff.
     pub connect_retry: Duration,
-    /// Use the compiled FIB and parse-once frame metadata on the data
-    /// plane. Behavior (routes chosen, bytes on the wire, trace) is
-    /// identical either way — the equivalence suite asserts bit-equal
-    /// trace digests — so this stays on except when running that proof.
-    pub fast_path: bool,
     /// Local fast reroute: when the hashed ECMP member is locally dead,
     /// re-spread over surviving members, then over the precomputed
     /// next-best backup set — in the data plane, before BFD/hold timers
-    /// notice. At most one repair per packet (metadata loop guard);
-    /// requires `fast_path`. Off by default so baseline behavior — and
-    /// the trace digest — is exactly the pre-repair protocol.
+    /// notice. At most one repair per packet: the repair bit rides in the
+    /// frame metadata, so a frame whose metadata the engine dropped
+    /// (corrupted in flight) is forwarded unrepaired. Off by default so
+    /// baseline behavior — and the trace digest — is exactly the
+    /// pre-repair protocol.
     pub local_repair: bool,
 }
 
@@ -72,19 +69,8 @@ impl BgpConfig {
             rack_subnet: None,
             host_ports: Vec::new(),
             connect_retry: secs(1),
-            fast_path: true,
             local_repair: false,
         }
-    }
-
-    pub fn with_fast_path(mut self, on: bool) -> BgpConfig {
-        self.fast_path = on;
-        self
-    }
-
-    pub fn with_local_repair(mut self, on: bool) -> BgpConfig {
-        self.local_repair = on;
-        self
     }
 
     pub fn with_bfd(mut self) -> BgpConfig {

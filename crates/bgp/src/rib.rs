@@ -190,7 +190,8 @@ impl Rib {
         best_of(self.paths(prefix)).collect()
     }
 
-    /// Longest-prefix-match lookup for a destination address.
+    /// Longest-prefix-match lookup for a destination address. The router
+    /// forwards by its [`crate::CompiledFib`]; tests hold that to this.
     pub fn lookup(&self, dst: IpAddr4) -> Option<(Prefix, Vec<&PathEntry>)> {
         // Prefixes in a DCN RIB are few; scan and keep the longest match.
         let mut best: Option<Prefix> = None;

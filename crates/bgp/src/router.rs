@@ -651,13 +651,13 @@ impl BgpRouter {
     /// the chaos walker, ask: the egress toward `dst` for flow hash `flow`
     /// (longest-prefix match, then ECMP) and the packet's repair bit after
     /// this hop. The pick reads no liveness, so it may be a dead port,
-    /// where the packet is lost on the wire. With the fast path on the
-    /// lazily recompiled [`CompiledFib`] answers — identical to
-    /// [`Rib::lookup`] by construction — and only there may local fast
-    /// reroute re-spread a packet whose hashed member is dead (`port_up`),
-    /// at most once: a repaired packet gets the plain pick. `arrival` is
-    /// the port the packet came in on, `None` on the slow path, whose
-    /// frames carry no repair bit.
+    /// where the packet is lost on the wire. The lazily recompiled
+    /// [`CompiledFib`] answers — the pick [`Rib::lookup`] plus
+    /// `ecmp_index` makes, by construction and by `tests/rib_props.rs` —
+    /// and local fast reroute may re-spread a packet whose hashed member
+    /// is dead (`port_up`), at most once: a repaired packet gets the plain
+    /// pick. `arrival` is the port the packet came in on, `None` for a
+    /// frame that arrived without the metadata that carries the bit.
     pub fn next_hop(
         &mut self,
         dst: IpAddr4,
@@ -666,11 +666,6 @@ impl BgpRouter {
         repaired: bool,
         port_up: impl Fn(PortId) -> bool,
     ) -> Option<(PortId, bool)> {
-        if !self.cfg.fast_path {
-            let (_, members) = self.rib.lookup(dst)?;
-            let port = members[dcn_wire::ecmp_index(flow, members.len())].peer_port;
-            return Some((port, repaired));
-        }
         self.ensure_fib();
         match arrival {
             Some(arrival) if self.cfg.local_repair && !repaired => {
@@ -998,20 +993,16 @@ impl Protocol for BgpRouter {
         frame: FrameBuf,
         meta: Option<FrameMeta>,
     ) {
-        if self.cfg.fast_path {
-            if let Some(FrameMeta::Ipv4Data { dst, flow, ttl, repaired }) = meta {
-                // Control-demux guard: anything addressed to our side of
-                // a fabric link is session traffic and takes the full
-                // decode path. Data frames never are, so this is one
-                // map probe per packet.
-                let is_control = self
-                    .port_peer
-                    .get(&port)
-                    .is_some_and(|&i| dst == self.peers[i].cfg.local_ip);
-                if !is_control {
-                    self.forward_fast(ctx, port, frame, dst, flow, ttl, repaired);
-                    return;
-                }
+        if let Some(FrameMeta::Ipv4Data { dst, flow, ttl, repaired }) = meta {
+            // Control-demux guard: anything addressed to our side of a
+            // fabric link is session traffic and takes the full decode
+            // path. Data frames never are, so this is one map probe per
+            // packet.
+            let is_control =
+                self.port_peer.get(&port).is_some_and(|&i| dst == self.peers[i].cfg.local_ip);
+            if !is_control {
+                self.forward_fast(ctx, port, frame, dst, flow, ttl, repaired);
+                return;
             }
         }
         self.on_frame(ctx, port, &frame);

@@ -76,17 +76,14 @@ pub struct MrmtpConfig {
     /// Present on ToRs only.
     pub tor: Option<TorConfig>,
     pub timers: MrmtpTimers,
-    /// Use the compiled FIB and parse-once frame metadata on the data
-    /// plane. Behavior (routes chosen, bytes on the wire, trace) is
-    /// identical either way — the equivalence suite asserts bit-equal
-    /// trace digests — so this stays on except when running that proof.
-    pub fast_path: bool,
     /// Local fast reroute: let the data plane steer a packet around a
     /// locally-dead egress using the precomputed backup FIB, without
-    /// waiting for the control plane. At most one repair per packet (the
-    /// metadata loop guard); requires `fast_path`. Off by default so the
-    /// baseline behavior — and the trace digest — is exactly the
-    /// pre-repair protocol.
+    /// waiting for the control plane. At most one repair per packet: the
+    /// repair bit rides in the frame metadata, so a frame whose metadata
+    /// the engine dropped (corrupted in flight) is forwarded unrepaired,
+    /// and so is every packet at a router of more than 128 ports. Off by
+    /// default so the baseline behavior — and the trace digest — is
+    /// exactly the pre-repair protocol.
     pub local_repair: bool,
 }
 
@@ -99,7 +96,6 @@ impl MrmtpConfig {
             tier,
             tor: None,
             timers: MrmtpTimers::default(),
-            fast_path: true,
             local_repair: false,
         }
     }
@@ -111,7 +107,6 @@ impl MrmtpConfig {
             tier: 1,
             tor: Some(tor),
             timers: MrmtpTimers::default(),
-            fast_path: true,
             local_repair: false,
         }
     }

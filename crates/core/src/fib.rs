@@ -16,14 +16,12 @@
 //!
 //! `up_mask` is the engine-maintained admin port state
 //! ([`dcn_sim::Ctx::port_up_mask`]) applied at lookup time, so admin
-//! flaps need no FIB rebuild at all. The fast path is only engaged on
-//! routers with ≤ 128 ports; beyond that the slow path remains
-//! authoritative (and correct) for free.
+//! flaps need no FIB rebuild at all.
 //!
-//! [`reference_candidates`] is the one shared implementation of the slow
-//! path; [`MrmtpRouter::next_hop`](crate::MrmtpRouter::next_hop) falls
-//! back to it, and the property tests pit [`CompiledFib::lookup`] against
-//! it over arbitrary table states.
+//! [`reference_candidates`] is the one shared implementation of the walk;
+//! [`MrmtpRouter::next_hop`](crate::MrmtpRouter::next_hop) falls back to
+//! it on a router of more than 128 ports, and the property tests pit
+//! [`CompiledFib::lookup`] against it over arbitrary table states.
 
 use std::collections::BTreeSet;
 
@@ -214,9 +212,9 @@ fn pick(mask: u128, flow: u16) -> PortId {
     PortId(m.trailing_zeros() as u16)
 }
 
-/// The slow-path candidate computation (sorted ECMP set, empty = drop).
-/// The single source of truth: the router's slow path is this, and the
-/// compiled FIB is property-tested against it.
+/// The reference candidate computation (sorted ECMP set, empty = drop).
+/// The single source of truth: a router of more than 128 ports forwards
+/// by it, and the compiled FIB is property-tested against it.
 pub fn reference_candidates(
     table: &VidTable,
     nbr: &NeighborTable,

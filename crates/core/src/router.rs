@@ -620,7 +620,8 @@ impl MrmtpRouter {
     /// packet's repair bit after this hop. `up_mask` is `port_up` for the
     /// first 128 ports, as the [`CompiledFib`] reads it. `arrival` is the
     /// port the packet came in on, or `None` where the router never
-    /// repairs: host ingress, and the slow path, whose frames carry no bit.
+    /// repairs: host ingress, and a frame that arrived without the
+    /// metadata that carries the bit.
     pub fn next_hop(
         &mut self,
         dst: IpAddr4,
@@ -636,11 +637,12 @@ impl MrmtpRouter {
 
     /// [`Self::next_hop`] for tree `root` and 16-bit flow `flow`: downward
     /// VID-table entries win, else hash across live uplinks minus negative
-    /// entries. With the fast path on (≤ 128 ports) the lazily recompiled
+    /// entries. On a router of at most 128 ports the lazily recompiled
     /// [`CompiledFib`] answers — identical by construction and by
     /// `tests/proptests.rs` — and only there may local fast reroute steer
     /// a packet around a locally-dead egress, at most once: a repaired
-    /// packet takes only an unflagged pick, or is dropped.
+    /// packet takes only an unflagged pick, or is dropped. A wider router
+    /// walks the tables, which its `u128` masks cannot hold.
     fn next_hop_to(
         &mut self,
         root: u8,
@@ -650,7 +652,7 @@ impl MrmtpRouter {
         up_mask: u128,
         port_up: impl Fn(PortId) -> bool,
     ) -> Option<(PortId, bool)> {
-        if !self.cfg.fast_path || self.nbr.port_count() > 128 {
+        if self.nbr.port_count() > 128 {
             let (table, nbr, tier) = (&self.table, &self.nbr, self.cfg.tier);
             let c = reference_candidates(table, nbr, &self.upper_lost, tier, root, port_up);
             let k = dcn_wire::ecmp_index(flow as u64, c.len().max(1));
@@ -982,12 +984,12 @@ impl Protocol for MrmtpRouter {
         self.rearm(ctx);
     }
 
-    /// The fast path: trust the sender's parse-once metadata instead of
-    /// re-decoding the frame at every hop. The engine clears the metadata
-    /// if impairment corrupted the frame in flight, so a metadata-bearing
-    /// frame always decodes to exactly what the metadata describes — the
-    /// branches below are behaviorally identical to [`Self::on_frame`]
-    /// (the equivalence suite asserts bit-equal trace digests).
+    /// Trust the sender's parse-once metadata instead of re-decoding the
+    /// frame at every hop. The engine clears the metadata if impairment
+    /// corrupted the frame in flight, so a metadata-bearing frame always
+    /// decodes to exactly what the metadata describes — the branches below
+    /// are behaviorally identical to [`Self::on_frame`], which
+    /// `tests/meshed_tree.rs` holds on bit-equal traces and frames.
     fn on_frame_meta(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -995,87 +997,80 @@ impl Protocol for MrmtpRouter {
         frame: FrameBuf,
         meta: Option<FrameMeta>,
     ) {
-        if self.cfg.fast_path && ctx.port_count() <= 128 {
-            match meta {
-                Some(FrameMeta::MrmtpHello) => {
-                    // Pure keep-alive: skip both decodes entirely.
-                    self.note_keepalive(ctx, port);
-                    return;
-                }
-                Some(FrameMeta::MrmtpData { dst_root, flow, payload_off, ip_dst, repaired }) => {
-                    if self.note_keepalive(ctx, port) {
-                        return;
-                    }
-                    if self.my_root.map(|v| v.root_id()) == Some(dst_root) {
-                        // Terminal ToR: the metadata already carries the
-                        // inner destination, so de-encapsulation is a
-                        // slice, not a parse.
-                        self.deliver_to_host(ctx, ip_dst, &frame[payload_off as usize..]);
-                        return;
-                    }
-                    // Transit: the compiled-FIB decision, local repair
-                    // included, and the delivered frame moves on unchanged
-                    // (no copy, no count). The alloc_track scope is how
-                    // `tests/zero_alloc.rs` proves the router's decision
-                    // allocates nothing in steady state — including with
-                    // local repair active. It closes before the hand-off:
-                    // `send_meta` acts on the engine at once, and the
-                    // scheduler push it ends in is engine work; the deduped
-                    // repair span follows the frame.
-                    let mut note_repair = None;
-                    let forward = {
-                        let _scope = alloc_track::scope();
-                        let up_mask = ctx.port_up_mask();
-                        let up = |p| ctx.port(p).up;
-                        match self.next_hop_to(dst_root, flow, Some(port), repaired, up_mask, up) {
-                            Some((out, now_repaired)) => {
-                                self.stats.data_forwarded += 1;
-                                if now_repaired != repaired {
-                                    self.stats.locally_repaired += 1;
-                                    let (w, b) =
-                                        (dst_root as usize / 128, dst_root as usize % 128);
-                                    if self.repair_noted[w] & (1 << b) == 0 {
-                                        self.repair_noted[w] |= 1 << b;
-                                        note_repair = Some(out);
-                                    }
-                                }
-                                self.nbr.note_tx(out, ctx.now());
-                                Some((out, now_repaired))
-                            }
-                            None => {
-                                self.stats.data_dropped += 1;
-                                self.stats.blackholed_in_window += 1;
-                                None
-                            }
-                        }
-                    };
-                    if let Some((out, repaired)) = forward {
-                        ctx.send_meta(
-                            out,
-                            frame,
-                            FrameClass::Data,
-                            FrameMeta::MrmtpData { dst_root, flow, payload_off, ip_dst, repaired },
-                        );
-                        alloc_track::note_forward();
-                    }
-                    if let Some(out) = note_repair {
-                        ctx.trace_span(SpanEvent::LocalRepair { port: out });
-                    }
-                    return;
-                }
-                Some(FrameMeta::Ipv4Data { dst, flow, .. }) => {
-                    // Host ingress without the IPv4 re-parse; IPv4 frames
-                    // on fabric ports are ignored exactly as in the slow
-                    // path's ethertype dispatch.
-                    if self.is_host_port(port) {
-                        self.on_host_ip(ctx, &frame[ETHERNET_HEADER_LEN..], dst, flow);
-                    }
-                    return;
-                }
-                None => {}
+        match meta {
+            Some(FrameMeta::MrmtpHello) => {
+                // Pure keep-alive: skip both decodes entirely.
+                self.note_keepalive(ctx, port);
             }
+            Some(FrameMeta::MrmtpData { dst_root, flow, payload_off, ip_dst, repaired }) => {
+                if self.note_keepalive(ctx, port) {
+                    return;
+                }
+                if self.my_root.map(|v| v.root_id()) == Some(dst_root) {
+                    // Terminal ToR: the metadata already carries the
+                    // inner destination, so de-encapsulation is a
+                    // slice, not a parse.
+                    self.deliver_to_host(ctx, ip_dst, &frame[payload_off as usize..]);
+                    return;
+                }
+                // Transit: the router's one decision, local repair
+                // included, and the delivered frame moves on unchanged (no
+                // copy, no count). The alloc_track scope is how
+                // `tests/zero_alloc.rs` proves the decision allocates
+                // nothing in steady state — including with local repair
+                // active. It closes before the hand-off: `send_meta` acts
+                // on the engine at once, and the scheduler push it ends in
+                // is engine work; the deduped repair span follows the
+                // frame.
+                let mut note_repair = None;
+                let forward = {
+                    let _scope = alloc_track::scope();
+                    let up_mask = ctx.port_up_mask();
+                    let up = |p| ctx.port(p).up;
+                    match self.next_hop_to(dst_root, flow, Some(port), repaired, up_mask, up) {
+                        Some((out, now_repaired)) => {
+                            self.stats.data_forwarded += 1;
+                            if now_repaired != repaired {
+                                self.stats.locally_repaired += 1;
+                                let (w, b) = (dst_root as usize / 128, dst_root as usize % 128);
+                                if self.repair_noted[w] & (1 << b) == 0 {
+                                    self.repair_noted[w] |= 1 << b;
+                                    note_repair = Some(out);
+                                }
+                            }
+                            self.nbr.note_tx(out, ctx.now());
+                            Some((out, now_repaired))
+                        }
+                        None => {
+                            self.stats.data_dropped += 1;
+                            self.stats.blackholed_in_window += 1;
+                            None
+                        }
+                    }
+                };
+                if let Some((out, repaired)) = forward {
+                    ctx.send_meta(
+                        out,
+                        frame,
+                        FrameClass::Data,
+                        FrameMeta::MrmtpData { dst_root, flow, payload_off, ip_dst, repaired },
+                    );
+                    alloc_track::note_forward();
+                }
+                if let Some(out) = note_repair {
+                    ctx.trace_span(SpanEvent::LocalRepair { port: out });
+                }
+            }
+            Some(FrameMeta::Ipv4Data { dst, flow, .. }) => {
+                // Host ingress without the IPv4 re-parse; IPv4 frames
+                // on fabric ports are ignored exactly as in the slow
+                // path's ethertype dispatch.
+                if self.is_host_port(port) {
+                    self.on_host_ip(ctx, &frame[ETHERNET_HEADER_LEN..], dst, flow);
+                }
+            }
+            None => self.on_frame(ctx, port, &frame),
         }
-        self.on_frame(ctx, port, &frame)
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {

@@ -85,16 +85,15 @@ pub struct ChaosConfig {
     /// Flow samples walked per ToR pair when checking loop/black-hole
     /// invariants (each sample varies the UDP source port).
     pub flows_per_pair: usize,
-    /// Router tuning, as for a scripted run. The equivalence suite runs
-    /// the same seeds with `fast_path` off and compares digests;
-    /// `local_repair` is off by default so historical per-seed digests
-    /// are unchanged, and when on, the repair-loop invariant is
-    /// additionally checked.
+    /// Router tuning, as for a scripted run. `local_repair` is off by
+    /// default so historical per-seed digests are unchanged, and when
+    /// on, the repair-loop invariant is additionally checked.
     pub tuning: StackTuning,
     /// Cross-pod background flows run through the fault window so the
     /// per-router `blackholed_in_window` / `locally_repaired` counters
     /// measure real transit packets. 0 (the default) adds no senders and
-    /// leaves historical digests untouched.
+    /// leaves historical digests untouched. Pair `k` starts at ToR `k` of
+    /// the first PoD, so at most `params.tors_per_pod` pairs fit.
     pub traffic_pairs: usize,
 }
 
@@ -472,13 +471,13 @@ pub fn trace_digest(sim: &dcn_sim::Sim) -> u64 {
 /// the loss window local fast reroute closes.
 fn chaos_senders(fabric: &Fabric, addr: &Addressing, cfg: &ChaosConfig) -> Vec<(usize, SendSpec)> {
     let p = fabric.params;
+    assert!(cfg.traffic_pairs <= p.tors_per_pod, "more traffic pairs than ToRs per PoD");
     (0..cfg.traffic_pairs)
-        .map(|k| {
-            let tor = k % p.tors_per_pod;
+        .map(|tor| {
             let dst_ip = addr.server_addr(fabric.tor(p.pods - 1, tor), 0).expect("server address");
             // Distinct source ports spread the pairs across ECMP paths.
             let send = SendSpec {
-                src_port: 7000 + k as u16,
+                src_port: 7000 + tor as u16,
                 ..SendSpec::new(dst_ip, cfg.warmup, cfg.heal_at())
             };
             (fabric.server(0, tor, 0), send)

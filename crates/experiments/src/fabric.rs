@@ -53,7 +53,7 @@ impl Stack {
 /// Tunable protocol parameters for ablation studies (§IX: "tune timers
 /// for optimal performance of the protocols"). `None` fields keep the
 /// paper's defaults.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct StackTuning {
     /// Override every MR-MTP router's timer block.
     pub mrmtp_timers: Option<dcn_mrmtp::MrmtpTimers>,
@@ -63,29 +63,12 @@ pub struct StackTuning {
     pub bgp_hold: Option<dcn_sim::time::Duration>,
     /// Override the BFD transmit interval (paper: 100 ms).
     pub bfd_tx_interval: Option<dcn_sim::time::Duration>,
-    /// Data-plane fast path (compiled FIBs + parse-once metadata) on
-    /// every router. On by default; the equivalence suite turns it off
-    /// to prove trace digests are bit-identical either way.
-    pub fast_path: bool,
     /// Local fast reroute on every router: precomputed backup FIBs let
     /// the hop that observes a dead port repair forwarding in the data
     /// plane (at most once per packet). Off by default so the baseline
     /// reproduces the paper's loss windows; the equivalence suite proves
     /// `local_repair=off` digests are bit-identical to pre-repair code.
     pub local_repair: bool,
-}
-
-impl Default for StackTuning {
-    fn default() -> StackTuning {
-        StackTuning {
-            mrmtp_timers: None,
-            bgp_keepalive: None,
-            bgp_hold: None,
-            bfd_tx_interval: None,
-            fast_path: true,
-            local_repair: false,
-        }
-    }
 }
 
 /// A ready-to-run emulation plus the structural handles needed to inject
@@ -184,7 +167,8 @@ impl BuiltSim {
 
 /// Build the emulation with the paper's default timers and the default
 /// engine configuration. `senders` maps fabric server-node indices to
-/// what they should transmit.
+/// what they should transmit, one flow per server: a server listed twice
+/// panics.
 pub fn build_sim(
     params: ClosParams,
     stack: Stack,
@@ -197,7 +181,7 @@ pub fn build_sim(
 
 /// The general builder: any fabric (three- or four-tier), protocol-timer
 /// overrides, and full control over the engine's [`SimConfig`] (scheduler
-/// backend, tracing, carrier latency, wire impairment).
+/// backend, tracing, carrier latency).
 pub fn build_fabric_sim_cfg(
     fabric: Fabric,
     stack: Stack,
@@ -229,9 +213,12 @@ pub(crate) fn assemble(
                 let tor = fabric.tor(pod, tor_idx);
                 let ip = addr.server_addr(tor, idx).expect("server address");
                 let mut host = TrafficHost::new(ip);
-                if let Some((_, spec)) = senders.iter().find(|(n, _)| *n == i) {
+                let mut specs = senders.iter().filter(|(n, _)| *n == i);
+                if let Some((_, spec)) = specs.next() {
                     host = host.with_send(*spec);
                 }
+                // A host sends one flow: a second would be silently lost.
+                assert!(specs.next().is_none(), "senders lists server {} twice", node.name);
                 Box::new(host)
             }
             _ if stack == Stack::Mrmtp => build_mrmtp(&fabric, &addr, i, &tuning),
@@ -278,7 +265,6 @@ fn build_mrmtp(
     if let Some(t) = tuning.mrmtp_timers {
         cfg.timers = t;
     }
-    cfg.fast_path = tuning.fast_path;
     cfg.local_repair = tuning.local_repair;
     Box::new(MrmtpRouter::new(cfg, fabric.ports[i].len()))
 }
@@ -308,7 +294,6 @@ fn build_bgp(
     if let Some(b) = tuning.bfd_tx_interval {
         cfg.bfd_tx_interval = b;
     }
-    cfg.fast_path = tuning.fast_path;
     cfg.local_repair = tuning.local_repair;
     for (pi, pr) in fabric.ports[i].iter().enumerate() {
         match pr.kind {

@@ -1,26 +1,23 @@
 //! Equivalence suite for the engine's *invisible* optimizations.
 //!
-//! Two independent substitutions must never change observable behavior:
-//!
-//! 1. **Scheduler backends** — the timer wheel must be a drop-in
-//!    replacement for the reference binary heap.
-//! 2. **The data-plane fast path** — compiled FIBs plus parse-once frame
-//!    metadata must forward every packet exactly as the slow path's
-//!    decode → table-walk → re-encode does.
-//!
+//! One substitution must never change observable behavior: the timer
+//! wheel must be a drop-in replacement for the reference binary heap.
 //! For every paper failure case on both protocol stacks, and for
-//! randomized chaos schedules, a run's trace digest must be
-//! bit-identical whichever variant executes it — same events, same
-//! order, same bytes on the wire. The scheduler backend is *how* a run
-//! executes, so it is selected the way every engine option is: by the
-//! `SimConfig` handed to the executor. The fast path is router tuning,
-//! part of the spec's `StackTuning`.
+//! randomized chaos schedules, a run's trace digest must be bit-identical
+//! whichever backend executes it — same events, same order, same bytes
+//! on the wire. The scheduler backend is *how* a run executes, so it is
+//! selected the way every engine option is: by the `SimConfig` handed to
+//! the executor.
+//!
+//! That a router acts on parse-once frame metadata exactly as on the
+//! decoded frame is held where the routers live:
+//! `crates/core/tests/meshed_tree.rs` and `crates/bgp/tests/meta_invisible.rs`.
 
 mod golden;
 
-use dcn_experiments::chaos::{run_chaos, run_chaos_with, trace_digest};
+use dcn_experiments::chaos::{run_chaos_with, trace_digest};
 use dcn_experiments::scenario::execute;
-use dcn_experiments::{run_digest, ChaosConfig, RunSpec, Stack, StackTuning, TrafficDir};
+use dcn_experiments::{run_digest, RunSpec, Stack, TrafficDir};
 use dcn_sim::{SchedulerKind, SimConfig};
 use dcn_telemetry::{Telemetry, TelemetryConfig};
 use dcn_topology::{ClosParams, Fabric, FailureCase};
@@ -75,63 +72,6 @@ fn chaos_seeds_digest_identically_across_backends() {
             heap.digest, wheel.digest,
             "chaos seed {seed}: backends diverged"
         );
-    }
-}
-
-// ----------------------------------------------------------------------
-// Fast-path equivalence: compiled FIBs + parse-once metadata on vs off
-// ----------------------------------------------------------------------
-
-fn fast_path_invisible(spec: RunSpec) {
-    let on = run_digest(spec.with_fast_path(true));
-    let off = run_digest(spec.with_fast_path(false));
-    assert_eq!(on, off, "fast path changed behavior for {spec:?}");
-}
-
-#[test]
-fn fast_path_digest_identical_on_mrmtp_tc_cases() {
-    // Traffic pins monitored flows onto the failure chain so the digest
-    // covers data forwarding through the event, not just control plane.
-    for tc in [FailureCase::Tc1, FailureCase::Tc2, FailureCase::Tc3, FailureCase::Tc4] {
-        fast_path_invisible(
-            RunSpec::new(ClosParams::two_pod(), Stack::Mrmtp)
-                .failing(tc)
-                .with_traffic(TrafficDir::NearToFar),
-        );
-    }
-}
-
-#[test]
-fn fast_path_digest_identical_on_bgp_tc_cases() {
-    for tc in [FailureCase::Tc1, FailureCase::Tc2, FailureCase::Tc3, FailureCase::Tc4] {
-        fast_path_invisible(
-            RunSpec::new(ClosParams::two_pod(), Stack::BgpEcmp)
-                .failing(tc)
-                .with_traffic(TrafficDir::FarToNear),
-        );
-    }
-}
-
-#[test]
-fn fast_path_digest_identical_with_bfd() {
-    fast_path_invisible(
-        RunSpec::new(ClosParams::two_pod(), Stack::BgpEcmpBfd)
-            .failing(FailureCase::Tc1)
-            .with_traffic(TrafficDir::NearToFar),
-    );
-}
-
-#[test]
-fn fast_path_digest_identical_under_chaos() {
-    // Chaos adds loss, corruption, jitter, flaps, and crashes — the
-    // fast path must shrug all of it off (corrupted frames drop their
-    // metadata in transit and fall back to the slow path).
-    let slow = StackTuning { fast_path: false, ..StackTuning::default() };
-    let slow_cfg = ChaosConfig { tuning: slow, ..quick_chaos() };
-    for (stack, seed) in [(Stack::Mrmtp, 21u64), (Stack::Mrmtp, 22), (Stack::BgpEcmp, 23)] {
-        let on = run_chaos(seed, stack, &quick_chaos());
-        let off = run_chaos(seed, stack, &slow_cfg);
-        assert_eq!(on.digest, off.digest, "{} chaos seed {seed}: fast path diverged", stack.label());
     }
 }
 

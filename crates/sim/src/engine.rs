@@ -71,9 +71,6 @@ pub struct SimConfig {
     /// How long after an injected interface failure the owning node's
     /// protocol hears about it (netlink notification delay).
     pub carrier_latency: Duration,
-    /// Impairment installed on every link at build time (individual links
-    /// can still be overridden later via [`Sim::set_impairment`]).
-    pub impairment: Impairment,
     /// Event-scheduler backend. Both orders are bit-identical; the wheel
     /// is the fast default, the heap the reference for equivalence tests.
     pub scheduler: SchedulerKind,
@@ -84,7 +81,6 @@ impl Default for SimConfig {
         SimConfig {
             trace: true,
             carrier_latency: 500 * MICROS,
-            impairment: Impairment::none(),
             scheduler: SchedulerKind::default(),
         }
     }
@@ -164,13 +160,7 @@ impl SimBuilder {
 
     /// Finalize. Every node receives `on_start` at time zero.
     pub fn build(self) -> Sim {
-        let mut links = self.links;
-        if !self.config.impairment.is_none() {
-            for link in &mut links {
-                link.impairment = self.config.impairment;
-            }
-        }
-        let chaos = (0..links.len())
+        let chaos = (0..self.links.len())
             .map(|li| {
                 [
                     DetRng::new(self.seed, CHAOS_SALT.wrapping_add(li as u64 * 2)),
@@ -183,7 +173,7 @@ impl SimBuilder {
             time: 0,
             queue: Scheduler::new(self.config.scheduler),
             nodes: self.nodes,
-            links,
+            links: self.links,
             chaos,
             trace: if self.config.trace { Trace::enabled() } else { Trace::disabled() },
             carrier_latency: self.config.carrier_latency,
@@ -510,11 +500,6 @@ impl Sim {
         };
         self.core.queue.push(at, key, event);
         true
-    }
-
-    /// Replace the impairment on one link.
-    pub fn set_impairment(&mut self, link: LinkId, imp: Impairment) {
-        self.core.links[link.index()].impairment = imp;
     }
 
     /// Replace the impairment on every link (e.g. to end a chaos window).

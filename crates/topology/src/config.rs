@@ -7,7 +7,6 @@
 
 use crate::addressing::Addressing;
 use crate::clos::{Fabric, PortKind, Role};
-use crate::json::Json;
 
 /// Render the FRR-style BGP configuration for one router, in the shape of
 /// the paper's Listing 1 (datacenter defaults, per-neighbor BFD peers with
@@ -64,53 +63,36 @@ pub fn bgp_router_config(fabric: &Fabric, addr: &Addressing, node: usize, bfd: b
 /// Render the single MR-MTP fabric configuration file, in the shape of the
 /// paper's Listing 2: leaf list, the leaf→rack-interface dictionary, top
 /// spines, and per-PoD spine lists. Nodes learn everything else (VIDs,
-/// neighbors, trees) from the protocol itself.
+/// neighbors, trees) from the protocol itself. The shape is fixed, so the
+/// JSON is written directly; node names need no escaping.
 pub fn mrmtp_fabric_config(fabric: &Fabric) -> String {
-    let leaves: Vec<Json> = fabric
-        .routers()
-        .filter(|&n| matches!(fabric.nodes[n].role, Role::Tor { .. }))
-        .map(|n| Json::str(&fabric.nodes[n].name))
-        .collect();
+    let name = |n: usize| format!("\"{}\"", fabric.nodes[n].name);
+    let list = |nodes: &mut dyn Iterator<Item = usize>| {
+        format!("[{}]", nodes.map(name).collect::<Vec<_>>().join(", "))
+    };
+    let leaves = || fabric.routers().filter(|&n| matches!(fabric.nodes[n].role, Role::Tor { .. }));
     // Which interface on each leaf faces the rack (the only per-node fact
     // MR-MTP cannot self-derive).
-    let mut leaf_ports = Vec::new();
-    for n in fabric.routers() {
-        if !matches!(fabric.nodes[n].role, Role::Tor { .. }) {
-            continue;
-        }
-        let rack_port = fabric.ports[n]
-            .iter()
-            .position(|p| matches!(p.kind, PortKind::Host))
-            .expect("every leaf has a rack port");
-        leaf_ports.push((
-            fabric.nodes[n].name.clone(),
-            Json::str(format!("eth{rack_port}")),
-        ));
-    }
-    let top: Vec<Json> = (0..fabric.params.top_spines())
-        .map(|k| Json::str(&fabric.nodes[fabric.top_spine(k)].name))
-        .collect();
-    let pods: Vec<Json> = (0..fabric.params.pods)
-        .map(|p| {
-            let spines: Vec<Json> = (0..fabric.params.spines_per_pod)
-                .map(|j| Json::str(&fabric.nodes[fabric.pod_spine(p, j)].name))
-                .collect();
-            Json::obj(vec![("podSpines", Json::Arr(spines))])
+    let leaf_ports: Vec<String> = leaves()
+        .map(|n| {
+            let rack_port = fabric.ports[n].iter().position(|p| matches!(p.kind, PortKind::Host));
+            format!("      {}: \"eth{}\"", name(n), rack_port.expect("every leaf has a rack port"))
         })
         .collect();
-    Json::obj(vec![(
-        "topology",
-        Json::Obj(vec![
-            ("leaves".into(), Json::Arr(leaves)),
-            (
-                "leavesNetworkPortDict".into(),
-                Json::Obj(leaf_ports),
-            ),
-            ("topSpines".into(), Json::Arr(top)),
-            ("pods".into(), Json::Arr(pods)),
-        ]),
-    )])
-    .pretty()
+    let p = fabric.params;
+    let pods: Vec<String> = (0..p.pods)
+        .map(|pod| {
+            let spines = list(&mut (0..p.spines_per_pod).map(|j| fabric.pod_spine(pod, j)));
+            format!("      {{\n        \"podSpines\": {spines}\n      }}")
+        })
+        .collect();
+    let mut out = String::from("{\n  \"topology\": {\n");
+    out += &format!("    \"leaves\": {},\n", list(&mut leaves()));
+    out += &format!("    \"leavesNetworkPortDict\": {{\n{}\n    }},\n", leaf_ports.join(",\n"));
+    let top = list(&mut (0..p.top_spines()).map(|k| fabric.top_spine(k)));
+    out += &format!("    \"topSpines\": {top},\n");
+    out += &format!("    \"pods\": [\n{}\n    ]\n", pods.join(",\n"));
+    out + "  }\n}"
 }
 
 /// Configuration-burden statistics for the §VII-G comparison.

@@ -27,7 +27,6 @@
 pub mod addressing;
 pub mod clos;
 pub mod config;
-pub mod json;
 
 pub use addressing::{Addressing, RouterLinkAddr};
 pub use clos::{ClosParams, Fabric, FailureCase, FourTierParams, NodeSpec, PortKind, PortRef, Role};

@@ -12,9 +12,10 @@
 //! that produced the frame, so it is truthful by construction. The one
 //! in-flight mutation the emulator performs — impairment byte corruption
 //! — drops the metadata, forcing the receiver back onto the validating
-//! decode path. A receiver with its fast path disabled ignores metadata
-//! entirely; behavior (and therefore the trace digest) is identical
-//! either way.
+//! decode path. Behavior (and therefore the trace digest) is identical
+//! either way: the router crates' tests (`dcn-mrmtp`'s `meshed_tree.rs`,
+//! `dcn-bgp`'s `meta_invisible.rs`) run every router with its metadata
+//! stripped and compare traces and frames.
 
 use crate::ipv4::IpAddr4;
 

@@ -458,6 +458,10 @@ fn cmd_chaos(a: &Args) {
     if cfg.seeds == 0 {
         fail("chaos: need at least one seed");
     }
+    let tors = cfg.chaos.params.tors_per_pod;
+    if cfg.chaos.traffic_pairs > tors {
+        fail(&format!("chaos: --traffic-pairs is at most {tors}, one per ToR of a PoD"));
+    }
     eprintln!(
         "chaos campaign: {} seeds × {} stacks (determinism check: {})…",
         cfg.seeds,

@@ -110,6 +110,9 @@ fn a_malformed_number_is_rejected() {
     assert_rejected(&["sweep", "0"]);
     assert_rejected(&["sweep", "1"]);
     assert_rejected(&["sweep", "3"]);
+    // Used to run 3 and 4 pairs as 2 on the 2-PoD fabric; names the limit.
+    assert_rejected(&["chaos", "--traffic-pairs", "3"]);
+    assert!(String::from_utf8_lossy(&fcr(&["chaos", "--traffic-pairs", "3"]).stderr).contains("at most 2"));
 }
 
 #[test]
