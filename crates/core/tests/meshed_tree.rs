@@ -81,8 +81,19 @@ impl Protocol for TestHost {
 
 /// The MR-MTP router at fabric node `i`.
 fn router(fabric: &Fabric, addr: &Addressing, i: usize) -> Box<dyn Protocol> {
+    Box::new(MrmtpRouter::new(config(fabric, addr, i), fabric.ports[i].len()))
+}
+
+/// [`router`] with local fast reroute on.
+fn repairing(fabric: &Fabric, addr: &Addressing, i: usize) -> Box<dyn Protocol> {
+    let cfg = MrmtpConfig { local_repair: true, ..config(fabric, addr, i) };
+    Box::new(MrmtpRouter::new(cfg, fabric.ports[i].len()))
+}
+
+/// The configuration [`router`] builds.
+fn config(fabric: &Fabric, addr: &Addressing, i: usize) -> MrmtpConfig {
     let node = &fabric.nodes[i];
-    let cfg = match node.role {
+    match node.role {
         Role::Tor { .. } => {
             let host_ports = (fabric.ports[i].iter().enumerate())
                 .filter(|(_, p)| p.kind == PortKind::Host)
@@ -93,8 +104,7 @@ fn router(fabric: &Fabric, addr: &Addressing, i: usize) -> Box<dyn Protocol> {
             MrmtpConfig::tor(node.name.clone(), tor)
         }
         _ => MrmtpConfig::spine(node.name.clone(), node.tier),
-    };
-    Box::new(MrmtpRouter::new(cfg, fabric.ports[i].len()))
+    }
 }
 
 /// Build an emulation of `params` running MR-MTP everywhere. Returns the
@@ -389,4 +399,9 @@ fn metadata_is_invisible_to_mrmtp() {
     let fabric = Fabric::build(wide);
     assert_eq!(fabric.ports[fabric.tor(0, 0)].len(), 132);
     strip_meta::assert_invisible("mr-mtp wide", wide, &router);
+}
+
+#[test]
+fn mrmtp_never_repairs_a_bare_frame() {
+    strip_meta::assert_bare_frames_never_repaired("mr-mtp", ClosParams::two_pod(), &repairing);
 }

@@ -7,10 +7,16 @@
 //! from the first uplink. A fresh packet is repaired onto the other
 //! uplink, never back out of its arrival port; an already-repaired packet
 //! is dropped instead of climbing again.
+//!
+//! A frame that arrives bare — corruption in flight strips a frame of its
+//! metadata, and with it the repair bit — is parsed by the router and
+//! never repaired: it takes the pick local repair off would make. And a
+//! transit router parses no further than the MR-MTP header, so a corrupt
+//! inner IPv4 header is dropped only where the packet leaves the fabric.
 
 use std::any::Any;
 
-use dcn_mrmtp::{MrmtpConfig, MrmtpRouter, TorConfig};
+use dcn_mrmtp::{MrmtpConfig, MrmtpRouter, RouterStats, TorConfig};
 use dcn_sim::link::LinkSpec;
 use dcn_sim::time::{millis, Time, MICROS, SECONDS};
 use dcn_sim::{Ctx, FrameBuf, FrameClass, FrameMeta, NodeId, PortId, Protocol, SimBuilder};
@@ -35,6 +41,20 @@ struct Upper {
 fn mrmtp_frame(ctx: &Ctx<'_>, payload: Vec<u8>) -> Vec<u8> {
     let (dst, src) = (MacAddr::BROADCAST, MacAddr::for_node_port(ctx.node().0, 0));
     EthernetFrame { dst, src, ethertype: EtherType::Mrmtp, payload }.encode()
+}
+
+/// The server behind ToR `ROOT` that every data frame is for.
+const IP_DST: IpAddr4 = IpAddr4::new(192, 168, ROOT, 1);
+
+/// The IPv4 packet every data frame encapsulates.
+fn packet() -> Vec<u8> {
+    Ipv4Packet::new(IpAddr4::new(192, 168, 12, 1), IP_DST, IPPROTO_UDP, vec![0; 8]).encode()
+}
+
+/// The data frame of flow `flow` for tree `ROOT`, encapsulating `ip`.
+fn data_frame(ctx: &Ctx<'_>, flow: u16, ip: Vec<u8>) -> Vec<u8> {
+    let (src, dst) = (Vid::root(12), Vid::root(ROOT));
+    mrmtp_frame(ctx, MrmtpMsg::Data { src, dst, flow, payload: ip }.encode())
 }
 
 impl Protocol for Upper {
@@ -63,13 +83,11 @@ impl Protocol for Upper {
             return;
         }
         let (flow, repaired) = self.sends[token as usize];
-        let ip_dst = IpAddr4::new(192, 168, ROOT, 1);
-        let ip = Ipv4Packet::new(IpAddr4::new(192, 168, 12, 1), ip_dst, IPPROTO_UDP, vec![0; 8]);
         let (src, dst) = (Vid::root(12), Vid::root(ROOT));
-        let data = MrmtpMsg::Data { src, dst, flow, payload: ip.encode() };
         let payload_off = (ETHERNET_HEADER_LEN + MrmtpMsg::data_header_len(src, dst)) as u16;
-        let meta = FrameMeta::MrmtpData { dst_root: ROOT, flow, payload_off, ip_dst, repaired };
-        ctx.send_meta(PortId(0), mrmtp_frame(ctx, data.encode()), FrameClass::Data, meta);
+        let meta =
+            FrameMeta::MrmtpData { dst_root: ROOT, flow, payload_off, ip_dst: IP_DST, repaired };
+        ctx.send_meta(PortId(0), data_frame(ctx, flow, packet()), FrameClass::Data, meta);
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -112,4 +130,91 @@ fn a_packet_is_repaired_at_most_once() {
     assert_eq!(got(u2), [true, true], "the two fresh packets, repaired onto the other uplink");
     let stats = sim.node_as::<MrmtpRouter>(s).unwrap().stats();
     assert_eq!((stats.locally_repaired, stats.data_dropped, stats.blackholed_in_window), (2, 2, 2));
+}
+
+/// [`Upper`] whose data frames arrive bare, as a frame does that
+/// corruption in flight stripped of its metadata: the spine has to parse
+/// them. With `corrupt`, the inner IPv4 header fails its checksum, as
+/// after a bit flip there.
+struct Bare {
+    upper: Upper,
+    corrupt: bool,
+}
+
+impl Protocol for Bare {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        self.upper.on_start(ctx)
+    }
+
+    fn on_frame(&mut self, _ctx: &mut Ctx<'_>, _port: PortId, _frame: &FrameBuf) {}
+
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+        if token == TICK {
+            return self.upper.on_timer(ctx, token);
+        }
+        let (flow, _) = self.upper.sends[token as usize];
+        let mut ip = packet();
+        if self.corrupt {
+            ip[10] ^= 0x01; // the header checksum's first byte
+        }
+        ctx.send(PortId(0), data_frame(ctx, flow, ip), FrameClass::Data);
+    }
+
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+/// The setup of [`a_packet_is_repaired_at_most_once`] with `upper` on the
+/// spine's first uplink, run to 1 ms after `DOWN_AT`, and the down port to
+/// ToR `ROOT` taken down at `DOWN_AT` if `fail`: the spine's and the ToR's
+/// stats.
+fn run_bare(upper: Bare, local_repair: bool, fail: bool) -> (RouterStats, RouterStats) {
+    let tor = TorConfig {
+        rack_subnet: Prefix::new(IpAddr4::new(192, 168, ROOT, 0), 24),
+        host_ports: vec![],
+    };
+    let mut spine = MrmtpConfig::spine("S", 2);
+    spine.local_repair = local_repair;
+    let mut b = SimBuilder::new(1);
+    let t = b.add_node("T", Box::new(MrmtpRouter::new(MrmtpConfig::tor("T", tor), 1)));
+    let s = b.add_node("S", Box::new(MrmtpRouter::new(spine, 3)));
+    let u1 = b.add_node("U1", Box::new(upper));
+    let u2 = b.add_node("U2", Box::new(Upper { sends: vec![], got: vec![] }));
+    for peer in [t, u1, u2] {
+        b.add_link(s, peer, LinkSpec::default());
+    }
+    let mut sim = b.build();
+    if fail {
+        sim.schedule_port_down(DOWN_AT, s, PortId(0));
+    }
+    sim.run_until(DOWN_AT + millis(1));
+    let stats = |n: NodeId| sim.node_as::<MrmtpRouter>(n).unwrap().stats();
+    (stats(s), stats(t))
+}
+
+#[test]
+fn a_bare_frame_is_never_repaired() {
+    // The two fresh packets the metadata test repairs, sent bare.
+    let sends = vec![(0, false), (1, false)];
+    let bare = || Bare { upper: Upper { sends: sends.clone(), got: vec![] }, corrupt: false };
+    let data = |s: RouterStats| (s.data_forwarded, s.data_dropped, s.blackholed_in_window);
+    let (on, _) = run_bare(bare(), true, true);
+    let (off, _) = run_bare(bare(), false, true);
+    assert_eq!(on.locally_repaired, 0, "a bare frame was repaired: {on:?}");
+    assert_eq!(data(on), data(off), "local repair changed how the spine handles bare frames");
+    assert_eq!(on.data_forwarded + on.data_dropped, 2, "both packets reached the spine: {on:?}");
+}
+
+#[test]
+fn a_corrupt_inner_header_is_dropped_only_at_the_destination_tor() {
+    let upper = Upper { sends: vec![(0, false)], got: vec![] };
+    let (spine, tor) = run_bare(Bare { upper, corrupt: true }, false, false);
+    assert_eq!((spine.data_forwarded, spine.malformed_frames_dropped), (1, 0), "{spine:?}");
+    assert_eq!((tor.data_dropped, tor.malformed_frames_dropped), (1, 1), "{tor:?}");
+    assert_eq!(tor.data_delivered, 0);
 }

@@ -6,14 +6,16 @@
 //! catches the right frame length with the wrong bytes). The fabric is
 //! built by hand, as `meshed_tree.rs` does, from the caller's router
 //! constructor; the first and last server of each ToR in the outermost
-//! PoDs send a paced flow to their mirror in the other one.
+//! PoDs send a paced flow to their mirror in the other one. The same
+//! runs show that local repair acts on metadata only: a frame handed
+//! over bare is never repaired.
 
 use std::any::Any;
 use std::cell::Cell;
 use std::rc::Rc;
 
 use dcn_sim::link::LinkSpec;
-use dcn_sim::time::{MICROS, MILLIS, SECONDS};
+use dcn_sim::time::{Duration, MICROS, MILLIS, SECONDS};
 use dcn_sim::{
     Ctx, FrameBuf, FrameMeta, Hash64, Impairment, NodeId, PortId, Protocol, SimBuilder,
     StatsSnapshot, Time,
@@ -84,14 +86,26 @@ const TRAFFIC_AT: Time = 5 * SECONDS;
 const FAIL_AT: Time = TRAFFIC_AT + 200 * MILLIS;
 const END: Time = FAIL_AT + 3500 * MILLIS;
 
+/// When the servers send: from, until, and one packet every.
+type Pace = (Time, Time, Duration);
+
+/// Steady traffic across the failure and the convergence after it.
+const STEADY: Pace = (TRAFFIC_AT, END, 4 * MILLIS);
+
+/// Around the failure only, paced so that the 500 µs carrier latency,
+/// the window local repair acts in, spans many packets.
+const DENSE: Pace = (FAIL_AT - 2 * MILLIS, FAIL_AT + 8 * MILLIS, 25 * MICROS);
+
 /// What one run shows: the trace digest, the fold of the frames each
-/// node was handed, and the packets the servers sent and received.
+/// node was handed, the packets the servers sent and received, and the
+/// packets the routers repaired.
 #[derive(PartialEq, Debug)]
 struct Observed {
     digest: u64,
     frames: Vec<u64>,
     sent: u64,
     arrived: u64,
+    repaired: u64,
 }
 
 /// One run: `tc` fails at [`FAIL_AT`]; with `impaired` every link loses,
@@ -103,6 +117,7 @@ fn observe(
     tc: FailureCase,
     impaired: bool,
     strip: bool,
+    pace: Pace,
 ) -> Observed {
     let fabric = Fabric::build(params);
     let addr = Addressing::new(&fabric);
@@ -112,7 +127,7 @@ fn observe(
         let inner: Box<dyn Protocol> = match node.role {
             Role::Server { pod, tor_idx, idx } => {
                 let host = TrafficHost::new(addr.server_addr(fabric.tor(pod, tor_idx), idx).unwrap());
-                Box::new(match send_spec(&fabric, &addr, pod, tor_idx, idx) {
+                Box::new(match send_spec(&fabric, &addr, pod, tor_idx, idx, pace) {
                     Some(spec) => host.with_send(spec),
                     None => host,
                 })
@@ -143,19 +158,32 @@ fn observe(
     let hosts = fabric.nodes.iter().enumerate().filter(|(_, n)| !n.role.is_router());
     let hosts = hosts.map(|(i, _)| sim.node_as::<TrafficHost>(NodeId(i as u32)).unwrap());
     let (sent, arrived) = hosts.fold((0, 0), |(s, a), h| (s + h.sent(), a + h.report(0).arrived));
-    Observed { digest: h.finish(), frames: seen.iter().map(|s| s.get()).collect(), sent, arrived }
+    let repaired = (0..sim.node_count() as u32)
+        .filter_map(|n| sim.stats_snapshot_of(NodeId(n)))
+        .flat_map(|s| s.counters())
+        .filter_map(|(name, v)| (name == "locally_repaired").then_some(v))
+        .sum();
+    let frames = seen.iter().map(|s| s.get()).collect();
+    Observed { digest: h.finish(), frames, sent, arrived, repaired }
 }
 
 /// Each flow on its own source port, so the flows spread over the ECMP
-/// members, one packet every 4 ms.
-fn send_spec(fabric: &Fabric, addr: &Addressing, pod: usize, tor: usize, idx: usize) -> Option<SendSpec> {
+/// members, paced by `pace`.
+fn send_spec(
+    fabric: &Fabric,
+    addr: &Addressing,
+    pod: usize,
+    tor: usize,
+    idx: usize,
+    (start, end, interval): Pace,
+) -> Option<SendSpec> {
     let (last, servers) = (fabric.params.pods - 1, fabric.params.servers_per_tor);
     if (pod != 0 && pod != last) || (idx != 0 && idx != servers - 1) {
         return None;
     }
     let dst = addr.server_addr(fabric.tor(last - pod, tor), idx).unwrap();
     let src_port = 7000 + fabric.server(pod, tor, idx) as u16;
-    Some(SendSpec { src_port, interval: 4 * MILLIS, ..SendSpec::new(dst, TRAFFIC_AT, END) })
+    Some(SendSpec { src_port, interval, ..SendSpec::new(dst, start, end) })
 }
 
 /// TC1–TC4 on `params`, each clean and impaired: the run with metadata
@@ -164,10 +192,25 @@ fn send_spec(fabric: &Fabric, addr: &Addressing, pod: usize, tor: usize, idx: us
 pub fn assert_invisible(label: &str, params: ClosParams, router: RouterFn<'_>) {
     for tc in FailureCase::ALL {
         for impaired in [false, true] {
-            let with = observe(params, router, tc, impaired, false);
-            let without = observe(params, router, tc, impaired, true);
+            let with = observe(params, router, tc, impaired, false, STEADY);
+            let without = observe(params, router, tc, impaired, true, STEADY);
             assert_eq!(with, without, "{label} {tc:?} impaired={impaired}");
             assert!(with.arrived * 2 > with.sent, "{label} {tc:?}: {with:?}");
         }
     }
+}
+
+/// Local repair acts on the repair bit the metadata carries, so a frame
+/// handed over bare, which the router has to parse, is never repaired:
+/// with `router` built with `local_repair` on and dense traffic across
+/// TC1–TC4, the runs with metadata repair packets and the runs without
+/// repair none.
+pub fn assert_bare_frames_never_repaired(label: &str, params: ClosParams, router: RouterFn<'_>) {
+    let mut repaired = 0;
+    for tc in FailureCase::ALL {
+        repaired += observe(params, router, tc, false, false, DENSE).repaired;
+        let bare = observe(params, router, tc, false, true, DENSE);
+        assert_eq!(bare.repaired, 0, "{label} {tc:?}: a bare frame was repaired");
+    }
+    assert!(repaired > 0, "{label}: no packet with metadata was repaired either");
 }

@@ -84,12 +84,16 @@ fn chaos_seeds_digest_identically_across_backends() {
 /// `cargo run --release -p dcn-experiments --example golden_digests`).
 /// With `local_repair` off — the default — the backup-FIB compilation,
 /// the repair lookup stages, and the `repaired` frame flag must all be
-/// invisible: same events, same order, same bytes on the wire. Last
-/// regenerated when the digest's definition became `trace64/v1`
-/// (canonical records through `hash64`, DESIGN.md §16), in a commit whose
-/// version of this test also held every cell's run to its previous pin
-/// under the previous definition — so the values still pin the behaviour
-/// of the polling-tick routers the first pins were taken from.
+/// invisible: same events, same order, same bytes on the wire. The
+/// first eleven cells were last regenerated when the digest's definition
+/// became `trace64/v1` (canonical records through `hash64`, DESIGN.md
+/// §16), in a commit whose version of this test also held every cell's
+/// run to its previous pin under the previous definition — so the values
+/// still pin the behaviour of the polling-tick routers the first pins
+/// were taken from. The four chaos cells with traffic came later, pinned
+/// before the code they guard changed: they are the runs whose routers
+/// parse data frames that corruption stripped of their metadata, and the
+/// one repair-on cell holds that such a frame is never repaired.
 #[test]
 fn local_repair_off_matches_pre_change_golden_digests() {
     // Line by line first, so a drift names its cell; then the whole file,

@@ -1,4 +1,4 @@
-//! The 11 golden cells: the runs whose trace digests `golden_digests.txt`
+//! The 15 golden cells: the runs whose trace digests `golden_digests.txt`
 //! pins. Shared by `tests/equivalence.rs`, which checks the file, and
 //! `examples/golden_digests.rs`, which writes it — one list of cells and
 //! one `quick_chaos()`, so the two cannot disagree about what is pinned.
@@ -6,7 +6,7 @@
 use std::fmt::Write as _;
 
 use dcn_experiments::chaos::{run_chaos, ChaosConfig};
-use dcn_experiments::{run_digest, Failure, RunSpec, Stack, TrafficDir};
+use dcn_experiments::{run_digest, Failure, RunSpec, Stack, StackTuning, TrafficDir};
 use dcn_sim::time::{MICROS, MILLIS, SECONDS};
 use dcn_sim::Impairment;
 use dcn_topology::{ClosParams, FailureCase};
@@ -32,10 +32,12 @@ pub fn quick_chaos() -> ChaosConfig {
 
 /// The text of `golden_digests.txt`: one `label digest` line per cell —
 /// TC1–TC4 on MR-MTP and BGP with traffic pinned onto the failure chain,
-/// then three chaos seeds.
+/// then three chaos seeds, then four chaos seeds with two traffic pairs
+/// through the corrupting fault window: the runs in which routers parse
+/// data frames that lost their metadata, MR-MTP's also with local repair.
 pub fn golden_table() -> String {
     let mut out = String::from(
-        "# Trace digests (trace64/v1) of the 11 golden cells. Do not edit by hand:\n\
+        "# Trace digests (trace64/v1) of the 15 golden cells. Do not edit by hand:\n\
          # cargo run --release -p dcn-experiments --example golden_digests\n",
     );
     let mut line = |label: String, digest: u64| {
@@ -50,6 +52,21 @@ pub fn golden_table() -> String {
     for (stack, seed) in [(Stack::Mrmtp, 21u64), (Stack::Mrmtp, 22), (Stack::BgpEcmp, 23)] {
         let run = run_chaos(seed, stack, &quick_chaos());
         line(format!("chaos {} {seed}", stack.slug()), run.digest);
+    }
+    let traffic = |local_repair| ChaosConfig {
+        traffic_pairs: 2,
+        tuning: StackTuning { local_repair, ..StackTuning::default() },
+        ..quick_chaos()
+    };
+    for (stack, seed, repair) in [
+        (Stack::Mrmtp, 22u64, false),
+        (Stack::Mrmtp, 22, true),
+        (Stack::BgpEcmp, 23, false),
+        (Stack::BgpEcmpBfd, 24, false),
+    ] {
+        let run = run_chaos(seed, stack, &traffic(repair));
+        let label = if repair { "traffic repair" } else { "traffic" };
+        line(format!("chaos {} {seed} {label}", stack.slug()), run.digest);
     }
     out
 }
