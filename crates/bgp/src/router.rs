@@ -95,8 +95,8 @@ pub struct BgpStats {
     /// Frames that failed wire decoding (e.g. corrupted in flight) and
     /// were dropped instead of processed.
     pub malformed_frames_dropped: u64,
-    /// Data packets the local-repair fast path steered around a dead
-    /// egress (always 0 with `local_repair` off).
+    /// Data packets local fast reroute steered around a dead egress
+    /// (always 0 with `local_repair` off).
     pub locally_repaired: u64,
     /// Loss-window blackholes: packets with no route left, plus packets
     /// the ECMP hash sent into a locally-dead egress (the send still
@@ -115,7 +115,7 @@ pub struct BgpRouter {
     port_peer: BTreeMap<PortId, usize>,
     /// The empty path behind our ASN in what we export for a local prefix.
     no_path: AsPath,
-    /// Compiled Loc-RIB for the data-plane fast path, rebuilt lazily
+    /// Compiled Loc-RIB for the data path, rebuilt lazily
     /// whenever `fib_key` no longer matches [`Rib::version`].
     fib: CompiledFib,
     fib_key: Option<u64>,
@@ -603,6 +603,13 @@ impl BgpRouter {
         }
     }
 
+    /// The peer whose session `dst` arriving on `port` belongs to: traffic
+    /// addressed to our side of that fabric link.
+    fn session_peer(&self, port: PortId, dst: IpAddr4) -> Option<usize> {
+        let &peer_idx = self.port_peer.get(&port)?;
+        (dst == self.peers[peer_idx].cfg.local_ip).then_some(peer_idx)
+    }
+
     /// Session traffic addressed to our side of a fabric link: TCP
     /// segments of the BGP session, BFD control packets over UDP.
     fn on_control(&mut self, ctx: &mut Ctx<'_>, port: PortId, peer_idx: usize, pkt: &Ipv4View<'_>) {
@@ -647,8 +654,8 @@ impl BgpRouter {
     // Data plane
     // ------------------------------------------------------------------
 
-    /// The forwarding decision that both data paths of this router, and
-    /// the chaos walker, ask: the egress toward `dst` for flow hash `flow`
+    /// The forwarding decision that this router's data path and the chaos
+    /// walker ask: the egress toward `dst` for flow hash `flow`
     /// (longest-prefix match, then ECMP) and the packet's repair bit after
     /// this hop. The pick reads no liveness, so it may be a dead port,
     /// where the packet is lost on the wire. The lazily recompiled
@@ -687,88 +694,47 @@ impl BgpRouter {
         }
     }
 
-    /// Rack delivery, shared by both forwarding paths: send the IPv4 frame
-    /// `frame(mac)` makes toward the server's port, `mac` that port's
+    /// Rack delivery: `frame` toward the server's port, that port's
     /// address in both MAC fields.
-    fn deliver(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        dst: IpAddr4,
-        frame: impl FnOnce(MacAddr) -> FrameBuf,
-    ) {
+    fn deliver(&mut self, ctx: &mut Ctx<'_>, dst: IpAddr4, frame: FrameBuf) {
         let Some(&(_, port)) = self.cfg.host_ports.iter().find(|(ip, _)| *ip == dst) else {
             self.stats.data_dropped += 1;
             return;
         };
-        let frame = frame(MacAddr::for_node_port(ctx.node().0, port.0));
+        let mac = MacAddr::for_node_port(ctx.node().0, port.0);
+        let frame = frame.rewrite(|b| EthernetFrame::put_header(b, mac, mac, EtherType::Ipv4));
         self.stats.data_delivered += 1;
         ctx.send(port, frame, FrameClass::Data);
     }
 
-    /// The validating slow path: `pkt` is the parsed view of `ip_bytes`. A
-    /// header that parses is the one layout `put_header` writes, so trimming
-    /// to the total length is all a decode → re-encode would change.
-    fn forward_data(&mut self, ctx: &mut Ctx<'_>, ip_bytes: &[u8], pkt: &Ipv4View<'_>) {
-        if self.cfg.rack_subnet.is_some_and(|rack| rack.contains(pkt.dst)) {
-            let ip_bytes = &ip_bytes[..IPV4_HEADER_LEN + pkt.payload.len()];
-            self.deliver(ctx, pkt.dst, |mac| {
-                EthernetFrame::build(mac, mac, EtherType::Ipv4, ip_bytes.len(), |b| {
-                    b.copy_from_slice(ip_bytes)
-                })
-            });
-            return;
-        }
-        if pkt.ttl <= 1 {
-            self.stats.data_dropped += 1;
-            return;
-        }
-        let up = |p| ctx.port(p).up;
-        let Some((port, _)) = self.next_hop(pkt.dst, flow_hash_of(pkt), None, false, up) else {
-            self.stats.data_dropped += 1;
-            self.stats.blackholed_in_window += 1;
-            return;
-        };
-        if !ctx.port(port).up {
-            // The hash landed on a locally-dead egress: the send below
-            // still happens (the RIB carries no liveness), but the packet
-            // is lost on the wire — count it toward the loss window.
-            self.stats.blackholed_in_window += 1;
-        }
-        let (node, ttl) = (ctx.node().0, pkt.ttl - 1);
-        let (len, copy) = (pkt.payload.len(), |b: &mut [u8]| b.copy_from_slice(pkt.payload));
-        let frame = Self::build_ip_frame(node, port, pkt.protocol, pkt.src, pkt.dst, ttl, len, copy);
-        self.stats.data_forwarded += 1;
-        ctx.send(port, frame, FrameClass::Data);
-    }
-
-    /// The data-plane fast path: forward using the parsed-at-ingress
-    /// [`FrameMeta`] and the compiled FIB, without re-decoding the frame.
+    /// The router's one data path, transit and rack delivery: `dst`, flow
+    /// hash `flow` and `ttl` are the packet's, from the sender's
+    /// [`FrameMeta`] or the router's own parse of the frame. `from` is the
+    /// arrival port and repair bit that the metadata carries. A frame the
+    /// router parsed has neither: it is never repaired, and it leaves
+    /// without metadata, so no later hop repairs it either.
     ///
-    /// Every branch mirrors [`Self::forward_data`] in order (rack
-    /// delivery, TTL guard, longest-prefix lookup), and both rewrites are
-    /// byte-identical to the slow path's decode → `ttl -= 1` → re-encode:
-    /// our canonical frames differ from what the slow path builds only in
-    /// the two MAC fields and, in transit, the TTL and checksum bytes, so
-    /// patching those produces the frame the struct round-trip would. The
-    /// engine hands over the delivered frame and nothing else holds a data
-    /// frame, so [`FrameBuf::rewrite`] patches the arriving buffer in
-    /// place: transit allocates nothing, as under MR-MTP.
-    #[allow(clippy::too_many_arguments)]
-    fn forward_fast(
+    /// Both rewrites patch the delivered buffer — the two MAC fields and,
+    /// in transit, the TTL and checksum bytes — into the frame a decode →
+    /// `ttl -= 1` → re-encode would build: a header that parses is the one
+    /// layout `put_header` writes (damage to it fails the checksum), and
+    /// our frames carry no trailing bytes. The engine hands over the
+    /// delivered frame and nothing else holds a data frame, so
+    /// [`FrameBuf::rewrite`] patches it in place: transit allocates
+    /// nothing, as under MR-MTP. (A frame `on_frame` parsed is borrowed,
+    /// so its rewrite copies.)
+    fn forward(
         &mut self,
         ctx: &mut Ctx<'_>,
-        arrival: PortId,
         frame: FrameBuf,
         dst: IpAddr4,
         flow: u64,
         ttl: u8,
-        repaired: bool,
+        from: Option<(PortId, bool)>,
     ) {
         const IP: usize = ETHERNET_HEADER_LEN;
         if self.cfg.rack_subnet.is_some_and(|rack| rack.contains(dst)) {
-            self.deliver(ctx, dst, |mac| {
-                frame.rewrite(|b| EthernetFrame::put_header(b, mac, mac, EtherType::Ipv4))
-            });
+            self.deliver(ctx, dst, frame);
             return;
         }
         if ttl <= 1 {
@@ -777,6 +743,7 @@ impl BgpRouter {
         }
         // A recompile allocates its route list: do it before the scope.
         self.ensure_fib();
+        let (arrival, repaired) = from.map_or((None, false), |(port, bit)| (Some(port), bit));
         let mut note_repair = None;
         // The scope brackets the router's decision, header rewrite
         // included; it closes before the hand-off because `send_meta` acts
@@ -784,8 +751,7 @@ impl BgpRouter {
         let (port, out, now_repaired) = {
             let _scope = alloc_track::scope();
             let up = |p| ctx.port(p).up;
-            let Some((port, now_repaired)) = self.next_hop(dst, flow, Some(arrival), repaired, up)
-            else {
+            let Some((port, now_repaired)) = self.next_hop(dst, flow, arrival, repaired, up) else {
                 self.stats.data_dropped += 1;
                 self.stats.blackholed_in_window += 1;
                 return;
@@ -813,8 +779,13 @@ impl BgpRouter {
             self.stats.data_forwarded += 1;
             (port, out, now_repaired)
         };
-        let meta = FrameMeta::Ipv4Data { dst, flow, ttl: ttl - 1, repaired: now_repaired };
-        ctx.send_meta(port, out, FrameClass::Data, meta);
+        match from {
+            Some(_) => {
+                let meta = FrameMeta::Ipv4Data { dst, flow, ttl: ttl - 1, repaired: now_repaired };
+                ctx.send_meta(port, out, FrameClass::Data, meta);
+            }
+            None => ctx.send(port, out, FrameClass::Data),
+        }
         alloc_track::note_forward();
         if let Some(port) = note_repair {
             ctx.trace_span(SpanEvent::LocalRepair { port });
@@ -974,16 +945,13 @@ impl Protocol for BgpRouter {
             self.stats.malformed_frames_dropped += 1;
             return;
         };
-        // Control traffic addressed to our side of this link?
-        if let Some(&peer_idx) = self.port_peer.get(&port) {
-            if pkt.dst == self.peers[peer_idx].cfg.local_ip {
-                self.on_control(ctx, port, peer_idx, &pkt);
-                self.rearm(ctx);
-                return;
-            }
+        if let Some(peer_idx) = self.session_peer(port, pkt.dst) {
+            self.on_control(ctx, port, peer_idx, &pkt);
+            self.rearm(ctx);
+            return;
         }
-        // Otherwise: transit data.
-        self.forward_data(ctx, eth.payload, &pkt);
+        let (dst, flow, ttl) = (pkt.dst, flow_hash_of(&pkt), pkt.ttl);
+        self.forward(ctx, frame.clone(), dst, flow, ttl, None);
     }
 
     fn on_frame_meta(
@@ -993,19 +961,17 @@ impl Protocol for BgpRouter {
         frame: FrameBuf,
         meta: Option<FrameMeta>,
     ) {
-        if let Some(FrameMeta::Ipv4Data { dst, flow, ttl, repaired }) = meta {
-            // Control-demux guard: anything addressed to our side of a
-            // fabric link is session traffic and takes the full decode
-            // path. Data frames never are, so this is one map probe per
-            // packet.
-            let is_control =
-                self.port_peer.get(&port).is_some_and(|&i| dst == self.peers[i].cfg.local_ip);
-            if !is_control {
-                self.forward_fast(ctx, port, frame, dst, flow, ttl, repaired);
-                return;
+        match meta {
+            // Data frames are never session traffic, so the guard costs
+            // one map probe per packet; session traffic takes the full
+            // decode.
+            Some(FrameMeta::Ipv4Data { dst, flow, ttl, repaired })
+                if self.session_peer(port, dst).is_none() =>
+            {
+                self.forward(ctx, frame, dst, flow, ttl, Some((port, repaired)))
             }
+            _ => self.on_frame(ctx, port, &frame),
         }
-        self.on_frame(ctx, port, &frame);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {

@@ -77,8 +77,8 @@ pub struct RouterStats {
     /// Frames that failed wire decoding (e.g. corrupted in flight) and
     /// were dropped instead of processed.
     pub malformed_frames_dropped: u64,
-    /// Data packets the local-repair fast path steered around a dead
-    /// egress (always 0 with `local_repair` off).
+    /// Data packets local fast reroute steered around a dead egress
+    /// (always 0 with `local_repair` off).
     pub locally_repaired: u64,
     /// Data packets dropped because no forwarding candidate was left —
     /// the loss-window blackhole count. Maintained identically with
@@ -613,8 +613,8 @@ impl MrmtpRouter {
     // Data plane
     // ------------------------------------------------------------------
 
-    /// The forwarding decision that every data path of this router, and
-    /// the chaos walker, asks: the egress toward `dst` (its tree is the
+    /// The forwarding decision that this router's data path and the chaos
+    /// walker ask: the egress toward `dst` (its tree is the
     /// third octet, paper §III-D) for full flow hash `flow` (ECMP hashes
     /// its low 16 bits, as the data header carries them), and the
     /// packet's repair bit after this hop. `up_mask` is `port_up` for the
@@ -684,8 +684,8 @@ impl MrmtpRouter {
     }
 
     /// An IP packet arrived from a rack port (ToR ingress); `dst` and the
-    /// full flow hash come from the sender's metadata or the slow path's
-    /// own parse of `ip_bytes`.
+    /// full flow hash come from the sender's metadata or the router's own
+    /// parse of `ip_bytes`.
     fn on_host_ip(&mut self, ctx: &mut Ctx<'_>, ip_bytes: &[u8], dst: IpAddr4, flow64: u64) {
         // A rack port implies a ToR config and with it a root VID; still
         // degrade to a drop rather than panicking mid-simulation.
@@ -743,38 +743,79 @@ impl MrmtpRouter {
         ctx.send(port, frame, FrameClass::Data);
     }
 
-    /// An encapsulated data frame arrived from the fabric (slow path:
-    /// the frame was re-parsed because no metadata accompanied it).
-    fn on_data(&mut self, ctx: &mut Ctx<'_>, raw_frame: &FrameBuf, dst: Vid, flow: u16, payload: &[u8]) {
-        let root = dst.root_id();
-        if self.my_root.map(|v| v.root_id()) == Some(root) {
-            // Terminal ToR: de-encapsulate and hand to the server.
-            match Ipv4Packet::parse(payload) {
-                Ok(pkt) => self.deliver_to_host(ctx, pkt.dst, payload),
-                Err(_) => {
-                    self.stats.data_dropped += 1;
-                    self.stats.malformed_frames_dropped += 1;
-                }
-            }
+    /// The router's one data path for a frame from the fabric: transit,
+    /// or delivery at the destination ToR. `dst_root`, the 16-bit `flow`
+    /// and `payload_off`, where the encapsulated packet starts, come from
+    /// the sender's [`FrameMeta`] or the router's parse of the MR-MTP
+    /// header; `carried` (inner destination, arrival port, repair bit)
+    /// only from metadata. A parsed frame has its inner header parsed at
+    /// the destination ToR, is never repaired, and leaves without
+    /// metadata, so no later hop repairs it either.
+    fn on_data(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        frame: FrameBuf,
+        dst_root: u8,
+        flow: u16,
+        payload_off: u16,
+        carried: Option<(IpAddr4, PortId, bool)>,
+    ) {
+        if self.my_root.map(|v| v.root_id()) == Some(dst_root) {
+            // Terminal ToR: de-encapsulation is a slice.
+            let ip_bytes = &frame[payload_off as usize..];
+            let ip_dst = match carried.map(|(ip_dst, ..)| ip_dst) {
+                Some(ip_dst) => ip_dst,
+                None => match Ipv4Packet::parse(ip_bytes) {
+                    Ok(pkt) => pkt.dst,
+                    Err(_) => {
+                        self.stats.data_dropped += 1;
+                        self.stats.malformed_frames_dropped += 1;
+                        return;
+                    }
+                },
+            };
+            self.deliver_to_host(ctx, ip_dst, ip_bytes);
             return;
         }
-        match self.next_hop_to(root, flow, None, false, ctx.port_up_mask(), |p| ctx.port(p).up) {
-            Some((port, _)) => {
-                // Forward the original frame bytes unchanged (the MR-MTP
-                // header needs no rewriting hop to hop), sharing the
-                // buffer: per-hop fan-out costs a refcount, not a copy.
-                self.stats.data_forwarded += 1;
-                self.nbr.note_tx(port, ctx.now());
-                ctx.send(port, raw_frame.clone(), FrameClass::Data);
+        // Transit: the router's one decision, local repair included, and
+        // the delivered frame moves on unchanged (no copy, no count). The
+        // alloc_track scope is how `tests/zero_alloc.rs` proves the
+        // decision allocates nothing in steady state, repairs included.
+        let (arrival, was_repaired) = carried.map_or((None, false), |(_, p, bit)| (Some(p), bit));
+        let pick = {
+            let _scope = alloc_track::scope();
+            let up = |p| ctx.port(p).up;
+            self.next_hop_to(dst_root, flow, arrival, was_repaired, ctx.port_up_mask(), up)
+        };
+        let Some((out, repaired)) = pick else {
+            self.stats.data_dropped += 1;
+            self.stats.blackholed_in_window += 1;
+            return;
+        };
+        self.stats.data_forwarded += 1;
+        self.nbr.note_tx(out, ctx.now());
+        let mut note_repair = false;
+        if repaired != was_repaired {
+            self.stats.locally_repaired += 1;
+            let (w, b) = (dst_root as usize / 128, dst_root as usize % 128);
+            note_repair = self.repair_noted[w] & (1 << b) == 0;
+            self.repair_noted[w] |= 1 << b;
+        }
+        match carried {
+            Some((ip_dst, ..)) => {
+                let meta = FrameMeta::MrmtpData { dst_root, flow, payload_off, ip_dst, repaired };
+                ctx.send_meta(out, frame, FrameClass::Data, meta);
             }
-            None => {
-                self.stats.data_dropped += 1;
-                self.stats.blackholed_in_window += 1;
-            }
+            None => ctx.send(out, frame, FrameClass::Data),
+        }
+        alloc_track::note_forward();
+        // The deduped repair span follows the frame.
+        if note_repair {
+            ctx.trace_span(SpanEvent::LocalRepair { port: out });
         }
     }
 
-    /// Keep-alive accounting shared by the slow and fast receive paths:
+    /// Keep-alive accounting shared by `on_frame` and `on_frame_meta`:
     /// every MR-MTP frame proves the neighbor alive; Slow-to-Accept may
     /// suppress protocol processing (returns `true`) while a flapping
     /// neighbor re-proves itself.
@@ -788,7 +829,8 @@ impl MrmtpRouter {
                 self.advertise_on(ctx, port, &vids);
                 self.resync_after_rejoin(ctx, port);
                 // A new dead deadline (and possibly queued updates): the
-                // one place the fast paths can pull the wake-up earlier.
+                // one place a hello or data frame with metadata can pull
+                // the wake-up earlier.
                 self.rearm(ctx);
                 false
             }
@@ -979,7 +1021,10 @@ impl Protocol for MrmtpRouter {
             }
             MrmtpMsg::Lost { seq, roots } => self.on_lost(ctx, port, seq, roots),
             MrmtpMsg::Recovered { seq, roots } => self.on_recovered(ctx, port, seq, roots),
-            MrmtpMsg::Data { dst, flow, payload, .. } => self.on_data(ctx, frame, dst, flow, payload),
+            MrmtpMsg::Data { dst, flow, payload, .. } => {
+                let payload_off = (frame.len() - payload.len()) as u16;
+                self.on_data(ctx, frame.clone(), dst.root_id(), flow, payload_off, None)
+            }
         }
         self.rearm(ctx);
     }
@@ -987,9 +1032,11 @@ impl Protocol for MrmtpRouter {
     /// Trust the sender's parse-once metadata instead of re-decoding the
     /// frame at every hop. The engine clears the metadata if impairment
     /// corrupted the frame in flight, so a metadata-bearing frame always
-    /// decodes to exactly what the metadata describes — the branches below
-    /// are behaviorally identical to [`Self::on_frame`], which
-    /// `tests/meshed_tree.rs` holds on bit-equal traces and frames.
+    /// decodes to exactly what the metadata describes: a hello is a bare
+    /// keep-alive, and a data frame goes to the `on_data` that
+    /// [`Self::on_frame`] hands a parsed one to, with what only metadata
+    /// carries. `tests/meshed_tree.rs` holds the two callbacks equal on
+    /// bit-equal traces and frames.
     fn on_frame_meta(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -1003,68 +1050,15 @@ impl Protocol for MrmtpRouter {
                 self.note_keepalive(ctx, port);
             }
             Some(FrameMeta::MrmtpData { dst_root, flow, payload_off, ip_dst, repaired }) => {
-                if self.note_keepalive(ctx, port) {
-                    return;
-                }
-                if self.my_root.map(|v| v.root_id()) == Some(dst_root) {
-                    // Terminal ToR: the metadata already carries the
-                    // inner destination, so de-encapsulation is a
-                    // slice, not a parse.
-                    self.deliver_to_host(ctx, ip_dst, &frame[payload_off as usize..]);
-                    return;
-                }
-                // Transit: the router's one decision, local repair
-                // included, and the delivered frame moves on unchanged (no
-                // copy, no count). The alloc_track scope is how
-                // `tests/zero_alloc.rs` proves the decision allocates
-                // nothing in steady state — including with local repair
-                // active. It closes before the hand-off: `send_meta` acts
-                // on the engine at once, and the scheduler push it ends in
-                // is engine work; the deduped repair span follows the
-                // frame.
-                let mut note_repair = None;
-                let forward = {
-                    let _scope = alloc_track::scope();
-                    let up_mask = ctx.port_up_mask();
-                    let up = |p| ctx.port(p).up;
-                    match self.next_hop_to(dst_root, flow, Some(port), repaired, up_mask, up) {
-                        Some((out, now_repaired)) => {
-                            self.stats.data_forwarded += 1;
-                            if now_repaired != repaired {
-                                self.stats.locally_repaired += 1;
-                                let (w, b) = (dst_root as usize / 128, dst_root as usize % 128);
-                                if self.repair_noted[w] & (1 << b) == 0 {
-                                    self.repair_noted[w] |= 1 << b;
-                                    note_repair = Some(out);
-                                }
-                            }
-                            self.nbr.note_tx(out, ctx.now());
-                            Some((out, now_repaired))
-                        }
-                        None => {
-                            self.stats.data_dropped += 1;
-                            self.stats.blackholed_in_window += 1;
-                            None
-                        }
-                    }
-                };
-                if let Some((out, repaired)) = forward {
-                    ctx.send_meta(
-                        out,
-                        frame,
-                        FrameClass::Data,
-                        FrameMeta::MrmtpData { dst_root, flow, payload_off, ip_dst, repaired },
-                    );
-                    alloc_track::note_forward();
-                }
-                if let Some(out) = note_repair {
-                    ctx.trace_span(SpanEvent::LocalRepair { port: out });
+                if !self.note_keepalive(ctx, port) {
+                    let carried = Some((ip_dst, port, repaired));
+                    self.on_data(ctx, frame, dst_root, flow, payload_off, carried);
                 }
             }
             Some(FrameMeta::Ipv4Data { dst, flow, .. }) => {
                 // Host ingress without the IPv4 re-parse; IPv4 frames
-                // on fabric ports are ignored exactly as in the slow
-                // path's ethertype dispatch.
+                // on fabric ports are ignored exactly as in `on_frame`'s
+                // ethertype dispatch.
                 if self.is_host_port(port) {
                     self.on_host_ip(ctx, &frame[ETHERNET_HEADER_LEN..], dst, flow);
                 }

@@ -1,11 +1,14 @@
 //! Append-only on-disk results store (`campaign/v1`).
 //!
 //! One directory per campaign: an `index.json` header written at
-//! creation plus a `runs.jsonl` segment that only ever grows — one JSON
-//! object per finished run. Appends are line-atomic, so a crashed or
-//! interrupted campaign leaves a readable store; re-running appends
-//! fresh records and readers resolve duplicates by key, last record
-//! wins. This is the substrate `fcr campaign diff` compares across git
+//! creation plus a `runs.jsonl` segment, one JSON object per finished
+//! run, that records are only ever appended to. Each record goes out as
+//! one write of its line and newline, so a crash tears at most the last
+//! line; readers skip a last line without its newline, and the next
+//! append cuts it and starts a fresh line. Records are appended once a
+//! campaign's runs have all finished, so an interrupted campaign leaves
+//! none. Re-running appends fresh records and readers resolve duplicates
+//! by key, last record wins. This is the substrate `fcr campaign diff` compares across git
 //! revisions: every record carries the run's canonical
 //! [`RunSpec::key`](crate::RunSpec::key), its trace digest, the paper
 //! metrics and the storyboard phase breakdown. The header names the
@@ -15,7 +18,7 @@
 
 use std::collections::BTreeMap;
 use std::fs::OpenOptions;
-use std::io::{self, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use dcn_telemetry::Json;
@@ -224,26 +227,40 @@ impl Store {
         }
     }
 
-    /// Append one finished run to the segment (one line, flushed).
+    /// Append one finished run to the segment.
     pub fn append(&self, record: &RunRecord) -> io::Result<()> {
-        let mut f = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(self.dir.join(RUNS_FILE))?;
-        writeln!(f, "{}", record.to_json().render())?;
-        f.flush()
+        self.append_all(std::slice::from_ref(record))
     }
 
-    /// Append a batch of finished runs in order.
+    /// Append a batch of finished runs in order, through one open of the
+    /// segment, each record one `write_all` of its line and newline. A
+    /// torn last line, which no reader can parse, is cut first, so the
+    /// batch starts on a fresh line.
     pub fn append_all(&self, records: &[RunRecord]) -> io::Result<()> {
+        let path = self.dir.join(RUNS_FILE);
+        let mut f = OpenOptions::new().create(true).read(true).append(true).open(&path)?;
+        let len = f.metadata()?.len();
+        let mut last = [b'\n'];
+        if len > 0 {
+            f.seek(SeekFrom::End(-1))?;
+            f.read_exact(&mut last)?;
+        }
+        if last[0] != b'\n' {
+            let keep = std::fs::read(&path)?.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+            eprintln!("{}: cutting a torn last line ({} bytes)", path.display(), len - keep as u64);
+            f.set_len(keep as u64)?;
+        }
         for r in records {
-            self.append(r)?;
+            let mut line = r.to_json().render();
+            line.push('\n');
+            f.write_all(line.as_bytes())?;
         }
         Ok(())
     }
 
     /// Every record in append order (duplicates included). A store with
-    /// no segment yet reads as empty.
+    /// no segment yet reads as empty, and a last line without its newline,
+    /// a record a crash cut short, is skipped with a note on stderr.
     pub fn records(&self) -> Result<Vec<RunRecord>, String> {
         let path = self.dir.join(RUNS_FILE);
         let text = match std::fs::read_to_string(&path) {
@@ -251,8 +268,12 @@ impl Store {
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
             Err(e) => return Err(format!("read {}: {e}", path.display())),
         };
+        let (whole, torn) = text.split_at(text.rfind('\n').map_or(0, |i| i + 1));
+        if !torn.is_empty() {
+            eprintln!("{}: skipping a torn last line ({} bytes)", path.display(), torn.len());
+        }
         let mut out = Vec::new();
-        for (i, line) in text.lines().enumerate() {
+        for (i, line) in whole.lines().enumerate() {
             if line.trim().is_empty() {
                 continue;
             }
@@ -338,6 +359,22 @@ mod tests {
         assert_eq!(latest[&record(1).key].digest, 0x1111);
         // Creating over an existing index is refused.
         assert!(Store::create(&dir, "again", Json::obj(vec![]), 1).is_err());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_torn_last_line_is_skipped_and_the_next_append_starts_a_fresh_line() {
+        let dir = std::env::temp_dir().join(format!("dcn-store-torn-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Store::create(&dir, "torn", Json::obj(vec![]), 3).unwrap();
+        store.append(&record(1)).unwrap();
+        // A crash mid-append: half of the next record, and no newline.
+        let line = record(2).to_json().render();
+        let mut f = OpenOptions::new().append(true).open(dir.join(RUNS_FILE)).unwrap();
+        f.write_all(&line.as_bytes()[..line.len() / 2]).unwrap();
+        assert_eq!(store.records().unwrap(), vec![record(1)]);
+        store.append(&record(3)).unwrap();
+        assert_eq!(store.records().unwrap(), vec![record(1), record(3)]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -13,8 +13,8 @@
 //!    router's own forwarding decision (`next_hop`, the code its data
 //!    paths run), not a model of it.
 //! 2. **No black holes**: a walk that dies (no forwarding entry, or a
-//!    pick into a down port) while the destination is physically
-//!    reachable over admin-up links is a violation.
+//!    pick into a down port) is a violation. The check runs after every
+//!    fault has healed, so every ToR pair is reachable.
 //! 3. **Bounded re-convergence**: the last routing state change after the
 //!    final heal event must land within a configured bound.
 //! 4. **Determinism**: the same seed produces a bit-identical trace
@@ -24,7 +24,7 @@
 //! from seeded [`DetRng`] streams, so a violating seed is a complete,
 //! replayable reproduction recipe.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
 
 use dcn_sim::rng::DetRng;
@@ -256,7 +256,8 @@ pub struct ChaosRun {
     pub faults: usize,
     /// Forwarding-loop violations found after quiescence.
     pub loops: usize,
-    /// Black-hole violations (no route while physically reachable).
+    /// Black-hole violations: walks that died, on a fabric whose every
+    /// fault has healed.
     pub black_holes: usize,
     /// Repair-loop violations: a walk that revisits a node after local
     /// fast reroute engaged (checked only with `local_repair` in
@@ -270,9 +271,6 @@ pub struct ChaosRun {
     /// Transit packets local fast reroute steered around a locally-dead
     /// egress, summed over every router.
     pub window_repaired: u64,
-    /// ToR pairs that were physically unreachable at check time (should
-    /// be zero: every schedule is fully healed).
-    pub unreachable_pairs: usize,
     /// Whether the last routing state change after the final heal landed
     /// within [`ChaosConfig::convergence_bound`].
     pub converged: bool,
@@ -296,17 +294,16 @@ pub struct ChaosRun {
 /// [`ChaosRun::violation_counts`] reports them. The campaign table's
 /// columns and `fcr chaos`'s per-seed FAIL line are generated from this
 /// list, so neither can leave out a term [`ChaosRun::violations`] counts.
-pub const VIOLATION_TERMS: [&str; 6] =
-    ["loops", "blackholes", "repair-loops", "unreachable", "unconverged", "non-det"];
+pub const VIOLATION_TERMS: [&str; 5] =
+    ["loops", "blackholes", "repair-loops", "unconverged", "non-det"];
 
 impl ChaosRun {
     /// This run's count for each of [`VIOLATION_TERMS`].
-    pub fn violation_counts(&self) -> [usize; 6] {
+    pub fn violation_counts(&self) -> [usize; 5] {
         [
             self.loops,
             self.black_holes,
             self.repair_loops,
-            self.unreachable_pairs,
             usize::from(!self.converged),
             usize::from(!self.deterministic),
         ]
@@ -364,7 +361,7 @@ pub fn run_chaos_with(
 
     let convergence = dcn_metrics::last_state_change(built.sim.trace(), heal_at);
     let converged = convergence.is_none_or(|d| d <= cfg.convergence_bound);
-    let (loops, black_holes, unreachable_pairs) = check_forwarding_invariants(&mut built, cfg);
+    let (loops, black_holes) = check_forwarding_invariants(&mut built, cfg);
     let repair_loops = cfg.tuning.local_repair.then(|| check_repair_loops(&mut built, cfg));
 
     let run = ChaosRun {
@@ -376,7 +373,6 @@ pub fn run_chaos_with(
         repair_loops: repair_loops.unwrap_or(0),
         window_blackholed: built.counter_total("blackholed_in_window"),
         window_repaired: built.counter_total("locally_repaired"),
-        unreachable_pairs,
         converged,
         convergence,
         digest: trace_digest(&built.sim),
@@ -408,7 +404,6 @@ pub fn chaos_bundle(seed: u64, stack: Stack, cfg: &ChaosConfig) -> (ChaosRun, Tr
         ("faults", Json::UInt(run.faults as u64)),
         ("loops", Json::UInt(run.loops as u64)),
         ("black_holes", Json::UInt(run.black_holes as u64)),
-        ("unreachable_pairs", Json::UInt(run.unreachable_pairs as u64)),
         ("repair_loops", Json::UInt(run.repair_loops as u64)),
         ("window_blackholed", Json::UInt(run.window_blackholed)),
         ("window_repaired", Json::UInt(run.window_repaired)),
@@ -532,20 +527,14 @@ fn check_repair_loops(built: &mut BuiltSim, cfg: &ChaosConfig) -> usize {
 }
 
 /// Walk the data plane for every ToR pair × flow sample and count loop /
-/// black-hole violations. Returns (loops, black_holes, unreachable).
-fn check_forwarding_invariants(built: &mut BuiltSim, cfg: &ChaosConfig) -> (usize, usize, usize) {
+/// black-hole violations. Returns (loops, black_holes).
+fn check_forwarding_invariants(built: &mut BuiltSim, cfg: &ChaosConfig) -> (usize, usize) {
     let tors = tors(&built.fabric);
     let mut loops = 0;
     let mut black_holes = 0;
-    let mut unreachable = 0;
     for &src in &tors {
-        let reachable = physically_reachable(built, src);
         for &dst in &tors {
             if src == dst {
-                continue;
-            }
-            if !reachable.contains(&dst) {
-                unreachable += 1;
                 continue;
             }
             for flow in 0..cfg.flows_per_pair as u16 {
@@ -557,7 +546,7 @@ fn check_forwarding_invariants(built: &mut BuiltSim, cfg: &ChaosConfig) -> (usiz
             }
         }
     }
-    (loops, black_holes, unreachable)
+    (loops, black_holes)
 }
 
 #[derive(PartialEq, Eq)]
@@ -638,35 +627,6 @@ fn walk(
         (cur, arrival, repaired) = (peer.node.0 as usize, Some(peer.port), now_repaired);
     };
     (outcome, hops)
-}
-
-/// BFS over admin-up router-to-router links from `src`: the set of
-/// routers a packet could physically reach. A walk failure toward an
-/// unreachable destination is a partition, not a black hole.
-fn physically_reachable(built: &BuiltSim, src: usize) -> HashSet<usize> {
-    let sim = &built.sim;
-    let fabric = &built.fabric;
-    let mut seen = HashSet::new();
-    let mut queue = VecDeque::new();
-    seen.insert(src);
-    queue.push_back(src);
-    while let Some(n) = queue.pop_front() {
-        let nid = NodeId(n as u32);
-        for p in 0..sim.port_count(nid) {
-            let port = PortId(p as u16);
-            let Some(peer) = sim.peer_of(nid, port) else {
-                continue;
-            };
-            let m = peer.node.0 as usize;
-            if !fabric.nodes[m].role.is_router() {
-                continue;
-            }
-            if sim.port_up(nid, port) && sim.port_up(peer.node, peer.port) && seen.insert(m) {
-                queue.push_back(m);
-            }
-        }
-    }
-    seen
 }
 
 /// Configuration of a whole campaign: a seed range fanned over worker
@@ -876,7 +836,6 @@ mod tests {
         let r = run_chaos(11, Stack::Mrmtp, &quick_cfg());
         assert_eq!(r.loops, 0, "forwarding loop detected");
         assert_eq!(r.black_holes, 0, "black hole detected");
-        assert_eq!(r.unreachable_pairs, 0);
         assert!(r.converged, "re-convergence exceeded bound: {:?}", r.convergence);
     }
 
@@ -885,7 +844,6 @@ mod tests {
         let r = run_chaos(11, Stack::BgpEcmp, &quick_cfg());
         assert_eq!(r.loops, 0, "forwarding loop detected");
         assert_eq!(r.black_holes, 0, "black hole detected");
-        assert_eq!(r.unreachable_pairs, 0);
         assert!(r.converged, "re-convergence exceeded bound: {:?}", r.convergence);
     }
 

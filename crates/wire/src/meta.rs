@@ -11,11 +11,13 @@
 //! Metadata is strictly advisory and only ever attached by the encoder
 //! that produced the frame, so it is truthful by construction. The one
 //! in-flight mutation the emulator performs — impairment byte corruption
-//! — drops the metadata, forcing the receiver back onto the validating
-//! decode path. Behavior (and therefore the trace digest) is identical
-//! either way: the router crates' tests (`dcn-mrmtp`'s `meshed_tree.rs`,
-//! `dcn-bgp`'s `meta_invisible.rs`) run every router with its metadata
-//! stripped and compare traces and frames.
+//! — drops the metadata: the receiver parses the frame and hands what it
+//! parsed to the same data path, without the arrival port and repair bit
+//! only metadata carries, so such a frame is never locally repaired.
+//! With repair off, behavior (and therefore the trace digest) is
+//! identical either way: the router crates' tests (`dcn-mrmtp`'s
+//! `meshed_tree.rs`, `dcn-bgp`'s `meta_invisible.rs`) run every router
+//! with its metadata stripped and compare traces and frames.
 
 use crate::ipv4::IpAddr4;
 
