@@ -1,6 +1,6 @@
 //! Regenerate `tests/golden_digests.txt`, the trace digests
 //! `tests/equivalence.rs::local_repair_off_matches_pre_change_golden_digests`
-//! pins for the 15 golden cells (`tests/golden/mod.rs` lists them).
+//! pins for the golden cells (`tests/golden/mod.rs` lists them).
 //!
 //! Those digests freeze the observable behavior of the default
 //! (`local_repair=off`) configuration: any change that perturbs an

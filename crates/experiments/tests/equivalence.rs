@@ -93,7 +93,9 @@ fn chaos_seeds_digest_identically_across_backends() {
 /// were taken from. The four chaos cells with traffic came later, pinned
 /// before the code they guard changed: they are the runs whose routers
 /// parse data frames that corruption stripped of their metadata, and the
-/// one repair-on cell holds that such a frame is never repaired.
+/// one repair-on cell holds that such a frame is never repaired. The two
+/// four-tier cells pin TC1 on the §IX zone fabric, so the fabric builder
+/// cannot change its wiring under the tier comparison unnoticed.
 #[test]
 fn local_repair_off_matches_pre_change_golden_digests() {
     // Line by line first, so a drift names its cell; then the whole file,

@@ -1,15 +1,16 @@
-//! The 15 golden cells: the runs whose trace digests `golden_digests.txt`
+//! The golden cells: the runs whose trace digests `golden_digests.txt`
 //! pins. Shared by `tests/equivalence.rs`, which checks the file, and
 //! `examples/golden_digests.rs`, which writes it — one list of cells and
 //! one `quick_chaos()`, so the two cannot disagree about what is pinned.
 
 use std::fmt::Write as _;
 
-use dcn_experiments::chaos::{run_chaos, ChaosConfig};
-use dcn_experiments::{run_digest, Failure, RunSpec, Stack, StackTuning, TrafficDir};
+use dcn_experiments::chaos::{run_chaos, trace_digest, ChaosConfig};
+use dcn_experiments::scenario::execute;
+use dcn_experiments::{run_digest, Failure, RunSpec, Stack, StackTuning, Timing, TrafficDir};
 use dcn_sim::time::{MICROS, MILLIS, SECONDS};
-use dcn_sim::Impairment;
-use dcn_topology::{ClosParams, FailureCase};
+use dcn_sim::{Impairment, SimConfig};
+use dcn_topology::{ClosParams, Fabric, FailureCase, FourTierParams};
 
 /// A trimmed chaos config (short windows, light impairment) so a handful
 /// of seeds × two backends stay test-suite friendly.
@@ -34,10 +35,12 @@ pub fn quick_chaos() -> ChaosConfig {
 /// TC1–TC4 on MR-MTP and BGP with traffic pinned onto the failure chain,
 /// then three chaos seeds, then four chaos seeds with two traffic pairs
 /// through the corrupting fault window: the runs in which routers parse
-/// data frames that lost their metadata, MR-MTP's also with local repair.
+/// data frames that lost their metadata, MR-MTP's also with local repair;
+/// last, TC1 on the four-tier fabric for MR-MTP and BGP, under the tier
+/// comparison's timeline.
 pub fn golden_table() -> String {
     let mut out = String::from(
-        "# Trace digests (trace64/v1) of the 15 golden cells. Do not edit by hand:\n\
+        "# Trace digests (trace64/v1) of the golden cells. Do not edit by hand:\n\
          # cargo run --release -p dcn-experiments --example golden_digests\n",
     );
     let mut line = |label: String, digest: u64| {
@@ -67,6 +70,13 @@ pub fn golden_table() -> String {
         let run = run_chaos(seed, stack, &traffic(repair));
         let label = if repair { "traffic repair" } else { "traffic" };
         line(format!("chaos {} {seed} {label}", stack.slug()), run.digest);
+    }
+    let tiers = Timing { warmup: 5 * SECONDS, traffic_lead: 0, post_failure: 5 * SECONDS, drain: 0 };
+    for stack in [Stack::Mrmtp, Stack::BgpEcmp] {
+        let fabric = Fabric::build_four_tier(FourTierParams::small());
+        let spec = RunSpec::new(fabric.params, stack).failing(FailureCase::Tc1).timed(tiers);
+        let built = execute(fabric, &spec, SimConfig::default(), None).1;
+        line(format!("four-tier {} tc1", stack.slug()), trace_digest(&built.sim));
     }
     out
 }

@@ -1,12 +1,66 @@
-//! Fabric-wide invariants under many concurrent flows: all-pairs
+//! Fabric-wide invariants: the builder's wiring, pinned for every shape
+//! the repository builds; under many concurrent flows, all-pairs
 //! reachability for both stacks, hop-count bounds (loop freedom), and
 //! MR-MTP's hello suppression under data load.
+
+use std::fmt::Write as _;
 
 use dcn_experiments::{build_sim, flows::pin_flow, Stack};
 use dcn_sim::time::{millis, secs};
 use dcn_sim::{FrameClass, NodeId, PortId, TraceEvent};
-use dcn_topology::{ClosParams, Fabric};
+use dcn_topology::{ClosParams, Fabric, FourTierParams};
 use dcn_traffic::{SendSpec, TrafficHost};
+
+/// [`dcn_sim::hash64`] of everything the builder decides: every node's
+/// name, role and tier in index order, its port list in allocation order,
+/// and every link in wiring order.
+fn wiring_fingerprint(fabric: &Fabric) -> u64 {
+    let mut text = String::new();
+    for (node, ports) in fabric.nodes.iter().zip(&fabric.ports) {
+        write!(text, "{} {:?} {}:", node.name, node.role, node.tier).unwrap();
+        for p in ports {
+            write!(text, " {}/{}/{:?}", p.link, p.peer, p.kind).unwrap();
+        }
+        text.push('\n');
+    }
+    for (a, b) in &fabric.links {
+        writeln!(text, "{a}-{b}").unwrap();
+    }
+    dcn_sim::hash64(text.as_bytes())
+}
+
+/// Node indices, port numbers and link order are what the routers, the
+/// VID derivation and every trace digest build on, so each shape built
+/// anywhere in the repository has its wiring pinned: the paper's two
+/// fabrics, the scaled ones either side of the one-ToR narrowing,
+/// `asymmetric_shapes.rs`'s wide fabric, `walk_equals_wire.rs`'s 130-port
+/// top spine, and the four-tier fabrics, even and uneven.
+#[test]
+fn wiring_is_pinned_for_every_shape() {
+    let mut wide =
+        ClosParams { pods: 3, spines_per_pod: 3, tors_per_pod: 3, uplinks_per_spine: 1, ..ClosParams::two_pod() };
+    wide.servers_per_tor = 2;
+    let wide_top =
+        ClosParams { pods: 130, spines_per_pod: 1, tors_per_pod: 1, uplinks_per_spine: 1, ..ClosParams::two_pod() };
+    let uneven = FourTierParams { zones: 3, pods_per_zone: 1, zone_uplinks: 1, ..FourTierParams::small() };
+    let shapes = [
+        ("two_pod", Fabric::build(ClosParams::two_pod()), 0x823a_9d99_e530_e670_u64),
+        ("four_pod", Fabric::build(ClosParams::four_pod()), 0x2468_b964_d603_052a),
+        ("scaled(16)", Fabric::build(ClosParams::scaled(16).unwrap()), 0x96c3_94e5_3f9b_3e9b),
+        ("scaled(128)", Fabric::build(ClosParams::scaled(128).unwrap()), 0xbf10_925a_6210_c560),
+        ("wide", Fabric::build(wide), 0xd11a_13f4_ef01_f103),
+        ("wide_top", Fabric::build(wide_top), 0xce9c_bf7e_814b_616d),
+        ("four-tier", Fabric::build_four_tier(FourTierParams::small()), 0xd575_6a46_5e94_1374),
+        ("four-tier uneven", Fabric::build_four_tier(uneven), 0x74fd_3e56_f666_5a67),
+    ];
+    let mut got = String::new();
+    for (label, fabric, _) in &shapes {
+        writeln!(got, "{label} {:#018x}", wiring_fingerprint(fabric)).unwrap();
+    }
+    let want: String =
+        shapes.iter().map(|(label, _, pin)| format!("{label} {pin:#018x}\n")).collect();
+    assert_eq!(got, want);
+}
 
 /// Every server sends to the "next" server (a full cycle over all racks):
 /// everything must arrive on a healthy fabric, for both protocol stacks.
