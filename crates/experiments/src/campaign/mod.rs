@@ -198,11 +198,7 @@ impl CampaignSpec {
         }
         let mut specs = Vec::new();
         for &p in &pods {
-            let params = if p == 2 {
-                ClosParams::two_pod()
-            } else {
-                ClosParams::scaled(p).map_err(|e| format!("pods axis value {p}: {e}"))?
-            };
+            let params = ClosParams::scaled(p).map_err(|e| format!("pods axis value {p}: {e}"))?;
             for &stack in &stacks {
                 for &failure in &failures {
                     for &dir in &traffic {

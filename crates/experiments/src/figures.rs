@@ -2,16 +2,15 @@
 //! `render()` prints the same rows/series the paper reports.
 
 use dcn_sim::time::secs;
-use dcn_sim::SimConfig;
 use dcn_topology::{
     bgp_router_config, mrmtp_fabric_config, Addressing, ClosParams, ConfigStats, Fabric,
-    FailureCase, FourTierParams,
+    FailureCase,
 };
 
 use crate::campaign::pool::fan_out;
 use crate::fabric::{BuiltSim, Stack};
 use crate::runspec::RunSpec;
-use crate::scenario::{self, execute, ScenarioResult, Timing, TrafficDir};
+use crate::scenario::{self, ScenarioResult, Timing, TrafficDir};
 use crate::table;
 
 /// The steady-state run the keep-alive figures share (no failure, short
@@ -269,19 +268,16 @@ pub fn tier_comparison(seed: u64) -> Figure {
     let timing = Timing { warmup: secs(5), traffic_lead: 0, post_failure: secs(5), drain: 0 };
     let mut rows = Vec::new();
     for stack in [Stack::Mrmtp, Stack::BgpEcmp] {
-        for (label, fabric) in [
-            ("3-tier (4-PoD)", Fabric::build(ClosParams::four_pod())),
-            ("4-tier (2×2 zones)", Fabric::build_four_tier(FourTierParams::small())),
+        for (label, params) in [
+            ("3-tier (4-PoD)", ClosParams::four_pod()),
+            ("4-tier (2×2 zones)", ClosParams::four_tier()),
         ] {
-            let spec = RunSpec::new(fabric.params, stack)
-                .failing(FailureCase::Tc1)
-                .seeded(seed)
-                .timed(timing);
-            let (r, built) = execute(fabric, &spec, SimConfig::default(), None);
+            let r =
+                RunSpec::new(params, stack).failing(FailureCase::Tc1).seeded(seed).timed(timing).run();
             rows.push(vec![
                 label.to_string(),
                 stack.label().to_string(),
-                built.fabric.num_routers().to_string(),
+                params.num_routers().to_string(),
                 table::ms(r.convergence_ms),
                 r.blast_radius.to_string(),
                 r.control_bytes.to_string(),

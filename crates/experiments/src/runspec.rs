@@ -24,13 +24,14 @@
 //! assert!(r.convergence_ms.is_some());
 //! ```
 //!
-//! Every harness of the crate — [`crate::figures`], [`crate::ablations`],
+//! The scripted harnesses — [`crate::figures`], [`crate::ablations`],
 //! [`crate::extended_failures`], [`crate::replicate`], [`crate::report`],
-//! [`crate::campaign`] and the `fcr` CLI — builds `RunSpec`s and runs
-//! them through that one executor.
+//! [`crate::campaign`] and the `fcr` subcommands built on them — build
+//! `RunSpec`s and run them through that one executor. Chaos (`fcr
+//! chaos`, [`crate::chaos::run_chaos_with`]) keeps its own orchestration.
 
 use dcn_sim::time::Duration;
-use dcn_topology::{ClosParams, Fabric, FailureCase};
+use dcn_topology::{ClosParams, Fabric, FailureCase, Zones};
 
 use crate::chaos::FaultEvent;
 use crate::extended_failures::ExtendedCase;
@@ -224,8 +225,14 @@ impl RunSpec {
     pub fn key(&self) -> String {
         let RunSpec { params, stack, failure, traffic, traffic_interval, seed, timing, tuning } =
             *self;
-        let ClosParams { pods, spines_per_pod, tors_per_pod, uplinks_per_spine, servers_per_tor } =
-            params;
+        let ClosParams {
+            pods,
+            spines_per_pod,
+            tors_per_pod,
+            uplinks_per_spine,
+            servers_per_tor,
+            zones,
+        } = params;
         let Timing { warmup, traffic_lead, post_failure, drain } = timing;
         let StackTuning { mrmtp_timers, bgp_keepalive, bgp_hold, bfd_tx_interval, local_repair } =
             tuning;
@@ -251,10 +258,15 @@ impl RunSpec {
                  loss_holddown: {loss_holddown}, advertise_interval: {advertise_interval} }}"
             )
         });
+        // The zone layer prints only when present: three-tier keys, and
+        // the stores that hold them, stay valid.
+        let zones = zones.map_or(String::new(), |Zones { count, uplinks }| {
+            format!(";zones={count}x{uplinks}")
+        });
         // `fast_path=1` names a switch that no longer exists: every run
         // has taken that path, and stored keys carry the field.
         format!(
-            "pods={}x{}x{}x{}x{};stack={};failure={};traffic={};interval={};seed={};\
+            "pods={}x{}x{}x{}x{}{};stack={};failure={};traffic={};interval={};seed={};\
              timing={}/{}/{}/{};timers={};bgp_ka={};bgp_hold={};bfd_tx={};\
              fast_path=1;local_repair={}",
             pods,
@@ -262,6 +274,7 @@ impl RunSpec {
             tors_per_pod,
             uplinks_per_spine,
             servers_per_tor,
+            zones,
             stack.slug(),
             if failure == Failure::None { "-".into() } else { failure.slug() },
             traffic.slug(),
@@ -408,5 +421,24 @@ mod tests {
              bgp_ka=-;bgp_hold=-;bfd_tx=50000000;fast_path=1;local_repair=1"
         );
         assert_eq!(tuned.key_hash(), 0x523d_2bb4_df2b_4942);
+    }
+
+    /// The tier comparison's two runs differ only in the zone layer, and
+    /// so must their keys; the four-tier one is pinned like the others.
+    #[test]
+    fn the_zone_layer_is_in_the_key() {
+        let timing =
+            Timing { warmup: 5_000_000_000, traffic_lead: 0, post_failure: 5_000_000_000, drain: 0 };
+        let tiers =
+            |params| RunSpec::new(params, Stack::Mrmtp).failing(FailureCase::Tc1).timed(timing);
+        let (three, four) = (tiers(ClosParams::four_pod()), tiers(ClosParams::four_tier()));
+        assert_ne!(three.key(), four.key());
+        assert_eq!(
+            four.key(),
+            "pods=4x2x2x2x1;zones=2x2;stack=mrmtp;failure=tc1;traffic=none;interval=-;seed=42;\
+             timing=5000000000/0/5000000000/0;timers=-;bgp_ka=-;bgp_hold=-;bfd_tx=-;\
+             fast_path=1;local_repair=0"
+        );
+        assert_eq!(four.key_hash(), 0xb058_ef01_abdc_303f);
     }
 }

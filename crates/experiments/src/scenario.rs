@@ -154,7 +154,7 @@ pub fn run(spec: RunSpec) -> ScenarioResult {
 /// callers that go on to read the trace, the routers' tables or the
 /// engine profile.
 pub fn run_with_sim(spec: RunSpec) -> (ScenarioResult, BuiltSim) {
-    execute(Fabric::build(spec.params), &spec, SimConfig::default(), None)
+    execute(&spec, SimConfig::default(), None)
 }
 
 /// Run one spec to completion and return the trace digest of the finished
@@ -170,8 +170,7 @@ pub fn run_digest(spec: RunSpec) -> u64 {
 /// for export.
 pub fn run_instrumented(spec: RunSpec) -> InstrumentedRun {
     let mut telemetry = Telemetry::new(TelemetryConfig::default());
-    let fabric = Fabric::build(spec.params);
-    let (result, built) = execute(fabric, &spec, SimConfig::default(), Some(&mut telemetry));
+    let (result, built) = execute(&spec, SimConfig::default(), Some(&mut telemetry));
     let failure_at = (spec.failure != Failure::None).then(|| spec.timing.failure_at());
     InstrumentedRun { result, telemetry, built, failure_at }
 }
@@ -227,21 +226,20 @@ pub fn bundle_from_run(run: &InstrumentedRun, spec: &RunSpec) -> TraceBundle {
     b
 }
 
-/// The executor: build `fabric` running `s.stack`, pin the monitored flow
-/// onto the failure chain, warm up, schedule the failure's transitions,
-/// run the timeline out and extract the paper's metrics.
+/// The executor: build the fabric `s.params` describes running
+/// `s.stack`, pin the monitored flow onto the failure chain, warm up,
+/// schedule the failure's transitions, run the timeline out and extract
+/// the paper's metrics.
 ///
-/// `fabric` is normally `Fabric::build(s.params)`; the four-tier
-/// comparison passes [`Fabric::build_four_tier`] with `s.params` its
-/// per-PoD shape. `config` and `tel` are *how* the run executes and must
-/// not change what it computes.
+/// `config` and `tel` are *how* the run executes and must not change what
+/// it computes.
 pub fn execute(
-    fabric: Fabric,
     s: &RunSpec,
     config: SimConfig,
     mut tel: Option<&mut Telemetry>,
 ) -> (ScenarioResult, BuiltSim) {
     let timing = s.timing;
+    let fabric = Fabric::build(s.params);
     let addr = Addressing::new(&fabric);
     // The monitored flow is pinned to the failure chain exactly as the
     // paper's test design requires (§VI-D): rack 11 ↔ rack 14.

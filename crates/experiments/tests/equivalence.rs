@@ -20,7 +20,7 @@ use dcn_experiments::scenario::execute;
 use dcn_experiments::{run_digest, RunSpec, Stack, TrafficDir};
 use dcn_sim::{SchedulerKind, SimConfig};
 use dcn_telemetry::{Telemetry, TelemetryConfig};
-use dcn_topology::{ClosParams, Fabric, FailureCase};
+use dcn_topology::{ClosParams, FailureCase};
 use golden::quick_chaos;
 
 fn backend(scheduler: SchedulerKind) -> SimConfig {
@@ -28,7 +28,7 @@ fn backend(scheduler: SchedulerKind) -> SimConfig {
 }
 
 fn digest_on(spec: RunSpec, scheduler: SchedulerKind) -> u64 {
-    trace_digest(&execute(Fabric::build(spec.params), &spec, backend(scheduler), None).1.sim)
+    trace_digest(&execute(&spec, backend(scheduler), None).1.sim)
 }
 
 fn digests_match(spec: RunSpec) {
@@ -114,8 +114,7 @@ fn steady_state_digest_identical_without_failure() {
     let spec = RunSpec::new(ClosParams::two_pod(), Stack::Mrmtp);
     let sampled = |kind| {
         let mut tel = Telemetry::new(TelemetryConfig::default());
-        let fabric = Fabric::build(spec.params);
-        trace_digest(&execute(fabric, &spec, backend(kind), Some(&mut tel)).1.sim)
+        trace_digest(&execute(&spec, backend(kind), Some(&mut tel)).1.sim)
     };
     let (heap, wheel) = (sampled(SchedulerKind::Heap), sampled(SchedulerKind::Wheel));
     assert_eq!(heap, wheel, "telemetry-instrumented runs diverged");

@@ -5,12 +5,11 @@
 
 use std::fmt::Write as _;
 
-use dcn_experiments::chaos::{run_chaos, trace_digest, ChaosConfig};
-use dcn_experiments::scenario::execute;
+use dcn_experiments::chaos::{run_chaos, ChaosConfig};
 use dcn_experiments::{run_digest, Failure, RunSpec, Stack, StackTuning, Timing, TrafficDir};
 use dcn_sim::time::{MICROS, MILLIS, SECONDS};
-use dcn_sim::{Impairment, SimConfig};
-use dcn_topology::{ClosParams, Fabric, FailureCase, FourTierParams};
+use dcn_sim::Impairment;
+use dcn_topology::{ClosParams, FailureCase};
 
 /// A trimmed chaos config (short windows, light impairment) so a handful
 /// of seeds × two backends stay test-suite friendly.
@@ -73,10 +72,9 @@ pub fn golden_table() -> String {
     }
     let tiers = Timing { warmup: 5 * SECONDS, traffic_lead: 0, post_failure: 5 * SECONDS, drain: 0 };
     for stack in [Stack::Mrmtp, Stack::BgpEcmp] {
-        let fabric = Fabric::build_four_tier(FourTierParams::small());
-        let spec = RunSpec::new(fabric.params, stack).failing(FailureCase::Tc1).timed(tiers);
-        let built = execute(fabric, &spec, SimConfig::default(), None).1;
-        line(format!("four-tier {} tc1", stack.slug()), trace_digest(&built.sim));
+        let spec =
+            RunSpec::new(ClosParams::four_tier(), stack).failing(FailureCase::Tc1).timed(tiers);
+        line(format!("four-tier {} tc1", stack.slug()), run_digest(spec));
     }
     out
 }

@@ -1,7 +1,8 @@
 //! Folded-Clos fabric model and builder.
 
 
-/// Parameters of a 3-tier folded-Clos fabric.
+/// Parameters of a folded-Clos fabric: the paper's three tiers, or four
+/// with a zone layer between the PoD spines and the top spines.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct ClosParams {
     /// Number of PoDs (points of delivery).
@@ -10,12 +11,37 @@ pub struct ClosParams {
     pub spines_per_pod: usize,
     /// ToRs (leaves) per PoD.
     pub tors_per_pod: usize,
-    /// Uplinks from each PoD spine into the top tier. The top tier has
-    /// `spines_per_pod * uplinks_per_spine` spines.
+    /// Uplinks from each PoD spine into the tier above, which has
+    /// `spines_per_pod * uplinks_per_spine` spines (per zone in a
+    /// four-tier fabric).
     pub uplinks_per_spine: usize,
     /// Servers attached to each ToR (the paper could afford one per rack
     /// on FABRIC).
     pub servers_per_tor: usize,
+    /// The zone layer of a four-tier fabric; `None` is the paper's three
+    /// tiers.
+    pub zones: Option<Zones>,
+}
+
+/// The zone layer of the four-tier extension (§IX: "scaling the DCN to
+/// multiple tiers"): zones group consecutive PoDs under a layer of zone
+/// spines, and the top spines interconnect the zones.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Zones {
+    /// Number of zones; each holds `pods / count` PoDs.
+    pub count: usize,
+    /// Uplinks from each zone spine into the top tier.
+    pub uplinks: usize,
+}
+
+/// One router tier, bottom-up: `groups` groups (PoDs, zones or the one
+/// top group) of `width` nodes, each node with `up` uplinks into its
+/// group's share of the tier above.
+#[derive(Clone, Copy)]
+struct Layer {
+    groups: usize,
+    width: usize,
+    up: usize,
 }
 
 impl ClosParams {
@@ -28,6 +54,7 @@ impl ClosParams {
             tors_per_pod: 2,
             uplinks_per_spine: 2,
             servers_per_tor: 1,
+            zones: None,
         }
     }
 
@@ -35,6 +62,13 @@ impl ClosParams {
     /// spines — 20 routers ("15 of the 20 routers updated…").
     pub fn four_pod() -> ClosParams {
         ClosParams { pods: 4, ..ClosParams::two_pod() }
+    }
+
+    /// A small but fully meshed four-tier fabric: 2 zones × 2 PoDs with
+    /// the paper's PoD internals, 8 zone spines, 8 top spines — 32
+    /// routers.
+    pub fn four_tier() -> ClosParams {
+        ClosParams { zones: Some(Zones { count: 2, uplinks: 2 }), ..ClosParams::four_pod() }
     }
 
     /// A scaled topology with `pods` PoDs and otherwise the paper's
@@ -81,8 +115,14 @@ impl ClosParams {
         Ok(params)
     }
 
-    pub fn top_spines(&self) -> usize {
+    /// Spines per group in the tier right above the PoD spines: the top
+    /// tier of a three-tier fabric, one zone of a four-tier one.
+    fn plane_width(&self) -> usize {
         self.spines_per_pod * self.uplinks_per_spine
+    }
+
+    pub fn top_spines(&self) -> usize {
+        self.plane_width() * self.zones.map_or(1, |z| z.uplinks)
     }
 
     pub fn num_tors(&self) -> usize {
@@ -90,11 +130,26 @@ impl ClosParams {
     }
 
     pub fn num_routers(&self) -> usize {
-        self.num_tors() + self.pods * self.spines_per_pod + self.top_spines()
+        let zone_spines = self.zones.map_or(0, |z| z.count * self.plane_width());
+        self.num_tors() + self.pods * self.spines_per_pod + zone_spines + self.top_spines()
     }
 
     pub fn num_servers(&self) -> usize {
         self.num_tors() * self.servers_per_tor
+    }
+
+    /// The router tiers bottom-up: ToRs, PoD spines, zone spines (four
+    /// tiers only), top spines.
+    fn layers(&self) -> Vec<Layer> {
+        let mut layers = vec![
+            Layer { groups: self.pods, width: self.tors_per_pod, up: self.spines_per_pod },
+            Layer { groups: self.pods, width: self.spines_per_pod, up: self.uplinks_per_spine },
+        ];
+        if let Some(z) = self.zones {
+            layers.push(Layer { groups: z.count, width: self.plane_width(), up: z.uplinks });
+        }
+        layers.push(Layer { groups: 1, width: self.top_spines(), up: 0 });
+        layers
     }
 
     /// Validate structural constraints. Rejections name the offending
@@ -106,13 +161,24 @@ impl ClosParams {
                 self.pods
             ));
         }
-        for (name, value) in [
+        let widths = [
             ("spines_per_pod", self.spines_per_pod),
             ("tors_per_pod", self.tors_per_pod),
             ("uplinks_per_spine", self.uplinks_per_spine),
-        ] {
+        ];
+        let zone_uplinks = self.zones.map(|z| ("zones.uplinks", z.uplinks));
+        for (name, value) in widths.into_iter().chain(zone_uplinks) {
             if value == 0 {
                 return Err(format!("{name} = 0 leaves a disconnected tier (allowed: {name} >= 1)"));
+            }
+        }
+        if let Some(Zones { count, .. }) = self.zones {
+            if count < 2 || !self.pods.is_multiple_of(count) {
+                return Err(format!(
+                    "zones.count = {count} with pods = {} (allowed: zones.count >= 2, \
+                     dividing pods into equal zones)",
+                    self.pods
+                ));
             }
         }
         // ToR VIDs are derived from the third subnet octet and must stay
@@ -151,6 +217,19 @@ pub enum Role {
 impl Role {
     pub fn is_router(&self) -> bool {
         !matches!(self, Role::Server { .. })
+    }
+
+    /// The node name the paper's figures use, with 1-based indices.
+    fn name(self) -> String {
+        match self {
+            Role::Tor { pod, idx, .. } => format!("L-{}-{}", pod + 1, idx + 1),
+            Role::PodSpine { pod, idx } => format!("S-{}-{}", pod + 1, idx + 1),
+            Role::ZoneSpine { zone, idx } => format!("Z-{}-{}", zone + 1, idx + 1),
+            Role::TopSpine { idx } => format!("T-{}", idx + 1),
+            Role::Server { pod, tor_idx, idx } => {
+                format!("H-{}-{}-{}", pod + 1, tor_idx + 1, idx + 1)
+            }
+        }
     }
 }
 
@@ -220,306 +299,91 @@ impl FailureCase {
     }
 }
 
-/// Shape parameters of the four-tier extension (§IX: "scaling the DCN to
-/// multiple tiers"). Zones group PoDs under a zone-spine layer; top
-/// spines interconnect zones.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct FourTierParams {
-    pub zones: usize,
-    pub pods_per_zone: usize,
-    pub spines_per_pod: usize,
-    pub tors_per_pod: usize,
-    /// Uplinks from each PoD spine into its zone's spine layer (zone
-    /// layer width = spines_per_pod × this).
-    pub uplinks_per_spine: usize,
-    /// Uplinks from each zone spine into the top tier (top tier width =
-    /// zone layer width × this).
-    pub zone_uplinks: usize,
-    pub servers_per_tor: usize,
-}
-
-impl FourTierParams {
-    /// A small but fully-meshed four-tier fabric: 2 zones × 2 PoDs,
-    /// paper-like PoD internals — 32 routers.
-    pub fn small() -> FourTierParams {
-        FourTierParams {
-            zones: 2,
-            pods_per_zone: 2,
-            spines_per_pod: 2,
-            tors_per_pod: 2,
-            uplinks_per_spine: 2,
-            zone_uplinks: 2,
-            servers_per_tor: 1,
-        }
-    }
-
-    pub fn pods(&self) -> usize {
-        self.zones * self.pods_per_zone
-    }
-
-    pub fn zone_width(&self) -> usize {
-        self.spines_per_pod * self.uplinks_per_spine
-    }
-
-    pub fn top_spines(&self) -> usize {
-        self.zone_width() * self.zone_uplinks
-    }
-
-    pub fn validate(&self) -> Result<(), String> {
-        if self.zones < 2 {
-            return Err("need at least 2 zones".into());
-        }
-        if self.pods_per_zone == 0
-            || self.spines_per_pod == 0
-            || self.tors_per_pod == 0
-            || self.uplinks_per_spine == 0
-            || self.zone_uplinks == 0
-        {
-            return Err("all widths must be nonzero".into());
-        }
-        if 11 + self.pods() * self.tors_per_pod > 255 {
-            return Err("too many ToRs for one-byte VID derivation".into());
-        }
-        Ok(())
-    }
-}
-
 /// A fully-wired folded-Clos fabric: nodes, links (in wiring order — the
 /// order determines port indices in the emulator), and per-node port maps.
-/// Three-tier (the paper's fabrics) or four-tier (the §IX extension).
+/// Every node index derives from `params`.
 #[derive(Clone, Debug)]
 pub struct Fabric {
-    /// Per-PoD shape. For four-tier fabrics, `pods` is the global PoD
-    /// count and `top_spines()` does **not** apply — use the explicit
-    /// layout fields below.
+    /// The shape the fabric was built from.
     pub params: ClosParams,
-    /// 3 for the paper's fabrics, 4 for the zone extension.
-    pub tiers: u8,
     pub nodes: Vec<NodeSpec>,
     /// Links as (node a, node b). Node `a`'s port to this link is
     /// allocated before node `b`'s.
     pub links: Vec<(usize, usize)>,
     /// Per-node ports in allocation order (index = emulator `PortId`).
     pub ports: Vec<Vec<PortRef>>,
-    // Layout offsets (node-index bases per layer).
-    pod_spine_base: usize,
-    zone_spine_base: usize,
-    zones: usize,
-    zone_width: usize,
-    top_base: usize,
-    top_count: usize,
-    server_base: usize,
 }
 
 impl Fabric {
-    /// Build the paper's three-tier fabric. Panics on invalid parameters
-    /// (validate first for a `Result`).
+    /// Build the fabric `params` describes, three tiers or four. Panics on
+    /// invalid parameters (validate first for a `Result`).
     pub fn build(params: ClosParams) -> Fabric {
         params.validate().expect("invalid Clos parameters");
-        let mut f = Fabric {
-            params,
-            tiers: 3,
-            nodes: Vec::new(),
-            links: Vec::new(),
-            ports: Vec::new(),
-            pod_spine_base: params.num_tors(),
-            zone_spine_base: 0,
-            zones: 0,
-            zone_width: 0,
-            top_base: params.num_tors() + params.pods * params.spines_per_pod,
-            top_count: params.top_spines(),
-            server_base: params.num_routers(),
-        };
+        let mut f = Fabric { params, nodes: Vec::new(), links: Vec::new(), ports: Vec::new() };
+        let layers = params.layers();
+        let top_tier = layers.len() as u8;
 
-        // --- Nodes. Creation order fixes node indices: ToRs, PoD spines,
-        // top spines, servers.
-        for p in 0..params.pods {
-            for i in 0..params.tors_per_pod {
-                let vid = (11 + f.tor_count()) as u8;
-                f.push_node(format!("L-{}-{}", p + 1, i + 1), Role::Tor { pod: p, idx: i, vid }, 1);
+        // --- Nodes. Creation order fixes node indices: the router tiers
+        // bottom-up, then servers. A ToR's VID is 11 + its node index.
+        let mut bases = Vec::with_capacity(layers.len());
+        for (tier, layer) in (1..).zip(&layers) {
+            bases.push(f.nodes.len());
+            for g in 0..layer.groups {
+                for idx in 0..layer.width {
+                    let role = match tier {
+                        1 => Role::Tor { pod: g, idx, vid: (11 + f.nodes.len()) as u8 },
+                        2 => Role::PodSpine { pod: g, idx },
+                        t if t == top_tier => Role::TopSpine { idx },
+                        _ => Role::ZoneSpine { zone: g, idx },
+                    };
+                    f.push_node(role, tier);
+                }
             }
         }
-        for p in 0..params.pods {
-            for j in 0..params.spines_per_pod {
-                f.push_node(format!("S-{}-{}", p + 1, j + 1), Role::PodSpine { pod: p, idx: j }, 2);
-            }
-        }
-        for k in 0..params.top_spines() {
-            f.push_node(format!("T-{}", k + 1), Role::TopSpine { idx: k }, 3);
-        }
-        for p in 0..params.pods {
-            for i in 0..params.tors_per_pod {
-                for s in 0..params.servers_per_tor {
-                    f.push_node(
-                        format!("H-{}-{}-{}", p + 1, i + 1, s + 1),
-                        Role::Server { pod: p, tor_idx: i, idx: s },
-                        0,
-                    );
+        for pod in 0..params.pods {
+            for tor_idx in 0..params.tors_per_pod {
+                for idx in 0..params.servers_per_tor {
+                    f.push_node(Role::Server { pod, tor_idx, idx }, 0);
                 }
             }
         }
 
-        // --- Links. Order matters: every router's up-ports first.
-        //
-        // (1) PoD-spine ↔ top-spine, PoD-major then spine then uplink.
-        //     PoD spine j's up-ports come in stride order (T_j, T_{j+S});
-        //     top spine k's down-ports come in PoD order.
-        for p in 0..params.pods {
-            for j in 0..params.spines_per_pod {
-                for k in 0..params.uplinks_per_spine {
-                    let spine = f.pod_spine(p, j);
-                    let top = f.top_spine(j + k * params.spines_per_pod);
-                    f.push_link(spine, PortKind::Up, top, PortKind::Down);
-                }
-            }
-        }
-        // (2) ToR ↔ PoD-spine: ToR's up-ports in spine order; spine's
-        //     down-ports in ToR order.
-        for p in 0..params.pods {
-            for i in 0..params.tors_per_pod {
-                for j in 0..params.spines_per_pod {
-                    let tor = f.tor(p, i);
-                    let spine = f.pod_spine(p, j);
-                    f.push_link(tor, PortKind::Up, spine, PortKind::Down);
-                }
-            }
-        }
-        // (3) ToR ↔ servers: the rack port comes after all fabric ports
-        //     (the paper's `leavesNetworkPortDict` tells each leaf which
-        //     interface faces the rack).
-        for p in 0..params.pods {
-            for i in 0..params.tors_per_pod {
-                for s in 0..params.servers_per_tor {
-                    let tor = f.tor(p, i);
-                    let server = f.server(p, i, s);
-                    f.push_link(tor, PortKind::Host, server, PortKind::Up);
-                }
-            }
-        }
-        f
-    }
-
-    /// Build the four-tier zone extension: ToRs → PoD spines → zone
-    /// spines → top spines, with strided plane wiring at every level and
-    /// the same up-ports-first port numbering MR-MTP's VID derivation
-    /// relies on.
-    pub fn build_four_tier(p4: FourTierParams) -> Fabric {
-        p4.validate().expect("invalid four-tier parameters");
-        let pods = p4.pods();
-        let params = ClosParams {
-            pods,
-            spines_per_pod: p4.spines_per_pod,
-            tors_per_pod: p4.tors_per_pod,
-            uplinks_per_spine: p4.uplinks_per_spine,
-            servers_per_tor: p4.servers_per_tor,
-        };
-        let num_tors = pods * p4.tors_per_pod;
-        let pod_spines = pods * p4.spines_per_pod;
-        let zone_spines = p4.zones * p4.zone_width();
-        let mut f = Fabric {
-            params,
-            tiers: 4,
-            nodes: Vec::new(),
-            links: Vec::new(),
-            ports: Vec::new(),
-            pod_spine_base: num_tors,
-            zone_spine_base: num_tors + pod_spines,
-            zones: p4.zones,
-            zone_width: p4.zone_width(),
-            top_base: num_tors + pod_spines + zone_spines,
-            top_count: p4.top_spines(),
-            server_base: num_tors + pod_spines + zone_spines + p4.top_spines(),
-        };
-
-        // Nodes: ToRs, PoD spines, zone spines, top spines, servers.
-        for p in 0..pods {
-            for i in 0..p4.tors_per_pod {
-                let vid = (11 + f.tor_count()) as u8;
-                f.push_node(format!("L-{}-{}", p + 1, i + 1), Role::Tor { pod: p, idx: i, vid }, 1);
-            }
-        }
-        for p in 0..pods {
-            for j in 0..p4.spines_per_pod {
-                f.push_node(format!("S-{}-{}", p + 1, j + 1), Role::PodSpine { pod: p, idx: j }, 2);
-            }
-        }
-        for z in 0..p4.zones {
-            for m in 0..p4.zone_width() {
-                f.push_node(format!("Z-{}-{}", z + 1, m + 1), Role::ZoneSpine { zone: z, idx: m }, 3);
-            }
-        }
-        for k in 0..p4.top_spines() {
-            f.push_node(format!("T-{}", k + 1), Role::TopSpine { idx: k }, 4);
-        }
-        for p in 0..pods {
-            for i in 0..p4.tors_per_pod {
-                for s in 0..p4.servers_per_tor {
-                    f.push_node(
-                        format!("H-{}-{}-{}", p + 1, i + 1, s + 1),
-                        Role::Server { pod: p, tor_idx: i, idx: s },
-                        0,
-                    );
-                }
-            }
-        }
-
-        // Links, up-ports first at every node.
-        // (1) zone spine ↔ top spine, strided.
-        for z in 0..p4.zones {
-            for m in 0..p4.zone_width() {
-                for k in 0..p4.zone_uplinks {
-                    let zs = f.zone_spine(z, m);
-                    let top = f.top_spine(m + k * p4.zone_width());
-                    f.push_link(zs, PortKind::Up, top, PortKind::Down);
-                }
-            }
-        }
-        // (2) PoD spine ↔ zone spine, strided within the zone.
-        for z in 0..p4.zones {
-            for pz in 0..p4.pods_per_zone {
-                let pod = z * p4.pods_per_zone + pz;
-                for j in 0..p4.spines_per_pod {
-                    for k in 0..p4.uplinks_per_spine {
-                        let ps = f.pod_spine(pod, j);
-                        let zs = f.zone_spine(z, j + k * p4.spines_per_pod);
-                        f.push_link(ps, PortKind::Up, zs, PortKind::Down);
+        // --- Links. Order matters: every router's up-ports come first, so
+        // the tiers are wired top pair first. Uplink k of node j in a group
+        // of w nodes is the group's uplink slot j + k·w; the slots are dealt
+        // in order across the parent group in the tier above, `fan` slots
+        // to each parent. Above a spine tier fan = 1, the strided planes:
+        // PoD spine j's up-ports reach (T_j, T_{j+S}, …). Above the ToRs fan
+        // is the rack count, so a ToR's up-ports reach its PoD's spines in
+        // spine order. A parent's down-ports come in child order.
+        for l in (0..layers.len() - 1).rev() {
+            let (lower, upper) = (layers[l], layers[l + 1]);
+            let fan = lower.width * lower.up / upper.width;
+            let groups_per_parent = lower.groups / upper.groups;
+            for g in 0..lower.groups {
+                let parents = bases[l + 1] + g / groups_per_parent * upper.width;
+                for j in 0..lower.width {
+                    let child = bases[l] + g * lower.width + j;
+                    for k in 0..lower.up {
+                        let parent = parents + (j + k * lower.width) / fan;
+                        f.push_link(child, PortKind::Up, parent, PortKind::Down);
                     }
                 }
             }
         }
-        // (3) ToR ↔ PoD spine.
-        for pod in 0..pods {
-            for i in 0..p4.tors_per_pod {
-                for j in 0..p4.spines_per_pod {
-                    let tor = f.tor(pod, i);
-                    let ps = f.pod_spine(pod, j);
-                    f.push_link(tor, PortKind::Up, ps, PortKind::Down);
-                }
-            }
-        }
-        // (4) ToR ↔ servers.
-        for pod in 0..pods {
-            for i in 0..p4.tors_per_pod {
-                for s in 0..p4.servers_per_tor {
-                    let tor = f.tor(pod, i);
-                    let server = f.server(pod, i, s);
-                    f.push_link(tor, PortKind::Host, server, PortKind::Up);
-                }
-            }
+        // ToR ↔ servers: the rack port comes after all fabric ports (the
+        // paper's `leavesNetworkPortDict` tells each leaf which interface
+        // faces the rack). Servers follow the routers in ToR order.
+        for server in params.num_routers()..f.nodes.len() {
+            let tor = (server - params.num_routers()) / params.servers_per_tor;
+            f.push_link(tor, PortKind::Host, server, PortKind::Up);
         }
         f
     }
 
-    fn push_node(&mut self, name: String, role: Role, tier: u8) {
-        self.nodes.push(NodeSpec { name, role, tier });
+    fn push_node(&mut self, role: Role, tier: u8) {
+        self.nodes.push(NodeSpec { name: role.name(), role, tier });
         self.ports.push(Vec::new());
-    }
-
-    fn tor_count(&self) -> usize {
-        self.nodes
-            .iter()
-            .filter(|n| matches!(n.role, Role::Tor { .. }))
-            .count()
     }
 
     fn push_link(&mut self, a: usize, ka: PortKind, b: usize, kb: PortKind) {
@@ -538,40 +402,29 @@ impl Fabric {
 
     /// Node index of PoD spine `idx` in (global) `pod`.
     pub fn pod_spine(&self, pod: usize, idx: usize) -> usize {
-        self.pod_spine_base + pod * self.params.spines_per_pod + idx
+        self.params.num_tors() + pod * self.params.spines_per_pod + idx
     }
 
-    /// Node index of zone spine `idx` in `zone` (four-tier fabrics only).
+    /// Node index of zone spine `idx` in `zone` (four-tier fabrics only):
+    /// the zone spines follow the last PoD's spines.
     pub fn zone_spine(&self, zone: usize, idx: usize) -> usize {
-        assert_eq!(self.tiers, 4, "zone spines exist only in four-tier fabrics");
-        self.zone_spine_base + zone * self.zone_width + idx
+        assert!(self.params.zones.is_some(), "zone spines exist only in four-tier fabrics");
+        self.pod_spine(self.params.pods, 0) + zone * self.params.plane_width() + idx
     }
 
-    /// Number of zones (0 for three-tier fabrics).
-    pub fn zones(&self) -> usize {
-        self.zones
-    }
-
-    /// Node index of top spine `idx`.
+    /// Node index of top spine `idx`: the top spines are the last routers.
     pub fn top_spine(&self, idx: usize) -> usize {
-        self.top_base + idx
-    }
-
-    /// Number of top-tier spines.
-    pub fn top_spine_count(&self) -> usize {
-        self.top_count
+        self.num_routers() - self.params.top_spines() + idx
     }
 
     /// Node index of server `s` under ToR `idx` in (global) `pod`.
     pub fn server(&self, pod: usize, tor_idx: usize, s: usize) -> usize {
-        self.server_base
-            + (pod * self.params.tors_per_pod + tor_idx) * self.params.servers_per_tor
-            + s
+        self.num_routers() + self.tor(pod, tor_idx) * self.params.servers_per_tor + s
     }
 
     /// Number of router nodes.
     pub fn num_routers(&self) -> usize {
-        self.server_base
+        self.params.num_routers()
     }
 
     /// Iterate over router node indices.
@@ -582,25 +435,6 @@ impl Fabric {
     /// The port index on `node` that leads to `peer`, if directly linked.
     pub fn port_to(&self, node: usize, peer: usize) -> Option<usize> {
         self.ports[node].iter().position(|p| p.peer == peer)
-    }
-
-    /// Router hops a data packet crosses between servers in *different*
-    /// PoDs: up one side of the folded Clos and down the other (ToR →
-    /// PoD spine → top spine → PoD spine → ToR = 5 in three-tier
-    /// fabrics; four-tier adds a zone-spine layer each way).
-    pub fn cross_pod_router_hops(&self) -> usize {
-        match self.tiers {
-            3 => 5,
-            _ => 7,
-        }
-    }
-
-    /// MR-MTP root VID of a ToR node.
-    pub fn tor_vid(&self, node: usize) -> Option<u8> {
-        match self.nodes[node].role {
-            Role::Tor { vid, .. } => Some(vid),
-            _ => None,
-        }
     }
 
     /// Resolve a paper failure case to the failing `(node, port)`
@@ -645,18 +479,14 @@ mod tests {
     }
 
     #[test]
-    fn cross_pod_hop_count_by_tier() {
-        assert_eq!(Fabric::build(ClosParams::two_pod()).cross_pod_router_hops(), 5);
-        assert_eq!(
-            Fabric::build_four_tier(FourTierParams::small()).cross_pod_router_hops(),
-            7
-        );
-    }
-
-    #[test]
     fn tor_vids_start_at_11_in_rack_order() {
         let f = Fabric::build(ClosParams::two_pod());
-        let vids: Vec<u8> = (0..4).map(|i| f.tor_vid(i).unwrap()).collect();
+        let vids: Vec<u8> = (0..4)
+            .map(|i| match f.nodes[i].role {
+                Role::Tor { vid, .. } => vid,
+                role => panic!("node {i} is {role:?}"),
+            })
+            .collect();
         assert_eq!(vids, vec![11, 12, 13, 14]);
         assert_eq!(f.nodes[f.tor(0, 0)].name, "L-1-1");
         assert_eq!(f.nodes[f.tor(1, 1)].name, "L-2-2");
@@ -761,6 +591,20 @@ mod tests {
             err.contains("200 * 2 = 400 ToRs") && err.contains("at most 244"),
             "got: {err}"
         );
+        let zoned = |count, uplinks| ClosParams {
+            zones: Some(Zones { count, uplinks }),
+            ..ClosParams::four_pod()
+        };
+        let err = zoned(2, 0).validate().unwrap_err();
+        assert!(
+            err.contains("zones.uplinks = 0") && err.contains("zones.uplinks >= 1"),
+            "got: {err}"
+        );
+        for count in [1, 3] {
+            let err = zoned(count, 1).validate().unwrap_err();
+            assert!(err.contains(&format!("zones.count = {count} with pods = 4")), "got: {err}");
+        }
+        assert!(zoned(4, 1).validate().is_ok());
     }
 
     #[test]
@@ -774,6 +618,8 @@ mod tests {
         let p = ClosParams::scaled(16).unwrap();
         assert_eq!(p.pods, 16);
         assert!(p.validate().is_ok());
+        // The smallest scaled fabric is the paper's.
+        assert_eq!(ClosParams::scaled(2).unwrap(), ClosParams::two_pod());
     }
 
     #[test]
@@ -811,13 +657,14 @@ mod four_tier_tests {
 
     #[test]
     fn small_four_tier_counts_and_layout() {
-        let p4 = FourTierParams::small();
-        let f = Fabric::build_four_tier(p4);
-        assert_eq!(f.tiers, 4);
-        assert_eq!(f.zones(), 2);
+        let p = ClosParams::four_tier();
         // 8 ToRs + 8 PoD spines + 8 zone spines + 8 top = 32 routers.
-        assert_eq!(f.num_routers(), 32);
-        assert_eq!(f.top_spine_count(), 8);
+        assert_eq!(p.num_routers(), 32);
+        assert_eq!(p.top_spines(), 8);
+        let f = Fabric::build(p);
+        assert_eq!(f.nodes.len(), 32 + 8);
+        assert_eq!(f.nodes[f.top_spine(0)].name, "T-1");
+        assert_eq!(f.nodes[f.server(0, 0, 0)].name, "H-1-1-1");
         assert_eq!(f.nodes[f.zone_spine(0, 0)].name, "Z-1-1");
         assert_eq!(f.nodes[f.zone_spine(1, 3)].name, "Z-2-4");
         assert_eq!(f.nodes[f.zone_spine(0, 0)].tier, 3);
@@ -827,7 +674,7 @@ mod four_tier_tests {
 
     #[test]
     fn four_tier_port_order_is_up_first() {
-        let f = Fabric::build_four_tier(FourTierParams::small());
+        let f = Fabric::build(ClosParams::four_tier());
         // Zone spine: 2 up-ports (to top) then one down-port per PoD in
         // the zone (the stride maps each (spine, uplink) pair to a
         // distinct zone spine).
@@ -849,7 +696,7 @@ mod four_tier_tests {
 
     #[test]
     fn four_tier_failure_points_resolve() {
-        let f = Fabric::build_four_tier(FourTierParams::small());
+        let f = Fabric::build(ClosParams::four_tier());
         let (n3, p3) = f.failure_point(FailureCase::Tc3);
         assert_eq!((n3, p3), (f.pod_spine(0, 0), 0));
         let (n4, _) = f.failure_point(FailureCase::Tc4);
@@ -858,7 +705,7 @@ mod four_tier_tests {
 
     #[test]
     fn four_tier_backrefs_consistent() {
-        let f = Fabric::build_four_tier(FourTierParams::small());
+        let f = Fabric::build(ClosParams::four_tier());
         for (li, &(a, b)) in f.links.iter().enumerate() {
             assert!(f.ports[a].iter().any(|p| p.link == li && p.peer == b));
             assert!(f.ports[b].iter().any(|p| p.link == li && p.peer == a));

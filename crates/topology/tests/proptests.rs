@@ -1,18 +1,22 @@
 //! Property tests: structural invariants of generated fabrics hold for
-//! arbitrary (valid) Clos parameters.
+//! arbitrary (valid) Clos parameters, three tiers and four.
 
 use proptest::prelude::*;
 
-use dcn_topology::{Addressing, ClosParams, Fabric, FailureCase, PortKind, Role};
+use dcn_topology::{Addressing, ClosParams, Fabric, FailureCase, PortKind, Role, Zones};
 
+/// Half the draws have a zone layer (zone counts 2 and 3; the shapes
+/// whose PoDs do not split into them are invalid and skipped).
 fn arb_params() -> impl Strategy<Value = ClosParams> {
-    (2usize..=6, 1usize..=3, 1usize..=4, 1usize..=3, 1usize..=2).prop_map(
-        |(pods, spines, tors, uplinks, servers)| ClosParams {
+    let widths = (2usize..=6, 1usize..=3, 1usize..=4, 1usize..=3, 1usize..=2);
+    (widths, (0usize..=3, 1usize..=2)).prop_map(
+        |((pods, spines, tors, uplinks, servers), (zones, zone_uplinks))| ClosParams {
             pods,
             spines_per_pod: spines,
             tors_per_pod: tors,
             uplinks_per_spine: uplinks,
             servers_per_tor: servers,
+            zones: (zones >= 2).then_some(Zones { count: zones, uplinks: zone_uplinks }),
         },
     )
 }
@@ -25,7 +29,10 @@ proptest! {
         prop_assume!(p.validate().is_ok());
         let f = Fabric::build(p);
         prop_assert_eq!(f.nodes.len(), p.num_routers() + p.num_servers());
+        let zone_links =
+            p.zones.map_or(0, |z| z.count * p.spines_per_pod * p.uplinks_per_spine * z.uplinks);
         let expect_links = p.pods * p.spines_per_pod * p.uplinks_per_spine
+            + zone_links
             + p.pods * p.tors_per_pod * p.spines_per_pod
             + p.num_servers();
         prop_assert_eq!(f.links.len(), expect_links);
@@ -81,7 +88,7 @@ proptest! {
 
     #[test]
     fn strided_wiring_covers_every_top_spine_once_per_pod(p in arb_params()) {
-        prop_assume!(p.validate().is_ok());
+        prop_assume!(p.validate().is_ok() && p.zones.is_none());
         let f = Fabric::build(p);
         for k in 0..p.top_spines() {
             let t = f.top_spine(k);
@@ -89,6 +96,30 @@ proptest! {
             for (pod, pr) in f.ports[t].iter().enumerate() {
                 // Strided: top spine k connects to pod spine (k mod S).
                 prop_assert_eq!(pr.peer, f.pod_spine(pod, k % p.spines_per_pod));
+            }
+        }
+    }
+
+    #[test]
+    fn zone_layers_are_strided_like_the_top_tier(p in arb_params()) {
+        prop_assume!(p.validate().is_ok() && p.zones.is_some());
+        let z = p.zones.unwrap();
+        let f = Fabric::build(p);
+        let width = p.spines_per_pod * p.uplinks_per_spine;
+        let pods_per_zone = p.pods / z.count;
+        let down = |n: usize| -> Vec<usize> {
+            f.ports[n].iter().filter(|pr| pr.kind == PortKind::Down).map(|pr| pr.peer).collect()
+        };
+        for k in 0..p.top_spines() {
+            let want: Vec<usize> = (0..z.count).map(|zone| f.zone_spine(zone, k % width)).collect();
+            prop_assert_eq!(down(f.top_spine(k)), want, "one down-link per zone");
+        }
+        for zone in 0..z.count {
+            for m in 0..width {
+                let want: Vec<usize> = (0..pods_per_zone)
+                    .map(|i| f.pod_spine(zone * pods_per_zone + i, m % p.spines_per_pod))
+                    .collect();
+                prop_assert_eq!(down(f.zone_spine(zone, m)), want, "one down-link per PoD in the zone");
             }
         }
     }

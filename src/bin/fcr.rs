@@ -265,10 +265,8 @@ fn run_spec(a: &Args, params: ClosParams) -> RunSpec {
 
 /// Resolve `--pods` into fabric parameters (2-PoD paper testbed default).
 fn params_for(a: &Args) -> ClosParams {
-    match a.num("--pods") {
-        None | Some(2) => ClosParams::two_pod(),
-        Some(p) => ClosParams::scaled(p).unwrap_or_else(|e| fail(&format!("--pods {p}: {e}"))),
-    }
+    let p = a.num("--pods").unwrap_or(2);
+    ClosParams::scaled(p).unwrap_or_else(|e| fail(&format!("--pods {p}: {e}")))
 }
 
 fn write_bundle(bundle: TraceBundle, dir: &Path) {

@@ -18,6 +18,7 @@ fn wide() -> ClosParams {
         tors_per_pod: 3,
         uplinks_per_spine: 1,
         servers_per_tor: 2,
+        zones: None,
     }
 }
 

@@ -8,7 +8,7 @@ use std::fmt::Write as _;
 use dcn_experiments::{build_sim, flows::pin_flow, Stack};
 use dcn_sim::time::{millis, secs};
 use dcn_sim::{FrameClass, NodeId, PortId, TraceEvent};
-use dcn_topology::{ClosParams, Fabric, FourTierParams};
+use dcn_topology::{ClosParams, Fabric, Zones};
 use dcn_traffic::{SendSpec, TrafficHost};
 
 /// [`dcn_sim::hash64`] of everything the builder decides: every node's
@@ -42,7 +42,7 @@ fn wiring_is_pinned_for_every_shape() {
     wide.servers_per_tor = 2;
     let wide_top =
         ClosParams { pods: 130, spines_per_pod: 1, tors_per_pod: 1, uplinks_per_spine: 1, ..ClosParams::two_pod() };
-    let uneven = FourTierParams { zones: 3, pods_per_zone: 1, zone_uplinks: 1, ..FourTierParams::small() };
+    let uneven = ClosParams { pods: 3, zones: Some(Zones { count: 3, uplinks: 1 }), ..ClosParams::four_tier() };
     let shapes = [
         ("two_pod", Fabric::build(ClosParams::two_pod()), 0x823a_9d99_e530_e670_u64),
         ("four_pod", Fabric::build(ClosParams::four_pod()), 0x2468_b964_d603_052a),
@@ -50,8 +50,8 @@ fn wiring_is_pinned_for_every_shape() {
         ("scaled(128)", Fabric::build(ClosParams::scaled(128).unwrap()), 0xbf10_925a_6210_c560),
         ("wide", Fabric::build(wide), 0xd11a_13f4_ef01_f103),
         ("wide_top", Fabric::build(wide_top), 0xce9c_bf7e_814b_616d),
-        ("four-tier", Fabric::build_four_tier(FourTierParams::small()), 0xd575_6a46_5e94_1374),
-        ("four-tier uneven", Fabric::build_four_tier(uneven), 0x74fd_3e56_f666_5a67),
+        ("four-tier", Fabric::build(ClosParams::four_tier()), 0xd575_6a46_5e94_1374),
+        ("four-tier uneven", Fabric::build(uneven), 0x74fd_3e56_f666_5a67),
     ];
     let mut got = String::new();
     for (label, fabric, _) in &shapes {

@@ -4,34 +4,22 @@
 //! for MR-MTP ("the scheme can easily scale to any number of spine
 //! tiers").
 
-use dcn_experiments::{build_fabric_sim_cfg, BuiltSim, Stack, StackTuning};
+use dcn_experiments::{build_sim, Stack};
 use dcn_mrmtp::MrmtpRouter;
 use dcn_sim::time::secs;
-use dcn_sim::{NodeId, PortId, SimConfig};
-use dcn_topology::{Fabric, FailureCase, FourTierParams, PortKind};
+use dcn_sim::{NodeId, PortId};
+use dcn_topology::{ClosParams, FailureCase, PortKind};
 use dcn_traffic::{SendSpec, TrafficHost};
-
-/// The four-tier fabric under the paper's default timers and engine.
-fn four_tier_sim(
-    p4: FourTierParams,
-    stack: Stack,
-    seed: u64,
-    senders: &[(usize, SendSpec)],
-) -> BuiltSim {
-    let fabric = Fabric::build_four_tier(p4);
-    build_fabric_sim_cfg(fabric, stack, seed, senders, StackTuning::default(), SimConfig::default())
-}
 
 #[test]
 fn mrmtp_builds_depth_four_meshed_trees() {
-    let p4 = FourTierParams::small();
-    let mut built = four_tier_sim(p4, Stack::Mrmtp, 1, &[]);
+    let mut built = build_sim(ClosParams::four_tier(), Stack::Mrmtp, 1, &[]);
     built.sim.run_until(secs(3));
     // Zone spines hold one VID per ToR in their zone (4 racks/zone).
     let zs = built.mrmtp(built.fabric.zone_spine(0, 0));
     assert_eq!(zs.vid_table().own_entry_count(), 4, "{}", zs.render_table());
     // Top spines hold one depth-4 VID per ToR in the whole fabric.
-    for k in 0..built.fabric.top_spine_count() {
+    for k in 0..built.fabric.params.top_spines() {
         let t: &MrmtpRouter = built.mrmtp(built.fabric.top_spine(k));
         assert_eq!(t.vid_table().own_entry_count(), 8, "{}", t.name());
         for root in 11..19u8 {
@@ -44,20 +32,20 @@ fn mrmtp_builds_depth_four_meshed_trees() {
 
 #[test]
 fn mrmtp_forwards_across_zones() {
-    let p4 = FourTierParams::small();
-    let fabric = dcn_topology::Fabric::build_four_tier(p4);
+    let p = ClosParams::four_tier();
+    let fabric = dcn_topology::Fabric::build(p);
     let addr = dcn_topology::Addressing::new(&fabric);
     // Rack 11 (zone 1) → last rack (zone 2): must traverse all 4 tiers.
     let src = fabric.server(0, 0, 0);
-    let dst_tor = fabric.tor(p4.pods() - 1, p4.tors_per_pod - 1);
+    let dst_tor = fabric.tor(p.pods - 1, p.tors_per_pod - 1);
     let dst_ip = addr.server_addr(dst_tor, 0).unwrap();
     let mut spec = SendSpec::new(dst_ip, secs(3), secs(4));
     spec.count = 200;
-    let mut built = four_tier_sim(p4, Stack::Mrmtp, 1, &[(src, spec)]);
+    let mut built = build_sim(p, Stack::Mrmtp, 1, &[(src, spec)]);
     built.sim.run_until(secs(5));
     let sent = built.host(src).sent();
     assert_eq!(sent, 200);
-    let dst = fabric.server(p4.pods() - 1, p4.tors_per_pod - 1, 0);
+    let dst = fabric.server(p.pods - 1, p.tors_per_pod - 1, 0);
     let report = built
         .sim
         .node_as::<TrafficHost>(NodeId(dst as u32))
@@ -68,8 +56,7 @@ fn mrmtp_forwards_across_zones() {
 
 #[test]
 fn bgp_converges_on_four_tiers() {
-    let p4 = FourTierParams::small();
-    let mut built = four_tier_sim(p4, Stack::BgpEcmp, 1, &[]);
+    let mut built = build_sim(ClosParams::four_tier(), Stack::BgpEcmp, 1, &[]);
     built.sim.run_until(secs(6));
     for r in built.fabric.routers() {
         let router = built.bgp(r);
@@ -95,8 +82,8 @@ fn four_tier_failures_stay_contained() {
     // PoD, so the roots are gone; the loss propagates to the *other*
     // PoD-1-adjacent spines in zone 1 only. The rest of the fabric
     // (other zone!) is untouched.
-    let p4 = FourTierParams::small();
-    let mut built = four_tier_sim(p4, Stack::Mrmtp, 3, &[]);
+    let p = ClosParams::four_tier();
+    let mut built = build_sim(p, Stack::Mrmtp, 3, &[]);
     built.sim.run_until(secs(3));
     let (node, port) = built.fabric.failure_point(FailureCase::Tc4);
     built
@@ -110,7 +97,7 @@ fn four_tier_failures_stay_contained() {
         "zone-local containment: {affected} of {routers} routers"
     );
     // Zone 2's spines saw nothing.
-    for m in 0..p4.zone_width() {
+    for m in 0..p.spines_per_pod * p.uplinks_per_spine {
         let zs = built.mrmtp(built.fabric.zone_spine(1, m));
         assert_eq!(
             zs.vid_table().negative_entry_count(),

@@ -76,7 +76,7 @@ fn walker_hops_are_the_hops_of_a_real_packet() {
     assert_eq!(fabric.ports[fabric.tor(0, 0)].len(), 132);
     walker_hops_match_the_wire(wide_tors, 1..4, 0..2);
     let wide_top =
-        ClosParams { pods: 130, spines_per_pod: 1, tors_per_pod: 1, uplinks_per_spine: 1, servers_per_tor: 1 };
+        ClosParams { pods: 130, spines_per_pod: 1, tors_per_pod: 1, uplinks_per_spine: 1, ..ClosParams::two_pod() };
     let fabric = Fabric::build(wide_top);
     assert_eq!(fabric.ports[fabric.top_spine(0)].len(), 130);
     walker_hops_match_the_wire(wide_top, 1..2, 0..1);
