@@ -929,6 +929,30 @@ mod tests {
         }
     }
 
+    /// Every file a chaos bundle carries besides `meta.json` and the
+    /// sampled series, pinned by the [`dcn_sim::hash64`] of its bytes:
+    /// how a run is observed must not move what it records.
+    #[test]
+    fn chaos_bundle_files_are_pinned() {
+        let (_, bundle) = chaos_bundle(5, Stack::Mrmtp, &quick_cfg());
+        let got: Vec<(&str, u64)> = ["schedule.jsonl", "spans.jsonl", "hists.jsonl", "capture.txt"]
+            .into_iter()
+            .map(|want| {
+                let (_, text) = bundle.files().iter().find(|(n, _)| n == want).expect(want);
+                (want, dcn_sim::hash64(text.as_bytes()))
+            })
+            .collect();
+        assert_eq!(
+            got,
+            [
+                ("schedule.jsonl", 0xd2d6_3df9_08e7_b2b6),
+                ("spans.jsonl", 0x5dc3_e9af_fb52_99b7),
+                ("hists.jsonl", 0xd506_54d9_c08e_f544),
+                ("capture.txt", 0x6ead_3a0a_4539_59a9),
+            ]
+        );
+    }
+
     #[test]
     fn small_campaign_summary_renders() {
         let cfg = CampaignConfig {

@@ -371,6 +371,31 @@ mod tests {
         assert!(sb_text.contains("phases:"), "{sb_text}");
     }
 
+    /// Every file a scenario bundle carries besides `meta.json` and the
+    /// sampled series, pinned by the [`dcn_sim::hash64`] of its bytes:
+    /// how a run is observed must not move what it records.
+    #[test]
+    fn bundle_files_are_pinned() {
+        let s = RunSpec::new(ClosParams::two_pod(), Stack::Mrmtp).failing(FailureCase::Tc1).seeded(42);
+        let bundle = bundle_from_run(&run_instrumented(s), &s);
+        let got: Vec<(&str, u64)> = ["spans.jsonl", "hists.jsonl", "storyboard.txt", "capture.txt"]
+            .into_iter()
+            .map(|want| {
+                let (_, text) = bundle.files().iter().find(|(n, _)| n == want).expect(want);
+                (want, dcn_sim::hash64(text.as_bytes()))
+            })
+            .collect();
+        assert_eq!(
+            got,
+            [
+                ("spans.jsonl", 0x431e_ae10_0064_bce4),
+                ("hists.jsonl", 0x082a_7c43_d3b7_d44b),
+                ("storyboard.txt", 0x8d1e_7a9b_78cf_801b),
+                ("capture.txt", 0x3087_ecbb_fb5d_074e),
+            ]
+        );
+    }
+
     #[test]
     fn steady_state_has_keepalives_but_no_updates() {
         let r = RunSpec::new(ClosParams::two_pod(), Stack::Mrmtp)

@@ -65,6 +65,20 @@ fn replicate_matches_golden() {
     assert_golden(&["replicate", "2"]);
 }
 
+/// `fcr report`'s storyboard, per-router table and frame classes, pinned
+/// up to a trailing `telemetry:` summary line, which is not part of the
+/// pin.
+#[test]
+fn report_matches_golden() {
+    let golden = format!("{}/tests/golden/fcr-report-mrmtp-tc1.txt", env!("CARGO_MANIFEST_DIR"));
+    let want = std::fs::read_to_string(&golden).unwrap_or_else(|e| panic!("{golden}: {e}"));
+    let out = fcr(&["report", "mrmtp", "tc1"]);
+    assert!(out.status.success(), "fcr report exited with {:?}", out.status.code());
+    let text = String::from_utf8(out.stdout).expect("utf-8 report");
+    let got = text.split("\ntelemetry:").next().unwrap_or_default();
+    assert_eq!(got, want, "fcr report mrmtp tc1 differs from {golden}");
+}
+
 /// Exit 2 with the usage text on stderr and nothing on stdout.
 fn assert_rejected(args: &[&str]) {
     let out = fcr(args);
