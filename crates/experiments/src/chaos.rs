@@ -30,10 +30,7 @@ use std::path::PathBuf;
 use dcn_sim::rng::DetRng;
 use dcn_sim::time::{Duration, Time, MICROS, MILLIS, SECONDS};
 use dcn_sim::{Hash64, Impairment, NodeId, PortId, SimConfig};
-use dcn_telemetry::{
-    capture_dump, hists_jsonl, series_jsonl, spans_jsonl, Json, PerfReport, Telemetry,
-    TelemetryConfig, TraceBundle,
-};
+use dcn_telemetry::{capture_dump, hists_jsonl, spans_jsonl, Json, PerfReport, TraceBundle};
 use dcn_topology::{Addressing, ClosParams, Fabric, PortKind, Role};
 use dcn_traffic::SendSpec;
 use dcn_wire::{flow_hash, IPPROTO_UDP};
@@ -43,7 +40,6 @@ use crate::fabric::{assemble, BuiltSim, Stack, StackTuning};
 use crate::figures::Figure;
 use crate::profile::perf_report;
 use crate::replicate::Stats;
-use crate::scenario::advance;
 
 /// Salt for the schedule-generation RNG stream (distinct from the
 /// engine's per-node and impairment streams).
@@ -318,25 +314,24 @@ impl ChaosRun {
 /// Execute one chaos run: warm up, open the impaired fault window, replay
 /// the schedule, heal, settle, then check every invariant.
 pub fn run_chaos(seed: u64, stack: Stack, cfg: &ChaosConfig) -> ChaosRun {
-    run_chaos_with(seed, stack, cfg, SimConfig::default(), None).0
+    run_chaos_with(seed, stack, cfg, SimConfig::default()).0
 }
 
 /// [`run_chaos`] handing back the engine's perf report alongside the run.
 pub fn run_chaos_profiled(seed: u64, stack: Stack, cfg: &ChaosConfig) -> (ChaosRun, PerfReport) {
-    let (run, _, built) = run_chaos_with(seed, stack, cfg, SimConfig::default(), None);
+    let (run, _, built) = run_chaos_with(seed, stack, cfg, SimConfig::default());
     (run, perf_report(&built.sim, format!("chaos {} seed {}", stack.slug(), seed)))
 }
 
 /// [`run_chaos`] with *how* it executes spelt out, exactly as for
-/// [`crate::scenario::execute`]: the engine's [`SimConfig`] and an
-/// optional telemetry sampler, neither of which may change the digest.
-/// Also hands back the generated schedule and the finished simulation.
+/// [`crate::scenario::execute`]: the engine's [`SimConfig`], which may
+/// not change the digest. Also hands back the generated schedule and the
+/// finished simulation.
 pub fn run_chaos_with(
     seed: u64,
     stack: Stack,
     cfg: &ChaosConfig,
     config: SimConfig,
-    mut tel: Option<&mut Telemetry>,
 ) -> (ChaosRun, FaultSchedule, BuiltSim) {
     let fabric = Fabric::build(cfg.params);
     let addr = Addressing::new(&fabric);
@@ -353,11 +348,11 @@ pub fn run_chaos_with(
     // the impairment just before the final heals so the settle period is
     // a clean fabric.
     let heal_at = cfg.heal_at();
-    advance(&mut built.sim, cfg.warmup, tel.as_deref_mut());
+    built.sim.run_until(cfg.warmup);
     built.sim.set_impairment_all(cfg.impairment);
-    advance(&mut built.sim, heal_at.saturating_sub(1), tel.as_deref_mut());
+    built.sim.run_until(heal_at.saturating_sub(1));
     built.sim.set_impairment_all(Impairment::none());
-    advance(&mut built.sim, cfg.end_at(), tel);
+    built.sim.run_until(cfg.end_at());
 
     let convergence = dcn_metrics::last_state_change(built.sim.trace(), heal_at);
     let converged = convergence.is_none_or(|d| d <= cfg.convergence_bound);
@@ -384,15 +379,13 @@ pub fn run_chaos_with(
     (run, schedule, built)
 }
 
-/// Re-run one (seed, stack) pair with telemetry attached and package a
-/// self-contained replay bundle: the fault schedule, every typed span,
-/// the sampled series and a capture of the fault window. Sampling is
-/// read-only, so the instrumented run reproduces the original digest —
-/// the caller can (and [`run_campaign`] does) cross-check it.
+/// Re-run one (seed, stack) pair and package a self-contained replay
+/// bundle: the fault schedule, every typed span, the frame-size
+/// histograms and a capture of the fault window. The re-run reproduces
+/// the original digest — the caller can (and [`run_campaign`] does)
+/// cross-check it.
 pub fn chaos_bundle(seed: u64, stack: Stack, cfg: &ChaosConfig) -> (ChaosRun, TraceBundle) {
-    let mut tel = Telemetry::new(TelemetryConfig::default());
-    let (run, schedule, built) =
-        run_chaos_with(seed, stack, cfg, SimConfig::default(), Some(&mut tel));
+    let (run, schedule, built) = run_chaos_with(seed, stack, cfg, SimConfig::default());
     let sim = &built.sim;
     let name_of = |n: NodeId| sim.node_name(n).to_string();
 
@@ -409,7 +402,6 @@ pub fn chaos_bundle(seed: u64, stack: Stack, cfg: &ChaosConfig) -> (ChaosRun, Tr
         ("window_repaired", Json::UInt(run.window_repaired)),
         ("converged", Json::Bool(run.converged)),
         ("violations", Json::UInt(run.violations() as u64)),
-        ("samples", Json::UInt(tel.samples_taken())),
         ("heal_at_ns", Json::UInt(cfg.heal_at())),
         ("end_ns", Json::UInt(cfg.end_at())),
     ]);
@@ -431,8 +423,7 @@ pub fn chaos_bundle(seed: u64, stack: Stack, cfg: &ChaosConfig) -> (ChaosRun, Tr
     }
     b.add_file("schedule.jsonl", sched);
     b.add_file("spans.jsonl", spans_jsonl(sim.trace(), name_of));
-    b.add_file("series.jsonl", series_jsonl(tel.registry(), |i| name_of(NodeId(i))));
-    b.add_file("hists.jsonl", hists_jsonl(&tel));
+    b.add_file("hists.jsonl", hists_jsonl(sim.trace()));
     b.add_file("capture.txt", capture_dump(sim, cfg.warmup, cfg.end_at(), 200));
     (run, b)
 }
@@ -645,9 +636,9 @@ pub struct CampaignConfig {
     pub chaos: ChaosConfig,
     /// Re-run every (seed, stack) pair and compare trace digests.
     pub check_determinism: bool,
-    /// When set, any run that violates an invariant is re-run with
-    /// telemetry attached and a replay bundle is written under this
-    /// directory (`chaos-<stack>-seed<N>/`).
+    /// When set, any run that violates an invariant is re-run and a
+    /// replay bundle is written under this directory
+    /// (`chaos-<stack>-seed<N>/`).
     pub telemetry_out: Option<PathBuf>,
     /// When set, every run writes its engine profile as
     /// `perf_report.json` under `<dir>/chaos-<stack>-seed<N>-perf/`.
@@ -711,8 +702,8 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignResult {
         if run.violations() > 0 {
             if let Some(dir) = &out {
                 let (rerun, bundle) = chaos_bundle(seed, stack, &chaos);
-                // The instrumented re-run must reproduce the original
-                // digest; a mismatch is itself a determinism violation.
+                // The bundle's re-run must reproduce the original digest;
+                // a mismatch is itself a determinism violation.
                 run.deterministic &= rerun.digest == run.digest;
                 let sub = dir.join(format!("chaos-{}-seed{}", stack.slug(), seed));
                 match bundle.write(&sub) {
@@ -899,23 +890,22 @@ mod tests {
 
     #[test]
     fn telemetry_does_not_perturb_chaos_digest() {
-        // The determinism contract: attaching the sampler must leave the
-        // per-seed digest bit-identical on every stack.
+        // The determinism contract: the bundle's re-run must reproduce
+        // the per-seed digest bit-identically on every stack.
         let cfg = quick_cfg();
         for stack in [Stack::Mrmtp, Stack::BgpEcmp] {
             let bare = run_chaos(5, stack, &cfg);
             let (instrumented, bundle) = chaos_bundle(5, stack, &cfg);
             assert_eq!(
                 bare.digest, instrumented.digest,
-                "telemetry perturbed the event stream on {}",
+                "the bundle's re-run diverged on {}",
                 stack.label()
             );
             let names: Vec<&str> = bundle.files().iter().map(|(n, _)| n.as_str()).collect();
-            for want in ["schedule.jsonl", "spans.jsonl", "series.jsonl", "capture.txt"] {
+            for want in ["schedule.jsonl", "spans.jsonl", "capture.txt"] {
                 assert!(names.contains(&want), "missing {want} in {names:?}");
             }
             assert_eq!(bundle.meta().get("digest").unwrap().as_u64(), Some(bare.digest));
-            assert!(bundle.meta().get("samples").unwrap().as_u64().unwrap() > 0);
             // Every schedule line parses back and carries a node name;
             // down transitions match the run's fault count.
             let sched = &bundle.files()[0].1;

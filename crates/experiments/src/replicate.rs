@@ -64,12 +64,10 @@ pub fn run_replicated(spec: RunSpec, seeds: &[u64]) -> ReplicatedResult {
     aggregate(fan_out(specs, 0, run))
 }
 
-/// [`run_replicated`] with telemetry attached to every run: each seed's
-/// trace bundle (spans, series, histograms, storyboard, capture) is
-/// written under `dir/replicate-<stack>-<tc>-seed<N>/`, so the spread the
-/// replicated figure reports can be dissected run by run. Sampling is
-/// read-only, so the aggregated metrics are identical to
-/// [`run_replicated`]'s.
+/// [`run_replicated`] writing every run's trace bundle (spans, histograms,
+/// storyboard, capture) under `dir/replicate-<stack>-<tc>-seed<N>/`, so
+/// the spread the replicated figure reports can be dissected run by run.
+/// The aggregated metrics are identical to [`run_replicated`]'s.
 pub fn run_replicated_instrumented(
     spec: RunSpec,
     seeds: &[u64],
@@ -158,13 +156,13 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("dcn-replicate-test-{}", std::process::id()));
         let bare = run_replicated(s, &[1, 2]);
         let inst = run_replicated_instrumented(s, &[1, 2], &dir);
-        // Telemetry is read-only: the aggregates are identical.
+        // Writing bundles changes nothing: the aggregates are identical.
         assert_eq!(bare.convergence_ms, inst.convergence_ms);
         assert_eq!(bare.blast_radius, inst.blast_radius);
         assert_eq!(bare.control_bytes, inst.control_bytes);
         for seed in [1, 2] {
             let sub = dir.join(format!("replicate-mrmtp-tc1-seed{seed}"));
-            for f in ["meta.json", "spans.jsonl", "series.jsonl", "hists.jsonl", "storyboard.txt"] {
+            for f in ["meta.json", "spans.jsonl", "hists.jsonl", "storyboard.txt"] {
                 assert!(sub.join(f).exists(), "missing {f} in {}", sub.display());
             }
         }

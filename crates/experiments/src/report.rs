@@ -86,7 +86,7 @@ pub fn render(run: &InstrumentedRun, spec: &RunSpec) -> String {
         "\nframe classes (entire run):\n{:<10} {:>8} {:>10} {:>7} {:>7} {:>5}\n",
         "class", "frames", "bytes", "mean", "p99<=", "max"
     ));
-    for (class, h) in run.telemetry.frame_size_hists() {
+    for (class, h) in dcn_telemetry::frame_size_hists(sim.trace()) {
         if h.total() == 0 {
             continue;
         }
@@ -100,12 +100,6 @@ pub fn render(run: &InstrumentedRun, spec: &RunSpec) -> String {
             h.max(),
         ));
     }
-
-    out.push_str(&format!(
-        "\ntelemetry: {} samples, {} series\n",
-        run.telemetry.samples_taken(),
-        run.telemetry.registry().series_count(),
-    ));
     out
 }
 

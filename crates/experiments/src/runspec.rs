@@ -4,13 +4,12 @@
 //! failure, traffic placement, seed, timeline, protocol tuning — and
 //! nothing else: every field is part of [`RunSpec::key`], and two specs
 //! with equal keys are the same experiment. *How* a run executes (the
-//! scheduler backend, tracing, an attached telemetry sampler) is not in
-//! the spec: it is the [`dcn_sim::SimConfig`] and the optional
-//! [`dcn_telemetry::Telemetry`] handed to [`crate::scenario::execute`].
-//! The equivalence suite proves the scheduler backend and the sampler
-//! invisible. One `SimConfig` field is not: `carrier_latency` changes
-//! the digest, yet the key does not name it, so only its default is
-//! comparable across stores.
+//! scheduler backend, tracing) is not in the spec: it is the
+//! [`dcn_sim::SimConfig`] handed to [`crate::scenario::execute`]. The
+//! equivalence suite proves the scheduler backend invisible. One
+//! `SimConfig` field is not: `carrier_latency` changes the digest, yet
+//! the key does not name it, so only its default is comparable across
+//! stores.
 //!
 //! ```
 //! use dcn_experiments::{RunSpec, Stack, TrafficDir};
@@ -303,8 +302,8 @@ impl RunSpec {
         scenario::run(self)
     }
 
-    /// Run with the telemetry sampler attached. Sampling is read-only:
-    /// the metrics are identical to [`RunSpec::run`]'s.
+    /// Run and keep the finished simulation for reports and bundles: the
+    /// metrics are identical to [`RunSpec::run`]'s.
     pub fn run_instrumented(self) -> InstrumentedRun {
         scenario::run_instrumented(self)
     }

@@ -6,11 +6,8 @@ use dcn_metrics::{
     update_frames, KeepaliveStats,
 };
 use dcn_sim::time::{as_millis_f64, millis, secs, Duration, Time};
-use dcn_sim::{NodeId, Sim, SimConfig};
-use dcn_telemetry::{
-    capture_dump, hists_jsonl, series_jsonl, spans_jsonl, Json, Telemetry, TelemetryConfig,
-    TraceBundle,
-};
+use dcn_sim::{NodeId, SimConfig};
+use dcn_telemetry::{capture_dump, hists_jsonl, spans_jsonl, Json, TraceBundle};
 use dcn_topology::{Addressing, Fabric};
 use dcn_traffic::{LossReport, SendSpec};
 
@@ -133,12 +130,11 @@ pub struct ScenarioResult {
     pub breakdown: Vec<(&'static str, u64, u64)>,
 }
 
-/// One instrumented run: the ordinary metrics plus the telemetry session
-/// and the finished simulation (trace, routers) for storyboarding,
-/// series export and counter dumps.
+/// One instrumented run: the ordinary metrics plus the finished
+/// simulation (trace, routers) for storyboarding, span and histogram
+/// export and counter dumps.
 pub struct InstrumentedRun {
     pub result: ScenarioResult,
-    pub telemetry: Telemetry,
     pub built: BuiltSim,
     /// The failure instant (storyboard `t0`), if the scenario failed
     /// anything.
@@ -154,7 +150,7 @@ pub fn run(spec: RunSpec) -> ScenarioResult {
 /// callers that go on to read the trace, the routers' tables or the
 /// engine profile.
 pub fn run_with_sim(spec: RunSpec) -> (ScenarioResult, BuiltSim) {
-    execute(&spec, SimConfig::default(), None)
+    execute(&spec, SimConfig::default())
 }
 
 /// Run one spec to completion and return the trace digest of the finished
@@ -164,29 +160,16 @@ pub fn run_digest(spec: RunSpec) -> u64 {
     crate::chaos::trace_digest(&run_with_sim(spec).1.sim)
 }
 
-/// [`run`] with the telemetry sampler attached at its default cadence:
-/// identical event processing (sampling only reads state between event
-/// batches), plus a sampled registry and the live simulation handed back
-/// for export.
+/// [`run_with_sim`] with the failure instant kept beside the finished
+/// simulation, for the storyboard, the report and the trace bundle.
 pub fn run_instrumented(spec: RunSpec) -> InstrumentedRun {
-    let mut telemetry = Telemetry::new(TelemetryConfig::default());
-    let (result, built) = execute(&spec, SimConfig::default(), Some(&mut telemetry));
+    let (result, built) = run_with_sim(spec);
     let failure_at = (spec.failure != Failure::None).then(|| spec.timing.failure_at());
-    InstrumentedRun { result, telemetry, built, failure_at }
-}
-
-/// Advance the simulation, sampling telemetry on its cadence when
-/// attached. Both paths process the same events in the same order. The
-/// only place a harness moves simulated time.
-pub(crate) fn advance(sim: &mut Sim, until: Time, tel: Option<&mut Telemetry>) {
-    match tel {
-        Some(t) => dcn_telemetry::run_sampled(sim, until, t),
-        None => sim.run_until(until),
-    }
+    InstrumentedRun { result, built, failure_at }
 }
 
 /// Package one instrumented run as a self-contained trace bundle:
-/// `meta.json`, span and series JSONL dumps, a tshark-style capture of
+/// `meta.json`, span and frame-size JSONL dumps, a tshark-style capture of
 /// the failure window, and the rendered convergence storyboard.
 pub fn bundle_from_run(run: &InstrumentedRun, spec: &RunSpec) -> TraceBundle {
     let sim = &run.built.sim;
@@ -196,8 +179,6 @@ pub fn bundle_from_run(run: &InstrumentedRun, spec: &RunSpec) -> TraceBundle {
         ("kind", Json::str("scenario")),
         ("stack", Json::str(spec.stack.slug())),
         ("seed", Json::UInt(spec.seed)),
-        ("samples", Json::UInt(run.telemetry.samples_taken())),
-        ("series", Json::UInt(run.telemetry.registry().series_count() as u64)),
         ("end_ns", Json::UInt(sim.now())),
     ];
     if let Some(t0) = run.failure_at {
@@ -210,11 +191,7 @@ pub fn bundle_from_run(run: &InstrumentedRun, spec: &RunSpec) -> TraceBundle {
 
     let mut b = TraceBundle::new(Json::obj(meta));
     b.add_file("spans.jsonl", spans_jsonl(sim.trace(), name_of));
-    b.add_file(
-        "series.jsonl",
-        series_jsonl(run.telemetry.registry(), |i| name_of(NodeId(i))),
-    );
-    b.add_file("hists.jsonl", hists_jsonl(&run.telemetry));
+    b.add_file("hists.jsonl", hists_jsonl(sim.trace()));
     if let Some(t0) = run.failure_at {
         let sb = dcn_metrics::storyboard::build(sim.trace(), t0);
         b.add_file("storyboard.txt", dcn_metrics::storyboard::render(&sb, name_of));
@@ -231,13 +208,9 @@ pub fn bundle_from_run(run: &InstrumentedRun, spec: &RunSpec) -> TraceBundle {
 /// schedule the failure's transitions, run the timeline out and extract
 /// the paper's metrics.
 ///
-/// `config` and `tel` are *how* the run executes and must not change what
-/// it computes.
-pub fn execute(
-    s: &RunSpec,
-    config: SimConfig,
-    mut tel: Option<&mut Telemetry>,
-) -> (ScenarioResult, BuiltSim) {
+/// `config` is *how* the run executes and must not change what it
+/// computes.
+pub fn execute(s: &RunSpec, config: SimConfig) -> (ScenarioResult, BuiltSim) {
     let timing = s.timing;
     let fabric = Fabric::build(s.params);
     let addr = Addressing::new(&fabric);
@@ -264,7 +237,7 @@ pub fn execute(
     let mut built = assemble(fabric, addr, s.stack, s.seed, sender.as_slice(), s.tuning, config);
 
     // Phase 1: warmup.
-    advance(&mut built.sim, timing.warmup, tel.as_deref_mut());
+    built.sim.run_until(timing.warmup);
     // Steady-state keep-alive window: the last 2 s of warmup.
     let ka_window = (timing.warmup.saturating_sub(secs(2)), timing.warmup);
 
@@ -272,7 +245,7 @@ pub fn execute(
     let failure_at = timing.failure_at();
     let transitions = s.failure.transitions(&built.fabric);
     built.schedule_faults(failure_at, &transitions);
-    advance(&mut built.sim, timing.end(), tel);
+    built.sim.run_until(timing.end());
 
     // Metrics extraction.
     let trace = built.sim.trace();
@@ -339,12 +312,10 @@ mod tests {
         let bare = run(s);
         let ir = run_instrumented(s);
 
-        // Sampling is read-only: the instrumented run reproduces the
-        // bare run's metrics exactly.
+        // The instrumented run reproduces the bare run's metrics exactly.
         assert_eq!(bare.convergence_ms, ir.result.convergence_ms);
         assert_eq!(bare.blast_radius, ir.result.blast_radius);
         assert_eq!(bare.control_bytes, ir.result.control_bytes);
-        assert!(ir.telemetry.samples_taken() > 100);
 
         // The storyboard built from the typed spans agrees with the
         // paper-style convergence number.
@@ -354,11 +325,11 @@ mod tests {
         let conv = ir.result.convergence_ms.expect("updates flowed");
         assert!((p.detection_ms + p.propagation_ms - conv).abs() < 1e-6);
 
-        // And the bundle is self-contained: meta + spans + series +
+        // And the bundle is self-contained: meta + spans + histograms +
         // storyboard + capture.
         let bundle = bundle_from_run(&ir, &s);
         let names: Vec<&str> = bundle.files().iter().map(|(n, _)| n.as_str()).collect();
-        for want in ["spans.jsonl", "series.jsonl", "hists.jsonl", "storyboard.txt", "capture.txt"] {
+        for want in ["spans.jsonl", "hists.jsonl", "storyboard.txt", "capture.txt"] {
             assert!(names.contains(&want), "missing {want} in {names:?}");
         }
         assert_eq!(bundle.meta().get("stack").unwrap().as_str(), Some("mrmtp"));

@@ -17,9 +17,8 @@ mod golden;
 
 use dcn_experiments::chaos::{run_chaos_with, trace_digest};
 use dcn_experiments::scenario::execute;
-use dcn_experiments::{run_digest, RunSpec, Stack, TrafficDir};
+use dcn_experiments::{run_digest, run_instrumented, RunSpec, Stack, TrafficDir};
 use dcn_sim::{SchedulerKind, SimConfig};
-use dcn_telemetry::{Telemetry, TelemetryConfig};
 use dcn_topology::{ClosParams, FailureCase};
 use golden::quick_chaos;
 
@@ -28,7 +27,7 @@ fn backend(scheduler: SchedulerKind) -> SimConfig {
 }
 
 fn digest_on(spec: RunSpec, scheduler: SchedulerKind) -> u64 {
-    trace_digest(&execute(&spec, backend(scheduler), None).1.sim)
+    trace_digest(&execute(&spec, backend(scheduler)).1.sim)
 }
 
 fn digests_match(spec: RunSpec) {
@@ -66,7 +65,7 @@ fn traffic_and_bfd_digest_identically() {
 #[test]
 fn chaos_seeds_digest_identically_across_backends() {
     for seed in [11u64, 12, 13] {
-        let run = |kind| run_chaos_with(seed, Stack::Mrmtp, &quick_chaos(), backend(kind), None).0;
+        let run = |kind| run_chaos_with(seed, Stack::Mrmtp, &quick_chaos(), backend(kind)).0;
         let (heap, wheel) = (run(SchedulerKind::Heap), run(SchedulerKind::Wheel));
         assert_eq!(
             heap.digest, wheel.digest,
@@ -110,13 +109,12 @@ fn local_repair_off_matches_pre_change_golden_digests() {
 
 #[test]
 fn steady_state_digest_identical_without_failure() {
-    // Both halves of "how": each backend, with the sampler attached.
+    // Each backend, and the instrumented run that reports and bundles
+    // read.
     let spec = RunSpec::new(ClosParams::two_pod(), Stack::Mrmtp);
-    let sampled = |kind| {
-        let mut tel = Telemetry::new(TelemetryConfig::default());
-        trace_digest(&execute(&spec, backend(kind), Some(&mut tel)).1.sim)
-    };
-    let (heap, wheel) = (sampled(SchedulerKind::Heap), sampled(SchedulerKind::Wheel));
-    assert_eq!(heap, wheel, "telemetry-instrumented runs diverged");
-    assert_eq!(heap, run_digest(spec), "the sampler or the backend changed the digest");
+    let bare = run_digest(spec);
+    assert_eq!(digest_on(spec, SchedulerKind::Heap), bare, "the heap backend changed the digest");
+    assert_eq!(digest_on(spec, SchedulerKind::Wheel), bare, "the wheel backend changed the digest");
+    let instrumented = trace_digest(&run_instrumented(spec).built.sim);
+    assert_eq!(instrumented, bare, "the instrumented run changed the digest");
 }

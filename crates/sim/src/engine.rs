@@ -393,10 +393,6 @@ impl Sim {
         self.core.nodes.len()
     }
 
-    pub fn link_count(&self) -> usize {
-        self.core.links.len()
-    }
-
     pub fn node_name(&self, node: NodeId) -> &str {
         &self.core.nodes[node.index()].name
     }
@@ -416,14 +412,9 @@ impl Sim {
         &self.core.trace
     }
 
-    /// The link attached to `node`'s `port`, if any.
-    pub fn link_at(&self, node: NodeId, port: PortId) -> Option<LinkId> {
-        self.core.nodes[node.index()].port_links.get(port.index()).copied()
-    }
-
     /// The remote endpoint of `node`'s `port`.
     pub fn peer_of(&self, node: NodeId, port: PortId) -> Option<Endpoint> {
-        let lid = self.link_at(node, port)?;
+        let lid = self.core.nodes[node.index()].port_links.get(port.index())?;
         Some(self.core.links[lid.index()].peer_of(node))
     }
 

@@ -182,11 +182,11 @@ impl Ctx<'_> {
 }
 
 /// A uniform counter/gauge surface over per-protocol stats structs, so
-/// harness code (`fcr report`, telemetry samplers, chaos bundles) can
-/// dump every router's counters without downcasting per stack.
+/// harness code (`fcr report`, chaos's invariant counters) can dump every
+/// router's counters without downcasting per stack.
 ///
-/// Names must be stable `&'static str`s: they become JSONL field names
-/// and time-series keys.
+/// Names must be stable `&'static str`s: they become table rows and
+/// counter keys.
 pub trait StatsSnapshot {
     /// Monotonic counters as (name, cumulative value) pairs, in a stable
     /// order.

@@ -1,16 +1,15 @@
-//! Exporters: JSONL span/series dumps, per-interface frame captures, and
-//! self-contained trace bundles (the artifact a chaos invariant violation
-//! leaves behind).
+//! Exporters: JSONL span and frame-size dumps, per-interface frame
+//! captures, and self-contained trace bundles (the artifact a chaos
+//! invariant violation leaves behind).
 
 use std::io;
 use std::path::{Path, PathBuf};
 
 use dcn_sim::time::Time;
-use dcn_sim::{NodeId, RouteChangeKind, Sim, SpanEvent, Trace, TraceEvent};
+use dcn_sim::{FrameClass, NodeId, RouteChangeKind, Sim, SpanEvent, Trace, TraceEvent};
 
+use crate::hist::Histogram;
 use crate::json::Json;
-use crate::registry::Registry;
-use crate::sampler::Telemetry;
 
 fn span_fields(span: &SpanEvent) -> Vec<(&'static str, Json)> {
     match span {
@@ -98,41 +97,26 @@ pub fn spans_jsonl(trace: &Trace, name_of: impl Fn(NodeId) -> String) -> String 
     out
 }
 
-/// Every registered time series as JSONL, one series per line with its
-/// retained `[time_ns, value]` samples.
-pub fn series_jsonl(reg: &Registry, name_of_node: impl Fn(u32) -> String) -> String {
-    let mut out = String::new();
-    for s in reg.series() {
-        let mut fields: Vec<(&str, Json)> = vec![
-            ("scope", Json::str(s.scope.tag())),
-            ("id", Json::UInt(s.scope.id() as u64)),
-        ];
-        if let crate::registry::Scope::Node(i) = s.scope {
-            fields.push(("node", Json::str(name_of_node(i))));
+/// Fabric-wide wire-length distribution of every frame `trace` holds, one
+/// histogram per [`FrameClass`] in [`FrameClass::ALL`] order. Power-of-two
+/// buckets up to 2048 B cover every emulated frame size.
+pub fn frame_size_hists(trace: &Trace) -> [(FrameClass, Histogram); FrameClass::ALL.len()] {
+    let mut hists = FrameClass::ALL.map(|c| (c, Histogram::exponential(12)));
+    for ev in trace.events() {
+        if let TraceEvent::FrameSent { class, wire_len, .. } = ev {
+            hists[*class as usize].1.record(*wire_len as u64);
         }
-        fields.push(("name", Json::str(s.name)));
-        fields.push(("kind", Json::str(s.kind.tag())));
-        fields.push(("dropped", Json::UInt(s.dropped())));
-        fields.push((
-            "samples",
-            Json::Arr(
-                s.samples()
-                    .map(|(t, v)| Json::Arr(vec![Json::UInt(t), Json::UInt(v)]))
-                    .collect(),
-            ),
-        ));
-        out.push_str(&Json::obj(fields).render());
-        out.push('\n');
     }
-    out
+    hists
 }
 
 /// The per-[`dcn_sim::FrameClass`] wire-length histograms as JSONL, one
 /// class per line with its `[upper_bound, count]` buckets (the overflow
-/// bucket reports `u64::MAX` as its bound).
-pub fn hists_jsonl(tel: &Telemetry) -> String {
+/// bucket reports `u64::MAX` as its bound), folded from `trace` by
+/// [`frame_size_hists`].
+pub fn hists_jsonl(trace: &Trace) -> String {
     let mut out = String::new();
-    for (class, h) in tel.frame_size_hists() {
+    for (class, h) in frame_size_hists(trace) {
         let fields: Vec<(&str, Json)> = vec![
             ("class", Json::str(class.name())),
             ("total", Json::UInt(h.total())),
@@ -218,8 +202,8 @@ impl TraceBundle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::{Scope, SeriesKind};
-    use dcn_sim::{BgpState, PortId};
+    use dcn_sim::time::MILLIS;
+    use dcn_sim::{BgpState, Ctx, FrameBuf, LinkSpec, PortId, Protocol, SimBuilder};
 
     fn toy_trace() -> Trace {
         let mut tr = Trace::enabled();
@@ -267,25 +251,58 @@ mod tests {
         }
     }
 
+    /// A protocol that ticks every ms and sends one 64-byte keepalive
+    /// per tick.
+    struct Ticker;
+
+    impl Protocol for Ticker {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.set_timer(MILLIS, 0);
+        }
+        fn on_frame(&mut self, _: &mut Ctx<'_>, _: PortId, _: &FrameBuf) {}
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, _: u64) {
+            ctx.send(PortId(0), vec![0u8; 64], FrameClass::Keepalive);
+            ctx.set_timer(MILLIS, 0);
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
     #[test]
-    fn series_jsonl_round_trips_samples_exactly() {
-        let mut reg = Registry::new(16);
-        let big = u64::MAX - 7;
-        reg.record(Scope::Node(3), "rib_routes", SeriesKind::Gauge, 1_000_000, 42);
-        reg.record(Scope::Node(3), "rib_routes", SeriesKind::Gauge, 2_000_000, big);
-        reg.record(Scope::Global, "events_processed", SeriesKind::Counter, 2_000_000, 9);
-        let text = series_jsonl(&reg, |i| format!("node{i}"));
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        // Parse back and compare against the registry.
-        let parsed = Json::parse(lines[1]).unwrap();
-        assert_eq!(parsed.get("scope").unwrap().as_str(), Some("node"));
-        assert_eq!(parsed.get("node").unwrap().as_str(), Some("node3"));
-        assert_eq!(parsed.get("kind").unwrap().as_str(), Some("gauge"));
-        let samples = parsed.get("samples").unwrap().as_arr().unwrap();
-        assert_eq!(samples.len(), 2);
-        assert_eq!(samples[1].as_arr().unwrap()[0].as_u64(), Some(2_000_000));
-        assert_eq!(samples[1].as_arr().unwrap()[1].as_u64(), Some(big), "u64 exact");
+    fn frame_histograms_track_the_trace() {
+        let mut b = SimBuilder::new(7);
+        let a = b.add_node("a", Box::new(Ticker));
+        let c = b.add_node("b", Box::new(Ticker));
+        b.add_link(a, c, LinkSpec::default());
+        let mut sim = b.build();
+        sim.run_until(100 * MILLIS);
+
+        // 100 ticks per node, one 64-byte keepalive each.
+        for (class, h) in frame_size_hists(sim.trace()) {
+            if class == FrameClass::Keepalive {
+                assert_eq!(h.total(), 200);
+                assert_eq!(h.mean(), 64.0);
+                assert_eq!(h.quantile_bound(0.99), Some(64), "64 B lands on the 2^6 bound");
+            } else {
+                assert_eq!(h.total(), 0, "{class:?}");
+            }
+        }
+
+        // JSONL export round-trips the buckets.
+        let text = hists_jsonl(sim.trace());
+        let line = text.lines().find(|l| l.contains("keepalive")).unwrap();
+        let j = Json::parse(line).unwrap();
+        assert_eq!(j.get("total").unwrap().as_u64(), Some(200));
+        assert_eq!(j.get("sum_bytes").unwrap().as_u64(), Some(200 * 64));
+        let buckets = j.get("buckets").unwrap().as_arr().unwrap();
+        let full: Vec<&Json> =
+            buckets.iter().filter(|b| b.as_arr().unwrap()[1].as_u64() != Some(0)).collect();
+        assert_eq!(full.len(), 1, "all frames in the 64 B bucket");
+        assert_eq!(full[0].as_arr().unwrap()[0].as_u64(), Some(64));
     }
 
     #[test]
@@ -295,7 +312,7 @@ mod tests {
             ("stack", Json::str("mrmtp")),
         ]));
         b.add_file("spans.jsonl", "{}\n");
-        b.add_file("series.jsonl", "");
+        b.add_file("capture.txt", "");
         let dir = std::env::temp_dir().join(format!("dcn-bundle-test-{}", std::process::id()));
         let written = b.write(&dir).unwrap();
         assert_eq!(written.len(), 3);

@@ -117,7 +117,7 @@ impl ClosParams {
 
     /// Spines per group in the tier right above the PoD spines: the top
     /// tier of a three-tier fabric, one zone of a four-tier one.
-    fn plane_width(&self) -> usize {
+    pub(crate) fn plane_width(&self) -> usize {
         self.spines_per_pod * self.uplinks_per_spine
     }
 

@@ -62,9 +62,10 @@ pub fn bgp_router_config(fabric: &Fabric, addr: &Addressing, node: usize, bfd: b
 
 /// Render the single MR-MTP fabric configuration file, in the shape of the
 /// paper's Listing 2: leaf list, the leaf→rack-interface dictionary, top
-/// spines, and per-PoD spine lists. Nodes learn everything else (VIDs,
-/// neighbors, trees) from the protocol itself. The shape is fixed, so the
-/// JSON is written directly; node names need no escaping.
+/// spines, per-zone spine lists (four-tier fabrics only) and per-PoD spine
+/// lists. Nodes learn everything else (VIDs, neighbors, trees) from the
+/// protocol itself. The shape is fixed, so the JSON is written directly;
+/// node names need no escaping.
 pub fn mrmtp_fabric_config(fabric: &Fabric) -> String {
     let name = |n: usize| format!("\"{}\"", fabric.nodes[n].name);
     let list = |nodes: &mut dyn Iterator<Item = usize>| {
@@ -80,18 +81,26 @@ pub fn mrmtp_fabric_config(fabric: &Fabric) -> String {
         })
         .collect();
     let p = fabric.params;
-    let pods: Vec<String> = (0..p.pods)
-        .map(|pod| {
-            let spines = list(&mut (0..p.spines_per_pod).map(|j| fabric.pod_spine(pod, j)));
-            format!("      {{\n        \"podSpines\": {spines}\n      }}")
-        })
-        .collect();
+    let groups = |key: &str, count: usize, width: usize, node: &dyn Fn(usize, usize) -> usize| {
+        let groups: Vec<String> = (0..count)
+            .map(|g| {
+                let spines = list(&mut (0..width).map(|j| node(g, j)));
+                format!("      {{\n        \"{key}\": {spines}\n      }}")
+            })
+            .collect();
+        groups.join(",\n")
+    };
     let mut out = String::from("{\n  \"topology\": {\n");
     out += &format!("    \"leaves\": {},\n", list(&mut leaves()));
     out += &format!("    \"leavesNetworkPortDict\": {{\n{}\n    }},\n", leaf_ports.join(",\n"));
     let top = list(&mut (0..p.top_spines()).map(|k| fabric.top_spine(k)));
     out += &format!("    \"topSpines\": {top},\n");
-    out += &format!("    \"pods\": [\n{}\n    ]\n", pods.join(",\n"));
+    if let Some(z) = p.zones {
+        let zones = groups("zoneSpines", z.count, p.plane_width(), &|g, j| fabric.zone_spine(g, j));
+        out += &format!("    \"zones\": [\n{zones}\n    ],\n");
+    }
+    let pods = groups("podSpines", p.pods, p.spines_per_pod, &|g, j| fabric.pod_spine(g, j));
+    out += &format!("    \"pods\": [\n{pods}\n    ]\n");
     out + "  }\n}"
 }
 
@@ -181,6 +190,32 @@ mod tests {
         // Every leaf's rack port is its third interface (two uplinks
         // first).
         assert!(cfg.contains("\"L-1-1\": \"eth2\""));
+    }
+
+    /// Listing 2 names every router of the fabric exactly once, the zone
+    /// spines of a four-tier fabric included.
+    #[test]
+    fn mrmtp_config_names_every_router_once() {
+        let shapes = [
+            ClosParams::two_pod(),
+            ClosParams::four_pod(),
+            ClosParams::scaled(16).unwrap(),
+            ClosParams::four_tier(),
+        ];
+        for params in shapes {
+            let f = Fabric::build(params);
+            let cfg = mrmtp_fabric_config(&f);
+            // Leaves appear twice: in the leaf list and as a key of the
+            // rack-port dictionary.
+            let dict_start = cfg.find("\"leavesNetworkPortDict\"").unwrap();
+            let dict_end = dict_start + cfg[dict_start..].find('}').unwrap();
+            let listed = format!("{}{}", &cfg[..dict_start], &cfg[dict_end..]);
+            for n in f.routers() {
+                let quoted = format!("\"{}\"", f.nodes[n].name);
+                assert_eq!(listed.matches(&quoted).count(), 1, "{quoted} in {params:?}:\n{cfg}");
+            }
+            assert_eq!(ConfigStats::for_mrmtp(&f).routers, f.routers().count());
+        }
     }
 
     #[test]
