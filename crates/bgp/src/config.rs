@@ -1,6 +1,6 @@
 //! BGP router configuration (the programmatic form of Listing 1).
 
-use dcn_sim::time::{millis, secs, Duration};
+use dcn_sim::time::{millis, Duration};
 use dcn_sim::PortId;
 use dcn_wire::{IpAddr4, Prefix};
 
@@ -27,9 +27,6 @@ pub struct BgpConfig {
     pub name: String,
     pub asn: u32,
     pub router_id: u32,
-    /// Paper: `timers bgp 1 3`.
-    pub keepalive_interval: Duration,
-    pub hold_time: Duration,
     /// Enable per-session BFD (the paper's third stack).
     pub bfd: bool,
     /// Paper: `transmit-interval 100` (ms).
@@ -40,8 +37,6 @@ pub struct BgpConfig {
     /// ToR only: the rack subnet and its server→port map.
     pub rack_subnet: Option<Prefix>,
     pub host_ports: Vec<(IpAddr4, PortId)>,
-    /// Idle-to-connect backoff.
-    pub connect_retry: Duration,
     /// Local fast reroute: when the hashed ECMP member is locally dead,
     /// re-spread over surviving members, then over the precomputed
     /// next-best backup set — in the data plane, before BFD/hold timers
@@ -54,21 +49,20 @@ pub struct BgpConfig {
 }
 
 impl BgpConfig {
-    /// A router with the paper's timer settings and no peers yet.
+    /// A router with the paper's BFD interval and no peers yet. The BGP
+    /// timers are the constants [`crate::KEEPALIVE_INTERVAL`],
+    /// [`crate::HOLD_TIME`] and [`crate::CONNECT_RETRY`].
     pub fn new(name: impl Into<String>, asn: u32, router_id: u32) -> BgpConfig {
         BgpConfig {
             name: name.into(),
             asn,
             router_id,
-            keepalive_interval: secs(1),
-            hold_time: secs(3),
             bfd: false,
             bfd_tx_interval: millis(100),
             peers: Vec::new(),
             originate: Vec::new(),
             rack_subnet: None,
             host_ports: Vec::new(),
-            connect_retry: secs(1),
             local_repair: false,
         }
     }
@@ -92,6 +86,10 @@ impl BgpConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{HOLD_TIME, KEEPALIVE_INTERVAL};
+    use dcn_sim::time::{secs, MILLIS, SECONDS};
+    use dcn_topology::config::bgp_router_config;
+    use dcn_topology::{Addressing, ClosParams, Fabric};
 
     #[test]
     fn active_role_is_lower_address() {
@@ -109,10 +107,28 @@ mod tests {
     #[test]
     fn default_timers_match_listing1() {
         let c = BgpConfig::new("T-1", 64512, 1);
-        assert_eq!(c.keepalive_interval, secs(1));
-        assert_eq!(c.hold_time, secs(3));
+        assert_eq!(KEEPALIVE_INTERVAL, secs(1));
+        assert_eq!(HOLD_TIME, secs(3));
         assert_eq!(c.bfd_tx_interval, millis(100));
         assert!(!c.bfd);
         assert!(BgpConfig::new("x", 1, 2).with_bfd().bfd);
+    }
+
+    /// The rendered Listing 1 and the emulated router agree: the
+    /// `timers bgp` line prints the session constants and the BFD
+    /// profile the default transmit interval.
+    #[test]
+    fn rendered_listing1_matches_the_router_timers() {
+        let fabric = Fabric::build(ClosParams::four_pod());
+        let addr = Addressing::new(&fabric);
+        let cfg = bgp_router_config(&fabric, &addr, fabric.top_spine(0), true);
+        let words = |prefix: &str| -> Vec<u64> {
+            let line = cfg.lines().map(str::trim).find(|l| l.starts_with(prefix));
+            let line = line.unwrap_or_else(|| panic!("no `{prefix}` line:\n{cfg}"));
+            line[prefix.len()..].split_whitespace().map(|w| w.parse().unwrap()).collect()
+        };
+        assert_eq!(words("timers bgp "), [KEEPALIVE_INTERVAL / SECONDS, HOLD_TIME / SECONDS]);
+        let bfd_tx = BgpConfig::new("T-1", 64512, 1).bfd_tx_interval;
+        assert_eq!(words("transmit-interval "), [bfd_tx / MILLIS]);
     }
 }

@@ -34,4 +34,4 @@ pub mod router;
 pub use config::{BgpConfig, PeerConfig};
 pub use fib::CompiledFib;
 pub use rib::{PathEntry, Rib};
-pub use router::{BgpRouter, BgpStats};
+pub use router::{BgpRouter, BgpStats, CONNECT_RETRY, HOLD_TIME, KEEPALIVE_INTERVAL};

@@ -3,7 +3,7 @@
 use std::any::Any;
 use std::collections::BTreeMap;
 
-use dcn_sim::time::{millis, Duration, Time};
+use dcn_sim::time::{millis, secs, Duration, Time, SECONDS};
 use dcn_sim::{
     alloc_track, BgpDownReason, BgpState, Ctx, FrameBuf, FrameClass, FrameMeta, GridTimer, PortId,
     Protocol, RouteChangeKind, SpanEvent, StatsSnapshot,
@@ -31,9 +31,15 @@ const TOKEN_TICK: u64 = 1;
 /// [`GridTimer`]).
 const TICK: Duration = millis(20);
 
+/// Keepalive interval of every session (Listing 1: `timers bgp 1 3`).
+pub const KEEPALIVE_INTERVAL: Duration = secs(1);
+/// Hold time of every session (Listing 1: `timers bgp 1 3`).
+pub const HOLD_TIME: Duration = secs(3);
+/// Idle-to-connect backoff.
+pub const CONNECT_RETRY: Duration = secs(1);
+
 struct Peer {
     cfg: crate::config::PeerConfig,
-    asn_ok: bool,
     tcp: TcpConn,
     fsm: BgpState,
     rx_buf: Vec<u8>,
@@ -158,7 +164,6 @@ impl BgpRouter {
             port_peer.insert(pc.port, peers.len());
             peers.push(Peer {
                 cfg: pc,
-                asn_ok: false,
                 tcp,
                 fsm: BgpState::Idle,
                 rx_buf: Vec::new(),
@@ -437,8 +442,8 @@ impl BgpRouter {
         self.set_fsm(ctx, peer_idx, BgpState::Established);
         {
             let p = &mut self.peers[peer_idx];
-            p.keepalive_due = now + self.cfg.keepalive_interval;
-            p.hold_deadline = now + self.cfg.hold_time;
+            p.keepalive_due = now + KEEPALIVE_INTERVAL;
+            p.hold_deadline = now + HOLD_TIME;
         }
         // Initial table dump: everything exportable, to this peer only.
         // Every other established peer's Adj-RIB-Out already matches the
@@ -463,8 +468,7 @@ impl BgpRouter {
             let p = &mut self.peers[peer_idx];
             p.rx_buf.clear();
             p.adj_out.clear();
-            p.asn_ok = false;
-            p.connect_at = now + self.cfg.connect_retry + ctx.rand_below(millis(200));
+            p.connect_at = now + CONNECT_RETRY + ctx.rand_below(millis(200));
             if let Some(b) = p.bfd.as_mut() {
                 b.force_down();
             }
@@ -504,7 +508,7 @@ impl BgpRouter {
                 }
             };
             buf = &buf[used..];
-            self.peers[peer_idx].hold_deadline = ctx.now() + self.cfg.hold_time;
+            self.peers[peer_idx].hold_deadline = ctx.now() + HOLD_TIME;
             match msg {
                 BgpMessage::Open { asn, .. } => {
                     if asn as u32 != self.peers[peer_idx].cfg.peer_asn {
@@ -513,7 +517,6 @@ impl BgpRouter {
                         self.session_down(ctx, peer_idx, BgpDownReason::BgpBadAsn);
                         return;
                     }
-                    self.peers[peer_idx].asn_ok = true;
                     self.send_bgp(ctx, peer_idx, &BgpMessage::Keepalive);
                     if self.peers[peer_idx].fsm == BgpState::OpenSent {
                         self.set_fsm(ctx, peer_idx, BgpState::OpenConfirm);
@@ -585,11 +588,11 @@ impl BgpRouter {
                 TcpEvent::Established => {
                     let open = BgpMessage::Open {
                         asn: self.cfg.asn as u16,
-                        hold_time_secs: (self.cfg.hold_time / dcn_sim::time::SECONDS) as u16,
+                        hold_time_secs: (HOLD_TIME / SECONDS) as u16,
                         router_id: self.cfg.router_id,
                     };
                     self.set_fsm(ctx, peer_idx, BgpState::OpenSent);
-                    self.peers[peer_idx].hold_deadline = now + self.cfg.hold_time;
+                    self.peers[peer_idx].hold_deadline = now + HOLD_TIME;
                     self.send_bgp(ctx, peer_idx, &open);
                 }
                 TcpEvent::Closed => {
@@ -814,7 +817,7 @@ impl BgpRouter {
             if self.peers[peer_idx].fsm == BgpState::Idle && now >= self.peers[peer_idx].connect_at {
                 let active = self.peers[peer_idx].cfg.is_active();
                 self.set_fsm(ctx, peer_idx, BgpState::TcpPending);
-                self.peers[peer_idx].hold_deadline = now + self.cfg.hold_time * 4;
+                self.peers[peer_idx].hold_deadline = now + HOLD_TIME * 4;
                 if active {
                     let out = self.peers[peer_idx].tcp.connect(now);
                     self.emit_segments(ctx, peer_idx, out.segments, FrameClass::Session);
@@ -831,7 +834,7 @@ impl BgpRouter {
             // Keepalives and hold timer.
             let fsm = self.peers[peer_idx].fsm;
             if fsm == BgpState::Established && now >= self.peers[peer_idx].keepalive_due {
-                self.peers[peer_idx].keepalive_due = now + self.cfg.keepalive_interval;
+                self.peers[peer_idx].keepalive_due = now + KEEPALIVE_INTERVAL;
                 self.send_bgp(ctx, peer_idx, &BgpMessage::Keepalive);
             }
             if matches!(fsm, BgpState::OpenSent | BgpState::OpenConfirm | BgpState::Established | BgpState::TcpPending)
@@ -993,7 +996,7 @@ impl Protocol for BgpRouter {
     fn on_port_up(&mut self, ctx: &mut Ctx<'_>, port: PortId) {
         if let Some(&peer_idx) = self.port_peer.get(&port) {
             let now = ctx.now();
-            self.peers[peer_idx].connect_at = now + self.cfg.connect_retry;
+            self.peers[peer_idx].connect_at = now + CONNECT_RETRY;
             self.rearm(ctx);
         }
     }

@@ -21,15 +21,16 @@ pub struct MrmtpTimers {
     /// Slow-to-Accept: consecutive hellos required to re-accept a
     /// previously failed neighbor (paper: 3).
     pub accept_hellos: u32,
-    /// Retransmit interval for unacknowledged reliable messages.
-    pub retransmit_interval: Duration,
     /// Hold-down applied to loss updates arriving from upper-tier
     /// neighbors, letting reports from all uplinks aggregate before the
     /// router decides between installing negative entries (partial upward
     /// loss) and propagating the loss downward (no upward path left).
     pub loss_holddown: Duration,
-    /// Periodic re-advertisement used as a self-healing backstop; the
-    /// steady-state tree produces no protocol traffic beyond hellos.
+    /// Periodic re-advertisement, a self-healing backstop: every router
+    /// re-sends its whole advertisement on every port at this period, in
+    /// steady state too, so the tree's traffic is hellos plus this. It
+    /// repairs state the event-driven updates leave wrong; ROADMAP item
+    /// 15 records what breaks without it.
     pub advertise_interval: Duration,
 }
 
@@ -39,7 +40,6 @@ impl Default for MrmtpTimers {
             hello_interval: millis(50),
             dead_interval: millis(100),
             accept_hellos: 3,
-            retransmit_interval: millis(20),
             loss_holddown: millis(2),
             advertise_interval: millis(1000),
         }

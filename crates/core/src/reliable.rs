@@ -7,7 +7,7 @@
 
 use std::collections::BTreeMap;
 
-use dcn_sim::time::{Duration, Time};
+use dcn_sim::time::{millis, Duration, Time};
 use dcn_sim::{FrameBuf, FrameClass, PortId};
 
 /// One unacknowledged message.
@@ -26,6 +26,9 @@ pub struct ReliableTx {
     pending: BTreeMap<(PortId, u16), Pending>,
     next_seq: u16,
 }
+
+/// How long an unacknowledged message waits before it is sent again.
+pub const RETRANSMIT_INTERVAL: Duration = millis(20);
 
 /// Give up after this many transmissions: the neighbor-liveness machinery
 /// (not the reliability layer) is responsible for declaring peers dead.
@@ -50,11 +53,10 @@ impl ReliableTx {
         frame: FrameBuf,
         class: FrameClass,
         now: Time,
-        retx: Duration,
     ) {
         self.pending.insert(
             (port, seq),
-            Pending { frame, class, next_retx: now + retx, attempts: 1 },
+            Pending { frame, class, next_retx: now + RETRANSMIT_INTERVAL, attempts: 1 },
         );
     }
 
@@ -70,7 +72,7 @@ impl ReliableTx {
 
     /// Collect frames due for retransmission at `now`; reschedules them.
     /// Messages exceeding [`MAX_ATTEMPTS`] are dropped.
-    pub fn due(&mut self, now: Time, retx: Duration) -> Vec<(PortId, FrameBuf, FrameClass)> {
+    pub fn due(&mut self, now: Time) -> Vec<(PortId, FrameBuf, FrameClass)> {
         let mut out = Vec::new();
         let mut give_up = Vec::new();
         for (&(port, seq), p) in self.pending.iter_mut() {
@@ -79,7 +81,7 @@ impl ReliableTx {
                     give_up.push((port, seq));
                 } else {
                     p.attempts += 1;
-                    p.next_retx = now + retx;
+                    p.next_retx = now + RETRANSMIT_INTERVAL;
                     // Refcount bump: the retransmitted frame shares the
                     // original allocation.
                     out.push((port, p.frame.clone(), p.class));
@@ -113,13 +115,13 @@ impl ReliableTx {
 mod tests {
     use super::*;
 
-    const RETX: Duration = 20;
+    const RETX: Duration = RETRANSMIT_INTERVAL;
 
     #[test]
     fn ack_clears_pending() {
         let mut r = ReliableTx::new();
         let s = r.alloc_seq();
-        r.track(PortId(0), s, vec![1].into(), FrameClass::Update, 0, RETX);
+        r.track(PortId(0), s, vec![1].into(), FrameClass::Update, 0);
         assert!(r.has_pending());
         assert!(r.ack(PortId(0), s));
         assert!(!r.ack(PortId(0), s), "double ack is a no-op");
@@ -130,30 +132,30 @@ mod tests {
     fn retransmits_until_acked() {
         let mut r = ReliableTx::new();
         let s = r.alloc_seq();
-        r.track(PortId(2), s, vec![7].into(), FrameClass::Update, 0, RETX);
-        assert!(r.due(10, RETX).is_empty(), "not due yet");
-        let due = r.due(20, RETX);
+        r.track(PortId(2), s, vec![7].into(), FrameClass::Update, 0);
+        assert!(r.due(RETX / 2).is_empty(), "not due yet");
+        let due = r.due(RETX);
         assert_eq!(due.len(), 1);
         assert_eq!(due[0].0, PortId(2));
-        assert!(r.due(25, RETX).is_empty(), "rescheduled");
-        assert_eq!(r.due(40, RETX).len(), 1);
+        assert!(r.due(RETX + RETX / 4).is_empty(), "rescheduled");
+        assert_eq!(r.due(2 * RETX).len(), 1);
     }
 
     #[test]
     fn gives_up_after_max_attempts() {
         let mut r = ReliableTx::new();
         let s = r.alloc_seq();
-        r.track(PortId(0), s, vec![1].into(), FrameClass::Update, 0, RETX);
+        r.track(PortId(0), s, vec![1].into(), FrameClass::Update, 0);
         let mut t = 0;
         let mut sends = 1; // initial transmission
         loop {
             t += RETX;
-            let due = r.due(t, RETX);
+            let due = r.due(t);
             if due.is_empty() && !r.has_pending() {
                 break;
             }
             sends += due.len() as u32;
-            assert!(t < 1000, "must terminate");
+            assert!(t < 50 * RETX, "must terminate");
         }
         assert_eq!(sends, MAX_ATTEMPTS);
     }
@@ -164,8 +166,8 @@ mod tests {
         let s1 = r.alloc_seq();
         let s2 = r.alloc_seq();
         assert_ne!(s1, s2);
-        r.track(PortId(0), s1, vec![1].into(), FrameClass::Update, 0, RETX);
-        r.track(PortId(1), s2, vec![2].into(), FrameClass::Session, 0, RETX);
+        r.track(PortId(0), s1, vec![1].into(), FrameClass::Update, 0);
+        r.track(PortId(1), s2, vec![2].into(), FrameClass::Session, 0);
         r.drop_port(PortId(0));
         assert_eq!(r.pending_count(), 1);
         assert!(r.ack(PortId(1), s2));

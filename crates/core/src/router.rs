@@ -94,9 +94,6 @@ pub struct MrmtpRouter {
     table: VidTable,
     nbr: NeighborTable,
     rel: ReliableTx,
-    /// Roots offered to each child port (propagation targets for loss
-    /// updates heading down the meshed trees).
-    offered: BTreeMap<PortId, BTreeSet<u8>>,
     /// Recently processed (port, seq) pairs, ring per port.
     seen_seq: BTreeMap<PortId, VecDeque<u16>>,
     /// Aggregating upper-loss reports: root → reporting up-ports.
@@ -128,7 +125,6 @@ pub struct MrmtpRouter {
     last_advertise: Time,
     /// The housekeeping grid and its one deadline-driven wake-up.
     tick_timer: GridTimer,
-    started: bool,
     stats: RouterStats,
 }
 
@@ -150,7 +146,6 @@ impl MrmtpRouter {
             table: VidTable::new(),
             nbr,
             rel: ReliableTx::new(),
-            offered: BTreeMap::new(),
             seen_seq: BTreeMap::new(),
             pending_upper_loss: BTreeMap::new(),
             holddown_armed: false,
@@ -164,7 +159,6 @@ impl MrmtpRouter {
             repair_noted: [0; 2],
             last_advertise: 0,
             tick_timer: GridTimer::new(TOKEN_TICK, TICK),
-            started: false,
             stats: RouterStats::default(),
         }
     }
@@ -242,8 +236,7 @@ impl MrmtpRouter {
         // The retransmit queue shares the allocation with the in-flight
         // frame: both sends are refcount bumps.
         ctx.send(port, frame.clone(), class);
-        self.rel
-            .track(port, seq, frame, class, ctx.now(), self.cfg.timers.retransmit_interval);
+        self.rel.track(port, seq, frame, class, ctx.now());
     }
 
     /// What we advertise: our root VID, or the primary VID of every tree
@@ -303,23 +296,19 @@ impl MrmtpRouter {
         // Derive one child VID per tree we hold, appending this port's
         // 1-based number (paper §III-B).
         let mut vids = Vec::new();
-        let mut roots = BTreeSet::new();
         if let Some(root) = self.my_root {
             if let Ok(child) = root.child(port.label()) {
-                roots.insert(root.root_id());
                 vids.push(child);
             }
         }
         for v in self.table.primary_vids() {
             if let Ok(child) = v.child(port.label()) {
-                roots.insert(v.root_id());
                 vids.push(child);
             }
         }
         if vids.is_empty() {
             return;
         }
-        self.offered.insert(port, roots);
         let seq = self.rel.alloc_seq();
         self.stats.offers_sent += 1;
         self.send_reliable(ctx, port, MrmtpMsg::Offer { seq, vids: &vids }, FrameClass::Session);
@@ -406,7 +395,6 @@ impl MrmtpRouter {
     /// this flag.
     fn neighbor_down(&mut self, ctx: &mut Ctx<'_>, port: PortId, carrier: bool) {
         self.rel.drop_port(port);
-        self.offered.remove(&port);
         ctx.trace_span(SpanEvent::NeighborDown { port, carrier });
         // Which tree roots die with this port?
         let mut lost = Vec::new();
@@ -849,8 +837,7 @@ impl MrmtpRouter {
             self.neighbor_down(ctx, port, false);
         }
         // Retransmit unacknowledged reliable messages.
-        let retx = self.cfg.timers.retransmit_interval;
-        for (port, frame, class) in self.rel.due(now, retx) {
+        for (port, frame, class) in self.rel.due(now) {
             if ctx.port(port).up {
                 self.nbr.note_tx(port, now);
                 ctx.send(port, frame, class);
@@ -968,7 +955,6 @@ impl StatsSnapshot for MrmtpRouter {
 
 impl Protocol for MrmtpRouter {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        self.started = true;
         self.router_ports = (0..ctx.port_count())
             .map(|p| PortId(p as u16))
             .filter(|&p| !self.is_host_port(p))

@@ -7,7 +7,7 @@ use std::collections::BTreeSet;
 use proptest::prelude::*;
 
 use dcn_mrmtp::fib::{reference_candidates, CompiledFib};
-use dcn_mrmtp::reliable::ReliableTx;
+use dcn_mrmtp::reliable::{ReliableTx, RETRANSMIT_INTERVAL};
 use dcn_mrmtp::{NeighborState, NeighborTable, VidTable};
 use dcn_sim::grid::grid_at_or_after;
 use dcn_sim::{FrameClass, PortId};
@@ -392,16 +392,19 @@ proptest! {
         period in 3u64..12,
         phase in 0u64..12,
     ) {
-        const RETX: u64 = 20;
+        // One step of the generated schedule; the retransmit interval is
+        // twenty of them.
+        const UNIT: u64 = RETRANSMIT_INTERVAL / 20;
+        let (period, phase) = (period * UNIT, phase * UNIT);
         let mut r = ReliableTx::new();
         let mut sent: Vec<(PortId, u16)> = Vec::new();
         let mut now = 0;
         for (dt, op) in ops {
-            now += dt;
+            now += dt * UNIT;
             match op {
                 RelOp::Track(p) => {
                     let seq = r.alloc_seq();
-                    r.track(PortId(p), seq, vec![seq as u8].into(), FrameClass::Update, now, RETX);
+                    r.track(PortId(p), seq, vec![seq as u8].into(), FrameClass::Update, now);
                     sent.push((PortId(p), seq));
                 }
                 RelOp::Ack(i) if !sent.is_empty() => {
@@ -410,7 +413,7 @@ proptest! {
                 }
                 RelOp::Ack(_) => {}
                 RelOp::DropPort(p) => r.drop_port(PortId(p)),
-                RelOp::Due => { r.due(now, RETX); }
+                RelOp::Due => { r.due(now); }
             }
         }
         let wake = r.next_deadline().map(|d| grid_at_or_after(phase, period, d.max(now)));
@@ -418,7 +421,7 @@ proptest! {
         for g in (0..40).map(|k| grid_at_or_after(phase, period, now) + k * period) {
             let mut polled = r.clone();
             // Giving up on a message sends nothing but still changes state.
-            let acted = !polled.due(g, RETX).is_empty() || format!("{polled:?}") != idle;
+            let acted = !polled.due(g).is_empty() || format!("{polled:?}") != idle;
             if wake.is_some_and(|w| g >= w) {
                 prop_assert!(acted && wake == Some(g), "first act at {} but wake-up at {:?}", g, wake);
                 break;

@@ -45,6 +45,12 @@ use crate::replicate::Stats;
 /// engine's per-node and impairment streams).
 const SCHEDULE_SALT: u64 = 0x5C4E_D01E_FA17_5EED;
 
+/// Base downtime of a crashed node before its first port recovers.
+const CRASH_DWELL: Duration = 800 * MILLIS;
+
+/// Per-port random extra delay when a crashed node's ports recover.
+const RECOVERY_STAGGER: Duration = 400 * MILLIS;
+
 /// Tunables for one chaos run. [`ChaosConfig::default`] matches the
 /// acceptance campaign: link flaps + a node crash + concurrent failures
 /// on a 2-PoD fabric with 1 % frame corruption.
@@ -63,10 +69,6 @@ pub struct ChaosConfig {
     pub min_dwell: Duration,
     /// Maximum flap dwell.
     pub max_dwell: Duration,
-    /// Base downtime of a crashed node before its first port recovers.
-    pub crash_dwell: Duration,
-    /// Per-port random extra delay when a crashed node's ports recover.
-    pub recovery_stagger: Duration,
     /// Wire impairment active during the fault window.
     pub impairment: Impairment,
     /// Protocol warm-up before the fault window opens.
@@ -102,8 +104,6 @@ impl Default for ChaosConfig {
             k_concurrent: 2,
             min_dwell: 200 * MILLIS,
             max_dwell: 1500 * MILLIS,
-            crash_dwell: 800 * MILLIS,
-            recovery_stagger: 400 * MILLIS,
             impairment: Impairment {
                 loss_ppm: 2_000,       // 0.2 % frame loss
                 corrupt_ppm: 10_000,   // 1 % byte corruption
@@ -193,10 +193,8 @@ impl FaultSchedule {
             let n = routers[rng.below(routers.len() as u64) as usize];
             let crash_at = start + rng.below(span);
             for p in 0..fabric.ports[n].len() {
-                let up_at = (crash_at
-                    + cfg.crash_dwell
-                    + rng.below(cfg.recovery_stagger + 1))
-                .min(heal_at);
+                let up_at =
+                    (crash_at + CRASH_DWELL + rng.below(RECOVERY_STAGGER + 1)).min(heal_at);
                 ev.push(FaultEvent { at: crash_at, node: n, port: p, up: false });
                 ev.push(FaultEvent { at: up_at, node: n, port: p, up: true });
             }

@@ -57,10 +57,6 @@ impl Stack {
 pub struct StackTuning {
     /// Override every MR-MTP router's timer block.
     pub mrmtp_timers: Option<dcn_mrmtp::MrmtpTimers>,
-    /// Override the BGP keepalive interval (paper: 1 s).
-    pub bgp_keepalive: Option<dcn_sim::time::Duration>,
-    /// Override the BGP hold time (paper: 3 s).
-    pub bgp_hold: Option<dcn_sim::time::Duration>,
     /// Override the BFD transmit interval (paper: 100 ms).
     pub bfd_tx_interval: Option<dcn_sim::time::Duration>,
     /// Local fast reroute on every router: precomputed backup FIBs let
@@ -181,7 +177,7 @@ pub fn build_sim(
 
 /// The general builder: any fabric (three- or four-tier), protocol-timer
 /// overrides, and full control over the engine's [`SimConfig`] (scheduler
-/// backend, tracing, carrier latency).
+/// backend, tracing).
 pub fn build_fabric_sim_cfg(
     fabric: Fabric,
     stack: Stack,
@@ -284,12 +280,6 @@ fn build_bgp(
     );
     if bfd {
         cfg = cfg.with_bfd();
-    }
-    if let Some(k) = tuning.bgp_keepalive {
-        cfg.keepalive_interval = k;
-    }
-    if let Some(h) = tuning.bgp_hold {
-        cfg.hold_time = h;
     }
     if let Some(b) = tuning.bfd_tx_interval {
         cfg.bfd_tx_interval = b;

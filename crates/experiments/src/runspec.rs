@@ -6,10 +6,10 @@
 //! with equal keys are the same experiment. *How* a run executes (the
 //! scheduler backend, tracing) is not in the spec: it is the
 //! [`dcn_sim::SimConfig`] handed to [`crate::scenario::execute`]. The
-//! equivalence suite proves the scheduler backend invisible. One
-//! `SimConfig` field is not: `carrier_latency` changes the digest, yet
-//! the key does not name it, so only its default is comparable across
-//! stores.
+//! equivalence suite proves the scheduler backend invisible. Settings
+//! that no experiment varies (the carrier latency, the BGP session
+//! timers, MR-MTP's retransmit interval) are in neither struct: each is
+//! a constant beside the code that reads it.
 //!
 //! ```
 //! use dcn_experiments::{RunSpec, Stack, TrafficDir};
@@ -233,28 +233,28 @@ impl RunSpec {
             zones,
         } = params;
         let Timing { warmup, traffic_lead, post_failure, drain } = timing;
-        let StackTuning { mrmtp_timers, bgp_keepalive, bgp_hold, bfd_tx_interval, local_repair } =
-            tuning;
+        let StackTuning { mrmtp_timers, bfd_tx_interval, local_repair } = tuning;
         let dur = |d: Option<Duration>| match d {
             Some(d) => d.to_string(),
             None => "-".into(),
         };
         // Timer-block overrides are rare (ablations); `-` marks the paper
         // defaults. The spelling is the block's former `Debug` text, kept
-        // because stored keys carry it.
+        // because stored keys carry it; `retransmit_interval` prints its
+        // constant.
         let timers = mrmtp_timers.map_or("-".into(), |t| {
             let dcn_mrmtp::MrmtpTimers {
                 hello_interval,
                 dead_interval,
                 accept_hellos,
-                retransmit_interval,
                 loss_holddown,
                 advertise_interval,
             } = t;
             format!(
                 "MrmtpTimers {{ hello_interval: {hello_interval}, dead_interval: {dead_interval}, \
-                 accept_hellos: {accept_hellos}, retransmit_interval: {retransmit_interval}, \
-                 loss_holddown: {loss_holddown}, advertise_interval: {advertise_interval} }}"
+                 accept_hellos: {accept_hellos}, retransmit_interval: {}, \
+                 loss_holddown: {loss_holddown}, advertise_interval: {advertise_interval} }}",
+                dcn_mrmtp::reliable::RETRANSMIT_INTERVAL
             )
         });
         // The zone layer prints only when present: three-tier keys, and
@@ -262,11 +262,12 @@ impl RunSpec {
         let zones = zones.map_or(String::new(), |Zones { count, uplinks }| {
             format!(";zones={count}x{uplinks}")
         });
-        // `fast_path=1` names a switch that no longer exists: every run
-        // has taken that path, and stored keys carry the field.
+        // `fast_path=1` and `bgp_ka=-;bgp_hold=-` name switches that no
+        // longer exist: every run has taken the fast path with the BGP
+        // timer constants, and stored keys carry the fields.
         format!(
             "pods={}x{}x{}x{}x{}{};stack={};failure={};traffic={};interval={};seed={};\
-             timing={}/{}/{}/{};timers={};bgp_ka={};bgp_hold={};bfd_tx={};\
+             timing={}/{}/{}/{};timers={};bgp_ka=-;bgp_hold=-;bfd_tx={};\
              fast_path=1;local_repair={}",
             pods,
             spines_per_pod,
@@ -284,8 +285,6 @@ impl RunSpec {
             post_failure,
             drain,
             timers,
-            dur(bgp_keepalive),
-            dur(bgp_hold),
             dur(bfd_tx_interval),
             local_repair as u8,
         )
@@ -408,7 +407,6 @@ mod tests {
                 mrmtp_timers: Some(timers),
                 bfd_tx_interval: Some(50_000_000),
                 local_repair: true,
-                ..StackTuning::default()
             });
         assert_eq!(
             tuned.key(),

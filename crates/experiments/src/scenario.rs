@@ -307,15 +307,9 @@ mod tests {
     }
 
     #[test]
-    fn instrumented_run_matches_bare_metrics_and_storyboards() {
+    fn instrumented_run_builds_storyboards_and_bundles() {
         let s = RunSpec::new(ClosParams::two_pod(), Stack::Mrmtp).failing(FailureCase::Tc1);
-        let bare = run(s);
         let ir = run_instrumented(s);
-
-        // The instrumented run reproduces the bare run's metrics exactly.
-        assert_eq!(bare.convergence_ms, ir.result.convergence_ms);
-        assert_eq!(bare.blast_radius, ir.result.blast_radius);
-        assert_eq!(bare.control_bytes, ir.result.control_bytes);
 
         // The storyboard built from the typed spans agrees with the
         // paper-style convergence number.

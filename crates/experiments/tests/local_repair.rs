@@ -7,7 +7,7 @@
 //! node's port, so only that node ever observes the failure locally —
 //! and the interface view (the data plane's `port_up` mask) flips at the
 //! failure instant while the protocol's carrier callback arrives a
-//! `carrier_latency` later. That half-millisecond is exactly the window
+//! `CARRIER_LATENCY` later. That half-millisecond is exactly the window
 //! in-data-plane repair exists for:
 //!
 //! * **BGP** applies no liveness at pick time, so with near-to-far

@@ -62,15 +62,17 @@ pub(crate) struct NodeSlot {
     key_counter: u64,
 }
 
+/// How long after an injected interface failure the owning node's
+/// protocol hears about it (netlink notification delay).
+pub const CARRIER_LATENCY: Duration = 500 * MICROS;
+
 /// Engine configuration, collapsed into one struct so experiment layers
-/// pass a single value instead of threading loose builder knobs.
+/// pass a single value instead of threading loose builder knobs. Neither
+/// option changes what a run computes.
 #[derive(Clone, Copy, Debug)]
 pub struct SimConfig {
     /// Record a [`Trace`] (disable only for microbenchmarks).
     pub trace: bool,
-    /// How long after an injected interface failure the owning node's
-    /// protocol hears about it (netlink notification delay).
-    pub carrier_latency: Duration,
     /// Event-scheduler backend. Both orders are bit-identical; the wheel
     /// is the fast default, the heap the reference for equivalence tests.
     pub scheduler: SchedulerKind,
@@ -80,7 +82,6 @@ impl Default for SimConfig {
     fn default() -> SimConfig {
         SimConfig {
             trace: true,
-            carrier_latency: 500 * MICROS,
             scheduler: SchedulerKind::default(),
         }
     }
@@ -176,7 +177,6 @@ impl SimBuilder {
             links: self.links,
             chaos,
             trace: if self.config.trace { Trace::enabled() } else { Trace::disabled() },
-            carrier_latency: self.config.carrier_latency,
             periodic_just_set: Vec::new(),
             events_processed: 0,
             frames_delivered: 0,
@@ -205,7 +205,6 @@ pub(crate) struct Core {
     /// dispatch order.
     chaos: Vec<[DetRng; 2]>,
     pub(crate) trace: Trace,
-    carrier_latency: Duration,
     /// Tokens the running `on_timer` armed via `set_periodic`, so the
     /// engine's automatic re-arm doesn't double-schedule a tick the
     /// protocol just re-armed itself (e.g. a cadence change).
@@ -280,7 +279,7 @@ impl Core {
         } else {
             TraceEvent::PortDown { time, node, port }
         });
-        self.schedule(node, time + self.carrier_latency, Event::Carrier { node, port, up });
+        self.schedule(node, time + CARRIER_LATENCY, Event::Carrier { node, port, up });
     }
 
     /// [`Ctx::send`] / [`Ctx::send_meta`]: the link model. Never calls a
@@ -457,7 +456,7 @@ impl Sim {
 
     /// Schedule an interface failure (the paper's failure-injection bash
     /// script). The owning node gets a carrier-down callback after the
-    /// configured carrier latency; the remote node gets nothing.
+    /// [`CARRIER_LATENCY`]; the remote node gets nothing.
     ///
     /// No-op transitions are deduplicated: scheduling down on a port
     /// whose latest scheduled transition already targets down returns
@@ -645,10 +644,9 @@ mod tests {
     }
 
     /// `ea` on node `a`, a plain `Echo` on `b`, one 1 Gb/s link with 1 µs
-    /// propagation, carrier latency 1 µs.
+    /// propagation.
     fn two_nodes_with(ea: Echo) -> (Sim, NodeId, NodeId) {
-        let mut b =
-            SimBuilder::with_config(1, SimConfig { carrier_latency: 1000, ..SimConfig::default() });
+        let mut b = SimBuilder::new(1);
         let a = b.add_node("a", Box::new(ea));
         let c = b.add_node("b", Box::new(Echo::new()));
         b.add_link(a, c, LinkSpec { propagation: 1000, bandwidth_bps: 1_000_000_000 });
@@ -718,14 +716,17 @@ mod tests {
         let (mut sim, a, c) = two_nodes_with(Echo::sending_every(5_000));
         sim.schedule_port_down(12_000, a, PortId(0));
         sim.run_until(30_000);
+        assert_eq!(sim.node_as::<Echo>(a).unwrap().timers.len(), 6, "the sender kept trying");
+        // The owner hears of the failure one carrier latency after it.
+        sim.run_until(30_000 + CARRIER_LATENCY);
         let ea = sim.node_as::<Echo>(a).unwrap();
-        assert_eq!(ea.downs, vec![(13_000, PortId(0))]); // carrier latency 1000
-        assert_eq!(ea.timers.len(), 6, "the sender kept trying");
+        assert_eq!(ea.downs, vec![(12_000 + CARRIER_LATENCY, PortId(0))]);
         let eb = sim.node_as::<Echo>(c).unwrap();
         assert!(eb.downs.is_empty(), "remote side must not get carrier events");
-        // A locally-down interface refuses the frame: the sends at 15, 20,
-        // 25 and 30 µs leave no `FrameSent` and nothing arrives. 80 B at
-        // 1 Gb/s = 640 ns + 1 µs propagation.
+        // A locally-down interface refuses the frame at once, whenever
+        // its carrier event arrives: every send from 15 µs on leaves no
+        // `FrameSent` and nothing arrives. 80 B at 1 Gb/s = 640 ns + 1 µs
+        // propagation.
         let (sent, received) = sent_and_received(&sim, c);
         assert_eq!(sent, vec![5_000, 10_000]);
         assert_eq!(received, vec![6_640, 11_640]);
@@ -744,10 +745,12 @@ mod tests {
         let (sent, received) = sent_and_received(&sim, c);
         assert_eq!(sent, vec![10_000, 20_000, 30_000]);
         assert_eq!(received, vec![11_640, 31_640]);
+        // `b` hears of both transitions one carrier latency late.
+        sim.run_until(35_000 + CARRIER_LATENCY);
         assert!(sim.node_as::<Echo>(a).unwrap().downs.is_empty());
         let eb = sim.node_as::<Echo>(c).unwrap();
-        assert_eq!(eb.downs, vec![(16_000, PortId(0))]);
-        assert_eq!(eb.ups, vec![(26_000, PortId(0))]);
+        assert_eq!(eb.downs, vec![(15_000 + CARRIER_LATENCY, PortId(0))]);
+        assert_eq!(eb.ups, vec![(25_000 + CARRIER_LATENCY, PortId(0))]);
     }
 
     #[test]
@@ -892,12 +895,13 @@ mod tests {
         assert!(!sim.schedule_port_up(16_000, a, PortId(0)), "up-on-up dropped");
         assert!(sim.schedule_port_down(17_000, a, PortId(0)));
         assert!(sim.schedule_port_up(18_000, a, PortId(0)));
-        sim.run_until(30_000);
+        sim.run_until(30_000 + CARRIER_LATENCY);
         let ea = sim.node_as::<Echo>(a).unwrap();
         // Exactly one carrier callback per scheduled transition; the
         // duplicates produced neither events nor desynced view state.
-        assert_eq!(ea.downs, vec![(11_000, PortId(0)), (18_000, PortId(0))]);
-        assert_eq!(ea.ups, vec![(16_000, PortId(0)), (19_000, PortId(0))]);
+        let cl = CARRIER_LATENCY;
+        assert_eq!(ea.downs, vec![(10_000 + cl, PortId(0)), (17_000 + cl, PortId(0))]);
+        assert_eq!(ea.ups, vec![(15_000 + cl, PortId(0)), (18_000 + cl, PortId(0))]);
         assert!(sim.core.nodes[a.index()].views[0].up);
     }
 

@@ -41,7 +41,7 @@ pub mod trace;
 pub mod wheel;
 
 pub use dcn_wire::{FrameBuf, FrameMeta};
-pub use engine::{Sim, SimBuilder, SimConfig};
+pub use engine::{Sim, SimBuilder, SimConfig, CARRIER_LATENCY};
 pub use event::{scheduler_stress, Event, EventKey, SchedulerKind};
 pub use grid::GridTimer;
 pub use link::{Impairment, LinkId, LinkSpec};
