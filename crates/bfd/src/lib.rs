@@ -11,6 +11,8 @@
 //! The session object is transport-free (mirroring `dcn-tcp`'s connection): the
 //! owner wraps packets in UDP/IP/Ethernet and feeds received packets back.
 
+#![forbid(unsafe_code)]
+
 use dcn_sim::time::{millis, Duration, Time};
 use dcn_wire::{BfdPacket, BfdState};
 

@@ -6,8 +6,8 @@
 //! of `(prefix, next-hop ports)` pairs sorted by descending prefix
 //! length, so a lookup is a linear first-containing-match scan (DCN RIBs
 //! hold tens of prefixes, not an Internet table) and ECMP selection is
-//! an index into a [`SmallVec`] that stays inline for fabrics with up to
-//! eight equal-cost uplinks.
+//! an index into a port list that stays inline (no heap) for fabrics with
+//! up to eight equal-cost uplinks.
 //!
 //! Equivalence with [`Rib::lookup`], the reference `tests/rib_props.rs`
 //! holds it to over arbitrary RIBs: distinct same-length IPv4 prefixes are
@@ -22,8 +22,8 @@
 
 use dcn_sim::PortId;
 use dcn_wire::IpAddr4;
-use smallvec::SmallVec;
 
+use crate::inline::InlineList;
 use crate::rib::Rib;
 
 /// One compiled route: the ECMP best set plus the precomputed
@@ -31,11 +31,11 @@ use crate::rib::Rib;
 struct Route {
     prefix: dcn_wire::Prefix,
     /// ECMP member ports, `Rib::members` order (sorted by peer port).
-    ports: SmallVec<PortId, 8>,
+    ports: InlineList<PortId, 8>,
     /// Local-repair fallback: [`Rib::backup_members`] — the ports the
     /// control plane would promote once the best set is withdrawn.
     /// Consulted only by [`CompiledFib::lookup_repair`].
-    backups: SmallVec<PortId, 8>,
+    backups: InlineList<PortId, 8>,
 }
 
 /// The compiled Loc-RIB. Next-hop port sets stay inline up to 8 members
@@ -55,10 +55,10 @@ impl CompiledFib {
     pub fn rebuild(&mut self, rib: &Rib) {
         self.routes.clear();
         for prefix in rib.learned_prefixes() {
-            let ports: SmallVec<PortId, 8> =
+            let ports: InlineList<PortId, 8> =
                 rib.members(prefix).iter().map(|e| e.peer_port).collect();
             if !ports.is_empty() {
-                let backups: SmallVec<PortId, 8> =
+                let backups: InlineList<PortId, 8> =
                     rib.backup_members(prefix).into_iter().collect();
                 self.routes.push(Route { prefix, ports, backups });
             }

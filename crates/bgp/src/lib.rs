@@ -26,8 +26,11 @@
 //! in a DCN), route reflection and iBGP (RFC 7938 uses eBGP only), and
 //! graceful restart.
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod fib;
+mod inline;
 pub mod rib;
 pub mod router;
 

@@ -6,7 +6,6 @@ use std::rc::Rc;
 
 use dcn_sim::PortId;
 use dcn_wire::{IpAddr4, Prefix};
-use smallvec::SmallVec;
 
 /// An AS path, shared and immutable: converted once from the UPDATE that
 /// carried it, then held by every prefix of that UPDATE in the
@@ -25,8 +24,9 @@ pub struct PathEntry {
 }
 
 /// Result of a Loc-RIB recomputation for one prefix.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum RibChange {
+    #[default]
     Unchanged,
     /// The ECMP set or best path changed (still reachable).
     Changed,
@@ -63,24 +63,37 @@ fn best_of(paths: &[PathEntry]) -> impl Iterator<Item = &PathEntry> {
     paths.iter().filter(move |e| Some(e.as_path.len()) == best_len)
 }
 
-/// Apply `edit` to the paths learned for one prefix and report how its
-/// ECMP set moved. Membership is derived purely from AS-path lengths. An
-/// edit that changes nothing — the common case while a table dump floods
-/// in over several uplinks — allocates nothing: the old set is a stack
-/// list of shared paths.
-fn apply(paths: &mut Vec<PathEntry>, edit: impl FnOnce(&mut Vec<PathEntry>)) -> RibChange {
-    let old: SmallVec<(PortId, AsPath), 8> =
-        best_of(paths).map(|e| (e.peer_port, e.as_path.clone())).collect();
-    edit(paths);
-    let mut new = best_of(paths).map(|e| (e.peer_port, &e.as_path)).peekable();
-    match (old.is_empty(), new.peek().is_none()) {
-        (true, true) => RibChange::Unchanged,
-        (true, false) => RibChange::Gained,
-        (false, true) => RibChange::Lost,
-        (false, false) if new.eq(old.iter().map(|(port, path)| (*port, path))) => {
-            RibChange::Unchanged
+/// Set (`Some`) or remove (`None`) the path learned on `port` among the
+/// paths of one prefix, and report how the prefix's ECMP set moved.
+/// Membership is derived purely from AS-path lengths, so while the
+/// shortest length stays put no other port joins or leaves the set: the
+/// sets before and after differ exactly when `port`'s member path does,
+/// compared by value. No path is copied, and only a port's first path
+/// for the prefix can allocate (its slot).
+fn apply(paths: &mut Vec<PathEntry>, port: PortId, path: Option<AsPath>) -> RibChange {
+    let best_len = |paths: &[PathEntry]| paths.iter().map(|e| e.as_path.len()).min();
+    let old_len = best_len(paths);
+    let slot = paths.binary_search_by_key(&port, |e| e.peer_port);
+    let old = match (slot, path) {
+        (Ok(i), Some(path)) => Some(std::mem::replace(&mut paths[i].as_path, path)),
+        (Ok(i), None) => Some(paths.remove(i).as_path),
+        (Err(i), Some(as_path)) => {
+            paths.insert(i, PathEntry { as_path, peer_port: port, next_hop: IpAddr4(0) });
+            None
         }
-        (false, false) => RibChange::Changed,
+        (Err(_), None) => None,
+    };
+    let new = paths.get(slot.unwrap_or_else(|i| i)).filter(|e| e.peer_port == port);
+    // Is `port`'s member path, if any, the same when the ECMP length is `len`?
+    let same_member = |len| {
+        old.as_ref().filter(|p| Some(p.len()) == len)
+            == new.map(|e| &e.as_path).filter(|p| Some(p.len()) == len)
+    };
+    match (old_len, best_len(paths)) {
+        (a, b) if a == b && same_member(a) => RibChange::Unchanged,
+        (None, _) => RibChange::Gained,
+        (_, None) => RibChange::Lost,
+        _ => RibChange::Changed,
     }
 }
 
@@ -140,15 +153,7 @@ impl Rib {
         if self.is_local(prefix) {
             return RibChange::Unchanged;
         }
-        let as_path = as_path.into();
-        let change = apply(self.routes.entry(prefix).or_default(), |paths| {
-            match paths.binary_search_by_key(&port, |e| e.peer_port) {
-                Ok(i) => paths[i].as_path = as_path,
-                Err(i) => {
-                    paths.insert(i, PathEntry { as_path, peer_port: port, next_hop: IpAddr4(0) })
-                }
-            }
-        });
+        let change = apply(self.routes.entry(prefix).or_default(), port, Some(as_path.into()));
         self.note(change)
     }
 
@@ -157,7 +162,7 @@ impl Rib {
         let Some(paths) = self.routes.get_mut(&prefix) else {
             return RibChange::Unchanged;
         };
-        let change = apply(paths, |paths| paths.retain(|e| e.peer_port != port));
+        let change = apply(paths, port, None);
         if paths.is_empty() {
             self.routes.remove(&prefix);
         }
@@ -169,11 +174,9 @@ impl Rib {
     pub fn drop_peer(&mut self, port: PortId) -> Vec<(Prefix, RibChange)> {
         let mut changes = Vec::new();
         self.routes.retain(|&prefix, paths| {
-            if paths.iter().any(|e| e.peer_port == port) {
-                let change = apply(paths, |paths| paths.retain(|e| e.peer_port != port));
-                if change != RibChange::Unchanged {
-                    changes.push((prefix, change));
-                }
+            let change = apply(paths, port, None);
+            if change != RibChange::Unchanged {
+                changes.push((prefix, change));
             }
             !paths.is_empty()
         });
@@ -275,7 +278,7 @@ impl Rib {
             ));
         }
         for (prefix, paths) in &self.routes {
-            let members: SmallVec<&PathEntry, 8> = best_of(paths).collect();
+            let members: Vec<&PathEntry> = best_of(paths).collect();
             let via = |m: &PathEntry| {
                 peer_ip(m.peer_port).map(|ip| ip.to_string()).unwrap_or_else(|| "?".into())
             };

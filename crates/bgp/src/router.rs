@@ -16,10 +16,10 @@ use dcn_wire::{
     BFD_CTRL_PORT, BFD_PACKET_LEN, BGP_PORT, ETHERNET_HEADER_LEN, IPPROTO_TCP, IPPROTO_UDP,
     IPV4_HEADER_LEN, UDP_HEADER_LEN,
 };
-use smallvec::SmallVec;
 
 use crate::config::BgpConfig;
 use crate::fib::CompiledFib;
+use crate::inline::InlineList;
 use crate::rib::{AsPath, Rib, RibChange};
 
 /// A message to send: an UPDATE's lists stay in the sender's buffers.
@@ -353,15 +353,16 @@ impl BgpRouter {
     /// peer's UPDATEs leave in ascending AS-path order, each carrying its
     /// prefixes in `prefixes`' order, withdrawals riding the first. No
     /// path is copied and, for a batch of up to 16 prefixes, no list is
-    /// built on the heap: exports are shared paths, the grouping is a
-    /// stable sort of a stack list, and the UPDATE is encoded from slices.
+    /// built on the heap: exports are shared paths, every list is an
+    /// `InlineList` of 16, the grouping is a stable sort of one, and the
+    /// UPDATE is encoded from slices.
     fn reexport_to(
         &mut self,
         ctx: &mut Ctx<'_>,
         peers: std::ops::Range<usize>,
         prefixes: &[Prefix],
     ) {
-        let exports: SmallVec<_, 16> = prefixes.iter().map(|&pfx| (pfx, self.export(pfx))).collect();
+        let exports: InlineList<_, 16> = prefixes.iter().map(|&pfx| (pfx, self.export(pfx))).collect();
         let mut batch_peers = 0usize;
         let mut batch_prefixes = 0usize;
         for peer_idx in peers {
@@ -369,8 +370,8 @@ impl BgpRouter {
             if peer.fsm != BgpState::Established {
                 continue;
             }
-            let mut withdrawn: SmallVec<Prefix, 16> = SmallVec::new();
-            let mut adverts: SmallVec<(&[u32], Prefix), 16> = SmallVec::new();
+            let mut withdrawn: InlineList<Prefix, 16> = InlineList::new();
+            let mut adverts: InlineList<(&[u32], Prefix), 16> = InlineList::new();
             for (pfx, export) in exports.iter() {
                 match export.as_ref().filter(|(path, from)| !peer.would_discard(path, *from)) {
                     Some((path, _)) => {
@@ -389,11 +390,11 @@ impl BgpRouter {
             // Every exported path starts with our ASN, so ordering by what
             // follows it is ordering by the whole path.
             adverts.sort_by(|a, b| a.0.cmp(b.0));
-            let nlri: SmallVec<Prefix, 16> = adverts.iter().map(|a| a.1).collect();
+            let nlri: InlineList<Prefix, 16> = adverts.iter().map(|a| a.1).collect();
             let next_hop = Some(peer.cfg.local_ip);
             let mut sent = 0;
             for group in adverts.chunk_by(|a, b| a.0 == b.0) {
-                let as_path: SmallVec<u32, 16> =
+                let as_path: InlineList<u32, 16> =
                     std::iter::once(self.cfg.asn).chain(group[0].0.iter().copied()).collect();
                 let msg = BgpMessage::Update(BgpUpdate {
                     withdrawn: if sent == 0 { &withdrawn[..] } else { &[] },
@@ -549,14 +550,14 @@ impl BgpRouter {
 
     fn on_update(&mut self, ctx: &mut Ctx<'_>, peer_idx: usize, update: UpdateView<'_>) {
         let port = self.peers[peer_idx].cfg.port;
-        let mut changes: SmallVec<(Prefix, RibChange), 16> = SmallVec::new();
+        let mut changes: InlineList<(Prefix, RibChange), 16> = InlineList::new();
         for pfx in update.withdrawn {
             let c = self.rib.ingest_withdraw(port, pfx);
             if c != RibChange::Unchanged {
                 changes.push((pfx, c));
             }
         }
-        let as_path: SmallVec<u32, 16> = update.as_path.collect();
+        let as_path: InlineList<u32, 16> = update.as_path.collect();
         if !as_path.contains(&self.cfg.asn) {
             let nh = update.next_hop.unwrap_or(self.peers[peer_idx].cfg.peer_ip);
             // One shared path for every prefix of the UPDATE, made when
@@ -572,7 +573,7 @@ impl BgpRouter {
         }
         if !changes.is_empty() {
             self.trace_changes(ctx, &changes);
-            let prefixes: SmallVec<Prefix, 16> = changes.iter().map(|(p, _)| *p).collect();
+            let prefixes: InlineList<Prefix, 16> = changes.iter().map(|(p, _)| *p).collect();
             self.reexport(ctx, &prefixes);
         }
     }

@@ -32,6 +32,8 @@
 //! defaults (50 ms hello, 100 ms dead, 3-hello acceptance) are the values
 //! used in the paper's evaluation.
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod fib;
 pub mod neighbor;

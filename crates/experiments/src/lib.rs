@@ -26,6 +26,8 @@
 //! * [`extended_failures`] — §IX's extended cases: node crashes and
 //!   multi-point failures.
 
+#![forbid(unsafe_code)]
+
 pub mod ablations;
 pub mod campaign;
 pub mod chaos;

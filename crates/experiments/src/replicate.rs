@@ -54,8 +54,6 @@ impl Stats {
 pub struct ReplicatedResult {
     pub convergence_ms: Option<Stats>,
     pub blast_radius: Stats,
-    pub control_bytes: Stats,
-    pub packets_lost: Option<Stats>,
 }
 
 /// Run `spec` once per seed (in parallel) and aggregate.
@@ -90,16 +88,9 @@ pub fn run_replicated_instrumented(
 fn aggregate(raw: Vec<ScenarioResult>) -> ReplicatedResult {
     let conv: Vec<f64> = raw.iter().filter_map(|r| r.convergence_ms).collect();
     let blast: Vec<f64> = raw.iter().map(|r| r.blast_radius as f64).collect();
-    let bytes: Vec<f64> = raw.iter().map(|r| r.control_bytes as f64).collect();
-    let lost: Vec<f64> = raw
-        .iter()
-        .filter_map(|r| r.loss.map(|l| l.lost() as f64))
-        .collect();
     ReplicatedResult {
         convergence_ms: Stats::of(&conv),
         blast_radius: Stats::of(&blast).expect("at least one run"),
-        control_bytes: Stats::of(&bytes).expect("at least one run"),
-        packets_lost: Stats::of(&lost),
     }
 }
 

@@ -14,6 +14,8 @@
 //! | Keep-alive overhead (Figs. 9–10) | bytes/frames of `Keepalive`-class traffic over a steady-state window, per link |
 //! | Packet loss (Figs. 7–8) | from `dcn_traffic::LossReport` (receiver-side analyzer) |
 
+#![forbid(unsafe_code)]
+
 use std::collections::{BTreeMap, BTreeSet};
 
 use dcn_sim::time::{Duration, Time, SECONDS};

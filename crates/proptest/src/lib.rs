@@ -9,6 +9,8 @@
 //! test's module path and name) — there is no shrinking, so a failure
 //! reports the case index instead of a minimal counterexample.
 
+#![forbid(unsafe_code)]
+
 use std::ops::{Range, RangeFrom, RangeInclusive};
 
 pub mod prelude {

@@ -127,7 +127,9 @@ impl CountingAllocator {
 }
 
 // SAFETY: pure delegation to `System`; the counters never allocate
-// (all state is const-initialized thread-local `Cell`s).
+// (all state is const-initialized thread-local `Cell`s). The workspace's
+// only `unsafe`: every other crate root forbids it, dcn-sim's denies it.
+#[allow(unsafe_code)]
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         self.count();

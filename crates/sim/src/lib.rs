@@ -27,6 +27,8 @@
 //! fanning independent runs over threads — and lives one level up in the
 //! experiment harness.
 
+#![deny(unsafe_code)]
+
 pub mod alloc_track;
 pub mod engine;
 pub mod event;

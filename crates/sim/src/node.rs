@@ -30,7 +30,7 @@ impl std::fmt::Display for NodeId {
 /// Identifies a port (interface) local to one node. Port indices are dense
 /// and assigned in wiring order; protocols derive the paper's 1-based "port
 /// numbers" (used in VID derivation) as `PortId.0 + 1`.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct PortId(pub u16);
 
 impl PortId {

@@ -32,6 +32,8 @@
 //! they leave cut exactly where a byte queue would cut them: coalesced,
 //! [`MSS`] at a time.
 
+#![forbid(unsafe_code)]
+
 use std::collections::VecDeque;
 
 use dcn_sim::time::{millis, Duration, Time};

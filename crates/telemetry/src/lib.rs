@@ -17,6 +17,8 @@
 //!    [`TraceBundle`]s — the artifact a chaos-campaign invariant violation
 //!    leaves on disk for replay.
 
+#![forbid(unsafe_code)]
+
 pub mod export;
 pub mod hist;
 pub mod json;

@@ -465,7 +465,8 @@ mod tests {
         assert_eq!(p.num_tors(), 4);
         assert_eq!(p.top_spines(), 4);
         let f = Fabric::build(p);
-        assert_eq!(f.nodes.len(), 12 + 4); // + servers
+        // 12 routers + 4 servers.
+        assert_eq!(f.nodes.len(), 12 + 4);
         // Links: 2*2*2 (spine-top) + 2*2*2 (tor-spine) + 4 (servers).
         assert_eq!(f.links.len(), 8 + 8 + 4);
     }

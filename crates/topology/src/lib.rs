@@ -26,6 +26,8 @@
 //! compares in §VII-G: per-router FRR-style BGP configuration (Listing 1)
 //! and the single MR-MTP JSON file (Listing 2).
 
+#![forbid(unsafe_code)]
+
 pub mod addressing;
 pub mod clos;
 pub mod config;

@@ -10,6 +10,8 @@
 //! pin the monitored flow onto the paper's failure chain
 //! (ToR₁₁ → S1_1 → S2_1) under both MR-MTP's and ECMP's flow hashing.
 
+#![forbid(unsafe_code)]
+
 use std::any::Any;
 use std::collections::VecDeque;
 

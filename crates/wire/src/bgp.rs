@@ -220,7 +220,8 @@ impl<P: AsRef<[Prefix]>, A: AsRef<[u32]>> BgpMessage<BgpUpdate<P, A>> {
                 }
                 w.put(&(attrs_len(nlri, path) as u16).to_be_bytes());
                 if !nlri.is_empty() {
-                    w.put(&[0x40, 1, 1, 0]); // ORIGIN = IGP
+                    // ORIGIN = IGP.
+                    w.put(&[0x40, 1, 1, 0]);
                     // AS_PATH: AS_SEQUENCE segments of 4-byte ASNs (one,
                     // empty, for an empty path), the length extended to
                     // two octets when the value exceeds 255 bytes.

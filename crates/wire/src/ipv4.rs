@@ -13,7 +13,7 @@ pub const IPPROTO_TCP: u8 = 6;
 pub const IPPROTO_UDP: u8 = 17;
 
 /// An IPv4 address stored as a big-endian u32.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct IpAddr4(pub u32);
 
 impl IpAddr4 {
@@ -59,7 +59,7 @@ impl std::str::FromStr for IpAddr4 {
 
 /// An IPv4 prefix (`addr/len`). The host bits of `addr` are kept as given;
 /// [`Prefix::normalized`] zeroes them.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct Prefix {
     pub addr: IpAddr4,
     pub len: u8,

@@ -17,6 +17,8 @@
 //! exact on-wire layouts and decoders validate them. Round-trip encoding
 //! is covered by unit tests and proptest generators.
 
+#![forbid(unsafe_code)]
+
 pub mod bfd;
 pub mod bgp;
 pub mod error;

@@ -10,6 +10,8 @@
 //! malformed number is a usage error (exit 2), never something else run
 //! in its place.
 
+#![forbid(unsafe_code)]
+
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
 
@@ -55,6 +57,7 @@ const LOCAL_REPAIR: Flag = flag("--local-repair", "", "enable in-data-plane loca
 const TELEMETRY_OUT: Flag =
     flag("--telemetry-out", "DIR", "also write the run's trace bundle under DIR");
 
+#[rustfmt::skip]
 const COMMANDS: &[Command] = &[
     Command {
         name: "figures", args: "", help: "regenerate every paper figure",

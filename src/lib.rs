@@ -1,1 +1,3 @@
+#![forbid(unsafe_code)]
+
 pub use dcn_experiments as experiments;
