@@ -145,9 +145,7 @@ impl BfdSession {
             self.transitions += 1;
             event = Some(BfdEvent::SessionDown);
         }
-        let due = self
-            .last_tx
-            .is_none_or(|t| now.saturating_sub(t) >= self.tx_interval);
+        let due = self.last_tx.is_none_or(|t| now.saturating_sub(t) >= self.tx_interval);
         let pkt = due.then(|| {
             self.last_tx = Some(now);
             self.packet()
@@ -157,7 +155,11 @@ impl BfdSession {
 
     /// Process a received control packet; may emit an immediate response
     /// (to accelerate the three-way state handshake) and an event.
-    pub fn on_packet(&mut self, pkt: &BfdPacket, now: Time) -> (Option<BfdPacket>, Option<BfdEvent>) {
+    pub fn on_packet(
+        &mut self,
+        pkt: &BfdPacket,
+        now: Time,
+    ) -> (Option<BfdPacket>, Option<BfdEvent>) {
         self.last_rx = now;
         self.heard = true;
         self.your_disc = pkt.my_discriminator;

@@ -208,10 +208,7 @@ mod tests {
             assert_eq!(fib.lookup_repair(dst, flow, |_| true, None), Some((plain, false)));
             // Hashed member dead: re-spread over the surviving member.
             let other = if plain == PortId(0) { PortId(1) } else { PortId(0) };
-            assert_eq!(
-                fib.lookup_repair(dst, flow, |p| p != plain, None),
-                Some((other, true))
-            );
+            assert_eq!(fib.lookup_repair(dst, flow, |p| p != plain, None), Some((other, true)));
             // Whole best set dead: the next-best backup answers.
             let up = |p: PortId| p != PortId(0) && p != PortId(1);
             assert_eq!(fib.lookup_repair(dst, flow, up, None), Some((PortId(2), true)));
@@ -225,10 +222,7 @@ mod tests {
             assert_eq!(fib.lookup_repair(dst, flow, |_| false, None), None);
         }
         // Unknown destination stays a drop either way.
-        assert_eq!(
-            fib.lookup_repair(IpAddr4::new(10, 0, 0, 1), 0, |_| true, None),
-            None
-        );
+        assert_eq!(fib.lookup_repair(IpAddr4::new(10, 0, 0, 1), 0, |_| true, None), None);
     }
 
     #[test]

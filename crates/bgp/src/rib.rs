@@ -228,11 +228,7 @@ impl Rib {
         let lens = || paths.iter().map(|e| e.as_path.len());
         let best_len = lens().min();
         let next_len = lens().filter(|&len| Some(len) > best_len).min();
-        paths
-            .iter()
-            .filter(|e| Some(e.as_path.len()) == next_len)
-            .map(|e| e.peer_port)
-            .collect()
+        paths.iter().filter(|e| Some(e.as_path.len()) == next_len).map(|e| e.peer_port).collect()
     }
 
     /// All prefixes currently reachable (learned), for initial table
@@ -273,9 +269,7 @@ impl Rib {
     pub fn render(&self, peer_ip: impl Fn(PortId) -> Option<IpAddr4>) -> String {
         let mut out = String::new();
         for (prefix, port, addr) in &self.connected {
-            out.push_str(&format!(
-                "{prefix} dev {port} proto kernel scope link src {addr}\n"
-            ));
+            out.push_str(&format!("{prefix} dev {port} proto kernel scope link src {addr}\n"));
         }
         for (prefix, paths) in &self.routes {
             let members: Vec<&PathEntry> = best_of(paths).collect();
@@ -345,11 +339,7 @@ mod tests {
         assert_eq!(rib.ingest_withdraw(PortId(0), pfx(11)), RibChange::Changed);
         assert_eq!(rib.ingest_withdraw(PortId(1), pfx(11)), RibChange::Lost);
         assert!(rib.members(pfx(11)).is_empty());
-        assert_eq!(
-            rib.ingest_withdraw(PortId(1), pfx(11)),
-            RibChange::Unchanged,
-            "idempotent"
-        );
+        assert_eq!(rib.ingest_withdraw(PortId(1), pfx(11)), RibChange::Unchanged, "idempotent");
     }
 
     #[test]

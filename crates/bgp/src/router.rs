@@ -3,13 +3,13 @@
 use std::any::Any;
 use std::collections::BTreeMap;
 
+use dcn_bfd::{BfdEvent, BfdSession};
 use dcn_sim::time::{millis, secs, Duration, Time, SECONDS};
 use dcn_sim::{
     alloc_track, BgpDownReason, BgpState, Ctx, FrameBuf, FrameClass, FrameMeta, GridTimer, PortId,
     Protocol, RouteChangeKind, SpanEvent, StatsSnapshot,
 };
 use dcn_tcp::{TcpConn, TcpEvent};
-use dcn_bfd::{BfdEvent, BfdSession};
 use dcn_wire::{
     flow_hash_of, BfdPacket, BgpMessage, BgpUpdate, EtherType, EthernetFrame, IpAddr4, Ipv4Packet,
     Ipv4View, MacAddr, Prefix, TcpFlags, TcpSegment, TcpView, UdpDatagram, UpdateView,
@@ -74,7 +74,9 @@ impl Peer {
         let mut at = match self.fsm {
             BgpState::Idle => self.connect_at,
             BgpState::Established => self.keepalive_due.min(self.hold_deadline + 1),
-            BgpState::TcpPending | BgpState::OpenSent | BgpState::OpenConfirm => self.hold_deadline + 1,
+            BgpState::TcpPending | BgpState::OpenSent | BgpState::OpenConfirm => {
+                self.hold_deadline + 1
+            }
         };
         if let Some(retx) = self.tcp.next_deadline() {
             at = at.min(retx);
@@ -170,10 +172,10 @@ impl BgpRouter {
                 hold_deadline: 0,
                 keepalive_due: 0,
                 connect_at: 0,
-                bfd: cfg
-                    .bfd
-                    .then(|| BfdSession::new(cfg.router_id ^ pc.port.0 as u32)
-                        .with_tx_interval(cfg.bfd_tx_interval)),
+                bfd: cfg.bfd.then(|| {
+                    BfdSession::new(cfg.router_id ^ pc.port.0 as u32)
+                        .with_tx_interval(cfg.bfd_tx_interval)
+                }),
                 bfd_frame: None,
                 adj_out: BTreeMap::new(),
             });
@@ -220,11 +222,7 @@ impl BgpRouter {
 
     /// Render the kernel-style routing table (Listing 3).
     pub fn render_table(&self) -> String {
-        self.rib.render(|port| {
-            self.port_peer
-                .get(&port)
-                .map(|&i| self.peers[i].cfg.peer_ip)
-        })
+        self.rib.render(|port| self.port_peer.get(&port).map(|&i| self.peers[i].cfg.peer_ip))
     }
 
     // ------------------------------------------------------------------
@@ -362,7 +360,8 @@ impl BgpRouter {
         peers: std::ops::Range<usize>,
         prefixes: &[Prefix],
     ) {
-        let exports: InlineList<_, 16> = prefixes.iter().map(|&pfx| (pfx, self.export(pfx))).collect();
+        let exports: InlineList<_, 16> =
+            prefixes.iter().map(|&pfx| (pfx, self.export(pfx))).collect();
         let mut batch_peers = 0usize;
         let mut batch_prefixes = 0usize;
         for peer_idx in peers {
@@ -815,7 +814,8 @@ impl BgpRouter {
                 continue; // carrier handling killed these sessions already
             }
             // Connection management.
-            if self.peers[peer_idx].fsm == BgpState::Idle && now >= self.peers[peer_idx].connect_at {
+            if self.peers[peer_idx].fsm == BgpState::Idle && now >= self.peers[peer_idx].connect_at
+            {
                 let active = self.peers[peer_idx].cfg.is_active();
                 self.set_fsm(ctx, peer_idx, BgpState::TcpPending);
                 self.peers[peer_idx].hold_deadline = now + HOLD_TIME * 4;
@@ -838,8 +838,13 @@ impl BgpRouter {
                 self.peers[peer_idx].keepalive_due = now + KEEPALIVE_INTERVAL;
                 self.send_bgp(ctx, peer_idx, &BgpMessage::Keepalive);
             }
-            if matches!(fsm, BgpState::OpenSent | BgpState::OpenConfirm | BgpState::Established | BgpState::TcpPending)
-                && now > self.peers[peer_idx].hold_deadline
+            if matches!(
+                fsm,
+                BgpState::OpenSent
+                    | BgpState::OpenConfirm
+                    | BgpState::Established
+                    | BgpState::TcpPending
+            ) && now > self.peers[peer_idx].hold_deadline
             {
                 self.session_down(ctx, peer_idx, BgpDownReason::BgpHoldExpired);
                 continue;
@@ -906,21 +911,20 @@ impl StatsSnapshot for BgpRouter {
         let count = |f: BgpState| self.peers.iter().filter(|p| p.fsm == f).count() as u64;
         let retx_queue: u64 = self.peers.iter().map(|p| p.tcp.unacked() as u64).sum();
         let adj_out: u64 = self.peers.iter().map(|p| p.adj_out.len() as u64).sum();
-        let bfd_up = self
-            .peers
-            .iter()
-            .filter(|p| p.bfd.as_ref().is_some_and(|b| b.is_up()))
-            .count() as u64;
-        let bfd_transitions: u64 = self
-            .peers
-            .iter()
-            .filter_map(|p| p.bfd.as_ref().map(|b| b.transitions()))
-            .sum();
+        let bfd_up =
+            self.peers.iter().filter(|p| p.bfd.as_ref().is_some_and(|b| b.is_up())).count() as u64;
+        let bfd_transitions: u64 =
+            self.peers.iter().filter_map(|p| p.bfd.as_ref().map(|b| b.transitions())).sum();
         vec![
             ("rib_routes", self.rib.route_count() as u64),
             ("rib_paths", self.rib.path_count() as u64),
             ("sessions_idle", count(BgpState::Idle)),
-            ("sessions_pending", count(BgpState::TcpPending) + count(BgpState::OpenSent) + count(BgpState::OpenConfirm)),
+            (
+                "sessions_pending",
+                count(BgpState::TcpPending)
+                    + count(BgpState::OpenSent)
+                    + count(BgpState::OpenConfirm),
+            ),
             ("sessions_up", count(BgpState::Established)),
             ("tcp_retransmit_queue", retx_queue),
             ("adj_out_prefixes", adj_out),

@@ -36,9 +36,13 @@ fn config(fabric: &Fabric, addr: &Addressing, i: usize, bfd: bool) -> BgpConfig 
             continue;
         }
         let la = addr.link(pr.link).unwrap();
-        let (local_ip, peer_ip) =
-            if fabric.links[pr.link].0 == i { (la.a_addr, la.b_addr) } else { (la.b_addr, la.a_addr) };
-        cfg = cfg.peer(PeerConfig { port, local_ip, peer_ip, peer_asn: addr.asn(pr.peer).unwrap() });
+        let (local_ip, peer_ip) = if fabric.links[pr.link].0 == i {
+            (la.a_addr, la.b_addr)
+        } else {
+            (la.b_addr, la.a_addr)
+        };
+        cfg =
+            cfg.peer(PeerConfig { port, local_ip, peer_ip, peer_asn: addr.asn(pr.peer).unwrap() });
     }
     if let Some(rack) = addr.rack_subnet(i) {
         cfg = cfg.originating(rack);

@@ -17,12 +17,7 @@ fn rack(third: u8) -> Prefix {
 }
 
 fn peer(port: u16, local: u8, remote: u8, peer_asn: u32) -> PeerConfig {
-    PeerConfig {
-        port: PortId(port),
-        local_ip: ip(local),
-        peer_ip: ip(remote),
-        peer_asn,
-    }
+    PeerConfig { port: PortId(port), local_ip: ip(local), peer_ip: ip(remote), peer_asn }
 }
 
 /// Two routers on one link: A originates a prefix, B must learn it.
@@ -30,9 +25,7 @@ fn peer(port: u16, local: u8, remote: u8, peer_asn: u32) -> PeerConfig {
 fn two_routers_establish_and_exchange() {
     let mut b = SimBuilder::new(1);
     let ra = BgpRouter::new(
-        BgpConfig::new("A", 65001, 1)
-            .peer(peer(0, 1, 2, 65002))
-            .originating(rack(11)),
+        BgpConfig::new("A", 65001, 1).peer(peer(0, 1, 2, 65002)).originating(rack(11)),
     );
     let rb = BgpRouter::new(BgpConfig::new("B", 65002, 2).peer(peer(0, 2, 1, 65001)));
     let a = b.add_node("A", Box::new(ra));
@@ -59,20 +52,15 @@ fn as_path_loop_is_rejected() {
     // prefix must never enter C's RIB.
     let mut b = SimBuilder::new(2);
     let ra = BgpRouter::new(
-        BgpConfig::new("A", 65001, 1)
-            .peer(peer(0, 1, 2, 64512))
-            .originating(rack(11)),
+        BgpConfig::new("A", 65001, 1).peer(peer(0, 1, 2, 64512)).originating(rack(11)),
     );
-    let rb = BgpRouter::new(
-        BgpConfig::new("B", 64512, 2)
-            .peer(peer(0, 2, 1, 65001))
-            .peer(PeerConfig {
-                port: PortId(1),
-                local_ip: IpAddr4::new(172, 16, 1, 1),
-                peer_ip: IpAddr4::new(172, 16, 1, 2),
-                peer_asn: 65001,
-            }),
-    );
+    let rb =
+        BgpRouter::new(BgpConfig::new("B", 64512, 2).peer(peer(0, 2, 1, 65001)).peer(PeerConfig {
+            port: PortId(1),
+            local_ip: IpAddr4::new(172, 16, 1, 1),
+            peer_ip: IpAddr4::new(172, 16, 1, 2),
+            peer_asn: 65001,
+        }));
     let rc = BgpRouter::new(BgpConfig::new("C", 65001, 3).peer(PeerConfig {
         port: PortId(0),
         local_ip: IpAddr4::new(172, 16, 1, 2),
@@ -121,9 +109,7 @@ fn asn_mismatch_never_establishes() {
 fn hold_timer_expiry_withdraws_routes() {
     let mut b = SimBuilder::new(4);
     let ra = BgpRouter::new(
-        BgpConfig::new("A", 65001, 1)
-            .peer(peer(0, 1, 2, 65002))
-            .originating(rack(11)),
+        BgpConfig::new("A", 65001, 1).peer(peer(0, 1, 2, 65002)).originating(rack(11)),
     );
     let rb = BgpRouter::new(BgpConfig::new("B", 65002, 2).peer(peer(0, 2, 1, 65001)));
     let a = b.add_node("A", Box::new(ra));
@@ -169,20 +155,15 @@ fn ecmp_members_install_and_flows_spread() {
     // Hub H peers with L and R, each originating the same prefix with
     // equal-length AS paths.
     let mut b = SimBuilder::new(6);
-    let hub = BgpRouter::new(
-        BgpConfig::new("H", 64512, 1)
-            .peer(peer(0, 1, 2, 65001))
-            .peer(PeerConfig {
-                port: PortId(1),
-                local_ip: IpAddr4::new(172, 16, 1, 1),
-                peer_ip: IpAddr4::new(172, 16, 1, 2),
-                peer_asn: 65002,
-            }),
-    );
+    let hub =
+        BgpRouter::new(BgpConfig::new("H", 64512, 1).peer(peer(0, 1, 2, 65001)).peer(PeerConfig {
+            port: PortId(1),
+            local_ip: IpAddr4::new(172, 16, 1, 1),
+            peer_ip: IpAddr4::new(172, 16, 1, 2),
+            peer_asn: 65002,
+        }));
     let left = BgpRouter::new(
-        BgpConfig::new("L", 65001, 2)
-            .peer(peer(0, 2, 1, 64512))
-            .originating(rack(14)),
+        BgpConfig::new("L", 65001, 2).peer(peer(0, 2, 1, 64512)).originating(rack(14)),
     );
     let right = BgpRouter::new(
         BgpConfig::new("R", 65002, 3)
@@ -452,7 +433,9 @@ fn paths_from_or_through_a_peer_are_not_sent_back_to_it() {
 fn ecmp_members_are_in_port_order_whatever_the_config_order() {
     let mut b = SimBuilder::new(10);
     // Listed high port first.
-    let hub = BgpConfig::new("H", 64512, 1).peer(link(2, 2, 1, 65003)).peer(link(0, 0, 1, 65001))
+    let hub = BgpConfig::new("H", 64512, 1)
+        .peer(link(2, 2, 1, 65003))
+        .peer(link(0, 0, 1, 65001))
         .peer(link(1, 1, 1, 65002));
     let h = b.add_node("H", Box::new(BgpRouter::new(hub)));
     let mut leaves = Vec::new();

@@ -100,8 +100,7 @@ impl NeighborTable {
     }
 
     pub fn is_up(&self, port: PortId) -> bool {
-        self.entries[port.index()].state == NeighborState::Up
-            && self.entries[port.index()].carrier
+        self.entries[port.index()].state == NeighborState::Up && self.entries[port.index()].carrier
     }
 
     pub fn tier(&self, port: PortId) -> Option<u8> {
@@ -192,8 +191,7 @@ impl NeighborTable {
     pub fn sweep_dead(&mut self, now: Time) -> Vec<PortId> {
         let mut dead = Vec::new();
         for (i, e) in self.entries.iter_mut().enumerate() {
-            if e.state == NeighborState::Up && now.saturating_sub(e.last_rx) > self.dead_interval
-            {
+            if e.state == NeighborState::Up && now.saturating_sub(e.last_rx) > self.dead_interval {
                 e.state = NeighborState::Down;
                 e.consec = 0;
                 dead.push(PortId(i as u16));

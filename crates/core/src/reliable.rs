@@ -46,14 +46,7 @@ impl ReliableTx {
     }
 
     /// Track an already-sent frame for retransmission.
-    pub fn track(
-        &mut self,
-        port: PortId,
-        seq: u16,
-        frame: FrameBuf,
-        class: FrameClass,
-        now: Time,
-    ) {
+    pub fn track(&mut self, port: PortId, seq: u16, frame: FrameBuf, class: FrameClass, now: Time) {
         self.pending.insert(
             (port, seq),
             Pending { frame, class, next_retx: now + RETRANSMIT_INTERVAL, attempts: 1 },

@@ -134,11 +134,8 @@ impl MrmtpRouter {
         let my_root = cfg.tor.as_ref().map(|t| Vid::root(t.derive_vid()));
         // The router owns the config: move the host-port list out instead
         // of cloning it (the config copy is never consulted again).
-        let host_ports = cfg
-            .tor
-            .as_mut()
-            .map(|t| std::mem::take(&mut t.host_ports))
-            .unwrap_or_default();
+        let host_ports =
+            cfg.tor.as_mut().map(|t| std::mem::take(&mut t.host_ports)).unwrap_or_default();
         let nbr = NeighborTable::new(ports, cfg.timers.dead_interval, cfg.timers.accept_hellos);
         MrmtpRouter {
             cfg,
@@ -538,9 +535,7 @@ impl MrmtpRouter {
             // staggered dead timers upstream would leave the tier below
             // forever uninformed).
             let total = !ups.is_empty()
-                && ups
-                    .iter()
-                    .all(|p| reported.contains(p) || self.table.is_negative(root, *p));
+                && ups.iter().all(|p| reported.contains(p) || self.table.is_negative(root, *p));
             if total {
                 // No uplink reaches this root: hand the loss down; there
                 // is nothing to discriminate locally.
@@ -865,11 +860,8 @@ impl MrmtpRouter {
     /// every grid instant until the port carries it.
     fn next_deadline(&self) -> Time {
         let timers = &self.cfg.timers;
-        let hello = self
-            .router_ports
-            .iter()
-            .map(|&p| self.nbr.last_tx(p) + timers.hello_interval)
-            .min();
+        let hello =
+            self.router_ports.iter().map(|&p| self.nbr.last_tx(p) + timers.hello_interval).min();
         [self.nbr.next_deadline(), self.rel.next_deadline(), hello]
             .into_iter()
             .flatten()
@@ -940,9 +932,8 @@ impl StatsSnapshot for MrmtpRouter {
     }
 
     fn gauges(&self) -> Vec<(&'static str, u64)> {
-        let neighbors_up = (0..self.nbr.port_count() as u16)
-            .filter(|&p| self.nbr.is_up(PortId(p)))
-            .count() as u64;
+        let neighbors_up =
+            (0..self.nbr.port_count() as u16).filter(|&p| self.nbr.is_up(PortId(p))).count() as u64;
         vec![
             ("vid_entries", self.table.own_entry_count() as u64),
             ("negative_entries", self.table.negative_entry_count() as u64),

@@ -89,11 +89,7 @@ impl VidTable {
     /// Roots that would be entirely lost if `port` disappeared, together
     /// with whether any VID for them is held via that port at all.
     pub fn roots_via_port(&self, port: PortId) -> Vec<u8> {
-        self.own
-            .iter()
-            .filter(|(_, v)| v.iter().any(|o| o.port == port))
-            .map(|(&r, _)| r)
-            .collect()
+        self.own.iter().filter(|(_, v)| v.iter().any(|o| o.port == port)).map(|(&r, _)| r).collect()
     }
 
     /// All VIDs held for `root`.
@@ -183,8 +179,7 @@ impl VidTable {
     /// memory comparison): each own entry is a VID (≤9 bytes) + port;
     /// each negative entry a root + port.
     pub fn approx_bytes(&self) -> usize {
-        self.own_entry_count() * (VID_ENTRY_BYTES)
-            + self.negative_entry_count() * NEG_ENTRY_BYTES
+        self.own_entry_count() * (VID_ENTRY_BYTES) + self.negative_entry_count() * NEG_ENTRY_BYTES
     }
 
     /// Render in the paper's Listing 5 layout: one line per port with the

@@ -12,9 +12,9 @@ use std::any::Any;
 mod strip_meta;
 
 use dcn_mrmtp::{MrmtpConfig, MrmtpRouter, TorConfig};
+use dcn_sim::link::LinkSpec;
 use dcn_sim::time::{millis, secs};
 use dcn_sim::{Ctx, FrameBuf, FrameClass, NodeId, PortId, Protocol, Sim, SimBuilder, TraceEvent};
-use dcn_sim::link::LinkSpec;
 use dcn_topology::{Addressing, ClosParams, Fabric, FailureCase, PortKind, Role};
 use dcn_wire::{
     EtherType, EthernetFrame, IpAddr4, Ipv4Packet, MacAddr, UdpDatagram, Vid, IPPROTO_UDP,
@@ -152,22 +152,10 @@ fn fig2_vid_tables_emerge() {
     assert_eq!(vids_of(&sim, f.pod_spine(1, 1)), vec!["13.2", "14.2"]);
 
     // Top spines: one VID per ToR in the fabric, matching Fig. 2's tables.
-    assert_eq!(
-        vids_of(&sim, f.top_spine(0)),
-        vec!["11.1.1", "12.1.1", "13.1.1", "14.1.1"]
-    );
-    assert_eq!(
-        vids_of(&sim, f.top_spine(1)),
-        vec!["11.2.1", "12.2.1", "13.2.1", "14.2.1"]
-    );
-    assert_eq!(
-        vids_of(&sim, f.top_spine(2)),
-        vec!["11.1.2", "12.1.2", "13.1.2", "14.1.2"]
-    );
-    assert_eq!(
-        vids_of(&sim, f.top_spine(3)),
-        vec!["11.2.2", "12.2.2", "13.2.2", "14.2.2"]
-    );
+    assert_eq!(vids_of(&sim, f.top_spine(0)), vec!["11.1.1", "12.1.1", "13.1.1", "14.1.1"]);
+    assert_eq!(vids_of(&sim, f.top_spine(1)), vec!["11.2.1", "12.2.1", "13.2.1", "14.2.1"]);
+    assert_eq!(vids_of(&sim, f.top_spine(2)), vec!["11.1.2", "12.1.2", "13.1.2", "14.1.2"]);
+    assert_eq!(vids_of(&sim, f.top_spine(3)), vec!["11.2.2", "12.2.2", "13.2.2", "14.2.2"]);
 
     // ToRs acquire nothing: they are roots.
     let tor: &MrmtpRouter = sim.node_as(NodeId(f.tor(0, 0) as u32)).unwrap();
@@ -181,12 +169,7 @@ fn four_pod_top_spines_hold_all_eight_trees() {
     sim.run_until(secs(2));
     for k in 0..4 {
         let r: &MrmtpRouter = sim.node_as(NodeId(f.top_spine(k) as u32)).unwrap();
-        assert_eq!(
-            r.vid_table().own_entry_count(),
-            8,
-            "T-{} must hold one VID per ToR",
-            k + 1
-        );
+        assert_eq!(r.vid_table().own_entry_count(), 8, "T-{} must hold one VID per ToR", k + 1);
         // Listing 5: two VIDs (one per rack) per down-port.
         let rendered = r.render_table();
         assert_eq!(rendered.lines().count(), 4, "4 ports: {rendered}");
@@ -321,22 +304,14 @@ fn steady_state_is_hellos_only() {
     let updates = sim
         .trace()
         .events_since(t0)
-        .filter(|e| {
-            matches!(
-                e,
-                TraceEvent::FrameSent { class: FrameClass::Update, .. }
-            )
-        })
+        .filter(|e| matches!(e, TraceEvent::FrameSent { class: FrameClass::Update, .. }))
         .count();
     assert_eq!(updates, 0, "no updates in steady state");
     let keepalives = sim
         .trace()
         .events_since(t0)
         .filter(|e| {
-            matches!(
-                e,
-                TraceEvent::FrameSent { class: FrameClass::Keepalive, wire_len: 60, .. }
-            )
+            matches!(e, TraceEvent::FrameSent { class: FrameClass::Keepalive, wire_len: 60, .. })
         })
         .count();
     assert!(keepalives > 500, "hellos flow on every link: {keepalives}");
@@ -360,11 +335,13 @@ fn overdue_hello_leaves_at_the_first_grid_instant_after_admin_up() {
         sim.trace()
             .events_since(t0)
             .filter_map(|e| match *e {
-                TraceEvent::FrameSent { time, node: n, port: p, class: FrameClass::Keepalive, .. }
-                    if n == node && p == port =>
-                {
-                    Some(time)
-                }
+                TraceEvent::FrameSent {
+                    time,
+                    node: n,
+                    port: p,
+                    class: FrameClass::Keepalive,
+                    ..
+                } if n == node && p == port => Some(time),
                 _ => None,
             })
             .collect()

@@ -55,7 +55,11 @@ fn staged_repair_reference(
     // only survivor.
     let avoid = |cands: Vec<PortId>| {
         let pref: Vec<PortId> = cands.iter().copied().filter(|&p| p != arrival).collect();
-        if pref.is_empty() { cands } else { pref }
+        if pref.is_empty() {
+            cands
+        } else {
+            pref
+        }
     };
     // The compiled down-tree port set (live neighbor, non-negative) —
     // *before* the admin mask, which is what distinguishes "uplinks are
@@ -66,8 +70,7 @@ fn staged_repair_reference(
         .map(|o| o.port)
         .filter(|&p| nbr.is_up(p) && !t.is_negative(root, p))
         .collect();
-    let down_up: Vec<PortId> =
-        down_compiled.iter().copied().filter(|&p| port_up(p)).collect();
+    let down_up: Vec<PortId> = down_compiled.iter().copied().filter(|&p| port_up(p)).collect();
     if !down_up.is_empty() {
         return Some((pick(&down_up), false));
     }
@@ -92,7 +95,11 @@ fn staged_repair_reference(
         .filter(|&p| port_up(p) && !t.is_negative(root, p) && !down_compiled.contains(&p))
         .collect();
     backup.sort_unstable();
-    if backup.is_empty() { None } else { Some((pick(&avoid(backup)), true)) }
+    if backup.is_empty() {
+        None
+    } else {
+        Some((pick(&avoid(backup)), true))
+    }
 }
 
 #[derive(Clone, Copy, Debug)]

@@ -21,8 +21,8 @@ use dcn_sim::link::LinkSpec;
 use dcn_sim::time::{millis, Time, MICROS, SECONDS};
 use dcn_sim::{Ctx, FrameBuf, FrameClass, FrameMeta, NodeId, PortId, Protocol, SimBuilder};
 use dcn_wire::{
-    EtherType, EthernetFrame, IpAddr4, Ipv4Packet, MacAddr, MrmtpMsg, Prefix, Vid, IPPROTO_UDP,
-    ETHERNET_HEADER_LEN,
+    EtherType, EthernetFrame, IpAddr4, Ipv4Packet, MacAddr, MrmtpMsg, Prefix, Vid,
+    ETHERNET_HEADER_LEN, IPPROTO_UDP,
 };
 
 const ROOT: u8 = 11;

@@ -126,7 +126,8 @@ fn observe(
     for (i, node) in fabric.nodes.iter().enumerate() {
         let inner: Box<dyn Protocol> = match node.role {
             Role::Server { pod, tor_idx, idx } => {
-                let host = TrafficHost::new(addr.server_addr(fabric.tor(pod, tor_idx), idx).unwrap());
+                let host =
+                    TrafficHost::new(addr.server_addr(fabric.tor(pod, tor_idx), idx).unwrap());
                 Box::new(match send_spec(&fabric, &addr, pod, tor_idx, idx, pace) {
                     Some(spec) => host.with_send(spec),
                     None => host,

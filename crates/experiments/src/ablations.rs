@@ -68,11 +68,7 @@ pub fn ablation_slow_to_accept(seed: u64) -> Figure {
         .into_iter()
         .map(|accept| {
             let r = flap_storm(accept, 6, millis(80), seed);
-            vec![
-                accept.to_string(),
-                r.update_frames.to_string(),
-                r.route_changes.to_string(),
-            ]
+            vec![accept.to_string(), r.update_frames.to_string(), r.route_changes.to_string()]
         })
         .collect();
     Figure {
@@ -116,7 +112,13 @@ pub fn ablation_loss_holddown(seed: u64) -> Figure {
         title: "Ablation — loss-report hold-down at TC1, far traffic 14→11\n\
                 (paper-matching blast radius is 3; hold-down 0 misclassifies the loss)"
             .into(),
-        headers: vec!["holddown_ms", "blast_radius", "update_frames", "packets_lost", "convergence_ms"],
+        headers: vec![
+            "holddown_ms",
+            "blast_radius",
+            "update_frames",
+            "packets_lost",
+            "convergence_ms",
+        ],
         rows,
     }
 }
@@ -171,8 +173,7 @@ pub fn sweep_bfd_interval(seed: u64) -> Figure {
         })
         .collect();
     Figure {
-        title: "Sweep — BFD transmit interval (detect ×3): convergence vs keep-alive load"
-            .into(),
+        title: "Sweep — BFD transmit interval (detect ×3): convergence vs keep-alive load".into(),
         headers: vec!["bfd_tx_ms", "tc1_convergence_ms", "keepalive_Bps"],
         rows,
     }

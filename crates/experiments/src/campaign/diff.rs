@@ -165,9 +165,8 @@ fn diff_one(a: &RunRecord, b: &RunRecord, threshold: f64, out: &mut Vec<Finding>
             num("quiescence_ms", Some(pa.2), Some(pb.2));
         }
         (pa, pb) => {
-            let r = |p: Option<(f64, f64, f64)>| {
-                p.map_or("absent".to_string(), |p| format!("{p:?}"))
-            };
+            let r =
+                |p: Option<(f64, f64, f64)>| p.map_or("absent".to_string(), |p| format!("{p:?}"));
             flag("storyboard", r(pa), r(pb), None);
         }
     }

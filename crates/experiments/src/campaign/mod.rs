@@ -147,14 +147,22 @@ impl CampaignSpec {
         Json::obj(vec![
             ("schema", Json::str(SPEC_SCHEMA)),
             ("name", Json::str(self.name.as_str())),
-            ("pods", Json::Arr(dedup(&self.pods).into_iter().map(|p| Json::UInt(p as u64)).collect())),
+            (
+                "pods",
+                Json::Arr(dedup(&self.pods).into_iter().map(|p| Json::UInt(p as u64)).collect()),
+            ),
             (
                 "stacks",
                 Json::Arr(dedup(&self.stacks).into_iter().map(|s| Json::str(s.slug())).collect()),
             ),
             (
                 "failures",
-                Json::Arr(dedup(&self.failures).into_iter().map(|tc| Json::str(Failure::from(tc).slug())).collect()),
+                Json::Arr(
+                    dedup(&self.failures)
+                        .into_iter()
+                        .map(|tc| Json::str(Failure::from(tc).slug()))
+                        .collect(),
+                ),
             ),
             (
                 "traffic",
@@ -193,7 +201,12 @@ impl CampaignSpec {
         let failures = dedup(&self.failures);
         let traffic = dedup(&self.traffic);
         let local_repair = dedup(&self.local_repair);
-        if pods.is_empty() || stacks.is_empty() || failures.is_empty() || traffic.is_empty() || local_repair.is_empty() {
+        if pods.is_empty()
+            || stacks.is_empty()
+            || failures.is_empty()
+            || traffic.is_empty()
+            || local_repair.is_empty()
+        {
             return Err("campaign spec has an empty axis".into());
         }
         let mut specs = Vec::new();
@@ -272,9 +285,7 @@ pub fn run_to_store(
     let specs = spec.expand()?;
     let store = Store::create(dir, &spec.name, spec.to_json(), spec.total_runs())?;
     let records = pool::fan_out(specs, threads, |rs| run_one(rs, false));
-    store
-        .append_all(&records)
-        .map_err(|e| format!("append to {}: {e}", dir.display()))?;
+    store.append_all(&records).map_err(|e| format!("append to {}: {e}", dir.display()))?;
     Ok((store, records))
 }
 
@@ -295,9 +306,8 @@ pub fn summary(records: &[RunRecord]) -> Figure {
     let mut rows = Vec::new();
     for ((pods, stack, failure, traffic, lr), runs) in groups {
         let conv: Vec<f64> = runs.iter().filter_map(|r| r.convergence_ms).collect();
-        let conv_cell = crate::replicate::Stats::of(&conv)
-            .map(|s| s.render(1))
-            .unwrap_or_else(|| "-".into());
+        let conv_cell =
+            crate::replicate::Stats::of(&conv).map(|s| s.render(1)).unwrap_or_else(|| "-".into());
         let digests: Vec<u64> = dedup(&runs.iter().map(|r| r.digest).collect::<Vec<_>>());
         rows.push(vec![
             pods.to_string(),
@@ -314,8 +324,15 @@ pub fn summary(records: &[RunRecord]) -> Figure {
     Figure {
         title: "campaign summary — convergence ms as mean [min–max] across seeds".to_string(),
         headers: vec![
-            "pods", "stack", "failure", "traffic", "repair", "runs", "convergence_ms",
-            "blast_radius", "digests",
+            "pods",
+            "stack",
+            "failure",
+            "traffic",
+            "repair",
+            "runs",
+            "convergence_ms",
+            "blast_radius",
+            "digests",
         ],
         rows,
     }

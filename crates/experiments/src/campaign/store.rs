@@ -117,7 +117,9 @@ impl RunRecord {
                 .ok_or_else(|| format!("record missing string field {k:?}"))
         };
         let u = |k: &str| {
-            doc.get(k).and_then(Json::as_u64).ok_or_else(|| format!("record missing uint field {k:?}"))
+            doc.get(k)
+                .and_then(Json::as_u64)
+                .ok_or_else(|| format!("record missing uint field {k:?}"))
         };
         let metrics = doc.get("metrics").ok_or("record missing metrics object")?;
         let mu = |k: &str| {
@@ -129,9 +131,15 @@ impl RunRecord {
         let phases = match doc.get("storyboard") {
             None | Some(Json::Null) => None,
             Some(sb) => Some((
-                sb.get("detection_ms").and_then(Json::as_f64).ok_or("storyboard missing detection_ms")?,
-                sb.get("propagation_ms").and_then(Json::as_f64).ok_or("storyboard missing propagation_ms")?,
-                sb.get("quiescence_ms").and_then(Json::as_f64).ok_or("storyboard missing quiescence_ms")?,
+                sb.get("detection_ms")
+                    .and_then(Json::as_f64)
+                    .ok_or("storyboard missing detection_ms")?,
+                sb.get("propagation_ms")
+                    .and_then(Json::as_f64)
+                    .ok_or("storyboard missing propagation_ms")?,
+                sb.get("quiescence_ms")
+                    .and_then(Json::as_f64)
+                    .ok_or("storyboard missing quiescence_ms")?,
             )),
         };
         Ok(RunRecord {
@@ -212,8 +220,8 @@ impl Store {
     /// The parsed `index.json` header.
     pub fn index(&self) -> Result<Json, String> {
         let path = self.dir.join(INDEX_FILE);
-        let text = std::fs::read_to_string(&path)
-            .map_err(|e| format!("read {}: {e}", path.display()))?;
+        let text =
+            std::fs::read_to_string(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
         Json::parse(text.trim()).map_err(|e| format!("{}: {e}", path.display()))
     }
 
@@ -277,9 +285,11 @@ impl Store {
             if line.trim().is_empty() {
                 continue;
             }
-            let doc = Json::parse(line).map_err(|e| format!("{}:{}: {e}", path.display(), i + 1))?;
+            let doc =
+                Json::parse(line).map_err(|e| format!("{}:{}: {e}", path.display(), i + 1))?;
             out.push(
-                RunRecord::from_json(&doc).map_err(|e| format!("{}:{}: {e}", path.display(), i + 1))?,
+                RunRecord::from_json(&doc)
+                    .map_err(|e| format!("{}:{}: {e}", path.display(), i + 1))?,
             );
         }
         Ok(out)

@@ -105,8 +105,8 @@ impl Default for ChaosConfig {
             min_dwell: 200 * MILLIS,
             max_dwell: 1500 * MILLIS,
             impairment: Impairment {
-                loss_ppm: 2_000,       // 0.2 % frame loss
-                corrupt_ppm: 10_000,   // 1 % byte corruption
+                loss_ppm: 2_000,     // 0.2 % frame loss
+                corrupt_ppm: 10_000, // 1 % byte corruption
                 jitter: 20 * MICROS,
             },
             warmup: 5 * SECONDS,
@@ -193,8 +193,7 @@ impl FaultSchedule {
             let n = routers[rng.below(routers.len() as u64) as usize];
             let crash_at = start + rng.below(span);
             for p in 0..fabric.ports[n].len() {
-                let up_at =
-                    (crash_at + CRASH_DWELL + rng.below(RECOVERY_STAGGER + 1)).min(heal_at);
+                let up_at = (crash_at + CRASH_DWELL + rng.below(RECOVERY_STAGGER + 1)).min(heal_at);
                 ev.push(FaultEvent { at: crash_at, node: n, port: p, up: false });
                 ev.push(FaultEvent { at: up_at, node: n, port: p, up: true });
             }
@@ -724,11 +723,8 @@ pub fn campaign_summary(cfg: &CampaignConfig, result: &CampaignResult) -> Figure
         if runs.is_empty() {
             continue;
         }
-        let conv: Vec<f64> = runs
-            .iter()
-            .filter_map(|r| r.convergence)
-            .map(|d| d as f64 / MILLIS as f64)
-            .collect();
+        let conv: Vec<f64> =
+            runs.iter().filter_map(|r| r.convergence).map(|d| d as f64 / MILLIS as f64).collect();
         let Stats { min, mean, max, .. } =
             Stats::of(&conv).unwrap_or(Stats { mean: 0.0, min: 0.0, max: 0.0, runs: 0 });
         let mut row = vec![
@@ -895,7 +891,8 @@ mod tests {
             let bare = run_chaos(5, stack, &cfg);
             let (instrumented, bundle) = chaos_bundle(5, stack, &cfg);
             assert_eq!(
-                bare.digest, instrumented.digest,
+                bare.digest,
+                instrumented.digest,
                 "the bundle's re-run diverged on {}",
                 stack.label()
             );

@@ -91,7 +91,14 @@ pub fn extended_failure_figure(seed: u64) -> Figure {
     Figure {
         title: "§IX extension — whole-node and multi-point failures (2-PoD, flow 11→14)"
             .to_string(),
-        headers: vec!["case", "stack", "convergence_ms", "blast_radius", "control_bytes", "lost/sent"],
+        headers: vec![
+            "case",
+            "stack",
+            "convergence_ms",
+            "blast_radius",
+            "control_bytes",
+            "lost/sent",
+        ],
         rows,
     }
 }
@@ -152,9 +159,6 @@ mod aggregation_tests {
     fn staggered_loss_reports_still_reach_tors() {
         let r = extended_spec(ExtendedCase::PodSpineCrash, Stack::Mrmtp, 7).run();
         // S1_3 + both PoD-2 ToRs record changes.
-        assert!(
-            r.blast_radius >= 3,
-            "downstream ToRs must be notified: {r:?}"
-        );
+        assert!(r.blast_radius >= 3, "downstream ToRs must be notified: {r:?}");
     }
 }

@@ -228,10 +228,8 @@ pub(crate) fn assemble(
         // updates never arrive in lockstep. This keeps event orderings
         // honest (e.g. the loss-hold-down ablation).
         let jitter = (li as u64).wrapping_mul(0x9E37_79B9) % (5 * dcn_sim::time::MICROS);
-        let spec = LinkSpec {
-            propagation: 3 * dcn_sim::time::MICROS + jitter,
-            ..LinkSpec::default()
-        };
+        let spec =
+            LinkSpec { propagation: 3 * dcn_sim::time::MICROS + jitter, ..LinkSpec::default() };
         b.add_link(NodeId(x as u32), NodeId(y as u32), spec);
     }
     BuiltSim { sim: b.build(), fabric, addr, stack }
@@ -251,7 +249,8 @@ fn build_mrmtp(
             for (pi, pr) in fabric.ports[i].iter().enumerate() {
                 if matches!(pr.kind, PortKind::Host) {
                     let s = host_ports.len();
-                    host_ports.push((addr.server_addr(i, s).expect("server ip"), PortId(pi as u16)));
+                    host_ports
+                        .push((addr.server_addr(i, s).expect("server ip"), PortId(pi as u16)));
                 }
             }
             MrmtpConfig::tor(node.name.clone(), TorConfig { rack_subnet: rack, host_ports })
@@ -273,11 +272,8 @@ fn build_bgp(
     tuning: &StackTuning,
 ) -> Box<dyn Protocol> {
     let node = &fabric.nodes[i];
-    let mut cfg = BgpConfig::new(
-        node.name.clone(),
-        addr.asn(i).expect("router ASN"),
-        addr.router_id(i),
-    );
+    let mut cfg =
+        BgpConfig::new(node.name.clone(), addr.asn(i).expect("router ASN"), addr.router_id(i));
     if bfd {
         cfg = cfg.with_bfd();
     }
@@ -336,16 +332,9 @@ mod tests {
         built.sim.run_until(secs(5));
         for r in built.fabric.routers() {
             let router = built.bgp(r);
-            let expected = built.fabric.ports[r]
-                .iter()
-                .filter(|p| !matches!(p.kind, PortKind::Host))
-                .count();
-            assert_eq!(
-                router.established_sessions(),
-                expected,
-                "{} sessions",
-                router.name()
-            );
+            let expected =
+                built.fabric.ports[r].iter().filter(|p| !matches!(p.kind, PortKind::Host)).count();
+            assert_eq!(router.established_sessions(), expected, "{} sessions", router.name());
         }
         // Every router learns every rack subnet.
         for r in built.fabric.routers() {

@@ -23,7 +23,8 @@ fn steady_state(stack: Stack, seed: u64) -> ScenarioResult {
 /// that read router tables rather than measure a failure.
 fn converged_four_pod(stack: Stack, seed: u64) -> BuiltSim {
     let converge = Timing { warmup: secs(5), traffic_lead: 0, post_failure: 0, drain: 0 };
-    scenario::run_with_sim(RunSpec::new(ClosParams::four_pod(), stack).seeded(seed).timed(converge)).1
+    scenario::run_with_sim(RunSpec::new(ClosParams::four_pod(), stack).seeded(seed).timed(converge))
+        .1
 }
 
 /// A printable result table.
@@ -36,11 +37,7 @@ pub struct Figure {
 
 impl Figure {
     pub fn render(&self) -> String {
-        format!(
-            "{}\n{}",
-            self.title,
-            table::render(&self.headers, &self.rows)
-        )
+        format!("{}\n{}", self.title, table::render(&self.headers, &self.rows))
     }
 }
 
@@ -117,12 +114,9 @@ pub fn fig5_blast_radius(cells: &[MatrixCell]) -> Figure {
 
 /// Fig. 6: control overhead in bytes of update messages.
 pub fn fig6_control_overhead(cells: &[MatrixCell]) -> Figure {
-    matrix_figure(
-        "Fig. 6 — Control overhead (bytes of update messages)",
-        cells,
-        "bytes",
-        |r| r.control_bytes.to_string(),
-    )
+    matrix_figure("Fig. 6 — Control overhead (bytes of update messages)", cells, "bytes", |r| {
+        r.control_bytes.to_string()
+    })
 }
 
 /// Figs. 7/8: packets lost for the monitored flow.
@@ -272,8 +266,11 @@ pub fn tier_comparison(seed: u64) -> Figure {
             ("3-tier (4-PoD)", ClosParams::four_pod()),
             ("4-tier (2×2 zones)", ClosParams::four_tier()),
         ] {
-            let r =
-                RunSpec::new(params, stack).failing(FailureCase::Tc1).seeded(seed).timed(timing).run();
+            let r = RunSpec::new(params, stack)
+                .failing(FailureCase::Tc1)
+                .seeded(seed)
+                .timed(timing)
+                .run();
             rows.push(vec![
                 label.to_string(),
                 stack.label().to_string(),
@@ -286,7 +283,14 @@ pub fn tier_comparison(seed: u64) -> Figure {
     }
     Figure {
         title: "§IX extension — tier scaling (failure at TC1)".to_string(),
-        headers: vec!["fabric", "stack", "routers", "convergence_ms", "blast_radius", "control_bytes"],
+        headers: vec![
+            "fabric",
+            "stack",
+            "routers",
+            "convergence_ms",
+            "blast_radius",
+            "control_bytes",
+        ],
         rows,
     }
 }
@@ -372,11 +376,7 @@ mod tests {
 
     #[test]
     fn figure_rendering_includes_title_and_rows() {
-        let f = Figure {
-            title: "T".into(),
-            headers: vec!["a"],
-            rows: vec![vec!["1".into()]],
-        };
+        let f = Figure { title: "T".into(), headers: vec!["a"], rows: vec![vec!["1".into()]] };
         let s = f.render();
         assert!(s.starts_with("T\n"));
         assert!(s.contains('1'));
@@ -415,10 +415,7 @@ mod extension_tests {
         let bgp: f64 = f.rows[1][3].parse().unwrap();
         assert!(mtp > bgp, "encapsulation adds bytes: {mtp} vs {bgp}");
         let pct = 100.0 * (mtp - bgp) / bgp;
-        assert!(
-            (0.5..15.0).contains(&pct),
-            "single-digit percent overhead expected: {pct:.1}%"
-        );
+        assert!((0.5..15.0).contains(&pct), "single-digit percent overhead expected: {pct:.1}%");
     }
 
     #[test]

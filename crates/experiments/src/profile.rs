@@ -15,7 +15,8 @@ use dcn_telemetry::PerfReport;
 /// The perf report of everything `sim` has run so far, hot nodes
 /// attributed by name.
 pub fn perf_report(sim: &Sim, label: impl Into<String>) -> PerfReport {
-    let names = (0..sim.node_count() as u32).map(|i| sim.node_name(NodeId(i)).to_string()).collect();
+    let names =
+        (0..sim.node_count() as u32).map(|i| sim.node_name(NodeId(i)).to_string()).collect();
     PerfReport::new(sim.profile(), label, names)
 }
 
@@ -38,15 +39,14 @@ mod tests {
     use dcn_topology::{ClosParams, FailureCase};
 
     fn quick_spec() -> RunSpec {
-        RunSpec::new(ClosParams::two_pod(), Stack::Mrmtp)
-            .failing(FailureCase::Tc1)
-            .seeded(5)
-            .timed(Timing {
+        RunSpec::new(ClosParams::two_pod(), Stack::Mrmtp).failing(FailureCase::Tc1).seeded(5).timed(
+            Timing {
                 warmup: secs(2),
                 traffic_lead: millis(100),
                 post_failure: millis(500),
                 drain: millis(100),
-            })
+            },
+        )
     }
 
     #[test]

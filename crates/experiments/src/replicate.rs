@@ -39,13 +39,7 @@ impl Stats {
 
     /// Render as `mean [min–max]`.
     pub fn render(&self, decimals: usize) -> String {
-        format!(
-            "{:.d$} [{:.d$}–{:.d$}]",
-            self.mean,
-            self.min,
-            self.max,
-            d = decimals
-        )
+        format!("{:.d$} [{:.d$}–{:.d$}]", self.mean, self.min, self.max, d = decimals)
     }
 }
 
@@ -66,11 +60,7 @@ pub fn run_replicated(spec: RunSpec, seeds: &[u64]) -> ReplicatedResult {
 /// storyboard, capture) under `dir/replicate-<stack>-<tc>-seed<N>/`, so
 /// the spread the replicated figure reports can be dissected run by run.
 /// The aggregated metrics are identical to [`run_replicated`]'s.
-pub fn run_replicated_instrumented(
-    spec: RunSpec,
-    seeds: &[u64],
-    dir: &Path,
-) -> ReplicatedResult {
+pub fn run_replicated_instrumented(spec: RunSpec, seeds: &[u64], dir: &Path) -> ReplicatedResult {
     let raw = fan_out(seeds.to_vec(), 0, |seed| {
         let sc = spec.seeded(seed);
         let ir = run_instrumented(sc);
@@ -117,10 +107,7 @@ pub fn fig4_replicated(seeds: &[u64], local_repair: bool) -> Figure {
         }
     }
     Figure {
-        title: format!(
-            "Fig. 4 (replicated ×{}) — convergence ms as mean [min–max]",
-            seeds.len()
-        ),
+        title: format!("Fig. 4 (replicated ×{}) — convergence ms as mean [min–max]", seeds.len()),
         headers: vec!["topology", "stack", "case", "convergence_ms", "blast_radius"],
         rows,
     }

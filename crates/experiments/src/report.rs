@@ -42,12 +42,7 @@ pub fn render(run: &InstrumentedRun, spec: &RunSpec) -> String {
         .filter(|&n| sim.stats_snapshot_of(n).is_some())
         .collect();
     if let Some(&first) = routers.first() {
-        let col_w = routers
-            .iter()
-            .map(|&n| sim.node_name(n).len())
-            .max()
-            .unwrap_or(0)
-            .max(6);
+        let col_w = routers.iter().map(|&n| sim.node_name(n).len()).max().unwrap_or(0).max(6);
         let snap = sim.stats_snapshot_of(first).expect("router has stats");
         let sections: [(&str, Vec<&'static str>); 2] = [
             ("counter", snap.counters().iter().map(|&(n, _)| n).collect()),

@@ -259,9 +259,8 @@ impl RunSpec {
         });
         // The zone layer prints only when present: three-tier keys, and
         // the stores that hold them, stay valid.
-        let zones = zones.map_or(String::new(), |Zones { count, uplinks }| {
-            format!(";zones={count}x{uplinks}")
-        });
+        let zones = zones
+            .map_or(String::new(), |Zones { count, uplinks }| format!(";zones={count}x{uplinks}"));
         // `fast_path=1` and `bgp_ka=-;bgp_hold=-` name switches that no
         // longer exist: every run has taken the fast path with the BGP
         // timer constants, and stored keys carry the fields.
@@ -331,7 +330,10 @@ mod tests {
         assert_ne!(base.key(), base.seeded(7).key());
         assert_ne!(base.key(), base.failing(FailureCase::Tc2).key());
         assert_ne!(base.key(), base.failing(ExtendedCase::TopSpineCrash).key());
-        assert_ne!(base.key(), RunSpec::new(ClosParams::four_pod(), Stack::Mrmtp).failing(FailureCase::Tc1).key());
+        assert_ne!(
+            base.key(),
+            RunSpec::new(ClosParams::four_pod(), Stack::Mrmtp).failing(FailureCase::Tc1).key()
+        );
         assert_ne!(base.key(), base.with_traffic(TrafficDir::NearToFar).key());
         assert_ne!(base.key(), base.with_local_repair(true).key());
         // The hash tracks the key.
@@ -424,8 +426,12 @@ mod tests {
     /// so must their keys; the four-tier one is pinned like the others.
     #[test]
     fn the_zone_layer_is_in_the_key() {
-        let timing =
-            Timing { warmup: 5_000_000_000, traffic_lead: 0, post_failure: 5_000_000_000, drain: 0 };
+        let timing = Timing {
+            warmup: 5_000_000_000,
+            traffic_lead: 0,
+            post_failure: 5_000_000_000,
+            drain: 0,
+        };
         let tiers =
             |params| RunSpec::new(params, Stack::Mrmtp).failing(FailureCase::Tc1).timed(timing);
         let (three, four) = (tiers(ClosParams::four_pod()), tiers(ClosParams::four_tier()));

@@ -28,7 +28,8 @@ pub enum TrafficDir {
 }
 
 impl TrafficDir {
-    pub const ALL: [TrafficDir; 3] = [TrafficDir::None, TrafficDir::NearToFar, TrafficDir::FarToNear];
+    pub const ALL: [TrafficDir; 3] =
+        [TrafficDir::None, TrafficDir::NearToFar, TrafficDir::FarToNear];
 
     /// CLI-safe identifier: the `fcr` direction argument, the spec-file
     /// and store spelling, and the `traffic=` field of [`RunSpec::key`].
@@ -64,12 +65,7 @@ pub struct Timing {
 
 impl Default for Timing {
     fn default() -> Self {
-        Timing {
-            warmup: secs(5),
-            traffic_lead: secs(2),
-            post_failure: secs(6),
-            drain: secs(1),
-        }
+        Timing { warmup: secs(5), traffic_lead: secs(2), post_failure: secs(6), drain: secs(1) }
     }
 }
 
@@ -195,10 +191,7 @@ pub fn bundle_from_run(run: &InstrumentedRun, spec: &RunSpec) -> TraceBundle {
     if let Some(t0) = run.failure_at {
         let sb = dcn_metrics::storyboard::build(sim.trace(), t0);
         b.add_file("storyboard.txt", dcn_metrics::storyboard::render(&sb, name_of));
-        b.add_file(
-            "capture.txt",
-            capture_dump(sim, t0.saturating_sub(millis(50)), sim.now(), 400),
-        );
+        b.add_file("capture.txt", capture_dump(sim, t0.saturating_sub(millis(50)), sim.now(), 400));
     }
     b
 }
@@ -260,10 +253,8 @@ pub fn execute(s: &RunSpec, config: SimConfig) -> (ScenarioResult, BuiltSim) {
     } else {
         (None, 0, 0, 0)
     };
-    let breakdown = class_breakdown(trace, failure_at, None)
-        .into_iter()
-        .map(|(k, (f, b))| (k, f, b))
-        .collect();
+    let breakdown =
+        class_breakdown(trace, failure_at, None).into_iter().map(|(k, (f, b))| (k, f, b)).collect();
     let loss = flow.map(|(src, dst, _)| built.host(dst).report(built.host(src).sent()));
 
     let result = ScenarioResult {
@@ -300,10 +291,7 @@ mod tests {
         // needs its 100 ms dead timer to reroute, so the flow loses up to
         // a dead-interval's worth of packets (the paper's TC2/TC4 story).
         let lost = loss.lost();
-        assert!(
-            (1..=40).contains(&lost),
-            "dead-timer-bounded loss expected: {loss:?}"
-        );
+        assert!((1..=40).contains(&lost), "dead-timer-bounded loss expected: {loss:?}");
     }
 
     #[test]
@@ -327,12 +315,7 @@ mod tests {
             assert!(names.contains(&want), "missing {want} in {names:?}");
         }
         assert_eq!(bundle.meta().get("stack").unwrap().as_str(), Some("mrmtp"));
-        let sb_text = &bundle
-            .files()
-            .iter()
-            .find(|(n, _)| n == "storyboard.txt")
-            .unwrap()
-            .1;
+        let sb_text = &bundle.files().iter().find(|(n, _)| n == "storyboard.txt").unwrap().1;
         assert!(sb_text.contains("phases:"), "{sb_text}");
     }
 
@@ -341,7 +324,8 @@ mod tests {
     /// how a run is observed must not move what it records.
     #[test]
     fn bundle_files_are_pinned() {
-        let s = RunSpec::new(ClosParams::two_pod(), Stack::Mrmtp).failing(FailureCase::Tc1).seeded(42);
+        let s =
+            RunSpec::new(ClosParams::two_pod(), Stack::Mrmtp).failing(FailureCase::Tc1).seeded(42);
         let bundle = bundle_from_run(&run_instrumented(s), &s);
         let got: Vec<(&str, u64)> = ["spans.jsonl", "hists.jsonl", "storyboard.txt", "capture.txt"]
             .into_iter()

@@ -51,10 +51,7 @@ mod tests {
     fn aligned_output() {
         let t = render(
             &["tc", "value"],
-            &[
-                vec!["TC1".into(), "3".into()],
-                vec!["TC10".into(), "12345".into()],
-            ],
+            &[vec!["TC1".into(), "3".into()], vec!["TC10".into(), "12345".into()]],
         );
         let lines: Vec<&str> = t.lines().collect();
         assert_eq!(lines[0], "tc    value");

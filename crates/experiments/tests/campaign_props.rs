@@ -16,9 +16,7 @@ use proptest::prelude::*;
 
 /// An axis vector drawn from `values` with repetition allowed, so the
 /// dedup-before-expansion contract is actually exercised.
-fn axis<T: Clone + std::fmt::Debug + 'static>(
-    values: Vec<T>,
-) -> impl Strategy<Value = Vec<T>> {
+fn axis<T: Clone + std::fmt::Debug + 'static>(values: Vec<T>) -> impl Strategy<Value = Vec<T>> {
     prop::collection::vec(prop::sample::select(values), 1..6)
 }
 

@@ -67,10 +67,7 @@ fn chaos_seeds_digest_identically_across_backends() {
     for seed in [11u64, 12, 13] {
         let run = |kind| run_chaos_with(seed, Stack::Mrmtp, &quick_chaos(), backend(kind)).0;
         let (heap, wheel) = (run(SchedulerKind::Heap), run(SchedulerKind::Wheel));
-        assert_eq!(
-            heap.digest, wheel.digest,
-            "chaos seed {seed}: backends diverged"
-        );
+        assert_eq!(heap.digest, wheel.digest, "chaos seed {seed}: backends diverged");
     }
 }
 

@@ -45,7 +45,9 @@ pub fn golden_table() -> String {
     let mut line = |label: String, digest: u64| {
         writeln!(out, "{label} {digest:#018x}").expect("writing to a String");
     };
-    for (stack, dir) in [(Stack::Mrmtp, TrafficDir::NearToFar), (Stack::BgpEcmp, TrafficDir::FarToNear)] {
+    for (stack, dir) in
+        [(Stack::Mrmtp, TrafficDir::NearToFar), (Stack::BgpEcmp, TrafficDir::FarToNear)]
+    {
         for tc in FailureCase::ALL {
             let spec = RunSpec::new(ClosParams::two_pod(), stack).failing(tc).with_traffic(dir);
             line(format!("{} {}", stack.slug(), Failure::Case(tc).slug()), run_digest(spec));
@@ -70,7 +72,8 @@ pub fn golden_table() -> String {
         let label = if repair { "traffic repair" } else { "traffic" };
         line(format!("chaos {} {seed} {label}", stack.slug()), run.digest);
     }
-    let tiers = Timing { warmup: 5 * SECONDS, traffic_lead: 0, post_failure: 5 * SECONDS, drain: 0 };
+    let tiers =
+        Timing { warmup: 5 * SECONDS, traffic_lead: 0, post_failure: 5 * SECONDS, drain: 0 };
     for stack in [Stack::Mrmtp, Stack::BgpEcmp] {
         let spec =
             RunSpec::new(ClosParams::four_tier(), stack).failing(FailureCase::Tc1).timed(tiers);

@@ -28,7 +28,7 @@ use dcn_experiments::flows::pin_flow;
 use dcn_experiments::{BuiltSim, RunSpec, Stack, StackTuning, Timing, TrafficDir};
 use dcn_sim::time::{Duration, MICROS, MILLIS, SECONDS};
 use dcn_sim::SimConfig;
-use dcn_topology::{Addressing, ClosParams, FailureCase, Fabric};
+use dcn_topology::{Addressing, ClosParams, Fabric, FailureCase};
 use dcn_traffic::SendSpec;
 
 const TCS: [FailureCase; 4] =
@@ -185,10 +185,8 @@ fn local_repair_leaves_delivery_metrics_sane() {
                 .timed(window(if far_bgp { HOLD } else { LOCAL }));
             let off = spec.run();
             let on = spec.with_local_repair(true).run();
-            let (off_loss, on_loss) = (
-                off.loss.expect("traffic ran").lost(),
-                on.loss.expect("traffic ran").lost(),
-            );
+            let (off_loss, on_loss) =
+                (off.loss.expect("traffic ran").lost(), on.loss.expect("traffic ran").lost());
             eprintln!("{} {dir:?} {tc:?}: lost off={off_loss} on={on_loss}", stack.label());
             assert!(
                 on_loss <= off_loss,

@@ -273,11 +273,7 @@ mod tests {
         tr.push(span(102 * MILLIS, 2, SpanEvent::VidRemove { root: 11, port: PortId(1) }));
         tr.push(update_frame(103 * MILLIS, 2));
         // n3 only detects by timeout much later (quiescence tail).
-        tr.push(span(
-            200 * MILLIS,
-            3,
-            SpanEvent::NeighborDown { port: PortId(2), carrier: false },
-        ));
+        tr.push(span(200 * MILLIS, 3, SpanEvent::NeighborDown { port: PortId(2), carrier: false }));
         tr
     }
 
@@ -298,10 +294,7 @@ mod tests {
 
         // detection + propagation == paper-style convergence time.
         let conv = crate::convergence_time(&tr, t0).unwrap();
-        assert_eq!(
-            ((p.detection_ms + p.propagation_ms) * MILLIS as f64) as u64,
-            conv
-        );
+        assert_eq!(((p.detection_ms + p.propagation_ms) * MILLIS as f64) as u64, conv);
         assert_eq!(sb.convergence_ns, Some(conv));
     }
 

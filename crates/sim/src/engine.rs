@@ -80,10 +80,7 @@ pub struct SimConfig {
 
 impl Default for SimConfig {
     fn default() -> SimConfig {
-        SimConfig {
-            trace: true,
-            scheduler: SchedulerKind::default(),
-        }
+        SimConfig { trace: true, scheduler: SchedulerKind::default() }
     }
 }
 
@@ -106,13 +103,7 @@ impl SimBuilder {
 
     /// A builder with an explicit engine configuration.
     pub fn with_config(seed: u64, config: SimConfig) -> Self {
-        SimBuilder {
-            seed,
-            config,
-            nodes: Vec::new(),
-            protos: Vec::new(),
-            links: Vec::new(),
-        }
+        SimBuilder { seed, config, nodes: Vec::new(), protos: Vec::new(), links: Vec::new() }
     }
 
     /// Register a node running `proto`. Ports are added later by wiring.
@@ -762,10 +753,7 @@ mod tests {
         let mut sim = b.build();
         sim.run_until(20_000);
         let timers = &sim.node_as::<Echo>(a).unwrap().timers;
-        assert_eq!(
-            timers,
-            &vec![(5_000, 1), (10_000, 2), (15_000, 3), (20_000, 4)]
-        );
+        assert_eq!(timers, &vec![(5_000, 1), (10_000, 2), (15_000, 3), (20_000, 4)]);
         assert_eq!(sim.now(), 20_000);
     }
 

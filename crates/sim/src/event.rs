@@ -106,10 +106,7 @@ impl Ord for Scheduled {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; invert so the earliest (time, key)
         // pops first.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.key.cmp(&self.key))
+        other.time.cmp(&self.time).then_with(|| other.key.cmp(&self.key))
     }
 }
 

@@ -52,13 +52,7 @@ impl GridTimer {
     /// A grid of `period` whose fires arrive as `on_timer(token)`. The
     /// grid has no phase until [`GridTimer::start`].
     pub const fn new(token: u64, period: Duration) -> GridTimer {
-        GridTimer {
-            token,
-            period,
-            phase: 0,
-            armed: None,
-            last_run: None,
-        }
+        GridTimer { token, period, phase: 0, armed: None, last_run: None }
     }
 
     /// Fix the grid: its first instant is `first` from now. Arms nothing.
@@ -200,12 +194,7 @@ mod tests {
         let mut sim = b.build();
         sim.run_until(until);
         let o = sim.node_as::<Owner>(n).unwrap();
-        (
-            o.ticks.clone(),
-            o.fires,
-            o.periodic_fires.clone(),
-            sim.events_processed(),
-        )
+        (o.ticks.clone(), o.fires, o.periodic_fires.clone(), sim.events_processed())
     }
 
     #[test]
@@ -241,11 +230,8 @@ mod tests {
         // 20_137 is armed, then pulled earlier to 10_137, then its
         // deadline moves away: the queued 20_137 one-shot finds the
         // wake-up armed elsewhere and must not tick or re-arm.
-        let script = [
-            (7_000, Op::Add(8_000)),
-            (9_000, Op::Remove(20_000)),
-            (9_001, Op::Add(40_000)),
-        ];
+        let script =
+            [(7_000, Op::Add(8_000)), (9_000, Op::Remove(20_000)), (9_001, Op::Add(40_000))];
         let (ticks, fires, ..) = run(Owner::new(&[20_000], &script), 80_000);
         assert_eq!(ticks, vec![10_137, 40_137]);
         assert_eq!(fires, 3, "the stale fire left no timer behind");
@@ -255,11 +241,7 @@ mod tests {
     fn a_deadline_that_moved_later_costs_one_idle_tick() {
         let script = [(7_000, Op::Remove(20_000)), (7_001, Op::Add(40_000))];
         let (ticks, fires, ..) = run(Owner::new(&[20_000], &script), 80_000);
-        assert_eq!(
-            ticks,
-            vec![20_137, 40_137],
-            "armed wake-ups are never cancelled"
-        );
+        assert_eq!(ticks, vec![20_137, 40_137], "armed wake-ups are never cancelled");
         assert_eq!(fires, 2);
     }
 

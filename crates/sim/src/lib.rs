@@ -46,11 +46,11 @@ pub use dcn_wire::{FrameBuf, FrameMeta};
 pub use engine::{Sim, SimBuilder, SimConfig, CARRIER_LATENCY};
 pub use event::{scheduler_stress, Event, EventKey, SchedulerKind};
 pub use grid::GridTimer;
+pub use hash::{hash64, Hash64};
 pub use link::{Impairment, LinkId, LinkSpec};
 pub use node::{Ctx, NodeId, PortId, Protocol, StatsSnapshot};
 pub use profiler::{EngineProfile, SchedulerStats};
 pub use time::{Duration, Time, MICROS, MILLIS, NANOS, SECONDS};
-pub use hash::{hash64, Hash64};
 pub use trace::{
     BgpDownReason, BgpState, FrameClass, RouteChangeKind, SpanEvent, Trace, TraceEvent,
 };

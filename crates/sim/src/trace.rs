@@ -185,11 +185,7 @@ impl BgpDownReason {
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SpanEvent {
     /// BGP session FSM transition.
-    BgpFsm {
-        port: PortId,
-        from: BgpState,
-        to: BgpState,
-    },
+    BgpFsm { port: PortId, from: BgpState, to: BgpState },
     /// A BGP session was torn down; [`BgpDownReason::detection`] says
     /// whether by carrier, by timeout or for another reason.
     BgpSessionDown { port: PortId, reason: BgpDownReason },
@@ -295,10 +291,7 @@ impl SpanEvent {
         let state = |code: u8| BgpState::ALL.get(code as usize).copied();
         Some(match kind {
             0 => SpanEvent::BgpFsm { port, from: state(a)?, to: state(b)? },
-            1 => SpanEvent::BgpSessionDown {
-                port,
-                reason: *BgpDownReason::ALL.get(a as usize)?,
-            },
+            1 => SpanEvent::BgpSessionDown { port, reason: *BgpDownReason::ALL.get(a as usize)? },
             2 => SpanEvent::BgpUpdateBatch { peers: a, prefixes: b },
             3 => SpanEvent::NeighborDown { port, carrier: a != 0 },
             4 => SpanEvent::NeighborUp { port },
@@ -334,18 +327,9 @@ pub enum TraceEvent {
     /// Recovery injection: carrier restored.
     PortUp { time: Time, node: NodeId, port: PortId },
     /// A router changed destination-forwarding state (blast radius).
-    RouteChange {
-        time: Time,
-        node: NodeId,
-        kind: RouteChangeKind,
-        detail: u64,
-    },
+    RouteChange { time: Time, node: NodeId, kind: RouteChangeKind, detail: u64 },
     /// A typed protocol span event (see [`SpanEvent`]).
-    Span {
-        time: Time,
-        node: NodeId,
-        span: SpanEvent,
-    },
+    Span { time: Time, node: NodeId, span: SpanEvent },
 }
 
 // 24 today; a field that pushes a record past 32 bytes is paid for by
@@ -369,9 +353,11 @@ impl TraceEvent {
             tag | (sub as u64) << 8 | (port.0 as u64) << 16 | (node.0 as u64) << 32
         };
         match *self {
-            TraceEvent::FrameSent { time, node, port, wire_len, capture_len, class } => {
-                [time, head(0, class as u8, port, node), wire_len as u64 | (capture_len as u64) << 32]
-            }
+            TraceEvent::FrameSent { time, node, port, wire_len, capture_len, class } => [
+                time,
+                head(0, class as u8, port, node),
+                wire_len as u64 | (capture_len as u64) << 32,
+            ],
             TraceEvent::PortDown { time, node, port } => [time, head(1, 0, port, node), 0],
             TraceEvent::PortUp { time, node, port } => [time, head(2, 0, port, node), 0],
             TraceEvent::RouteChange { time, node, kind, detail } => {

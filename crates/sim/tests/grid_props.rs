@@ -73,8 +73,7 @@ impl Owner {
             return; // due deadlines stay due
         }
         let due = self.deadlines.partition_point(|&d| d <= now);
-        self.served
-            .extend(self.deadlines.drain(..due).map(|d| (now, d)));
+        self.served.extend(self.deadlines.drain(..due).map(|d| (now, d)));
     }
 
     fn rearm(&mut self, ctx: &mut Ctx<'_>) {
@@ -131,10 +130,7 @@ impl Protocol for Owner {
 
 fn run(deadline_driven: bool, first: u64, script: &[(u64, Op)]) -> (Vec<(u64, u64)>, u64) {
     let mut b = SimBuilder::new(7);
-    let n = b.add_node(
-        "owner",
-        Box::new(Owner::new(deadline_driven, first, script)),
-    );
+    let n = b.add_node("owner", Box::new(Owner::new(deadline_driven, first, script)));
     let mut sim = b.build();
     sim.run_until(400_000);
     let o = sim.node_as::<Owner>(n).unwrap();

@@ -9,8 +9,8 @@ use proptest::prelude::*;
 
 use dcn_sim::rng::DetRng;
 use dcn_sim::{
-    hash64, BgpDownReason, BgpState, FrameClass, Hash64, NodeId, PortId, RouteChangeKind, SpanEvent,
-    TraceEvent,
+    hash64, BgpDownReason, BgpState, FrameClass, Hash64, NodeId, PortId, RouteChangeKind,
+    SpanEvent, TraceEvent,
 };
 
 /// Variants a record can hold: four non-span variants and twelve spans.
@@ -35,7 +35,8 @@ fn event(pick: u8, time: u64, node: u32, port: u16, x: u64, [a, b, c]: [u8; 3]) 
         1 => return TraceEvent::PortDown { time, node, port },
         2 => return TraceEvent::PortUp { time, node, port },
         3 => {
-            let kind = if a & 1 == 0 { RouteChangeKind::Withdraw } else { RouteChangeKind::Install };
+            let kind =
+                if a & 1 == 0 { RouteChangeKind::Withdraw } else { RouteChangeKind::Install };
             return TraceEvent::RouteChange { time, node, kind, detail: x };
         }
         4 => SpanEvent::BgpFsm { port, from: state(a), to: state(b) },
@@ -128,7 +129,11 @@ fn unknown_codes_and_stray_bits_are_rejected() {
     let span = TraceEvent::Span {
         time: 9,
         node: NodeId(3),
-        span: SpanEvent::BgpFsm { port: PortId(2), from: BgpState::Idle, to: BgpState::Established },
+        span: SpanEvent::BgpFsm {
+            port: PortId(2),
+            from: BgpState::Idle,
+            to: BgpState::Established,
+        },
     };
     let [time, head, payload] = span.to_words();
     assert_eq!(TraceEvent::from_words([time, head, payload]), Some(span));

@@ -220,7 +220,13 @@ impl World {
             }
         }
         let wire = |segs: &[TcpSegment]| segs.iter().map(TcpSegment::encode).collect();
-        (wire(&self.to_a), wire(&self.to_b), self.a.unacked(), self.a.next_deadline(), self.received.len())
+        (
+            wire(&self.to_a),
+            wire(&self.to_b),
+            self.a.unacked(),
+            self.a.next_deadline(),
+            self.received.len(),
+        )
     }
 
     fn drain_byte_queue(&mut self, now: u64) {

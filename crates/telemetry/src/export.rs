@@ -23,19 +23,16 @@ fn span_fields(span: &SpanEvent) -> Vec<(&'static str, Json)> {
             ("reason", Json::str(reason.name())),
             ("carrier", Json::Bool(reason.detection() == Some(true))),
         ],
-        SpanEvent::BgpUpdateBatch { peers, prefixes } => vec![
-            ("peers", Json::UInt(*peers as u64)),
-            ("prefixes", Json::UInt(*prefixes as u64)),
-        ],
-        SpanEvent::NeighborDown { port, carrier } => vec![
-            ("port", Json::UInt(port.0 as u64)),
-            ("carrier", Json::Bool(*carrier)),
-        ],
+        SpanEvent::BgpUpdateBatch { peers, prefixes } => {
+            vec![("peers", Json::UInt(*peers as u64)), ("prefixes", Json::UInt(*prefixes as u64))]
+        }
+        SpanEvent::NeighborDown { port, carrier } => {
+            vec![("port", Json::UInt(port.0 as u64)), ("carrier", Json::Bool(*carrier))]
+        }
         SpanEvent::NeighborUp { port } => vec![("port", Json::UInt(port.0 as u64))],
-        SpanEvent::VidInstall { root, port } | SpanEvent::VidRemove { root, port } => vec![
-            ("root", Json::UInt(*root as u64)),
-            ("port", Json::UInt(port.0 as u64)),
-        ],
+        SpanEvent::VidInstall { root, port } | SpanEvent::VidRemove { root, port } => {
+            vec![("root", Json::UInt(*root as u64)), ("port", Json::UInt(port.0 as u64))]
+        }
         SpanEvent::LossFlood { roots, fanout, lost } => vec![
             ("roots", Json::UInt(*roots as u64)),
             ("fanout", Json::UInt(*fanout as u64)),
@@ -57,17 +54,18 @@ fn span_fields(span: &SpanEvent) -> Vec<(&'static str, Json)> {
 pub fn spans_jsonl(trace: &Trace, name_of: impl Fn(NodeId) -> String) -> String {
     let mut out = String::new();
     for ev in trace.events() {
-        let mut fields: Vec<(&str, Json)> = vec![
-            ("t", Json::UInt(ev.time())),
-            ("node", Json::str(name_of(ev.node()))),
-        ];
+        let mut fields: Vec<(&str, Json)> =
+            vec![("t", Json::UInt(ev.time())), ("node", Json::str(name_of(ev.node())))];
         match ev {
             TraceEvent::FrameSent { .. } => continue, // captures cover frames
             TraceEvent::Span { span, .. } => {
                 fields.push(("type", Json::str("span")));
                 fields.push(("kind", Json::str(span.kind())));
                 if let Some(carrier) = span.detection() {
-                    fields.push(("detection", Json::str(if carrier { "carrier" } else { "timeout" })));
+                    fields.push((
+                        "detection",
+                        Json::str(if carrier { "carrier" } else { "timeout" }),
+                    ));
                 }
                 fields.extend(span_fields(span));
             }
@@ -146,7 +144,8 @@ pub fn capture_dump(sim: &Sim, t0: Time, t1: Time, max_lines_per_port: usize) ->
         let node = NodeId(i);
         for p in 0..sim.port_count(node) as u16 {
             let port = dcn_sim::PortId(p);
-            let text = dcn_metrics::capture_text(sim.trace(), node, port, t0, t1, max_lines_per_port);
+            let text =
+                dcn_metrics::capture_text(sim.trace(), node, port, t0, t1, max_lines_per_port);
             if text.is_empty() {
                 continue;
             }

@@ -260,9 +260,7 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                     Some(b'r') => out.push('\r'),
                     Some(b't') => out.push('\t'),
                     Some(b'u') => {
-                        let hex = b
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or("truncated \\u escape")?;
+                        let hex = b.get(*pos + 1..*pos + 5).ok_or("truncated \\u escape")?;
                         let code = u32::from_str_radix(
                             std::str::from_utf8(hex).map_err(|e| e.to_string())?,
                             16,
@@ -337,9 +335,7 @@ mod tests {
             ("pi", Json::Float(3.5)),
             ("flag", Json::Bool(true)),
             ("none", Json::Null),
-            ("samples", Json::Arr(vec![
-                Json::Arr(vec![Json::UInt(1_000_000), Json::UInt(4)]),
-            ])),
+            ("samples", Json::Arr(vec![Json::Arr(vec![Json::UInt(1_000_000), Json::UInt(4)])])),
         ]);
         let text = v.render();
         let parsed = Json::parse(&text).unwrap();

@@ -25,6 +25,6 @@ pub mod json;
 pub mod perf;
 
 pub use export::{capture_dump, frame_size_hists, hists_jsonl, spans_jsonl, TraceBundle};
-pub use perf::{host_cores, PerfReport};
 pub use hist::Histogram;
 pub use json::Json;
+pub use perf::{host_cores, PerfReport};

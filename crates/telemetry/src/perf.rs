@@ -43,7 +43,11 @@ pub fn host_cores() -> u64 {
 }
 
 impl PerfReport {
-    pub fn new(profile: EngineProfile, label: impl Into<String>, node_names: Vec<String>) -> PerfReport {
+    pub fn new(
+        profile: EngineProfile,
+        label: impl Into<String>,
+        node_names: Vec<String>,
+    ) -> PerfReport {
         PerfReport { profile, label: label.into(), cores: host_cores(), node_names }
     }
 
@@ -52,10 +56,7 @@ impl PerfReport {
     }
 
     fn name_of(&self, node: u32) -> String {
-        self.node_names
-            .get(node as usize)
-            .cloned()
-            .unwrap_or_else(|| format!("n{node}"))
+        self.node_names.get(node as usize).cloned().unwrap_or_else(|| format!("n{node}"))
     }
 
     /// The terminal summary.
@@ -165,7 +166,12 @@ mod tests {
             .as_arr()
             .unwrap()
             .iter()
-            .map(|h| (h.get("node").unwrap().as_str().unwrap(), h.get("events").unwrap().as_u64().unwrap()))
+            .map(|h| {
+                (
+                    h.get("node").unwrap().as_str().unwrap(),
+                    h.get("events").unwrap().as_u64().unwrap(),
+                )
+            })
             .collect();
         assert_eq!(hot, vec![("e0", 3), ("s0", 2), ("e1", 1)]);
     }

@@ -1,6 +1,5 @@
 //! Folded-Clos fabric model and builder.
 
-
 /// Parameters of a folded-Clos fabric: the paper's three tiers, or four
 /// with a zone layer between the PoD spines and the top spines.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -169,7 +168,9 @@ impl ClosParams {
         let zone_uplinks = self.zones.map(|z| ("zones.uplinks", z.uplinks));
         for (name, value) in widths.into_iter().chain(zone_uplinks) {
             if value == 0 {
-                return Err(format!("{name} = 0 leaves a disconnected tier (allowed: {name} >= 1)"));
+                return Err(format!(
+                    "{name} = 0 leaves a disconnected tier (allowed: {name} >= 1)"
+                ));
             }
         }
         if let Some(Zones { count, .. }) = self.zones {
@@ -560,9 +561,7 @@ mod tests {
     #[test]
     fn validation_rejects_degenerate_fabrics() {
         assert!(ClosParams { pods: 1, ..ClosParams::two_pod() }.validate().is_err());
-        assert!(ClosParams { spines_per_pod: 0, ..ClosParams::two_pod() }
-            .validate()
-            .is_err());
+        assert!(ClosParams { spines_per_pod: 0, ..ClosParams::two_pod() }.validate().is_err());
         let too_many = ClosParams { pods: 200, tors_per_pod: 2, ..ClosParams::two_pod() };
         assert!(too_many.validate().is_err());
         assert!(ClosParams::scaled(8).is_ok());
@@ -588,10 +587,7 @@ mod tests {
         let err = ClosParams { pods: 200, tors_per_pod: 2, ..ClosParams::two_pod() }
             .validate()
             .unwrap_err();
-        assert!(
-            err.contains("200 * 2 = 400 ToRs") && err.contains("at most 244"),
-            "got: {err}"
-        );
+        assert!(err.contains("200 * 2 = 400 ToRs") && err.contains("at most 244"), "got: {err}");
         let zoned = |count, uplinks| ClosParams {
             zones: Some(Zones { count, uplinks }),
             ..ClosParams::four_pod()

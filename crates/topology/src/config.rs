@@ -52,7 +52,9 @@ pub fn bgp_router_config(fabric: &Fabric, addr: &Addressing, node: usize, bfd: b
         out.push_str(" exit-address-family\n");
     }
     if bfd {
-        out.push_str("bfd\n profile lowerIntervals\n  transmit-interval 100\n  receive-interval 100\n");
+        out.push_str(
+            "bfd\n profile lowerIntervals\n  transmit-interval 100\n  receive-interval 100\n",
+        );
         for peer_ip in peers {
             out.push_str(&format!(" peer {peer_ip}\n  profile lowerIntervals\n"));
         }

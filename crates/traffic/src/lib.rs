@@ -499,10 +499,8 @@ mod tests {
         spec.interval = millis(1);
         spec.count = 5;
         let mut b = SimBuilder::new(1);
-        let a = b.add_node(
-            "a",
-            Box::new(TrafficHost::new(IpAddr4::new(10, 0, 0, 1)).with_send(spec)),
-        );
+        let a =
+            b.add_node("a", Box::new(TrafficHost::new(IpAddr4::new(10, 0, 0, 1)).with_send(spec)));
         let c = b.add_node("b", Box::new(TrafficHost::new(b_ip)));
         b.add_link(a, c, LinkSpec::default());
         let mut sim = b.build();

@@ -48,16 +48,9 @@ pub struct BgpUpdate<P = Vec<Prefix>, A = Vec<u32>> {
 /// A BGP message; `U` is the UPDATE body, owned unless it says otherwise.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum BgpMessage<U = BgpUpdate> {
-    Open {
-        asn: u16,
-        hold_time_secs: u16,
-        router_id: u32,
-    },
+    Open { asn: u16, hold_time_secs: u16, router_id: u32 },
     Update(U),
-    Notification {
-        code: u8,
-        subcode: u8,
-    },
+    Notification { code: u8, subcode: u8 },
     Keepalive,
 }
 
@@ -185,7 +178,9 @@ impl<P: AsRef<[Prefix]>, A: AsRef<[u32]>> BgpMessage<BgpUpdate<P, A>> {
             BgpMessage::Open { .. } => 10,
             BgpMessage::Update(u) => {
                 let (withdrawn, nlri) = (u.withdrawn.as_ref(), u.nlri.as_ref());
-                4 + prefixes_len(withdrawn) + attrs_len(nlri, u.as_path.as_ref()) + prefixes_len(nlri)
+                4 + prefixes_len(withdrawn)
+                    + attrs_len(nlri, u.as_path.as_ref())
+                    + prefixes_len(nlri)
             }
             BgpMessage::Notification { .. } => 2,
             BgpMessage::Keepalive => 0,
@@ -209,10 +204,13 @@ impl<P: AsRef<[Prefix]>, A: AsRef<[u32]>> BgpMessage<BgpUpdate<P, A>> {
                 w.put(&router_id.to_be_bytes());
                 w.put(&[0]); // no optional parameters
             }
-            BgpMessage::Notification { code, subcode } => w.put(&[TYPE_NOTIFICATION, *code, *subcode]),
+            BgpMessage::Notification { code, subcode } => {
+                w.put(&[TYPE_NOTIFICATION, *code, *subcode])
+            }
             BgpMessage::Keepalive => w.put(&[TYPE_KEEPALIVE]),
             BgpMessage::Update(u) => {
-                let (withdrawn, path, nlri) = (u.withdrawn.as_ref(), u.as_path.as_ref(), u.nlri.as_ref());
+                let (withdrawn, path, nlri) =
+                    (u.withdrawn.as_ref(), u.as_path.as_ref(), u.nlri.as_ref());
                 w.put(&[TYPE_UPDATE]);
                 w.put(&(prefixes_len(withdrawn) as u16).to_be_bytes());
                 for p in withdrawn {
@@ -352,9 +350,10 @@ impl BgpMessage {
                             }
                         }
                         ATTR_NEXT_HOP => {
-                            let nh: [u8; 4] = val
-                                .try_into()
-                                .map_err(|_| WireError::BadLength { expected: 4, got: val.len() })?;
+                            let nh: [u8; 4] = val.try_into().map_err(|_| WireError::BadLength {
+                                expected: 4,
+                                got: val.len(),
+                            })?;
                             next_hop = Some(IpAddr4(u32::from_be_bytes(nh)));
                         }
                         _ => {} // ORIGIN and anything else: size only

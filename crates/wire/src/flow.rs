@@ -35,16 +35,15 @@ pub fn flow_hash(src: IpAddr4, dst: IpAddr4, proto: u8, src_port: u16, dst_port:
 /// Flow hash of an already-parsed IPv4 packet (ports extracted from the
 /// first four payload bytes for TCP/UDP, zero otherwise).
 pub fn flow_hash_of(pkt: &Ipv4View<'_>) -> u64 {
-    let (sp, dp) = if (pkt.protocol == IPPROTO_TCP || pkt.protocol == IPPROTO_UDP)
-        && pkt.payload.len() >= 4
-    {
-        (
-            u16::from_be_bytes([pkt.payload[0], pkt.payload[1]]),
-            u16::from_be_bytes([pkt.payload[2], pkt.payload[3]]),
-        )
-    } else {
-        (0, 0)
-    };
+    let (sp, dp) =
+        if (pkt.protocol == IPPROTO_TCP || pkt.protocol == IPPROTO_UDP) && pkt.payload.len() >= 4 {
+            (
+                u16::from_be_bytes([pkt.payload[0], pkt.payload[1]]),
+                u16::from_be_bytes([pkt.payload[2], pkt.payload[3]]),
+            )
+        } else {
+            (0, 0)
+        };
     flow_hash(pkt.src, pkt.dst, pkt.protocol, sp, dp)
 }
 
@@ -82,10 +81,7 @@ mod tests {
         )
         .encode();
         let pkt = crate::Ipv4Packet::parse(&bytes).unwrap();
-        assert_eq!(
-            flow_hash_of(&pkt),
-            flow_hash(pkt.src, pkt.dst, IPPROTO_UDP, 5000, 6000)
-        );
+        assert_eq!(flow_hash_of(&pkt), flow_hash(pkt.src, pkt.dst, IPPROTO_UDP, 5000, 6000));
     }
 
     #[test]

@@ -45,10 +45,7 @@ impl std::str::FromStr for IpAddr4 {
         let mut parts = s.split('.');
         let mut oct = [0u8; 4];
         for o in oct.iter_mut() {
-            *o = parts
-                .next()
-                .and_then(|p| p.parse().ok())
-                .ok_or(WireError::Invalid)?;
+            *o = parts.next().and_then(|p| p.parse().ok()).ok_or(WireError::Invalid)?;
         }
         if parts.next().is_some() {
             return Err(WireError::Invalid);

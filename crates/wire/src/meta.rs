@@ -72,8 +72,12 @@ mod tests {
     fn meta_is_small_and_copy() {
         // The metadata rides in every queued Deliver event; keep it lean.
         assert!(std::mem::size_of::<FrameMeta>() <= 24);
-        let m =
-            FrameMeta::Ipv4Data { dst: IpAddr4::new(10, 0, 0, 1), flow: 7, ttl: 64, repaired: false };
+        let m = FrameMeta::Ipv4Data {
+            dst: IpAddr4::new(10, 0, 0, 1),
+            flow: 7,
+            ttl: 64,
+            repaired: false,
+        };
         let n = m; // Copy
         assert_eq!(m, n);
     }

@@ -95,8 +95,7 @@ impl Vid {
 
     /// Is `self` an ancestor-or-equal of `other` in the same tree?
     pub fn is_prefix_of(self, other: Vid) -> bool {
-        self.len <= other.len
-            && self.components() == &other.components()[..self.len as usize]
+        self.len <= other.len && self.components() == &other.components()[..self.len as usize]
     }
 }
 

@@ -82,7 +82,7 @@ impl<P: AsRef<[u8]>> TcpSegment<P> {
         buf[13] = self.flags.0;
         buf[14..16].copy_from_slice(&self.window.to_be_bytes());
         buf[16..20].fill(0); // checksum (unused over the emulator), urgent pointer
-        // Options: NOP, NOP, TS(kind=8, len=10, val, ecr).
+                             // Options: NOP, NOP, TS(kind=8, len=10, val, ecr).
         buf[20..24].copy_from_slice(&[1, 1, 8, 10]);
         buf[24..28].copy_from_slice(&self.ts_val.to_be_bytes());
         buf[28..32].copy_from_slice(&self.ts_ecr.to_be_bytes());

@@ -90,10 +90,7 @@ mod tests {
     fn inconsistent_length_rejected() {
         let mut bytes = UdpDatagram::new(1, 2, vec![0; 4]).encode();
         bytes[5] = 200; // claims 200 bytes
-        assert!(matches!(
-            UdpDatagram::decode(&bytes),
-            Err(WireError::BadLength { .. })
-        ));
+        assert!(matches!(UdpDatagram::decode(&bytes), Err(WireError::BadLength { .. })));
     }
 
     #[test]

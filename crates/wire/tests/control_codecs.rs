@@ -107,19 +107,21 @@ fn arb_tcp(max_payload: usize) -> impl Strategy<Value = TcpSegment> {
         (any::<u8>(), any::<u16>(), any::<u32>(), any::<u32>()),
         proptest::collection::vec(any::<u8>(), 0..=max_payload),
     )
-        .prop_map(|((src_port, dst_port, seq, ack), (flags, window, ts_val, ts_ecr), payload)| {
-            TcpSegment {
-                src_port,
-                dst_port,
-                seq,
-                ack,
-                flags: TcpFlags(flags),
-                window,
-                ts_val,
-                ts_ecr,
-                payload: FrameBuf::new(payload),
-            }
-        })
+        .prop_map(
+            |((src_port, dst_port, seq, ack), (flags, window, ts_val, ts_ecr), payload)| {
+                TcpSegment {
+                    src_port,
+                    dst_port,
+                    seq,
+                    ack,
+                    flags: TcpFlags(flags),
+                    window,
+                    ts_val,
+                    ts_ecr,
+                    payload: FrameBuf::new(payload),
+                }
+            },
+        )
 }
 
 // ---------------------------------------------------------------- BGP --
@@ -403,7 +405,8 @@ fn mrmtp_ref_encode(m: &MrmtpMsg) -> Vec<u8> {
         MrmtpMsg::Accept { seq } => seq_msg(0x04, seq),
         MrmtpMsg::UpdateAck { seq } => seq_msg(0x05, seq),
         MrmtpMsg::Lost { seq, roots } | MrmtpMsg::Recovered { seq, roots } => {
-            let mut out = seq_msg(if matches!(m, MrmtpMsg::Lost { .. }) { 0x07 } else { 0x08 }, seq);
+            let mut out =
+                seq_msg(if matches!(m, MrmtpMsg::Lost { .. }) { 0x07 } else { 0x08 }, seq);
             out.push(roots.len() as u8);
             out.extend_from_slice(roots);
             out

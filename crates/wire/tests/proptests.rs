@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 
 use dcn_wire::{
-    ecmp_index, flow_hash, BfdPacket, BfdState, BgpMessage, BgpUpdate, EthernetFrame, EtherType,
+    ecmp_index, flow_hash, BfdPacket, BfdState, BgpMessage, BgpUpdate, EtherType, EthernetFrame,
     IpAddr4, Ipv4Packet, MacAddr, MrmtpMsg, Prefix, TcpFlags, TcpSegment, UdpDatagram, Vid,
 };
 

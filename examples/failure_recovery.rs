@@ -21,11 +21,9 @@ fn main() {
     println!("(2-PoD topology, monitored flow rack 11 → rack 14 at ≈333 pkt/s)\n");
 
     for stack in Stack::ALL {
-        let r = run(
-            RunSpec::new(ClosParams::two_pod(), stack)
-                .failing(tc)
-                .with_traffic(TrafficDir::NearToFar),
-        );
+        let r = run(RunSpec::new(ClosParams::two_pod(), stack)
+            .failing(tc)
+            .with_traffic(TrafficDir::NearToFar));
         let loss = r.loss.expect("traffic ran");
         println!("== {} ==", stack.label());
         match r.convergence_ms {

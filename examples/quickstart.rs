@@ -26,8 +26,11 @@ fn main() {
     spec.count = 100;
 
     let mut built = build_sim(params, Stack::Mrmtp, 42, &[(src, spec)]);
-    println!("running MR-MTP on a 2-PoD folded-Clos ({} routers, {} links)…\n",
-             built.fabric.num_routers(), built.fabric.links.len());
+    println!(
+        "running MR-MTP on a 2-PoD folded-Clos ({} routers, {} links)…\n",
+        built.fabric.num_routers(),
+        built.fabric.links.len()
+    );
     built.sim.run_until(secs(4));
 
     // The meshed trees of Fig. 2: every top spine holds one VID per ToR,
@@ -48,11 +51,7 @@ fn main() {
     // End-to-end delivery across the fabric.
     let sent = built.host(src).sent();
     let dst = built.fabric.server(1, 1, 0);
-    let report = built
-        .sim
-        .node_as::<TrafficHost>(NodeId(dst as u32))
-        .unwrap()
-        .report(sent);
+    let report = built.sim.node_as::<TrafficHost>(NodeId(dst as u32)).unwrap().report(sent);
     println!(
         "traffic 192.168.11.1 → {dst_ip}: sent {} received {} lost {} \
          (duplicates {}, out-of-order {})",

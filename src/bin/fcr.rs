@@ -177,10 +177,18 @@ fn usage_text() -> String {
     let mut out = String::from("usage: fcr <command>\n\ncommands:\n");
     for c in COMMANDS {
         let head = format!("{} {}", c.name, c.args);
-        out += &format!("  {:<29} {}\n", head.trim_end(), c.help.replace('\n', &format!("\n{:32}", "")));
+        out += &format!(
+            "  {:<29} {}\n",
+            head.trim_end(),
+            c.help.replace('\n', &format!("\n{:32}", ""))
+        );
         for f in c.flags {
             let head = format!("{} {}", f.name, f.value);
-            out += &format!("    {:<20} {}\n", head.trim_end(), f.help.replace('\n', &format!("\n{:25}", "")));
+            out += &format!(
+                "    {:<20} {}\n",
+                head.trim_end(),
+                f.help.replace('\n', &format!("\n{:25}", ""))
+            );
         }
     }
     out
@@ -222,7 +230,11 @@ fn parse<'a>(cmd: &'static Command, args: &'a [String]) -> Args<'a> {
     let required = cmd.args.split_whitespace().filter(|a| a.starts_with('<')).count();
     let allowed = cmd.args.split_whitespace().count();
     if !(required..=allowed).contains(&parsed.pos.len()) {
-        fail(&format!("{} takes {}", cmd.name, if allowed == 0 { "no arguments" } else { cmd.args }));
+        fail(&format!(
+            "{} takes {}",
+            cmd.name,
+            if allowed == 0 { "no arguments" } else { cmd.args }
+        ));
     }
     parsed
 }
@@ -333,7 +345,10 @@ fn cmd_scenario(a: &Args) {
         eprint!("{}", report.render_text());
         write_profile(&report, &out.join(format!("profile-{name}")));
     }
-    println!("convergence_ms   {}", r.convergence_ms.map(|v| format!("{v:.1}")).unwrap_or("-".into()));
+    println!(
+        "convergence_ms   {}",
+        r.convergence_ms.map(|v| format!("{v:.1}")).unwrap_or("-".into())
+    );
     println!("blast_radius     {}", r.blast_radius);
     println!("control_bytes    {}", r.control_bytes);
     println!("update_frames    {}", r.update_frames);
@@ -530,7 +545,8 @@ fn cmd_campaign_run(a: &Args) {
 }
 
 fn cmd_campaign_report(a: &Args) {
-    let store = campaign::store::Store::open(Path::new(a.pos[0])).unwrap_or_else(|e| campaign_error(e));
+    let store =
+        campaign::store::Store::open(Path::new(a.pos[0])).unwrap_or_else(|e| campaign_error(e));
     let records = store.records().unwrap_or_else(|e| campaign_error(e));
     let name = store
         .index()
@@ -560,7 +576,8 @@ fn cmd_campaign_diff(a: &Args) {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let words = |c: &Command| c.name.split(' ').count();
-    let Some(cmd) = COMMANDS.iter().find(|c| args.len() >= words(c) && c.name == args[..words(c)].join(" "))
+    let Some(cmd) =
+        COMMANDS.iter().find(|c| args.len() >= words(c) && c.name == args[..words(c)].join(" "))
     else {
         fail("unknown or missing command");
     };

@@ -24,7 +24,8 @@ fn assert_golden(args: &[&str]) {
     let out = fcr(args);
     assert!(out.status.success(), "fcr {args:?} exited with {:?}", out.status.code());
     let got = String::from_utf8(out.stdout).expect("utf-8 tables");
-    if let Some((n, (g, w))) = got.lines().zip(want.lines()).enumerate().find(|(_, (g, w))| g != w) {
+    if let Some((n, (g, w))) = got.lines().zip(want.lines()).enumerate().find(|(_, (g, w))| g != w)
+    {
         panic!("fcr {args:?} differs from {golden} at line {}:\n  got  {g}\n  want {w}", n + 1);
     }
     assert_eq!(got.len(), want.len(), "fcr {args:?}: output length differs from {golden}");
@@ -126,7 +127,8 @@ fn a_malformed_number_is_rejected() {
     assert_rejected(&["sweep", "3"]);
     // Used to run 3 and 4 pairs as 2 on the 2-PoD fabric; names the limit.
     assert_rejected(&["chaos", "--traffic-pairs", "3"]);
-    assert!(String::from_utf8_lossy(&fcr(&["chaos", "--traffic-pairs", "3"]).stderr).contains("at most 2"));
+    assert!(String::from_utf8_lossy(&fcr(&["chaos", "--traffic-pairs", "3"]).stderr)
+        .contains("at most 2"));
 }
 
 #[test]
@@ -159,8 +161,19 @@ fn every_listed_flag_is_accepted_and_read() {
 
     let (tel, prof) = (d("scenario-tel"), d("scenario-prof"));
     let out = assert_accepted(&[
-        "scenario", "bgp", "tc3", "far", "--pods", "4", "--seed", "3", "--local-repair",
-        "--telemetry-out", &tel, "--profile-out", &prof,
+        "scenario",
+        "bgp",
+        "tc3",
+        "far",
+        "--pods",
+        "4",
+        "--seed",
+        "3",
+        "--local-repair",
+        "--telemetry-out",
+        &tel,
+        "--profile-out",
+        &prof,
     ]);
     assert!(out.contains("blast_radius"), "{out}");
     assert!(dir.join("scenario-tel/scenario-bgp-tc3/meta.json").is_file());
@@ -171,14 +184,30 @@ fn every_listed_flag_is_accepted_and_read() {
 
     let out_dir = d("profile");
     let out = assert_accepted(&[
-        "profile", "mrmtp", "tc1", "--pods", "4", "--seed", "3", "--local-repair", "--out", &out_dir,
+        "profile",
+        "mrmtp",
+        "tc1",
+        "--pods",
+        "4",
+        "--seed",
+        "3",
+        "--local-repair",
+        "--out",
+        &out_dir,
     ]);
     assert!(out.starts_with("perf report: mrmtp TC1 seed 3"), "{out}");
     assert!(dir.join("profile/perf_report.json").is_file());
 
     let tel = d("report-tel");
     let out = assert_accepted(&[
-        "report", "bgp-bfd", "tc2", "--seed", "3", "--local-repair", "--telemetry-out", &tel,
+        "report",
+        "bgp-bfd",
+        "tc2",
+        "--seed",
+        "3",
+        "--local-repair",
+        "--telemetry-out",
+        &tel,
     ]);
     assert!(out.contains("BGP/ECMP/BFD · TC2 · seed 3"), "{out}");
     assert!(dir.join("report-tel/report-bgp-bfd-tc2/storyboard.txt").is_file());
@@ -190,10 +219,33 @@ fn every_listed_flag_is_accepted_and_read() {
 
     let (tel, prof) = (d("chaos-tel"), d("chaos-prof"));
     let out = assert_accepted(&[
-        "chaos", "--seeds", "1", "--base-seed", "11", "--threads", "1", "--stacks", "mrmtp,mrmtp",
-        "--flaps", "2", "--crashes", "1", "--k", "2", "--loss-ppm", "1000", "--corrupt-ppm", "5000",
-        "--local-repair", "--traffic-pairs", "1", "--no-determinism", "--telemetry-out", &tel,
-        "--profile-out", &prof,
+        "chaos",
+        "--seeds",
+        "1",
+        "--base-seed",
+        "11",
+        "--threads",
+        "1",
+        "--stacks",
+        "mrmtp,mrmtp",
+        "--flaps",
+        "2",
+        "--crashes",
+        "1",
+        "--k",
+        "2",
+        "--loss-ppm",
+        "1000",
+        "--corrupt-ppm",
+        "5000",
+        "--local-repair",
+        "--traffic-pairs",
+        "1",
+        "--no-determinism",
+        "--telemetry-out",
+        &tel,
+        "--profile-out",
+        &prof,
     ]);
     assert!(out.contains("OK: all invariants held"), "{out}");
     assert!(out.contains("repair-loops"), "the table names every violation term: {out}");
@@ -207,7 +259,16 @@ fn every_listed_flag_is_accepted_and_read() {
     let (a, b) = (d("store-a"), d("store-b"));
     for store in [&a, &b] {
         let out = assert_accepted(&[
-            "campaign", "run", "default", "--out", store, "--threads", "1", "--seeds", "1", "--quick",
+            "campaign",
+            "run",
+            "default",
+            "--out",
+            store,
+            "--threads",
+            "1",
+            "--seeds",
+            "1",
+            "--quick",
         ]);
         assert!(out.contains("campaign summary"), "{out}");
     }
@@ -262,8 +323,12 @@ fn a_legacy_store_is_refused_not_silently_compared() {
     let spec = r#"{"pods":[2],"stacks":["mrmtp"],"failures":["tc1"],"seeds":3,"base_seed":1,"quick":true}"#;
     std::fs::write(d("spec.json"), spec).unwrap();
     assert_accepted(&["campaign", "run", &d("spec.json"), "--out", &d("now"), "--threads", "1"]);
-    let read = |path: String| std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
-    assert!(!read(format!("{legacy}/index.json")).contains("\"digest\""), "the fixture predates the field");
+    let read =
+        |path: String| std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    assert!(
+        !read(format!("{legacy}/index.json")).contains("\"digest\""),
+        "the fixture predates the field"
+    );
     assert!(read(d("now/index.json")).contains("\"digest\":\"trace64/v1\""));
     // Every run is on both sides: the refusal is about the definition,
     // not about coverage.
@@ -282,7 +347,11 @@ fn a_legacy_store_is_refused_not_silently_compared() {
         assert!(err.contains("\"debug-siphash/v0\"") && err.contains("\"trace64/v1\""), "{err}");
     }
     let report = assert_accepted(&["campaign", "report", &legacy]);
-    assert_eq!(report.lines().nth(3).and_then(|row| row.split_whitespace().nth(5)), Some("3"), "{report}");
+    assert_eq!(
+        report.lines().nth(3).and_then(|row| row.split_whitespace().nth(5)),
+        Some("3"),
+        "{report}"
+    );
     assert!(assert_accepted(&["campaign", "diff", &legacy, &legacy]).contains("zero drift"));
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -315,9 +384,11 @@ fn documented_command_lines_match_the_flag_table() {
 
     let mut checked = 0;
     for doc in ["README.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"] {
-        let text = std::fs::read_to_string(format!("{}/{doc}", env!("CARGO_MANIFEST_DIR"))).unwrap();
+        let text =
+            std::fs::read_to_string(format!("{}/{doc}", env!("CARGO_MANIFEST_DIR"))).unwrap();
         for line in text.lines() {
-            let Some(at) = line.find("fcr -- ").map(|i| i + 7).or_else(|| line.find("/fcr ").map(|i| i + 5))
+            let Some(at) =
+                line.find("fcr -- ").map(|i| i + 7).or_else(|| line.find("/fcr ").map(|i| i + 5))
             else {
                 continue;
             };
@@ -331,7 +402,11 @@ fn documented_command_lines_match_the_flag_table() {
                 panic!("{doc}: `{}` names no fcr subcommand", line.trim());
             };
             for flag in words.iter().filter(|w| w.starts_with("--")) {
-                assert!(flags.contains(flag), "{doc}: `{}`: {name} does not take {flag}", line.trim());
+                assert!(
+                    flags.contains(flag),
+                    "{doc}: `{}`: {name} does not take {flag}",
+                    line.trim()
+                );
                 checked += 1;
             }
         }

@@ -37,12 +37,26 @@ fn wiring_fingerprint(fabric: &Fabric) -> u64 {
 /// top spine, and the four-tier fabrics, even and uneven.
 #[test]
 fn wiring_is_pinned_for_every_shape() {
-    let mut wide =
-        ClosParams { pods: 3, spines_per_pod: 3, tors_per_pod: 3, uplinks_per_spine: 1, ..ClosParams::two_pod() };
+    let mut wide = ClosParams {
+        pods: 3,
+        spines_per_pod: 3,
+        tors_per_pod: 3,
+        uplinks_per_spine: 1,
+        ..ClosParams::two_pod()
+    };
     wide.servers_per_tor = 2;
-    let wide_top =
-        ClosParams { pods: 130, spines_per_pod: 1, tors_per_pod: 1, uplinks_per_spine: 1, ..ClosParams::two_pod() };
-    let uneven = ClosParams { pods: 3, zones: Some(Zones { count: 3, uplinks: 1 }), ..ClosParams::four_tier() };
+    let wide_top = ClosParams {
+        pods: 130,
+        spines_per_pod: 1,
+        tors_per_pod: 1,
+        uplinks_per_spine: 1,
+        ..ClosParams::two_pod()
+    };
+    let uneven = ClosParams {
+        pods: 3,
+        zones: Some(Zones { count: 3, uplinks: 1 }),
+        ..ClosParams::four_tier()
+    };
     let shapes = [
         ("two_pod", Fabric::build(ClosParams::two_pod()), 0x823a_9d99_e530_e670_u64),
         ("four_pod", Fabric::build(ClosParams::four_pod()), 0x2468_b964_d603_052a),
@@ -92,17 +106,9 @@ fn all_pairs_cycle(stack: Stack) {
         let sent = built.host(node).sent();
         assert_eq!(sent, 100, "sender {i} finished");
         let receiver = servers[(i + 3) % servers.len()];
-        let report = built
-            .sim
-            .node_as::<TrafficHost>(NodeId(receiver as u32))
-            .unwrap()
-            .report(sent);
-        assert_eq!(
-            report.lost(),
-            0,
-            "{}: flow {i} lost packets: {report:?}",
-            stack.label()
-        );
+        let report =
+            built.sim.node_as::<TrafficHost>(NodeId(receiver as u32)).unwrap().report(sent);
+        assert_eq!(report.lost(), 0, "{}: flow {i} lost packets: {report:?}", stack.label());
         assert_eq!(report.duplicates, 0, "no duplication on a healthy fabric");
         assert_eq!(report.out_of_order, 0, "single-path flows stay ordered");
     }

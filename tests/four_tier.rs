@@ -46,11 +46,7 @@ fn mrmtp_forwards_across_zones() {
     let sent = built.host(src).sent();
     assert_eq!(sent, 200);
     let dst = fabric.server(p.pods - 1, p.tors_per_pod - 1, 0);
-    let report = built
-        .sim
-        .node_as::<TrafficHost>(NodeId(dst as u32))
-        .unwrap()
-        .report(sent);
+    let report = built.sim.node_as::<TrafficHost>(NodeId(dst as u32)).unwrap().report(sent);
     assert_eq!(report.lost(), 0, "cross-zone delivery: {report:?}");
 }
 
@@ -60,16 +56,9 @@ fn bgp_converges_on_four_tiers() {
     built.sim.run_until(secs(6));
     for r in built.fabric.routers() {
         let router = built.bgp(r);
-        let expected_sessions = built.fabric.ports[r]
-            .iter()
-            .filter(|p| !matches!(p.kind, PortKind::Host))
-            .count();
-        assert_eq!(
-            router.established_sessions(),
-            expected_sessions,
-            "{}",
-            router.name()
-        );
+        let expected_sessions =
+            built.fabric.ports[r].iter().filter(|p| !matches!(p.kind, PortKind::Host)).count();
+        assert_eq!(router.established_sessions(), expected_sessions, "{}", router.name());
         let reach = router.rib().learned_prefixes().len() + router.rib().local_prefixes().len();
         assert_eq!(reach, 8, "{} must reach all racks", router.name());
     }
@@ -86,9 +75,7 @@ fn four_tier_failures_stay_contained() {
     let mut built = build_sim(p, Stack::Mrmtp, 3, &[]);
     built.sim.run_until(secs(3));
     let (node, port) = built.fabric.failure_point(FailureCase::Tc4);
-    built
-        .sim
-        .schedule_port_down(secs(3), NodeId(node as u32), PortId(port as u16));
+    built.sim.schedule_port_down(secs(3), NodeId(node as u32), PortId(port as u16));
     built.sim.run_until(secs(5));
     let affected = dcn_metrics::blast_radius(built.sim.trace(), secs(3));
     let routers = built.fabric.num_routers();

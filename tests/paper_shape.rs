@@ -6,28 +6,21 @@ use dcn_experiments::{run, RunSpec, Stack, TrafficDir};
 use dcn_topology::{ClosParams, FailureCase};
 
 fn scenario(stack: Stack, tc: FailureCase, dir: TrafficDir) -> RunSpec {
-    RunSpec::new(ClosParams::two_pod(), stack)
-        .failing(tc)
-        .with_traffic(dir)
+    RunSpec::new(ClosParams::two_pod(), stack).failing(tc).with_traffic(dir)
 }
 
 #[test]
 fn fig4_convergence_ordering_on_timeout_detected_failures() {
     // TC1: the updating router must wait out its dead/hold timer. The
     // paper's headline: MR-MTP ≪ BGP+BFD ≪ BGP.
-    let mtp = run(scenario(Stack::Mrmtp, FailureCase::Tc1, TrafficDir::None))
-        .convergence_ms
-        .unwrap();
+    let mtp =
+        run(scenario(Stack::Mrmtp, FailureCase::Tc1, TrafficDir::None)).convergence_ms.unwrap();
     let bfd = run(scenario(Stack::BgpEcmpBfd, FailureCase::Tc1, TrafficDir::None))
         .convergence_ms
         .unwrap();
-    let bgp = run(scenario(Stack::BgpEcmp, FailureCase::Tc1, TrafficDir::None))
-        .convergence_ms
-        .unwrap();
-    assert!(
-        mtp < bfd && bfd < bgp,
-        "ordering violated: mtp={mtp} bfd={bfd} bgp={bgp}"
-    );
+    let bgp =
+        run(scenario(Stack::BgpEcmp, FailureCase::Tc1, TrafficDir::None)).convergence_ms.unwrap();
+    assert!(mtp < bfd && bfd < bgp, "ordering violated: mtp={mtp} bfd={bfd} bgp={bgp}");
     // Timer-derived magnitudes: MR-MTP ≈ its 100 ms dead interval (minus
     // up to one 50 ms hello of phase, exactly as on the testbed);
     // BGP+BFD ≈ its 300 ms detection time; BGP ≈ its 3 s hold timer.
@@ -43,15 +36,8 @@ fn fig4_carrier_detected_failures_converge_faster_than_detection() {
     // time for every stack.
     for stack in Stack::ALL {
         for tc in [FailureCase::Tc2, FailureCase::Tc4] {
-            let c = run(scenario(stack, tc, TrafficDir::None))
-                .convergence_ms
-                .unwrap();
-            assert!(
-                c < 50.0,
-                "{} {} should converge in ms, got {c}",
-                stack.label(),
-                tc.label()
-            );
+            let c = run(scenario(stack, tc, TrafficDir::None)).convergence_ms.unwrap();
+            assert!(c < 50.0, "{} {} should converge in ms, got {c}", stack.label(), tc.label());
         }
     }
 }
@@ -75,9 +61,8 @@ fn fig5_blast_radius_two_pod_shapes() {
 
 #[test]
 fn fig5_blast_radius_four_pod_shapes() {
-    let base = |stack, tc| {
-        run(RunSpec::new(ClosParams::four_pod(), stack).failing(tc)).blast_radius
-    };
+    let base =
+        |stack, tc| run(RunSpec::new(ClosParams::four_pod(), stack).failing(tc)).blast_radius;
     assert_eq!(base(Stack::Mrmtp, FailureCase::Tc1), 7);
     assert_eq!(base(Stack::Mrmtp, FailureCase::Tc4), 3);
     assert_eq!(base(Stack::BgpEcmp, FailureCase::Tc4), 5, "paper Fig. 5");
@@ -90,9 +75,8 @@ fn fig6_control_overhead_gap_and_scaling() {
     let bgp2 = run(scenario(Stack::BgpEcmp, FailureCase::Tc1, TrafficDir::None)).control_bytes;
     let mtp4 = run(RunSpec::new(ClosParams::four_pod(), Stack::Mrmtp).failing(FailureCase::Tc1))
         .control_bytes;
-    let bgp4 =
-        run(RunSpec::new(ClosParams::four_pod(), Stack::BgpEcmp).failing(FailureCase::Tc1))
-            .control_bytes;
+    let bgp4 = run(RunSpec::new(ClosParams::four_pod(), Stack::BgpEcmp).failing(FailureCase::Tc1))
+        .control_bytes;
     // Paper: 120→264 B for MR-MTP, 1023→2139 B for BGP (ours: ~133→285
     // and ~651→1395). The shape: BGP ≫ MR-MTP, and roughly 2× from 2-PoD
     // to 4-PoD for both.
@@ -112,12 +96,7 @@ fn fig7_loss_near_sender_ordering() {
     // Sender at rack 11 (close to the failures). TC2: the downstream
     // router (ToR₁₁) must time out ⇒ loss scales with the stack's
     // detection time. TC1: carrier-side reroute ⇒ near-zero loss.
-    let l = |stack, tc| {
-        run(scenario(stack, tc, TrafficDir::NearToFar))
-            .loss
-            .unwrap()
-            .lost()
-    };
+    let l = |stack, tc| run(scenario(stack, tc, TrafficDir::NearToFar)).loss.unwrap().lost();
     let mtp_tc2 = l(Stack::Mrmtp, FailureCase::Tc2);
     let bfd_tc2 = l(Stack::BgpEcmpBfd, FailureCase::Tc2);
     let bgp_tc2 = l(Stack::BgpEcmp, FailureCase::Tc2);
@@ -128,10 +107,7 @@ fn fig7_loss_near_sender_ordering() {
     assert!(bgp_tc2 > 300, "≈2-3 s of ≈333 pkt/s: {bgp_tc2}");
     assert!(mtp_tc2 < 60, "≈100 ms of ≈333 pkt/s: {mtp_tc2}");
     for stack in Stack::ALL {
-        assert!(
-            l(stack, FailureCase::Tc1) <= 5,
-            "TC1 is carrier-detected at the sender-side ToR"
-        );
+        assert!(l(stack, FailureCase::Tc1) <= 5, "TC1 is carrier-detected at the sender-side ToR");
     }
 }
 
@@ -139,12 +115,7 @@ fn fig7_loss_near_sender_ordering() {
 fn fig8_loss_far_sender_flips_the_asymmetry() {
     // Sender at rack 14: now TC1/TC3 (whose timeout side forwards the
     // flow) hurt, while TC4's carrier side reroutes quickly.
-    let l = |stack, tc| {
-        run(scenario(stack, tc, TrafficDir::FarToNear))
-            .loss
-            .unwrap()
-            .lost()
-    };
+    let l = |stack, tc| run(scenario(stack, tc, TrafficDir::FarToNear)).loss.unwrap().lost();
     let mtp_tc3 = l(Stack::Mrmtp, FailureCase::Tc3);
     let bgp_tc3 = l(Stack::BgpEcmp, FailureCase::Tc3);
     assert!(mtp_tc3 > 0, "far traffic pays the dead-timer for TC3");
@@ -159,19 +130,14 @@ fn fig8_loss_far_sender_flips_the_asymmetry() {
 #[test]
 fn fig9_keepalive_frame_sizes_match_captures() {
     use dcn_experiments::Timing;
-    let steady = |stack| {
-        RunSpec::new(ClosParams::two_pod(), stack).seeded(5).timed(Timing::steady()).run()
-    };
+    let steady =
+        |stack| RunSpec::new(ClosParams::two_pod(), stack).seeded(5).timed(Timing::steady()).run();
     let mtp = steady(Stack::Mrmtp).keepalive;
     assert_eq!(mtp.avg_frame_len, 60.0, "1-byte hello in a minimum frame");
     let bgp = steady(Stack::BgpEcmp).keepalive;
     assert_eq!(bgp.avg_frame_len, 85.0, "Fig. 9's 85-byte BGP keepalive");
     let bfd = steady(Stack::BgpEcmpBfd).keepalive;
     // Mixed 66-byte BFD (10/s) and 85-byte BGP (1/s) frames.
-    assert!(
-        (66.0..70.0).contains(&bfd.avg_frame_len),
-        "BFD dominates: {}",
-        bfd.avg_frame_len
-    );
+    assert!((66.0..70.0).contains(&bfd.avg_frame_len), "BFD dominates: {}", bfd.avg_frame_len);
     assert!(bfd.frames > 5 * bgp.frames, "BFD at 100 ms vs BGP at 1 s");
 }

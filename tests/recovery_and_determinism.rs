@@ -1,9 +1,9 @@
 //! Cross-crate integration: failure *recovery* (interface comes back) and
 //! bit-level determinism of whole scenarios.
 
+use dcn_bgp::BgpRouter;
 use dcn_experiments::{build_sim, Stack};
 use dcn_mrmtp::MrmtpRouter;
-use dcn_bgp::BgpRouter;
 use dcn_sim::time::secs;
 use dcn_sim::{NodeId, PortId};
 use dcn_topology::{ClosParams, FailureCase};
@@ -13,12 +13,8 @@ fn mrmtp_full_fail_recover_cycle_restores_all_state() {
     let mut built = build_sim(ClosParams::two_pod(), Stack::Mrmtp, 7, &[]);
     built.sim.run_until(secs(2));
     let (node, port) = built.fabric.failure_point(FailureCase::Tc2);
-    built
-        .sim
-        .schedule_port_down(secs(3), NodeId(node as u32), PortId(port as u16));
-    built
-        .sim
-        .schedule_port_up(secs(5), NodeId(node as u32), PortId(port as u16));
+    built.sim.schedule_port_down(secs(3), NodeId(node as u32), PortId(port as u16));
+    built.sim.schedule_port_up(secs(5), NodeId(node as u32), PortId(port as u16));
     built.sim.run_until(secs(9));
     // Every top spine again holds one VID per ToR and no negatives remain
     // anywhere.
@@ -43,17 +39,12 @@ fn bgp_full_fail_recover_cycle_restores_all_routes() {
     let mut built = build_sim(ClosParams::two_pod(), Stack::BgpEcmp, 7, &[]);
     built.sim.run_until(secs(5));
     let (node, port) = built.fabric.failure_point(FailureCase::Tc1);
-    built
-        .sim
-        .schedule_port_down(secs(6), NodeId(node as u32), PortId(port as u16));
-    built
-        .sim
-        .schedule_port_up(secs(10), NodeId(node as u32), PortId(port as u16));
+    built.sim.schedule_port_down(secs(6), NodeId(node as u32), PortId(port as u16));
+    built.sim.schedule_port_up(secs(10), NodeId(node as u32), PortId(port as u16));
     built.sim.run_until(secs(18));
     for r in built.fabric.routers() {
         let router = built.bgp(r);
-        let reachable = router.rib().learned_prefixes().len()
-            + router.rib().local_prefixes().len();
+        let reachable = router.rib().learned_prefixes().len() + router.rib().local_prefixes().len();
         assert_eq!(reachable, 4, "{} must again reach all racks", router.name());
     }
     // And the failed session itself is back.
@@ -66,12 +57,8 @@ fn bfd_guarded_sessions_also_recover() {
     let mut built = build_sim(ClosParams::two_pod(), Stack::BgpEcmpBfd, 7, &[]);
     built.sim.run_until(secs(5));
     let (node, port) = built.fabric.failure_point(FailureCase::Tc4);
-    built
-        .sim
-        .schedule_port_down(secs(6), NodeId(node as u32), PortId(port as u16));
-    built
-        .sim
-        .schedule_port_up(secs(8), NodeId(node as u32), PortId(port as u16));
+    built.sim.schedule_port_down(secs(6), NodeId(node as u32), PortId(port as u16));
+    built.sim.schedule_port_up(secs(8), NodeId(node as u32), PortId(port as u16));
     built.sim.run_until(secs(14));
     let top = built.bgp(built.fabric.top_spine(0));
     assert_eq!(top.established_sessions(), 2, "T-1's sessions are back");
@@ -83,9 +70,7 @@ fn identical_seeds_give_identical_traces_and_stats() {
         let mut built = build_sim(ClosParams::two_pod(), Stack::Mrmtp, seed, &[]);
         built.sim.run_until(secs(2));
         let (node, port) = built.fabric.failure_point(FailureCase::Tc1);
-        built
-            .sim
-            .schedule_port_down(secs(3), NodeId(node as u32), PortId(port as u16));
+        built.sim.schedule_port_down(secs(3), NodeId(node as u32), PortId(port as u16));
         built.sim.run_until(secs(5));
         let events = built.sim.trace().len();
         let frames = built.sim.frames_delivered();

@@ -28,7 +28,8 @@ fn a_flap_next_to_a_dead_port_leaves_no_black_hole() {
     );
     built.sim.run_until(20 * SECONDS);
 
-    let tors: Vec<usize> = built.fabric.routers().filter(|&n| built.fabric.nodes[n].tier == 1).collect();
+    let tors: Vec<usize> =
+        built.fabric.routers().filter(|&n| built.fabric.nodes[n].tier == 1).collect();
     let mut walks = 0;
     let mut holes = Vec::new();
     for &src in &tors {

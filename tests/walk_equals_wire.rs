@@ -12,7 +12,11 @@ use dcn_traffic::SendSpec;
 /// `params`, for the ToR pairs `k → k + shift` of each shift in `shifts`:
 /// each ToR's server sends one packet of the walker's 5-tuple, 1 ms apart
 /// so that each packet's `FrameSent` records stand alone.
-fn walker_hops_match_the_wire(params: ClosParams, shifts: std::ops::Range<usize>, flows: std::ops::Range<u16>) {
+fn walker_hops_match_the_wire(
+    params: ClosParams,
+    shifts: std::ops::Range<usize>,
+    flows: std::ops::Range<u16>,
+) {
     let fabric = Fabric::build(params);
     let addr = Addressing::new(&fabric);
     let tors: Vec<usize> = fabric.routers().filter(|&n| fabric.nodes[n].tier == 1).collect();
@@ -44,9 +48,13 @@ fn walker_hops_match_the_wire(params: ClosParams, shifts: std::ops::Range<usize>
                         .events()
                         .iter()
                         .filter_map(|e| match *e {
-                            TraceEvent::FrameSent { time, node, port, class: FrameClass::Data, .. }
-                                if (start..start + MILLIS).contains(&time) =>
-                            {
+                            TraceEvent::FrameSent {
+                                time,
+                                node,
+                                port,
+                                class: FrameClass::Data,
+                                ..
+                            } if (start..start + MILLIS).contains(&time) => {
                                 Some((node.index(), port))
                             }
                             _ => None,
@@ -75,8 +83,13 @@ fn walker_hops_are_the_hops_of_a_real_packet() {
     let fabric = Fabric::build(wide_tors);
     assert_eq!(fabric.ports[fabric.tor(0, 0)].len(), 132);
     walker_hops_match_the_wire(wide_tors, 1..4, 0..2);
-    let wide_top =
-        ClosParams { pods: 130, spines_per_pod: 1, tors_per_pod: 1, uplinks_per_spine: 1, ..ClosParams::two_pod() };
+    let wide_top = ClosParams {
+        pods: 130,
+        spines_per_pod: 1,
+        tors_per_pod: 1,
+        uplinks_per_spine: 1,
+        ..ClosParams::two_pod()
+    };
     let fabric = Fabric::build(wide_top);
     assert_eq!(fabric.ports[fabric.top_spine(0)].len(), 130);
     walker_hops_match_the_wire(wide_top, 1..2, 0..1);
