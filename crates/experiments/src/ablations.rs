@@ -19,10 +19,12 @@ use dcn_mrmtp::MrmtpTimers;
 use dcn_sim::time::{millis, secs, Duration};
 use dcn_topology::{ClosParams, FailureCase};
 
+use crate::campaign::pool::fan_out;
 use crate::fabric::{Stack, StackTuning};
 use crate::figures::Figure;
 use crate::runspec::{Failure, RunSpec};
-use crate::scenario::{run_with_sim, Timing};
+use crate::scenario::{run_with_sim, Timing, TrafficDir};
+use crate::table;
 
 /// Result of a flap-storm experiment.
 #[derive(Clone, Copy, Debug)]
@@ -37,8 +39,7 @@ pub struct FlapResult {
 /// Subject the TC2 interface to `flaps` down/up cycles of `period` each
 /// and measure the churn, with the given Slow-to-Accept threshold.
 pub fn flap_storm(accept_hellos: u32, flaps: u32, period: Duration, seed: u64) -> FlapResult {
-    let timers = MrmtpTimers { accept_hellos, ..MrmtpTimers::default() };
-    let tuning = StackTuning { mrmtp_timers: Some(timers), ..Default::default() };
+    let tuning = mrmtp_tuning(MrmtpTimers { accept_hellos, ..MrmtpTimers::default() });
     // Two seconds to converge, the storm, then one idle cycle plus two
     // seconds for the last re-admission to play out.
     let timing = Timing {
@@ -64,13 +65,10 @@ pub fn flap_storm(accept_hellos: u32, flaps: u32, period: Duration, seed: u64) -
 
 /// The Slow-to-Accept ablation as a printable figure.
 pub fn ablation_slow_to_accept(seed: u64) -> Figure {
-    let rows = [1u32, 2, 3, 5]
-        .into_iter()
-        .map(|accept| {
-            let r = flap_storm(accept, 6, millis(80), seed);
-            vec![accept.to_string(), r.update_frames.to_string(), r.route_changes.to_string()]
-        })
-        .collect();
+    let rows = fan_out(vec![1u32, 2, 3, 5], 0, |accept| {
+        let r = flap_storm(accept, 6, millis(80), seed);
+        vec![accept.to_string(), r.update_frames.to_string(), r.route_changes.to_string()]
+    });
     Figure {
         title: "Ablation — Slow-to-Accept under a flap storm (6 × 80 ms cycles at TC2)\n\
                 (paper default: accept after 3 consecutive hellos; the 80 ms up-phases\n\
@@ -81,6 +79,21 @@ pub fn ablation_slow_to_accept(seed: u64) -> Figure {
     }
 }
 
+/// A TC1 run on the 2-PoD fabric with `stack` tuned by `tuning`.
+fn tc1_tuned(stack: Stack, tuning: StackTuning, seed: u64) -> RunSpec {
+    RunSpec::new(ClosParams::two_pod(), stack).failing(FailureCase::Tc1).seeded(seed).tuned(tuning)
+}
+
+/// `timers` on every MR-MTP router, as a tuning.
+fn mrmtp_tuning(timers: MrmtpTimers) -> StackTuning {
+    StackTuning { mrmtp_timers: Some(timers), ..Default::default() }
+}
+
+/// `d` in whole milliseconds.
+fn whole_ms(d: Duration) -> String {
+    format!("{:.0}", d as f64 / millis(1) as f64)
+}
+
 /// The loss hold-down ablation: hold-down 0 vs the 2 ms default, at TC1
 /// (where reports from both uplinks must aggregate). Far-side traffic
 /// (rack 14 → rack 11) exposes the failure mode: without aggregation a
@@ -88,95 +101,75 @@ pub fn ablation_slow_to_accept(seed: u64) -> Figure {
 /// partial, installs negatives instead of notifying its ToRs, and the
 /// flow blackholes.
 pub fn ablation_loss_holddown(seed: u64) -> Figure {
-    let rows = [0u64, millis(2), millis(10)]
-        .into_iter()
+    let specs = [0, millis(2), millis(10)]
         .map(|hold| {
             let timers = MrmtpTimers { loss_holddown: hold, ..MrmtpTimers::default() };
-            let tuning = StackTuning { mrmtp_timers: Some(timers), ..Default::default() };
-            let r = RunSpec::new(ClosParams::two_pod(), Stack::Mrmtp)
-                .failing(FailureCase::Tc1)
-                .with_traffic(crate::scenario::TrafficDir::FarToNear)
-                .seeded(seed)
-                .tuned(tuning)
-                .run();
+            tc1_tuned(Stack::Mrmtp, mrmtp_tuning(timers), seed).with_traffic(TrafficDir::FarToNear)
+        })
+        .to_vec();
+    Figure::of_runs(
+        "Ablation — loss-report hold-down at TC1, far traffic 14→11\n\
+         (paper-matching blast radius is 3; hold-down 0 misclassifies the loss)",
+        vec!["holddown_ms", "blast_radius", "update_frames", "packets_lost", "convergence_ms"],
+        specs,
+        |s, r| {
             vec![
-                format!("{:.0}", hold as f64 / millis(1) as f64),
+                whole_ms(s.tuning.mrmtp_timers.unwrap_or_default().loss_holddown),
                 r.blast_radius.to_string(),
                 r.update_frames.to_string(),
                 r.loss.map(|l| l.lost().to_string()).unwrap_or_default(),
-                crate::table::ms(r.convergence_ms),
+                table::ms(r.convergence_ms),
             ]
-        })
-        .collect();
-    Figure {
-        title: "Ablation — loss-report hold-down at TC1, far traffic 14→11\n\
-                (paper-matching blast radius is 3; hold-down 0 misclassifies the loss)"
-            .into(),
-        headers: vec![
-            "holddown_ms",
-            "blast_radius",
-            "update_frames",
-            "packets_lost",
-            "convergence_ms",
-        ],
-        rows,
-    }
+        },
+    )
 }
 
 /// Hello-interval sweep: detection latency vs keep-alive load (§IX).
 pub fn sweep_mrmtp_hello(seed: u64) -> Figure {
-    let rows = [millis(25), millis(50), millis(100), millis(200)]
-        .into_iter()
+    let specs = [millis(25), millis(50), millis(100), millis(200)]
         .map(|hello| {
             let timers = MrmtpTimers {
                 hello_interval: hello,
                 dead_interval: 2 * hello,
                 ..MrmtpTimers::default()
             };
-            let tuning = StackTuning { mrmtp_timers: Some(timers), ..Default::default() };
-            let r = RunSpec::new(ClosParams::two_pod(), Stack::Mrmtp)
-                .failing(FailureCase::Tc1)
-                .seeded(seed)
-                .tuned(tuning)
-                .run();
+            tc1_tuned(Stack::Mrmtp, mrmtp_tuning(timers), seed)
+        })
+        .to_vec();
+    Figure::of_runs(
+        "Sweep — MR-MTP hello interval (dead = 2×hello): convergence vs keep-alive load",
+        vec!["hello_ms", "tc1_convergence_ms", "keepalive_Bps"],
+        specs,
+        |s, r| {
             vec![
-                format!("{:.0}", hello as f64 / millis(1) as f64),
-                crate::table::ms(r.convergence_ms),
+                whole_ms(s.tuning.mrmtp_timers.unwrap_or_default().hello_interval),
+                table::ms(r.convergence_ms),
                 format!("{:.0}", r.keepalive.bytes_per_sec),
             ]
-        })
-        .collect();
-    Figure {
-        title: "Sweep — MR-MTP hello interval (dead = 2×hello): convergence vs keep-alive load"
-            .into(),
-        headers: vec!["hello_ms", "tc1_convergence_ms", "keepalive_Bps"],
-        rows,
-    }
+        },
+    )
 }
 
 /// BFD transmit-interval sweep for the BGP/ECMP/BFD stack.
 pub fn sweep_bfd_interval(seed: u64) -> Figure {
-    let rows = [millis(50), millis(100), millis(250)]
-        .into_iter()
+    let specs = [millis(50), millis(100), millis(250)]
         .map(|tx| {
             let tuning = StackTuning { bfd_tx_interval: Some(tx), ..Default::default() };
-            let r = RunSpec::new(ClosParams::two_pod(), Stack::BgpEcmpBfd)
-                .failing(FailureCase::Tc1)
-                .seeded(seed)
-                .tuned(tuning)
-                .run();
+            tc1_tuned(Stack::BgpEcmpBfd, tuning, seed)
+        })
+        .to_vec();
+    Figure::of_runs(
+        "Sweep — BFD transmit interval (detect ×3): convergence vs keep-alive load",
+        vec!["bfd_tx_ms", "tc1_convergence_ms", "keepalive_Bps"],
+        specs,
+        |s, r| {
             vec![
-                format!("{:.0}", tx as f64 / millis(1) as f64),
-                crate::table::ms(r.convergence_ms),
+                whole_ms(s.tuning.bfd_tx_interval.unwrap_or_default()),
+                table::ms(r.convergence_ms),
                 format!("{:.0}", r.keepalive.bytes_per_sec),
             ]
-        })
-        .collect();
-    Figure {
-        title: "Sweep — BFD transmit interval (detect ×3): convergence vs keep-alive load".into(),
-        headers: vec!["bfd_tx_ms", "tc1_convergence_ms", "keepalive_Bps"],
-        rows,
-    }
+        },
+    )
 }
 
 #[cfg(test)]

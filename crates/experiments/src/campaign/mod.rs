@@ -24,7 +24,7 @@ use dcn_topology::{ClosParams, FailureCase};
 use crate::fabric::Stack;
 use crate::figures::Figure;
 use crate::runspec::{Failure, RunSpec};
-use crate::scenario::{self, Timing, TrafficDir};
+use crate::scenario::{self, ScenarioResult, Timing, TrafficDir};
 use store::{RunRecord, Store};
 
 /// Spec-document schema identifier (`fcr campaign run` input files).
@@ -236,6 +236,17 @@ impl CampaignSpec {
     }
 }
 
+/// Expand `spec` and run the whole grid in one fan-out over every core:
+/// each expanded spec beside its result, in [`CampaignSpec::expand`]
+/// order (seeds innermost). The figures' grids go through here.
+///
+/// Panics if `spec` does not expand: a grid built in code is valid by
+/// construction, and a spec file is checked by `expand` before it runs.
+pub fn run_grid(spec: &CampaignSpec) -> Vec<(RunSpec, ScenarioResult)> {
+    let specs = spec.expand().unwrap_or_else(|e| panic!("grid {:?}: {e}", spec.name));
+    pool::fan_out(specs, 0, |rs| (rs, rs.run()))
+}
+
 /// Execute one grid point and package it as a store record. The second
 /// argument is ignored: it once switched the engine profile on, which is
 /// now always recorded, and stays only because the frozen `benchmark/`
@@ -351,6 +362,29 @@ mod tests {
         assert_eq!(specs.len(), 24);
         let keys: BTreeSet<String> = specs.iter().map(|s| s.key()).collect();
         assert_eq!(keys.len(), 24, "every grid point has a distinct canonical key");
+    }
+
+    #[test]
+    fn run_grid_pairs_each_spec_with_its_own_result_in_expand_order() {
+        let spec = CampaignSpec {
+            name: "pairs".into(),
+            pods: vec![2],
+            stacks: vec![Stack::Mrmtp, Stack::BgpEcmp],
+            failures: vec![Some(FailureCase::Tc1)],
+            seeds: 2,
+            quick: true,
+            ..CampaignSpec::default()
+        };
+        let runs = run_grid(&spec);
+        let expanded = spec.expand().unwrap();
+        assert_eq!(runs.len(), 4);
+        for ((s, r), want) in runs.iter().zip(&expanded) {
+            assert_eq!(s.key(), want.key(), "grid order is expand order");
+            // A run is deterministic: the result beside a spec is its own.
+            assert_eq!(format!("{r:?}"), format!("{:?}", want.run()), "{}", s.key());
+        }
+        let bytes = |i: usize| runs[i].1.keepalive.bytes;
+        assert_ne!(bytes(0), bytes(2), "the two stacks' results differ");
     }
 
     #[test]

@@ -38,7 +38,6 @@ use dcn_wire::{flow_hash, IPPROTO_UDP};
 use crate::campaign::pool::fan_out;
 use crate::fabric::{assemble, BuiltSim, Stack, StackTuning};
 use crate::figures::Figure;
-use crate::profile::perf_report;
 use crate::replicate::Stats;
 
 /// Salt for the schedule-generation RNG stream (distinct from the
@@ -317,7 +316,7 @@ pub fn run_chaos(seed: u64, stack: Stack, cfg: &ChaosConfig) -> ChaosRun {
 /// [`run_chaos`] handing back the engine's perf report alongside the run.
 pub fn run_chaos_profiled(seed: u64, stack: Stack, cfg: &ChaosConfig) -> (ChaosRun, PerfReport) {
     let (run, _, built) = run_chaos_with(seed, stack, cfg, SimConfig::default());
-    (run, perf_report(&built.sim, format!("chaos {} seed {}", stack.slug(), seed)))
+    (run, PerfReport::of(&built.sim, format!("chaos {} seed {}", stack.slug(), seed)))
 }
 
 /// [`run_chaos`] with *how* it executes spelt out, exactly as for
@@ -637,9 +636,6 @@ pub struct CampaignConfig {
     /// replay bundle is written under this directory
     /// (`chaos-<stack>-seed<N>/`).
     pub telemetry_out: Option<PathBuf>,
-    /// When set, every run writes its engine profile as
-    /// `perf_report.json` under `<dir>/chaos-<stack>-seed<N>-perf/`.
-    pub profile_out: Option<PathBuf>,
 }
 
 impl Default for CampaignConfig {
@@ -652,7 +648,6 @@ impl Default for CampaignConfig {
             chaos: ChaosConfig::default(),
             check_determinism: true,
             telemetry_out: None,
-            profile_out: None,
         }
     }
 }
@@ -683,15 +678,8 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignResult {
     let chaos = cfg.chaos.clone();
     let check = cfg.check_determinism;
     let out = cfg.telemetry_out.clone();
-    let profile_out = cfg.profile_out.clone();
     let runs = fan_out(jobs, cfg.threads, move |(stack, seed)| {
-        let (mut run, report) = run_chaos_profiled(seed, stack, &chaos);
-        if let Some(dir) = &profile_out {
-            let sub = dir.join(format!("chaos-{}-seed{}-perf", stack.slug(), seed));
-            if let Err(e) = crate::profile::write_profile_artifacts(&report, &sub) {
-                eprintln!("chaos: perf artifacts to {} failed: {e}", sub.display());
-            }
-        }
+        let mut run = run_chaos(seed, stack, &chaos);
         if check {
             let again = run_chaos(seed, stack, &chaos);
             run.deterministic = run.digest == again.digest;

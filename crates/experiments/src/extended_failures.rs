@@ -73,34 +73,26 @@ pub fn extended_spec(case: ExtendedCase, stack: Stack, seed: u64) -> RunSpec {
 
 /// The extended-failure matrix as a printable figure.
 pub fn extended_failure_figure(seed: u64) -> Figure {
-    let mut rows = Vec::new();
-    for case in ExtendedCase::ALL {
-        for stack in Stack::ALL {
-            let r = extended_spec(case, stack, seed).run();
+    let specs = ExtendedCase::ALL
+        .into_iter()
+        .flat_map(|case| Stack::ALL.map(|stack| extended_spec(case, stack, seed)))
+        .collect();
+    Figure::of_runs(
+        "§IX extension — whole-node and multi-point failures (2-PoD, flow 11→14)",
+        vec!["case", "stack", "convergence_ms", "blast_radius", "control_bytes", "lost/sent"],
+        specs,
+        |s, r| {
             let loss = r.loss.expect("the monitored flow ran");
-            rows.push(vec![
-                case.label().to_string(),
-                stack.label().to_string(),
+            vec![
+                s.failure.label(),
+                s.stack.label().to_string(),
                 table::ms(r.convergence_ms),
                 r.blast_radius.to_string(),
                 r.control_bytes.to_string(),
                 format!("{}/{}", loss.lost(), loss.sent),
-            ]);
-        }
-    }
-    Figure {
-        title: "§IX extension — whole-node and multi-point failures (2-PoD, flow 11→14)"
-            .to_string(),
-        headers: vec![
-            "case",
-            "stack",
-            "convergence_ms",
-            "blast_radius",
-            "control_bytes",
-            "lost/sent",
-        ],
-        rows,
-    }
+            ]
+        },
+    )
 }
 
 #[cfg(test)]

@@ -8,6 +8,7 @@ use dcn_topology::{
 };
 
 use crate::campaign::pool::fan_out;
+use crate::campaign::{run_grid, CampaignSpec};
 use crate::fabric::{BuiltSim, Stack};
 use crate::runspec::RunSpec;
 use crate::scenario::{self, ScenarioResult, Timing, TrafficDir};
@@ -15,8 +16,8 @@ use crate::table;
 
 /// The steady-state run the keep-alive figures share (no failure, short
 /// measurement tail).
-fn steady_state(stack: Stack, seed: u64) -> ScenarioResult {
-    RunSpec::new(ClosParams::two_pod(), stack).seeded(seed).timed(Timing::steady()).run()
+fn steady_state(stack: Stack, seed: u64) -> RunSpec {
+    RunSpec::new(ClosParams::two_pod(), stack).seeded(seed).timed(Timing::steady())
 }
 
 /// A 4-PoD fabric of `stack` converged for five seconds, for the figures
@@ -36,54 +37,58 @@ pub struct Figure {
 }
 
 impl Figure {
+    /// Run `specs` over the shared pool and make one row of each spec and
+    /// its result; rows come back in `specs` order.
+    pub(crate) fn of_runs(
+        title: impl Into<String>,
+        headers: Vec<&'static str>,
+        specs: Vec<RunSpec>,
+        row: impl Fn(&RunSpec, &ScenarioResult) -> Vec<String> + Sync,
+    ) -> Figure {
+        let rows = fan_out(specs, 0, |s| row(&s, &s.run()));
+        Figure { title: title.into(), headers, rows }
+    }
+
     pub fn render(&self) -> String {
         format!("{}\n{}", self.title, table::render(&self.headers, &self.rows))
     }
 }
 
-/// One cell of the failure-experiment matrix.
-#[derive(Clone, Debug)]
-pub struct MatrixCell {
-    pub topo: &'static str,
-    pub stack: Stack,
-    pub tc: FailureCase,
-    pub result: ScenarioResult,
-}
-
-/// The paper's full failure matrix: {2-PoD, 4-PoD} × {MR-MTP, BGP/ECMP,
-/// BGP/ECMP/BFD} × {TC1..TC4}, with traffic flowing in `dir`. Runs in
-/// parallel across CPUs.
-pub fn failure_matrix(dir: TrafficDir, seed: u64) -> Vec<MatrixCell> {
-    let mut cells = Vec::new();
-    for (topo, params) in [("2-PoD", ClosParams::two_pod()), ("4-PoD", ClosParams::four_pod())] {
-        for stack in Stack::ALL {
-            for tc in FailureCase::ALL {
-                cells.push((topo, params, stack, tc));
-            }
-        }
+/// The paper's failure matrix as a campaign grid: {2-PoD, 4-PoD} ×
+/// {MR-MTP, BGP/ECMP, BGP/ECMP/BFD} × {TC1..TC4}, no traffic, one run at
+/// `seed`. Figs. 4–8 add both traffic directions, the replicated Fig. 4
+/// more seeds.
+pub fn paper_grid(seed: u64) -> CampaignSpec {
+    CampaignSpec {
+        name: "paper".into(),
+        pods: vec![2, 4],
+        stacks: Stack::ALL.to_vec(),
+        failures: FailureCase::ALL.map(Some).to_vec(),
+        traffic: vec![TrafficDir::None],
+        local_repair: vec![false],
+        seeds: 1,
+        base_seed: seed,
+        quick: false,
     }
-    fan_out(cells, 0, |(topo, params, stack, tc)| {
-        let spec = RunSpec::new(params, stack).failing(tc).with_traffic(dir).seeded(seed);
-        MatrixCell { topo, stack, tc, result: spec.run() }
-    })
 }
 
+/// The `topology` cell of a grid row.
+pub(crate) fn topology(s: &RunSpec) -> String {
+    format!("{}-PoD", s.params.pods)
+}
+
+/// One row per run of `runs` whose traffic flows in `dir`.
 fn matrix_figure(
     title: &str,
-    cells: &[MatrixCell],
+    runs: &[(RunSpec, ScenarioResult)],
+    dir: TrafficDir,
     value_header: &'static str,
     value: impl Fn(&ScenarioResult) -> String,
 ) -> Figure {
-    let rows = cells
+    let rows = runs
         .iter()
-        .map(|c| {
-            vec![
-                c.topo.to_string(),
-                c.stack.label().to_string(),
-                c.tc.label().to_string(),
-                value(&c.result),
-            ]
-        })
+        .filter(|(s, _)| s.traffic == dir)
+        .map(|(s, r)| vec![topology(s), s.stack.label().to_string(), s.failure.label(), value(r)])
         .collect();
     Figure {
         title: title.to_string(),
@@ -92,64 +97,54 @@ fn matrix_figure(
     }
 }
 
-/// Fig. 4: network convergence time (ms).
-pub fn fig4_convergence(cells: &[MatrixCell]) -> Figure {
-    matrix_figure(
-        "Fig. 4 — Convergence time after interface failure",
-        cells,
-        "convergence_ms",
-        |r| table::ms(r.convergence_ms),
-    )
-}
-
-/// Fig. 5: blast radius (routers updating destination-routing state).
-pub fn fig5_blast_radius(cells: &[MatrixCell]) -> Figure {
-    matrix_figure(
-        "Fig. 5 — Blast radius (routers with routing-table updates)",
-        cells,
-        "routers",
-        |r| r.blast_radius.to_string(),
-    )
-}
-
-/// Fig. 6: control overhead in bytes of update messages.
-pub fn fig6_control_overhead(cells: &[MatrixCell]) -> Figure {
-    matrix_figure("Fig. 6 — Control overhead (bytes of update messages)", cells, "bytes", |r| {
-        r.control_bytes.to_string()
+/// Fig. 4: network convergence time (ms), traffic near to far.
+pub fn fig4_convergence(runs: &[(RunSpec, ScenarioResult)]) -> Figure {
+    let title = "Fig. 4 — Convergence time after interface failure";
+    matrix_figure(title, runs, TrafficDir::NearToFar, "convergence_ms", |r| {
+        table::ms(r.convergence_ms)
     })
 }
 
-/// Figs. 7/8: packets lost for the monitored flow.
-pub fn fig_packet_loss(cells: &[MatrixCell], near: bool) -> Figure {
-    let title = if near {
+/// Fig. 5: blast radius (routers updating destination-routing state).
+pub fn fig5_blast_radius(runs: &[(RunSpec, ScenarioResult)]) -> Figure {
+    let title = "Fig. 5 — Blast radius (routers with routing-table updates)";
+    matrix_figure(title, runs, TrafficDir::NearToFar, "routers", |r| r.blast_radius.to_string())
+}
+
+/// Fig. 6: control overhead in bytes of update messages.
+pub fn fig6_control_overhead(runs: &[(RunSpec, ScenarioResult)]) -> Figure {
+    let title = "Fig. 6 — Control overhead (bytes of update messages)";
+    matrix_figure(title, runs, TrafficDir::NearToFar, "bytes", |r| r.control_bytes.to_string())
+}
+
+/// Figs. 7/8: packets lost for the monitored flow flowing in `dir`.
+pub fn fig_packet_loss(runs: &[(RunSpec, ScenarioResult)], dir: TrafficDir) -> Figure {
+    let title = if dir == TrafficDir::NearToFar {
         "Fig. 7 — Packet loss, traffic sender close to failure (rack 11 → rack 14)"
     } else {
         "Fig. 8 — Packet loss, traffic sender away from failure (rack 14 → rack 11)"
     };
-    matrix_figure(title, cells, "packets_lost", |r| {
+    matrix_figure(title, runs, dir, "packets_lost", |r| {
         r.loss.map(|l| l.lost().to_string()).unwrap_or_else(|| "-".into())
     })
 }
 
 /// Figs. 9–10: steady-state keep-alive overhead per stack.
 pub fn fig9_keepalive(seed: u64) -> Figure {
-    let mut rows = Vec::new();
-    for stack in Stack::ALL {
-        let r = steady_state(stack, seed);
-        rows.push(vec![
-            stack.label().to_string(),
-            format!("{:.0}", r.keepalive.avg_frame_len),
-            r.keepalive.frames.to_string(),
-            format!("{:.0}", r.keepalive.bytes_per_sec),
-        ]);
-    }
-    Figure {
-        title: "Figs. 9–10 — Steady-state keep-alive overhead (2-PoD, 2 s window)\n\
-                (frame sizes: MR-MTP hello 60 B; BFD 66 B; BGP keepalive 85 B)"
-            .to_string(),
-        headers: vec!["stack", "avg_frame_B", "frames", "bytes_per_sec"],
-        rows,
-    }
+    Figure::of_runs(
+        "Figs. 9–10 — Steady-state keep-alive overhead (2-PoD, 2 s window)\n\
+         (frame sizes: MR-MTP hello 60 B; BFD 66 B; BGP keepalive 85 B)",
+        vec!["stack", "avg_frame_B", "frames", "bytes_per_sec"],
+        Stack::ALL.map(|stack| steady_state(stack, seed)).to_vec(),
+        |s, r| {
+            vec![
+                s.stack.label().to_string(),
+                format!("{:.0}", r.keepalive.avg_frame_len),
+                r.keepalive.frames.to_string(),
+                format!("{:.0}", r.keepalive.bytes_per_sec),
+            ]
+        },
+    )
 }
 
 /// §VII-G (Listings 1–2): configuration burden comparison.
@@ -234,19 +229,25 @@ pub fn render_listings(seed: u64) -> String {
 /// §IX extension: scalability sweep over PoD counts (the paper defers
 /// this to future Mininet work; the emulator does it directly).
 pub fn scale_sweep(pods: &[usize], seed: u64) -> Figure {
-    let points: Vec<(usize, Stack)> =
-        pods.iter().flat_map(|&p| [(p, Stack::Mrmtp), (p, Stack::BgpEcmp)]).collect();
-    let rows = fan_out(points, 0, |(p, stack)| {
-        let params = ClosParams::scaled(p).expect("sweep pod counts are even");
-        let r = RunSpec::new(params, stack).failing(FailureCase::Tc1).seeded(seed).run();
-        vec![
-            p.to_string(),
-            stack.label().to_string(),
-            table::ms(r.convergence_ms),
-            r.blast_radius.to_string(),
-            r.control_bytes.to_string(),
-        ]
-    });
+    let grid = CampaignSpec {
+        name: "scale-sweep".into(),
+        pods: pods.to_vec(),
+        stacks: vec![Stack::Mrmtp, Stack::BgpEcmp],
+        failures: vec![Some(FailureCase::Tc1)],
+        ..paper_grid(seed)
+    };
+    let rows = run_grid(&grid)
+        .iter()
+        .map(|(s, r)| {
+            vec![
+                s.params.pods.to_string(),
+                s.stack.label().to_string(),
+                table::ms(r.convergence_ms),
+                r.blast_radius.to_string(),
+                r.control_bytes.to_string(),
+            ]
+        })
+        .collect();
     Figure {
         title: "§IX extension — scalability sweep (failure at TC1)".to_string(),
         headers: vec!["pods", "stack", "convergence_ms", "blast_radius", "control_bytes"],
@@ -260,39 +261,31 @@ pub fn scale_sweep(pods: &[usize], seed: u64) -> Figure {
 pub fn tier_comparison(seed: u64) -> Figure {
     // Five seconds to converge, TC1, five seconds to settle.
     let timing = Timing { warmup: secs(5), traffic_lead: 0, post_failure: secs(5), drain: 0 };
-    let mut rows = Vec::new();
-    for stack in [Stack::Mrmtp, Stack::BgpEcmp] {
-        for (label, params) in [
-            ("3-tier (4-PoD)", ClosParams::four_pod()),
-            ("4-tier (2×2 zones)", ClosParams::four_tier()),
-        ] {
-            let r = RunSpec::new(params, stack)
-                .failing(FailureCase::Tc1)
-                .seeded(seed)
-                .timed(timing)
-                .run();
-            rows.push(vec![
-                label.to_string(),
-                stack.label().to_string(),
-                params.num_routers().to_string(),
+    let specs = [Stack::Mrmtp, Stack::BgpEcmp]
+        .into_iter()
+        .flat_map(|stack| {
+            [ClosParams::four_pod(), ClosParams::four_tier()].map(|params| {
+                RunSpec::new(params, stack).failing(FailureCase::Tc1).seeded(seed).timed(timing)
+            })
+        })
+        .collect();
+    Figure::of_runs(
+        "§IX extension — tier scaling (failure at TC1)",
+        vec!["fabric", "stack", "routers", "convergence_ms", "blast_radius", "control_bytes"],
+        specs,
+        |s, r| {
+            let fabric =
+                if s.params.zones.is_some() { "4-tier (2×2 zones)" } else { "3-tier (4-PoD)" };
+            vec![
+                fabric.to_string(),
+                s.stack.label().to_string(),
+                s.params.num_routers().to_string(),
                 table::ms(r.convergence_ms),
                 r.blast_radius.to_string(),
                 r.control_bytes.to_string(),
-            ]);
-        }
-    }
-    Figure {
-        title: "§IX extension — tier scaling (failure at TC1)".to_string(),
-        headers: vec![
-            "fabric",
-            "stack",
-            "routers",
-            "convergence_ms",
-            "blast_radius",
-            "control_bytes",
-        ],
-        rows,
-    }
+            ]
+        },
+    )
 }
 
 /// §IX extension: "overhead calculations of using the MR-MTP header for
@@ -301,73 +294,70 @@ pub fn tier_comparison(seed: u64) -> Figure {
 /// server packet (MR-MTP header with source/destination VIDs and flow
 /// hash); BGP forwards the bare IP packet.
 pub fn encap_overhead_figure(seed: u64) -> Figure {
-    let mut rows = Vec::new();
-    for stack in [Stack::Mrmtp, Stack::BgpEcmp] {
-        let mut s = RunSpec::new(ClosParams::two_pod(), stack)
-            .with_traffic(TrafficDir::NearToFar)
-            .seeded(seed);
-        s.timing.post_failure = secs(2);
-        let r = s.run();
-        let (frames, bytes) = r
-            .breakdown
-            .iter()
-            .find(|(k, _, _)| *k == "data")
-            .map(|&(_, f, b)| (f, b))
-            .unwrap_or((0, 0));
-        let per_hop = if frames > 0 { bytes as f64 / frames as f64 } else { 0.0 };
-        rows.push(vec![
-            stack.label().to_string(),
-            frames.to_string(),
-            bytes.to_string(),
-            format!("{per_hop:.1}"),
-        ]);
-    }
+    let specs = [Stack::Mrmtp, Stack::BgpEcmp]
+        .map(|stack| {
+            let mut s = RunSpec::new(ClosParams::two_pod(), stack)
+                .with_traffic(TrafficDir::NearToFar)
+                .seeded(seed);
+            s.timing.post_failure = secs(2);
+            s
+        })
+        .to_vec();
+    let mut fig = Figure::of_runs(
+        "§IX extension — data-plane encapsulation overhead (128 B UDP payloads,\n\
+         steady flow 11→14, all hops counted)",
+        vec!["stack", "data_frames", "wire_bytes", "bytes_per_hop"],
+        specs,
+        |s, r| {
+            let (frames, bytes) = r
+                .breakdown
+                .iter()
+                .find(|(k, _, _)| *k == "data")
+                .map(|&(_, f, b)| (f, b))
+                .unwrap_or((0, 0));
+            let per_hop = if frames > 0 { bytes as f64 / frames as f64 } else { 0.0 };
+            vec![
+                s.stack.label().to_string(),
+                frames.to_string(),
+                bytes.to_string(),
+                format!("{per_hop:.1}"),
+            ]
+        },
+    );
     // Relative overhead in the last row.
-    if rows.len() == 2 {
-        let m: f64 = rows[0][3].parse().unwrap_or(0.0);
-        let b: f64 = rows[1][3].parse().unwrap_or(1.0);
-        rows.push(vec![
-            "overhead".into(),
-            "-".into(),
-            "-".into(),
-            format!("{:+.1}%", 100.0 * (m - b) / b),
-        ]);
-    }
-    Figure {
-        title: "§IX extension — data-plane encapsulation overhead (128 B UDP payloads,\n\
-                steady flow 11→14, all hops counted)"
-            .to_string(),
-        headers: vec!["stack", "data_frames", "wire_bytes", "bytes_per_hop"],
-        rows,
-    }
+    let m: f64 = fig.rows[0][3].parse().unwrap_or(0.0);
+    let b: f64 = fig.rows[1][3].parse().unwrap_or(1.0);
+    fig.rows.push(vec![
+        "overhead".into(),
+        "-".into(),
+        "-".into(),
+        format!("{:+.1}%", 100.0 * (m - b) / b),
+    ]);
+    fig
 }
 
 /// Fig. 1: the protocol-machinery comparison — protocols running on a
 /// router under each stack, plus measured steady-state control traffic.
 pub fn fig1_stack_comparison(seed: u64) -> Figure {
-    let mut rows = Vec::new();
-    for stack in Stack::ALL {
-        let protocols = match stack {
-            Stack::Mrmtp => "MR-MTP",
-            Stack::BgpEcmp => "BGP, ECMP, TCP, IP",
-            Stack::BgpEcmpBfd => "BGP, ECMP, BFD, TCP, UDP, IP",
-        };
-        let count = protocols.split(',').count();
-        let r = steady_state(stack, seed);
-        rows.push(vec![
-            stack.label().to_string(),
-            count.to_string(),
-            protocols.to_string(),
-            format!("{:.0}", r.keepalive.bytes_per_sec),
-        ]);
-    }
-    Figure {
-        title: "Fig. 1 — Protocol machinery per router (and measured steady-state \
-                keep-alive load)"
-            .to_string(),
-        headers: vec!["stack", "protocols", "list", "keepalive_Bps"],
-        rows,
-    }
+    Figure::of_runs(
+        "Fig. 1 — Protocol machinery per router (and measured steady-state \
+         keep-alive load)",
+        vec!["stack", "protocols", "list", "keepalive_Bps"],
+        Stack::ALL.map(|stack| steady_state(stack, seed)).to_vec(),
+        |s, r| {
+            let protocols = match s.stack {
+                Stack::Mrmtp => "MR-MTP",
+                Stack::BgpEcmp => "BGP, ECMP, TCP, IP",
+                Stack::BgpEcmpBfd => "BGP, ECMP, BFD, TCP, UDP, IP",
+            };
+            vec![
+                s.stack.label().to_string(),
+                protocols.split(',').count().to_string(),
+                protocols.to_string(),
+                format!("{:.0}", r.keepalive.bytes_per_sec),
+            ]
+        },
+    )
 }
 
 #[cfg(test)]

@@ -12,7 +12,8 @@
 //! * [`scenario::execute`] — the one run loop every scripted harness
 //!   goes through; how a run executes is its [`dcn_sim::SimConfig`].
 //! * [`figures`] — one function per paper figure, returning printable
-//!   tables (these are what `fcr figures` and the examples call).
+//!   tables (what the `fcr` table subcommands print); the paper's grids
+//!   are [`CampaignSpec`]s run by [`campaign::run_grid`].
 //! * [`campaign`] — fleet-scale orchestration: a [`campaign::CampaignSpec`]
 //!   grid expanded over the shared work-stealing [`campaign::pool`] (the
 //!   emulator is deterministic and single-threaded; runs are
@@ -20,7 +21,7 @@
 //!   results landing in an append-only store (`campaign/v1`) that
 //!   `fcr campaign diff` turns into a cross-revision regression gate.
 //! * [`replicate`] — the paper's multi-run averaging (mean [min–max]
-//!   across seeds).
+//!   across seeds), one grid with more seeds per point.
 //! * [`ablations`] — quantify Slow-to-Accept, the loss hold-down, and
 //!   the §IX timer trade-offs by switching each off or sweeping it.
 //! * [`extended_failures`] — §IX's extended cases: node crashes and
@@ -35,7 +36,6 @@ pub mod extended_failures;
 pub mod fabric;
 pub mod figures;
 pub mod flows;
-pub mod profile;
 pub mod replicate;
 pub mod report;
 pub mod runspec;
@@ -47,7 +47,6 @@ pub use chaos::{
     run_campaign, run_chaos, run_chaos_profiled, CampaignConfig, ChaosConfig, FaultSchedule,
 };
 pub use fabric::{build_fabric_sim_cfg, build_sim, BuiltSim, Stack, StackTuning};
-pub use profile::{perf_report, write_profile_artifacts};
 pub use runspec::{Failure, RunSpec};
 pub use scenario::{
     bundle_from_run, run, run_digest, run_instrumented, InstrumentedRun, ScenarioResult, Timing,

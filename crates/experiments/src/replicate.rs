@@ -6,11 +6,10 @@
 use std::path::Path;
 
 use crate::campaign::pool::fan_out;
-use crate::fabric::Stack;
-use crate::figures::Figure;
+use crate::campaign::{run_grid, CampaignSpec};
+use crate::figures::{paper_grid, topology, Figure};
 use crate::runspec::RunSpec;
-use crate::scenario::{bundle_from_run, run, run_instrumented, ScenarioResult};
-use dcn_topology::{ClosParams, FailureCase};
+use crate::scenario::{bundle_from_run, run_instrumented};
 
 /// Summary statistics over replicated runs.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -23,18 +22,13 @@ pub struct Stats {
 
 impl Stats {
     pub fn of(values: &[f64]) -> Option<Stats> {
-        if values.is_empty() {
-            return None;
-        }
-        let mut min = f64::INFINITY;
-        let mut max = f64::NEG_INFINITY;
-        let mut sum = 0.0;
-        for &v in values {
-            min = min.min(v);
-            max = max.max(v);
-            sum += v;
-        }
-        Some(Stats { mean: sum / values.len() as f64, min, max, runs: values.len() })
+        let runs = values.len();
+        (runs > 0).then(|| Stats {
+            mean: values.iter().sum::<f64>() / runs as f64,
+            min: values.iter().copied().fold(f64::INFINITY, f64::min),
+            max: values.iter().copied().fold(f64::NEG_INFINITY, f64::max),
+            runs,
+        })
     }
 
     /// Render as `mean [min–max]`.
@@ -43,71 +37,50 @@ impl Stats {
     }
 }
 
-/// Replicated metrics for one scenario shape.
-#[derive(Clone, Debug)]
-pub struct ReplicatedResult {
-    pub convergence_ms: Option<Stats>,
-    pub blast_radius: Stats,
-}
-
-/// Run `spec` once per seed (in parallel) and aggregate.
-pub fn run_replicated(spec: RunSpec, seeds: &[u64]) -> ReplicatedResult {
-    let specs: Vec<RunSpec> = seeds.iter().map(|&s| spec.seeded(s)).collect();
-    aggregate(fan_out(specs, 0, run))
-}
-
-/// [`run_replicated`] writing every run's trace bundle (spans, histograms,
-/// storyboard, capture) under `dir/replicate-<stack>-<tc>-seed<N>/`, so
-/// the spread the replicated figure reports can be dissected run by run.
-/// The aggregated metrics are identical to [`run_replicated`]'s.
-pub fn run_replicated_instrumented(spec: RunSpec, seeds: &[u64], dir: &Path) -> ReplicatedResult {
-    let raw = fan_out(seeds.to_vec(), 0, |seed| {
+/// Run `spec` once per seed in `seeds` (in parallel) and write each
+/// run's trace bundle (spans, histograms, storyboard, capture) under
+/// `dir/replicate-<stack>-<tc>-seed<N>/`, so the spread the replicated
+/// figure reports can be dissected run by run.
+pub fn write_bundles(spec: RunSpec, seeds: &[u64], dir: &Path) {
+    fan_out(seeds.to_vec(), 0, |seed| {
         let sc = spec.seeded(seed);
-        let ir = run_instrumented(sc);
         let sub =
             dir.join(format!("replicate-{}-{}-seed{}", sc.stack.slug(), sc.failure.slug(), seed));
-        match bundle_from_run(&ir, &sc).write(&sub) {
+        match bundle_from_run(&run_instrumented(sc), &sc).write(&sub) {
             Ok(_) => eprintln!("replicate: bundle written to {}", sub.display()),
             Err(e) => eprintln!("replicate: bundle write to {} failed: {e}", sub.display()),
         }
-        ir.result
     });
-    aggregate(raw)
 }
 
-fn aggregate(raw: Vec<ScenarioResult>) -> ReplicatedResult {
-    let conv: Vec<f64> = raw.iter().filter_map(|r| r.convergence_ms).collect();
-    let blast: Vec<f64> = raw.iter().map(|r| r.blast_radius as f64).collect();
-    ReplicatedResult {
-        convergence_ms: Stats::of(&conv),
-        blast_radius: Stats::of(&blast).expect("at least one run"),
-    }
-}
-
-/// Fig. 4 with replication: convergence as mean [min–max] over `seeds`.
-/// `local_repair` threads the CLI's `--local-repair` knob into every
-/// replicated run (it must not move convergence, only the loss window).
-pub fn fig4_replicated(seeds: &[u64], local_repair: bool) -> Figure {
-    let mut rows = Vec::new();
-    for (name, params) in [("2-PoD", ClosParams::two_pod()), ("4-PoD", ClosParams::four_pod())] {
-        for stack in Stack::ALL {
-            for tc in FailureCase::ALL {
-                let r = run_replicated(
-                    RunSpec::new(params, stack).failing(tc).with_local_repair(local_repair),
-                    seeds,
-                );
-                rows.push(vec![
-                    name.to_string(),
-                    stack.label().to_string(),
-                    tc.label().to_string(),
-                    r.convergence_ms.map(|s| s.render(1)).unwrap_or_else(|| "-".into()),
-                    r.blast_radius.render(0),
-                ]);
-            }
-        }
-    }
+/// Fig. 4 with replication: convergence as mean [min–max] over seeds
+/// `1..=seeds`, one grid of the paper's matrix. `local_repair` threads the
+/// CLI's `--local-repair` knob into every run (it must not move
+/// convergence, only the loss window).
+pub fn fig4_replicated(seeds: u64, local_repair: bool) -> Figure {
+    let grid = CampaignSpec {
+        name: "fig4-replicated".into(),
+        local_repair: vec![local_repair],
+        seeds,
+        ..paper_grid(1)
+    };
+    let rows = run_grid(&grid)
+        .chunks(seeds as usize)
+        .map(|point| {
+            let s = &point[0].0;
+            let conv: Vec<f64> = point.iter().filter_map(|(_, r)| r.convergence_ms).collect();
+            let blast: Vec<f64> = point.iter().map(|(_, r)| r.blast_radius as f64).collect();
+            vec![
+                topology(s),
+                s.stack.label().to_string(),
+                s.failure.label(),
+                Stats::of(&conv).map(|c| c.render(1)).unwrap_or_else(|| "-".into()),
+                Stats::of(&blast).expect("at least one run").render(0),
+            ]
+        })
+        .collect();
     Figure {
-        title: format!("Fig. 4 (replicated ×{}) — convergence ms as mean [min–max]", seeds.len()),
+        title: format!("Fig. 4 (replicated ×{seeds}) — convergence ms as mean [min–max]"),
         headers: vec!["topology", "stack", "case", "convergence_ms", "blast_radius"],
         rows,
     }
@@ -116,6 +89,8 @@ pub fn fig4_replicated(seeds: &[u64], local_repair: bool) -> Figure {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fabric::Stack;
+    use dcn_topology::{ClosParams, FailureCase};
 
     #[test]
     fn stats_aggregate_correctly() {
@@ -132,7 +107,7 @@ mod tests {
     fn instrumented_replication_writes_bundles() {
         let s = RunSpec::new(ClosParams::two_pod(), Stack::Mrmtp).failing(FailureCase::Tc1);
         let dir = std::env::temp_dir().join(format!("dcn-replicate-test-{}", std::process::id()));
-        run_replicated_instrumented(s, &[1, 2], &dir);
+        write_bundles(s, &[1, 2], &dir);
         for seed in [1, 2] {
             let sub = dir.join(format!("replicate-mrmtp-tc1-seed{seed}"));
             for f in ["meta.json", "spans.jsonl", "hists.jsonl", "storyboard.txt"] {
@@ -144,14 +119,20 @@ mod tests {
 
     #[test]
     fn replication_varies_timer_phase_but_not_structure() {
-        let s = RunSpec::new(ClosParams::two_pod(), Stack::Mrmtp).failing(FailureCase::Tc1);
-        let r = run_replicated(s, &[1, 2, 3, 4]);
+        let grid = CampaignSpec {
+            pods: vec![2],
+            stacks: vec![Stack::Mrmtp],
+            failures: vec![Some(FailureCase::Tc1)],
+            seeds: 4,
+            ..paper_grid(1)
+        };
+        let runs = run_grid(&grid);
         // Blast radius is structural: identical across seeds.
-        assert_eq!(r.blast_radius.min, 3.0);
-        assert_eq!(r.blast_radius.max, 3.0);
+        assert!(runs.iter().all(|(_, r)| r.blast_radius == 3), "{runs:?}");
         // Convergence varies with hello phase but stays dead-timer
         // bounded.
-        let c = r.convergence_ms.unwrap();
+        let conv: Vec<f64> = runs.iter().filter_map(|(_, r)| r.convergence_ms).collect();
+        let c = Stats::of(&conv).unwrap();
         assert!(c.min >= 40.0 && c.max <= 120.0, "{c:?}");
         assert_eq!(c.runs, 4);
     }

@@ -266,75 +266,3 @@ mod tests {
         assert_eq!(ks.avg_frame_len, 0.0);
     }
 }
-
-/// A tshark-like rendering of one interface's transmissions — the view
-/// the paper's measurement scripts worked from. Each line shows the
-/// relative timestamp (seconds), frame class and capture length.
-pub fn capture_text(
-    trace: &Trace,
-    node: NodeId,
-    port: dcn_sim::PortId,
-    t0: Time,
-    t1: Time,
-    max_lines: usize,
-) -> String {
-    let mut out = String::new();
-    let mut count = 0usize;
-    for ev in trace.events_since(t0) {
-        if ev.time() >= t1 {
-            break;
-        }
-        if let TraceEvent::FrameSent { time, node: n, port: p, capture_len, class, .. } = ev {
-            if *n != node || *p != port {
-                continue;
-            }
-            count += 1;
-            if count <= max_lines {
-                out.push_str(&format!(
-                    "{:>10.6}  {:<9}  {:>4} bytes\n",
-                    (*time - t0) as f64 / SECONDS as f64,
-                    class.name(),
-                    capture_len
-                ));
-            }
-        }
-    }
-    if count > max_lines {
-        out.push_str(&format!("… {} more frames\n", count - max_lines));
-    }
-    out
-}
-
-#[cfg(test)]
-mod capture_tests {
-    use super::*;
-    use dcn_sim::PortId;
-
-    #[test]
-    fn capture_text_filters_and_truncates() {
-        let mut tr = Trace::enabled();
-        tr.push(TraceEvent::FrameSent {
-            time: 0,
-            node: NodeId(2), // different node: excluded
-            port: PortId(0),
-            wire_len: 60,
-            capture_len: 15,
-            class: FrameClass::Keepalive,
-        });
-        for i in 0..5u64 {
-            tr.push(TraceEvent::FrameSent {
-                time: i * 50_000_000,
-                node: NodeId(1),
-                port: PortId(0),
-                wire_len: 60,
-                capture_len: 15,
-                class: FrameClass::Keepalive,
-            });
-        }
-        let s = capture_text(&tr, NodeId(1), PortId(0), 0, SECONDS, 3);
-        assert_eq!(s.lines().count(), 4, "3 frames + truncation notice:\n{s}");
-        assert!(s.contains("keepalive"));
-        assert!(s.contains("… 2 more frames"));
-        assert!(s.contains("  0.000000"));
-    }
-}

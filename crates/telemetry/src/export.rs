@@ -2,11 +2,13 @@
 //! captures, and self-contained trace bundles (the artifact a chaos
 //! invariant violation leaves behind).
 
+use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use dcn_sim::time::Time;
-use dcn_sim::{FrameClass, NodeId, RouteChangeKind, Sim, SpanEvent, Trace, TraceEvent};
+use dcn_sim::time::{Time, SECONDS};
+use dcn_sim::{FrameClass, NodeId, PortId, RouteChangeKind, Sim, SpanEvent, Trace, TraceEvent};
 
 use crate::hist::Histogram;
 use crate::json::Json;
@@ -137,20 +139,34 @@ pub fn hists_jsonl(trace: &Trace) -> String {
 
 /// tshark-style capture of every interface that transmitted in
 /// `[t0, t1)`, concatenated with per-interface headers — the bundle's
-/// pcap analog.
+/// pcap analog, and the view the paper's measurement scripts worked from.
+/// Each line shows the time since `t0` (seconds), the frame class and the
+/// capture length; an interface shows at most `max_lines_per_port` lines.
 pub fn capture_dump(sim: &Sim, t0: Time, t1: Time, max_lines_per_port: usize) -> String {
-    let mut out = String::new();
-    for i in 0..sim.node_count() as u32 {
-        let node = NodeId(i);
-        for p in 0..sim.port_count(node) as u16 {
-            let port = dcn_sim::PortId(p);
-            let text =
-                dcn_metrics::capture_text(sim.trace(), node, port, t0, t1, max_lines_per_port);
-            if text.is_empty() {
-                continue;
+    // One pass over the window: (lines, frames) per interface, in node
+    // then port order.
+    let mut ports: BTreeMap<(NodeId, PortId), (String, usize)> = BTreeMap::new();
+    for ev in sim.trace().events_since(t0).take_while(|ev| ev.time() < t1) {
+        if let TraceEvent::FrameSent { time, node, port, capture_len, class, .. } = ev {
+            let (text, count) = ports.entry((*node, *port)).or_default();
+            *count += 1;
+            if *count <= max_lines_per_port {
+                let _ = writeln!(
+                    text,
+                    "{:>10.6}  {:<9}  {:>4} bytes",
+                    (*time - t0) as f64 / SECONDS as f64,
+                    class.name(),
+                    capture_len
+                );
             }
-            out.push_str(&format!("== {} {} ==\n", sim.node_name(node), port));
-            out.push_str(&text);
+        }
+    }
+    let mut out = String::new();
+    for ((node, port), (text, count)) in ports {
+        let _ = writeln!(out, "== {} {} ==", sim.node_name(node), port);
+        out.push_str(&text);
+        if count > max_lines_per_port {
+            let _ = writeln!(out, "… {} more frames", count - max_lines_per_port);
         }
     }
     out
@@ -202,7 +218,7 @@ impl TraceBundle {
 mod tests {
     use super::*;
     use dcn_sim::time::MILLIS;
-    use dcn_sim::{BgpState, Ctx, FrameBuf, LinkSpec, PortId, Protocol, SimBuilder};
+    use dcn_sim::{BgpState, Ctx, FrameBuf, LinkSpec, Protocol, SimBuilder};
 
     fn toy_trace() -> Trace {
         let mut tr = Trace::enabled();
@@ -302,6 +318,28 @@ mod tests {
             buckets.iter().filter(|b| b.as_arr().unwrap()[1].as_u64() != Some(0)).collect();
         assert_eq!(full.len(), 1, "all frames in the 64 B bucket");
         assert_eq!(full[0].as_arr().unwrap()[0].as_u64(), Some(64));
+    }
+
+    #[test]
+    fn capture_dump_windows_and_truncates_each_interface() {
+        let mut b = SimBuilder::new(7);
+        let a = b.add_node("a", Box::new(Ticker));
+        let c = b.add_node("b", Box::new(Ticker));
+        b.add_link(a, c, LinkSpec::default());
+        let mut sim = b.build();
+        sim.run_until(100 * MILLIS);
+
+        // Each node sends one keepalive per ms: 3 in [10 ms, 13 ms).
+        let dump = capture_dump(&sim, 10 * MILLIS, 13 * MILLIS, 2);
+        let lines: Vec<&str> = dump.lines().collect();
+        assert_eq!(lines.len(), 8, "per interface a header, 2 frames and a notice:\n{dump}");
+        assert_eq!(lines[0], "== a eth0 ==");
+        assert!(lines[1].starts_with("  0.000000  keepalive"), "{dump}");
+        assert!(lines[2].starts_with("  0.001000  keepalive"), "{dump}");
+        assert_eq!(lines[3], "… 1 more frames");
+        assert_eq!(lines[4], "== b eth0 ==");
+        assert_eq!(lines[7], "… 1 more frames");
+        assert!(capture_dump(&sim, 200 * MILLIS, 300 * MILLIS, 2).is_empty(), "nothing sent");
     }
 
     #[test]

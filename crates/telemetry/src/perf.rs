@@ -6,13 +6,16 @@
 //! * [`PerfReport::render_text`] — a terminal summary: events, wall
 //!   time, ns per event, scheduler occupancy, hottest nodes.
 //! * [`PerfReport::to_json`] — the `perf_report/v3` schema, consumed by
-//!   CI.
+//!   CI and written as `perf_report.json` by [`PerfReport::write`].
 //!
 //! Durations come from the host monotonic clock (see
 //! `dcn_sim::profiler`); nothing here feeds back into the simulation.
 
-use dcn_sim::EngineProfile;
 use std::fmt::Write as _;
+use std::io;
+use std::path::{Path, PathBuf};
+
+use dcn_sim::{EngineProfile, NodeId, Sim};
 
 use crate::json::Json;
 
@@ -49,6 +52,24 @@ impl PerfReport {
         node_names: Vec<String>,
     ) -> PerfReport {
         PerfReport { profile, label: label.into(), cores: host_cores(), node_names }
+    }
+
+    /// The report of everything `sim` has run so far, hot nodes
+    /// attributed by name. Every [`Sim`] records its profile, so any run
+    /// can be reported after the fact.
+    pub fn of(sim: &Sim, label: impl Into<String>) -> PerfReport {
+        let names =
+            (0..sim.node_count() as u32).map(|i| sim.node_name(NodeId(i)).to_string()).collect();
+        PerfReport::new(sim.profile(), label, names)
+    }
+
+    /// Write the JSON document as `perf_report.json` under `dir` (created
+    /// if needed). Returns the path written.
+    pub fn write(&self, dir: &Path) -> io::Result<PathBuf> {
+        std::fs::create_dir_all(dir)?;
+        let path = dir.join("perf_report.json");
+        std::fs::write(&path, self.to_json().render() + "\n")?;
+        Ok(path)
     }
 
     pub fn profile(&self) -> &EngineProfile {
@@ -174,6 +195,18 @@ mod tests {
             })
             .collect();
         assert_eq!(hot, vec![("e0", 3), ("s0", 2), ("e1", 1)]);
+    }
+
+    #[test]
+    fn written_report_parses_back() {
+        let report = toy_report();
+        let dir = std::env::temp_dir().join(format!("dcn-perf-test-{}", std::process::id()));
+        let written = report.write(&dir).unwrap();
+        assert_eq!(written, dir.join("perf_report.json"));
+        let text = std::fs::read_to_string(&written).unwrap();
+        assert!(text.ends_with("}\n"), "one document, one line");
+        assert_eq!(Json::parse(text.trim()).unwrap(), report.to_json());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

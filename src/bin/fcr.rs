@@ -19,8 +19,8 @@ use dcn_experiments::campaign::{self, CampaignSpec};
 use dcn_experiments::chaos::{self, VIOLATION_TERMS};
 use dcn_experiments::scenario::run_with_sim;
 use dcn_experiments::{
-    ablations, bundle_from_run, extended_failures, figures, perf_report, replicate, report,
-    run_instrumented, write_profile_artifacts, CampaignConfig, Failure, RunSpec, Stack, TrafficDir,
+    ablations, bundle_from_run, extended_failures, figures, replicate, report, run_instrumented,
+    CampaignConfig, Failure, RunSpec, Stack, TrafficDir,
 };
 use dcn_telemetry::{PerfReport, TraceBundle};
 use dcn_topology::{ClosParams, FailureCase};
@@ -69,11 +69,7 @@ const COMMANDS: &[Command] = &[
                tc: tc1..tc4, or a §IX case: pod-spine-crash|\n\
                top-spine-crash|double-uplink; dir: near|far,\n\
                default near)",
-        flags: &[
-            PODS, SEED_FLAG, LOCAL_REPAIR, TELEMETRY_OUT,
-            flag("--profile-out", "DIR", "also write the engine profile,\nperf_report.json, under DIR"),
-        ],
-        run: cmd_scenario,
+        flags: &[PODS, SEED_FLAG, LOCAL_REPAIR, TELEMETRY_OUT], run: cmd_scenario,
     },
     Command {
         name: "profile", args: "<stack> <tc>",
@@ -105,10 +101,6 @@ const COMMANDS: &[Command] = &[
         flags: &[], run: cmd_ablations,
     },
     Command {
-        name: "keepalive", args: "", help: "steady-state keep-alive summary",
-        flags: &[], run: cmd_keepalive,
-    },
-    Command {
         name: "extended", args: "", help: "whole-node/multi-point failures + encap overhead",
         flags: &[], run: cmd_extended,
     },
@@ -136,7 +128,6 @@ const COMMANDS: &[Command] = &[
             flag("--traffic-pairs", "N", "cross-pod background flows per schedule (default 0)"),
             flag("--no-determinism", "", "skip the double-run digest comparison"),
             flag("--telemetry-out", "DIR", "write a replay bundle for every violating seed"),
-            flag("--profile-out", "DIR", "write perf_report.json per (stack, seed) under DIR"),
         ],
         run: cmd_chaos,
     },
@@ -291,31 +282,16 @@ fn write_bundle(bundle: TraceBundle, dir: &Path) {
     }
 }
 
-/// Write `perf_report.json` under `dir`, say so, and return whether it
-/// worked.
-fn write_profile(report: &PerfReport, dir: &Path) -> bool {
-    let written = write_profile_artifacts(report, dir);
-    match &written {
-        Ok(path) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("profile write to {} failed: {e}", dir.display()),
-    }
-    written.is_ok()
-}
-
-fn perf_label(s: &RunSpec) -> String {
-    format!("{} {} seed {}", s.stack.slug(), s.failure.label(), s.seed)
-}
-
 fn cmd_figures(_: &Args) {
     eprintln!("running failure matrices (this fans out over all CPUs)…");
-    let near = figures::failure_matrix(TrafficDir::NearToFar, SEED);
-    let far = figures::failure_matrix(TrafficDir::FarToNear, SEED);
+    let both = vec![TrafficDir::NearToFar, TrafficDir::FarToNear];
+    let runs = campaign::run_grid(&CampaignSpec { traffic: both, ..figures::paper_grid(SEED) });
     println!("{}", figures::fig1_stack_comparison(SEED).render());
-    println!("{}", figures::fig4_convergence(&near).render());
-    println!("{}", figures::fig5_blast_radius(&near).render());
-    println!("{}", figures::fig6_control_overhead(&near).render());
-    println!("{}", figures::fig_packet_loss(&near, true).render());
-    println!("{}", figures::fig_packet_loss(&far, false).render());
+    println!("{}", figures::fig4_convergence(&runs).render());
+    println!("{}", figures::fig5_blast_radius(&runs).render());
+    println!("{}", figures::fig6_control_overhead(&runs).render());
+    println!("{}", figures::fig_packet_loss(&runs, TrafficDir::NearToFar).render());
+    println!("{}", figures::fig_packet_loss(&runs, TrafficDir::FarToNear).render());
     println!("{}", figures::fig9_keepalive(SEED).render());
     println!("{}", figures::config_comparison().render());
     println!("{}", figures::table_size_comparison(SEED).render());
@@ -329,22 +305,17 @@ fn cmd_scenario(a: &Args) {
             .unwrap_or_else(|| fail(&format!("unknown direction {d:?} (near|far)"))),
     };
     let s = run_spec(a, params_for(a)).with_traffic(dir);
-    let name = format!("{}-{}", s.stack.slug(), s.failure.slug());
-    let (r, built) = match a.dir("--telemetry-out") {
-        None => run_with_sim(s),
+    let r = match a.dir("--telemetry-out") {
+        None => s.run(),
         Some(out) => {
             // Instrumented run: identical event processing, plus a trace
             // bundle on disk.
             let ir = run_instrumented(s);
-            write_bundle(bundle_from_run(&ir, &s), &out.join(format!("scenario-{name}")));
-            (ir.result, ir.built)
+            let sub = out.join(format!("scenario-{}-{}", s.stack.slug(), s.failure.slug()));
+            write_bundle(bundle_from_run(&ir, &s), &sub);
+            ir.result
         }
     };
-    if let Some(out) = a.dir("--profile-out") {
-        let report = perf_report(&built.sim, perf_label(&s));
-        eprint!("{}", report.render_text());
-        write_profile(&report, &out.join(format!("profile-{name}")));
-    }
     println!(
         "convergence_ms   {}",
         r.convergence_ms.map(|v| format!("{v:.1}")).unwrap_or("-".into())
@@ -374,12 +345,15 @@ fn cmd_scenario(a: &Args) {
 
 fn cmd_profile(a: &Args) {
     let s = run_spec(a, params_for(a)).with_traffic(TrafficDir::NearToFar);
-    let report = perf_report(&run_with_sim(s).1.sim, perf_label(&s));
+    let label = format!("{} {} seed {}", s.stack.slug(), s.failure.label(), s.seed);
+    let report = PerfReport::of(&run_with_sim(s).1.sim, label);
     print!("{}", report.render_text());
     if let Some(dir) = a.dir("--out") {
-        if !write_profile(&report, &dir) {
-            std::process::exit(2);
-        }
+        let path = report.write(&dir).unwrap_or_else(|e| {
+            eprintln!("profile write to {} failed: {e}", dir.display());
+            std::process::exit(2)
+        });
+        eprintln!("wrote {}", path.display());
     }
 }
 
@@ -412,11 +386,6 @@ fn cmd_ablations(_: &Args) {
     println!("{}", ablations::sweep_bfd_interval(SEED).render());
 }
 
-fn cmd_keepalive(_: &Args) {
-    println!("{}", figures::fig9_keepalive(SEED).render());
-    println!("{}", figures::fig1_stack_comparison(SEED).render());
-}
-
 fn cmd_extended(_: &Args) {
     println!("{}", extended_failures::extended_failure_figure(SEED).render());
     println!("{}", figures::encap_overhead_figure(SEED).render());
@@ -428,20 +397,16 @@ fn cmd_replicate(a: &Args) {
         fail("replicate: need at least one seed");
     }
     let local_repair = a.has("--local-repair");
-    let seeds: Vec<u64> = (1..=n).collect();
     eprintln!("replicating Fig. 4 over {n} seeds…");
-    println!("{}", replicate::fig4_replicated(&seeds, local_repair).render());
+    println!("{}", replicate::fig4_replicated(n, local_repair).render());
     if let Some(out) = a.dir("--telemetry-out") {
-        // One instrumented replication per stack on the headline case
-        // (TC1, 2-PoD), a bundle per seed.
+        // The headline case (TC1, 2-PoD) of every stack, a bundle per seed.
+        let seeds: Vec<u64> = (1..=n).collect();
         for stack in Stack::ALL {
             let s = RunSpec::new(ClosParams::two_pod(), stack)
                 .failing(FailureCase::Tc1)
                 .with_local_repair(local_repair);
-            let r = replicate::run_replicated_instrumented(s, &seeds, &out);
-            if let Some(c) = r.convergence_ms {
-                eprintln!("{}: TC1 convergence {} ms", stack.label(), c.render(1));
-            }
+            replicate::write_bundles(s, &seeds, &out);
         }
     }
 }
@@ -470,7 +435,6 @@ fn cmd_chaos(a: &Args) {
     cfg.chaos.tuning.local_repair = a.has("--local-repair");
     cfg.check_determinism = !a.has("--no-determinism");
     cfg.telemetry_out = a.dir("--telemetry-out");
-    cfg.profile_out = a.dir("--profile-out");
     if cfg.seeds == 0 {
         fail("chaos: need at least one seed");
     }

@@ -57,11 +57,6 @@ fn listings_match_golden() {
 }
 
 #[test]
-fn keepalive_matches_golden() {
-    assert_golden(&["keepalive"]);
-}
-
-#[test]
 fn replicate_matches_golden() {
     assert_golden(&["replicate", "2"]);
 }
@@ -136,7 +131,7 @@ fn positional_counts_are_checked() {
     assert_rejected(&[]);
     assert_rejected(&["scenario", "mrmtp"]);
     assert_rejected(&["scenario", "mrmtp", "tc1", "near", "far"]);
-    assert_rejected(&["keepalive", "now"]);
+    assert_rejected(&["listings", "now"]);
     assert_rejected(&["campaign", "report"]);
 }
 
@@ -159,7 +154,7 @@ fn every_listed_flag_is_accepted_and_read() {
     let dir = scratch("flags");
     let d = |sub: &str| dir.join(sub).to_string_lossy().into_owned();
 
-    let (tel, prof) = (d("scenario-tel"), d("scenario-prof"));
+    let tel = d("scenario-tel");
     let out = assert_accepted(&[
         "scenario",
         "bgp",
@@ -172,12 +167,9 @@ fn every_listed_flag_is_accepted_and_read() {
         "--local-repair",
         "--telemetry-out",
         &tel,
-        "--profile-out",
-        &prof,
     ]);
     assert!(out.contains("blast_radius"), "{out}");
     assert!(dir.join("scenario-tel/scenario-bgp-tc3/meta.json").is_file());
-    assert!(dir.join("scenario-prof/profile-bgp-tc3/perf_report.json").is_file());
     // The extended cases are values of the same failure axis.
     let out = assert_accepted(&["scenario", "mrmtp", "top-spine-crash"]);
     assert!(out.contains("packet_loss"), "{out}");
@@ -217,7 +209,7 @@ fn every_listed_flag_is_accepted_and_read() {
     assert!(out.contains("replicated ×1"), "{out}");
     assert!(dir.join("replicate-tel/replicate-bgp-tc1-seed1/meta.json").is_file());
 
-    let (tel, prof) = (d("chaos-tel"), d("chaos-prof"));
+    let tel = d("chaos-tel");
     let out = assert_accepted(&[
         "chaos",
         "--seeds",
@@ -244,8 +236,6 @@ fn every_listed_flag_is_accepted_and_read() {
         "--no-determinism",
         "--telemetry-out",
         &tel,
-        "--profile-out",
-        &prof,
     ]);
     assert!(out.contains("OK: all invariants held"), "{out}");
     assert!(out.contains("repair-loops"), "the table names every violation term: {out}");
@@ -254,7 +244,6 @@ fn every_listed_flag_is_accepted_and_read() {
     let rows: Vec<&str> = out.lines().filter(|l| l.starts_with("MR-MTP")).collect();
     assert_eq!(rows.len(), 1, "{out}");
     assert_eq!(rows[0].split_whitespace().nth(1), Some("1"), "seeds column: {out}");
-    assert!(dir.join("chaos-prof/chaos-mrmtp-seed11-perf/perf_report.json").is_file());
 
     let (a, b) = (d("store-a"), d("store-b"));
     for store in [&a, &b] {
