@@ -295,16 +295,6 @@ mod tests {
     }
 
     #[test]
-    fn profiled_run_counts_every_event_and_keeps_its_metrics() {
-        let spec = RunSpec::new(ClosParams::two_pod(), Stack::Mrmtp).timed(Timing::steady());
-        let (result, built) = run_with_sim(spec);
-        let report = dcn_telemetry::PerfReport::of(&built.sim, "steady");
-        assert_eq!(report.profile().total_events(), built.sim.events_processed());
-        assert_eq!(report.node_names[0], built.sim.node_name(NodeId(0)), "hot nodes by name");
-        assert!(result.keepalive.frames > 0, "the run's ordinary metrics still came out");
-    }
-
-    #[test]
     fn instrumented_run_builds_storyboards_and_bundles() {
         let s = RunSpec::new(ClosParams::two_pod(), Stack::Mrmtp).failing(FailureCase::Tc1);
         let ir = run_instrumented(s);
@@ -327,6 +317,11 @@ mod tests {
         assert_eq!(bundle.meta().get("stack").unwrap().as_str(), Some("mrmtp"));
         let sb_text = &bundle.files().iter().find(|(n, _)| n == "storyboard.txt").unwrap().1;
         assert!(sb_text.contains("phases:"), "{sb_text}");
+
+        // Its engine profile is reported after the fact, every event counted.
+        let report = dcn_telemetry::PerfReport::of(&ir.built.sim, "tc1");
+        assert_eq!(report.profile().total_events(), ir.built.sim.events_processed());
+        assert_eq!(report.node_names[0], ir.built.sim.node_name(NodeId(0)), "nodes by name");
     }
 
     /// Every file a scenario bundle carries besides `meta.json` and the

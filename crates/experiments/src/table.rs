@@ -1,14 +1,16 @@
 //! Plain-text table rendering for experiment output.
 
 /// Render an aligned text table. Every row must have `headers.len()`
-/// cells.
+/// cells. Widths count characters, not bytes, so a cell holding `–` or
+/// `×` lines up with the rest.
 pub fn render(headers: &[&str], rows: &[Vec<String>]) -> String {
     let cols = headers.len();
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
+    let width = |cell: &str| cell.chars().count();
+    let mut widths: Vec<usize> = headers.iter().map(|h| width(h)).collect();
     for row in rows {
         assert_eq!(row.len(), cols, "ragged table row");
         for (i, cell) in row.iter().enumerate() {
-            widths[i] = widths[i].max(cell.len());
+            widths[i] = widths[i].max(width(cell));
         }
     }
     let mut out = String::new();
@@ -19,7 +21,7 @@ pub fn render(headers: &[&str], rows: &[Vec<String>]) -> String {
                 line.push_str("  ");
             }
             line.push_str(cell);
-            line.push_str(&" ".repeat(widths[i].saturating_sub(cell.len())));
+            line.push_str(&" ".repeat(widths[i].saturating_sub(width(cell))));
         }
         line.trim_end().to_string()
     };
@@ -51,12 +53,18 @@ mod tests {
     fn aligned_output() {
         let t = render(
             &["tc", "value"],
-            &[vec!["TC1".into(), "3".into()], vec!["TC10".into(), "12345".into()]],
+            &[
+                vec!["TC1".into(), "3".into()],
+                vec!["TC10".into(), "12345".into()],
+                vec!["T×2".into(), "1 [0–2]".into()],
+            ],
         );
         let lines: Vec<&str> = t.lines().collect();
         assert_eq!(lines[0], "tc    value");
+        assert_eq!(lines[1], "-".repeat(4 + 2 + 7), "the rule counts characters");
         assert_eq!(lines[2], "TC1   3");
         assert_eq!(lines[3], "TC10  12345");
+        assert_eq!(lines[4], "T×2   1 [0–2]", "multi-byte cells pad by characters");
     }
 
     #[test]
