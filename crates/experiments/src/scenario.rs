@@ -317,11 +317,29 @@ mod tests {
         assert_eq!(bundle.meta().get("stack").unwrap().as_str(), Some("mrmtp"));
         let sb_text = &bundle.files().iter().find(|(n, _)| n == "storyboard.txt").unwrap().1;
         assert!(sb_text.contains("phases:"), "{sb_text}");
+    }
 
-        // Its engine profile is reported after the fact, every event counted.
-        let report = dcn_telemetry::PerfReport::of(&ir.built.sim, "tc1");
-        assert_eq!(report.profile().total_events(), ir.built.sim.events_processed());
-        assert_eq!(report.node_names[0], ir.built.sim.node_name(NodeId(0)), "nodes by name");
+    #[test]
+    fn profiled_run_counts_every_event_and_keeps_its_metrics() {
+        let spec = RunSpec::new(ClosParams::two_pod(), Stack::Mrmtp)
+            .failing(FailureCase::Tc1)
+            .seeded(5)
+            .timed(Timing {
+                warmup: secs(2),
+                traffic_lead: millis(100),
+                post_failure: millis(500),
+                drain: millis(100),
+            });
+        let (result, built) = run_with_sim(spec);
+        // The engine profile is reported after the fact, every event counted.
+        let report = dcn_telemetry::PerfReport::of(&built.sim, "quick");
+        let prof = report.profile();
+        assert_eq!(prof.total_events(), built.sim.events_processed());
+        assert_eq!(prof.node_events.iter().sum::<u64>(), prof.total_events());
+        assert!(prof.wall_ns > 0);
+        assert_eq!(report.node_names[0], built.sim.node_name(NodeId(0)), "nodes by name");
+        // The run's ordinary metrics still came out.
+        assert!(result.convergence_ms.is_some());
     }
 
     /// Every file a scenario bundle carries besides `meta.json` and the
